@@ -17,10 +17,7 @@ pub mod util;
 
 pub use error::{PlanLoadError, Result, SpmmError};
 pub use precision::{round_to, Precision};
-pub use scalar::{
-    tf32_mma_8x8, tf32_mma_8x8_prerounded, tf32_mma_8x8_rows, to_tf32, to_tf32_slice,
-};
+pub use scalar::{tf32_mma_8x8, tf32_mma_8x8_prerounded, to_tf32, to_tf32_slice};
 pub use simd::{
-    axpy_tier, mma_8x8_prerounded_tier, mma_8x8_rows_tier, to_tf32_slice_into_tier,
-    to_tf32_slice_tier, IsaTier,
+    mma_8x8_prerounded_tier, mma_row_tier, to_tf32_slice_into_tier, to_tf32_slice_tier, IsaTier,
 };

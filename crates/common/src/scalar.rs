@@ -100,44 +100,6 @@ pub fn tf32_mma_8x8(a: &[f32; 64], b: &[f32], c: &mut [f32], n: usize) {
     }
 }
 
-/// [`tf32_mma_8x8_prerounded`] reading the dense operand through eight
-/// per-row slices instead of a gathered contiguous tile.
-///
-/// With B pre-rounded in a staging buffer, the gather copy that used to
-/// feed the contiguous-tile MMA is pure overhead — the kernel can read
-/// each block row in place. Per output element this performs exactly
-/// the same multiply-adds in the same order as gathering into a tile
-/// first, so results are bit-identical.
-///
-/// Rows whose A column is entirely zero (e.g. a block's padded columns)
-/// may be passed as empty slices: the `av == 0.0` skip guarantees they
-/// are never read, and a structurally impossible nonzero against a
-/// short row panics on the `[..n]` bounds check rather than truncating.
-#[inline]
-pub fn tf32_mma_8x8_rows(a: &[f32; 64], rows: &[&[f32]; 8], c: &mut [f32], n: usize) {
-    debug_assert_eq!(c.len(), 8 * n);
-    for i in 0..8 {
-        let crow = &mut c[i * n..(i + 1) * n];
-        for k in 0..8 {
-            let av = a[i * 8 + k];
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &rows[k][..n];
-            let mut cc = crow.chunks_exact_mut(8);
-            let mut bb = brow.chunks_exact(8);
-            for (cs, bs) in (&mut cc).zip(&mut bb) {
-                for j in 0..8 {
-                    cs[j] += av * bs[j];
-                }
-            }
-            for (cj, &bj) in cc.into_remainder().iter_mut().zip(bb.remainder()) {
-                *cj += av * bj;
-            }
-        }
-    }
-}
-
 /// [`tf32_mma_8x8`] over operands that are **already TF32-rounded**: the
 /// inner loop is a pure `c[j] += av * b[j]`, chunked so LLVM vectorizes
 /// it. Callers must have passed both tiles through [`to_tf32_slice`] (or
@@ -333,19 +295,6 @@ mod tests {
             let mut c_new = vec![0.5f32; 8 * n];
             tf32_mma_8x8_prerounded(&a_pre, &b_pre, &mut c_new, n);
 
-            // The gather-free variant over per-row slices of the same
-            // pre-rounded operand must match too; rows whose A column is
-            // all zero may legally be empty.
-            let rows: [&[f32]; 8] = std::array::from_fn(|k| {
-                if (0..8).all(|i| a_pre[i * 8 + k] == 0.0) {
-                    &[][..]
-                } else {
-                    &b_pre[k * n..(k + 1) * n]
-                }
-            });
-            let mut c_rows = vec![0.5f32; 8 * n];
-            tf32_mma_8x8_rows(&a_pre, &rows, &mut c_rows, n);
-
             // NaN-position-exact comparison: when several NaNs compete
             // for one accumulator, IEEE 754 leaves the surviving payload
             // unspecified and LLVM may commute `c + a*b` differently per
@@ -360,12 +309,6 @@ mod tests {
                     "n={n} elem {j}: {} vs {}",
                     c_old[j],
                     c_new[j]
-                );
-                assert!(
-                    same(c_old[j], c_rows[j]),
-                    "rows variant: n={n} elem {j}: {} vs {}",
-                    c_old[j],
-                    c_rows[j]
                 );
             }
         }

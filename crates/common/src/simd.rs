@@ -26,10 +26,11 @@
 //!    which reorders only *across* lanes, never within one — so every
 //!    lane sees the identical rounding sequence.
 //! 3. **The `av == 0.0` skip is replicated exactly.** It is semantically
-//!    load-bearing (`0 × Inf` would inject NaN), and in the row-slice
-//!    variant it also guarantees empty rows for all-zero A columns are
-//!    never touched; the `[..n]` bounds check runs only under `av != 0`,
-//!    mirroring the scalar panic semantics.
+//!    load-bearing (`0 × Inf` would inject NaN). The 8×8 tile kernels
+//!    test every A slot like the scalar tile MMA does; the row core
+//!    ([`mma_row_tier`]) has no skip at all, because its TC callers drop
+//!    zero values while decoding a row's `(value, B row)` pairs — the
+//!    same slots the tile skip would have passed over.
 //!
 //! The selected tier is resolved **once at plan-compile time**
 //! (`AccConfig::isa` pin → `SPMM_FORCE_ISA` env override → probe) and
@@ -39,9 +40,7 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::scalar::{
-    tf32_mma_8x8_prerounded, tf32_mma_8x8_rows, to_tf32_slice, to_tf32_slice_into,
-};
+use crate::scalar::{tf32_mma_8x8_prerounded, to_tf32_slice, to_tf32_slice_into};
 use std::sync::OnceLock;
 
 /// An ISA capability tier the compute core can dispatch to.
@@ -334,81 +333,69 @@ pub fn mma_8x8_prerounded_tier(a: &[f32; 64], b: &[f32], c: &mut [f32], n: usize
     }
 }
 
-/// [`tf32_mma_8x8_rows`] at an explicit tier.
+/// One output-row accumulation at an explicit tier:
+/// `crow[j] += Σ_t avs[t] * b[cols[t] * n + j]` with `n = crow.len()`,
+/// i.e. `b` is a row-major operand with `n` columns and `cols[t]` picks
+/// the row scaled by `avs[t]`.
 ///
-/// Rows whose A column is entirely zero may be empty slices; the
-/// pointer-builder maps them to null pointers the tile kernels never
-/// dereference, exactly like the scalar `av == 0.0` skip.
+/// This is the row-streamed core of the TC window products: a caller
+/// decodes one output row's nonzeros from every block of a window into
+/// `(value, B row)` pairs, and the vector kernels keep each C chunk in
+/// registers across *all* pairs, loading and storing it once. Per lane
+/// the adds run in ascending `t` with separate multiply and add, so the
+/// result is bit-identical to the scalar fallback on every tier.
+///
+/// There is **no** `avs[t] == 0.0` skip here: callers that need one
+/// (the TC formats, where `0 × Inf` must not inject NaN) filter zeros
+/// out while building the pairs; callers that must multiply
+/// unconditionally (the TCF per-edge loop) pass their values as they
+/// are.
+///
+/// # Panics
+/// If `avs` and `cols` differ in length, or a `cols[t]` row does not
+/// lie inside `b`.
 #[inline]
-pub fn mma_8x8_rows_tier(
-    a: &[f32; 64],
-    rows: &[&[f32]; 8],
-    c: &mut [f32],
-    n: usize,
-    tier: IsaTier,
-) {
-    debug_assert_eq!(c.len(), 8 * n);
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx512f if tier.is_available() => {
-            let rowp = active_rows(a, rows, n);
-            let c = &mut c[..8 * n];
-            // SAFETY: avx512f availability checked above; every non-null
-            // row pointer covers a `[..n]`-checked slice, null pointers
-            // belong to all-zero A columns the kernel never reads, and
-            // `c` was just sliced to exactly `8 * n` floats.
-            unsafe { x86::mma_tile_avx512(a, &rowp, c, n) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2Fma if tier.is_available() => {
-            let rowp = active_rows(a, rows, n);
-            let c = &mut c[..8 * n];
-            // SAFETY: avx2 availability checked above; pointers as in
-            // the avx512 arm.
-            unsafe { x86::mma_tile_avx2(a, &rowp, c, n) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon if tier.is_available() => {
-            let rowp = active_rows(a, rows, n);
-            let c = &mut c[..8 * n];
-            // SAFETY: neon availability checked above; pointers as in
-            // the x86 arms.
-            unsafe { neon::mma_tile_neon(a, &rowp, c, n) }
-        }
-        _ => tf32_mma_8x8_rows(a, rows, c, n),
-    }
-}
-
-/// `crow[j] += v * brow[j]` over `crow.len()` lanes at an explicit tier
-/// — the per-edge accumulation of the TCF kernel. **No** `v == 0.0`
-/// skip: the scalar TCF loop multiplies unconditionally, and
-/// bit-identity means replicating exactly that (a zero edge value
-/// against a non-finite B element must produce the same NaN it always
-/// did).
-#[inline]
-pub fn axpy_tier(v: f32, brow: &[f32], crow: &mut [f32], tier: IsaTier) {
+pub fn mma_row_tier(avs: &[f32], cols: &[u32], b: &[f32], crow: &mut [f32], tier: IsaTier) {
+    assert_eq!(avs.len(), cols.len(), "one B row per value");
     let n = crow.len();
-    debug_assert!(brow.len() >= n);
+    if n == 0 {
+        return;
+    }
+    if let Some(&top) = cols.iter().max() {
+        // The vector kernels index `b` unchecked, so this bound is what
+        // keeps every row read inside the operand.
+        assert!(
+            (top as usize + 1)
+                .checked_mul(n)
+                .is_some_and(|end| end <= b.len()),
+            "B row {top} out of range for a {}-float operand with {n} columns",
+            b.len()
+        );
+    }
     match tier {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx512f if tier.is_available() => {
-            // SAFETY: avx512f availability just checked; the single row
-            // pointer is valid for `n` reads via the `[..n]` slice.
-            unsafe { x86::mma_row_avx512(&[v], &[brow[..n].as_ptr()], crow) }
+            // SAFETY: avx512f availability just checked; every row
+            // `cols[t]` was bounds-checked against `b` above, and `crow`
+            // is a distinct (mutable) borrow.
+            unsafe { x86::mma_row_avx512(avs, cols, b.as_ptr(), crow) }
         }
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2Fma if tier.is_available() => {
-            // SAFETY: avx2 availability just checked; pointer as above.
-            unsafe { x86::mma_row_avx2(&[v], &[brow[..n].as_ptr()], crow) }
+            // SAFETY: avx2 availability just checked; rows as above.
+            unsafe { x86::mma_row_avx2(avs, cols, b.as_ptr(), crow) }
         }
         #[cfg(target_arch = "aarch64")]
         IsaTier::Neon if tier.is_available() => {
-            // SAFETY: neon availability just checked; pointer as above.
-            unsafe { neon::mma_row_neon(&[v], &[brow[..n].as_ptr()], crow) }
+            // SAFETY: neon availability just checked; rows as above.
+            unsafe { neon::mma_row_neon(avs, cols, b.as_ptr(), crow) }
         }
         _ => {
-            for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
-                *cj += v * bj;
+            for (&av, &col) in avs.iter().zip(cols) {
+                let brow = &b[col as usize * n..(col as usize + 1) * n];
+                for (cj, &bj) in crow.iter_mut().zip(brow) {
+                    *cj += av * bj;
+                }
             }
         }
     }
@@ -420,24 +407,6 @@ pub fn axpy_tier(v: f32, brow: &[f32], crow: &mut [f32], tier: IsaTier) {
 #[allow(dead_code)] // unused on ISAs with no vector tier (e.g. riscv)
 fn contiguous_rows(b: &[f32], n: usize) -> [*const f32; 8] {
     std::array::from_fn(|k| b[k * n..k * n + n].as_ptr())
-}
-
-/// Base pointers for per-row stage slices: a column whose A slots are
-/// all zero gets a null pointer (its slice may legitimately be empty
-/// and must never be touched — the tile kernels only dereference under
-/// a nonzero A slot, mirroring the scalar `av == 0.0` skip). A *used*
-/// short row fails the `[..n]` check here, inheriting the scalar panic
-/// semantics for structurally-impossible inputs.
-#[inline]
-#[allow(dead_code)] // unused on ISAs with no vector tier
-fn active_rows(a: &[f32; 64], rows: &[&[f32]; 8], n: usize) -> [*const f32; 8] {
-    std::array::from_fn(|k| {
-        if (0..8).any(|i| a[i * 8 + k] != 0.0) {
-            rows[k][..n].as_ptr()
-        } else {
-            std::ptr::null()
-        }
-    })
 }
 
 /// FP32 exponent field mask (all-ones exponent = NaN/Inf), duplicated
@@ -553,54 +522,76 @@ mod x86 {
         unsafe { tf32_round_ptr_avx512(src.as_ptr(), dst.as_mut_ptr(), n) }
     }
 
-    /// One C-row update `crow[j] += Σ_t avs[t] * rows[t][j]` (AVX2),
-    /// register-blocked over `j` so each C chunk is loaded and stored
-    /// once for the whole `k` loop. Separate `mul` + `add` — **not**
-    /// `vfmadd` — to match the scalar path's two roundings; per-lane
-    /// addition order is ascending `t` (== ascending `k`), identical to
-    /// scalar.
+    /// Accumulate lanes `j .. j + 8·V` of one C row across every pair
+    /// (AVX2): the `V` C vectors are loaded once, stay in registers for
+    /// the whole pair loop, and are stored once. Separate `mul` + `add`
+    /// — **not** `vfmadd` — to match the scalar path's two roundings;
+    /// per lane the adds run in ascending `t`, identical to scalar.
     ///
-    /// SAFETY (caller): avx2 enabled; every `ptrs[t]` is valid for
-    /// `crow.len()` reads and does not alias `crow`.
+    /// SAFETY (caller): avx2 enabled; `j + 8·V <= n`; `cp` is valid for
+    /// `n` writes; every `b + cols[t]·n` is valid for `n` reads and does
+    /// not alias `cp`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mma_row_avx2(avs: &[f32], ptrs: &[*const f32], crow: &mut [f32]) {
+    #[inline]
+    unsafe fn row_block_avx2<const V: usize>(
+        avs: &[f32],
+        cols: &[u32],
+        b: *const f32,
+        n: usize,
+        cp: *mut f32,
+        j: usize,
+    ) {
+        // SAFETY: every offset is `< j + 8·V <= n` within its row.
+        unsafe {
+            let mut acc = [_mm256_setzero_ps(); V];
+            for (v, c) in acc.iter_mut().enumerate() {
+                *c = _mm256_loadu_ps(cp.add(j + 8 * v));
+            }
+            for (&av, &col) in avs.iter().zip(cols) {
+                let r = b.add(col as usize * n + j);
+                let a = _mm256_set1_ps(av);
+                for (v, c) in acc.iter_mut().enumerate() {
+                    *c = _mm256_add_ps(*c, _mm256_mul_ps(a, _mm256_loadu_ps(r.add(8 * v))));
+                }
+            }
+            for (v, c) in acc.iter().enumerate() {
+                _mm256_storeu_ps(cp.add(j + 8 * v), *c);
+            }
+        }
+    }
+
+    /// One C-row update `crow[j] += Σ_t avs[t] * b[cols[t]·n + j]` with
+    /// `n = crow.len()` (AVX2). The 32-lane main block keeps four
+    /// independent add chains in flight — per lane the adds must stay in
+    /// ascending `t`, so columns are the only ILP within one row — then
+    /// 16- and 8-lane blocks and a scalar tail, still ascending `t`.
+    ///
+    /// SAFETY (caller): avx2 enabled; every `b + cols[t]·n` is valid for
+    /// `n` reads and does not alias `crow`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn mma_row_avx2(avs: &[f32], cols: &[u32], b: *const f32, crow: &mut [f32]) {
         let n = crow.len();
         let cp = crow.as_mut_ptr();
-        let nt = avs.len().min(ptrs.len());
         let mut j = 0;
-        // SAFETY: all offsets stay `< n`; `cp` is the only mutable
-        // pointer and the B rows are read-only for the duration.
+        // SAFETY: each block call satisfies `j + 8·V <= n`; the tail
+        // offsets stay `< n`; row validity is the caller contract.
         unsafe {
-            // 16-lane (2×ymm) main blocks.
-            while j + 16 <= n {
-                let mut c0 = _mm256_loadu_ps(cp.add(j));
-                let mut c1 = _mm256_loadu_ps(cp.add(j + 8));
-                for t in 0..nt {
-                    let av = _mm256_set1_ps(avs[t]);
-                    let b0 = _mm256_loadu_ps(ptrs[t].add(j));
-                    let b1 = _mm256_loadu_ps(ptrs[t].add(j + 8));
-                    c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, b0));
-                    c1 = _mm256_add_ps(c1, _mm256_mul_ps(av, b1));
-                }
-                _mm256_storeu_ps(cp.add(j), c0);
-                _mm256_storeu_ps(cp.add(j + 8), c1);
+            while j + 32 <= n {
+                row_block_avx2::<4>(avs, cols, b, n, cp, j);
+                j += 32;
+            }
+            if j + 16 <= n {
+                row_block_avx2::<2>(avs, cols, b, n, cp, j);
                 j += 16;
             }
-            while j + 8 <= n {
-                let mut c0 = _mm256_loadu_ps(cp.add(j));
-                for t in 0..nt {
-                    let av = _mm256_set1_ps(avs[t]);
-                    let b0 = _mm256_loadu_ps(ptrs[t].add(j));
-                    c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, b0));
-                }
-                _mm256_storeu_ps(cp.add(j), c0);
+            if j + 8 <= n {
+                row_block_avx2::<1>(avs, cols, b, n, cp, j);
                 j += 8;
             }
-            // Scalar tail, still ascending `t` per lane.
             while j < n {
                 let mut cj = *cp.add(j);
-                for t in 0..nt {
-                    cj += avs[t] * *ptrs[t].add(j);
+                for (&av, &col) in avs.iter().zip(cols) {
+                    cj += av * *b.add(col as usize * n + j);
                 }
                 *cp.add(j) = cj;
                 j += 1;
@@ -608,50 +599,79 @@ mod x86 {
         }
     }
 
-    /// [`mma_row_avx2`] at 512-bit width (2×zmm = 32-lane main blocks).
-    /// Same bit-identity constraints: separate mul + add, ascending `t`.
+    /// [`row_block_avx2`] at 512-bit width: lanes `j .. j + 16·V`.
     ///
-    /// SAFETY (caller): avx512f enabled; pointer contract as in
+    /// SAFETY (caller): avx512f enabled; contract as in
+    /// [`row_block_avx2`] with `j + 16·V <= n`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn row_block_avx512<const V: usize>(
+        avs: &[f32],
+        cols: &[u32],
+        b: *const f32,
+        n: usize,
+        cp: *mut f32,
+        j: usize,
+    ) {
+        // SAFETY: every offset is `< j + 16·V <= n` within its row.
+        unsafe {
+            let mut acc = [_mm512_setzero_ps(); V];
+            for (v, c) in acc.iter_mut().enumerate() {
+                *c = _mm512_loadu_ps(cp.add(j + 16 * v));
+            }
+            for (&av, &col) in avs.iter().zip(cols) {
+                let r = b.add(col as usize * n + j);
+                let a = _mm512_set1_ps(av);
+                for (v, c) in acc.iter_mut().enumerate() {
+                    *c = _mm512_add_ps(*c, _mm512_mul_ps(a, _mm512_loadu_ps(r.add(16 * v))));
+                }
+            }
+            for (v, c) in acc.iter().enumerate() {
+                _mm512_storeu_ps(cp.add(j + 16 * v), *c);
+            }
+        }
+    }
+
+    /// [`mma_row_avx2`] at 512-bit width: 64-, 32- and 16-lane blocks,
+    /// then one masked vector for the last `n mod 16` lanes (masked-off
+    /// lanes are neither loaded nor stored, and the active ones see the
+    /// same mul + add sequence). Same bit-identity constraints.
+    ///
+    /// SAFETY (caller): avx512f enabled; contract as in
     /// [`mma_row_avx2`].
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn mma_row_avx512(avs: &[f32], ptrs: &[*const f32], crow: &mut [f32]) {
+    pub(super) unsafe fn mma_row_avx512(
+        avs: &[f32],
+        cols: &[u32],
+        b: *const f32,
+        crow: &mut [f32],
+    ) {
         let n = crow.len();
         let cp = crow.as_mut_ptr();
-        let nt = avs.len().min(ptrs.len());
         let mut j = 0;
-        // SAFETY: as in mma_row_avx2.
+        // SAFETY: as in mma_row_avx2; the masked tail touches only the
+        // `n - j < 16` lanes its mask enables.
         unsafe {
-            while j + 32 <= n {
-                let mut c0 = _mm512_loadu_ps(cp.add(j));
-                let mut c1 = _mm512_loadu_ps(cp.add(j + 16));
-                for t in 0..nt {
-                    let av = _mm512_set1_ps(avs[t]);
-                    let b0 = _mm512_loadu_ps(ptrs[t].add(j));
-                    let b1 = _mm512_loadu_ps(ptrs[t].add(j + 16));
-                    c0 = _mm512_add_ps(c0, _mm512_mul_ps(av, b0));
-                    c1 = _mm512_add_ps(c1, _mm512_mul_ps(av, b1));
-                }
-                _mm512_storeu_ps(cp.add(j), c0);
-                _mm512_storeu_ps(cp.add(j + 16), c1);
+            while j + 64 <= n {
+                row_block_avx512::<4>(avs, cols, b, n, cp, j);
+                j += 64;
+            }
+            if j + 32 <= n {
+                row_block_avx512::<2>(avs, cols, b, n, cp, j);
                 j += 32;
             }
-            while j + 16 <= n {
-                let mut c0 = _mm512_loadu_ps(cp.add(j));
-                for t in 0..nt {
-                    let av = _mm512_set1_ps(avs[t]);
-                    let b0 = _mm512_loadu_ps(ptrs[t].add(j));
-                    c0 = _mm512_add_ps(c0, _mm512_mul_ps(av, b0));
-                }
-                _mm512_storeu_ps(cp.add(j), c0);
+            if j + 16 <= n {
+                row_block_avx512::<1>(avs, cols, b, n, cp, j);
                 j += 16;
             }
-            while j < n {
-                let mut cj = *cp.add(j);
-                for t in 0..nt {
-                    cj += avs[t] * *ptrs[t].add(j);
+            if j < n {
+                let m: __mmask16 = (1u16 << (n - j)) - 1;
+                let mut c0 = _mm512_maskz_loadu_ps(m, cp.add(j));
+                for (&av, &col) in avs.iter().zip(cols) {
+                    let b0 = _mm512_maskz_loadu_ps(m, b.add(col as usize * n + j));
+                    c0 = _mm512_add_ps(c0, _mm512_mul_ps(_mm512_set1_ps(av), b0));
                 }
-                *cp.add(j) = cj;
-                j += 1;
+                _mm512_mask_storeu_ps(cp.add(j), m, c0);
             }
         }
     }
@@ -1011,47 +1031,71 @@ mod neon {
         unsafe { tf32_round_ptr_neon(src.as_ptr(), dst.as_mut_ptr(), n) }
     }
 
-    /// One C-row update (NEON): 8-lane (2×q) main blocks, then 4, then
-    /// scalar tail. Separate mul + add, ascending `t` per lane.
+    /// Accumulate lanes `j .. j + 4·V` of one C row across every pair
+    /// (NEON); see `x86::row_block_avx2` for the register-blocking and
+    /// bit-identity rules (separate `vmulq` + `vaddq`, ascending `t`).
     ///
-    /// SAFETY (caller): neon enabled; every `ptrs[t]` valid for
-    /// `crow.len()` reads, none aliasing `crow`.
+    /// SAFETY (caller): neon enabled; `j + 4·V <= n`; `cp` valid for
+    /// `n` writes; every `b + cols[t]·n` valid for `n` reads, none
+    /// aliasing `cp`.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn mma_row_neon(avs: &[f32], ptrs: &[*const f32], crow: &mut [f32]) {
+    #[inline]
+    unsafe fn row_block_neon<const V: usize>(
+        avs: &[f32],
+        cols: &[u32],
+        b: *const f32,
+        n: usize,
+        cp: *mut f32,
+        j: usize,
+    ) {
+        // SAFETY: every offset is `< j + 4·V <= n` within its row.
+        unsafe {
+            let mut acc = [vdupq_n_f32(0.0); V];
+            for (v, c) in acc.iter_mut().enumerate() {
+                *c = vld1q_f32(cp.add(j + 4 * v));
+            }
+            for (&av, &col) in avs.iter().zip(cols) {
+                let r = b.add(col as usize * n + j);
+                let a = vdupq_n_f32(av);
+                for (v, c) in acc.iter_mut().enumerate() {
+                    *c = vaddq_f32(*c, vmulq_f32(a, vld1q_f32(r.add(4 * v))));
+                }
+            }
+            for (v, c) in acc.iter().enumerate() {
+                vst1q_f32(cp.add(j + 4 * v), *c);
+            }
+        }
+    }
+
+    /// One C-row update (NEON): 16-lane (4×q) main blocks, then 8 and 4,
+    /// then a scalar tail. Separate mul + add, ascending `t` per lane.
+    ///
+    /// SAFETY (caller): neon enabled; every `b + cols[t]·n` valid for
+    /// `n = crow.len()` reads, none aliasing `crow`.
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn mma_row_neon(avs: &[f32], cols: &[u32], b: *const f32, crow: &mut [f32]) {
         let n = crow.len();
         let cp = crow.as_mut_ptr();
-        let nt = avs.len().min(ptrs.len());
         let mut j = 0;
-        // SAFETY: offsets `< n`; `cp` sole mutable pointer.
+        // SAFETY: each block call satisfies `j + 4·V <= n`; tail offsets
+        // stay `< n`.
         unsafe {
-            while j + 8 <= n {
-                let mut c0 = vld1q_f32(cp.add(j));
-                let mut c1 = vld1q_f32(cp.add(j + 4));
-                for t in 0..nt {
-                    let av = vdupq_n_f32(avs[t]);
-                    let b0 = vld1q_f32(ptrs[t].add(j));
-                    let b1 = vld1q_f32(ptrs[t].add(j + 4));
-                    c0 = vaddq_f32(c0, vmulq_f32(av, b0));
-                    c1 = vaddq_f32(c1, vmulq_f32(av, b1));
-                }
-                vst1q_f32(cp.add(j), c0);
-                vst1q_f32(cp.add(j + 4), c1);
+            while j + 16 <= n {
+                row_block_neon::<4>(avs, cols, b, n, cp, j);
+                j += 16;
+            }
+            if j + 8 <= n {
+                row_block_neon::<2>(avs, cols, b, n, cp, j);
                 j += 8;
             }
-            while j + 4 <= n {
-                let mut c0 = vld1q_f32(cp.add(j));
-                for t in 0..nt {
-                    let av = vdupq_n_f32(avs[t]);
-                    let b0 = vld1q_f32(ptrs[t].add(j));
-                    c0 = vaddq_f32(c0, vmulq_f32(av, b0));
-                }
-                vst1q_f32(cp.add(j), c0);
+            if j + 4 <= n {
+                row_block_neon::<1>(avs, cols, b, n, cp, j);
                 j += 4;
             }
             while j < n {
                 let mut cj = *cp.add(j);
-                for t in 0..nt {
-                    cj += avs[t] * *ptrs[t].add(j);
+                for (&av, &col) in avs.iter().zip(cols) {
+                    cj += av * *b.add(col as usize * n + j);
                 }
                 *cp.add(j) = cj;
                 j += 1;
@@ -1337,39 +1381,34 @@ mod tests {
         }
     }
 
+    /// Scalar oracle for the row core: pair-outer, lane-inner.
+    fn row_reference(avs: &[f32], cols: &[u32], b: &[f32], crow: &mut [f32]) {
+        let n = crow.len();
+        for (&av, &col) in avs.iter().zip(cols) {
+            for j in 0..n {
+                crow[j] += av * b[col as usize * n + j];
+            }
+        }
+    }
+
     #[test]
-    fn mma_rows_bit_identical_with_empty_zero_columns() {
-        for n in [1usize, 5, 16, 33, 64] {
-            let mut a = [0.0f32; 64];
-            for (t, slot) in a.iter_mut().enumerate() {
-                let r = splitmix64(0xA11 ^ t as u64) as u32;
-                *slot = match r % 3 {
-                    0 => 0.0,
-                    _ => f32::from_bits(r),
-                };
-            }
-            // Zero out one whole A column so its row may legally be empty.
-            for i in 0..8 {
-                a[i * 8 + 3] = 0.0;
-            }
-            to_tf32_slice(&mut a);
-            let mut b = messy(0xCAFE ^ n as u64, 8 * n);
+    fn mma_row_bit_identical_on_every_tier() {
+        for n in [1usize, 5, 8, 15, 16, 17, 31, 33, 48, 64, 100] {
+            let rows = 11usize;
+            let mut b = messy(0xCAFE ^ n as u64, rows * n);
             to_tf32_slice(&mut b);
-            let rows: [&[f32]; 8] = std::array::from_fn(|k| {
-                if k == 3 {
-                    &[][..]
-                } else {
-                    &b[k * n..(k + 1) * n]
-                }
-            });
-
-            let mut want = vec![1.5f32; 8 * n];
-            tf32_mma_8x8_rows(&a, &rows, &mut want, n);
-
+            let mut avs = messy(0xA11 ^ n as u64, 23);
+            to_tf32_slice(&mut avs);
+            // Repeated and out-of-order rows are legal pair lists.
+            let cols: Vec<u32> = (0..23u64)
+                .map(|t| (splitmix64(t ^ n as u64) % rows as u64) as u32)
+                .collect();
+            let mut want = vec![1.5f32; n];
+            row_reference(&avs, &cols, &b, &mut want);
             for tier in available_tiers() {
-                let mut got = vec![1.5f32; 8 * n];
-                mma_8x8_rows_tier(&a, &rows, &mut got, n, tier);
-                for j in 0..8 * n {
+                let mut got = vec![1.5f32; n];
+                mma_row_tier(&avs, &cols, &b, &mut got, tier);
+                for j in 0..n {
                     assert!(
                         same(got[j], want[j]),
                         "tier {tier} n={n} elem {j}: {:#010X} vs {:#010X}",
@@ -1382,7 +1421,7 @@ mod tests {
     }
 
     #[test]
-    fn axpy_has_no_zero_skip_and_matches_scalar() {
+    fn mma_row_has_no_zero_skip() {
         for n in [1usize, 4, 9, 16, 27, 64] {
             let b = messy(0x5EED ^ n as u64, n);
             for v in [0.0f32, -0.0, 2.5, f32::NAN, f32::INFINITY] {
@@ -1392,7 +1431,7 @@ mod tests {
                 }
                 for tier in available_tiers() {
                     let mut got = vec![0.75f32; n];
-                    axpy_tier(v, &b, &mut got, tier);
+                    mma_row_tier(&[v], &[0], &b, &mut got, tier);
                     for j in 0..n {
                         assert!(
                             same(got[j], want[j]),
@@ -1403,6 +1442,25 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn mma_row_rejects_a_row_outside_the_operand() {
+        let b = vec![1.0f32; 2 * 4];
+        let mut c = vec![0.0f32; 4];
+        mma_row_tier(&[1.0], &[2], &b, &mut c, IsaTier::probe());
+    }
+
+    #[test]
+    fn mma_row_with_no_pairs_leaves_the_row_untouched() {
+        for tier in available_tiers() {
+            let mut c = vec![-0.0f32, 3.0, f32::NAN];
+            mma_row_tier(&[], &[], &[], &mut c, tier);
+            assert_eq!(c[0].to_bits(), (-0.0f32).to_bits());
+            assert_eq!(c[1], 3.0);
+            assert!(c[2].is_nan());
         }
     }
 

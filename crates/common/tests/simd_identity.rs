@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use spmm_common::scalar;
 use spmm_common::simd::{
-    mma_8x8_prerounded_tier, mma_8x8_rows_tier, to_tf32_slice_into_tier, to_tf32_slice_tier,
+    mma_8x8_prerounded_tier, mma_row_tier, to_tf32_slice_into_tier, to_tf32_slice_tier,
 };
 use spmm_common::IsaTier;
 
@@ -129,40 +129,43 @@ proptest! {
         }
     }
 
+    // The row-streamed core of the TC window products: a list of
+    // `(value, B row)` pairs accumulated into one C row. Widths cover
+    // every vector block and tail shape of every tier (1, 7 lanes of
+    // pure tail; 8/16 exact AVX2/AVX-512 vectors; 15/17/31/33 ragged
+    // tails; 64 the widest main block). Values carry the spliced
+    // specials, including zeros — the core must multiply them, not skip
+    // them — and rows repeat and come in any order.
     #[test]
-    fn mma_rows_matches_scalar_on_every_tier(
+    fn mma_row_matches_scalar_on_every_tier(
         seed in any::<u64>(),
-        n in 1usize..130,
+        n_idx in 0usize..9,
+        npairs in 0usize..48,
+        brows in 1usize..24,
     ) {
-        let mut a = [0.0f32; 64];
-        for (i, v) in messy(seed, 64).into_iter().enumerate() {
-            a[i] = scalar::to_tf32(v);
-        }
-        // Zero out two whole A columns so their B rows are legitimately
-        // empty slices — the zero-skip is what makes that sound, and
-        // what this case pins down across tiers.
-        for i in 0..8 {
-            a[i * 8 + 2] = 0.0;
-            a[i * 8 + 5] = 0.0;
-        }
-        let mut bdata = messy(seed.wrapping_add(3), 8 * n);
-        scalar::to_tf32_slice(&mut bdata);
-        let empty: [f32; 0] = [];
-        let rows: [&[f32]; 8] = std::array::from_fn(|k| {
-            if k == 2 || k == 5 {
-                &empty[..]
-            } else {
-                &bdata[k * n..(k + 1) * n]
-            }
-        });
-        let c0 = messy(seed.wrapping_add(4), 8 * n);
+        const ROW_NS: [usize; 9] = [1, 7, 8, 15, 16, 17, 31, 33, 64];
+        let n = ROW_NS[n_idx];
+        let mut b = messy(seed, brows * n);
+        scalar::to_tf32_slice(&mut b);
+        let mut avs = messy(seed.wrapping_add(1), npairs);
+        scalar::to_tf32_slice(&mut avs);
+        let cols: Vec<u32> = messy(seed.wrapping_add(2), npairs)
+            .iter()
+            .map(|v| v.to_bits() % brows as u32)
+            .collect();
+        let c0 = messy(seed.wrapping_add(3), n);
 
         let mut reference = c0.clone();
-        scalar::tf32_mma_8x8_rows(&a, &rows, &mut reference, n);
+        for (&av, &col) in avs.iter().zip(&cols) {
+            let brow = &b[col as usize * n..(col as usize + 1) * n];
+            for (cj, &bj) in reference.iter_mut().zip(brow) {
+                *cj += av * bj;
+            }
+        }
         for tier in available_tiers() {
             let mut c = c0.clone();
-            mma_8x8_rows_tier(&a, &rows, &mut c, n, tier);
-            assert_same_bits(&reference, &c, "mma_8x8_rows", tier);
+            mma_row_tier(&avs, &cols, &b, &mut c, tier);
+            assert_same_bits(&reference, &c, "mma_row", tier);
         }
     }
 }

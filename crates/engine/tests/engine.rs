@@ -2,7 +2,7 @@
 //! builds, LRU eviction, batched-vs-sequential bit-identity,
 //! backpressure rejection, deadline expiry, and trace observability.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use spmm_engine::{Engine, SubmitOptions, SubmitOutcome};
@@ -18,12 +18,26 @@ fn submit_ok(session: &spmm_engine::Session, b: DenseMatrix) -> spmm_engine::Tic
         .unwrap()
 }
 
+/// Every test here emits spmm-trace counters, and the counting tests
+/// switch the process-global trace registry on, reset it and read it
+/// back. The test harness runs tests on parallel threads, so each test
+/// holds this lock for its whole body: a counting test then sees only
+/// its own events.
+static TRACE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Take [`TRACE_LOCK`] (a failed test poisons it; the next one still
+/// runs).
+fn serial() -> MutexGuard<'static, ()> {
+    TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn graph(n: usize, seed: u64) -> CsrMatrix {
     gen::uniform_random(n, 6.0, seed)
 }
 
 #[test]
 fn n_threads_same_key_build_exactly_one_plan() {
+    let _serial = serial();
     let engine = Arc::new(Engine::builder().workers(1).build().unwrap());
     let a = Arc::new(graph(512, 1));
     const THREADS: usize = 8;
@@ -50,6 +64,7 @@ fn n_threads_same_key_build_exactly_one_plan() {
 
 #[test]
 fn distinct_keys_build_distinct_plans_and_hit_afterwards() {
+    let _serial = serial();
     let engine = Engine::builder().workers(0).build().unwrap();
     let a = graph(256, 2);
     // Same matrix, different feature dims → different keys.
@@ -64,6 +79,7 @@ fn distinct_keys_build_distinct_plans_and_hit_afterwards() {
 
 #[test]
 fn lru_eviction_respects_capacity_and_recency() {
+    let _serial = serial();
     let engine = Engine::builder()
         .workers(0)
         .plan_cache_capacity(2)
@@ -88,6 +104,7 @@ fn lru_eviction_respects_capacity_and_recency() {
 
 #[test]
 fn batched_results_bit_identical_to_sequential_multiply() {
+    let _serial = serial();
     let a = graph(384, 3);
     let direct = PreparedKernel::builder(KernelKind::AccSpmm, &a)
         .arch(Arch::A800)
@@ -126,6 +143,7 @@ fn batched_results_bit_identical_to_sequential_multiply() {
 
 #[test]
 fn worker_pool_multiply_matches_reference() {
+    let _serial = serial();
     let engine = Engine::builder().workers(2).build().unwrap();
     let a = graph(256, 4);
     let session = engine.session(&a).feature_dim(16).open().unwrap();
@@ -139,6 +157,7 @@ fn worker_pool_multiply_matches_reference() {
 
 #[test]
 fn concurrent_clients_get_correct_results() {
+    let _serial = serial();
     let engine = Arc::new(Engine::builder().workers(2).max_batch(4).build().unwrap());
     let a = Arc::new(graph(256, 6));
     let session = engine.session(&a).feature_dim(16).open().unwrap();
@@ -165,6 +184,7 @@ fn concurrent_clients_get_correct_results() {
 
 #[test]
 fn full_queue_rejects_with_capacity_error() {
+    let _serial = serial();
     // No workers and a 2-slot queue: the third submission must bounce.
     let engine = Engine::builder()
         .workers(0)
@@ -205,6 +225,7 @@ fn full_queue_rejects_with_capacity_error() {
 
 #[test]
 fn expired_deadline_drops_queued_request_with_typed_error() {
+    let _serial = serial();
     let engine = Engine::builder().workers(0).build().unwrap();
     let a = graph(128, 8);
     let session = engine.session(&a).feature_dim(16).open().unwrap();
@@ -238,6 +259,7 @@ fn expired_deadline_drops_queued_request_with_typed_error() {
 
 #[test]
 fn ticket_wait_timeout_gives_up_without_a_worker() {
+    let _serial = serial();
     let engine = Engine::builder().workers(0).build().unwrap();
     let a = graph(128, 9);
     let session = engine.session(&a).feature_dim(16).open().unwrap();
@@ -251,6 +273,7 @@ fn ticket_wait_timeout_gives_up_without_a_worker() {
 
 #[test]
 fn shape_mismatch_rejected_before_queueing() {
+    let _serial = serial();
     let engine = Engine::builder().workers(0).build().unwrap();
     let a = graph(128, 11);
     let session = engine.session(&a).feature_dim(16).open().unwrap();
@@ -272,6 +295,7 @@ fn shape_mismatch_rejected_before_queueing() {
 
 #[test]
 fn install_shares_an_external_plan() {
+    let _serial = serial();
     let a = graph(256, 12);
     let prepared = PreparedKernel::builder(KernelKind::AccSpmm, &a)
         .arch(Arch::A800)
@@ -291,6 +315,7 @@ fn install_shares_an_external_plan() {
 
 #[test]
 fn counters_visible_through_spmm_trace() {
+    let _serial = serial();
     spmm_trace::enable();
     spmm_trace::reset();
     {
@@ -317,6 +342,7 @@ fn counters_visible_through_spmm_trace() {
 
 #[test]
 fn builder_rejects_zero_capacities() {
+    let _serial = serial();
     assert!(Engine::builder().queue_capacity(0).build().is_err());
     assert!(Engine::builder().max_batch(0).build().is_err());
     assert!(Engine::builder().plan_cache_capacity(0).build().is_err());
@@ -327,6 +353,7 @@ fn builder_rejects_zero_capacities() {
 
 #[test]
 fn drop_fails_leftover_tickets_instead_of_hanging() {
+    let _serial = serial();
     let a = graph(128, 14);
     let ticket = {
         let engine = Engine::builder().workers(0).build().unwrap();
@@ -342,6 +369,7 @@ fn drop_fails_leftover_tickets_instead_of_hanging() {
 
 #[test]
 fn stats_expose_queue_depth_and_in_flight() {
+    let _serial = serial();
     let engine = Arc::new(Engine::builder().workers(0).max_batch(1).build().unwrap());
     let a = graph(768, 14);
     let session = engine.session(&a).feature_dim(64).open().unwrap();
@@ -394,6 +422,7 @@ fn store_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn warm_restart_serves_plans_from_the_store() {
+    let _serial = serial();
     let dir = store_dir("warm");
     let a = graph(256, 9);
     let b = DenseMatrix::random(256, 32, 4);
@@ -435,6 +464,7 @@ fn warm_restart_serves_plans_from_the_store() {
 
 #[test]
 fn corrupted_store_artifact_falls_back_to_a_fresh_build() {
+    let _serial = serial();
     let dir = store_dir("fallback");
     let a = graph(192, 10);
     let b = DenseMatrix::random(192, 16, 5);
@@ -478,6 +508,7 @@ fn corrupted_store_artifact_falls_back_to_a_fresh_build() {
 
 #[test]
 fn install_writes_through_to_the_store() {
+    let _serial = serial();
     let dir = store_dir("install");
     let a = graph(128, 11);
     let prepared = PreparedKernel::builder(KernelKind::AccSpmm, &a)
@@ -510,6 +541,7 @@ fn install_writes_through_to_the_store() {
 
 #[test]
 fn auto_sessions_cache_and_persist_like_any_kernel() {
+    let _serial = serial();
     // `KernelKind::Auto` is a first-class cache/store key: hybrid plans
     // single-flight through the cache, write through to the store, and
     // a warm restart replays them bit-identically.
@@ -576,6 +608,7 @@ fn auto_sessions_cache_and_persist_like_any_kernel() {
 
 #[test]
 fn apply_delta_repairs_the_session_and_serves_bit_identically() {
+    let _serial = serial();
     let dir = store_dir("delta");
     let engine = Engine::builder()
         .workers(1)
@@ -627,6 +660,7 @@ fn apply_delta_repairs_the_session_and_serves_bit_identically() {
 
 #[test]
 fn clean_delta_is_a_no_op_and_mismatched_base_is_rejected() {
+    let _serial = serial();
     let engine = Engine::builder().workers(1).build().unwrap();
     let a = graph(128, 21);
     let mut session = engine.session(&a).feature_dim(8).open().unwrap();

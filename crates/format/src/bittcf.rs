@@ -13,9 +13,10 @@
 //! the value index of the non-zero at bit `t` is the popcount of the bits
 //! below `t`.
 
-use crate::scratch::{BStage, TileScratch};
+use crate::scratch::{BStage, TileScratch, WindowPairs};
 use crate::window::{WindowPartition, PAD_COL, TILE};
-use spmm_common::simd::{mma_8x8_prerounded_tier, mma_8x8_rows_tier, to_tf32_slice_tier, IsaTier};
+use spmm_common::scalar::to_tf32;
+use spmm_common::simd::{to_tf32_slice_tier, IsaTier};
 use spmm_common::{Result, SpmmError};
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 
@@ -391,10 +392,53 @@ impl BitTcf {
         tile
     }
 
-    /// Functional SpMM through the TC path: every block is decompressed
-    /// to a dense tile and multiplied with the gathered B rows by the
-    /// software TF32 MMA, accumulating into C. This is numerically what
-    /// the GPU kernel computes (TF32 operands, FP32 accumulate).
+    /// Rows of window `w` (8, except for a ragged last window).
+    #[inline]
+    pub fn window_rows(&self, w: usize) -> usize {
+        (self.nrows - w * TILE).min(TILE)
+    }
+
+    /// Decode window `w` into one pair list per window row. Each
+    /// block's set bits are walked in ascending order, so the value
+    /// index simply counts up from the block's `TCOffset` — at bit `t`
+    /// it equals the popcount of the bits below `t`, the `__popcll` rule
+    /// of [`BitTcf::decompress_block`] — and row `t / 8` receives the
+    /// pair in ascending (block, column) order. Values are TF32-rounded
+    /// unless the format is pre-rounded, and a value that rounds to ±0
+    /// is dropped: exactly the A slots the tile MMA's zero-skip passed
+    /// over.
+    fn decode_window(&self, w: usize, pairs: &mut WindowPairs) {
+        let mut caps = [0usize; TILE];
+        for &bits in &self.tc_local_bit[self.window_blocks(w)] {
+            for (r, cap) in caps.iter_mut().enumerate() {
+                *cap += ((bits >> (r * TILE)) & 0xFF).count_ones() as usize;
+            }
+        }
+        pairs.reset(caps);
+        for blk in self.window_blocks(w) {
+            let mut bits = self.tc_local_bit[blk];
+            let mut idx = self.tc_offset[blk] as usize;
+            let cols = self.block_cols(blk);
+            while bits != 0 {
+                let t = bits.trailing_zeros() as usize;
+                let v = self.values[idx];
+                let v = if self.values_tf32 { v } else { to_tf32(v) };
+                if v != 0.0 {
+                    pairs.push(t / TILE, v, cols[t % TILE]);
+                }
+                idx += 1;
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Functional SpMM through the TC path, row-streamed: each window's
+    /// non-zeros are decoded into per-row pair lists, and each output row
+    /// is accumulated against the TF32 B rows in one register-blocked
+    /// pass. This is numerically what the GPU kernel computes (TF32
+    /// operands, FP32 accumulate), and per output element the adds run in
+    /// the same ascending (block, column) order as a chain of 8×8 tile
+    /// MMAs.
     ///
     /// RowWindows write disjoint C rows, so the window loop parallelizes
     /// over the output exactly like the GPU's thread-block grid.
@@ -416,15 +460,15 @@ impl BitTcf {
     }
 
     /// The window-parallel SpMM over a pre-rounded B stage (one
-    /// [`TileScratch`] per worker, the stage shared read-only), so the
-    /// hot path allocates nothing proportional to the matrix and the MMA
-    /// inner loop is a pure mul-add.
+    /// [`WindowPairs`] per worker, the stage shared read-only), so the
+    /// hot path allocates nothing proportional to the matrix and the
+    /// row core is a pure mul-add.
     pub fn spmm_into_staged(&self, stage: &BStage, c: &mut DenseMatrix) -> Result<()> {
         self.spmm_into_staged_tier(stage, c, IsaTier::probe())
     }
 
     /// [`BitTcf::spmm_into_staged`] with an explicit ISA tier for the
-    /// MMA core (bit-identical across tiers; plans pass their resolved
+    /// row core (bit-identical across tiers; plans pass their resolved
     /// tier so the choice is made once at compile time).
     pub fn spmm_into_staged_tier(
         &self,
@@ -438,111 +482,44 @@ impl BitTcf {
         c.as_mut_slice()
             .par_chunks_mut(TILE * n)
             .enumerate()
-            .for_each_init(
-                || TileScratch::with_feature_dim(n),
-                |scratch, (w, cslab)| {
-                    let (_btile, ctile) = scratch.ensure(n);
-                    ctile.iter_mut().for_each(|x| *x = 0.0);
-                    self.window_product(w, stage, ctile, tier);
-                    // Write the window's C rows back (last slab may be
-                    // ragged).
-                    cslab.copy_from_slice(&ctile[..cslab.len()]);
-                },
-            );
+            .for_each_init(WindowPairs::new, |pairs, (w, cslab)| {
+                self.window_product(w, stage, pairs, cslab, tier)
+            });
         Ok(())
     }
 
-    /// Accumulate window `w`'s TC blocks into `ctile`. Both operands are
-    /// pre-rounded here — B by the stage, A either at
-    /// [`BitTcf::preround_values`] time or per block below — so the MMA
-    /// core never rounds, and it reads B rows in place from the stage
-    /// (no gather copy; padded columns carry structurally zero A values
-    /// and are skipped, so their empty slices are never read).
-    fn window_product(&self, w: usize, stage: &BStage, ctile: &mut [f32], tier: IsaTier) {
-        let n = stage.ncols();
-        for blk in self.window_blocks(w) {
-            let mut a = self.decompress_block(blk);
-            if !self.values_tf32 {
-                to_tf32_slice_tier(&mut a, tier);
-            }
-            let cols = self.block_cols(blk);
-            let rows: [&[f32]; TILE] = std::array::from_fn(|i| {
-                if cols[i] == PAD_COL {
-                    &[][..]
-                } else {
-                    stage.row(cols[i] as usize)
-                }
-            });
-            mma_8x8_rows_tier(&a, &rows, ctile, n, tier);
-        }
-    }
-
-    /// Accumulate window `w` into a combined ctile for the whole batch,
-    /// decompressing each TC block **once** and running **one wide MMA**
-    /// over the concatenated columns — the CPU analog of a batched GPU
-    /// kernel keeping the A tile in registers while cycling B tiles.
-    /// `btile` and `ctiles` are `TILE × Σ ncols` floats laid out
-    /// row-major with the RHS column blocks side by side: row `i` is
-    /// `[rhs0[i] | rhs1[i] | …]`. Unlike the single-RHS window product,
-    /// this path keeps the gather: one wide contiguous MMA over
-    /// `Σ ncols` columns measures faster here than cycling per-RHS row
-    /// slices. Per output element the k-accumulation
-    /// order is exactly [`BitTcf::spmm_into_seq`]'s, so results stay
-    /// bit-identical to one-at-a-time execution.
-    pub fn window_product_batch(
+    /// Compute window `w`'s output rows into `out`: row `i` of the
+    /// window (of up to 8; fewer for a ragged last window) is written to
+    /// `out[i·n..(i+1)·n]` with `n = stage.ncols()`, overwriting it.
+    /// Both operands are pre-rounded here — B by the stage, A either at
+    /// [`BitTcf::preround_values`] time or per value while decoding — so
+    /// the row core never rounds, and it reads B rows in place from the
+    /// stage.
+    ///
+    /// This is also the batched path: a stage holding several RHS side
+    /// by side ([`BStage::stage_side_by_side_tier`]) decodes the window
+    /// once for all of them, and per output element the add order is
+    /// the single-RHS one, so results stay bit-identical to one-at-a-time
+    /// execution.
+    pub fn window_product(
         &self,
         w: usize,
-        stages: &[&BStage],
-        btile: &mut [f32],
-        ctiles: &mut [f32],
-    ) {
-        self.window_product_batch_tier(w, stages, btile, ctiles, IsaTier::probe())
-    }
-
-    /// [`BitTcf::window_product_batch`] with an explicit ISA tier.
-    pub fn window_product_batch_tier(
-        &self,
-        w: usize,
-        stages: &[&BStage],
-        btile: &mut [f32],
-        ctiles: &mut [f32],
+        stage: &BStage,
+        pairs: &mut WindowPairs,
+        out: &mut [f32],
         tier: IsaTier,
     ) {
-        let total_n: usize = stages.iter().map(|s| s.ncols()).sum();
-        for blk in self.window_blocks(w) {
-            let mut a = self.decompress_block(blk);
-            if !self.values_tf32 {
-                to_tf32_slice_tier(&mut a, tier);
-            }
-            for (i, &col) in self.block_cols(blk).iter().enumerate() {
-                let dst = &mut btile[i * total_n..(i + 1) * total_n];
-                if col == PAD_COL {
-                    dst.fill(0.0);
-                } else {
-                    let mut off = 0;
-                    for s in stages {
-                        let n = s.ncols();
-                        dst[off..off + n].copy_from_slice(s.row(col as usize));
-                        off += n;
-                    }
-                }
-            }
-            mma_8x8_prerounded_tier(
-                &a,
-                &btile[..TILE * total_n],
-                &mut ctiles[..TILE * total_n],
-                total_n,
-                tier,
-            );
-        }
+        self.decode_window(w, pairs);
+        pairs.multiply_rows(self.window_rows(w), stage, out, tier);
     }
 
     /// Sequential zero-allocation SpMM into a caller-provided output,
-    /// borrowing tiles from `scratch`. Window-sequential execution
-    /// computes exactly the same floats as the parallel [`BitTcf::spmm`]
-    /// (windows write disjoint output rows and the per-window math is
-    /// identical), which is what lets batched execution parallelize over
-    /// RHS matrices instead and stay bit-identical.
+    /// borrowing the stage and pair lists from `scratch`. Window-sequential
+    /// execution computes exactly the same floats as the parallel
+    /// [`BitTcf::spmm`] (windows write disjoint output rows and the
+    /// per-window math is identical), which is what lets batched
+    /// execution parallelize over RHS matrices instead and stay
+    /// bit-identical.
     pub fn spmm_into_seq(
         &self,
         b: &DenseMatrix,
@@ -563,16 +540,12 @@ impl BitTcf {
         self.check_shapes(b.nrows(), b.ncols(), c)?;
         let n = b.ncols();
         scratch.stage_b_tier(b, tier);
-        let (stage, ctile) = scratch.staged_parts(n);
+        let (stage, pairs) = scratch.staged_parts();
+        let out = c.as_mut_slice();
         for w in 0..self.num_windows() {
-            ctile.iter_mut().for_each(|x| *x = 0.0);
-            self.window_product(w, stage, ctile, tier);
             let lo = w * TILE;
-            let hi = ((w + 1) * TILE).min(self.nrows);
-            for r in lo..hi {
-                c.row_mut(r)
-                    .copy_from_slice(&ctile[(r - lo) * n..(r - lo + 1) * n]);
-            }
+            let hi = lo + self.window_rows(w);
+            self.window_product(w, stage, pairs, &mut out[lo * n..hi * n], tier);
         }
         Ok(())
     }
@@ -771,35 +744,28 @@ mod tests {
     }
 
     #[test]
-    fn window_product_batch_is_bit_identical_to_sequential() {
-        let m = uniform_random(96, 6.0, 13);
+    fn side_by_side_window_product_is_bit_identical_to_sequential() {
+        let m = uniform_random(93, 6.0, 13);
         let t = BitTcf::from_csr(&m);
-        // Mixed feature dims exercise the side-by-side ctile offsets.
+        // Mixed feature dims exercise the side-by-side column offsets,
+        // and 93 rows leave a ragged last window.
         let bs: Vec<DenseMatrix> = (0..3)
-            .map(|i| DenseMatrix::random(96, 8 + 4 * i, 50 + i as u64))
+            .map(|i| DenseMatrix::random(93, 8 + 4 * i, 50 + i as u64))
             .collect();
         let total_n: usize = bs.iter().map(|b| b.ncols()).sum();
+        let tier = IsaTier::probe();
+        let mut stage = BStage::new();
+        stage.stage_side_by_side_tier(&bs, tier);
         let mut scratch = TileScratch::new();
-        let (btile, ctiles) = scratch.ensure(total_n);
-        let stages: Vec<BStage> = bs
-            .iter()
-            .map(|b| {
-                let mut s = BStage::new();
-                s.stage(b);
-                s
-            })
-            .collect();
-        let srefs: Vec<&BStage> = stages.iter().collect();
+        let (pairs, ctiles) = scratch.ensure(total_n);
         let mut got: Vec<DenseMatrix> = bs
             .iter()
-            .map(|b| DenseMatrix::zeros(96, b.ncols()))
+            .map(|b| DenseMatrix::zeros(93, b.ncols()))
             .collect();
         for w in 0..t.num_windows() {
-            ctiles.iter_mut().for_each(|x| *x = 0.0);
-            t.window_product_batch(w, &srefs, btile, ctiles);
+            t.window_product(w, &stage, pairs, ctiles, tier);
             let lo = w * TILE;
-            let hi = ((w + 1) * TILE).min(96);
-            for r in lo..hi {
+            for r in lo..lo + t.window_rows(w) {
                 let crow = &ctiles[(r - lo) * total_n..(r - lo + 1) * total_n];
                 let mut off = 0;
                 for (j, b) in bs.iter().enumerate() {

@@ -25,6 +25,6 @@ pub mod window;
 
 pub use bittcf::BitTcf;
 pub use metcf::MeTcf;
-pub use scratch::{BStage, TileScratch};
+pub use scratch::{BStage, TileScratch, WindowPairs};
 pub use tcf::Tcf;
 pub use window::{WindowPartition, PAD_COL, TILE};

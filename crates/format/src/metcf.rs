@@ -7,9 +7,10 @@
 //! flat 8 bytes, so ME-TCF loses ground as blocks densify (> 8 nnz per
 //! block) — the effect Figure 12 measures.
 
-use crate::scratch::{BStage, TileScratch};
+use crate::scratch::{BStage, TileScratch, WindowPairs};
 use crate::window::{WindowPartition, PAD_COL, TILE};
-use spmm_common::simd::{mma_8x8_prerounded_tier, mma_8x8_rows_tier, to_tf32_slice_tier, IsaTier};
+use spmm_common::scalar::to_tf32;
+use spmm_common::simd::{to_tf32_slice_tier, IsaTier};
 use spmm_common::{Result, SpmmError};
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 
@@ -304,7 +305,7 @@ impl MeTcf {
     }
 
     /// [`MeTcf::spmm`] writing into a caller-provided output, parallel
-    /// over RowWindows with one [`TileScratch`] per worker (windows own
+    /// over RowWindows with one [`WindowPairs`] per worker (windows own
     /// disjoint output rows, so this computes the same floats as the
     /// sequential path).
     pub fn spmm_into(&self, b: &DenseMatrix, c: &mut DenseMatrix) -> Result<()> {
@@ -334,15 +335,9 @@ impl MeTcf {
         c.as_mut_slice()
             .par_chunks_mut(TILE * n)
             .enumerate()
-            .for_each_init(
-                || TileScratch::with_feature_dim(n),
-                |scratch, (w, cslab)| {
-                    let (_btile, ctile) = scratch.ensure(n);
-                    ctile.iter_mut().for_each(|x| *x = 0.0);
-                    self.window_product(w, stage, ctile, tier);
-                    cslab.copy_from_slice(&ctile[..cslab.len()]);
-                },
-            );
+            .for_each_init(WindowPairs::new, |pairs, (w, cslab)| {
+                self.window_product(w, stage, pairs, cslab, tier)
+            });
         Ok(())
     }
 
@@ -367,97 +362,61 @@ impl MeTcf {
         self.check_shapes(b.nrows(), b.ncols(), c)?;
         let n = b.ncols();
         scratch.stage_b_tier(b, tier);
-        let (stage, ctile) = scratch.staged_parts(n);
+        let (stage, pairs) = scratch.staged_parts();
+        let out = c.as_mut_slice();
         for w in 0..self.num_windows() {
-            ctile.iter_mut().for_each(|x| *x = 0.0);
-            self.window_product(w, stage, ctile, tier);
             let lo = w * TILE;
-            let hi = ((w + 1) * TILE).min(self.nrows);
-            for r in lo..hi {
-                c.row_mut(r)
-                    .copy_from_slice(&ctile[(r - lo) * n..(r - lo + 1) * n]);
-            }
+            let hi = lo + self.window_rows(w);
+            self.window_product(w, stage, pairs, &mut out[lo * n..hi * n], tier);
         }
         Ok(())
     }
 
-    /// Accumulate window `w`'s TC blocks into `ctile` (pre-rounded
-    /// operands, gather-free pure mul-add MMA — see
-    /// [`crate::BitTcf::window_product`] for the rounding and padding
-    /// contracts).
-    fn window_product(&self, w: usize, stage: &BStage, ctile: &mut [f32], tier: IsaTier) {
-        let n = stage.ncols();
-        for blk in self.window_blocks(w) {
-            let mut a = self.decompress_block(blk);
-            if !self.values_tf32 {
-                to_tf32_slice_tier(&mut a, tier);
-            }
-            let base = blk * TILE;
-            let rows: [&[f32]; TILE] = std::array::from_fn(|i| {
-                let col = self.sparse_a_to_b[base + i];
-                if col == PAD_COL {
-                    &[][..]
-                } else {
-                    stage.row(col as usize)
+    /// Rows of window `w` (8, except for a ragged last window).
+    #[inline]
+    pub fn window_rows(&self, w: usize) -> usize {
+        (self.nrows - w * TILE).min(TILE)
+    }
+
+    /// Decode window `w` into one pair list per window row (see
+    /// [`crate::BitTcf`]'s window decoder for the order, rounding and
+    /// zero-drop rules). A block's local ids are strictly ascending, so
+    /// walking them in storage order hands each row its pairs in
+    /// ascending (block, column) order.
+    fn decode_window(&self, w: usize, pairs: &mut WindowPairs) {
+        let blocks = self.window_blocks(w);
+        let span = self.tc_offset[blocks.start] as usize..self.tc_offset[blocks.end] as usize;
+        let mut caps = [0usize; TILE];
+        for &id in &self.tc_local_id[span] {
+            caps[id as usize / TILE] += 1;
+        }
+        pairs.reset(caps);
+        for blk in blocks {
+            let cols = &self.sparse_a_to_b[blk * TILE..(blk + 1) * TILE];
+            for k in self.tc_offset[blk] as usize..self.tc_offset[blk + 1] as usize {
+                let id = self.tc_local_id[k] as usize;
+                let v = self.values[k];
+                let v = if self.values_tf32 { v } else { to_tf32(v) };
+                if v != 0.0 {
+                    pairs.push(id / TILE, v, cols[id % TILE]);
                 }
-            });
-            mma_8x8_rows_tier(&a, &rows, ctile, n, tier);
+            }
         }
     }
 
-    /// Accumulate window `w` into a combined ctile for the whole batch,
-    /// scattering each block's nnz **once** and running **one wide MMA**
-    /// over the concatenated columns (see
-    /// [`crate::BitTcf::window_product_batch`] for the layout contract
-    /// and why the batched path keeps the gather; bit-identical to
-    /// per-RHS [`MeTcf::spmm_into_seq`]).
-    pub fn window_product_batch(
+    /// Compute window `w`'s output rows into `out`, row-streamed (see
+    /// [`crate::BitTcf::window_product`] for the layout, rounding and
+    /// batching contracts).
+    pub fn window_product(
         &self,
         w: usize,
-        stages: &[&BStage],
-        btile: &mut [f32],
-        ctiles: &mut [f32],
-    ) {
-        self.window_product_batch_tier(w, stages, btile, ctiles, IsaTier::probe())
-    }
-
-    /// [`MeTcf::window_product_batch`] with an explicit ISA tier.
-    pub fn window_product_batch_tier(
-        &self,
-        w: usize,
-        stages: &[&BStage],
-        btile: &mut [f32],
-        ctiles: &mut [f32],
+        stage: &BStage,
+        pairs: &mut WindowPairs,
+        out: &mut [f32],
         tier: IsaTier,
     ) {
-        let total_n: usize = stages.iter().map(|s| s.ncols()).sum();
-        for blk in self.window_blocks(w) {
-            let mut a = self.decompress_block(blk);
-            if !self.values_tf32 {
-                to_tf32_slice_tier(&mut a, tier);
-            }
-            for i in 0..TILE {
-                let col = self.sparse_a_to_b[blk * TILE + i];
-                let dst = &mut btile[i * total_n..(i + 1) * total_n];
-                if col == PAD_COL {
-                    dst.fill(0.0);
-                } else {
-                    let mut off = 0;
-                    for s in stages {
-                        let n = s.ncols();
-                        dst[off..off + n].copy_from_slice(s.row(col as usize));
-                        off += n;
-                    }
-                }
-            }
-            mma_8x8_prerounded_tier(
-                &a,
-                &btile[..TILE * total_n],
-                &mut ctiles[..TILE * total_n],
-                total_n,
-                tier,
-            );
-        }
+        self.decode_window(w, pairs);
+        pairs.multiply_rows(self.window_rows(w), stage, out, tier);
     }
 
     fn check_shapes(&self, b_rows: usize, b_cols: usize, c: &DenseMatrix) -> Result<()> {

@@ -8,7 +8,7 @@
 
 use crate::scratch::BStage;
 use crate::window::{WindowPartition, TILE};
-use spmm_common::simd::{axpy_tier, to_tf32_slice_tier, IsaTier};
+use spmm_common::simd::{mma_row_tier, to_tf32_slice_tier, IsaTier};
 use spmm_common::{Result, SpmmError};
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 
@@ -305,7 +305,7 @@ impl Tcf {
     /// [`Tcf::spmm_into_staged`] with an explicit ISA tier for the
     /// per-edge row accumulation (bit-identical across tiers; note the
     /// per-edge loop has no zero-value skip, and neither does
-    /// [`axpy_tier`]).
+    /// [`mma_row_tier`]).
     pub fn spmm_into_staged_tier(
         &self,
         stage: &BStage,
@@ -329,13 +329,13 @@ impl Tcf {
         use spmm_common::scalar::to_tf32;
         for k in 0..self.nnz() {
             let r = self.edge_to_row[k] as usize;
-            let col = self.edge_list[k] as usize;
+            let col = self.edge_list[k];
             let v = if self.values_tf32 {
                 self.values[k]
             } else {
                 to_tf32(self.values[k])
             };
-            axpy_tier(v, stage.row(col), c.row_mut(r), tier);
+            mma_row_tier(&[v], &[col], stage.as_slice(), c.row_mut(r), tier);
         }
         Ok(())
     }

@@ -1472,6 +1472,37 @@ mod tests {
     }
 
     #[test]
+    fn inverse_permutation_is_cached_at_build_load_and_repair() {
+        let inverse_of = |perm: &[u32]| {
+            let mut inv = vec![0u32; perm.len()];
+            for (old, &p) in perm.iter().enumerate() {
+                inv[p as usize] = old as u32;
+            }
+            inv
+        };
+        let plan = build(KernelKind::AccSpmm);
+        let perm = plan.perm().expect("the full Acc config reorders");
+        assert_eq!(plan.inv_perm(), Some(&inverse_of(perm)[..]));
+
+        let bytes = plan.to_ir().to_bytes().unwrap();
+        let loaded = PlanLoader::new().read(&bytes[..]).unwrap();
+        assert_eq!(loaded.inv_perm(), plan.inv_perm(), "load derives it");
+        assert_eq!(
+            loaded.to_ir().to_bytes().unwrap(),
+            bytes,
+            "the cache is derived data, never serialized"
+        );
+
+        let mut delta = spmm_delta::DeltaCsr::new(uniform_random(96, 5.0, 9));
+        delta.upsert(5, 17, 0.25).unwrap();
+        let (repaired, _) = plan.repair(&delta).unwrap();
+        let rperm = repaired.perm().expect("repair keeps the permutation");
+        assert_eq!(repaired.inv_perm(), Some(&inverse_of(rperm)[..]));
+
+        assert_eq!(build(KernelKind::CusparseLike).inv_perm(), None);
+    }
+
+    #[test]
     fn loader_rejects_mismatched_expectations() {
         let plan = build(KernelKind::AccSpmm);
         let bytes = plan.to_ir().to_bytes().unwrap();

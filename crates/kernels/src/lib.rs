@@ -50,7 +50,7 @@ pub use workspace::{Workspace, WorkspacePool};
 use crate::workspace::ensure_staging;
 use spmm_balance::BalancePlan;
 use spmm_common::{Result, SpmmError};
-use spmm_format::{BStage, BitTcf, MeTcf, Tcf, TileScratch, WindowPartition};
+use spmm_format::{BitTcf, MeTcf, Tcf, TileScratch, WindowPartition};
 use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::{Arch, KernelDesc, KernelReport, SimOptions};
 
@@ -288,12 +288,12 @@ impl PreparedKernel {
     /// Execute many RHS matrices over the shared plan. The batch is
     /// split into one contiguous group per worker (a single spawn round
     /// instead of one per RHS), and within a group the TC formats run a
-    /// *batched* window loop: each compressed block is decompressed once
-    /// and applied to every RHS, and window results scatter straight to
-    /// the original row order without a staging matrix. Per RHS the
-    /// gather/MMA sequence is exactly the sequential single-RHS path's,
-    /// so results are bit-identical to calling
-    /// [`PreparedKernel::execute`] per matrix.
+    /// *batched* window loop: the RHS are staged side by side, each
+    /// compressed window is decoded once for all of them, and window
+    /// results scatter straight to the original row order without a
+    /// staging matrix. Per output element the adds are exactly the
+    /// sequential single-RHS path's, so results are bit-identical to
+    /// calling [`PreparedKernel::execute`] per matrix.
     pub fn execute_batch(&self, bs: &[DenseMatrix]) -> Result<Vec<DenseMatrix>> {
         use rayon::prelude::*;
         let _span = spmm_trace::span("kernel.execute_batch");
@@ -350,7 +350,7 @@ impl PreparedKernel {
     /// threads (the serving engine's micro-batching workers): executes
     /// every RHS in `bs` into the matching slot of `outs` on the
     /// *calling* thread, sharing one reusable [`Workspace`] and — on the
-    /// compressed TC formats — decoding each block once for the whole
+    /// compressed TC formats — decoding each window once for the whole
     /// batch. Results are bit-identical to calling
     /// [`PreparedKernel::execute`] per RHS.
     pub fn execute_batch_into(
@@ -412,51 +412,31 @@ impl PreparedKernel {
         let nrows = self.csr().nrows();
         let total_n: usize = bs.iter().map(|b| b.ncols()).sum();
         let Workspace {
-            tiles,
-            batch_stages,
-            ..
+            tiles, batch_stage, ..
         } = ws;
-        // Round every RHS once per batch into its own reusable stage —
-        // the batched window loop then gathers pre-rounded rows only.
-        if batch_stages.len() < bs.len() {
-            batch_stages.resize_with(bs.len(), BStage::new);
-        }
-        for (stage, b) in batch_stages.iter_mut().zip(bs.iter()) {
-            stage.stage_tier(b, self.plan.isa_tier());
-        }
-        let stage_refs: Vec<&BStage> = batch_stages[..bs.len()].iter().collect();
-        let (btile, ctiles) = tiles.ensure(total_n);
+        // Round every RHS once per batch into one stage, side by side:
+        // each window is then decoded once and every output row is a
+        // single wide row product over all RHS columns.
+        let tier = self.plan.isa_tier();
+        batch_stage.stage_side_by_side_tier(bs, tier);
+        let (pairs, ctiles) = tiles.ensure(total_n);
         // With a row reorder in effect, window w computes rows of the
-        // *permuted* matrix; inverting the permutation lets each window
-        // write its rows directly in original order, skipping the
-        // staging matrix the single-RHS path uses.
-        let inv: Option<Vec<u32>> = self.plan.perm().map(|perm| {
-            let mut inv = vec![0u32; perm.len()];
-            for (old, &p) in perm.iter().enumerate() {
-                inv[p as usize] = old as u32;
-            }
-            inv
-        });
+        // *permuted* matrix; the plan's cached inverse permutation lets
+        // each window write its rows directly in original order, skipping
+        // the staging matrix the single-RHS path uses.
+        let inv = self.plan.inv_perm();
         let num_windows = nrows.div_ceil(spmm_format::TILE);
         for w in 0..num_windows {
-            ctiles.iter_mut().for_each(|x| *x = 0.0);
             match self.plan.format() {
-                Some(TcFormat::BitTcf(f)) => {
-                    f.window_product_batch_tier(w, &stage_refs, btile, ctiles, self.plan.isa_tier())
-                }
-                Some(TcFormat::MeTcf(f)) => {
-                    f.window_product_batch_tier(w, &stage_refs, btile, ctiles, self.plan.isa_tier())
-                }
+                Some(TcFormat::BitTcf(f)) => f.window_product(w, batch_stage, pairs, ctiles, tier),
+                Some(TcFormat::MeTcf(f)) => f.window_product(w, batch_stage, pairs, ctiles, tier),
                 _ => unreachable!("batched path is TC-only"),
             }
             let lo = w * spmm_format::TILE;
             let hi = ((w + 1) * spmm_format::TILE).min(nrows);
             // ctiles row (r - lo) holds every RHS's row side by side.
             for r in lo..hi {
-                let dst = match &inv {
-                    Some(inv) => inv[r] as usize,
-                    None => r,
-                };
+                let dst = inv.map_or(r, |inv| inv[r] as usize);
                 let crow = &ctiles[(r - lo) * total_n..(r - lo + 1) * total_n];
                 let mut off = 0;
                 for (j, b) in bs.iter().enumerate() {

@@ -423,6 +423,11 @@ pub fn default_stages() -> Vec<Box<dyn PlanStage>> {
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     ctx: PlanContext,
+    /// Inverse of `ctx.perm` (`inv_perm[new] = old`), derived once when
+    /// the plan is built, repaired or loaded so the batched executor
+    /// does not rebuild it per micro-batch. Derived data: never
+    /// serialized.
+    inv_perm: Option<Vec<u32>>,
 }
 
 impl ExecutionPlan {
@@ -456,7 +461,7 @@ impl ExecutionPlan {
         }
         spmm_trace::counter_add("plan.builds", 1);
         record_isa_counters(ctx.isa_tier);
-        Ok(ExecutionPlan { ctx })
+        Ok(ExecutionPlan::from_context(ctx))
     }
 
     /// Build a hybrid plan under a caller-supplied dispatch decision
@@ -514,14 +519,23 @@ impl ExecutionPlan {
         spmm_trace::counter_add("plan.builds", 1);
         spmm_trace::counter_add("plan.hybrid_builds", 1);
         record_isa_counters(ctx.isa_tier);
-        Ok(ExecutionPlan { ctx })
+        Ok(ExecutionPlan::from_context(ctx))
     }
 
-    /// Wrap an already-populated context (the plan-IR loader's
-    /// rehydration path; see [`crate::ir`]). The caller is responsible
-    /// for the context's cross-artifact consistency.
+    /// Wrap a populated context — the one constructor, shared by build,
+    /// repair ([`crate::repair`]) and the plan-IR loader ([`crate::ir`]),
+    /// so the derived inverse permutation is always in step with the
+    /// permutation. The caller is responsible for the context's
+    /// cross-artifact consistency.
     pub(crate) fn from_context(ctx: PlanContext) -> Self {
-        ExecutionPlan { ctx }
+        let inv_perm = ctx.perm.as_deref().map(|perm| {
+            let mut inv = vec![0u32; perm.len()];
+            for (old, &p) in perm.iter().enumerate() {
+                inv[p as usize] = old as u32;
+            }
+            inv
+        });
+        ExecutionPlan { ctx, inv_perm }
     }
 
     /// The full artifact store (incremental repair reads and rewrites
@@ -569,6 +583,12 @@ impl ExecutionPlan {
     /// Row permutation applied, if any.
     pub fn perm(&self) -> Option<&[u32]> {
         self.ctx.perm.as_deref()
+    }
+
+    /// Inverse of [`ExecutionPlan::perm`] (`inv[new] = old`), computed
+    /// once when the plan was built, repaired or loaded.
+    pub(crate) fn inv_perm(&self) -> Option<&[u32]> {
+        self.inv_perm.as_deref()
     }
 
     /// Whether the permutation was applied to columns too.

@@ -6,7 +6,7 @@ use spmm_matrix::DenseMatrix;
 
 /// Caller-owned buffer pool for [`crate::PreparedKernel::execute_into`]:
 /// holds the TC tile scratch (which owns the TF32 pre-rounded B stage),
-/// the per-RHS stages of the batched path, plus the staging matrices the
+/// the side-by-side RHS stage of the batched path, plus the staging matrices the
 /// permuted kernels need (row-permuted B in symmetric mode, pre-scatter
 /// C when a row permutation must be undone). Buffers grow on first use
 /// and are reused on every subsequent call, so steady-state multiplies
@@ -15,7 +15,7 @@ use spmm_matrix::DenseMatrix;
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     pub(crate) tiles: TileScratch,
-    pub(crate) batch_stages: Vec<BStage>,
+    pub(crate) batch_stage: BStage,
     pub(crate) staging_b: Option<DenseMatrix>,
     pub(crate) staging_c: Option<DenseMatrix>,
     pub(crate) region_scratch: Vec<RegionScratch>,
@@ -46,7 +46,7 @@ impl Workspace {
         tiles.reserve_stage(plan.csr().ncols(), plan.feature_dim());
         Workspace {
             tiles,
-            batch_stages: Vec::new(),
+            batch_stage: BStage::new(),
             staging_b: None,
             staging_c: None,
             region_scratch: Vec::new(),
@@ -70,7 +70,7 @@ impl Workspace {
     }
 
     /// Bytes of staging storage this workspace currently retains: tile
-    /// scratch (including the TF32 B stage), batched per-RHS stages,
+    /// scratch (including the TF32 B stage), the batched RHS stage,
     /// permutation staging matrices, and the hybrid path's per-region
     /// scratch, recursively. This is the quantity the serving engine's
     /// paged allocator charges against its page budget.
@@ -80,11 +80,7 @@ impl Workspace {
                 .map_or(0, |m| m.nrows() * m.ncols() * std::mem::size_of::<f32>())
         };
         self.tiles.footprint_bytes()
-            + self
-                .batch_stages
-                .iter()
-                .map(|s| s.footprint_bytes())
-                .sum::<usize>()
+            + self.batch_stage.footprint_bytes()
             + dense(&self.staging_b)
             + dense(&self.staging_c)
             + self
