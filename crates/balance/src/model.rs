@@ -87,40 +87,6 @@ impl PerfModel {
         waves as f64 * tb_time
     }
 
-    /// Equation-(4) price of running a *row region* on the tensor-core
-    /// side: `tc_blocks` TC blocks spread over `windows` RowWindows,
-    /// summed as total bytes and FLOPs pushed through the shared
-    /// bandwidth/compute — a throughput price, deliberately ignoring
-    /// SM waves so it compares apples-to-apples with
-    /// [`scalar_region_time`](Self::scalar_region_time). Sparse tails
-    /// pay here through block padding: one lane per block still loads
-    /// K full dense rows.
-    pub fn tc_region_time(&self, tc_blocks: usize, windows: usize) -> f64 {
-        if tc_blocks == 0 {
-            return 0.0;
-        }
-        self.tb_time(tc_blocks, windows.max(1))
-    }
-
-    /// Price of running a row region on the scalar (CUDA-core) side:
-    /// a bandwidth term over the CSR lanes, the gathered dense rows
-    /// (discounted by cache reuse), and the written output, plus an
-    /// FMA term at the CUDA cores' fraction of peak. No TC format, no
-    /// window padding — which is exactly why scalar wins sparse tails.
-    pub fn scalar_region_time(&self, nnz: usize, rows: usize) -> f64 {
-        if nnz == 0 && rows == 0 {
-            return 0.0;
-        }
-        // Gathered B rows hit L2 roughly half the time on power-law
-        // graphs; CUDA cores sustain about 1/8 of the TC TF32 peak.
-        const B_REUSE: f64 = 0.5;
-        const CUDA_CORE_FRACTION: f64 = 1.0 / 8.0;
-        let d = self.params.feature_dim;
-        let bytes = (nnz * 8) as f64 + (nnz * d * 4) as f64 * B_REUSE + (rows * d * 4) as f64;
-        let flops = (2 * nnz * d) as f64;
-        bytes / self.params.bandwidth + flops / (self.params.flops * CUDA_CORE_FRACTION)
-    }
-
     /// Architecture parameters.
     pub fn params(&self) -> ModelParams {
         self.params
@@ -175,33 +141,5 @@ mod tests {
     #[test]
     fn empty_work_is_free() {
         assert_eq!(a800_model(128).makespan_for_chunk(0, 4, 2.0), 0.0);
-    }
-
-    #[test]
-    fn region_queries_price_density_correctly() {
-        let m = a800_model(128);
-        // Dense region: 1000 nnz packed into few windows -> few, full
-        // TC blocks; the TC side should beat scalar.
-        let dense_tc = m.tc_region_time(16, 16);
-        let dense_scalar = m.scalar_region_time(1000, 128);
-        assert!(
-            dense_tc < dense_scalar,
-            "tc {dense_tc} vs scalar {dense_scalar}"
-        );
-        // Sparse tail: the same nnz smeared over many windows pays TC
-        // block padding; scalar should win.
-        let sparse_tc = m.tc_region_time(1000, 1000);
-        let sparse_scalar = m.scalar_region_time(1000, 8000);
-        assert!(
-            sparse_scalar < sparse_tc,
-            "scalar {sparse_scalar} vs tc {sparse_tc}"
-        );
-    }
-
-    #[test]
-    fn empty_regions_are_free() {
-        let m = a800_model(64);
-        assert_eq!(m.tc_region_time(0, 0), 0.0);
-        assert_eq!(m.scalar_region_time(0, 0), 0.0);
     }
 }

@@ -2,36 +2,30 @@
 //! `results/dispatch_policy.json`, the table behind [`KernelKind::Auto`].
 //!
 //! For every (Table-2 dataset, feature dimension) sample the tuner
-//! builds and profiles all six concrete kernels on the simulator, then
-//! sweeps hybrid split thresholds with the Equation-(4) region prices
-//! ([`PerfModel::tc_region_time`] / [`PerfModel::scalar_region_time`])
-//! and profiles the most promising hybrid plan for real. The winning
-//! decision per sample is binned over (AvgL, row-length CV, feature
-//! dim) and the bins become a first-match rule table. Everything is
-//! deterministic — seeded generators, a deterministic simulator, and
-//! sorted-key JSON — so CI can regenerate the artifact and fail on any
-//! byte of drift:
+//! builds and profiles all six concrete kernels on the simulator and
+//! records the fastest. The samples are binned over (AvgL, row-length
+//! CV, feature dim); each populated bin becomes a first-match rule
+//! naming the kernel with the lowest within-bin geomean time, and the
+//! fallback is the kernel with the best geomean over every sample.
+//! Everything is deterministic — seeded generators, a deterministic
+//! simulator, and sorted-key JSON — so CI can regenerate the artifact
+//! and fail on any byte of drift:
 //!
 //! ```text
 //! autotune [--out PATH]       # regenerate and write the policy
 //! autotune --check [--out PATH]  # rewrite only if drifted (CI gate)
 //! ```
 //!
-//! The tuner never consults the embedded policy itself (decisions come
-//! from the simulator, hybrid builds are pinned), so there is no
-//! feedback loop between the committed table and the next regeneration.
-//!
-//! [`PerfModel::tc_region_time`]: acc_spmm::balance::PerfModel::tc_region_time
-//! [`PerfModel::scalar_region_time`]: acc_spmm::balance::PerfModel::scalar_region_time
+//! The tuner never consults the embedded policy itself (every sample
+//! profiles concrete kernels), so there is no feedback loop between the
+//! committed table and the next regeneration.
 
-use acc_spmm::balance::{ModelParams, PerfModel};
-use acc_spmm::format::{WindowPartition, TILE};
 use acc_spmm::kernels::ir::kind_slug;
 use acc_spmm::kernels::{PolicyRule, RuleBounds};
 use acc_spmm::matrix::{CsrMatrix, TABLE2};
 use acc_spmm::{
-    AccConfig, Arch, DispatchDecision, DispatchPolicy, ExecutionPlan, KernelKind, MatrixFeatures,
-    PreparedKernel, SimOptions,
+    AccConfig, Arch, DispatchPolicy, ExecutionPlan, KernelKind, MatrixFeatures, PreparedKernel,
+    SimOptions,
 };
 use spmm_bench::{build_dataset, f2, print_table, sim_options_for};
 use spmm_common::json::Json;
@@ -44,9 +38,6 @@ use std::process::ExitCode;
 /// bins match what the gate measures.
 const SWEEP_DIMS: [usize; 2] = [32, 128];
 
-/// Hybrid window-density cuts the Equation-(4) sweep considers.
-const THRESHOLDS: [f64; 8] = [2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0];
-
 /// Bin edges over [`MatrixFeatures::avg_l`] (half-open, last is open).
 const AVGL_EDGES: [f64; 7] = [0.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
@@ -56,37 +47,31 @@ const CV_EDGES: [f64; 3] = [0.0, 0.5, 1.0];
 /// Bin edges over the feature dimension.
 const DIM_EDGES: [f64; 2] = [1.0, 64.0];
 
-/// One (dataset, feature-dim) measurement: every candidate's simulated
-/// time plus the winner.
+/// One (dataset, feature-dim) measurement: every kernel's simulated
+/// time.
 struct Sample {
     dataset: String,
     features: MatrixFeatures,
     /// Simulated seconds per concrete kernel, in `KernelKind::ALL` order.
     single_s: [f64; KernelKind::ALL.len()],
-    /// The profiled hybrid candidate, if the model sweep promoted one.
-    hybrid: Option<(DispatchDecision, f64)>,
-    /// The sample's best decision and its simulated seconds.
-    best: (DispatchDecision, f64),
 }
 
 impl Sample {
-    /// Simulated seconds of the fastest single kernel.
-    fn best_single_s(&self) -> f64 {
-        self.single_s.iter().copied().fold(f64::INFINITY, f64::min)
+    /// Simulated seconds of `kind` on this sample.
+    fn time_of(&self, kind: KernelKind) -> f64 {
+        let i = KernelKind::ALL
+            .iter()
+            .position(|&c| c == kind)
+            .expect("policies name concrete kernels");
+        self.single_s[i]
     }
 
-    /// Simulated seconds the sample would see under `decision`;
-    /// `None` when the decision was never profiled here (a hybrid with
-    /// a threshold the sweep did not promote for this sample).
-    fn time_of(&self, decision: &DispatchDecision) -> Option<f64> {
-        if let DispatchDecision::Single(k) = decision {
-            let i = KernelKind::ALL.iter().position(|c| c == k)?;
-            return Some(self.single_s[i]);
-        }
-        match &self.hybrid {
-            Some((d, s)) if d == decision => Some(*s),
-            _ => None,
-        }
+    /// The fastest kernel on this sample.
+    fn best(&self) -> KernelKind {
+        let i = (0..self.single_s.len())
+            .min_by(|&a, &b| self.single_s[a].total_cmp(&self.single_s[b]))
+            .expect("non-empty kernel set");
+        KernelKind::ALL[i]
     }
 }
 
@@ -133,8 +118,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// Profile every candidate for every (dataset, dim) pair: the ten
-/// Table-2 analogs plus the synthetic skew family.
+/// Profile every kernel for every (dataset, dim) pair over the ten
+/// Table-2 analogs.
 fn collect_samples(arch: Arch) -> Vec<Sample> {
     let mut samples = Vec::new();
     for d in &TABLE2 {
@@ -144,169 +129,34 @@ fn collect_samples(arch: Arch) -> Vec<Sample> {
             samples.push(measure_sample(d.abbr, &m, arch, dim, &opts));
         }
     }
-    for (name, m) in coverage_matrices() {
-        let opts = SimOptions::default();
-        for dim in SWEEP_DIMS {
-            samples.push(measure_sample(&name, &m, arch, dim, &opts));
-        }
-    }
     samples
 }
 
-/// Synthetic high-skew matrices: a dense head (every row `head_deg`
-/// wide) over a degree-1 tail. The Table-2 analogs are all fairly
-/// uniform (row CV < 0.5), so without these the learned table would
-/// leave the entire high-variance half of feature space to the
-/// fallback — exactly the matrices hybrid splits exist for.
-fn coverage_matrices() -> Vec<(String, CsrMatrix)> {
-    let mut out = Vec::new();
-    for n in [512usize, 2048] {
-        for head_deg in [16usize, 32, 64] {
-            let mut row_ptr = vec![0usize];
-            let mut col_idx = Vec::new();
-            let mut values = Vec::new();
-            for r in 0..n {
-                let mut cols: Vec<u32> = if r < n / 8 {
-                    (0..head_deg).map(|j| ((r + j * 7) % n) as u32).collect()
-                } else {
-                    vec![r as u32]
-                };
-                cols.sort_unstable();
-                cols.dedup();
-                for c in cols {
-                    col_idx.push(c);
-                    values.push(1.0 + (r as f32) * 0.001 + (c as f32) * 0.0001);
-                }
-                row_ptr.push(col_idx.len());
-            }
-            let m = CsrMatrix::new(n, n, row_ptr, col_idx, values).expect("valid skew matrix");
-            out.push((format!("skew-{n}-{head_deg}"), m));
-        }
-    }
-    out
-}
-
 fn measure_sample(name: &str, m: &CsrMatrix, arch: Arch, dim: usize, opts: &SimOptions) -> Sample {
-    let features = MatrixFeatures::of(m, dim);
-    let profile = |plan: ExecutionPlan| PreparedKernel::from_plan(plan).profile(arch, opts).time_s;
-
     let mut single_s = [f64::INFINITY; KernelKind::ALL.len()];
     for (i, kind) in KernelKind::ALL.into_iter().enumerate() {
         let plan = ExecutionPlan::build(kind, m, arch, dim, AccConfig::full())
             .unwrap_or_else(|e| panic!("{name}: build {kind:?} failed: {e}"));
-        single_s[i] = profile(plan);
+        single_s[i] = PreparedKernel::from_plan(plan).profile(arch, opts).time_s;
     }
-    let best_i = (0..single_s.len())
-        .min_by(|&a, &b| single_s[a].total_cmp(&single_s[b]))
-        .expect("non-empty kernel set");
-    let mut best = (
-        DispatchDecision::Single(KernelKind::ALL[best_i]),
-        single_s[best_i],
-    );
-
-    // Candidate splits: the Equation-(4) model ranks the threshold
-    // grid, thresholds producing the same window partition collapse to
-    // one candidate, and the simulator profiles each genuinely distinct
-    // split. The model screens and orders; the profile decides.
-    let mut hybrid: Option<(DispatchDecision, f64)> = None;
-    for threshold in candidate_thresholds(m, arch, dim) {
-        let decision = DispatchDecision::Hybrid {
-            dense: KernelKind::AccSpmm,
-            sparse: KernelKind::CusparseLike,
-            threshold,
-        };
-        let plan = ExecutionPlan::build_auto_pinned(m, arch, dim, AccConfig::full(), decision)
-            .unwrap_or_else(|e| panic!("{name}: hybrid build failed: {e}"));
-        let s = profile(plan);
-        eprintln!(
-            "    {name} N={dim}: split@{threshold} -> {s:.3e} (best single {:.3e})",
-            best.1
-        );
-        if hybrid.as_ref().is_none_or(|(_, prev)| s < *prev) {
-            hybrid = Some((decision, s));
-        }
-    }
-    if let Some((decision, s)) = hybrid {
-        if s < best.1 {
-            best = (decision, s);
-        }
-    }
-
+    let sample = Sample {
+        dataset: name.to_string(),
+        features: MatrixFeatures::of(m, dim),
+        single_s,
+    };
     eprintln!(
         "  {name:>12} N={dim:<3} avgl {:>6.1} cv {:>4.2} -> {}",
-        features.avg_l,
-        features.row_cv,
-        describe(&best.0)
+        sample.features.avg_l,
+        sample.features.row_cv,
+        kind_slug(sample.best())
     );
-    Sample {
-        dataset: name.to_string(),
-        features,
-        single_s,
-        hybrid,
-        best,
-    }
-}
-
-/// The split thresholds worth a real plan build + profile: sweep the
-/// [`THRESHOLDS`] grid, keep only genuine splits (>= 2 regions), and
-/// collapse thresholds that classify every window identically into one
-/// candidate. The surviving candidates are ordered by their
-/// Equation-(4) region price ([`PerfModel::tc_region_time`] on the
-/// dense windows plus [`PerfModel::scalar_region_time`] on the rest)
-/// and capped at `MAX_HYBRID_PROFILES`, so a pathological matrix
-/// cannot make the sweep build eight hybrid plans.
-fn candidate_thresholds(m: &CsrMatrix, arch: Arch, dim: usize) -> Vec<f64> {
-    const MAX_HYBRID_PROFILES: usize = 3;
-    let spec = arch.spec();
-    let model = PerfModel::new(ModelParams {
-        feature_dim: dim,
-        bandwidth: spec.dram_bw_gbps * 1e9,
-        flops: spec.tc_tf32_tflops * 1e12,
-        num_sms: spec.num_sms,
-    });
-    let wp = WindowPartition::build(m);
-    let blocks = wp.blocks_per_window();
-    let row_ptr = m.row_ptr();
-    // (dense-window bitmap key, model price) per threshold.
-    let classify = |threshold: f64| {
-        let (mut key, mut tc_blocks, mut tc_windows, mut sc_nnz, mut sc_rows) =
-            (Vec::new(), 0usize, 0usize, 0usize, 0usize);
-        for w in 0..m.nrows().div_ceil(TILE) {
-            let lo = w * TILE;
-            let hi = ((w + 1) * TILE).min(m.nrows());
-            let nnz_w = row_ptr[hi] - row_ptr[lo];
-            let dense = nnz_w as f64 / (hi - lo) as f64 >= threshold;
-            key.push(dense);
-            if dense {
-                tc_blocks += blocks.get(w).copied().unwrap_or(0);
-                tc_windows += 1;
-            } else {
-                sc_nnz += nnz_w;
-                sc_rows += hi - lo;
-            }
-        }
-        let split = key.iter().any(|&d| d) && key.iter().any(|&d| !d);
-        let price =
-            model.tc_region_time(tc_blocks, tc_windows) + model.scalar_region_time(sc_nnz, sc_rows);
-        (key, split, price)
-    };
-    let mut seen: Vec<Vec<bool>> = Vec::new();
-    let mut candidates: Vec<(f64, f64)> = Vec::new(); // (threshold, price)
-    for t in THRESHOLDS {
-        let (key, split, price) = classify(t);
-        if split && !seen.contains(&key) {
-            seen.push(key);
-            candidates.push((t, price));
-        }
-    }
-    candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
-    candidates.truncate(MAX_HYBRID_PROFILES);
-    candidates.into_iter().map(|(t, _)| t).collect()
+    sample
 }
 
 /// Bin the samples over (dim, AvgL, CV) and emit one first-match rule
-/// per populated bin; the fallback is the single kernel with the best
-/// across-the-board geomean.
+/// per populated bin, naming the kernel with the lowest within-bin
+/// geomean time; the fallback is the kernel with the best geomean over
+/// every sample.
 fn learn_policy(samples: &[Sample]) -> DispatchPolicy {
     let lower = |edges: &[f64], v: f64| edges.iter().rev().find(|&&e| v >= e).copied();
     let upper = |edges: &[f64], v: f64| edges.iter().find(|&&e| v < e).copied();
@@ -327,7 +177,6 @@ fn learn_policy(samples: &[Sample]) -> DispatchPolicy {
 
     let mut rules = Vec::new();
     for ((dim_lo, avgl_lo, cv_lo), members) in &bins {
-        let decision = bin_decision(members);
         let (dim_lo, avgl_lo, cv_lo) = (
             f64::from_bits(*dim_lo),
             f64::from_bits(*avgl_lo),
@@ -342,36 +191,18 @@ fn learn_policy(samples: &[Sample]) -> DispatchPolicy {
                 dim_min: (dim_lo > DIM_EDGES[0]).then_some(dim_lo),
                 dim_max: upper(&DIM_EDGES, dim_lo),
             },
-            decision,
+            kernel: geomean_best(members.iter().copied()),
         });
     }
 
     DispatchPolicy {
         rules,
-        fallback: global_best_single(samples),
+        fallback: geomean_best(samples),
     }
 }
 
-/// A bin's decision: the members' shared hybrid when every member
-/// independently promoted the same split, otherwise the single kernel
-/// with the lowest within-bin geomean time. Hybrids demand unanimity
-/// because a rule's threshold applies to every matrix the bin will
-/// ever see — a split that only sometimes wins is not worth the risk
-/// of regressing the rest of the bin.
-fn bin_decision(members: &[&Sample]) -> DispatchDecision {
-    if let DispatchDecision::Hybrid { .. } = members[0].best.0 {
-        let d = members[0].best.0;
-        if members.iter().all(|s| s.best.0 == d) {
-            return d;
-        }
-    }
-    global_best_single(members.iter().copied())
-}
-
-/// The single kernel minimizing geomean simulated time over `samples`.
-fn global_best_single<'a>(
-    samples: impl IntoIterator<Item = &'a Sample> + Clone,
-) -> DispatchDecision {
+/// The kernel minimizing geomean simulated time over `samples`.
+fn geomean_best<'a>(samples: impl IntoIterator<Item = &'a Sample> + Clone) -> KernelKind {
     let geomean_log = |i: usize| {
         samples
             .clone()
@@ -382,7 +213,7 @@ fn global_best_single<'a>(
     let best = (0..KernelKind::ALL.len())
         .min_by(|&a, &b| geomean_log(a).total_cmp(&geomean_log(b)))
         .expect("non-empty kernel set");
-    DispatchDecision::Single(KernelKind::ALL[best])
+    KernelKind::ALL[best]
 }
 
 /// Serialize the policy with its provenance block. Sorted keys and a
@@ -409,11 +240,7 @@ fn render(policy: &DispatchPolicy, samples: &[Sample], arch: Arch) -> String {
                     );
                     o.insert("avg_l".into(), Json::Num(s.features.avg_l));
                     o.insert("row_cv".into(), Json::Num(s.features.row_cv));
-                    o.insert("best".into(), s.best.0.to_json());
-                    o.insert(
-                        "speedup_vs_best_single".into(),
-                        Json::Num(s.best_single_s() / s.best.1),
-                    );
+                    o.insert("best".into(), Json::Str(kind_slug(s.best()).into()));
                     Json::Obj(o)
                 })
                 .collect(),
@@ -425,50 +252,31 @@ fn render(policy: &DispatchPolicy, samples: &[Sample], arch: Arch) -> String {
 }
 
 /// Print the sweep table and the learned policy's in-sample quality —
-/// the geomean of (best single kernel time / policy-decided time),
-/// the same ratio the perfsuite `auto-table2` gate enforces at >= 1.
+/// the geomean of (best kernel time / policy-chosen kernel time).
 fn report(samples: &[Sample], policy: &DispatchPolicy) {
     let mut rows = Vec::new();
     let mut log_sum = 0.0;
     for s in samples {
         let decided = policy.decide(&s.features);
-        // A decided hybrid we never profiled would score as its
-        // conservative bound: no better than the sample's best single.
-        let decided_s = s.time_of(&decided).unwrap_or_else(|| s.best_single_s());
-        let ratio = s.best_single_s() / decided_s;
+        let ratio = s.time_of(s.best()) / s.time_of(decided);
         log_sum += ratio.ln();
         rows.push(vec![
             s.dataset.clone(),
             format!("{}", s.features.feature_dim),
             f2(s.features.avg_l),
             f2(s.features.row_cv),
-            describe(&decided),
+            kind_slug(decided).to_string(),
             f2(ratio),
         ]);
     }
     print_table(
         "autotune: learned policy, in-sample",
-        &["dataset", "N", "AvgL", "CV", "decision", "vs best single"],
+        &["dataset", "N", "AvgL", "CV", "kernel", "vs best"],
         &rows,
     );
     let geomean = (log_sum / samples.len() as f64).exp();
     eprintln!(
-        "autotune: in-sample geomean vs best single kernel: {geomean:.4} ({} rules)",
+        "autotune: in-sample geomean vs best kernel: {geomean:.4} ({} rules)",
         policy.rules.len()
     );
-}
-
-fn describe(d: &DispatchDecision) -> String {
-    match d {
-        DispatchDecision::Single(k) => kind_slug(*k).to_string(),
-        DispatchDecision::Hybrid {
-            dense,
-            sparse,
-            threshold,
-        } => format!(
-            "hybrid({}|{}@{threshold})",
-            kind_slug(*dense),
-            kind_slug(*sparse)
-        ),
-    }
 }

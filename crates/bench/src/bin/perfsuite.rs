@@ -33,8 +33,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Bump on any incompatible change to the artifact layout.
-/// v2: added the hybrid-dispatch `auto_scenario` (gated on its modeled
-/// geomean vs the best single kernel and on stitched bit-identity).
+/// v2: added the hybrid-dispatch `auto_scenario` (since removed with
+/// the hybrid-region layer; scenarios are optional to the gate, so the
+/// removal kept the version).
 /// v3: added the QoS `storm_scenario` (mixed tenants/priorities under
 /// heavy-tailed arrivals; gated on interactive p99 latency, zero
 /// deadline-miss executions, the page budget holding, and
@@ -229,21 +230,6 @@ fn run_suite(cfg: &Config) -> ExitCode {
     }
     entries.extend(storm_entries);
 
-    // Hybrid-dispatch scenario ("auto-table2"): KernelKind::Auto over
-    // the suite collection vs the best single kernel, on the modeled
-    // (simulator) clock, with region stitching verified bit-exact.
-    let (auto_entries, auto) = auto_scenario(cfg);
-    for e in &auto_entries {
-        rows.push(vec![
-            e.dataset.clone(),
-            e.kernel.clone(),
-            format!("{:.3}", e.median_s * 1e3),
-            format!("{:.3}", e.min_s * 1e3),
-            f2(e.gflops),
-        ]);
-    }
-    entries.extend(auto_entries);
-
     // Dynamic-graph scenario: a GCN aggregation operator under edge
     // churn — incremental plan repair vs full rebuild per step, with
     // single-node and sharded bit-identity verified.
@@ -297,13 +283,6 @@ fn run_suite(cfg: &Config) -> ExitCode {
              pages peak {peak}/{budget}"
         );
     }
-    if let Some(geomean) = auto["geomean_vs_best_single"].as_f64() {
-        let bit = matches!(auto["bit_identical"], Json::Bool(true));
-        eprintln!(
-            "auto scenario: {geomean:.4}x modeled geomean vs the best single \
-             kernel (bit-identical: {bit})"
-        );
-    }
     if let Some(speedup) = streaming["repair_speedup"].as_f64() {
         let bit = matches!(streaming["bit_identical"], Json::Bool(true));
         let dist_bit = matches!(streaming["dist_bit_identical"], Json::Bool(true));
@@ -314,7 +293,7 @@ fn run_suite(cfg: &Config) -> ExitCode {
     }
 
     let doc = suite_json(
-        cfg, mode, &entries, &scenario, &warm, &dist, &storm, &auto, &streaming, &counters,
+        cfg, mode, &entries, &scenario, &warm, &dist, &storm, &streaming, &counters,
     );
     let text = doc.to_string_pretty();
     match std::fs::File::create(&cfg.out).and_then(|mut f| f.write_all(text.as_bytes())) {
@@ -1187,111 +1166,6 @@ fn dist_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
     (entries, Json::Obj(sj))
 }
 
-/// The hybrid-dispatch scenario ("auto-table2"): for every suite
-/// dataset, build a [`KernelKind::Auto`] plan next to all six concrete
-/// kernels and price each on the deterministic simulator — the same
-/// clock the `autotune` policy learner used, so the gate measures the
-/// policy's actual objective. Reports the geomean of
-/// `best single kernel time / Auto time` (>= 1 means the learned
-/// dispatch never loses to the best fixed choice) and verifies the
-/// stitched Auto output is bit-identical, region by region, to a
-/// whole-matrix run of each region's kernel — the row-partition
-/// invariance the hybrid executor is built on.
-fn auto_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
-    use acc_spmm::{AccConfig, ExecutionPlan, SimOptions};
-    let _s = spmm_trace::span("perfsuite.auto_scenario");
-    let datasets = suite_datasets(cfg.quick);
-
-    let mut entries = Vec::new();
-    let mut decisions = BTreeMap::new();
-    let mut log_ratio_sum = 0.0f64;
-    let mut bit_identical = true;
-    for d in &datasets {
-        let m = spmm_bench::build_dataset(d);
-        let opts: SimOptions = spmm_bench::sim_options_for(d);
-
-        let t0 = Instant::now();
-        let auto = PreparedKernel::builder(KernelKind::Auto, &m)
-            .arch(cfg.arch)
-            .feature_dim(cfg.dim)
-            .build()
-            .expect("Auto prepare");
-        let prep_s = t0.elapsed().as_secs_f64();
-        let auto_s = auto.profile(cfg.arch, &opts).time_s;
-
-        let mut best_single_s = f64::INFINITY;
-        for kind in KernelKind::ALL {
-            let k = PreparedKernel::builder(kind, &m)
-                .arch(cfg.arch)
-                .feature_dim(cfg.dim)
-                .build()
-                .expect("single prepare");
-            best_single_s = best_single_s.min(k.profile(cfg.arch, &opts).time_s);
-        }
-        log_ratio_sum += (best_single_s / auto_s).ln();
-
-        // Stitch check: each region of the Auto output must equal the
-        // same rows of a whole-matrix run of that region's kernel.
-        let b = DenseMatrix::random(m.ncols(), cfg.dim, 0xA070);
-        let got = auto.execute(&b).expect("Auto multiply");
-        let regions = auto
-            .execution_plan()
-            .regions()
-            .expect("Auto plan has regions");
-        let mut kinds: Vec<KernelKind> = Vec::new();
-        for r in regions {
-            if !kinds.contains(&r.kind) {
-                kinds.push(r.kind);
-            }
-        }
-        for kind in kinds {
-            let reference = {
-                let plan = ExecutionPlan::build(kind, &m, cfg.arch, cfg.dim, AccConfig::full())
-                    .expect("reference plan");
-                PreparedKernel::from_plan(plan)
-                    .execute(&b)
-                    .expect("reference multiply")
-            };
-            for r in regions.iter().filter(|r| r.kind == kind) {
-                for row in r.row_lo..r.row_hi {
-                    bit_identical &= got
-                        .row(row)
-                        .iter()
-                        .zip(reference.row(row))
-                        .all(|(g, w)| g.to_bits() == w.to_bits());
-                }
-            }
-        }
-
-        let decision = auto
-            .execution_plan()
-            .decision()
-            .map(|d| d.to_json())
-            .unwrap_or(Json::Null);
-        decisions.insert(d.abbr.to_string(), decision);
-        entries.push(Entry {
-            dataset: d.abbr.into(),
-            kernel: "Auto".into(),
-            rows: m.nrows() as f64,
-            nnz: m.nnz() as f64,
-            feature_dim: cfg.dim as f64,
-            prep_s,
-            median_s: auto_s,
-            min_s: best_single_s,
-            gflops: 2.0 * m.nnz() as f64 * cfg.dim as f64 / auto_s / 1e9,
-        });
-    }
-    let geomean = (log_ratio_sum / datasets.len() as f64).exp();
-
-    let mut sj = BTreeMap::new();
-    sj.insert("datasets".into(), Json::Num(datasets.len() as f64));
-    sj.insert("feature_dim".into(), Json::Num(cfg.dim as f64));
-    sj.insert("geomean_vs_best_single".into(), Json::Num(geomean));
-    sj.insert("bit_identical".into(), Json::Bool(bit_identical));
-    sj.insert("decisions".into(), Json::Obj(decisions));
-    (entries, Json::Obj(sj))
-}
-
 /// The dynamic-graph scenario ("streaming-gcn"): a normalized GCN
 /// aggregation operator (`gcn_normalize` over an RMAT graph) evolves by
 /// ~1% edge churn per step — upserted boundary edges, value updates,
@@ -1458,7 +1332,6 @@ fn suite_json(
     warm: &Json,
     dist: &Json,
     storm: &Json,
-    auto: &Json,
     streaming: &Json,
     counters: &BTreeMap<String, u64>,
 ) -> Json {
@@ -1475,7 +1348,6 @@ fn suite_json(
     doc.insert("warmstart_scenario".into(), warm.clone());
     doc.insert("dist_scenario".into(), dist.clone());
     doc.insert("storm_scenario".into(), storm.clone());
-    doc.insert("auto_scenario".into(), auto.clone());
     doc.insert("streaming_scenario".into(), streaming.clone());
     doc.insert(
         "counters".into(),
@@ -1648,25 +1520,6 @@ fn gate(baseline: &str, candidate: &str, threshold: f64) -> ExitCode {
             if !matches!(cand["storm_scenario"]["bit_identical"], Json::Bool(true)) {
                 failures.push("storm_scenario: results not bit-identical".into());
             }
-        }
-    }
-    // The hybrid-dispatch scenario must stay present, its stitched
-    // output bit-identical to the per-region single-kernel references,
-    // and `KernelKind::Auto` must never lose to the best single kernel
-    // on the modeled clock (geomean floor 1.0 — the acceptance bar the
-    // learned policy is tuned against).
-    if base["auto_scenario"].as_object().is_some() {
-        match cand["auto_scenario"]["geomean_vs_best_single"].as_f64() {
-            None => failures.push("auto_scenario: missing from candidate".into()),
-            Some(g) if g < 1.0 => failures.push(format!(
-                "auto_scenario: geomean {g:.4} vs best single kernel below the 1.0 floor"
-            )),
-            Some(_) => {}
-        }
-        if cand["auto_scenario"].as_object().is_some()
-            && !matches!(cand["auto_scenario"]["bit_identical"], Json::Bool(true))
-        {
-            failures.push("auto_scenario: stitched results not bit-identical".into());
         }
     }
     // The dynamic-graph scenario must stay present, its repaired plans

@@ -101,9 +101,8 @@ pub use spmm_engine::{
     Ticket,
 };
 pub use spmm_kernels::{
-    build_then_repair, AccConfig, DispatchDecision, DispatchPolicy, ExecutionPlan, KernelKind,
-    MatrixFeatures, PlanIr, PlanLoader, PreparedKernel, RepairReport, StageSpec, StageTiming,
-    Workspace,
+    build_then_repair, AccConfig, DispatchPolicy, ExecutionPlan, KernelKind, MatrixFeatures,
+    PlanIr, PlanLoader, PreparedKernel, RepairReport, StageSpec, StageTiming, Workspace,
 };
 pub use spmm_matrix::{CsrMatrix, DenseMatrix};
 pub use spmm_sim::{Arch, KernelReport, SimOptions};

@@ -311,8 +311,8 @@ impl DeltaCsr {
     /// Restrict the overlay to rows `[lo, hi)`: the result's base is
     /// the corresponding row block of this base (same column space),
     /// with the pending ops of those rows shifted down by `lo`. This is
-    /// how shard-local and region-local repairs receive their slice of
-    /// a global delta stream.
+    /// how shard-local repairs receive their slice of a global delta
+    /// stream.
     pub fn sub_range(&self, lo: usize, hi: usize) -> DeltaCsr {
         assert!(lo <= hi && hi <= self.nrows(), "sub_range out of bounds");
         let base = row_block(&self.base, lo, hi);
@@ -409,7 +409,7 @@ impl Iterator for MergedRow<'_> {
 }
 
 /// Extract rows `[lo, hi)` of `m` as a standalone CSR (same column
-/// space) — the shard/region cutter, local to avoid dependency cycles.
+/// space) — the shard cutter, local to avoid dependency cycles.
 fn row_block(m: &CsrMatrix, lo: usize, hi: usize) -> CsrMatrix {
     let row_ptr = m.row_ptr();
     let base = row_ptr[lo];

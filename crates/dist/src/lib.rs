@@ -37,10 +37,7 @@ use spmm_balance::{ModelParams, PerfModel};
 use spmm_common::{IsaTier, Result, SpmmError};
 use spmm_delta::DeltaCsr;
 use spmm_engine::{PlanCache, PlanKey, PlanStore, Priority};
-use spmm_kernels::{
-    AccConfig, DispatchDecision, DispatchPolicy, ExecutionPlan, KernelKind, MatrixFeatures,
-    PreparedKernel, RepairReport,
-};
+use spmm_kernels::{AccConfig, DispatchPolicy, KernelKind, PreparedKernel, RepairReport};
 use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
@@ -62,7 +59,6 @@ pub struct DistBuilder<'a> {
     cache: Option<Arc<PlanCache>>,
     plan_store: Option<Arc<PlanStore>>,
     max_retries: usize,
-    decision: Option<DispatchDecision>,
     priority: Priority,
 }
 
@@ -125,15 +121,6 @@ impl<'a> DistBuilder<'a> {
         self
     }
 
-    /// Pin the hybrid dispatch decision instead of consulting the
-    /// builtin policy — the sharded mirror of
-    /// [`ExecutionPlan::build_auto_pinned`]. Only meaningful with
-    /// [`KernelKind::Auto`]; `build` rejects it for concrete kernels.
-    pub fn decision(mut self, decision: DispatchDecision) -> Self {
-        self.decision = Some(decision);
-        self
-    }
-
     /// Serving-tier priority class every shard job of this coordinator
     /// carries (default [`Priority::Standard`]). Shard workers account
     /// executions under per-class `dist.jobs.<class>` trace counters,
@@ -152,6 +139,11 @@ impl<'a> DistBuilder<'a> {
         }
         let _span = spmm_trace::span("dist.build");
         let t0 = Instant::now();
+        // `Auto` resolves ONCE, on the full operand, before sharding: a
+        // shard's local density can never pick a different kernel than
+        // the unsharded plan would, and the shards then go through the
+        // ordinary cache and store path under the resolved kind.
+        let kind = DispatchPolicy::resolve(self.kind, self.a, self.feature_dim);
         let spec = self.arch.spec();
         let model = PerfModel::new(ModelParams {
             feature_dim: self.feature_dim,
@@ -160,26 +152,6 @@ impl<'a> DistBuilder<'a> {
             num_sms: spec.num_sms,
         });
         let plan = plan_shards(self.a, self.shards, &model);
-
-        // Hybrid dispatch under sharding: the coordinator decides ONCE
-        // on the full operand and pins that decision for every shard
-        // build, so a shard's local density can never flip a region's
-        // kernel — the property that keeps sharded hybrid output
-        // bit-identical to the single-node hybrid run. Pinned plans
-        // bypass the plan cache and store: the decision is not part of
-        // the `PlanKey`, and a cached entry built under a different
-        // policy would silently change kernels.
-        let pinned = if self.kind == KernelKind::Auto {
-            Some(self.decision.unwrap_or_else(|| {
-                DispatchPolicy::builtin().decide(&MatrixFeatures::of(self.a, self.feature_dim))
-            }))
-        } else if self.decision.is_some() {
-            return Err(SpmmError::InvalidConfig(
-                "a pinned dispatch decision requires KernelKind::Auto".into(),
-            ));
-        } else {
-            None
-        };
 
         let mut kernels: Vec<Option<Arc<PreparedKernel>>> = Vec::with_capacity(self.shards);
         let mut scatter_rows: Vec<u64> = Vec::with_capacity(self.shards);
@@ -199,7 +171,7 @@ impl<'a> DistBuilder<'a> {
             let sub = row_block(self.a, s.row_lo, s.row_hi);
             let key = PlanKey {
                 fingerprint: sub.content_fingerprint(),
-                kind: self.kind,
+                kind,
                 arch: self.arch,
                 feature_dim: self.feature_dim,
                 config: self.config,
@@ -209,7 +181,7 @@ impl<'a> DistBuilder<'a> {
             // through so the next coordinator ships instead of builds).
             let mut acquire = || -> Result<PreparedKernel> {
                 let fresh = || {
-                    PreparedKernel::builder(self.kind, &sub)
+                    PreparedKernel::builder(kind, &sub)
                         .arch(self.arch)
                         .feature_dim(self.feature_dim)
                         .config(self.config)
@@ -244,19 +216,9 @@ impl<'a> DistBuilder<'a> {
                     }
                 }
             };
-            let kernel = if let Some(decision) = pinned {
-                Arc::new(PreparedKernel::from_plan(ExecutionPlan::build_auto_pinned(
-                    &sub,
-                    self.arch,
-                    self.feature_dim,
-                    self.config,
-                    decision,
-                )?))
-            } else {
-                match &self.cache {
-                    Some(cache) => cache.get_or_build(key, acquire)?,
-                    None => Arc::new(acquire()?),
-                }
+            let kernel = match &self.cache {
+                Some(cache) => cache.get_or_build(key, acquire)?,
+                None => Arc::new(acquire()?),
             };
             // Column coverage: how many B rows the shard references
             // (scatter payload), and which referenced rows live outside
@@ -292,7 +254,7 @@ impl<'a> DistBuilder<'a> {
             nrows: self.a.nrows(),
             ncols: self.a.ncols(),
             feature_dim: self.feature_dim,
-            kind: self.kind,
+            kind,
             arch: self.arch,
             transport: self.transport,
             max_retries: self.max_retries,
@@ -463,7 +425,6 @@ impl DistSpmm {
             cache: None,
             plan_store: None,
             max_retries: 1,
-            decision: None,
             priority: Priority::Standard,
         }
     }
@@ -488,7 +449,8 @@ impl DistSpmm {
         &self.plan.shards
     }
 
-    /// Kernel strategy every shard runs.
+    /// Kernel strategy every shard runs — concrete: an `Auto` request
+    /// reports the kind it resolved to on the full operand.
     pub fn kind(&self) -> KernelKind {
         self.kind
     }
@@ -926,12 +888,13 @@ impl DistSpmm {
     /// overlay (based on the operand this coordinator was built from,
     /// or the compacted result of the previous delta) is sliced per
     /// shard with [`DeltaCsr::sub_range`]; each touched shard's plan is
-    /// repaired in place via [`ExecutionPlan::repair`] — reusing its
-    /// reorder permutation and untouched format windows — while clean
-    /// shards keep their kernels untouched. Halo and scatter coverage
-    /// are recomputed from the repaired operands (churn can add or drop
-    /// boundary columns), and the worker pool is respawned on the new
-    /// kernel set. Subsequent multiplies are bit-identical to a
+    /// repaired in place via
+    /// [`ExecutionPlan::repair`](spmm_kernels::ExecutionPlan::repair) —
+    /// reusing its reorder permutation and untouched format windows —
+    /// while clean shards keep their kernels untouched. Halo and scatter
+    /// coverage are recomputed from the repaired operands (churn can add
+    /// or drop boundary columns), and the worker pool is respawned on
+    /// the new kernel set. Subsequent multiplies are bit-identical to a
     /// coordinator built from scratch on `delta.compact()`.
     pub fn apply_delta(&mut self, delta: &DeltaCsr) -> Result<DistDeltaReport> {
         let _span = spmm_trace::span("dist.apply_delta");
@@ -1059,12 +1022,17 @@ mod tests {
             KernelKind::Auto,
         ] {
             let expect = reference(&m, kind, &b);
-            for shards in [1, 3, 4] {
+            for shards in [1, 2, 3, 4] {
                 let dist = DistSpmm::builder(kind, &m)
                     .shards(shards)
                     .feature_dim(16)
                     .build()
                     .unwrap();
+                assert_ne!(
+                    dist.kind(),
+                    KernelKind::Auto,
+                    "Auto resolves before sharding"
+                );
                 let got = dist.multiply(&b).unwrap();
                 assert_eq!(
                     got.as_slice()
@@ -1080,102 +1048,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// 64 dense rows (degree 32) over a 448-row degree-1 tail: high
-    /// row-length variance at low AvgL, which the committed policy maps
-    /// to a genuine hybrid split (TC head, scalar tail).
-    fn skewed_matrix() -> CsrMatrix {
-        let n = 512;
-        let mut row_ptr = vec![0usize];
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..n {
-            let mut cols: Vec<u32> = if r < 64 {
-                (0..32).map(|j| ((r + j * 7) % n) as u32).collect()
-            } else {
-                vec![r as u32]
-            };
-            cols.sort_unstable();
-            for c in cols {
-                col_idx.push(c);
-                values.push(1.0 + (r as f32) * 0.001 + (c as f32) * 0.0001);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix::new(n, n, row_ptr, col_idx, values).unwrap()
-    }
-
-    #[test]
-    fn hybrid_auto_sharding_is_bit_identical() {
-        // Pin a hybrid split (the learned policy legitimately prefers a
-        // single kernel on matrices like this one) so the test always
-        // exercises cross-kernel stitching under sharding.
-        let decision = DispatchDecision::Hybrid {
-            dense: KernelKind::AccSpmm,
-            sparse: KernelKind::CusparseLike,
-            threshold: 8.0,
-        };
-        let m = skewed_matrix();
-        let b = DenseMatrix::random(m.ncols(), 16, 11);
-        // The skew must actually trigger a hybrid split, otherwise this
-        // test silently degenerates to the single-kernel case.
-        let probe = spmm_kernels::ExecutionPlan::build_auto_pinned(
-            &m,
-            Arch::A800,
-            16,
-            AccConfig::full(),
-            decision,
-        )
-        .unwrap();
-        let kinds: std::collections::BTreeSet<_> = probe
-            .regions()
-            .expect("Auto plan has regions")
-            .iter()
-            .map(|r| format!("{:?}", r.kind))
-            .collect();
-        assert!(kinds.len() >= 2, "expected a hybrid split, got {kinds:?}");
-
-        let expect = {
-            let k = PreparedKernel::from_plan(probe);
-            let mut out = DenseMatrix::zeros(m.nrows(), b.ncols());
-            let mut ws = Workspace::for_plan(k.execution_plan());
-            k.execute_into(&b, &mut out, &mut ws).unwrap();
-            out
-        };
-        for shards in [1, 2, 4] {
-            let dist = DistSpmm::builder(KernelKind::Auto, &m)
-                .shards(shards)
-                .feature_dim(16)
-                .decision(decision)
-                .build()
-                .unwrap();
-            let got = dist.multiply(&b).unwrap();
-            assert_eq!(
-                got.as_slice()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                expect
-                    .as_slice()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                "Auto x{shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn pinned_decision_requires_auto() {
-        let m = skewed_matrix();
-        let err = DistSpmm::builder(KernelKind::AccSpmm, &m)
-            .decision(DispatchDecision::Single(KernelKind::AccSpmm))
-            .build();
-        assert!(
-            err.is_err(),
-            "pinning a decision on a concrete kernel must fail"
-        );
     }
 
     #[test]
@@ -1454,7 +1326,13 @@ mod tests {
     fn apply_delta_repairs_shards_and_stays_bit_identical() {
         let m = gen::uniform_random(512, 6.0, 41);
         let b = DenseMatrix::random(512, 16, 9);
-        for kind in [KernelKind::AccSpmm, KernelKind::CusparseLike] {
+        // `Auto` resolves on the full operand, so its repaired shards
+        // must match a scratch `Auto` coordinator on the compacted one.
+        for kind in [
+            KernelKind::AccSpmm,
+            KernelKind::CusparseLike,
+            KernelKind::Auto,
+        ] {
             let mut dist = DistSpmm::builder(kind, &m)
                 .shards(4)
                 .feature_dim(16)
@@ -1542,38 +1420,6 @@ mod tests {
         let got = dist.concat_rows(&out_parts).unwrap();
         let expect = reference(&compacted, KernelKind::AccSpmm, &h);
         assert_eq!(bits(&got), bits(&expect));
-    }
-
-    #[test]
-    fn pinned_auto_coordinator_repairs_and_matches_scratch() {
-        let decision = DispatchDecision::Hybrid {
-            dense: KernelKind::AccSpmm,
-            sparse: KernelKind::CusparseLike,
-            threshold: 8.0,
-        };
-        let m = skewed_matrix();
-        let b = DenseMatrix::random(m.ncols(), 16, 19);
-        let mut dist = DistSpmm::builder(KernelKind::Auto, &m)
-            .shards(3)
-            .feature_dim(16)
-            .decision(decision)
-            .build()
-            .unwrap();
-        let delta = churn(&m, 7);
-        dist.apply_delta(&delta).unwrap();
-        // Scratch coordinator on the compacted operand under the SAME
-        // pinned decision (repair keeps regions and kernels pinned; a
-        // re-decide could legitimately change them).
-        let scratch = DistSpmm::builder(KernelKind::Auto, &delta.compact())
-            .shards(3)
-            .feature_dim(16)
-            .decision(decision)
-            .build()
-            .unwrap();
-        assert_eq!(
-            bits(&dist.multiply(&b).unwrap()),
-            bits(&scratch.multiply(&b).unwrap())
-        );
     }
 
     #[test]

@@ -1,27 +1,24 @@
-//! Density-adaptive kernel dispatch: the policy behind
+//! Build-time kernel resolution: the policy behind
 //! [`KernelKind::Auto`].
 //!
 //! A matrix is summarized into [`MatrixFeatures`] (average row length,
 //! row-length coefficient of variation, feature dimension); the
 //! [`DispatchPolicy`] — a first-match rule table learned offline by the
 //! `autotune` binary and committed as `results/dispatch_policy.json` —
-//! maps those features to a [`DispatchDecision`]: either one concrete
-//! kernel for the whole matrix, or a hybrid split where each TILE-row
-//! window runs the tensor-core kernel when its local density clears a
-//! threshold and a scalar kernel otherwise.
+//! maps those features to one concrete [`KernelKind`].
 //!
-//! The window classifier uses *only window-local* data (the window's
-//! average nnz per row against an absolute threshold), so any TILE-
-//! aligned row slice of the matrix classifies its windows exactly as
-//! the full matrix does. That is what lets spmm-dist pin one decision
-//! at the coordinator and build per-shard hybrid plans that stay
-//! bit-identical to the unsharded run (row-partition invariance).
+//! [`DispatchPolicy::resolve`] runs that lookup once, before any plan is
+//! built: every entry point that accepts `Auto` (plan build, the kernel
+//! builder, engine sessions, sharded coordinators) resolves it first, so
+//! an `Auto` request yields an ordinary single-kernel plan whose
+//! `kind()` is the resolved kernel. Sharded coordinators resolve on the
+//! full operand before cutting shards, so every shard runs the same
+//! kernel as the unsharded plan would.
 
 use crate::ir::{kind_from_slug, kind_slug};
 use crate::KernelKind;
 use spmm_common::json::Json;
 use spmm_common::{Result, SpmmError};
-use spmm_format::TILE;
 use spmm_matrix::CsrMatrix;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -29,7 +26,11 @@ use std::sync::OnceLock;
 /// Schema version of the committed policy table. Bump on any change to
 /// the rule or decision encoding; `DispatchPolicy::parse` rejects every
 /// other version.
-pub const POLICY_SCHEMA_VERSION: u32 = 1;
+///
+/// v2: a rule's `kernel` and the `fallback` are plain kernel slugs (v1
+/// carried `{"mode": ...}` decision objects that could name a hybrid
+/// region split).
+pub const POLICY_SCHEMA_VERSION: u32 = 2;
 
 /// The committed policy table, embedded at compile time so `Auto`
 /// plans build without any runtime file dependency. CI regenerates the
@@ -89,103 +90,14 @@ impl MatrixFeatures {
     }
 }
 
-/// What the policy chose for a matrix.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DispatchDecision {
-    /// Run one concrete kernel over the whole matrix.
-    Single(KernelKind),
-    /// Split TILE-row windows by local density: windows whose average
-    /// nnz per row is `>= threshold` run `dense`, the rest run
-    /// `sparse`. Consecutive same-class windows coalesce into regions.
-    Hybrid {
-        /// Kernel for the dense windows (a tensor-core kind).
-        dense: KernelKind,
-        /// Kernel for the sparse windows (a CUDA-core kind).
-        sparse: KernelKind,
-        /// Window average-nnz-per-row cut between the two classes.
-        threshold: f64,
-    },
-}
-
-impl DispatchDecision {
-    /// Every kernel kind the decision can execute.
-    pub fn kinds(&self) -> Vec<KernelKind> {
-        match self {
-            DispatchDecision::Single(k) => vec![*k],
-            DispatchDecision::Hybrid { dense, sparse, .. } => vec![*dense, *sparse],
-        }
-    }
-
-    /// Reject decisions that reference [`KernelKind::Auto`] (a region
-    /// must resolve to a concrete kernel) or a non-finite threshold.
-    pub fn validate(&self) -> Result<()> {
-        if self.kinds().contains(&KernelKind::Auto) {
-            return Err(SpmmError::InvalidConfig(
-                "dispatch decision must name concrete kernels, not Auto".into(),
-            ));
-        }
-        if let DispatchDecision::Hybrid { threshold, .. } = self {
-            if !threshold.is_finite() || *threshold < 0.0 {
-                return Err(SpmmError::InvalidConfig(format!(
-                    "hybrid threshold {threshold} must be finite and non-negative"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// The decision's JSON encoding (the policy file and plan-IR header
-    /// schema).
-    pub fn to_json(&self) -> Json {
-        let mut o = BTreeMap::new();
-        match self {
-            DispatchDecision::Single(k) => {
-                o.insert("mode".into(), Json::Str("single".into()));
-                o.insert("kernel".into(), Json::Str(kind_slug(*k).into()));
-            }
-            DispatchDecision::Hybrid {
-                dense,
-                sparse,
-                threshold,
-            } => {
-                o.insert("mode".into(), Json::Str("hybrid".into()));
-                o.insert("dense".into(), Json::Str(kind_slug(*dense).into()));
-                o.insert("sparse".into(), Json::Str(kind_slug(*sparse).into()));
-                o.insert("threshold".into(), Json::Num(*threshold));
-            }
-        }
-        Json::Obj(o)
-    }
-
-    /// Parse the JSON encoding produced by [`DispatchDecision::to_json`].
-    pub fn from_json(j: &Json) -> Result<DispatchDecision> {
-        let mode = j
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad_policy("decision missing 'mode'"))?;
-        let kind_of = |key: &str| -> Result<KernelKind> {
-            let slug = j
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad_policy(&format!("decision missing '{key}'")))?;
-            kind_from_slug(slug)
-                .ok_or_else(|| bad_policy(&format!("unknown kernel slug '{slug}' in decision")))
-        };
-        let decision = match mode {
-            "single" => DispatchDecision::Single(kind_of("kernel")?),
-            "hybrid" => DispatchDecision::Hybrid {
-                dense: kind_of("dense")?,
-                sparse: kind_of("sparse")?,
-                threshold: j
-                    .get("threshold")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad_policy("hybrid decision missing 'threshold'"))?,
-            },
-            other => return Err(bad_policy(&format!("unknown decision mode '{other}'"))),
-        };
-        decision.validate()?;
-        Ok(decision)
-    }
+/// Parse a kernel slug (`"accspmm"`, ...) into a concrete kind. Only
+/// the six concrete kernels have slugs the policy accepts.
+fn kind_of(j: &Json, what: &str) -> Result<KernelKind> {
+    let slug = j
+        .as_str()
+        .ok_or_else(|| bad_policy(&format!("{what} must be a kernel slug")))?;
+    kind_from_slug(slug)
+        .ok_or_else(|| bad_policy(&format!("unknown kernel slug '{slug}' in {what}")))
 }
 
 fn bad_policy(detail: &str) -> SpmmError {
@@ -266,17 +178,17 @@ impl RuleBounds {
 pub struct PolicyRule {
     /// Feature bounds the rule applies within.
     pub when: RuleBounds,
-    /// The decision taken when the bounds match.
-    pub decision: DispatchDecision,
+    /// The concrete kernel chosen when the bounds match.
+    pub kernel: KernelKind,
 }
 
-/// The learned feature → decision table `KernelKind::Auto` consults.
+/// The learned feature → kernel table `KernelKind::Auto` consults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispatchPolicy {
     /// Rules in priority order; the first whose bounds match wins.
     pub rules: Vec<PolicyRule>,
-    /// Decision when no rule matches.
-    pub fallback: DispatchDecision,
+    /// Kernel when no rule matches.
+    pub fallback: KernelKind,
 }
 
 impl DispatchPolicy {
@@ -289,6 +201,17 @@ impl DispatchPolicy {
             DispatchPolicy::parse(BUILTIN_POLICY)
                 .expect("embedded results/dispatch_policy.json is valid (CI-gated)")
         })
+    }
+
+    /// Resolve a requested kind to the concrete kernel a plan is built
+    /// for. A concrete kind comes back unchanged without computing any
+    /// features; [`KernelKind::Auto`] goes through the builtin rule
+    /// table for `m` at `feature_dim`.
+    pub fn resolve(kind: KernelKind, m: &CsrMatrix, feature_dim: usize) -> KernelKind {
+        if kind != KernelKind::Auto {
+            return kind;
+        }
+        DispatchPolicy::builtin().decide(&MatrixFeatures::of(m, feature_dim))
     }
 
     /// Parse a policy table from its JSON text.
@@ -314,16 +237,18 @@ impl DispatchPolicy {
                         r.get("when")
                             .ok_or_else(|| bad_policy("rule missing 'when'"))?,
                     )?,
-                    decision: DispatchDecision::from_json(
-                        r.get("decision")
-                            .ok_or_else(|| bad_policy("rule missing 'decision'"))?,
+                    kernel: kind_of(
+                        r.get("kernel")
+                            .ok_or_else(|| bad_policy("rule missing 'kernel'"))?,
+                        "rule",
                     )?,
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        let fallback = DispatchDecision::from_json(
+        let fallback = kind_of(
             j.get("fallback")
                 .ok_or_else(|| bad_policy("missing 'fallback'"))?,
+            "fallback",
         )?;
         Ok(DispatchPolicy { rules, fallback })
     }
@@ -344,95 +269,27 @@ impl DispatchPolicy {
                     .map(|r| {
                         let mut rule = BTreeMap::new();
                         rule.insert("when".into(), r.when.to_json());
-                        rule.insert("decision".into(), r.decision.to_json());
+                        rule.insert("kernel".into(), Json::Str(kind_slug(r.kernel).into()));
                         Json::Obj(rule)
                     })
                     .collect(),
             ),
         );
-        o.insert("fallback".into(), self.fallback.to_json());
+        o.insert(
+            "fallback".into(),
+            Json::Str(kind_slug(self.fallback).into()),
+        );
         Json::Obj(o)
     }
 
     /// Decide for one feature vector: first matching rule, else the
     /// fallback.
-    pub fn decide(&self, f: &MatrixFeatures) -> DispatchDecision {
+    pub fn decide(&self, f: &MatrixFeatures) -> KernelKind {
         self.rules
             .iter()
             .find(|r| r.when.matches(f))
-            .map(|r| r.decision)
-            .unwrap_or(self.fallback)
+            .map_or(self.fallback, |r| r.kernel)
     }
-}
-
-/// One contiguous run of TILE-row windows assigned to a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegionSpec {
-    /// First row (TILE-aligned).
-    pub row_lo: usize,
-    /// One past the last row.
-    pub row_hi: usize,
-    /// The concrete kernel for the region.
-    pub kind: KernelKind,
-}
-
-/// Partition `m`'s rows into kernel regions per `decision`. A
-/// `Single` decision yields one region spanning every row; a `Hybrid`
-/// decision classifies each TILE window by its local average nnz per
-/// row (window-local data only — see the module docs for why that
-/// keeps sharded builds bit-identical) and coalesces consecutive
-/// same-kernel windows. Empty operands yield no regions.
-pub fn region_partition(m: &CsrMatrix, decision: &DispatchDecision) -> Vec<RegionSpec> {
-    let nrows = m.nrows();
-    if nrows == 0 {
-        return Vec::new();
-    }
-    let (dense, sparse, threshold) = match decision {
-        DispatchDecision::Single(k) => {
-            return vec![RegionSpec {
-                row_lo: 0,
-                row_hi: nrows,
-                kind: *k,
-            }]
-        }
-        DispatchDecision::Hybrid {
-            dense,
-            sparse,
-            threshold,
-        } => (*dense, *sparse, *threshold),
-    };
-    let row_ptr = m.row_ptr();
-    let mut regions: Vec<RegionSpec> = Vec::new();
-    for w in 0..nrows.div_ceil(TILE) {
-        let lo = w * TILE;
-        let hi = ((w + 1) * TILE).min(nrows);
-        let nnz_w = row_ptr[hi] - row_ptr[lo];
-        let avg_w = nnz_w as f64 / (hi - lo) as f64;
-        let kind = if avg_w >= threshold { dense } else { sparse };
-        match regions.last_mut() {
-            Some(last) if last.kind == kind && last.row_hi == lo => last.row_hi = hi,
-            _ => regions.push(RegionSpec {
-                row_lo: lo,
-                row_hi: hi,
-                kind,
-            }),
-        }
-    }
-    regions
-}
-
-/// Extract rows `[lo, hi)` of `m` as a standalone CSR operand (same
-/// column space). The dist crate's shard cutter has the same shape;
-/// this local copy keeps `spmm-kernels` free of a dependency cycle.
-pub fn row_block(m: &CsrMatrix, lo: usize, hi: usize) -> CsrMatrix {
-    assert!(lo <= hi && hi <= m.nrows(), "row block out of range");
-    let row_ptr = m.row_ptr();
-    let base = row_ptr[lo];
-    let rebased: Vec<usize> = row_ptr[lo..=hi].iter().map(|&p| p - base).collect();
-    let col_idx = m.col_idx()[base..row_ptr[hi]].to_vec();
-    let values = m.values()[base..row_ptr[hi]].to_vec();
-    CsrMatrix::new(hi - lo, m.ncols(), rebased, col_idx, values)
-        .expect("row block of a valid CSR is valid")
 }
 
 #[cfg(test)]
@@ -441,11 +298,14 @@ mod tests {
     use spmm_matrix::gen::uniform_random;
 
     #[test]
-    fn builtin_policy_parses_and_decides() {
-        let policy = DispatchPolicy::builtin();
+    fn builtin_policy_parses_and_resolves_to_a_concrete_kernel() {
         let m = uniform_random(128, 4.0, 3);
-        let d = policy.decide(&MatrixFeatures::of(&m, 32));
-        assert!(d.validate().is_ok());
+        let kind = DispatchPolicy::resolve(KernelKind::Auto, &m, 32);
+        assert!(KernelKind::ALL.contains(&kind), "resolved to {kind:?}");
+        // Concrete kinds pass through untouched.
+        for k in KernelKind::ALL {
+            assert_eq!(DispatchPolicy::resolve(k, &m, 32), k);
+        }
     }
 
     #[test]
@@ -468,14 +328,14 @@ mod tests {
                         avgl_max: Some(4.0),
                         ..Default::default()
                     },
-                    decision: DispatchDecision::Single(KernelKind::CusparseLike),
+                    kernel: KernelKind::CusparseLike,
                 },
                 PolicyRule {
                     when: RuleBounds::default(),
-                    decision: DispatchDecision::Single(KernelKind::AccSpmm),
+                    kernel: KernelKind::AccSpmm,
                 },
             ],
-            fallback: DispatchDecision::Single(KernelKind::SputnikLike),
+            fallback: KernelKind::SputnikLike,
         };
         let f = |avg_l: f64| MatrixFeatures {
             nrows: 8,
@@ -484,51 +344,10 @@ mod tests {
             row_cv: 0.0,
             feature_dim: 32,
         };
-        assert_eq!(
-            policy.decide(&f(3.9)),
-            DispatchDecision::Single(KernelKind::CusparseLike)
-        );
+        assert_eq!(policy.decide(&f(3.9)), KernelKind::CusparseLike);
         // Upper bounds are exclusive: 4.0 falls through to the
         // catch-all second rule.
-        assert_eq!(
-            policy.decide(&f(4.0)),
-            DispatchDecision::Single(KernelKind::AccSpmm)
-        );
-    }
-
-    #[test]
-    fn decision_json_roundtrips() {
-        for d in [
-            DispatchDecision::Single(KernelKind::DtcSpmm),
-            DispatchDecision::Hybrid {
-                dense: KernelKind::AccSpmm,
-                sparse: KernelKind::SputnikLike,
-                threshold: 6.5,
-            },
-        ] {
-            assert_eq!(DispatchDecision::from_json(&d.to_json()).unwrap(), d);
-        }
-    }
-
-    #[test]
-    fn decisions_naming_auto_are_rejected() {
-        assert!(DispatchDecision::Single(KernelKind::Auto)
-            .validate()
-            .is_err());
-        assert!(DispatchDecision::Hybrid {
-            dense: KernelKind::Auto,
-            sparse: KernelKind::CusparseLike,
-            threshold: 4.0,
-        }
-        .validate()
-        .is_err());
-        assert!(DispatchDecision::Hybrid {
-            dense: KernelKind::AccSpmm,
-            sparse: KernelKind::CusparseLike,
-            threshold: f64::NAN,
-        }
-        .validate()
-        .is_err());
+        assert_eq!(policy.decide(&f(4.0)), KernelKind::AccSpmm);
     }
 
     #[test]
@@ -541,75 +360,31 @@ mod tests {
                     dim_min: Some(64.0),
                     ..Default::default()
                 },
-                decision: DispatchDecision::Hybrid {
-                    dense: KernelKind::AccSpmm,
-                    sparse: KernelKind::CusparseLike,
-                    threshold: 8.0,
-                },
+                kernel: KernelKind::DtcSpmm,
             }],
-            fallback: DispatchDecision::Single(KernelKind::AccSpmm),
+            fallback: KernelKind::AccSpmm,
         };
         let text = policy.to_json(BTreeMap::new()).to_string_pretty();
         assert_eq!(DispatchPolicy::parse(&text).unwrap(), policy);
     }
 
     #[test]
-    fn single_decision_is_one_region() {
-        let m = uniform_random(100, 3.0, 7);
-        let regions = region_partition(&m, &DispatchDecision::Single(KernelKind::AccSpmm));
-        assert_eq!(
-            regions,
-            vec![RegionSpec {
-                row_lo: 0,
-                row_hi: 100,
-                kind: KernelKind::AccSpmm
-            }]
-        );
-    }
-
-    #[test]
-    fn hybrid_regions_tile_the_rows_and_respect_the_threshold() {
-        let m = uniform_random(96, 5.0, 11);
-        let d = DispatchDecision::Hybrid {
-            dense: KernelKind::AccSpmm,
-            sparse: KernelKind::CusparseLike,
-            threshold: 5.0,
+    fn policies_naming_auto_or_v1_decisions_are_rejected() {
+        let with = |rule_kernel: &str, fallback: &str| {
+            format!(
+                r#"{{"schema_version": 2, "fallback": {fallback},
+                    "rules": [{{"when": {{}}, "kernel": {rule_kernel}}}]}}"#
+            )
         };
-        let regions = region_partition(&m, &d);
-        assert!(!regions.is_empty());
-        assert_eq!(regions[0].row_lo, 0);
-        assert_eq!(regions.last().unwrap().row_hi, 96);
-        for pair in regions.windows(2) {
-            assert_eq!(pair[0].row_hi, pair[1].row_lo, "regions are contiguous");
-            assert_ne!(pair[0].kind, pair[1].kind, "adjacent regions coalesce");
-        }
-        for r in &regions {
-            assert_eq!(r.row_lo % TILE, 0, "regions start on window boundaries");
-            // Every window inside the region classifies to the region's
-            // kernel — the invariant sharded builds rely on.
-            for w in (r.row_lo / TILE)..r.row_hi.div_ceil(TILE) {
-                let lo = w * TILE;
-                let hi = ((w + 1) * TILE).min(96);
-                let nnz_w = m.row_ptr()[hi] - m.row_ptr()[lo];
-                let avg = nnz_w as f64 / (hi - lo) as f64;
-                let kind = if avg >= 5.0 {
-                    KernelKind::AccSpmm
-                } else {
-                    KernelKind::CusparseLike
-                };
-                assert_eq!(kind, r.kind);
-            }
-        }
-    }
-
-    #[test]
-    fn row_block_slices_are_consistent() {
-        let m = uniform_random(64, 4.0, 5);
-        let sub = row_block(&m, 16, 40);
-        assert_eq!(sub.nrows(), 24);
-        assert_eq!(sub.ncols(), m.ncols());
-        for r in 0..24 {
-            assert_eq!(sub.row(r), m.row(16 + r), "row {r} content preserved");
-        }
+        assert!(DispatchPolicy::parse(&with(r#""accspmm""#, r#""cusparse""#)).is_ok());
+        // A rule or fallback must name a concrete kernel.
+        assert!(DispatchPolicy::parse(&with(r#""auto""#, r#""accspmm""#)).is_err());
+        assert!(DispatchPolicy::parse(&with(r#""accspmm""#, r#""auto""#)).is_err());
+        // v1 decision objects no longer parse, under either version.
+        let v1 = r#"{"mode": "single", "kernel": "accspmm"}"#;
+        assert!(DispatchPolicy::parse(&with(v1, r#""accspmm""#)).is_err());
+        let old = with(r#""accspmm""#, r#""accspmm""#)
+            .replace("\"schema_version\": 2", "\"schema_version\": 1");
+        assert!(DispatchPolicy::parse(&old).is_err());
     }
 }

@@ -28,8 +28,7 @@
 //! cross-section inconsistency.
 
 use crate::acc::AccConfig;
-use crate::dispatch::{row_block, DispatchDecision};
-use crate::plan::{ExecutionPlan, FormatChoice, PlanContext, RegionPlan, StageSpec, StageTiming};
+use crate::plan::{ExecutionPlan, FormatChoice, PlanContext, StageSpec, StageTiming};
 use crate::{KernelKind, TcFormat};
 use spmm_balance::{BalancePlan, BalanceStrategy, Segment, TbAssignment};
 use spmm_common::json::Json;
@@ -53,7 +52,13 @@ const MAGIC: [u8; 4] = *b"SPIR";
 /// `isa_tier` header field, one tier byte in the trace section, and the
 /// pin in the config hash. The recorded tier is advisory — loaders
 /// re-resolve it against the loading host (see [`PlanLoader::rehydrate`]).
-pub const PLAN_IR_VERSION: u32 = 3;
+///
+/// v4 dropped the hybrid-region section and the `num_regions` /
+/// `decision` header keys: `Auto` resolves to a concrete kernel before
+/// build, so every plan is a single-kernel plan and the header `kind`
+/// is never `"auto"`. v3 containers (which may nest region plans) are
+/// rejected with [`PlanLoadError::VersionMismatch`].
+pub const PLAN_IR_VERSION: u32 = 4;
 
 /// Sanity cap on section and array lengths.
 const CAP: u64 = 1 << 34;
@@ -136,12 +141,10 @@ pub fn kind_slug(k: KernelKind) -> &'static str {
     }
 }
 
-/// Inverse of [`kind_slug`]. `"auto"` resolves even though `Auto` is
-/// absent from [`KernelKind::ALL`].
+/// Inverse of [`kind_slug`] over the six concrete kernels. `"auto"` does
+/// not parse: no built plan, stored artifact or policy rule carries
+/// `Auto`, so the slug only ever names a request, never a kernel.
 pub fn kind_from_slug(s: &str) -> Option<KernelKind> {
-    if s == "auto" {
-        return Some(KernelKind::Auto);
-    }
     KernelKind::ALL.into_iter().find(|&k| kind_slug(k) == s)
 }
 
@@ -277,7 +280,8 @@ pub fn acc_config_hash(c: &AccConfig) -> u64 {
 /// [`ExecutionPlan`] without re-running the pipeline.
 #[derive(Debug, Clone)]
 pub struct PlanIr {
-    /// Kernel strategy the plan compiles.
+    /// Kernel strategy the plan compiles (always concrete, never
+    /// [`KernelKind::Auto`]).
     pub kind: KernelKind,
     /// Architecture the balance schedule and trace were compiled for.
     pub arch: Arch,
@@ -303,24 +307,6 @@ pub struct PlanIr {
     pub trace: KernelDesc,
     /// Stage wall times recorded at original build time.
     pub timings: Vec<StageTiming>,
-    /// Hybrid sub-plans: one full child container per row region.
-    /// Non-empty exactly for [`KernelKind::Auto`] plans.
-    pub regions: Vec<RegionIr>,
-    /// The dispatch decision an `Auto` plan compiled under (pinned so
-    /// re-loads never re-consult a possibly newer policy).
-    pub decision: Option<DispatchDecision>,
-}
-
-/// One row region of a hybrid plan: the half-open row range it covers
-/// in the parent operand plus its own complete (single-kernel) plan IR.
-#[derive(Debug, Clone)]
-pub struct RegionIr {
-    /// First parent row the region covers.
-    pub row_lo: usize,
-    /// One past the last parent row the region covers.
-    pub row_hi: usize,
-    /// The region's own plan, built on the parent's row block.
-    pub ir: PlanIr,
 }
 
 impl PlanIr {
@@ -339,19 +325,6 @@ impl PlanIr {
             balance: plan.balance().cloned(),
             trace: plan.compiled_trace().clone(),
             timings: plan.stage_timings().to_vec(),
-            regions: plan
-                .regions()
-                .map(|rs| {
-                    rs.iter()
-                        .map(|r| RegionIr {
-                            row_lo: r.row_lo,
-                            row_hi: r.row_hi,
-                            ir: PlanIr::from_plan(&r.plan),
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
-            decision: plan.decision().copied(),
         }
     }
 
@@ -430,11 +403,6 @@ impl PlanIr {
         h.insert("ncols".into(), Json::Num(self.csr.ncols() as f64));
         h.insert("nnz".into(), Json::Num(self.csr.nnz() as f64));
         h.insert("timings".into(), Json::Arr(timings));
-        h.insert("num_regions".into(), Json::Num(self.regions.len() as f64));
-        h.insert(
-            "decision".into(),
-            self.decision.as_ref().map_or(Json::Null, |d| d.to_json()),
-        );
         Json::Obj(h)
     }
 
@@ -476,21 +444,6 @@ impl PlanIr {
 
         section.clear();
         write_desc(&mut section, &self.trace)?;
-        write_section(&mut w, &section)?;
-
-        section.clear();
-        put_u64(&mut section, self.regions.len() as u64)?;
-        for region in &self.regions {
-            put_u64(&mut section, region.row_lo as u64)?;
-            put_u64(&mut section, region.row_hi as u64)?;
-            // Each region nests a complete child container (magic,
-            // version, header, sections) so region plans validate and
-            // rehydrate through exactly the same code path as
-            // top-level ones.
-            let child = region.ir.to_bytes()?;
-            put_u64(&mut section, child.len() as u64)?;
-            section.extend_from_slice(&child);
-        }
         write_section(&mut w, &section)?;
 
         w.flush()?;
@@ -544,7 +497,6 @@ impl PlanIr {
         let format_bytes = read_section(&mut r, "format")?;
         let balance_bytes = read_section(&mut r, "balance")?;
         let trace_bytes = read_section(&mut r, "trace")?;
-        let regions_bytes = read_section(&mut r, "regions")?;
 
         let perm = if hdr.has_perm {
             let mut pr = csr_reader(&perm_bytes);
@@ -682,28 +634,6 @@ impl PlanIr {
             .into());
         }
 
-        let regions = read_regions(&regions_bytes)?;
-        if regions.len() != hdr.num_regions {
-            return Err(PlanLoadError::ArtifactInvalid {
-                section: "regions",
-                detail: format!(
-                    "header says {} regions, section carries {}",
-                    hdr.num_regions,
-                    regions.len()
-                ),
-            }
-            .into());
-        }
-        if hdr.kind == KernelKind::Auto {
-            validate_regions(&csr, &hdr, &regions)?;
-        } else if !regions.is_empty() || hdr.decision.is_some() {
-            return Err(PlanLoadError::ArtifactInvalid {
-                section: "regions",
-                detail: "only Auto plans carry regions or a dispatch decision".into(),
-            }
-            .into());
-        }
-
         Ok(PlanIr {
             kind: hdr.kind,
             arch: hdr.arch,
@@ -717,8 +647,6 @@ impl PlanIr {
             balance,
             trace,
             timings: hdr.timings,
-            regions,
-            decision: hdr.decision,
         })
     }
 
@@ -735,108 +663,6 @@ impl PlanIr {
 
 fn csr_reader(bytes: &[u8]) -> std::io::Cursor<&[u8]> {
     std::io::Cursor::new(bytes)
-}
-
-/// Parse the regions section: a count followed by `(row_lo, row_hi,
-/// nested child container)` triples. Each child parses through
-/// [`PlanIr::read_from`], so it gets the full structural validation.
-fn read_regions(bytes: &[u8]) -> Result<Vec<RegionIr>> {
-    let mut r = csr_reader(bytes);
-    let count = get_len(&mut r, "regions").map_err(|e| artifact("regions", &e))?;
-    let mut regions = Vec::with_capacity(count);
-    for _ in 0..count {
-        let row_lo = get_u64(&mut r).map_err(|e| artifact("regions", &e))? as usize;
-        let row_hi = get_u64(&mut r).map_err(|e| artifact("regions", &e))? as usize;
-        let child = read_section(&mut r, "regions")?;
-        let ir = PlanIr::read_from(csr_reader(&child)).map_err(|e| artifact("regions", &e))?;
-        regions.push(RegionIr { row_lo, row_hi, ir });
-    }
-    let mut rest = Vec::new();
-    r.read_to_end(&mut rest)?;
-    if !rest.is_empty() {
-        return Err(PlanLoadError::ArtifactInvalid {
-            section: "regions",
-            detail: format!("{} trailing bytes after the last region", rest.len()),
-        }
-        .into());
-    }
-    Ok(regions)
-}
-
-/// Cross-check an `Auto` plan's regions against the stored operand:
-/// regions must tile `[0, nrows)` contiguously, every child must be a
-/// concrete (non-hybrid) kernel sharing the parent's bindings, and each
-/// child's input fingerprint must equal the fingerprint of the parent's
-/// corresponding row block — so a tampered child cannot masquerade as a
-/// region of this operand.
-fn validate_regions(csr: &CsrMatrix, hdr: &Header, regions: &[RegionIr]) -> Result<()> {
-    let bad = |detail: String| -> SpmmError {
-        PlanLoadError::ArtifactInvalid {
-            section: "regions",
-            detail,
-        }
-        .into()
-    };
-    if hdr.decision.is_none() {
-        return Err(bad("Auto plan without a recorded dispatch decision".into()));
-    }
-    if csr.nrows() > 0 && regions.is_empty() {
-        return Err(bad(
-            "Auto plan over a non-empty operand has no regions".into()
-        ));
-    }
-    let mut cursor = 0usize;
-    for (i, region) in regions.iter().enumerate() {
-        if region.row_lo != cursor || region.row_hi <= region.row_lo {
-            return Err(bad(format!(
-                "region {i} covers [{}, {}) but rows are tiled up to {cursor}",
-                region.row_lo, region.row_hi
-            )));
-        }
-        if region.row_hi > csr.nrows() {
-            return Err(bad(format!(
-                "region {i} ends at row {} of a {}-row operand",
-                region.row_hi,
-                csr.nrows()
-            )));
-        }
-        cursor = region.row_hi;
-        let child = &region.ir;
-        if child.kind == KernelKind::Auto || !child.regions.is_empty() {
-            return Err(bad(format!("region {i} nests another hybrid plan")));
-        }
-        if child.arch != hdr.arch
-            || child.feature_dim != hdr.feature_dim
-            || child.config != hdr.config
-        {
-            return Err(bad(format!(
-                "region {i} bindings disagree with the parent plan"
-            )));
-        }
-        let rows = region.row_hi - region.row_lo;
-        if child.csr.nrows() != rows || child.csr.ncols() != csr.ncols() {
-            return Err(bad(format!(
-                "region {i} operand is {}x{}, expected {}x{}",
-                child.csr.nrows(),
-                child.csr.ncols(),
-                rows,
-                csr.ncols()
-            )));
-        }
-        let block = row_block(csr, region.row_lo, region.row_hi);
-        if block.content_fingerprint() != child.input_fingerprint {
-            return Err(bad(format!(
-                "region {i} input fingerprint disagrees with the parent row block"
-            )));
-        }
-    }
-    if cursor != csr.nrows() {
-        return Err(bad(format!(
-            "regions stop at row {cursor} of a {}-row operand",
-            csr.nrows()
-        )));
-    }
-    Ok(())
 }
 
 fn not_plan_ir(e: &impl std::fmt::Display) -> SpmmError {
@@ -894,8 +720,6 @@ struct Header {
     ncols: usize,
     nnz: usize,
     timings: Vec<StageTiming>,
-    num_regions: usize,
-    decision: Option<DispatchDecision>,
 }
 
 fn missing(key: &str) -> SpmmError {
@@ -941,7 +765,12 @@ impl Header {
             }
             .into());
         }
-        let kind = kind_from_slug(hdr_str(h, "kind")?).ok_or_else(|| missing("kind"))?;
+        let slug = hdr_str(h, "kind")?;
+        let kind = kind_from_slug(slug).ok_or_else(|| {
+            SpmmError::from(PlanLoadError::NotPlanIr {
+                detail: format!("header kind '{slug}' is not a concrete kernel"),
+            })
+        })?;
         let arch = Arch::parse(hdr_str(h, "arch")?).ok_or_else(|| missing("arch"))?;
         let c = h.get("config").ok_or_else(|| missing("config"))?;
         let config = AccConfig {
@@ -1004,15 +833,6 @@ impl Header {
             ncols: hdr_usize(h, "ncols")?,
             nnz: hdr_usize(h, "nnz")?,
             timings,
-            num_regions: hdr_usize(h, "num_regions")?,
-            decision: match h.get("decision") {
-                None | Some(Json::Null) => None,
-                Some(j) => Some(DispatchDecision::from_json(j).map_err(|e| {
-                    SpmmError::from(PlanLoadError::NotPlanIr {
-                        detail: format!("header decision invalid: {e}"),
-                    })
-                })?),
-            },
         })
     }
 }
@@ -1326,27 +1146,6 @@ impl PlanLoader {
         let _span = spmm_trace::span("plan.load");
         self.validate(&ir)?;
         let spec = StageSpec::for_kernel(ir.kind, &ir.config);
-        // Hybrid children rehydrate through their own loaders, pinned
-        // to the parent's bindings (structural region validation has
-        // already happened in read_from).
-        let regions = if ir.kind != KernelKind::Auto {
-            None
-        } else {
-            let child_loader = PlanLoader::new()
-                .expect_arch(ir.arch)
-                .expect_feature_dim(ir.feature_dim)
-                .expect_config(ir.config);
-            let mut out = Vec::with_capacity(ir.regions.len());
-            for region in &ir.regions {
-                out.push(RegionPlan {
-                    row_lo: region.row_lo,
-                    row_hi: region.row_hi,
-                    kind: region.ir.kind,
-                    plan: child_loader.rehydrate(region.ir.clone())?,
-                });
-            }
-            Some(out)
-        };
         let partition = ir.format.as_ref().map(|_| WindowPartition::build(&ir.csr));
         if let Some(wp) = &partition {
             let format_blocks = match ir.format.as_ref() {
@@ -1396,8 +1195,6 @@ impl PlanLoader {
             balance: ir.balance,
             trace: Some(trace),
             timings: ir.timings,
-            regions,
-            decision: ir.decision,
             isa_tier,
         };
         spmm_trace::counter_add("plan.loads", 1);

@@ -36,14 +36,9 @@ pub mod tc;
 pub mod workspace;
 
 pub use acc::AccConfig;
-pub use dispatch::{
-    region_partition, DispatchDecision, DispatchPolicy, MatrixFeatures, PolicyRule, RegionSpec,
-    RuleBounds, POLICY_SCHEMA_VERSION,
-};
+pub use dispatch::{DispatchPolicy, MatrixFeatures, PolicyRule, RuleBounds, POLICY_SCHEMA_VERSION};
 pub use ir::{acc_config_hash, PlanIr, PlanLoader, PLAN_IR_VERSION};
-pub use plan::{
-    ExecutionPlan, FormatChoice, PlanContext, PlanStage, RegionPlan, StageSpec, StageTiming,
-};
+pub use plan::{ExecutionPlan, FormatChoice, PlanContext, PlanStage, StageSpec, StageTiming};
 pub use repair::{build_then_repair, RepairReport};
 pub use workspace::{Workspace, WorkspacePool};
 
@@ -69,11 +64,11 @@ pub enum KernelKind {
     DtcSpmm,
     /// Acc-SpMM (this paper).
     AccSpmm,
-    /// Density-adaptive dispatch: the committed autotuner policy picks
-    /// a concrete kernel — or a per-row-region hybrid of one TC and
-    /// one scalar kernel — from the matrix's features (see
-    /// [`dispatch`]). Not a seventh hand-written kernel, so it is
-    /// deliberately absent from [`KernelKind::ALL`].
+    /// Density-adaptive choice: before any plan is built, the committed
+    /// autotuner policy resolves `Auto` to one concrete kernel from the
+    /// matrix's features ([`DispatchPolicy::resolve`]). Plans never carry
+    /// `Auto` — they report the resolved kind — and it is not a seventh
+    /// kernel, so it is deliberately absent from [`KernelKind::ALL`].
     Auto,
 }
 
@@ -102,20 +97,15 @@ impl KernelKind {
         }
     }
 
-    /// Does this kernel run on tensor cores? `Auto` answers `true`: its
-    /// dense regions may compile TC formats, so consumers that gate
-    /// TC-only degradation paths (the engine's CSR fallback) must treat
-    /// it as TC-capable.
+    /// Does this kernel run on tensor cores? `Auto` answers `true`
+    /// conservatively, since the policy may resolve it to a TC kernel;
+    /// ask a built plan's [`kind`](ExecutionPlan::kind), which is always
+    /// concrete, for the exact answer.
     pub fn uses_tensor_cores(&self) -> bool {
         matches!(
             self,
             KernelKind::TcGnn | KernelKind::DtcSpmm | KernelKind::AccSpmm | KernelKind::Auto
         )
-    }
-
-    /// The pipeline stage configuration this kernel corresponds to.
-    pub fn stage_spec(&self, config: &AccConfig) -> StageSpec {
-        StageSpec::for_kernel(*self, config)
     }
 }
 
@@ -193,15 +183,17 @@ impl<'a> KernelBuilder<'a> {
         self
     }
 
-    /// Run the staged preprocessing pipeline. Failures surface as
-    /// [`SpmmError::Build`] tagged with the kernel's display name.
+    /// Resolve [`KernelKind::Auto`] to a concrete kernel, then run the
+    /// staged preprocessing pipeline. Failures surface as
+    /// [`SpmmError::Build`] tagged with the (resolved) kernel's display
+    /// name.
     pub fn build(self) -> Result<PreparedKernel> {
-        let plan =
-            ExecutionPlan::build(self.kind, self.a, self.arch, self.feature_dim, self.config)
-                .map_err(|e| match e {
-                    e @ SpmmError::Build { .. } => e,
-                    other => SpmmError::build(self.kind.name(), other),
-                })?;
+        let kind = DispatchPolicy::resolve(self.kind, self.a, self.feature_dim);
+        let plan = ExecutionPlan::build(kind, self.a, self.arch, self.feature_dim, self.config)
+            .map_err(|e| match e {
+                e @ SpmmError::Build { .. } => e,
+                other => SpmmError::build(kind.name(), other),
+            })?;
         Ok(PreparedKernel { plan })
     }
 }
@@ -460,33 +452,25 @@ impl PreparedKernel {
     }
 
     /// The kernel's work compiled into a simulator trace (cached on the
-    /// plan at prepare time; this clones the cached description). For
-    /// `Auto` plans this is the synthesized whole-matrix descriptor;
-    /// profiling sums the per-region simulations instead (regions run
-    /// different pipelines, so one combined trace cannot price them).
+    /// plan at prepare time; this clones the cached description).
     pub fn trace(&self) -> KernelDesc {
         self.plan.compiled_trace().clone()
     }
 
-    /// Simulate on the given architecture. Hybrid (`Auto`) plans are
-    /// priced as the sum of their per-region simulations, each region
-    /// profiled exactly as a standalone kernel of its kind would be.
+    /// Simulate on the given architecture (the cuSPARSE-like kernel
+    /// gets the architecture's CSR-library boost).
     pub fn profile(&self, arch: Arch, opts: &SimOptions) -> KernelReport {
-        match self.plan.regions() {
-            Some(regions) => {
-                let reports: Vec<KernelReport> = regions
-                    .iter()
-                    .map(|r| profile_plan(&r.plan, arch, opts))
-                    .collect();
-                combine_reports(&reports)
-            }
-            None => profile_plan(&self.plan, arch, opts),
+        let cached = self.plan.compiled_trace();
+        if self.kind() == KernelKind::CusparseLike {
+            let mut desc = cached.clone();
+            desc.arch_boost = arch.spec().cusparse_boost;
+            return spmm_sim::profile(arch, &desc, opts);
         }
+        spmm_sim::profile(arch, cached, opts)
     }
 }
 
-/// Execute one plan (hybrid-aware). Region sub-plans of an `Auto` plan
-/// carry no regions themselves, so the recursion is exactly one level.
+/// Execute one plan into `out` in original row order.
 fn plan_execute_into(
     plan: &ExecutionPlan,
     b: &DenseMatrix,
@@ -494,9 +478,6 @@ fn plan_execute_into(
     ws: &mut Workspace,
     parallel: bool,
 ) -> Result<()> {
-    if let Some(regions) = plan.regions() {
-        return execute_hybrid(plan, regions, b, out, ws, parallel);
-    }
     let _span = spmm_trace::span("kernel.execute");
     spmm_trace::counter_add("kernel.multiplies", 1);
     let Workspace {
@@ -571,103 +552,6 @@ fn spmm_dispatch(
         // CUDA-core kernels are FP32 FMA — no operand rounding.
         (None, true) => plan.csr().spmm_dense_into(b, c),
         (None, false) => plan.csr().spmm_dense_into_seq(b, c),
-    }
-}
-
-/// The hybrid stitch: execute every region's sub-plan over the shared
-/// B, then gather the region rows into the caller's output. Each
-/// sub-plan already returns its rows in the region's original order
-/// (row-partition invariance: a row accumulates exactly its own lanes
-/// in ascending column order regardless of the partition), so the
-/// stitch is a bit-exact row copy — no arithmetic crosses a region
-/// boundary.
-fn execute_hybrid(
-    plan: &ExecutionPlan,
-    regions: &[plan::RegionPlan],
-    b: &DenseMatrix,
-    out: &mut DenseMatrix,
-    ws: &mut Workspace,
-    parallel: bool,
-) -> Result<()> {
-    let _span = spmm_trace::span("kernel.execute_hybrid");
-    spmm_trace::counter_add("kernel.hybrid_multiplies", 1);
-    let (a_rows, a_cols) = (plan.csr().nrows(), plan.csr().ncols());
-    if b.nrows() != a_cols || out.nrows() != a_rows || out.ncols() != b.ncols() {
-        return Err(SpmmError::shape(format!(
-            "A is {a_rows}x{a_cols}, B is {}x{}, C is {}x{}",
-            b.nrows(),
-            b.ncols(),
-            out.nrows(),
-            out.ncols()
-        )));
-    }
-    let scratch = ws.region_scratch_mut(regions.len());
-    for (r, rs) in regions.iter().zip(scratch.iter_mut()) {
-        let rows = r.row_hi - r.row_lo;
-        let staged = ensure_staging(&mut rs.out, rows, b.ncols());
-        plan_execute_into(&r.plan, b, staged, &mut rs.ws, parallel)?;
-        for i in 0..rows {
-            out.row_mut(r.row_lo + i).copy_from_slice(staged.row(i));
-        }
-    }
-    Ok(())
-}
-
-/// Simulate one plan as a standalone kernel of its kind (the
-/// cuSPARSE-like kernel gets the architecture's CSR-library boost).
-fn profile_plan(plan: &ExecutionPlan, arch: Arch, opts: &SimOptions) -> KernelReport {
-    let spec = arch.spec();
-    let cached = plan.compiled_trace();
-    if plan.kind() == KernelKind::CusparseLike {
-        let mut desc = cached.clone();
-        desc.arch_boost = spec.cusparse_boost;
-        return spmm_sim::profile(arch, &desc, opts);
-    }
-    spmm_sim::profile(arch, cached, opts)
-}
-
-/// Aggregate per-region simulation reports into one whole-matrix
-/// report: times, bytes, and thread blocks add; rates recompute from
-/// the totals; ratio metrics average weighted by region time.
-fn combine_reports(reports: &[KernelReport]) -> KernelReport {
-    let time_s: f64 = reports.iter().map(|r| r.time_s).sum();
-    let dram_bytes: u64 = reports.iter().map(|r| r.dram_bytes).sum();
-    let l2_bytes: u64 = reports.iter().map(|r| r.l2_bytes).sum();
-    let l1_bytes: u64 = reports.iter().map(|r| r.l1_bytes).sum();
-    let bubble_s: f64 = reports.iter().map(|r| r.bubble_s).sum();
-    let busy_s: f64 = reports.iter().map(|r| r.busy_s).sum();
-    let num_tbs: usize = reports.iter().map(|r| r.num_tbs).sum();
-    let weighted = |f: fn(&KernelReport) -> f64| -> f64 {
-        if time_s > 0.0 {
-            reports.iter().map(|r| f(r) * r.time_s).sum::<f64>() / time_s
-        } else {
-            0.0
-        }
-    };
-    // gflops fields are rates: recover each region's work from
-    // rate × time, then divide the summed work by the summed time.
-    let rate_total = |f: fn(&KernelReport) -> f64| -> f64 {
-        if time_s > 0.0 {
-            reports.iter().map(|r| f(r) * r.time_s).sum::<f64>() / time_s
-        } else {
-            0.0
-        }
-    };
-    KernelReport {
-        time_s,
-        gflops: rate_total(|r| r.gflops),
-        dense_gflops: rate_total(|r| r.dense_gflops),
-        dram_bytes,
-        l2_bytes,
-        l1_bytes,
-        l1_hit_rate: weighted(|r| r.l1_hit_rate),
-        l2_hit_rate: weighted(|r| r.l2_hit_rate),
-        bubble_s,
-        busy_s,
-        mem_throughput_gbps: rate_total(|r| r.mem_throughput_gbps),
-        compute_throughput_gflops: rate_total(|r| r.compute_throughput_gflops),
-        num_tbs,
-        sm_utilization: weighted(|r| r.sm_utilization),
     }
 }
 

@@ -16,16 +16,14 @@
 //! times* structure the paper amortizes across GNN training epochs.
 
 use crate::acc::AccConfig;
-use crate::dispatch::{
-    region_partition, row_block, DispatchDecision, DispatchPolicy, MatrixFeatures,
-};
+use crate::dispatch::DispatchPolicy;
 use crate::{scalar, tc, KernelKind, TcFormat};
 use spmm_balance::{BalancePlan, BalanceStrategy, ModelParams, PerfModel};
 use spmm_common::{IsaTier, Result, SpmmError};
 use spmm_format::{BitTcf, MeTcf, Tcf, WindowPartition};
 use spmm_matrix::CsrMatrix;
 use spmm_reorder::Algorithm;
-use spmm_sim::{Arch, CacheOp, CachePolicy, KernelDesc, PipelineKind};
+use spmm_sim::{Arch, KernelDesc};
 use std::time::Instant;
 
 /// Which compressed format the FormatBuild stage materializes.
@@ -92,15 +90,10 @@ impl StageSpec {
                 },
                 balance: config.balance,
             },
-            // Auto is a dispatcher, not a pipeline: the parent plan
-            // keeps the raw CSR operand and delegates every stage to
-            // its per-region sub-plans.
-            KernelKind::Auto => StageSpec {
-                reorder: None,
-                symmetric: false,
-                format: FormatChoice::Csr,
-                balance: BalanceStrategy::None,
-            },
+            // Auto has no pipeline of its own: plan builds resolve it
+            // per matrix first (DispatchPolicy::resolve). Without a
+            // matrix, the closest description is the policy fallback.
+            KernelKind::Auto => StageSpec::for_kernel(DispatchPolicy::builtin().fallback, config),
         }
     }
 }
@@ -112,24 +105,6 @@ pub struct StageTiming {
     pub stage: &'static str,
     /// Elapsed seconds.
     pub seconds: f64,
-}
-
-/// One row region of a hybrid ([`KernelKind::Auto`]) plan: a half-open
-/// row range of the parent operand and the single-kernel plan that
-/// serves it. Row-partition invariance (each output row accumulates
-/// exactly its own row's lanes, in ascending column order) makes the
-/// region boundary bit-invisible: the region's rows come out
-/// bit-identical to the same kernel run over any row partition.
-#[derive(Debug, Clone)]
-pub struct RegionPlan {
-    /// First parent row the region covers.
-    pub row_lo: usize,
-    /// One past the last parent row the region covers.
-    pub row_hi: usize,
-    /// The concrete kernel serving the region (never `Auto`).
-    pub kind: KernelKind,
-    /// The region's own plan, built on the parent's row block.
-    pub plan: ExecutionPlan,
 }
 
 /// The shared artifact store the stages read from and write into.
@@ -164,11 +139,6 @@ pub struct PlanContext {
     pub trace: Option<KernelDesc>,
     /// Per-stage wall times, in execution order.
     pub timings: Vec<StageTiming>,
-    /// Hybrid per-region sub-plans (`Auto` plans only).
-    pub regions: Option<Vec<RegionPlan>>,
-    /// The dispatch decision an `Auto` plan compiled under, pinned at
-    /// build time so reloads and shards never re-consult the policy.
-    pub decision: Option<DispatchDecision>,
     /// The host SIMD tier the CPU compute core is bound to, resolved
     /// once here at plan build (config pin → `SPMM_FORCE_ISA` →
     /// capability probe) and threaded through format pre-rounding and
@@ -201,8 +171,6 @@ impl PlanContext {
             balance: None,
             trace: None,
             timings: Vec::new(),
-            regions: None,
-            decision: None,
             // An unavailable pin falls back to the probe here; the
             // build entry points validate the pin first and surface it
             // as an InvalidConfig error instead.
@@ -342,46 +310,47 @@ impl PlanStage for CompileStage {
     }
 
     fn run(&self, ctx: &mut PlanContext) -> Result<()> {
-        let mut desc =
-            match ctx.kind {
-                KernelKind::CusparseLike => scalar::cusparse_trace(&ctx.csr, ctx.feature_dim),
-                KernelKind::SputnikLike => scalar::sputnik_trace(&ctx.csr, ctx.feature_dim),
-                KernelKind::SparseTirLike => scalar::sparsetir_trace(&ctx.csr, ctx.feature_dim),
-                KernelKind::TcGnn => tc::tcgnn_trace(
-                    match ctx.format.as_ref() {
-                        Some(TcFormat::Tcf(f)) => f,
-                        _ => return Err(missing_artifact("TcGnn", "Tcf format")),
-                    },
-                    ctx.balance
-                        .as_ref()
-                        .ok_or_else(|| missing_artifact("TcGnn", "balance plan"))?,
-                    ctx.feature_dim,
-                ),
-                KernelKind::DtcSpmm => tc::dtc_trace(
-                    match ctx.format.as_ref() {
-                        Some(TcFormat::MeTcf(f)) => f,
-                        _ => return Err(missing_artifact("DtcSpmm", "MeTcf format")),
-                    },
-                    ctx.balance
-                        .as_ref()
-                        .ok_or_else(|| missing_artifact("DtcSpmm", "balance plan"))?,
-                    ctx.feature_dim,
-                ),
-                KernelKind::AccSpmm => tc::acc_trace(
-                    ctx.format
-                        .as_ref()
-                        .ok_or_else(|| missing_artifact("AccSpmm", "TC format"))?,
-                    ctx.balance
-                        .as_ref()
-                        .ok_or_else(|| missing_artifact("AccSpmm", "balance plan"))?,
-                    ctx.feature_dim,
-                    &ctx.config,
-                ),
-                KernelKind::Auto => return Err(SpmmError::InvalidConfig(
-                    "Auto plans compile through the hybrid dispatch path, not the stage pipeline"
+        let mut desc = match ctx.kind {
+            KernelKind::CusparseLike => scalar::cusparse_trace(&ctx.csr, ctx.feature_dim),
+            KernelKind::SputnikLike => scalar::sputnik_trace(&ctx.csr, ctx.feature_dim),
+            KernelKind::SparseTirLike => scalar::sparsetir_trace(&ctx.csr, ctx.feature_dim),
+            KernelKind::TcGnn => tc::tcgnn_trace(
+                match ctx.format.as_ref() {
+                    Some(TcFormat::Tcf(f)) => f,
+                    _ => return Err(missing_artifact("TcGnn", "Tcf format")),
+                },
+                ctx.balance
+                    .as_ref()
+                    .ok_or_else(|| missing_artifact("TcGnn", "balance plan"))?,
+                ctx.feature_dim,
+            ),
+            KernelKind::DtcSpmm => tc::dtc_trace(
+                match ctx.format.as_ref() {
+                    Some(TcFormat::MeTcf(f)) => f,
+                    _ => return Err(missing_artifact("DtcSpmm", "MeTcf format")),
+                },
+                ctx.balance
+                    .as_ref()
+                    .ok_or_else(|| missing_artifact("DtcSpmm", "balance plan"))?,
+                ctx.feature_dim,
+            ),
+            KernelKind::AccSpmm => tc::acc_trace(
+                ctx.format
+                    .as_ref()
+                    .ok_or_else(|| missing_artifact("AccSpmm", "TC format"))?,
+                ctx.balance
+                    .as_ref()
+                    .ok_or_else(|| missing_artifact("AccSpmm", "balance plan"))?,
+                ctx.feature_dim,
+                &ctx.config,
+            ),
+            KernelKind::Auto => {
+                return Err(SpmmError::InvalidConfig(
+                    "KernelKind::Auto must be resolved to a concrete kernel before plan build"
                         .into(),
-                )),
-            };
+                ))
+            }
+        };
         // The trace builders don't know the tier; the compile stage is
         // where the plan-level binding gets stamped into the artifact.
         desc.isa_tier = ctx.isa_tier;
@@ -431,7 +400,9 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Run the full pipeline.
+    /// Run the full pipeline. [`KernelKind::Auto`] is first resolved to
+    /// one concrete kernel ([`DispatchPolicy::resolve`]), so the plan's
+    /// [`kind`](Self::kind) is never `Auto`.
     pub fn build(
         kind: KernelKind,
         m: &CsrMatrix,
@@ -445,9 +416,7 @@ impl ExecutionPlan {
         // Resolve the SIMD tier up front so a pinned-but-unavailable
         // tier is a build error, not a silent scalar fallback.
         IsaTier::resolve(config.isa)?;
-        if kind == KernelKind::Auto {
-            return Self::build_auto_with(m, arch, feature_dim, config, None);
-        }
+        let kind = DispatchPolicy::resolve(kind, m, feature_dim);
         let _plan_span = spmm_trace::span("plan.build");
         let mut ctx = PlanContext::new(kind, m.clone(), arch, feature_dim, config);
         for stage in default_stages() {
@@ -460,64 +429,6 @@ impl ExecutionPlan {
             });
         }
         spmm_trace::counter_add("plan.builds", 1);
-        record_isa_counters(ctx.isa_tier);
-        Ok(ExecutionPlan::from_context(ctx))
-    }
-
-    /// Build a hybrid plan under a caller-supplied dispatch decision
-    /// instead of consulting the committed policy. This is how sharded
-    /// (dist) builds stay bit-identical: the coordinator decides once
-    /// on the full matrix and pins that decision for every shard, so
-    /// shard-local densities can never flip a region's kernel.
-    pub fn build_auto_pinned(
-        m: &CsrMatrix,
-        arch: Arch,
-        feature_dim: usize,
-        config: AccConfig,
-        decision: DispatchDecision,
-    ) -> Result<Self> {
-        if feature_dim == 0 {
-            return Err(SpmmError::InvalidConfig("feature_dim must be > 0".into()));
-        }
-        IsaTier::resolve(config.isa)?;
-        Self::build_auto_with(m, arch, feature_dim, config, Some(decision))
-    }
-
-    /// The hybrid build path: decide (or accept a pinned decision),
-    /// partition rows into regions, build one single-kernel plan per
-    /// region on its row block, and synthesize the parent context.
-    fn build_auto_with(
-        m: &CsrMatrix,
-        arch: Arch,
-        feature_dim: usize,
-        config: AccConfig,
-        pinned: Option<DispatchDecision>,
-    ) -> Result<Self> {
-        let _plan_span = spmm_trace::span("plan.build_auto");
-        let decision = match pinned {
-            Some(d) => d,
-            None => DispatchPolicy::builtin().decide(&MatrixFeatures::of(m, feature_dim)),
-        };
-        decision.validate()?;
-        let specs = region_partition(m, &decision);
-        let mut regions = Vec::with_capacity(specs.len());
-        for spec in &specs {
-            let block = row_block(m, spec.row_lo, spec.row_hi);
-            let plan = ExecutionPlan::build(spec.kind, &block, arch, feature_dim, config)?;
-            regions.push(RegionPlan {
-                row_lo: spec.row_lo,
-                row_hi: spec.row_hi,
-                kind: spec.kind,
-                plan,
-            });
-        }
-        let mut ctx = PlanContext::new(KernelKind::Auto, m.clone(), arch, feature_dim, config);
-        ctx.trace = Some(combined_trace(&regions, feature_dim, ctx.isa_tier));
-        ctx.timings = combined_timings(&regions);
-        ctx.regions = Some(regions);
-        ctx.decision = Some(decision);
-        spmm_trace::counter_add("plan.builds", 1);
-        spmm_trace::counter_add("plan.hybrid_builds", 1);
         record_isa_counters(ctx.isa_tier);
         Ok(ExecutionPlan::from_context(ctx))
     }
@@ -544,7 +455,8 @@ impl ExecutionPlan {
         &self.ctx
     }
 
-    /// Kernel identity.
+    /// Kernel identity — always a concrete kernel: an `Auto` build
+    /// reports the kind it resolved to.
     pub fn kind(&self) -> KernelKind {
         self.ctx.kind
     }
@@ -619,16 +531,6 @@ impl ExecutionPlan {
             .expect("ExecutionPlan::build always compiles a trace")
     }
 
-    /// Hybrid per-region sub-plans (`Some` exactly for `Auto` plans).
-    pub fn regions(&self) -> Option<&[RegionPlan]> {
-        self.ctx.regions.as_deref()
-    }
-
-    /// The dispatch decision an `Auto` plan was compiled under.
-    pub fn decision(&self) -> Option<&DispatchDecision> {
-        self.ctx.decision.as_ref()
-    }
-
     /// The host SIMD tier the plan's CPU compute core is bound to.
     pub fn isa_tier(&self) -> IsaTier {
         self.ctx.isa_tier
@@ -645,81 +547,11 @@ impl ExecutionPlan {
     }
 }
 
-/// Synthesize a whole-matrix descriptor from per-region traces so the
-/// parent plan satisfies every `KernelDesc` consumer (IR serialization,
-/// stats). Profiling does NOT price this aggregate — regions run
-/// different pipelines, so `PreparedKernel::profile` sums per-region
-/// simulations instead.
-pub(crate) fn combined_trace(
-    regions: &[RegionPlan],
-    feature_dim: usize,
-    isa_tier: IsaTier,
-) -> KernelDesc {
-    let mut tbs = Vec::new();
-    let mut effective_flops = 0u64;
-    let mut weighted_eff = 0.0f64;
-    let mut use_tensor_cores = false;
-    let mut pipeline = None;
-    let mut policy = None;
-    for r in regions {
-        let t = r.plan.compiled_trace();
-        tbs.extend(t.tbs.iter().cloned());
-        effective_flops += t.effective_flops;
-        weighted_eff += t.mem_efficiency * t.effective_flops as f64;
-        if t.use_tensor_cores {
-            use_tensor_cores = true;
-            if pipeline.is_none() {
-                pipeline = Some(t.pipeline);
-            }
-        }
-        if policy.is_none() {
-            policy = Some(t.policy);
-        }
-    }
-    KernelDesc {
-        tbs,
-        pipeline: pipeline.unwrap_or(PipelineKind::SerialScalar),
-        policy: policy.unwrap_or(CachePolicy {
-            a_op: CacheOp::Ca,
-            b_op: CacheOp::Ca,
-            c_op: CacheOp::Wb,
-        }),
-        mem_efficiency: if effective_flops > 0 {
-            weighted_eff / effective_flops as f64
-        } else {
-            1.0
-        },
-        use_tensor_cores,
-        feature_dim,
-        effective_flops,
-        arch_boost: 1.0,
-        isa_tier,
-    }
-}
-
 /// Record the plan's tier binding as trace gauges: the tier's stable
 /// code and its vector width (f32 lanes).
 fn record_isa_counters(tier: IsaTier) {
     spmm_trace::counter_set("plan.isa_tier", tier.code() as u64);
     spmm_trace::counter_set("kernel.simd_lanes", tier.simd_lanes() as u64);
-}
-
-/// Sum region stage timings into the four canonical stage slots, so an
-/// `Auto` plan's preprocessing cost reads the same way as any other
-/// plan's.
-pub(crate) fn combined_timings(regions: &[RegionPlan]) -> Vec<StageTiming> {
-    ["reorder", "format_build", "balance", "compile"]
-        .into_iter()
-        .map(|stage| StageTiming {
-            stage,
-            seconds: regions
-                .iter()
-                .flat_map(|r| r.plan.stage_timings())
-                .filter(|t| t.stage == stage)
-                .map(|t| t.seconds)
-                .sum(),
-        })
-        .collect()
 }
 
 #[cfg(test)]

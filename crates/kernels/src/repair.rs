@@ -13,12 +13,11 @@
 //! The contract, enforced by tests: the repaired plan's execution
 //! output is **bit-identical** (NaN-position-exact) to a from-scratch
 //! [`ExecutionPlan::build`] on the compacted matrix, for all six
-//! kernels and for hybrid (`Auto`) plans.
+//! kernels (an `Auto` build is one of them: it resolved before build).
 
 use crate::acc::AccConfig;
 use crate::plan::{
-    combined_timings, combined_trace, BalanceStage, CompileStage, ExecutionPlan, FormatChoice,
-    PlanStage, RegionPlan, StageTiming,
+    BalanceStage, CompileStage, ExecutionPlan, FormatChoice, PlanStage, StageTiming,
 };
 use crate::{KernelKind, TcFormat};
 use spmm_common::{Result, SpmmError};
@@ -34,14 +33,10 @@ pub struct RepairReport {
     pub rows_touched: usize,
     /// Pending overlay operations the repair folded in.
     pub edges_applied: usize,
-    /// RowWindows in the plan's partition (TC plans; summed over
-    /// regions for `Auto`).
+    /// RowWindows in the plan's partition (TC plans).
     pub windows_total: usize,
     /// RowWindows that were actually re-squeezed and re-converted.
     pub windows_rebuilt: usize,
-    /// Hybrid regions whose sub-plan was repaired (`Auto` plans; 0
-    /// otherwise).
-    pub regions_repaired: usize,
     /// Wall time of the repair.
     pub repair_seconds: f64,
 }
@@ -79,21 +74,15 @@ impl ExecutionPlan {
             report.repair_seconds = t0.elapsed().as_secs_f64();
             return Ok((self.clone(), report));
         }
-        let mut repaired = if ctx.kind == KernelKind::Auto {
-            self.repair_auto(delta, &mut report)?
-        } else {
-            self.repair_single(delta, &mut report)?
-        };
+        let repaired = self.splice_repair(delta, &mut report)?;
         report.repair_seconds = t0.elapsed().as_secs_f64();
         spmm_trace::counter_add("plan.repairs", 1);
         spmm_trace::counter_add("plan.repair.windows_rebuilt", report.windows_rebuilt as u64);
-        // Surface the repair cost where preprocess_seconds() reads it.
-        let _ = &mut repaired;
         Ok((repaired, report))
     }
 
-    /// Single-kernel repair: reuse the permutation, splice the format.
-    fn repair_single(&self, delta: &DeltaCsr, report: &mut RepairReport) -> Result<ExecutionPlan> {
+    /// Reuse the permutation, splice the format.
+    fn splice_repair(&self, delta: &DeltaCsr, report: &mut RepairReport) -> Result<ExecutionPlan> {
         let mut ctx = self.context().clone();
         let compacted = delta.compact();
         ctx.input_fingerprint = compacted.content_fingerprint();
@@ -203,42 +192,6 @@ impl ExecutionPlan {
         ];
         Ok(ExecutionPlan::from_context(ctx))
     }
-
-    /// Hybrid repair: region boundaries and the dispatch decision stay
-    /// pinned; each touched region repairs its own sub-plan against the
-    /// row-range slice of the delta, clean regions keep their plan
-    /// untouched.
-    fn repair_auto(&self, delta: &DeltaCsr, report: &mut RepairReport) -> Result<ExecutionPlan> {
-        let mut ctx = self.context().clone();
-        let compacted = delta.compact();
-        ctx.input_fingerprint = compacted.content_fingerprint();
-        let old_regions = self
-            .regions()
-            .expect("Auto plans always carry their regions");
-        let mut regions = Vec::with_capacity(old_regions.len());
-        for region in old_regions {
-            let sub = delta.sub_range(region.row_lo, region.row_hi);
-            if sub.is_clean() {
-                regions.push(region.clone());
-                continue;
-            }
-            let (plan, sub_report) = region.plan.repair(&sub)?;
-            report.windows_total += sub_report.windows_total;
-            report.windows_rebuilt += sub_report.windows_rebuilt;
-            report.regions_repaired += 1;
-            regions.push(RegionPlan {
-                row_lo: region.row_lo,
-                row_hi: region.row_hi,
-                kind: region.kind,
-                plan,
-            });
-        }
-        ctx.csr = compacted;
-        ctx.trace = Some(combined_trace(&regions, ctx.feature_dim, ctx.isa_tier));
-        ctx.timings = combined_timings(&regions);
-        ctx.regions = Some(regions);
-        Ok(ExecutionPlan::from_context(ctx))
-    }
 }
 
 /// Convenience for callers that only hold the raw pieces: build a plan
@@ -313,7 +266,10 @@ mod tests {
     #[test]
     fn repair_is_bit_identical_to_scratch_for_all_kernels() {
         let m = uniform_random(128, 6.0, 11);
-        for (i, &kind) in KernelKind::ALL.iter().enumerate() {
+        // `Auto` rides along: it resolves before build, so its repair is
+        // the resolved kernel's and must match an `Auto` scratch build.
+        let kinds = KernelKind::ALL.into_iter().chain([KernelKind::Auto]);
+        for (i, kind) in kinds.enumerate() {
             let plan = ExecutionPlan::build(kind, &m, Arch::A800, 16, AccConfig::full()).unwrap();
             let mut delta = DeltaCsr::new(m.clone());
             churn(&mut delta, 0xACC + i as u64);
@@ -415,43 +371,6 @@ mod tests {
             .unwrap();
         let delta = DeltaCsr::new(other);
         assert!(plan.repair(&delta).is_err());
-    }
-
-    #[test]
-    fn auto_plan_repair_keeps_decision_and_regions_pinned() {
-        let m = uniform_random(256, 8.0, 9);
-        let plan =
-            ExecutionPlan::build(KernelKind::Auto, &m, Arch::A800, 16, AccConfig::full()).unwrap();
-        let mut delta = DeltaCsr::new(m.clone());
-        churn(&mut delta, 7);
-        let (repaired, rep) = plan.repair(&delta).unwrap();
-        assert_eq!(repaired.decision(), plan.decision());
-        let olds = plan.regions().unwrap();
-        let news = repaired.regions().unwrap();
-        assert_eq!(olds.len(), news.len());
-        for (o, n) in olds.iter().zip(news.iter()) {
-            assert_eq!((o.row_lo, o.row_hi, o.kind), (n.row_lo, n.row_hi, n.kind));
-        }
-        assert!(rep.regions_repaired > 0);
-        // Bit-identity against a scratch build under the same pinned
-        // decision (a policy re-consult could legally flip regions).
-        let scratch = ExecutionPlan::build_auto_pinned(
-            &delta.compact(),
-            Arch::A800,
-            16,
-            AccConfig::full(),
-            *plan.decision().unwrap(),
-        )
-        .unwrap();
-        let b = DenseMatrix::random(256, 16, 3);
-        assert_outputs_bit_identical(
-            &crate::PreparedKernel::from_plan(repaired)
-                .execute(&b)
-                .unwrap(),
-            &crate::PreparedKernel::from_plan(scratch)
-                .execute(&b)
-                .unwrap(),
-        );
     }
 
     #[test]

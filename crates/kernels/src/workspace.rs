@@ -18,18 +18,6 @@ pub struct Workspace {
     pub(crate) batch_stage: BStage,
     pub(crate) staging_b: Option<DenseMatrix>,
     pub(crate) staging_c: Option<DenseMatrix>,
-    pub(crate) region_scratch: Vec<RegionScratch>,
-}
-
-/// Per-region buffers of the hybrid (`KernelKind::Auto`) path: each
-/// region's sub-plan gets its own nested workspace plus a staging
-/// output sized to the region's row count. Like every other workspace
-/// buffer these grow on first use and are reused afterwards, so hybrid
-/// steady-state multiplies allocate nothing.
-#[derive(Debug, Clone, Default)]
-pub struct RegionScratch {
-    pub(crate) ws: Workspace,
-    pub(crate) out: Option<DenseMatrix>,
 }
 
 impl Workspace {
@@ -49,16 +37,7 @@ impl Workspace {
             batch_stage: BStage::new(),
             staging_b: None,
             staging_c: None,
-            region_scratch: Vec::new(),
         }
-    }
-
-    /// The per-region scratch list, grown to at least `n` entries.
-    pub(crate) fn region_scratch_mut(&mut self, n: usize) -> &mut [RegionScratch] {
-        if self.region_scratch.len() < n {
-            self.region_scratch.resize_with(n, RegionScratch::default);
-        }
-        &mut self.region_scratch[..n]
     }
 
     /// Pre-size the TF32 B stage for an `nrows × ncols` operand
@@ -70,9 +49,8 @@ impl Workspace {
     }
 
     /// Bytes of staging storage this workspace currently retains: tile
-    /// scratch (including the TF32 B stage), the batched RHS stage,
-    /// permutation staging matrices, and the hybrid path's per-region
-    /// scratch, recursively. This is the quantity the serving engine's
+    /// scratch (including the TF32 B stage), the batched RHS stage, and
+    /// the permutation staging matrices. This is the quantity the serving engine's
     /// paged allocator charges against its page budget.
     pub fn footprint_bytes(&self) -> usize {
         let dense = |m: &Option<DenseMatrix>| {
@@ -83,11 +61,6 @@ impl Workspace {
             + self.batch_stage.footprint_bytes()
             + dense(&self.staging_b)
             + dense(&self.staging_c)
-            + self
-                .region_scratch
-                .iter()
-                .map(|r| r.ws.footprint_bytes() + dense(&r.out))
-                .sum::<usize>()
     }
 }
 

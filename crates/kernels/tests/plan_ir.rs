@@ -75,13 +75,19 @@ proptest! {
         let dim = [8usize, 16, 32][dim_sel];
         let m = splice_special_values(&gen::uniform_random(n, density, seed), seed);
         let b = DenseMatrix::random(n, dim, seed.wrapping_add(7));
-        for kind in KernelKind::ALL {
+        // `Auto` rides along as a seventh input: it resolves before
+        // build, so its plan reports (and stores) the resolved kind and
+        // must execute bit-identically to that kind's own plan.
+        let mut outputs: Vec<(KernelKind, DenseMatrix)> = Vec::new();
+        for kind in KernelKind::ALL.into_iter().chain([KernelKind::Auto]) {
             let plan = build_plan(kind, &m, dim);
+            let resolved = plan.kind();
+            prop_assert!(KernelKind::ALL.contains(&resolved), "{kind:?} built as {resolved:?}");
             let bytes = plan.to_ir().to_bytes().unwrap();
 
             let reference = PreparedKernel::from_plan(plan).execute(&b).unwrap();
             let loaded = PlanLoader::new()
-                .expect_kind(kind)
+                .expect_kind(resolved)
                 .expect_arch(Arch::A800)
                 .expect_fingerprint(m.content_fingerprint())
                 .expect_feature_dim(dim)
@@ -90,6 +96,11 @@ proptest! {
                 .unwrap();
             let replayed = PreparedKernel::from_plan(loaded).execute(&b).unwrap();
             assert_bits_identical(&reference, &replayed, kind);
+            if kind == KernelKind::Auto {
+                let (_, own) = outputs.iter().find(|(k, _)| *k == resolved).unwrap();
+                assert_bits_identical(own, &reference, kind);
+            }
+            outputs.push((kind, reference));
         }
     }
 
@@ -186,6 +197,48 @@ fn corrupted_header_is_a_typed_rejection() {
         PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap_err(),
         SpmmError::PlanLoad(PlanLoadError::NotPlanIr { .. })
     ));
+}
+
+#[test]
+fn v3_containers_are_a_version_mismatch() {
+    // v3 was the last layout that could nest hybrid region plans; v4
+    // loaders refuse it outright instead of guessing at its sections.
+    let m = gen::uniform_random(64, 4.0, 2);
+    let mut bytes = build_plan(KernelKind::AccSpmm, &m, 8)
+        .to_ir()
+        .to_bytes()
+        .unwrap();
+    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+    let err = PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SpmmError::PlanLoad(PlanLoadError::VersionMismatch { found: 3, .. })
+        ),
+        "expected VersionMismatch {{ found: 3 }}, got {err:?}"
+    );
+}
+
+#[test]
+fn a_header_naming_auto_is_a_typed_rejection() {
+    // No built plan carries `Auto`, so a v4 container whose header kind
+    // reads "auto" is not a plan this build could have written.
+    let m = gen::uniform_random(64, 4.0, 4);
+    let mut ir = build_plan(KernelKind::AccSpmm, &m, 8).to_ir();
+    ir.kind = KernelKind::Auto;
+    let bytes = ir.to_bytes().unwrap();
+    let header = String::from_utf8_lossy(&bytes);
+    assert!(
+        header.contains("\"kind\": \"auto\""),
+        "header records the forged kind"
+    );
+    let err = PlanLoader::new()
+        .read(std::io::Cursor::new(&bytes))
+        .unwrap_err();
+    assert!(
+        matches!(err, SpmmError::PlanLoad(_)),
+        "expected a PlanLoad error, got {err:?}"
+    );
 }
 
 #[test]

@@ -102,6 +102,14 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix> {
             let m = parse(it.next())?;
             let n = parse(it.next())?;
             let nz = parse(it.next())?;
+            // Indices are stored as u32: a larger dimension would wrap
+            // entries onto the wrong rows/columns.
+            if m > u32::MAX as usize || n > u32::MAX as usize {
+                return Err(SpmmError::Parse {
+                    line: lineno,
+                    detail: format!("matrix size {m}x{n} exceeds the u32 index range"),
+                });
+            }
             size = Some((m, n, nz));
             declared_nnz = nz;
             coo = Some(CooMatrix::new(m, n));
@@ -237,6 +245,29 @@ mod tests {
             "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"
         ))
         .is_err());
+    }
+
+    #[test]
+    fn rejects_sizes_beyond_the_u32_index_range() {
+        // 2^32 + 1 rows would otherwise load entry 4294967297 as row 0.
+        let err = read_coo(Cursor::new(
+            "%%MatrixMarket matrix coordinate real general\n4294967297 1 1\n4294967297 1 2.5\n",
+        ))
+        .unwrap_err();
+        assert!(
+            matches!(err, SpmmError::Parse { line: 2, .. }),
+            "expected a parse error on the size line, got {err:?}"
+        );
+        let err = read_coo(Cursor::new(
+            "%%MatrixMarket matrix coordinate real general\n1 4294967296 0\n",
+        ))
+        .unwrap_err();
+        assert!(matches!(err, SpmmError::Parse { line: 2, .. }), "{err:?}");
+        // The largest representable size still parses.
+        let ok = read_coo(Cursor::new(
+            "%%MatrixMarket matrix coordinate real general\n4294967295 1 0\n",
+        ));
+        assert!(ok.is_ok(), "{ok:?}");
     }
 
     #[test]
