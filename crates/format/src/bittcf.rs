@@ -1,640 +1,136 @@
 //! BitTCF — the paper's memory-efficient compressed format (§3.3).
 //!
-//! Four arrays represent the sparse matrix:
-//! 1. `RowWindowOffset` — starting TC block of each RowWindow;
-//! 2. `TCOffset` — starting nnz of each TC block;
-//! 3. `SparseAToB` — original column index of each TC-block column slot
-//!    (what the kernel uses to gather rows of the dense B);
-//! 4. `TCLocalBit` — one `u64` per TC block whose bit `r·8+c` marks a
-//!    non-zero at local position `(r, c)`.
+//! The [`TcMatrix`] skeleton (`RowWindowOffset`, `TCOffset`,
+//! `SparseAToB`, values) plus `TCLocalBit`: one `u64` per TC block whose
+//! bit `r·8+c` marks a non-zero at local position `(r, c)`.
 //!
 //! Index footprint: `(⌈M/8⌉ + NumTCBlock × 11 + 2) × 4` bytes, exactly
 //! the paper's formula. Decompression mirrors the CUDA `__popcll` path:
 //! the value index of the non-zero at bit `t` is the popcount of the bits
-//! below `t`.
+//! below `t`, which is what walking the set bits in ascending order
+//! counts.
 
-use crate::scratch::{BStage, TileScratch, WindowPairs};
-use crate::window::{WindowPartition, PAD_COL, TILE};
-use spmm_common::scalar::to_tf32;
-use spmm_common::simd::{to_tf32_slice_tier, IsaTier};
-use spmm_common::{Result, SpmmError};
-use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
+use crate::io::{get_vec, put_slice};
+use crate::tc_matrix::{BlockCodec, EncodedWindow, TcMatrix};
+use crate::window::TILE;
+use spmm_common::Result;
+use spmm_matrix::CsrMatrix;
+use std::io::{Read, Write};
+use std::ops::Range;
+
+/// BitTCF's position codec: one occupancy bitmap per TC block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Bitmap;
 
 /// The BitTCF compressed sparse matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BitTcf {
-    nrows: usize,
-    ncols: usize,
-    /// Starting TC block per RowWindow (`⌈M/8⌉ + 1` entries).
-    pub row_window_offset: Vec<u32>,
-    /// Starting nnz per TC block (`NumTcBlock + 1` entries).
-    pub tc_offset: Vec<u32>,
-    /// Original column of each block column slot (`NumTcBlock × 8`,
-    /// padded with `u32::MAX`).
-    pub sparse_a_to_b: Vec<u32>,
-    /// Non-zero occupancy bitmap per TC block.
-    pub tc_local_bit: Vec<u64>,
-    /// Values in block order, row-major within each block (bit order).
-    pub values: Vec<f32>,
-    /// Whether `values` have already been rounded to TF32
-    /// ([`BitTcf::preround_values`]); when set, the SpMM paths skip the
-    /// per-block operand rounding.
-    values_tf32: bool,
-}
+pub type BitTcf = TcMatrix<Bitmap>;
 
-impl BitTcf {
-    /// Convert from CSR (via the shared window squeezing).
-    pub fn from_csr(m: &CsrMatrix) -> Self {
-        let wp = WindowPartition::build(m);
-        Self::from_partition(m, &wp)
-    }
+impl BlockCodec for Bitmap {
+    type Word = u64;
+    const NAME: &'static str = "BitTCF";
+    const MAGIC: [u8; 4] = *b"BTCF";
+    const VERSION: u32 = 1;
 
-    /// Convert from CSR with a precomputed partition (lets converters
-    /// share the squeezing cost, as the conversion-overhead comparison
-    /// requires).
-    ///
-    /// This converter is the cheap path §4.3.2 measures: the bitmap is
-    /// built with one OR per nnz, and because rows are visited in order
-    /// (ascending local row, then ascending squeezed column) values
-    /// arrive already in bit order — no per-block sort and no per-nnz id
-    /// array, unlike the ME-TCF converter.
-    /// Windows are independent in both passes, so each is built in
-    /// parallel and the per-window pieces are stitched in window order —
-    /// byte-identical to the former sequential construction.
-    pub fn from_partition(m: &CsrMatrix, wp: &WindowPartition) -> Self {
-        use rayon::prelude::*;
-        let num_windows = wp.num_windows();
-        let num_blocks = wp.num_tc_blocks();
-
-        // Pass 1 (parallel per window): bitmaps + SparseAToB (one OR per
-        // nnz).
-        let per_window: Vec<(Vec<u64>, Vec<u32>)> = (0..num_windows)
-            .into_par_iter()
-            .map(|w| {
-                let blocks = wp.window_blocks(w);
-                let nb = blocks.len();
-                let mut cols_out = vec![PAD_COL; nb * TILE];
-                for bi in 0..nb {
-                    let cols = wp.block_columns(w, bi);
-                    cols_out[bi * TILE..(bi + 1) * TILE].copy_from_slice(&cols);
-                }
-                let mut bits = vec![0u64; nb];
-                let wcols = wp.window_columns(w);
-                let lo = w * TILE;
-                let hi = ((w + 1) * TILE).min(m.nrows());
-                for r in lo..hi {
-                    let lr = (r - lo) as u8;
-                    let (cols, _) = m.row(r);
-                    for &c in cols {
-                        // Position of c within the squeezed window columns.
-                        let pos = wcols.binary_search(&c).expect("column must be in window");
-                        let lc = (pos % TILE) as u8;
-                        bits[pos / TILE] |= 1u64 << (lr * TILE as u8 + lc);
-                    }
-                }
-                (bits, cols_out)
-            })
-            .collect();
-
-        let mut row_window_offset = Vec::with_capacity(num_windows + 1);
-        row_window_offset.push(0u32);
-        let mut sparse_a_to_b = Vec::with_capacity(num_blocks * TILE);
-        let mut tc_local_bit = Vec::with_capacity(num_blocks);
-        for (w, (bits, cols)) in per_window.iter().enumerate() {
-            row_window_offset.push(wp.window_blocks(w).end as u32);
-            tc_local_bit.extend_from_slice(bits);
-            sparse_a_to_b.extend_from_slice(cols);
+    /// The cheap path §4.3.2 measures: the bitmap is built with one OR
+    /// per nnz, and because rows are visited in order (ascending local
+    /// row, then ascending squeezed column) values arrive already in bit
+    /// order, so a per-block cursor places them — no per-block sort and
+    /// no per-nnz id array, unlike the ME-TCF encoder.
+    fn encode_window(m: &CsrMatrix, rows: Range<usize>, wcols: &[u32]) -> EncodedWindow<u64> {
+        let mut bits = vec![0u64; wcols.len().div_ceil(TILE)];
+        for r in rows.clone() {
+            let lr = r - rows.start;
+            for &c in m.row(r).0 {
+                let pos = wcols.binary_search(&c).expect("column must be in window");
+                bits[pos / TILE] |= 1u64 << (lr * TILE + pos % TILE);
+            }
         }
-
-        // TCOffset from bitmap popcounts.
-        let mut tc_offset = Vec::with_capacity(num_blocks + 1);
-        let mut acc = 0u32;
-        tc_offset.push(0u32);
-        for &bits in &tc_local_bit {
-            acc += bits.count_ones();
-            tc_offset.push(acc);
+        // Block b's values start at the popcount prefix of the blocks
+        // before it.
+        let mut cursor = Vec::with_capacity(bits.len());
+        let mut block_nnz = Vec::with_capacity(bits.len());
+        let mut acc = 0usize;
+        for &b in &bits {
+            cursor.push(acc);
+            block_nnz.push(b.count_ones());
+            acc += b.count_ones() as usize;
         }
-
-        // Pass 2 (parallel per window): scatter values straight to their
-        // final slots. Within a block, the visit order (ascending row,
-        // ascending column) IS ascending bit order, so a per-block
-        // cursor suffices; a window's values occupy the contiguous
-        // `tc_offset` span of its blocks.
-        let value_chunks: Vec<Vec<f32>> = (0..num_windows)
-            .into_par_iter()
-            .map(|w| {
-                let blocks = wp.window_blocks(w);
-                let base = tc_offset[blocks.start] as usize;
-                let len = tc_offset[blocks.end] as usize - base;
-                let mut vals = vec![0f32; len];
-                let mut cursor: Vec<usize> = blocks
-                    .clone()
-                    .map(|b| tc_offset[b] as usize - base)
-                    .collect();
-                let wcols = wp.window_columns(w);
-                let lo = w * TILE;
-                let hi = ((w + 1) * TILE).min(m.nrows());
-                for r in lo..hi {
-                    let (cols, rvals) = m.row(r);
-                    for (&c, &v) in cols.iter().zip(rvals.iter()) {
-                        let pos = wcols.binary_search(&c).expect("column must be in window");
-                        let bi = pos / TILE;
-                        vals[cursor[bi]] = v;
-                        cursor[bi] += 1;
-                    }
-                }
-                vals
-            })
-            .collect();
-        let mut values = Vec::with_capacity(m.nnz());
-        for chunk in &value_chunks {
-            values.extend_from_slice(chunk);
+        let mut values = vec![0f32; acc];
+        for r in rows {
+            let (cols, rvals) = m.row(r);
+            for (&c, &v) in cols.iter().zip(rvals.iter()) {
+                let bi = wcols.binary_search(&c).expect("column must be in window") / TILE;
+                values[cursor[bi]] = v;
+                cursor[bi] += 1;
+            }
         }
-
-        BitTcf {
-            nrows: m.nrows(),
-            ncols: m.ncols(),
-            row_window_offset,
-            tc_offset,
-            sparse_a_to_b,
-            tc_local_bit,
+        EncodedWindow {
+            block_nnz,
+            words: bits,
             values,
-            values_tf32: false,
         }
     }
 
-    /// Incremental rebuild after an edge-delta update: `m_new` is the
-    /// updated (permuted) matrix, `wp_new` its (incrementally rebuilt)
-    /// partition, and `touched[w]` marks the windows whose rows
-    /// changed. Untouched windows copy their bitmap / SparseAToB /
-    /// value spans from `self` byte-for-byte (every per-window artifact
-    /// depends only on that window's rows); touched windows re-run the
-    /// per-window converter; `TCOffset` is restitched from the bitmap
-    /// popcounts.
-    ///
-    /// The result reports [`BitTcf::is_prerounded`] `false`: when
-    /// `self` was pre-rounded its untouched spans carry TF32 bits while
-    /// touched windows carry raw values, and one idempotent
-    /// [`BitTcf::preround_values_tier`] pass re-unifies them —
-    /// byte-identical to building from scratch and pre-rounding.
-    pub fn rebuild_windows(
-        &self,
-        m_new: &CsrMatrix,
-        wp_new: &WindowPartition,
-        touched: &[bool],
-    ) -> BitTcf {
-        assert_eq!(m_new.nrows(), self.nrows, "deltas cannot change nrows");
-        assert_eq!(m_new.ncols(), self.ncols, "deltas cannot change ncols");
-        assert_eq!(wp_new.num_windows(), self.num_windows());
-        assert_eq!(touched.len(), self.num_windows(), "one flag per window");
-        let num_windows = self.num_windows();
-        let num_blocks = wp_new.num_tc_blocks();
-
-        let mut row_window_offset = Vec::with_capacity(num_windows + 1);
-        row_window_offset.push(0u32);
-        let mut sparse_a_to_b = Vec::with_capacity(num_blocks * TILE);
-        let mut tc_local_bit = Vec::with_capacity(num_blocks);
-        let mut values = Vec::with_capacity(m_new.nnz());
-        for (w, &is_touched) in touched.iter().enumerate() {
-            row_window_offset.push(wp_new.window_blocks(w).end as u32);
-            if !is_touched {
-                let blocks = self.window_blocks(w);
-                tc_local_bit.extend_from_slice(&self.tc_local_bit[blocks.clone()]);
-                sparse_a_to_b
-                    .extend_from_slice(&self.sparse_a_to_b[blocks.start * TILE..blocks.end * TILE]);
-                let span =
-                    self.tc_offset[blocks.start] as usize..self.tc_offset[blocks.end] as usize;
-                values.extend_from_slice(&self.values[span]);
-                continue;
-            }
-            // Touched window: the per-window converter from
-            // `from_partition`, run against the new matrix.
-            let blocks = wp_new.window_blocks(w);
-            let nb = blocks.len();
-            let mut cols_out = vec![PAD_COL; nb * TILE];
-            for bi in 0..nb {
-                cols_out[bi * TILE..(bi + 1) * TILE].copy_from_slice(&wp_new.block_columns(w, bi));
-            }
-            let mut bits = vec![0u64; nb];
-            let wcols = wp_new.window_columns(w);
-            let lo = w * TILE;
-            let hi = ((w + 1) * TILE).min(m_new.nrows());
-            for r in lo..hi {
-                let lr = (r - lo) as u8;
-                for &c in m_new.row(r).0 {
-                    let pos = wcols.binary_search(&c).expect("column must be in window");
-                    let lc = (pos % TILE) as u8;
-                    bits[pos / TILE] |= 1u64 << (lr * TILE as u8 + lc);
-                }
-            }
-            // Window-local value scatter: block b's values start at the
-            // popcount prefix of the blocks before it.
-            let mut cursor = Vec::with_capacity(nb);
-            let mut acc = 0usize;
-            for &b in &bits {
-                cursor.push(acc);
-                acc += b.count_ones() as usize;
-            }
-            let mut vals = vec![0f32; acc];
-            for r in lo..hi {
-                let (cols, rvals) = m_new.row(r);
-                for (&c, &v) in cols.iter().zip(rvals.iter()) {
-                    let pos = wcols.binary_search(&c).expect("column must be in window");
-                    let bi = pos / TILE;
-                    vals[cursor[bi]] = v;
-                    cursor[bi] += 1;
-                }
-            }
-            tc_local_bit.extend_from_slice(&bits);
-            sparse_a_to_b.extend_from_slice(&cols_out);
-            values.extend_from_slice(&vals);
-        }
-
-        let mut tc_offset = Vec::with_capacity(num_blocks + 1);
-        let mut acc = 0u32;
-        tc_offset.push(0u32);
-        for &bits in &tc_local_bit {
-            acc += bits.count_ones();
-            tc_offset.push(acc);
-        }
-
-        BitTcf {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_window_offset,
-            tc_offset,
-            sparse_a_to_b,
-            tc_local_bit,
-            values,
-            values_tf32: false,
-        }
-    }
-
-    /// Round the stored values to TF32 in place, marking the format as
-    /// pre-rounded so the SpMM paths skip per-block operand rounding.
-    ///
-    /// Because [`spmm_common::scalar::to_tf32`] is idempotent, every
-    /// multiply result stays bit-identical to the non-prerounded path.
-    /// This is lossy for the *stored* matrix ([`BitTcf::to_csr`] returns
-    /// the rounded values), so it is meant for execution-plan-owned
-    /// formats, not archival ones.
-    pub fn preround_values(&mut self) {
-        self.preround_values_tier(IsaTier::probe());
-    }
-
-    /// [`BitTcf::preround_values`] at an explicit ISA tier (every tier
-    /// rounds bit-identically; the plan passes its resolved tier here).
-    pub fn preround_values_tier(&mut self, tier: IsaTier) {
-        if !self.values_tf32 {
-            to_tf32_slice_tier(&mut self.values, tier);
-            self.values_tf32 = true;
-        }
-    }
-
-    /// Whether the stored values are already TF32-rounded.
     #[inline]
-    pub fn is_prerounded(&self) -> bool {
-        self.values_tf32
+    fn word_span(_tc_offset: &[u32], blocks: Range<usize>) -> Range<usize> {
+        blocks
     }
 
-    /// Reassemble from raw arrays (used by the binary loader, which
-    /// validates the invariants before calling).
-    pub(crate) fn from_raw_parts(
-        nrows: usize,
-        ncols: usize,
-        row_window_offset: Vec<u32>,
-        tc_offset: Vec<u32>,
-        sparse_a_to_b: Vec<u32>,
-        tc_local_bit: Vec<u64>,
-        values: Vec<f32>,
-    ) -> Self {
-        BitTcf {
-            nrows,
-            ncols,
-            row_window_offset,
-            tc_offset,
-            sparse_a_to_b,
-            tc_local_bit,
-            values,
-            values_tf32: false,
-        }
-    }
-
-    /// Rows of the represented matrix.
     #[inline]
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Columns of the represented matrix.
-    #[inline]
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Stored non-zeros.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Number of RowWindows.
-    #[inline]
-    pub fn num_windows(&self) -> usize {
-        self.row_window_offset.len() - 1
-    }
-
-    /// Number of TC blocks.
-    #[inline]
-    pub fn num_tc_blocks(&self) -> usize {
-        self.tc_local_bit.len()
-    }
-
-    /// TC blocks of window `w` as a block-id range.
-    #[inline]
-    pub fn window_blocks(&self, w: usize) -> std::ops::Range<usize> {
-        self.row_window_offset[w] as usize..self.row_window_offset[w + 1] as usize
-    }
-
-    /// Non-zeros in TC block `b` (popcount of its bitmap — by
-    /// construction equal to `tc_offset[b+1] - tc_offset[b]`).
-    #[inline]
-    pub fn block_nnz(&self, b: usize) -> usize {
-        self.tc_local_bit[b].count_ones() as usize
-    }
-
-    /// The 8 (padded) B-gather columns of block `b`.
-    #[inline]
-    pub fn block_cols(&self, b: usize) -> &[u32] {
-        &self.sparse_a_to_b[b * TILE..(b + 1) * TILE]
-    }
-
-    /// Index-structure footprint in bytes — the paper's
-    /// `(⌈M/8⌉ + NumTCBlock × 11 + 2) × 4` formula (values excluded, as
-    /// in the Figure-12 comparison).
-    pub fn index_bytes(&self) -> usize {
-        (self.nrows.div_ceil(TILE) + self.num_tc_blocks() * 11 + 2) * 4
-    }
-
-    /// Decompress block `b` into a dense 8×8 tile, mirroring the CUDA
-    /// two-warp `__popcll` decoder: each of the 64 positions is either
-    /// zero or `values[tc_offset[b] + popcount(bits below position)]`.
-    pub fn decompress_block(&self, b: usize) -> [f32; TILE * TILE] {
-        let bits = self.tc_local_bit[b];
-        let base = self.tc_offset[b] as usize;
-        let mut tile = [0.0f32; TILE * TILE];
-        for t in 0..(TILE * TILE) as u32 {
-            if bits & (1u64 << t) != 0 {
-                let below = bits & ((1u64 << t) - 1);
-                tile[t as usize] = self.values[base + below.count_ones() as usize];
-            }
-        }
-        tile
-    }
-
-    /// Rows of window `w` (8, except for a ragged last window).
-    #[inline]
-    pub fn window_rows(&self, w: usize) -> usize {
-        (self.nrows - w * TILE).min(TILE)
-    }
-
-    /// Decode window `w` into one pair list per window row. Each
-    /// block's set bits are walked in ascending order, so the value
-    /// index simply counts up from the block's `TCOffset` — at bit `t`
-    /// it equals the popcount of the bits below `t`, the `__popcll` rule
-    /// of [`BitTcf::decompress_block`] — and row `t / 8` receives the
-    /// pair in ascending (block, column) order. Values are TF32-rounded
-    /// unless the format is pre-rounded, and a value that rounds to ±0
-    /// is dropped: exactly the A slots the tile MMA's zero-skip passed
-    /// over.
-    fn decode_window(&self, w: usize, pairs: &mut WindowPairs) {
-        let mut caps = [0usize; TILE];
-        for &bits in &self.tc_local_bit[self.window_blocks(w)] {
-            for (r, cap) in caps.iter_mut().enumerate() {
-                *cap += ((bits >> (r * TILE)) & 0xFF).count_ones() as usize;
-            }
-        }
-        pairs.reset(caps);
-        for blk in self.window_blocks(w) {
-            let mut bits = self.tc_local_bit[blk];
-            let mut idx = self.tc_offset[blk] as usize;
-            let cols = self.block_cols(blk);
+    fn walk(words: &[u64], mut f: impl FnMut(usize)) {
+        for &word in words {
+            let mut bits = word;
             while bits != 0 {
-                let t = bits.trailing_zeros() as usize;
-                let v = self.values[idx];
-                let v = if self.values_tf32 { v } else { to_tf32(v) };
-                if v != 0.0 {
-                    pairs.push(t / TILE, v, cols[t % TILE]);
-                }
-                idx += 1;
+                f(bits.trailing_zeros() as usize);
                 bits &= bits - 1;
             }
         }
     }
 
-    /// Functional SpMM through the TC path, row-streamed: each window's
-    /// non-zeros are decoded into per-row pair lists, and each output row
-    /// is accumulated against the TF32 B rows in one register-blocked
-    /// pass. This is numerically what the GPU kernel computes (TF32
-    /// operands, FP32 accumulate), and per output element the adds run in
-    /// the same ascending (block, column) order as a chain of 8×8 tile
-    /// MMAs.
-    ///
-    /// RowWindows write disjoint C rows, so the window loop parallelizes
-    /// over the output exactly like the GPU's thread-block grid.
-    pub fn spmm(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
-        let mut c = DenseMatrix::zeros(self.nrows, b.ncols());
-        self.spmm_into(b, &mut c)?;
-        Ok(c)
+    /// Popcount of each row byte.
+    #[inline]
+    fn row_counts(words: &[u64], counts: &mut [usize; TILE]) {
+        for &bits in words {
+            for (r, count) in counts.iter_mut().enumerate() {
+                *count += ((bits >> (r * TILE)) & 0xFF).count_ones() as usize;
+            }
+        }
     }
 
-    /// [`BitTcf::spmm`] writing into a caller-provided output matrix.
-    /// Rounds B into a fresh [`BStage`] and runs the window-parallel
-    /// staged loop; callers that multiply repeatedly should hold their
-    /// own stage and use [`BitTcf::spmm_into_staged`] instead.
-    pub fn spmm_into(&self, b: &DenseMatrix, c: &mut DenseMatrix) -> Result<()> {
-        self.check_shapes(b.nrows(), b.ncols(), c)?;
-        let mut stage = BStage::new();
-        stage.stage(b);
-        self.spmm_into_staged(&stage, c)
+    fn index_bytes(nrows: usize, num_blocks: usize, _nnz: usize) -> usize {
+        (nrows.div_ceil(TILE) + num_blocks * 11 + 2) * 4
     }
 
-    /// The window-parallel SpMM over a pre-rounded B stage (one
-    /// [`WindowPairs`] per worker, the stage shared read-only), so the
-    /// hot path allocates nothing proportional to the matrix and the
-    /// row core is a pure mul-add.
-    pub fn spmm_into_staged(&self, stage: &BStage, c: &mut DenseMatrix) -> Result<()> {
-        self.spmm_into_staged_tier(stage, c, IsaTier::probe())
-    }
-
-    /// [`BitTcf::spmm_into_staged`] with an explicit ISA tier for the
-    /// row core (bit-identical across tiers; plans pass their resolved
-    /// tier so the choice is made once at compile time).
-    pub fn spmm_into_staged_tier(
-        &self,
-        stage: &BStage,
-        c: &mut DenseMatrix,
-        tier: IsaTier,
-    ) -> Result<()> {
-        use rayon::prelude::*;
-        self.check_shapes(stage.nrows(), stage.ncols(), c)?;
-        let n = stage.ncols();
-        c.as_mut_slice()
-            .par_chunks_mut(TILE * n)
-            .enumerate()
-            .for_each_init(WindowPairs::new, |pairs, (w, cslab)| {
-                self.window_product(w, stage, pairs, cslab, tier)
-            });
-        Ok(())
-    }
-
-    /// Compute window `w`'s output rows into `out`: row `i` of the
-    /// window (of up to 8; fewer for a ragged last window) is written to
-    /// `out[i·n..(i+1)·n]` with `n = stage.ncols()`, overwriting it.
-    /// Both operands are pre-rounded here — B by the stage, A either at
-    /// [`BitTcf::preround_values`] time or per value while decoding — so
-    /// the row core never rounds, and it reads B rows in place from the
-    /// stage.
-    ///
-    /// This is also the batched path: a stage holding several RHS side
-    /// by side ([`BStage::stage_side_by_side_tier`]) decodes the window
-    /// once for all of them, and per output element the add order is
-    /// the single-RHS one, so results stay bit-identical to one-at-a-time
-    /// execution.
-    pub fn window_product(
-        &self,
-        w: usize,
-        stage: &BStage,
-        pairs: &mut WindowPairs,
-        out: &mut [f32],
-        tier: IsaTier,
-    ) {
-        self.decode_window(w, pairs);
-        pairs.multiply_rows(self.window_rows(w), stage, out, tier);
-    }
-
-    /// Sequential zero-allocation SpMM into a caller-provided output,
-    /// borrowing the stage and pair lists from `scratch`. Window-sequential
-    /// execution computes exactly the same floats as the parallel
-    /// [`BitTcf::spmm`] (windows write disjoint output rows and the
-    /// per-window math is identical), which is what lets batched
-    /// execution parallelize over RHS matrices instead and stay
-    /// bit-identical.
-    pub fn spmm_into_seq(
-        &self,
-        b: &DenseMatrix,
-        c: &mut DenseMatrix,
-        scratch: &mut TileScratch,
-    ) -> Result<()> {
-        self.spmm_into_seq_tier(b, c, scratch, IsaTier::probe())
-    }
-
-    /// [`BitTcf::spmm_into_seq`] with an explicit ISA tier.
-    pub fn spmm_into_seq_tier(
-        &self,
-        b: &DenseMatrix,
-        c: &mut DenseMatrix,
-        scratch: &mut TileScratch,
-        tier: IsaTier,
-    ) -> Result<()> {
-        self.check_shapes(b.nrows(), b.ncols(), c)?;
-        let n = b.ncols();
-        scratch.stage_b_tier(b, tier);
-        let (stage, pairs) = scratch.staged_parts();
-        let out = c.as_mut_slice();
-        for w in 0..self.num_windows() {
-            let lo = w * TILE;
-            let hi = lo + self.window_rows(w);
-            self.window_product(w, stage, pairs, &mut out[lo * n..hi * n], tier);
+    fn validate(words: &[u64], tc_offset: &[u32]) -> std::result::Result<(), String> {
+        if words.len() + 1 != tc_offset.len() {
+            return Err("one bitmap per block expected".into());
+        }
+        for (b, (bits, span)) in words.iter().zip(tc_offset.windows(2)).enumerate() {
+            if bits.count_ones() != span[1] - span[0] {
+                return Err(format!("block {b}: popcount != offset span"));
+            }
         }
         Ok(())
     }
 
-    fn check_shapes(&self, b_rows: usize, b_cols: usize, c: &DenseMatrix) -> Result<()> {
-        if self.ncols != b_rows || c.nrows() != self.nrows || c.ncols() != b_cols {
-            return Err(SpmmError::Shape {
-                context: format!(
-                    "A is {}x{}, B is {}x{}, C is {}x{}",
-                    self.nrows,
-                    self.ncols,
-                    b_rows,
-                    b_cols,
-                    c.nrows(),
-                    c.ncols()
-                ),
-            });
-        }
-        Ok(())
+    fn write_words<W: Write>(w: &mut W, words: &[u64]) -> Result<()> {
+        put_slice(w, words, u64::to_le_bytes)
     }
 
-    /// [`BitTcf::spmm`] with a selectable operand precision (TF32 is the
-    /// paper's mode; FP16/BF16 model Magicube-style reduced-precision
-    /// tensor-core paths, FP32 the exact reference).
-    pub fn spmm_with_precision(
-        &self,
-        b: &DenseMatrix,
-        precision: spmm_common::Precision,
-    ) -> Result<DenseMatrix> {
-        if self.ncols != b.nrows() {
-            return Err(SpmmError::Shape {
-                context: format!("A has {} cols, B has {} rows", self.ncols, b.nrows()),
-            });
-        }
-        let n = b.ncols();
-        let mut c = DenseMatrix::zeros(self.nrows, n);
-        let mut btile = vec![0.0f32; TILE * n];
-        let mut ctile = vec![0.0f32; TILE * n];
-        for w in 0..self.num_windows() {
-            ctile.iter_mut().for_each(|x| *x = 0.0);
-            for blk in self.window_blocks(w) {
-                let a = self.decompress_block(blk);
-                for (i, &col) in self.block_cols(blk).iter().enumerate() {
-                    if col == PAD_COL {
-                        btile[i * n..(i + 1) * n].iter_mut().for_each(|x| *x = 0.0);
-                    } else {
-                        btile[i * n..(i + 1) * n].copy_from_slice(b.row(col as usize));
-                    }
-                }
-                spmm_common::precision::mma_8x8_with_precision(
-                    &a, &btile, &mut ctile, n, precision,
-                );
-            }
-            let lo = w * TILE;
-            let hi = ((w + 1) * TILE).min(self.nrows);
-            for r in lo..hi {
-                c.row_mut(r)
-                    .copy_from_slice(&ctile[(r - lo) * n..(r - lo + 1) * n]);
-            }
-        }
-        Ok(c)
-    }
-
-    /// Reconstruct the CSR matrix (round-trip used by tests).
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::new(self.nrows, self.ncols);
-        for w in 0..self.num_windows() {
-            let lo = w * TILE;
-            for blk in self.window_blocks(w) {
-                let tile = self.decompress_block(blk);
-                let cols = self.block_cols(blk);
-                let bits = self.tc_local_bit[blk];
-                for (t, &v) in tile.iter().enumerate() {
-                    if bits & (1u64 << t) != 0 {
-                        let (lr, lc) = (t / TILE, t % TILE);
-                        coo.push((lo + lr) as u32, cols[lc], v);
-                    }
-                }
-            }
-        }
-        CsrMatrix::from_coo(&coo)
+    fn read_words<R: Read>(r: &mut R, cap: u64) -> Result<Vec<u64>> {
+        get_vec(r, cap, u64::from_le_bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::{BStage, TileScratch};
+    use crate::window::{WindowPartition, PAD_COL};
     use spmm_common::scalar::tf32_tolerance;
+    use spmm_common::simd::IsaTier;
     use spmm_matrix::gen::uniform_random;
+    use spmm_matrix::{CooMatrix, DenseMatrix};
 
     fn small() -> CsrMatrix {
         let mut coo = CooMatrix::new(12, 12);
@@ -669,7 +165,7 @@ mod tests {
         let t = BitTcf::from_csr(&m);
         for b in 0..t.num_tc_blocks() {
             assert_eq!(
-                t.block_nnz(b),
+                t.positions[b].count_ones() as usize,
                 (t.tc_offset[b + 1] - t.tc_offset[b]) as usize,
                 "bitmap popcount must equal TCOffset span at block {b}"
             );
@@ -736,10 +232,13 @@ mod tests {
         assert_eq!(via_alloc, via_into);
         let mut scratch = TileScratch::new();
         let mut via_seq = DenseMatrix::zeros(200, 20);
-        t.spmm_into_seq(&b, &mut via_seq, &mut scratch).unwrap();
+        let tier = IsaTier::probe();
+        t.spmm_into_seq_tier(&b, &mut via_seq, &mut scratch, tier)
+            .unwrap();
         assert_eq!(via_alloc, via_seq, "sequential path must match parallel");
         // Reusing the (now dirty) scratch and output must still be exact.
-        t.spmm_into_seq(&b, &mut via_seq, &mut scratch).unwrap();
+        t.spmm_into_seq_tier(&b, &mut via_seq, &mut scratch, tier)
+            .unwrap();
         assert_eq!(via_alloc, via_seq);
     }
 
@@ -821,17 +320,18 @@ mod tests {
         // Non-prerounded format: rounds the A tile per block.
         assert_eq!(t.spmm(&b).unwrap(), want);
         // Prerounded format: rounds the values once at compile time.
+        let tier = IsaTier::probe();
         let mut pre = t.clone();
-        pre.preround_values();
+        pre.preround_values_tier(tier);
         assert!(pre.is_prerounded());
         assert_eq!(pre.spmm(&b).unwrap(), want, "prerounded parallel path");
         let mut seq = DenseMatrix::zeros(200, 20);
-        pre.spmm_into_seq(&b, &mut seq, &mut TileScratch::new())
+        pre.spmm_into_seq_tier(&b, &mut seq, &mut TileScratch::new(), tier)
             .unwrap();
         assert_eq!(seq, want, "prerounded sequential path");
         // Prerounding twice is a no-op.
         let mut twice = pre.clone();
-        twice.preround_values();
+        twice.preround_values_tier(tier);
         assert_eq!(twice.values, pre.values);
     }
 
@@ -852,7 +352,7 @@ mod tests {
         let t = BitTcf::from_csr(&m);
         let want = reference_spmm(&t, &b);
         let mut pre = t.clone();
-        pre.preround_values();
+        pre.preround_values_tier(IsaTier::probe());
         let got = pre.spmm(&b).unwrap();
         for r in 0..16 {
             for c in 0..9 {
@@ -875,7 +375,7 @@ mod tests {
         assert!(t.spmm_into(&b, &mut bad).is_err());
         let mut bad2 = DenseMatrix::zeros(12, 5);
         assert!(t
-            .spmm_into_seq(&b, &mut bad2, &mut TileScratch::new())
+            .spmm_into_seq_tier(&b, &mut bad2, &mut TileScratch::new(), IsaTier::probe())
             .is_err());
     }
 
@@ -910,55 +410,6 @@ mod tests {
 
     #[test]
     fn rebuild_windows_is_byte_identical_to_full_build() {
-        let m = uniform_random(100, 5.0, 3);
-        let wp = WindowPartition::build(&m);
-        let t = BitTcf::from_partition(&m, &wp);
-        // Perturb rows 17 and 98 (windows 2 and 12), including a NaN
-        // payload so value splicing is checked at the bit level.
-        let mut coo = m.to_coo();
-        coo.push(17, 40, f32::NAN);
-        coo.push(98, 1, -0.0);
-        let m2 = CsrMatrix::from_coo(&coo);
-        let mut touched = vec![false; wp.num_windows()];
-        touched[2] = true;
-        touched[12] = true;
-        let wp2 = wp.rebuild(&m2, &touched);
-        let rebuilt = t.rebuild_windows(&m2, &wp2, &touched);
-        let scratch = BitTcf::from_partition(&m2, &wp2);
-        assert_eq!(rebuilt.tc_local_bit, scratch.tc_local_bit);
-        assert_eq!(rebuilt.sparse_a_to_b, scratch.sparse_a_to_b);
-        assert_eq!(rebuilt.tc_offset, scratch.tc_offset);
-        assert_eq!(
-            rebuilt
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            scratch
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        );
-        // Pre-rounded source: one idempotent re-round re-unifies.
-        let mut tp = t.clone();
-        tp.preround_values();
-        let mut rebuilt_p = tp.rebuild_windows(&m2, &wp2, &touched);
-        assert!(!rebuilt_p.is_prerounded());
-        rebuilt_p.preround_values();
-        let mut scratch_p = scratch.clone();
-        scratch_p.preround_values();
-        assert_eq!(
-            rebuilt_p
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            scratch_p
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        );
+        crate::tc_matrix::tests::rebuild_matches_full_build::<Bitmap>();
     }
 }

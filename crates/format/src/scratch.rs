@@ -6,7 +6,7 @@
 //! [`spmm_common::simd::mma_row_tier`] call per row accumulates it with
 //! the C chunks held in registers. Allocating those lists per call (let
 //! alone per window) dominates small multiplies, so the zero-allocation entry
-//! points ([`crate::BitTcf::spmm_into_seq`] and friends) borrow it from a
+//! points ([`crate::TcMatrix::spmm_into_seq_tier`] and friends) borrow it from a
 //! caller-owned `TileScratch` that grows monotonically and is reused
 //! across calls — the CPU analogue of the GPU kernel's persistent
 //! shared-memory tiles.
@@ -49,14 +49,9 @@ impl BStage {
         }
     }
 
-    /// Round `b` into the stage (growing the buffer if needed) at the
-    /// process-default ISA tier.
-    pub fn stage(&mut self, b: &DenseMatrix) {
-        self.stage_tier(b, IsaTier::probe());
-    }
-
-    /// [`BStage::stage`] at an explicit ISA tier (plan-resolved; every
-    /// tier rounds bit-identically, so the choice is pure speed).
+    /// Round `b` into the stage (growing the buffer if needed) at an
+    /// explicit ISA tier (plan-resolved; every tier rounds
+    /// bit-identically, so the choice is pure speed).
     pub fn stage_tier(&mut self, b: &DenseMatrix, tier: IsaTier) {
         let want = b.nrows() * b.ncols();
         self.data.resize(want.max(self.data.len()), 0.0);
@@ -251,13 +246,8 @@ impl TileScratch {
         (&mut self.pairs, &mut self.ctile[..want])
     }
 
-    /// Round `b` into this scratch's owned [`BStage`] and hand it back.
-    pub fn stage_b(&mut self, b: &DenseMatrix) -> &BStage {
-        self.bstage.stage(b);
-        &self.bstage
-    }
-
-    /// [`TileScratch::stage_b`] at an explicit ISA tier.
+    /// Round `b` into this scratch's owned [`BStage`] at an explicit ISA
+    /// tier and hand it back.
     pub fn stage_b_tier(&mut self, b: &DenseMatrix, tier: IsaTier) -> &BStage {
         self.bstage.stage_tier(b, tier);
         &self.bstage
@@ -272,7 +262,7 @@ impl TileScratch {
     /// Split-borrow the staged operand together with the pair lists: the
     /// sequential SpMM paths read B rows straight from the stage while
     /// decoding windows into the lists, so both must be live at once.
-    /// The stage must have been filled by [`TileScratch::stage_b`] for
+    /// The stage must have been filled by [`TileScratch::stage_b_tier`] for
     /// the current operand.
     pub fn staged_parts(&mut self) -> (&BStage, &mut WindowPairs) {
         (&self.bstage, &mut self.pairs)
@@ -347,7 +337,7 @@ mod tests {
     fn stage_rounds_every_element() {
         let b = DenseMatrix::from_fn(5, 3, |r, c| 1.2345678 + r as f32 * 0.1 + c as f32);
         let mut stage = BStage::new();
-        stage.stage(&b);
+        stage.stage_tier(&b, IsaTier::probe());
         assert_eq!(stage.nrows(), 5);
         assert_eq!(stage.ncols(), 3);
         for r in 0..5 {
@@ -361,10 +351,10 @@ mod tests {
     fn stage_reuse_across_shapes_is_exact() {
         let mut stage = BStage::new();
         let big = DenseMatrix::random(16, 8, 1);
-        stage.stage(&big);
+        stage.stage_tier(&big, IsaTier::probe());
         // Restaging a smaller matrix must not read stale tail data.
         let small = DenseMatrix::from_fn(2, 2, |r, c| (r * 2 + c) as f32 + 0.5);
-        stage.stage(&small);
+        stage.stage_tier(&small, IsaTier::probe());
         assert_eq!(stage.nrows(), 2);
         assert_eq!(stage.ncols(), 2);
         for r in 0..2 {
@@ -383,7 +373,7 @@ mod tests {
         let b = DenseMatrix::from_fn(3, 3, |r, c| -7.654321 - (r * 3 + c) as f32);
         let mut stage = BStage::new();
         // A larger earlier shape must not leak into the new layout.
-        stage.stage(&DenseMatrix::random(9, 9, 4));
+        stage.stage_tier(&DenseMatrix::random(9, 9, 4), IsaTier::probe());
         stage.stage_side_by_side_tier(&[a.clone(), b.clone()], IsaTier::probe());
         assert_eq!((stage.nrows(), stage.ncols()), (3, 5));
         for r in 0..3 {
@@ -402,7 +392,7 @@ mod tests {
     fn scratch_staged_parts_returns_filled_stage() {
         let mut s = TileScratch::new();
         let b = DenseMatrix::random(8, 4, 2);
-        s.stage_b(&b);
+        s.stage_b_tier(&b, IsaTier::probe());
         let (stage, pairs) = s.staged_parts();
         assert_eq!(stage.nrows(), 8);
         assert_eq!(stage.as_slice().len(), 8 * 4);

@@ -1,0 +1,741 @@
+//! The TC-block matrix: one skeleton, pluggable position encodings.
+//!
+//! BitTCF (the paper's format, §3.3) and ME-TCF (DTC-SpMM's) store the
+//! same RowWindow skeleton:
+//! 1. `RowWindowOffset` — starting TC block of each RowWindow;
+//! 2. `TCOffset` — starting nnz of each TC block;
+//! 3. `SparseAToB` — original column of each block column slot, padded
+//!    with [`PAD_COL`] (what the kernel uses to gather rows of B);
+//! 4. the values, in block order and ascending position within a block.
+//!
+//! They differ only in how a block's non-zero *positions* (`r·8 + c`
+//! within the 8×8 tile) are encoded — the one axis Figure 12 compares.
+//! [`TcMatrix`] owns the skeleton and everything built on it: the
+//! parallel per-window conversion and its stitching, incremental
+//! repair, pre-rounding, the row-streamed window core, block decode and
+//! the CSR round trip. A [`BlockCodec`] owns only the position encoding:
+//!
+//! * [`Bitmap`](crate::Bitmap) — one `u64` per block ([`crate::BitTcf`]);
+//! * [`LocalIds`] — one `u8` per non-zero ([`MeTcf`]).
+//!
+//! Dispatch is static, so every decode loop monomorphizes per codec.
+//! TCF is not a codec: its skeleton is per edge, with per-window offsets
+//! and no block offsets (see [`crate::Tcf`]).
+
+use crate::io::{get_vec, put_slice};
+use crate::scratch::{BStage, TileScratch, WindowPairs};
+use crate::window::{WindowPartition, PAD_COL, TILE};
+use spmm_common::scalar::to_tf32;
+use spmm_common::simd::{to_tf32_slice_tier, IsaTier};
+use spmm_common::Result;
+use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
+use std::fmt::Debug;
+use std::io::{Read, Write};
+use std::marker::PhantomData;
+use std::ops::Range;
+
+/// One RowWindow's blocks as a codec encodes them.
+#[derive(Debug, Clone, Default)]
+pub struct EncodedWindow<W> {
+    /// Non-zeros of each block, in block order.
+    pub block_nnz: Vec<u32>,
+    /// Position words of the blocks, in block order.
+    pub words: Vec<W>,
+    /// Values in block order, ascending position within a block.
+    pub values: Vec<f32>,
+}
+
+/// How a TC block's non-zero positions are stored.
+pub trait BlockCodec: Debug + Clone + PartialEq + Send + Sync + 'static {
+    /// Storage unit of the positions array.
+    type Word: Copy + Debug + PartialEq + Send + Sync;
+    /// Format name used in error messages.
+    const NAME: &'static str;
+    /// Magic of the format's binary stream.
+    const MAGIC: [u8; 4];
+    /// Version of the format's binary stream.
+    const VERSION: u32;
+
+    /// Encode one RowWindow from CSR: `rows` are the window's rows of
+    /// `m` (local row `r - rows.start`) and `wcols` its squeezed
+    /// columns, block `i` covering `wcols[8i..8i + 8]`.
+    fn encode_window(m: &CsrMatrix, rows: Range<usize>, wcols: &[u32])
+        -> EncodedWindow<Self::Word>;
+
+    /// The words that encode blocks `blocks`, given `TCOffset`.
+    fn word_span(tc_offset: &[u32], blocks: Range<usize>) -> Range<usize>;
+
+    /// Call `f` with each occupied position (`r·8 + c`) of the single
+    /// block encoded by `words`, in ascending order: the `k`-th call is
+    /// the block's `k`-th value.
+    fn walk(words: &[Self::Word], f: impl FnMut(usize));
+
+    /// Add the occupied positions per tile row of the blocks encoded by
+    /// `words` into `counts`.
+    fn row_counts(words: &[Self::Word], counts: &mut [usize; TILE]);
+
+    /// Index-structure footprint in bytes (values excluded, as in the
+    /// Figure-12 comparison).
+    fn index_bytes(nrows: usize, num_blocks: usize, nnz: usize) -> usize;
+
+    /// Check `words` against a `TCOffset` array that is already known to
+    /// start at 0, be monotone and end at the value count. On success
+    /// [`BlockCodec::walk`] yields exactly `TCOffset`'s span per block.
+    fn validate(words: &[Self::Word], tc_offset: &[u32]) -> std::result::Result<(), String>;
+
+    /// Write the positions section of the binary stream.
+    fn write_words<W: Write>(w: &mut W, words: &[Self::Word]) -> Result<()>;
+
+    /// Read the positions section back (at most `cap` words).
+    fn read_words<R: Read>(r: &mut R, cap: u64) -> Result<Vec<Self::Word>>;
+}
+
+/// ME-TCF's position codec: one `int8` local id (`r·8 + c`) per
+/// non-zero (`TCLocalId`), ids ascending within a block. A block with
+/// `k` non-zeros costs `k` bytes of position data versus BitTCF's flat
+/// 8, so ME-TCF loses ground as blocks densify (> 8 nnz per block) —
+/// the effect Figure 12 measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LocalIds;
+
+/// DTC-SpMM's memory-efficient TC format (the baseline BitTCF improves
+/// upon).
+pub type MeTcf = TcMatrix<LocalIds>;
+
+impl BlockCodec for LocalIds {
+    type Word = u8;
+    const NAME: &'static str = "ME-TCF";
+    const MAGIC: [u8; 4] = *b"METC";
+    const VERSION: u32 = 1;
+
+    /// Collect each block's `(id, value)` entries, then sort them by id
+    /// — the per-nnz id materialization and sort §4.3.2 prices against
+    /// BitTCF's one OR per nnz.
+    fn encode_window(m: &CsrMatrix, rows: Range<usize>, wcols: &[u32]) -> EncodedWindow<u8> {
+        let mut entries: Vec<Vec<(u8, f32)>> = vec![Vec::new(); wcols.len().div_ceil(TILE)];
+        for r in rows.clone() {
+            let lr = r - rows.start;
+            let (cols, vals) = m.row(r);
+            for (&c, &v) in cols.iter().zip(vals.iter()) {
+                let pos = wcols.binary_search(&c).expect("column must be in window");
+                entries[pos / TILE].push(((lr * TILE + pos % TILE) as u8, v));
+            }
+        }
+        let mut out = EncodedWindow::default();
+        for block in entries.iter_mut() {
+            // Local ids are unique within a block, so the unstable sort
+            // is deterministic.
+            block.sort_unstable_by_key(|&(id, _)| id);
+            out.block_nnz.push(block.len() as u32);
+            for &(id, v) in block.iter() {
+                out.words.push(id);
+                out.values.push(v);
+            }
+        }
+        out
+    }
+
+    #[inline]
+    fn word_span(tc_offset: &[u32], blocks: Range<usize>) -> Range<usize> {
+        tc_offset[blocks.start] as usize..tc_offset[blocks.end] as usize
+    }
+
+    #[inline]
+    fn walk(words: &[u8], mut f: impl FnMut(usize)) {
+        for &id in words {
+            f(id as usize);
+        }
+    }
+
+    #[inline]
+    fn row_counts(words: &[u8], counts: &mut [usize; TILE]) {
+        for &id in words {
+            counts[id as usize / TILE] += 1;
+        }
+    }
+
+    /// The BitTCF skeleton with the bitmap replaced by one byte per nnz.
+    fn index_bytes(nrows: usize, num_blocks: usize, nnz: usize) -> usize {
+        (nrows.div_ceil(TILE) + 1 + num_blocks + 1 + num_blocks * TILE) * 4 + nnz
+    }
+
+    fn validate(words: &[u8], tc_offset: &[u32]) -> std::result::Result<(), String> {
+        if words.len() != *tc_offset.last().unwrap_or(&0) as usize {
+            return Err("one local id per value expected".into());
+        }
+        if words.iter().any(|&id| id as usize >= TILE * TILE) {
+            return Err("local id beyond the 8x8 tile".into());
+        }
+        for (b, span) in tc_offset.windows(2).enumerate() {
+            let ids = &words[span[0] as usize..span[1] as usize];
+            if !ids.windows(2).all(|p| p[0] < p[1]) {
+                return Err(format!("block {b}: local ids not strictly increasing"));
+            }
+        }
+        Ok(())
+    }
+
+    fn write_words<W: Write>(w: &mut W, words: &[u8]) -> Result<()> {
+        put_slice(w, words, u8::to_le_bytes)
+    }
+
+    fn read_words<R: Read>(r: &mut R, cap: u64) -> Result<Vec<u8>> {
+        get_vec(r, cap, u8::from_le_bytes)
+    }
+}
+
+/// A TC-block compressed sparse matrix whose block positions are
+/// encoded by `C`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TcMatrix<C: BlockCodec> {
+    nrows: usize,
+    ncols: usize,
+    /// Starting TC block per RowWindow (`⌈M/8⌉ + 1` entries).
+    pub row_window_offset: Vec<u32>,
+    /// Starting nnz per TC block (`NumTcBlock + 1` entries).
+    pub tc_offset: Vec<u32>,
+    /// Original column of each block column slot (`NumTcBlock × 8`,
+    /// padded with [`PAD_COL`]).
+    pub sparse_a_to_b: Vec<u32>,
+    /// The codec's position words: BitTCF's `TCLocalBit` (one bitmap
+    /// per block), ME-TCF's `TCLocalId` (one id per nnz).
+    pub positions: Vec<C::Word>,
+    /// Values in block order, ascending position within a block.
+    pub values: Vec<f32>,
+    /// Whether `values` have already been rounded to TF32
+    /// ([`TcMatrix::preround_values_tier`]); when set, the SpMM paths
+    /// skip the per-value operand rounding.
+    values_tf32: bool,
+    codec: PhantomData<C>,
+}
+
+impl<C: BlockCodec> TcMatrix<C> {
+    /// Convert from CSR (via the shared window squeezing).
+    pub fn from_csr(m: &CsrMatrix) -> Self {
+        let wp = WindowPartition::build(m);
+        Self::from_partition(m, &wp)
+    }
+
+    /// Convert from CSR with a precomputed partition (lets converters
+    /// share the squeezing cost, as the conversion-overhead comparison
+    /// requires). Windows are independent, so each is encoded in
+    /// parallel and the pieces are stitched in window order.
+    pub fn from_partition(m: &CsrMatrix, wp: &WindowPartition) -> Self {
+        use rayon::prelude::*;
+        let windows: Vec<(Vec<u32>, EncodedWindow<C::Word>)> = (0..wp.num_windows())
+            .into_par_iter()
+            .map(|w| Self::encode_window(m, wp, w))
+            .collect();
+        let words = windows.iter().map(|(_, e)| e.words.len()).sum();
+        let mut t = Self::empty(m.nrows(), m.ncols(), wp, words, m.nnz());
+        for (cols, e) in &windows {
+            t.push_window(cols, e.block_nnz.iter().copied(), &e.words, &e.values);
+        }
+        t
+    }
+
+    /// Incremental rebuild after an edge-delta update: `m_new` is the
+    /// updated (permuted) matrix, `wp_new` its (incrementally rebuilt)
+    /// partition, and `touched[w]` marks the windows whose rows
+    /// changed. Untouched windows copy their SparseAToB / position /
+    /// value spans from `self` byte-for-byte (every per-window artifact
+    /// depends only on that window's rows); touched windows re-run the
+    /// per-window encoder of [`TcMatrix::from_partition`]; `TCOffset`
+    /// is restitched.
+    ///
+    /// The result reports [`TcMatrix::is_prerounded`] `false`: when
+    /// `self` was pre-rounded its untouched spans carry TF32 bits while
+    /// touched windows carry raw values, and one idempotent
+    /// [`TcMatrix::preround_values_tier`] pass re-unifies them —
+    /// byte-identical to building from scratch and pre-rounding.
+    pub fn rebuild_windows(
+        &self,
+        m_new: &CsrMatrix,
+        wp_new: &WindowPartition,
+        touched: &[bool],
+    ) -> Self {
+        assert_eq!(m_new.nrows(), self.nrows, "deltas cannot change nrows");
+        assert_eq!(m_new.ncols(), self.ncols, "deltas cannot change ncols");
+        assert_eq!(wp_new.num_windows(), self.num_windows());
+        assert_eq!(touched.len(), self.num_windows(), "one flag per window");
+        let mut t = Self::empty(
+            self.nrows,
+            self.ncols,
+            wp_new,
+            self.positions.len(),
+            m_new.nnz(),
+        );
+        for (w, &is_touched) in touched.iter().enumerate() {
+            if is_touched {
+                let (cols, e) = Self::encode_window(m_new, wp_new, w);
+                t.push_window(&cols, e.block_nnz.iter().copied(), &e.words, &e.values);
+                continue;
+            }
+            let blocks = self.window_blocks(w);
+            let offsets = &self.tc_offset[blocks.start..=blocks.end];
+            t.push_window(
+                &self.sparse_a_to_b[blocks.start * TILE..blocks.end * TILE],
+                offsets.windows(2).map(|p| p[1] - p[0]),
+                &self.positions[C::word_span(&self.tc_offset, blocks)],
+                &self.values[offsets[0] as usize..offsets[offsets.len() - 1] as usize],
+            );
+        }
+        t
+    }
+
+    /// Window `w`'s SparseAToB slots and codec encoding.
+    fn encode_window(
+        m: &CsrMatrix,
+        wp: &WindowPartition,
+        w: usize,
+    ) -> (Vec<u32>, EncodedWindow<C::Word>) {
+        let nb = wp.window_blocks(w).len();
+        let mut cols = Vec::with_capacity(nb * TILE);
+        for bi in 0..nb {
+            cols.extend_from_slice(&wp.block_columns(w, bi));
+        }
+        let lo = w * TILE;
+        let rows = lo..(lo + TILE).min(m.nrows());
+        (cols, C::encode_window(m, rows, wp.window_columns(w)))
+    }
+
+    /// An empty matrix with room for `wp`'s blocks, `words` position
+    /// words and `nnz` values, ready for [`TcMatrix::push_window`].
+    fn empty(nrows: usize, ncols: usize, wp: &WindowPartition, words: usize, nnz: usize) -> Self {
+        let slots = Vec::with_capacity(wp.num_tc_blocks() * TILE);
+        let positions = Vec::with_capacity(words);
+        let values = Vec::with_capacity(nnz);
+        Self::from_raw_parts(nrows, ncols, vec![0], vec![0], slots, positions, values)
+    }
+
+    /// Append the next window: its SparseAToB slots (8 per block), the
+    /// nnz of each block, and its position words and values.
+    fn push_window(
+        &mut self,
+        cols: &[u32],
+        block_nnz: impl Iterator<Item = u32>,
+        words: &[C::Word],
+        values: &[f32],
+    ) {
+        let blocks = self.row_window_offset[self.row_window_offset.len() - 1];
+        self.row_window_offset
+            .push(blocks + (cols.len() / TILE) as u32);
+        let mut at = self.tc_offset[self.tc_offset.len() - 1];
+        for k in block_nnz {
+            at += k;
+            self.tc_offset.push(at);
+        }
+        self.sparse_a_to_b.extend_from_slice(cols);
+        self.positions.extend_from_slice(words);
+        self.values.extend_from_slice(values);
+    }
+
+    /// Reassemble from raw arrays (used by the binary loader, which
+    /// validates the invariants before calling).
+    pub(crate) fn from_raw_parts(
+        nrows: usize,
+        ncols: usize,
+        row_window_offset: Vec<u32>,
+        tc_offset: Vec<u32>,
+        sparse_a_to_b: Vec<u32>,
+        positions: Vec<C::Word>,
+        values: Vec<f32>,
+    ) -> Self {
+        TcMatrix {
+            nrows,
+            ncols,
+            row_window_offset,
+            tc_offset,
+            sparse_a_to_b,
+            positions,
+            values,
+            values_tf32: false,
+            codec: PhantomData,
+        }
+    }
+
+    /// Round the stored values to TF32 in place at an explicit ISA tier
+    /// (every tier rounds bit-identically; the plan passes its resolved
+    /// tier), marking the matrix as pre-rounded so the SpMM paths skip
+    /// per-value operand rounding.
+    ///
+    /// Because [`spmm_common::scalar::to_tf32`] is idempotent, every
+    /// multiply result stays bit-identical to the non-prerounded path.
+    /// This is lossy for the *stored* matrix ([`TcMatrix::to_csr`]
+    /// returns the rounded values), so it is meant for
+    /// execution-plan-owned formats, not archival ones.
+    pub fn preround_values_tier(&mut self, tier: IsaTier) {
+        if !self.values_tf32 {
+            to_tf32_slice_tier(&mut self.values, tier);
+            self.values_tf32 = true;
+        }
+    }
+
+    /// Whether the stored values are already TF32-rounded.
+    #[inline]
+    pub fn is_prerounded(&self) -> bool {
+        self.values_tf32
+    }
+
+    /// Rows of the represented matrix.
+    #[inline]
+    pub fn nrows(&self) -> usize {
+        self.nrows
+    }
+
+    /// Columns of the represented matrix.
+    #[inline]
+    pub fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    /// Stored non-zeros.
+    #[inline]
+    pub fn nnz(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Number of RowWindows.
+    #[inline]
+    pub fn num_windows(&self) -> usize {
+        self.row_window_offset.len() - 1
+    }
+
+    /// Number of TC blocks.
+    #[inline]
+    pub fn num_tc_blocks(&self) -> usize {
+        self.tc_offset.len() - 1
+    }
+
+    /// TC blocks of window `w` as a block-id range.
+    #[inline]
+    pub fn window_blocks(&self, w: usize) -> Range<usize> {
+        self.row_window_offset[w] as usize..self.row_window_offset[w + 1] as usize
+    }
+
+    /// Rows of window `w` (8, except for a ragged last window).
+    #[inline]
+    pub fn window_rows(&self, w: usize) -> usize {
+        (self.nrows - w * TILE).min(TILE)
+    }
+
+    /// Non-zeros in TC block `b`.
+    #[inline]
+    pub fn block_nnz(&self, b: usize) -> usize {
+        (self.tc_offset[b + 1] - self.tc_offset[b]) as usize
+    }
+
+    /// The 8 (padded) B-gather columns of block `b`.
+    #[inline]
+    pub fn block_cols(&self, b: usize) -> &[u32] {
+        &self.sparse_a_to_b[b * TILE..(b + 1) * TILE]
+    }
+
+    /// The position words of block `b`.
+    #[inline]
+    fn block_words(&self, b: usize) -> &[C::Word] {
+        &self.positions[C::word_span(&self.tc_offset, b..b + 1)]
+    }
+
+    /// Index-structure footprint in bytes ([`BlockCodec::index_bytes`]).
+    pub fn index_bytes(&self) -> usize {
+        C::index_bytes(self.nrows, self.num_tc_blocks(), self.nnz())
+    }
+
+    /// Decompress block `b` into a dense 8×8 tile: the `k`-th position
+    /// of the codec's ascending walk receives `values[tc_offset[b] + k]`
+    /// (for BitTCF, `k` is the popcount of the bits below the position —
+    /// the CUDA `__popcll` decoder), every other position is zero.
+    pub fn decompress_block(&self, b: usize) -> [f32; TILE * TILE] {
+        let mut tile = [0.0f32; TILE * TILE];
+        let mut idx = self.tc_offset[b] as usize;
+        C::walk(self.block_words(b), |t| {
+            tile[t] = self.values[idx];
+            idx += 1;
+        });
+        tile
+    }
+
+    /// Decode window `w` into one pair list per window row. Each
+    /// block's positions are walked in ascending order, so the value
+    /// index counts up from the block's `TCOffset` and row `t / 8`
+    /// receives the pair in ascending (block, column) order. Values are
+    /// TF32-rounded unless the matrix is pre-rounded, and a value that
+    /// rounds to ±0 is dropped: exactly the A slots a tile MMA's
+    /// zero-skip passes over.
+    fn decode_window(&self, w: usize, pairs: &mut WindowPairs) {
+        let blocks = self.window_blocks(w);
+        let mut caps = [0usize; TILE];
+        C::row_counts(
+            &self.positions[C::word_span(&self.tc_offset, blocks.clone())],
+            &mut caps,
+        );
+        pairs.reset(caps);
+        for blk in blocks {
+            let cols = self.block_cols(blk);
+            let mut idx = self.tc_offset[blk] as usize;
+            C::walk(self.block_words(blk), |t| {
+                let v = self.values[idx];
+                let v = if self.values_tf32 { v } else { to_tf32(v) };
+                if v != 0.0 {
+                    pairs.push(t / TILE, v, cols[t % TILE]);
+                }
+                idx += 1;
+            });
+        }
+    }
+
+    /// Functional SpMM through the TC path, row-streamed: each window's
+    /// non-zeros are decoded into per-row pair lists, and each output row
+    /// is accumulated against the TF32 B rows in one register-blocked
+    /// pass. This is numerically what the GPU kernel computes (TF32
+    /// operands, FP32 accumulate), and per output element the adds run in
+    /// the same ascending (block, column) order as a chain of 8×8 tile
+    /// MMAs.
+    ///
+    /// RowWindows write disjoint C rows, so the window loop parallelizes
+    /// over the output exactly like the GPU's thread-block grid.
+    pub fn spmm(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
+        let mut c = DenseMatrix::zeros(self.nrows, b.ncols());
+        self.spmm_into(b, &mut c)?;
+        Ok(c)
+    }
+
+    /// [`TcMatrix::spmm`] writing into a caller-provided output matrix.
+    /// Rounds B into a fresh [`BStage`] at the host's probed tier;
+    /// callers that multiply repeatedly should hold their own stage and
+    /// use [`TcMatrix::spmm_into_staged_tier`] instead.
+    pub fn spmm_into(&self, b: &DenseMatrix, c: &mut DenseMatrix) -> Result<()> {
+        let tier = IsaTier::probe();
+        let mut stage = BStage::new();
+        stage.stage_tier(b, tier);
+        self.spmm_into_staged_tier(&stage, c, tier)
+    }
+
+    /// The window-parallel SpMM over a pre-rounded B stage (one
+    /// [`WindowPairs`] per worker, the stage shared read-only), so the
+    /// hot path allocates nothing proportional to the matrix and the
+    /// row core is a pure mul-add. `tier` drives the row core
+    /// (bit-identical across tiers; plans pass their resolved tier so
+    /// the choice is made once at compile time).
+    pub fn spmm_into_staged_tier(
+        &self,
+        stage: &BStage,
+        c: &mut DenseMatrix,
+        tier: IsaTier,
+    ) -> Result<()> {
+        use rayon::prelude::*;
+        crate::check_spmm_shapes(self.nrows, self.ncols, stage.nrows(), stage.ncols(), c)?;
+        let n = stage.ncols();
+        c.as_mut_slice()
+            .par_chunks_mut(TILE * n)
+            .enumerate()
+            .for_each_init(WindowPairs::new, |pairs, (w, cslab)| {
+                self.window_product(w, stage, pairs, cslab, tier)
+            });
+        Ok(())
+    }
+
+    /// Compute window `w`'s output rows into `out`: row `i` of the
+    /// window (of up to 8; fewer for a ragged last window) is written to
+    /// `out[i·n..(i+1)·n]` with `n = stage.ncols()`, overwriting it.
+    /// Both operands are pre-rounded here — B by the stage, A either at
+    /// [`TcMatrix::preround_values_tier`] time or per value while
+    /// decoding — so the row core never rounds, and it reads B rows in
+    /// place from the stage.
+    ///
+    /// This is also the batched path: a stage holding several RHS side
+    /// by side ([`BStage::stage_side_by_side_tier`]) decodes the window
+    /// once for all of them, and per output element the add order is
+    /// the single-RHS one, so results stay bit-identical to one-at-a-time
+    /// execution.
+    pub fn window_product(
+        &self,
+        w: usize,
+        stage: &BStage,
+        pairs: &mut WindowPairs,
+        out: &mut [f32],
+        tier: IsaTier,
+    ) {
+        self.decode_window(w, pairs);
+        pairs.multiply_rows(self.window_rows(w), stage, out, tier);
+    }
+
+    /// Sequential zero-allocation SpMM into a caller-provided output,
+    /// borrowing the stage and pair lists from `scratch`. Window-sequential
+    /// execution computes exactly the same floats as the parallel
+    /// [`TcMatrix::spmm`] (windows write disjoint output rows and the
+    /// per-window math is identical), which is what lets batched
+    /// execution parallelize over RHS matrices instead and stay
+    /// bit-identical.
+    pub fn spmm_into_seq_tier(
+        &self,
+        b: &DenseMatrix,
+        c: &mut DenseMatrix,
+        scratch: &mut TileScratch,
+        tier: IsaTier,
+    ) -> Result<()> {
+        crate::check_spmm_shapes(self.nrows, self.ncols, b.nrows(), b.ncols(), c)?;
+        let n = b.ncols();
+        scratch.stage_b_tier(b, tier);
+        let (stage, pairs) = scratch.staged_parts();
+        let out = c.as_mut_slice();
+        for w in 0..self.num_windows() {
+            let lo = w * TILE;
+            let hi = lo + self.window_rows(w);
+            self.window_product(w, stage, pairs, &mut out[lo * n..hi * n], tier);
+        }
+        Ok(())
+    }
+
+    /// [`TcMatrix::spmm`] with a selectable operand precision (TF32 is
+    /// the paper's mode; FP16/BF16 model Magicube-style reduced-precision
+    /// tensor-core paths, FP32 the exact reference).
+    pub fn spmm_with_precision(
+        &self,
+        b: &DenseMatrix,
+        precision: spmm_common::Precision,
+    ) -> Result<DenseMatrix> {
+        let n = b.ncols();
+        let mut c = DenseMatrix::zeros(self.nrows, n);
+        crate::check_spmm_shapes(self.nrows, self.ncols, b.nrows(), n, &c)?;
+        let mut btile = vec![0.0f32; TILE * n];
+        let mut ctile = vec![0.0f32; TILE * n];
+        for w in 0..self.num_windows() {
+            ctile.fill(0.0);
+            for blk in self.window_blocks(w) {
+                let a = self.decompress_block(blk);
+                for (i, &col) in self.block_cols(blk).iter().enumerate() {
+                    let dst = &mut btile[i * n..(i + 1) * n];
+                    if col == PAD_COL {
+                        dst.fill(0.0);
+                    } else {
+                        dst.copy_from_slice(b.row(col as usize));
+                    }
+                }
+                spmm_common::precision::mma_8x8_with_precision(
+                    &a, &btile, &mut ctile, n, precision,
+                );
+            }
+            let lo = w * TILE;
+            let rows = self.window_rows(w);
+            c.as_mut_slice()[lo * n..(lo + rows) * n].copy_from_slice(&ctile[..rows * n]);
+        }
+        Ok(c)
+    }
+
+    /// Reconstruct the CSR matrix (round-trip used by tests).
+    pub fn to_csr(&self) -> CsrMatrix {
+        let mut coo = CooMatrix::new(self.nrows, self.ncols);
+        for w in 0..self.num_windows() {
+            let lo = w * TILE;
+            for blk in self.window_blocks(w) {
+                let cols = self.block_cols(blk);
+                let mut idx = self.tc_offset[blk] as usize;
+                C::walk(self.block_words(blk), |t| {
+                    coo.push((lo + t / TILE) as u32, cols[t % TILE], self.values[idx]);
+                    idx += 1;
+                });
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::BitTcf;
+    use spmm_matrix::gen::uniform_random;
+
+    #[test]
+    fn roundtrip_csr() {
+        let m = uniform_random(150, 5.0, 2);
+        assert_eq!(MeTcf::from_csr(&m).to_csr(), m);
+    }
+
+    #[test]
+    fn same_block_structure_as_bittcf() {
+        let m = uniform_random(256, 8.0, 7);
+        let me = MeTcf::from_csr(&m);
+        let bit = BitTcf::from_csr(&m);
+        assert_eq!(me.num_tc_blocks(), bit.num_tc_blocks());
+        assert_eq!(me.row_window_offset, bit.row_window_offset);
+        assert_eq!(me.tc_offset, bit.tc_offset);
+        assert_eq!(me.sparse_a_to_b, bit.sparse_a_to_b);
+        for b in 0..me.num_tc_blocks() {
+            assert_eq!(me.decompress_block(b), bit.decompress_block(b));
+        }
+    }
+
+    #[test]
+    fn spmm_agrees_with_bittcf() {
+        let m = uniform_random(120, 6.0, 4);
+        let b = DenseMatrix::random(120, 16, 3);
+        let me = MeTcf::from_csr(&m).spmm(&b).unwrap();
+        let bit = BitTcf::from_csr(&m).spmm(&b).unwrap();
+        assert_eq!(me, bit, "identical TC-path numerics expected");
+    }
+
+    #[test]
+    fn byte_accounting_grows_with_nnz_unlike_bittcf() {
+        // Dense 8x8 blocks: ME-TCF pays 64 position bytes per block,
+        // BitTCF pays 8.
+        let mut coo = CooMatrix::new(64, 64);
+        for r in 0..64u32 {
+            for c in 0..8u32 {
+                coo.push(r, c, 1.0);
+            }
+        }
+        let m = CsrMatrix::from_coo(&coo);
+        let me = MeTcf::from_csr(&m);
+        let bit = BitTcf::from_csr(&m);
+        assert!(me.index_bytes() > bit.index_bytes());
+    }
+
+    /// Format equality with the values compared by bits (NaN ≠ NaN
+    /// under `==`).
+    fn assert_bits_eq<C: BlockCodec>(a: &TcMatrix<C>, b: &TcMatrix<C>) {
+        assert_eq!(a.row_window_offset, b.row_window_offset);
+        assert_eq!(a.tc_offset, b.tc_offset);
+        assert_eq!(a.sparse_a_to_b, b.sparse_a_to_b);
+        assert_eq!(a.positions, b.positions);
+        assert_eq!(a.is_prerounded(), b.is_prerounded());
+        let bits = |t: &TcMatrix<C>| t.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
+    }
+
+    /// Rebuilding windows 2 and 12 after a delta (with a NaN payload, so
+    /// value splicing is checked at the bit level) equals a full build,
+    /// and so does re-rounding a rebuilt pre-rounded source.
+    pub(crate) fn rebuild_matches_full_build<C: BlockCodec>() {
+        let m = uniform_random(100, 5.0, 3);
+        let wp = WindowPartition::build(&m);
+        let t = TcMatrix::<C>::from_partition(&m, &wp);
+        let mut coo = m.to_coo();
+        coo.push(17, 40, f32::NAN);
+        coo.push(98, 1, -0.0);
+        let m2 = CsrMatrix::from_coo(&coo);
+        let mut touched = vec![false; wp.num_windows()];
+        touched[2] = true;
+        touched[12] = true;
+        let wp2 = wp.rebuild(&m2, &touched);
+        let scratch = TcMatrix::<C>::from_partition(&m2, &wp2);
+        assert_bits_eq(&t.rebuild_windows(&m2, &wp2, &touched), &scratch);
+
+        let tier = IsaTier::probe();
+        let mut pre = t.clone();
+        pre.preround_values_tier(tier);
+        let mut rebuilt = pre.rebuild_windows(&m2, &wp2, &touched);
+        assert!(!rebuilt.is_prerounded());
+        rebuilt.preround_values_tier(tier);
+        let mut scratch_pre = scratch;
+        scratch_pre.preround_values_tier(tier);
+        assert_bits_eq(&rebuilt, &scratch_pre);
+    }
+
+    #[test]
+    fn rebuild_windows_is_byte_identical_to_full_build() {
+        rebuild_matches_full_build::<LocalIds>();
+    }
+}

@@ -9,7 +9,7 @@
 use crate::scratch::BStage;
 use crate::window::{WindowPartition, TILE};
 use spmm_common::simd::{mma_row_tier, to_tf32_slice_tier, IsaTier};
-use spmm_common::{Result, SpmmError};
+use spmm_common::Result;
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 
 /// The TCF compressed sparse matrix.
@@ -31,7 +31,7 @@ pub struct Tcf {
     /// TC blocks per window (derived; `blockPartition` in TC-GNN).
     pub blocks_per_window: Vec<u32>,
     /// Whether `values` are already TF32-rounded
-    /// ([`Tcf::preround_values`]).
+    /// ([`Tcf::preround_values_tier`]).
     values_tf32: bool,
 }
 
@@ -112,7 +112,7 @@ impl Tcf {
     }
 
     /// Incremental rebuild after an edge-delta update (see
-    /// [`crate::BitTcf::rebuild_windows`] for the contract): untouched
+    /// [`crate::TcMatrix::rebuild_windows`] for the contract): untouched
     /// windows copy their `window_nnz_offset[w]..window_nnz_offset[w+1]`
     /// spans of all four per-edge arrays from `self` (`edge_to_row`
     /// holds global row ids, which stay valid because row indices never
@@ -208,14 +208,9 @@ impl Tcf {
         }
     }
 
-    /// Round the stored values to TF32 in place (idempotent, so every
-    /// multiply stays bit-identical; lossy for [`Tcf::to_csr`] — see
-    /// [`crate::BitTcf::preround_values`]).
-    pub fn preround_values(&mut self) {
-        self.preround_values_tier(IsaTier::probe());
-    }
-
-    /// [`Tcf::preround_values`] at an explicit ISA tier.
+    /// Round the stored values to TF32 in place at an explicit ISA tier
+    /// (idempotent, so every multiply stays bit-identical; lossy for
+    /// [`Tcf::to_csr`] — see [`crate::TcMatrix::preround_values_tier`]).
     pub fn preround_values_tier(&mut self, tier: IsaTier) {
         if !self.values_tf32 {
             to_tf32_slice_tier(&mut self.values, tier);
@@ -273,58 +268,29 @@ impl Tcf {
     }
 
     /// [`Tcf::spmm`] writing into a caller-provided output (zeroed here;
-    /// the edge loop accumulates). TC-GNN's per-edge layout scatters
-    /// writes across rows, so this path stays sequential.
+    /// the edge loop accumulates), staging B at the host's probed tier.
+    /// TC-GNN's per-edge layout scatters writes across rows, so this
+    /// path stays sequential.
     pub fn spmm_into(&self, b: &DenseMatrix, c: &mut DenseMatrix) -> Result<()> {
-        if self.ncols != b.nrows() || c.nrows() != self.nrows || c.ncols() != b.ncols() {
-            return Err(SpmmError::Shape {
-                context: format!(
-                    "A is {}x{}, B is {}x{}, C is {}x{}",
-                    self.nrows,
-                    self.ncols,
-                    b.nrows(),
-                    b.ncols(),
-                    c.nrows(),
-                    c.ncols()
-                ),
-            });
-        }
+        let tier = IsaTier::probe();
         let mut stage = BStage::new();
-        stage.stage(b);
-        self.spmm_into_staged(&stage, c)
+        stage.stage_tier(b, tier);
+        self.spmm_into_staged_tier(&stage, c, tier)
     }
 
     /// [`Tcf::spmm_into`] over a pre-rounded B stage: the per-edge inner
     /// loop is a pure mul-add (the value is rounded once per edge — or
-    /// not at all when [`Tcf::preround_values`] ran — instead of once
-    /// per output column).
-    pub fn spmm_into_staged(&self, stage: &BStage, c: &mut DenseMatrix) -> Result<()> {
-        self.spmm_into_staged_tier(stage, c, IsaTier::probe())
-    }
-
-    /// [`Tcf::spmm_into_staged`] with an explicit ISA tier for the
-    /// per-edge row accumulation (bit-identical across tiers; note the
-    /// per-edge loop has no zero-value skip, and neither does
-    /// [`mma_row_tier`]).
+    /// not at all when [`Tcf::preround_values_tier`] ran — instead of
+    /// once per output column). `tier` drives the per-edge row
+    /// accumulation (bit-identical across tiers; note the per-edge loop
+    /// has no zero-value skip, and neither does [`mma_row_tier`]).
     pub fn spmm_into_staged_tier(
         &self,
         stage: &BStage,
         c: &mut DenseMatrix,
         tier: IsaTier,
     ) -> Result<()> {
-        if self.ncols != stage.nrows() || c.nrows() != self.nrows || c.ncols() != stage.ncols() {
-            return Err(SpmmError::Shape {
-                context: format!(
-                    "A is {}x{}, B is {}x{}, C is {}x{}",
-                    self.nrows,
-                    self.ncols,
-                    stage.nrows(),
-                    stage.ncols(),
-                    c.nrows(),
-                    c.ncols()
-                ),
-            });
-        }
+        crate::check_spmm_shapes(self.nrows, self.ncols, stage.nrows(), stage.ncols(), c)?;
         c.as_mut_slice().iter_mut().for_each(|x| *x = 0.0);
         use spmm_common::scalar::to_tf32;
         for k in 0..self.nnz() {

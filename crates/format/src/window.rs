@@ -180,7 +180,8 @@ impl WindowPartition {
     /// partition (e.g. an execution plan) can report the footprint
     /// without materializing a [`crate::BitTcf`].
     pub fn bittcf_index_bytes(&self) -> usize {
-        (self.nrows().div_ceil(TILE) + self.num_tc_blocks() * 11 + 2) * 4
+        use crate::BlockCodec;
+        crate::Bitmap::index_bytes(self.nrows(), self.num_tc_blocks(), self.nnz())
     }
 
     /// The paper's `MeanNNZTC` metric.

@@ -1,18 +1,19 @@
 //! Window-level bit-identity of the row-streamed TC core.
 //!
-//! `BitTcf::window_product` and `MeTcf::window_product` decode a window
-//! into per-row `(value, B row)` lists and accumulate each output row in
-//! one pass. The oracle is the dense-tile formulation they replace: for
+//! `TcMatrix::window_product` decodes a window into per-row
+//! `(value, B row)` lists and accumulates each output row in one pass. The oracle is the dense-tile formulation they replace: for
 //! every block of the window, `decompress_block` into an 8×8 tile, gather
 //! the block's raw B rows (zeros for padded columns) and apply the
 //! re-rounding scalar `tf32_mma_8x8`. Every available ISA tier must match
 //! it bitwise (NaN positions exactly; payloads are unspecified), for
-//! pre-rounded and raw formats alike.
+//! pre-rounded and raw formats alike, for both block codecs.
 
 use spmm_common::scalar::tf32_mma_8x8;
 use spmm_common::util::splitmix64;
 use spmm_common::IsaTier;
-use spmm_format::{BStage, BitTcf, MeTcf, WindowPairs, PAD_COL, TILE};
+use spmm_format::{
+    BStage, BitTcf, Bitmap, BlockCodec, LocalIds, TcMatrix, WindowPairs, PAD_COL, TILE,
+};
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 
 /// Tiers runnable on this host, logging every skip.
@@ -29,86 +30,13 @@ fn available_tiers() -> Vec<IsaTier> {
         .collect()
 }
 
-/// The two block formats under one interface.
-trait Window {
-    fn num_windows(&self) -> usize;
-    fn window_rows(&self, w: usize) -> usize;
-    fn blocks(&self, w: usize) -> std::ops::Range<usize>;
-    fn tile(&self, blk: usize) -> [f32; TILE * TILE];
-    fn cols(&self, blk: usize) -> &[u32];
-    fn product(
-        &self,
-        w: usize,
-        stage: &BStage,
-        pairs: &mut WindowPairs,
-        out: &mut [f32],
-        t: IsaTier,
-    );
-}
-
-impl Window for BitTcf {
-    fn num_windows(&self) -> usize {
-        BitTcf::num_windows(self)
-    }
-    fn window_rows(&self, w: usize) -> usize {
-        BitTcf::window_rows(self, w)
-    }
-    fn blocks(&self, w: usize) -> std::ops::Range<usize> {
-        self.window_blocks(w)
-    }
-    fn tile(&self, blk: usize) -> [f32; TILE * TILE] {
-        self.decompress_block(blk)
-    }
-    fn cols(&self, blk: usize) -> &[u32] {
-        self.block_cols(blk)
-    }
-    fn product(
-        &self,
-        w: usize,
-        stage: &BStage,
-        pairs: &mut WindowPairs,
-        out: &mut [f32],
-        t: IsaTier,
-    ) {
-        self.window_product(w, stage, pairs, out, t)
-    }
-}
-
-impl Window for MeTcf {
-    fn num_windows(&self) -> usize {
-        MeTcf::num_windows(self)
-    }
-    fn window_rows(&self, w: usize) -> usize {
-        MeTcf::window_rows(self, w)
-    }
-    fn blocks(&self, w: usize) -> std::ops::Range<usize> {
-        self.window_blocks(w)
-    }
-    fn tile(&self, blk: usize) -> [f32; TILE * TILE] {
-        self.decompress_block(blk)
-    }
-    fn cols(&self, blk: usize) -> &[u32] {
-        &self.sparse_a_to_b[blk * TILE..(blk + 1) * TILE]
-    }
-    fn product(
-        &self,
-        w: usize,
-        stage: &BStage,
-        pairs: &mut WindowPairs,
-        out: &mut [f32],
-        t: IsaTier,
-    ) {
-        self.window_product(w, stage, pairs, out, t)
-    }
-}
-
 /// Window `w` by the dense-tile oracle: `TILE` rows of `b.ncols()`.
-fn oracle_window(f: &impl Window, w: usize, b: &DenseMatrix) -> Vec<f32> {
+fn oracle_window<C: BlockCodec>(f: &TcMatrix<C>, w: usize, b: &DenseMatrix) -> Vec<f32> {
     let n = b.ncols();
     let mut ctile = vec![0.0f32; TILE * n];
     let mut btile = vec![0.0f32; TILE * n];
-    for blk in f.blocks(w) {
-        for (i, &col) in f.cols(blk).iter().enumerate() {
+    for blk in f.window_blocks(w) {
+        for (i, &col) in f.block_cols(blk).iter().enumerate() {
             let dst = &mut btile[i * n..(i + 1) * n];
             if col == PAD_COL {
                 dst.fill(0.0);
@@ -116,14 +44,14 @@ fn oracle_window(f: &impl Window, w: usize, b: &DenseMatrix) -> Vec<f32> {
                 dst.copy_from_slice(b.row(col as usize));
             }
         }
-        tf32_mma_8x8(&f.tile(blk), &btile, &mut ctile, n);
+        tf32_mma_8x8(&f.decompress_block(blk), &btile, &mut ctile, n);
     }
     ctile
 }
 
 /// Every window of `f` on every tier against the oracle. The output
 /// buffer starts dirty, so a row the product failed to overwrite shows.
-fn assert_windows_match(f: &impl Window, b: &DenseMatrix, what: &str) {
+fn assert_windows_match<C: BlockCodec>(f: &TcMatrix<C>, b: &DenseMatrix, what: &str) {
     let n = b.ncols();
     for tier in available_tiers() {
         let mut stage = BStage::new();
@@ -133,12 +61,13 @@ fn assert_windows_match(f: &impl Window, b: &DenseMatrix, what: &str) {
             let want = oracle_window(f, w, b);
             let rows = f.window_rows(w);
             let mut got = vec![f32::from_bits(0x7FC0_1234); TILE * n];
-            f.product(w, &stage, &mut pairs, &mut got, tier);
+            f.window_product(w, &stage, &mut pairs, &mut got, tier);
             for (k, (&g, &e)) in got[..rows * n].iter().zip(&want).enumerate() {
                 assert!(
                     g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan()),
-                    "{what}, tier '{tier}', n={n}, window {w}, row {}, col {}: \
+                    "{what} {}, tier '{tier}', n={n}, window {w}, row {}, col {}: \
                      {g:?} ({:#010x}) vs {e:?} ({:#010x})",
+                    C::NAME,
                     k / n,
                     k % n,
                     g.to_bits(),
@@ -186,17 +115,18 @@ fn messy_dense(nrows: usize, ncols: usize, seed: u64) -> DenseMatrix {
     })
 }
 
+/// The identity check for one codec: raw and pre-rounded matrices.
+fn check_codec<C: BlockCodec>(m: &CsrMatrix, b: &DenseMatrix, what: &str) {
+    let raw = TcMatrix::<C>::from_csr(m);
+    assert_windows_match(&raw, b, &format!("{what} raw"));
+    let mut pre = raw;
+    pre.preround_values_tier(IsaTier::probe());
+    assert_windows_match(&pre, b, &format!("{what} pre-rounded"));
+}
+
 fn both_formats(m: &CsrMatrix, b: &DenseMatrix, what: &str) {
-    let bit = BitTcf::from_csr(m);
-    let me = MeTcf::from_csr(m);
-    assert_windows_match(&bit, b, &format!("{what} BitTCF raw"));
-    assert_windows_match(&me, b, &format!("{what} ME-TCF raw"));
-    let mut bit_pre = bit.clone();
-    bit_pre.preround_values();
-    let mut me_pre = me.clone();
-    me_pre.preround_values();
-    assert_windows_match(&bit_pre, b, &format!("{what} BitTCF pre-rounded"));
-    assert_windows_match(&me_pre, b, &format!("{what} ME-TCF pre-rounded"));
+    check_codec::<Bitmap>(m, b, what);
+    check_codec::<LocalIds>(m, b, what);
 }
 
 #[test]

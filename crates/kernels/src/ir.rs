@@ -430,8 +430,8 @@ impl PlanIr {
         section.clear();
         match &self.format {
             Some(TcFormat::Tcf(f)) => format_io::write_tcf(&mut section, f)?,
-            Some(TcFormat::MeTcf(f)) => format_io::write_metcf(&mut section, f)?,
-            Some(TcFormat::BitTcf(f)) => format_io::write_bittcf(&mut section, f)?,
+            Some(TcFormat::MeTcf(f)) => format_io::write_tc_matrix(&mut section, f)?,
+            Some(TcFormat::BitTcf(f)) => format_io::write_tc_matrix(&mut section, f)?,
             None => {}
         }
         write_section(&mut w, &section)?;
@@ -573,21 +573,16 @@ impl PlanIr {
                     .map_err(|e| artifact("format", &e))?,
             )),
             FormatChoice::MeTcf => Some(TcFormat::MeTcf(
-                format_io::read_metcf(csr_reader(&format_bytes))
+                format_io::read_tc_matrix(csr_reader(&format_bytes))
                     .map_err(|e| artifact("format", &e))?,
             )),
             FormatChoice::BitTcf => Some(TcFormat::BitTcf(
-                format_io::read_bittcf(csr_reader(&format_bytes))
+                format_io::read_tc_matrix(csr_reader(&format_bytes))
                     .map_err(|e| artifact("format", &e))?,
             )),
         };
         if let Some(f) = &format {
-            let (fr, fc) = match f {
-                TcFormat::Tcf(f) => (f.nrows(), f.ncols()),
-                TcFormat::MeTcf(f) => (f.nrows(), f.ncols()),
-                TcFormat::BitTcf(f) => (f.nrows(), f.ncols()),
-            };
-            if fr != csr.nrows() || fc != csr.ncols() {
+            if f.dims() != (csr.nrows(), csr.ncols()) {
                 return Err(PlanLoadError::ArtifactInvalid {
                     section: "format",
                     detail: "format dimensions disagree with the stored operand".into(),
@@ -1147,14 +1142,8 @@ impl PlanLoader {
         self.validate(&ir)?;
         let spec = StageSpec::for_kernel(ir.kind, &ir.config);
         let partition = ir.format.as_ref().map(|_| WindowPartition::build(&ir.csr));
-        if let Some(wp) = &partition {
-            let format_blocks = match ir.format.as_ref() {
-                Some(TcFormat::Tcf(f)) => f.num_tc_blocks(),
-                Some(TcFormat::MeTcf(f)) => f.num_tc_blocks(),
-                Some(TcFormat::BitTcf(f)) => f.num_tc_blocks(),
-                None => unreachable!(),
-            };
-            if format_blocks != wp.num_tc_blocks() {
+        if let (Some(wp), Some(f)) = (&partition, &ir.format) {
+            if f.num_tc_blocks() != wp.num_tc_blocks() {
                 return Err(PlanLoadError::ArtifactInvalid {
                     section: "format",
                     detail: "format blocks disagree with the rebuilt window partition".into(),
@@ -1175,11 +1164,8 @@ impl PlanLoader {
             trace.isa_tier = isa_tier;
         }
         let mut format = ir.format;
-        match &mut format {
-            Some(TcFormat::Tcf(f)) => f.preround_values_tier(isa_tier),
-            Some(TcFormat::MeTcf(f)) => f.preround_values_tier(isa_tier),
-            Some(TcFormat::BitTcf(f)) => f.preround_values_tier(isa_tier),
-            None => {}
+        if let Some(f) = &mut format {
+            f.preround_values_tier(isa_tier);
         }
         let ctx = PlanContext {
             kind: ir.kind,

@@ -44,8 +44,8 @@ pub use workspace::{Workspace, WorkspacePool};
 
 use crate::workspace::ensure_staging;
 use spmm_balance::BalancePlan;
-use spmm_common::{Result, SpmmError};
-use spmm_format::{BitTcf, MeTcf, Tcf, TileScratch, WindowPartition};
+use spmm_common::{IsaTier, Result, SpmmError};
+use spmm_format::{BitTcf, BlockCodec, MeTcf, TcMatrix, Tcf, TileScratch, WindowPartition};
 use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::{Arch, KernelDesc, KernelReport, SimOptions};
 
@@ -120,13 +120,52 @@ pub enum TcFormat {
     BitTcf(BitTcf),
 }
 
+/// Run `$body` with `$f` bound to whichever format `$format` holds.
+macro_rules! with_format {
+    ($format:expr, $f:ident => $body:expr) => {
+        match $format {
+            TcFormat::Tcf($f) => $body,
+            TcFormat::MeTcf($f) => $body,
+            TcFormat::BitTcf($f) => $body,
+        }
+    };
+}
+
 impl TcFormat {
+    /// Rows and columns of the represented operand.
+    pub fn dims(&self) -> (usize, usize) {
+        with_format!(self, f => (f.nrows(), f.ncols()))
+    }
+
+    /// Number of TC blocks.
+    pub fn num_tc_blocks(&self) -> usize {
+        with_format!(self, f => f.num_tc_blocks())
+    }
+
     /// Index-structure footprint in bytes of the held format.
     pub fn index_bytes(&self) -> usize {
+        with_format!(self, f => f.index_bytes())
+    }
+
+    /// Round the held values to TF32 once (idempotent, so execution
+    /// stays bit-identical).
+    pub fn preround_values_tier(&mut self, tier: IsaTier) {
+        with_format!(self, f => f.preround_values_tier(tier))
+    }
+
+    /// The held format with the `touched` windows re-encoded from
+    /// `m_new` and `wp_new`, every other window copied (see
+    /// [`TcMatrix::rebuild_windows`]).
+    pub fn rebuild_windows(
+        &self,
+        m_new: &CsrMatrix,
+        wp_new: &WindowPartition,
+        touched: &[bool],
+    ) -> TcFormat {
         match self {
-            TcFormat::Tcf(f) => f.index_bytes(),
-            TcFormat::MeTcf(f) => f.index_bytes(),
-            TcFormat::BitTcf(f) => f.index_bytes(),
+            TcFormat::Tcf(f) => TcFormat::Tcf(f.rebuild_windows(m_new, wp_new, touched)),
+            TcFormat::MeTcf(f) => TcFormat::MeTcf(f.rebuild_windows(m_new, wp_new, touched)),
+            TcFormat::BitTcf(f) => TcFormat::BitTcf(f.rebuild_windows(m_new, wp_new, touched)),
         }
     }
 }
@@ -390,18 +429,30 @@ impl PreparedKernel {
         // Symmetric mode needs a permuted copy of every B alive at once,
         // which defeats the batched window loop — fall back to the
         // per-RHS path (still sharing this worker's staging buffers).
-        let batched = !self.plan.symmetric()
-            && matches!(
-                self.plan.format(),
-                Some(TcFormat::BitTcf(_)) | Some(TcFormat::MeTcf(_))
-            );
-        if !batched {
-            for (b, out) in bs.iter().zip(outs.iter_mut()) {
-                self.execute_into_impl(b, out, ws, false)?;
+        match self.plan.format() {
+            Some(TcFormat::BitTcf(f)) if !self.plan.symmetric() => {
+                self.execute_group_batched(f, bs, outs, ws);
             }
-            return Ok(());
+            Some(TcFormat::MeTcf(f)) if !self.plan.symmetric() => {
+                self.execute_group_batched(f, bs, outs, ws);
+            }
+            _ => {
+                for (b, out) in bs.iter().zip(outs.iter_mut()) {
+                    self.execute_into_impl(b, out, ws, false)?;
+                }
+            }
         }
-        let nrows = self.csr().nrows();
+        Ok(())
+    }
+
+    /// The batched window loop over a TC-block format.
+    fn execute_group_batched<C: BlockCodec>(
+        &self,
+        f: &TcMatrix<C>,
+        bs: &[DenseMatrix],
+        outs: &mut [DenseMatrix],
+        ws: &mut Workspace,
+    ) {
         let total_n: usize = bs.iter().map(|b| b.ncols()).sum();
         let Workspace {
             tiles, batch_stage, ..
@@ -417,17 +468,11 @@ impl PreparedKernel {
         // each window write its rows directly in original order, skipping
         // the staging matrix the single-RHS path uses.
         let inv = self.plan.inv_perm();
-        let num_windows = nrows.div_ceil(spmm_format::TILE);
-        for w in 0..num_windows {
-            match self.plan.format() {
-                Some(TcFormat::BitTcf(f)) => f.window_product(w, batch_stage, pairs, ctiles, tier),
-                Some(TcFormat::MeTcf(f)) => f.window_product(w, batch_stage, pairs, ctiles, tier),
-                _ => unreachable!("batched path is TC-only"),
-            }
+        for w in 0..f.num_windows() {
+            f.window_product(w, batch_stage, pairs, ctiles, tier);
             let lo = w * spmm_format::TILE;
-            let hi = ((w + 1) * spmm_format::TILE).min(nrows);
             // ctiles row (r - lo) holds every RHS's row side by side.
-            for r in lo..hi {
+            for r in lo..lo + f.window_rows(w) {
                 let dst = inv.map_or(r, |inv| inv[r] as usize);
                 let crow = &ctiles[(r - lo) * total_n..(r - lo + 1) * total_n];
                 let mut off = 0;
@@ -438,7 +483,6 @@ impl PreparedKernel {
                 }
             }
         }
-        Ok(())
     }
 
     fn execute_into_impl(
@@ -531,27 +575,36 @@ fn spmm_dispatch(
     tiles: &mut TileScratch,
     parallel: bool,
 ) -> Result<()> {
-    match (plan.format(), parallel) {
-        // TC formats consume a TF32 pre-rounded B stage owned by the
-        // workspace scratch, so repeated multiplies re-round B into
-        // the same buffer instead of allocating (and the rounding
-        // happens once per multiply, not once per gathered element).
-        // The plan's compile-time SIMD tier drives both the staging
-        // round and the MMA cores (bit-identical across tiers).
-        (Some(TcFormat::Tcf(f)), _) => {
-            f.spmm_into_staged_tier(tiles.stage_b_tier(b, plan.isa_tier()), c, plan.isa_tier())
-        }
-        (Some(TcFormat::MeTcf(f)), true) => {
-            f.spmm_into_staged_tier(tiles.stage_b_tier(b, plan.isa_tier()), c, plan.isa_tier())
-        }
-        (Some(TcFormat::MeTcf(f)), false) => f.spmm_into_seq_tier(b, c, tiles, plan.isa_tier()),
-        (Some(TcFormat::BitTcf(f)), true) => {
-            f.spmm_into_staged_tier(tiles.stage_b_tier(b, plan.isa_tier()), c, plan.isa_tier())
-        }
-        (Some(TcFormat::BitTcf(f)), false) => f.spmm_into_seq_tier(b, c, tiles, plan.isa_tier()),
+    // TC formats consume a TF32 pre-rounded B stage owned by the
+    // workspace scratch, so repeated multiplies re-round B into the same
+    // buffer instead of allocating (and the rounding happens once per
+    // multiply, not once per gathered element). The plan's compile-time
+    // SIMD tier drives both the staging round and the MMA cores
+    // (bit-identical across tiers).
+    let tier = plan.isa_tier();
+    match plan.format() {
+        Some(TcFormat::Tcf(f)) => f.spmm_into_staged_tier(tiles.stage_b_tier(b, tier), c, tier),
+        Some(TcFormat::MeTcf(f)) => tc_matrix_spmm(f, b, c, tiles, parallel, tier),
+        Some(TcFormat::BitTcf(f)) => tc_matrix_spmm(f, b, c, tiles, parallel, tier),
         // CUDA-core kernels are FP32 FMA — no operand rounding.
-        (None, true) => plan.csr().spmm_dense_into(b, c),
-        (None, false) => plan.csr().spmm_dense_into_seq(b, c),
+        None if parallel => plan.csr().spmm_dense_into(b, c),
+        None => plan.csr().spmm_dense_into_seq(b, c),
+    }
+}
+
+/// A TC-block format's window-parallel or window-sequential SpMM.
+fn tc_matrix_spmm<C: BlockCodec>(
+    f: &TcMatrix<C>,
+    b: &DenseMatrix,
+    c: &mut DenseMatrix,
+    tiles: &mut TileScratch,
+    parallel: bool,
+    tier: IsaTier,
+) -> Result<()> {
+    if parallel {
+        f.spmm_into_staged_tier(tiles.stage_b_tier(b, tier), c, tier)
+    } else {
+        f.spmm_into_seq_tier(b, c, tiles, tier)
     }
 }
 

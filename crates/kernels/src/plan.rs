@@ -258,11 +258,7 @@ impl PlanStage for FormatBuildStage {
         // time is bit-identical (idempotent) and turns every block
         // multiply into a pure mul-add. Plan-owned formats are execution
         // artifacts, so the lossy in-place rounding is safe here.
-        match &mut format {
-            TcFormat::Tcf(f) => f.preround_values_tier(ctx.isa_tier),
-            TcFormat::MeTcf(f) => f.preround_values_tier(ctx.isa_tier),
-            TcFormat::BitTcf(f) => f.preround_values_tier(ctx.isa_tier),
-        }
+        format.preround_values_tier(ctx.isa_tier);
         ctx.format = Some(format);
         ctx.partition = Some(wp);
         Ok(())
@@ -314,36 +310,22 @@ impl PlanStage for CompileStage {
             KernelKind::CusparseLike => scalar::cusparse_trace(&ctx.csr, ctx.feature_dim),
             KernelKind::SputnikLike => scalar::sputnik_trace(&ctx.csr, ctx.feature_dim),
             KernelKind::SparseTirLike => scalar::sparsetir_trace(&ctx.csr, ctx.feature_dim),
-            KernelKind::TcGnn => tc::tcgnn_trace(
-                match ctx.format.as_ref() {
-                    Some(TcFormat::Tcf(f)) => f,
-                    _ => return Err(missing_artifact("TcGnn", "Tcf format")),
-                },
-                ctx.balance
+            kind @ (KernelKind::TcGnn | KernelKind::DtcSpmm | KernelKind::AccSpmm) => {
+                let kernel = format!("{kind:?}");
+                let format = ctx
+                    .format
                     .as_ref()
-                    .ok_or_else(|| missing_artifact("TcGnn", "balance plan"))?,
-                ctx.feature_dim,
-            ),
-            KernelKind::DtcSpmm => tc::dtc_trace(
-                match ctx.format.as_ref() {
-                    Some(TcFormat::MeTcf(f)) => f,
-                    _ => return Err(missing_artifact("DtcSpmm", "MeTcf format")),
-                },
-                ctx.balance
+                    .ok_or_else(|| missing_artifact(&kernel, "TC format"))?;
+                let balance = ctx
+                    .balance
                     .as_ref()
-                    .ok_or_else(|| missing_artifact("DtcSpmm", "balance plan"))?,
-                ctx.feature_dim,
-            ),
-            KernelKind::AccSpmm => tc::acc_trace(
-                ctx.format
-                    .as_ref()
-                    .ok_or_else(|| missing_artifact("AccSpmm", "TC format"))?,
-                ctx.balance
-                    .as_ref()
-                    .ok_or_else(|| missing_artifact("AccSpmm", "balance plan"))?,
-                ctx.feature_dim,
-                &ctx.config,
-            ),
+                    .ok_or_else(|| missing_artifact(&kernel, "balance plan"))?;
+                match kind {
+                    KernelKind::TcGnn => tc::tcgnn_trace(format, balance, ctx.feature_dim),
+                    KernelKind::DtcSpmm => tc::dtc_trace(format, balance, ctx.feature_dim),
+                    _ => tc::acc_trace(format, balance, ctx.feature_dim, &ctx.config),
+                }
+            }
             KernelKind::Auto => {
                 return Err(SpmmError::InvalidConfig(
                     "KernelKind::Auto must be resolved to a concrete kernel before plan build"

@@ -19,7 +19,7 @@ use crate::acc::AccConfig;
 use crate::plan::{
     BalanceStage, CompileStage, ExecutionPlan, FormatChoice, PlanStage, StageTiming,
 };
-use crate::{KernelKind, TcFormat};
+use crate::KernelKind;
 use spmm_common::{Result, SpmmError};
 use spmm_delta::DeltaCsr;
 use spmm_format::TILE;
@@ -144,21 +144,14 @@ impl ExecutionPlan {
         }
         report.windows_rebuilt = touched.iter().filter(|&&t| t).count();
         let wp_new = wp_old.rebuild(&permuted, &touched);
-        let mut format = match self.format().expect("TC plans always hold a format") {
-            TcFormat::Tcf(f) => TcFormat::Tcf(f.rebuild_windows(&permuted, &wp_new, &touched)),
-            TcFormat::MeTcf(f) => TcFormat::MeTcf(f.rebuild_windows(&permuted, &wp_new, &touched)),
-            TcFormat::BitTcf(f) => {
-                TcFormat::BitTcf(f.rebuild_windows(&permuted, &wp_new, &touched))
-            }
-        };
+        let mut format = self
+            .format()
+            .expect("TC plans always hold a format")
+            .rebuild_windows(&permuted, &wp_new, &touched);
         // Splicing mixes pre-rounded (untouched) and raw (rebuilt)
         // values; one idempotent pass re-unifies, bit-identical to
         // rounding a scratch build.
-        match &mut format {
-            TcFormat::Tcf(f) => f.preround_values_tier(ctx.isa_tier),
-            TcFormat::MeTcf(f) => f.preround_values_tier(ctx.isa_tier),
-            TcFormat::BitTcf(f) => f.preround_values_tier(ctx.isa_tier),
-        }
+        format.preround_values_tier(ctx.isa_tier);
         ctx.csr = permuted;
         ctx.partition = Some(wp_new);
         ctx.format = Some(format);
@@ -211,6 +204,7 @@ pub fn build_then_repair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TcFormat;
     use spmm_matrix::gen::uniform_random;
     use spmm_matrix::DenseMatrix;
     use spmm_sim::Arch;
@@ -308,7 +302,7 @@ mod tests {
         assert_eq!(a.row_window_offset, b.row_window_offset);
         assert_eq!(a.tc_offset, b.tc_offset);
         assert_eq!(a.sparse_a_to_b, b.sparse_a_to_b);
-        assert_eq!(a.tc_local_bit, b.tc_local_bit);
+        assert_eq!(a.positions, b.positions);
         assert_eq!(a.is_prerounded(), b.is_prerounded());
         assert_eq!(
             a.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

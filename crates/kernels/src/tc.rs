@@ -14,7 +14,7 @@
 use crate::acc::AccConfig;
 use crate::TcFormat;
 use spmm_balance::BalancePlan;
-use spmm_format::{BitTcf, MeTcf, Tcf, TILE};
+use spmm_format::{BlockCodec, TcMatrix, Tcf, TILE};
 use spmm_sim::{BlockTrace, CachePolicy, KernelDesc, PipelineKind, TbTrace};
 
 /// Achieved bandwidth fractions of the TC implementations.
@@ -71,20 +71,11 @@ fn strip_pad(cols: &[u32]) -> Vec<u32> {
     cols.iter().copied().filter(|&c| c != u32::MAX).collect()
 }
 
-fn bittcf_blocks(f: &BitTcf) -> Vec<BlockInfo> {
+fn tc_matrix_blocks<C: BlockCodec>(f: &TcMatrix<C>) -> Vec<BlockInfo> {
     (0..f.num_tc_blocks())
         .map(|b| BlockInfo {
             cols: strip_pad(f.block_cols(b)),
             nnz: f.block_nnz(b) as u32,
-        })
-        .collect()
-}
-
-fn metcf_blocks(f: &MeTcf) -> Vec<BlockInfo> {
-    (0..f.num_tc_blocks())
-        .map(|b| BlockInfo {
-            cols: strip_pad(&f.sparse_a_to_b[b * TILE..(b + 1) * TILE]),
-            nnz: f.tc_offset[b + 1] - f.tc_offset[b],
         })
         .collect()
 }
@@ -154,37 +145,52 @@ fn build_tbs(
         .collect()
 }
 
-/// TC-GNN trace: TCF format, one TB per window, synchronous pipeline,
-/// default cache behaviour.
-pub fn tcgnn_trace(f: &Tcf, plan: &BalancePlan, feature_dim: usize) -> KernelDesc {
-    let infos = tcf_blocks(f);
+/// The trace every TC kernel shares: the format's blocks scheduled by
+/// `plan`, run with the kernel's pipeline, cache policy and achieved
+/// bandwidth fraction.
+fn tc_desc(
+    format: &TcFormat,
+    plan: &BalancePlan,
+    feature_dim: usize,
+    pipeline: PipelineKind,
+    policy: CachePolicy,
+    mem_efficiency: f64,
+) -> KernelDesc {
+    let (infos, cost) = match format {
+        TcFormat::BitTcf(f) => (tc_matrix_blocks(f), FormatCost::BitTcf),
+        TcFormat::MeTcf(f) => (tc_matrix_blocks(f), FormatCost::MeTcf),
+        TcFormat::Tcf(f) => (tcf_blocks(f), FormatCost::Tcf),
+    };
+    let nnz: u64 = infos.iter().map(|b| b.nnz as u64).sum();
     KernelDesc {
-        tbs: build_tbs(&infos, plan, f.nrows(), feature_dim, FormatCost::Tcf),
-        pipeline: PipelineKind::TcgnnSync,
-        policy: CachePolicy::hardware_default(),
-        mem_efficiency: TCGNN_MEM_EFF,
+        tbs: build_tbs(&infos, plan, format.dims().0, feature_dim, cost),
+        pipeline,
+        policy,
+        mem_efficiency,
         use_tensor_cores: true,
         feature_dim,
-        effective_flops: 2 * f.nnz() as u64 * feature_dim as u64,
+        effective_flops: 2 * nnz * feature_dim as u64,
         arch_boost: 1.0,
+        // Placeholder; the plan compile stage stamps the resolved tier.
         isa_tier: spmm_common::IsaTier::Scalar,
     }
 }
 
-/// DTC-SpMM trace: ME-TCF, DTC double-buffer pipeline, DTC balancing.
-pub fn dtc_trace(f: &MeTcf, plan: &BalancePlan, feature_dim: usize) -> KernelDesc {
-    let infos = metcf_blocks(f);
-    KernelDesc {
-        tbs: build_tbs(&infos, plan, f.nrows(), feature_dim, FormatCost::MeTcf),
-        pipeline: PipelineKind::DtcDoubleBuffer,
-        policy: CachePolicy::hardware_default(),
-        mem_efficiency: DTC_MEM_EFF,
-        use_tensor_cores: true,
-        feature_dim,
-        effective_flops: 2 * f.nnz() as u64 * feature_dim as u64,
-        arch_boost: 1.0,
-        isa_tier: spmm_common::IsaTier::Scalar,
-    }
+/// TC-GNN trace (over TCF): one TB per window, synchronous pipeline,
+/// default cache behaviour.
+pub fn tcgnn_trace(format: &TcFormat, plan: &BalancePlan, feature_dim: usize) -> KernelDesc {
+    let (pipeline, policy) = (PipelineKind::TcgnnSync, CachePolicy::hardware_default());
+    tc_desc(format, plan, feature_dim, pipeline, policy, TCGNN_MEM_EFF)
+}
+
+/// DTC-SpMM trace (over ME-TCF): DTC double-buffer pipeline, DTC
+/// balancing.
+pub fn dtc_trace(format: &TcFormat, plan: &BalancePlan, feature_dim: usize) -> KernelDesc {
+    let (pipeline, policy) = (
+        PipelineKind::DtcDoubleBuffer,
+        CachePolicy::hardware_default(),
+    );
+    tc_desc(format, plan, feature_dim, pipeline, policy, DTC_MEM_EFF)
 }
 
 /// Acc-SpMM trace, honouring the ablation configuration.
@@ -194,41 +200,24 @@ pub fn acc_trace(
     feature_dim: usize,
     config: &AccConfig,
 ) -> KernelDesc {
-    let (infos, nrows, nnz, cost) = match format {
-        TcFormat::BitTcf(f) => (bittcf_blocks(f), f.nrows(), f.nnz(), FormatCost::BitTcf),
-        TcFormat::MeTcf(f) => (metcf_blocks(f), f.nrows(), f.nnz(), FormatCost::MeTcf),
-        TcFormat::Tcf(f) => (tcf_blocks(f), f.nrows(), f.nnz(), FormatCost::Tcf),
+    let pipeline = if config.acc_pipeline {
+        PipelineKind::AccLeastBubble
+    } else {
+        PipelineKind::DtcDoubleBuffer
     };
-    KernelDesc {
-        tbs: build_tbs(&infos, plan, nrows, feature_dim, cost),
-        pipeline: if config.acc_pipeline {
-            PipelineKind::AccLeastBubble
-        } else {
-            PipelineKind::DtcDoubleBuffer
-        },
-        policy: if config.cache_policy {
-            CachePolicy::acc_policy()
-        } else {
-            CachePolicy::hardware_default()
-        },
-        mem_efficiency: if config.cache_policy {
-            ACC_MEM_EFF
-        } else {
-            DTC_MEM_EFF
-        },
-        use_tensor_cores: true,
-        feature_dim,
-        effective_flops: 2 * nnz as u64 * feature_dim as u64,
-        arch_boost: 1.0,
-        // Placeholder; the plan compile stage stamps the resolved tier.
-        isa_tier: spmm_common::IsaTier::Scalar,
-    }
+    let (policy, mem_efficiency) = if config.cache_policy {
+        (CachePolicy::acc_policy(), ACC_MEM_EFF)
+    } else {
+        (CachePolicy::hardware_default(), DTC_MEM_EFF)
+    };
+    tc_desc(format, plan, feature_dim, pipeline, policy, mem_efficiency)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spmm_balance::{plan as make_plan, BalanceStrategy, ModelParams, PerfModel};
+    use spmm_format::{BitTcf, MeTcf};
     use spmm_matrix::gen::uniform_random;
 
     fn model(n: usize) -> PerfModel {
@@ -243,8 +232,8 @@ mod tests {
     #[test]
     fn all_formats_agree_on_block_infos() {
         let m = uniform_random(256, 8.0, 1);
-        let bit = bittcf_blocks(&BitTcf::from_csr(&m));
-        let me = metcf_blocks(&MeTcf::from_csr(&m));
+        let bit = tc_matrix_blocks(&BitTcf::from_csr(&m));
+        let me = tc_matrix_blocks(&MeTcf::from_csr(&m));
         let tcf = tcf_blocks(&Tcf::from_csr(&m));
         assert_eq!(bit.len(), me.len());
         assert_eq!(bit.len(), tcf.len());

@@ -4,9 +4,15 @@
 //! and subnormals spliced into the operand values — and corrupted
 //! containers must be rejected with typed errors, never mis-loaded.
 
+#[path = "../../format/tests/golden/matrix.rs"]
+mod golden;
+
 use proptest::prelude::*;
 use spmm_common::{PlanLoadError, SpmmError};
-use spmm_kernels::{AccConfig, ExecutionPlan, KernelKind, PlanIr, PlanLoader, PreparedKernel};
+use spmm_format::io::write_tc_matrix;
+use spmm_kernels::{
+    AccConfig, ExecutionPlan, KernelKind, PlanIr, PlanLoader, PreparedKernel, TcFormat,
+};
 use spmm_matrix::{gen, CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
@@ -303,4 +309,91 @@ fn pinned_unavailable_isa_tier_is_a_build_error() {
         matches!(err, SpmmError::InvalidConfig(_)),
         "expected InvalidConfig, got {err:?}"
     );
+}
+
+#[test]
+fn a_corrupted_format_column_fails_to_load_instead_of_panicking_on_use() {
+    // One gather column of the format blob points past the operand: the
+    // block count still matches the rebuilt partition, so only the
+    // format reader's column check stands between this plan and an
+    // out-of-bounds B row on the first multiply.
+    let m = gen::uniform_random(64, 4.0, 6);
+    for (kind, column) in [
+        (KernelKind::AccSpmm, 1_000_000),
+        (KernelKind::DtcSpmm, u32::MAX - 1),
+    ] {
+        let mut ir = build_plan(kind, &m, 8).to_ir();
+        match ir.format.as_mut() {
+            Some(TcFormat::BitTcf(f)) => f.sparse_a_to_b[0] = column,
+            Some(TcFormat::MeTcf(f)) => f.sparse_a_to_b[0] = column,
+            other => panic!("{kind:?}: unexpected format {other:?}"),
+        }
+        let bytes = ir.to_bytes().unwrap();
+        let err = PlanLoader::new()
+            .read(std::io::Cursor::new(&bytes))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpmmError::PlanLoad(PlanLoadError::ArtifactInvalid {
+                    section: "format",
+                    ..
+                })
+            ),
+            "{kind:?}: expected a format ArtifactInvalid, got {err:?}"
+        );
+    }
+}
+
+/// The format blob of a plan-held TC-block format.
+fn tc_format_bytes(f: &TcFormat) -> Vec<u8> {
+    let mut buf = Vec::new();
+    match f {
+        TcFormat::BitTcf(f) => write_tc_matrix(&mut buf, f).unwrap(),
+        TcFormat::MeTcf(f) => write_tc_matrix(&mut buf, f).unwrap(),
+        TcFormat::Tcf(_) => unreachable!("no golden TCF plan"),
+    }
+    buf
+}
+
+#[test]
+fn golden_plans_load_and_multiply_like_fresh_builds() {
+    // `golden/` holds an AccSpmm and a DtcSpmm plan saved (feature dim
+    // 16, A800, full config) before BitTCF and ME-TCF became one generic
+    // type. They must still load, carry the format a fresh build makes,
+    // and multiply bit-identically to it.
+    let m = golden::golden_matrix();
+    let b = DenseMatrix::from_fn(m.ncols(), 16, |r, c| {
+        ((r * 16 + c) as f32 * 0.173_205).sin() * 2.5
+    });
+    for (kind, name) in [
+        (KernelKind::AccSpmm, "accspmm.plan"),
+        (KernelKind::DtcSpmm, "dtcspmm.plan"),
+    ] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name);
+        let loaded = PlanLoader::new()
+            .expect_kind(kind)
+            .expect_arch(Arch::A800)
+            .expect_fingerprint(m.content_fingerprint())
+            .expect_feature_dim(16)
+            .expect_config(AccConfig::full())
+            .load(&path)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let fresh = build_plan(kind, &m, 16);
+        assert_eq!(loaded.perm(), fresh.perm(), "{name}");
+        assert_eq!(
+            tc_format_bytes(loaded.format().unwrap()),
+            tc_format_bytes(fresh.format().unwrap()),
+            "{name}: format blob"
+        );
+        let want = PreparedKernel::from_plan(fresh).execute(&b).unwrap();
+        let got = PreparedKernel::from_plan(loaded).execute(&b).unwrap();
+        assert!(
+            got.as_slice().iter().any(|v| v.is_nan()),
+            "{name}: NaN reaches C"
+        );
+        assert_bits_identical(&want, &got, kind);
+    }
 }

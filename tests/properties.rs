@@ -110,7 +110,7 @@ proptest! {
         let t = BitTcf::from_csr(&m);
         let mut total = 0usize;
         for b in 0..t.num_tc_blocks() {
-            let pop = t.tc_local_bit[b].count_ones();
+            let pop = t.positions[b].count_ones();
             prop_assert_eq!(pop, t.tc_offset[b + 1] - t.tc_offset[b]);
             total += pop as usize;
         }
@@ -245,7 +245,7 @@ proptest! {
     fn bittcf_loader_never_panics_on_garbage(
         bytes in proptest::collection::vec(any::<u8>(), 0..256)
     ) {
-        let _ = spmm_format::io::read_bittcf(std::io::Cursor::new(bytes));
+        let _ = spmm_format::io::read_tc_matrix::<spmm_format::Bitmap, _>(std::io::Cursor::new(bytes));
     }
 
     #[test]
@@ -280,7 +280,8 @@ proptest! {
         prop_assert!(bits_equal(&c, &reference), "raw-format path diverged");
 
         // Pre-rounded format (the plan-compiled configuration).
-        t.preround_values();
+        let tier = spmm_common::IsaTier::probe();
+        t.preround_values_tier(tier);
         let mut c2 = DenseMatrix::zeros(m.nrows(), n);
         t.spmm_into(&b, &mut c2).unwrap();
         prop_assert!(bits_equal(&c2, &reference), "prerounded-format path diverged");
@@ -288,7 +289,7 @@ proptest! {
         // Sequential scratch path.
         let mut scratch = spmm_format::TileScratch::new();
         let mut c3 = DenseMatrix::zeros(m.nrows(), n);
-        t.spmm_into_seq(&b, &mut c3, &mut scratch).unwrap();
+        t.spmm_into_seq_tier(&b, &mut c3, &mut scratch, tier).unwrap();
         prop_assert!(bits_equal(&c3, &reference), "sequential path diverged");
     }
 
@@ -326,8 +327,8 @@ proptest! {
     fn bittcf_binary_roundtrip(m in arb_matrix(48, 160)) {
         let t = BitTcf::from_csr(&m);
         let mut buf = Vec::new();
-        spmm_format::io::write_bittcf(&mut buf, &t).unwrap();
-        let rt = spmm_format::io::read_bittcf(std::io::Cursor::new(buf)).unwrap();
+        spmm_format::io::write_tc_matrix(&mut buf, &t).unwrap();
+        let rt: BitTcf = spmm_format::io::read_tc_matrix(std::io::Cursor::new(buf)).unwrap();
         prop_assert_eq!(rt.to_csr(), m);
     }
 }
