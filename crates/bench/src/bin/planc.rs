@@ -66,9 +66,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--kernel" => {
                 let v = value("--kernel")?;
-                opts.kind = KernelKind::ALL
-                    .into_iter()
-                    .find(|&k| ir::kind_slug(k).eq_ignore_ascii_case(&v))
+                opts.kind = ir::kind_from_slug(&v.to_ascii_lowercase())
                     .ok_or_else(|| format!("unknown kernel '{v}'"))?;
             }
             "--dataset" => {

@@ -37,7 +37,7 @@ use spmm_balance::{ModelParams, PerfModel};
 use spmm_common::{IsaTier, Result, SpmmError};
 use spmm_delta::DeltaCsr;
 use spmm_engine::{PlanCache, PlanKey, PlanStore, Priority};
-use spmm_kernels::{AccConfig, DispatchPolicy, KernelKind, PreparedKernel, RepairReport};
+use spmm_kernels::{AccConfig, KernelKind, PreparedKernel, RepairReport};
 use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
@@ -139,11 +139,6 @@ impl<'a> DistBuilder<'a> {
         }
         let _span = spmm_trace::span("dist.build");
         let t0 = Instant::now();
-        // `Auto` resolves ONCE, on the full operand, before sharding: a
-        // shard's local density can never pick a different kernel than
-        // the unsharded plan would, and the shards then go through the
-        // ordinary cache and store path under the resolved kind.
-        let kind = DispatchPolicy::resolve(self.kind, self.a, self.feature_dim);
         let spec = self.arch.spec();
         let model = PerfModel::new(ModelParams {
             feature_dim: self.feature_dim,
@@ -171,7 +166,7 @@ impl<'a> DistBuilder<'a> {
             let sub = row_block(self.a, s.row_lo, s.row_hi);
             let key = PlanKey {
                 fingerprint: sub.content_fingerprint(),
-                kind,
+                kind: self.kind,
                 arch: self.arch,
                 feature_dim: self.feature_dim,
                 config: self.config,
@@ -181,7 +176,7 @@ impl<'a> DistBuilder<'a> {
             // through so the next coordinator ships instead of builds).
             let mut acquire = || -> Result<PreparedKernel> {
                 let fresh = || {
-                    PreparedKernel::builder(kind, &sub)
+                    PreparedKernel::builder(self.kind, &sub)
                         .arch(self.arch)
                         .feature_dim(self.feature_dim)
                         .config(self.config)
@@ -254,7 +249,7 @@ impl<'a> DistBuilder<'a> {
             nrows: self.a.nrows(),
             ncols: self.a.ncols(),
             feature_dim: self.feature_dim,
-            kind,
+            kind: self.kind,
             arch: self.arch,
             transport: self.transport,
             max_retries: self.max_retries,
@@ -449,8 +444,7 @@ impl DistSpmm {
         &self.plan.shards
     }
 
-    /// Kernel strategy every shard runs — concrete: an `Auto` request
-    /// reports the kind it resolved to on the full operand.
+    /// Kernel strategy every shard runs.
     pub fn kind(&self) -> KernelKind {
         self.kind
     }
@@ -1016,11 +1010,7 @@ mod tests {
             3,
         );
         let b = DenseMatrix::random(m.ncols(), 16, 7);
-        for kind in [
-            KernelKind::AccSpmm,
-            KernelKind::CusparseLike,
-            KernelKind::Auto,
-        ] {
+        for kind in [KernelKind::AccSpmm, KernelKind::CusparseLike] {
             let expect = reference(&m, kind, &b);
             for shards in [1, 2, 3, 4] {
                 let dist = DistSpmm::builder(kind, &m)
@@ -1028,11 +1018,6 @@ mod tests {
                     .feature_dim(16)
                     .build()
                     .unwrap();
-                assert_ne!(
-                    dist.kind(),
-                    KernelKind::Auto,
-                    "Auto resolves before sharding"
-                );
                 let got = dist.multiply(&b).unwrap();
                 assert_eq!(
                     got.as_slice()
@@ -1326,13 +1311,7 @@ mod tests {
     fn apply_delta_repairs_shards_and_stays_bit_identical() {
         let m = gen::uniform_random(512, 6.0, 41);
         let b = DenseMatrix::random(512, 16, 9);
-        // `Auto` resolves on the full operand, so its repaired shards
-        // must match a scratch `Auto` coordinator on the compacted one.
-        for kind in [
-            KernelKind::AccSpmm,
-            KernelKind::CusparseLike,
-            KernelKind::Auto,
-        ] {
+        for kind in [KernelKind::AccSpmm, KernelKind::CusparseLike] {
             let mut dist = DistSpmm::builder(kind, &m)
                 .shards(4)
                 .feature_dim(16)

@@ -90,9 +90,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use spmm_common::{Result, SpmmError};
-use spmm_kernels::{
-    AccConfig, DispatchPolicy, KernelKind, PreparedKernel, RepairReport, Workspace,
-};
+use spmm_kernels::{AccConfig, KernelKind, PreparedKernel, RepairReport, Workspace};
 use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
@@ -612,21 +610,15 @@ impl SessionBuilder<'_, '_> {
     /// Resolve the plan through the shared cache (building it at most
     /// once across all concurrent callers) and open the session.
     ///
-    /// [`KernelKind::Auto`] is resolved to a concrete kernel before the
-    /// [`PlanKey`] is formed, so an `Auto` session and a session that
-    /// names the resolved kernel share one cache entry and one store
-    /// artifact.
-    ///
     /// If a *tensor-core* plan fails to build, the session degrades to
     /// the scalar CSR path ([`KernelKind::CusparseLike`]) rather than
     /// failing — check [`Session::is_degraded`]. The degraded plan goes
     /// through the cache under its own key, so later sessions reuse it.
     pub fn open(self) -> Result<Session> {
         let fingerprint = self.a.content_fingerprint();
-        let kind = DispatchPolicy::resolve(self.kind, self.a, self.feature_dim);
         let key = PlanKey {
             fingerprint,
-            kind,
+            kind: self.kind,
             arch: self.arch,
             feature_dim: self.feature_dim,
             config: self.config,
@@ -638,14 +630,14 @@ impl SessionBuilder<'_, '_> {
                 .config(self.config)
                 .build()
         };
-        match self.engine.cache.get_or_build(key, || build(kind)) {
+        match self.engine.cache.get_or_build(key, || build(self.kind)) {
             Ok(plan) => Ok(Session {
                 engine: Arc::clone(self.engine),
                 key,
                 plan,
                 degraded: false,
             }),
-            Err(err) if kind.uses_tensor_cores() => {
+            Err(err) if self.kind.uses_tensor_cores() => {
                 // Graceful degradation: serve the request stream on the
                 // scalar CSR path instead of failing the client.
                 self.engine.metrics.bump(

@@ -539,78 +539,6 @@ fn install_writes_through_to_the_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn auto_sessions_cache_and_persist_like_any_kernel() {
-    let _serial = serial();
-    // `KernelKind::Auto` resolves before the plan key is formed, so an
-    // Auto session and a session naming the resolved kernel share one
-    // cache entry and one store artifact, and a warm restart that asks
-    // for Auto replays that artifact bit-identically.
-    let dir = store_dir("auto");
-    let a = graph(256, 12);
-    let b = DenseMatrix::random(256, 32, 6);
-
-    let cold = {
-        let engine = Engine::builder()
-            .workers(1)
-            .plan_store(&dir)
-            .build()
-            .unwrap();
-        let s1 = engine
-            .session(&a)
-            .kind(KernelKind::Auto)
-            .feature_dim(32)
-            .open()
-            .unwrap();
-        assert_eq!(
-            s1.key().kind,
-            KernelKind::AccSpmm,
-            "Auto keys as its resolved kind"
-        );
-        // Same operand, the resolved kind named explicitly: cache hit.
-        let s2 = engine
-            .session(&a)
-            .kind(KernelKind::AccSpmm)
-            .feature_dim(32)
-            .open()
-            .unwrap();
-        assert_eq!(s2.key(), s1.key());
-        let stats = engine.stats();
-        assert_eq!(stats.plan_builds, 1);
-        assert_eq!(stats.cache_hits, 1);
-        s1.multiply(&b).unwrap()
-    };
-
-    // Warm restart: the Auto session is a store hit on that artifact.
-    let engine = Engine::builder()
-        .workers(1)
-        .plan_store(&dir)
-        .build()
-        .unwrap();
-    let session = engine
-        .session(&a)
-        .kind(KernelKind::Auto)
-        .feature_dim(32)
-        .open()
-        .unwrap();
-    let warm = session.multiply(&b).unwrap();
-    let stats = engine.stats();
-    assert_eq!(stats.plan_builds, 0, "warm start must not rebuild");
-    assert_eq!(stats.store_hits, 1);
-    assert_eq!(
-        cold.as_slice()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>(),
-        warm.as_slice()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>(),
-        "rehydrated Auto plan must be bit-identical"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 // --- Dynamic-graph deltas --------------------------------------------------
 
 #[test]

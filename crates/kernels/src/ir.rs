@@ -54,10 +54,9 @@ const MAGIC: [u8; 4] = *b"SPIR";
 /// re-resolve it against the loading host (see [`PlanLoader::rehydrate`]).
 ///
 /// v4 dropped the hybrid-region section and the `num_regions` /
-/// `decision` header keys: `Auto` resolves to a concrete kernel before
-/// build, so every plan is a single-kernel plan and the header `kind`
-/// is never `"auto"`. v3 containers (which may nest region plans) are
-/// rejected with [`PlanLoadError::VersionMismatch`].
+/// `decision` header keys: every plan is a single-kernel plan. v3
+/// containers (which may nest region plans) are rejected with
+/// [`PlanLoadError::VersionMismatch`].
 pub const PLAN_IR_VERSION: u32 = 4;
 
 /// Sanity cap on section and array lengths.
@@ -137,13 +136,10 @@ pub fn kind_slug(k: KernelKind) -> &'static str {
         KernelKind::TcGnn => "tcgnn",
         KernelKind::DtcSpmm => "dtcspmm",
         KernelKind::AccSpmm => "accspmm",
-        KernelKind::Auto => "auto",
     }
 }
 
-/// Inverse of [`kind_slug`] over the six concrete kernels. `"auto"` does
-/// not parse: no built plan, stored artifact or policy rule carries
-/// `Auto`, so the slug only ever names a request, never a kernel.
+/// Inverse of [`kind_slug`].
 pub fn kind_from_slug(s: &str) -> Option<KernelKind> {
     KernelKind::ALL.into_iter().find(|&k| kind_slug(k) == s)
 }
@@ -280,8 +276,7 @@ pub fn acc_config_hash(c: &AccConfig) -> u64 {
 /// [`ExecutionPlan`] without re-running the pipeline.
 #[derive(Debug, Clone)]
 pub struct PlanIr {
-    /// Kernel strategy the plan compiles (always concrete, never
-    /// [`KernelKind::Auto`]).
+    /// Kernel strategy the plan compiles.
     pub kind: KernelKind,
     /// Architecture the balance schedule and trace were compiled for.
     pub arch: Arch,
@@ -763,7 +758,7 @@ impl Header {
         let slug = hdr_str(h, "kind")?;
         let kind = kind_from_slug(slug).ok_or_else(|| {
             SpmmError::from(PlanLoadError::NotPlanIr {
-                detail: format!("header kind '{slug}' is not a concrete kernel"),
+                detail: format!("header kind '{slug}' is not a known kernel"),
             })
         })?;
         let arch = Arch::parse(hdr_str(h, "arch")?).ok_or_else(|| missing("arch"))?;

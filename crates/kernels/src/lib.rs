@@ -25,9 +25,11 @@
 //! | TC-GNN | TC | TCF | SGT (identity) | synchronous | per-window |
 //! | DTC-SpMM | TC | ME-TCF | DTC-LSH | Fig 5a double buffer | DTC split |
 //! | Acc-SpMM | TC | BitTCF | data-affinity | Fig 5b least-bubble | adaptive |
+//!
+//! The caller always names the [`KernelKind`]; there is no automatic
+//! choice among the six (the paper ships Acc-SpMM for every matrix).
 
 pub mod acc;
-pub mod dispatch;
 pub mod ir;
 pub mod plan;
 pub mod repair;
@@ -36,7 +38,6 @@ pub mod tc;
 pub mod workspace;
 
 pub use acc::AccConfig;
-pub use dispatch::{DispatchPolicy, MatrixFeatures, PolicyRule, RuleBounds, POLICY_SCHEMA_VERSION};
 pub use ir::{acc_config_hash, PlanIr, PlanLoader, PLAN_IR_VERSION};
 pub use plan::{ExecutionPlan, FormatChoice, PlanContext, PlanStage, StageSpec, StageTiming};
 pub use repair::{build_then_repair, RepairReport};
@@ -64,17 +65,10 @@ pub enum KernelKind {
     DtcSpmm,
     /// Acc-SpMM (this paper).
     AccSpmm,
-    /// Density-adaptive choice: before any plan is built, the committed
-    /// autotuner policy resolves `Auto` to one concrete kernel from the
-    /// matrix's features ([`DispatchPolicy::resolve`]). Plans never carry
-    /// `Auto` — they report the resolved kind — and it is not a seventh
-    /// kernel, so it is deliberately absent from [`KernelKind::ALL`].
-    Auto,
 }
 
 impl KernelKind {
-    /// All *concrete* kernels, baseline first ([`KernelKind::Auto`]
-    /// resolves to these and is not listed).
+    /// All kernels, baseline first.
     pub const ALL: [KernelKind; 6] = [
         KernelKind::CusparseLike,
         KernelKind::SputnikLike,
@@ -93,18 +87,14 @@ impl KernelKind {
             KernelKind::TcGnn => "TCGNN",
             KernelKind::DtcSpmm => "DTC-SpMM",
             KernelKind::AccSpmm => "Acc-SpMM",
-            KernelKind::Auto => "Auto",
         }
     }
 
-    /// Does this kernel run on tensor cores? `Auto` answers `true`
-    /// conservatively, since the policy may resolve it to a TC kernel;
-    /// ask a built plan's [`kind`](ExecutionPlan::kind), which is always
-    /// concrete, for the exact answer.
+    /// Does this kernel run on tensor cores?
     pub fn uses_tensor_cores(&self) -> bool {
         matches!(
             self,
-            KernelKind::TcGnn | KernelKind::DtcSpmm | KernelKind::AccSpmm | KernelKind::Auto
+            KernelKind::TcGnn | KernelKind::DtcSpmm | KernelKind::AccSpmm
         )
     }
 }
@@ -222,12 +212,10 @@ impl<'a> KernelBuilder<'a> {
         self
     }
 
-    /// Resolve [`KernelKind::Auto`] to a concrete kernel, then run the
-    /// staged preprocessing pipeline. Failures surface as
-    /// [`SpmmError::Build`] tagged with the (resolved) kernel's display
-    /// name.
+    /// Run the staged preprocessing pipeline. Failures surface as
+    /// [`SpmmError::Build`] tagged with the kernel's display name.
     pub fn build(self) -> Result<PreparedKernel> {
-        let kind = DispatchPolicy::resolve(self.kind, self.a, self.feature_dim);
+        let kind = self.kind;
         let plan = ExecutionPlan::build(kind, self.a, self.arch, self.feature_dim, self.config)
             .map_err(|e| match e {
                 e @ SpmmError::Build { .. } => e,

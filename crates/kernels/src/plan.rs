@@ -16,7 +16,6 @@
 //! times* structure the paper amortizes across GNN training epochs.
 
 use crate::acc::AccConfig;
-use crate::dispatch::DispatchPolicy;
 use crate::{scalar, tc, KernelKind, TcFormat};
 use spmm_balance::{BalancePlan, BalanceStrategy, ModelParams, PerfModel};
 use spmm_common::{IsaTier, Result, SpmmError};
@@ -90,10 +89,6 @@ impl StageSpec {
                 },
                 balance: config.balance,
             },
-            // Auto has no pipeline of its own: plan builds resolve it
-            // per matrix first (DispatchPolicy::resolve). Without a
-            // matrix, the closest description is the policy fallback.
-            KernelKind::Auto => StageSpec::for_kernel(DispatchPolicy::builtin().fallback, config),
         }
     }
 }
@@ -326,12 +321,6 @@ impl PlanStage for CompileStage {
                     _ => tc::acc_trace(format, balance, ctx.feature_dim, &ctx.config),
                 }
             }
-            KernelKind::Auto => {
-                return Err(SpmmError::InvalidConfig(
-                    "KernelKind::Auto must be resolved to a concrete kernel before plan build"
-                        .into(),
-                ))
-            }
         };
         // The trace builders don't know the tier; the compile stage is
         // where the plan-level binding gets stamped into the artifact.
@@ -382,9 +371,7 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Run the full pipeline. [`KernelKind::Auto`] is first resolved to
-    /// one concrete kernel ([`DispatchPolicy::resolve`]), so the plan's
-    /// [`kind`](Self::kind) is never `Auto`.
+    /// Run the full pipeline.
     pub fn build(
         kind: KernelKind,
         m: &CsrMatrix,
@@ -398,7 +385,6 @@ impl ExecutionPlan {
         // Resolve the SIMD tier up front so a pinned-but-unavailable
         // tier is a build error, not a silent scalar fallback.
         IsaTier::resolve(config.isa)?;
-        let kind = DispatchPolicy::resolve(kind, m, feature_dim);
         let _plan_span = spmm_trace::span("plan.build");
         let mut ctx = PlanContext::new(kind, m.clone(), arch, feature_dim, config);
         for stage in default_stages() {
@@ -437,8 +423,7 @@ impl ExecutionPlan {
         &self.ctx
     }
 
-    /// Kernel identity — always a concrete kernel: an `Auto` build
-    /// reports the kind it resolved to.
+    /// Kernel identity.
     pub fn kind(&self) -> KernelKind {
         self.ctx.kind
     }

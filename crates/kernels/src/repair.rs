@@ -13,7 +13,7 @@
 //! The contract, enforced by tests: the repaired plan's execution
 //! output is **bit-identical** (NaN-position-exact) to a from-scratch
 //! [`ExecutionPlan::build`] on the compacted matrix, for all six
-//! kernels (an `Auto` build is one of them: it resolved before build).
+//! kernels.
 
 use crate::acc::AccConfig;
 use crate::plan::{
@@ -260,10 +260,7 @@ mod tests {
     #[test]
     fn repair_is_bit_identical_to_scratch_for_all_kernels() {
         let m = uniform_random(128, 6.0, 11);
-        // `Auto` rides along: it resolves before build, so its repair is
-        // the resolved kernel's and must match an `Auto` scratch build.
-        let kinds = KernelKind::ALL.into_iter().chain([KernelKind::Auto]);
-        for (i, kind) in kinds.enumerate() {
+        for (i, kind) in KernelKind::ALL.into_iter().enumerate() {
             let plan = ExecutionPlan::build(kind, &m, Arch::A800, 16, AccConfig::full()).unwrap();
             let mut delta = DeltaCsr::new(m.clone());
             churn(&mut delta, 0xACC + i as u64);

@@ -81,19 +81,13 @@ proptest! {
         let dim = [8usize, 16, 32][dim_sel];
         let m = splice_special_values(&gen::uniform_random(n, density, seed), seed);
         let b = DenseMatrix::random(n, dim, seed.wrapping_add(7));
-        // `Auto` rides along as a seventh input: it resolves before
-        // build, so its plan reports (and stores) the resolved kind and
-        // must execute bit-identically to that kind's own plan.
-        let mut outputs: Vec<(KernelKind, DenseMatrix)> = Vec::new();
-        for kind in KernelKind::ALL.into_iter().chain([KernelKind::Auto]) {
+        for kind in KernelKind::ALL {
             let plan = build_plan(kind, &m, dim);
-            let resolved = plan.kind();
-            prop_assert!(KernelKind::ALL.contains(&resolved), "{kind:?} built as {resolved:?}");
             let bytes = plan.to_ir().to_bytes().unwrap();
 
             let reference = PreparedKernel::from_plan(plan).execute(&b).unwrap();
             let loaded = PlanLoader::new()
-                .expect_kind(resolved)
+                .expect_kind(kind)
                 .expect_arch(Arch::A800)
                 .expect_fingerprint(m.content_fingerprint())
                 .expect_feature_dim(dim)
@@ -102,11 +96,6 @@ proptest! {
                 .unwrap();
             let replayed = PreparedKernel::from_plan(loaded).execute(&b).unwrap();
             assert_bits_identical(&reference, &replayed, kind);
-            if kind == KernelKind::Auto {
-                let (_, own) = outputs.iter().find(|(k, _)| *k == resolved).unwrap();
-                assert_bits_identical(own, &reference, kind);
-            }
-            outputs.push((kind, reference));
         }
     }
 
@@ -225,25 +214,65 @@ fn v3_containers_are_a_version_mismatch() {
     );
 }
 
+/// Byte offset of the first section, just past the length-prefixed
+/// JSON header (magic, version, `u64` header length, header).
+fn sections_start(bytes: &[u8]) -> usize {
+    16 + u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize
+}
+
 #[test]
 fn a_header_naming_auto_is_a_typed_rejection() {
-    // No built plan carries `Auto`, so a v4 container whose header kind
-    // reads "auto" is not a plan this build could have written.
+    // "auto" is not the slug of any kernel, so a v4 container whose
+    // header kind reads "auto" is not a plan this build could have
+    // written. Forge it by rewriting the header text and its length.
     let m = gen::uniform_random(64, 4.0, 4);
-    let mut ir = build_plan(KernelKind::AccSpmm, &m, 8).to_ir();
-    ir.kind = KernelKind::Auto;
-    let bytes = ir.to_bytes().unwrap();
-    let header = String::from_utf8_lossy(&bytes);
-    assert!(
-        header.contains("\"kind\": \"auto\""),
-        "header records the forged kind"
-    );
+    let bytes = build_plan(KernelKind::AccSpmm, &m, 8)
+        .to_ir()
+        .to_bytes()
+        .unwrap();
+    let end = sections_start(&bytes);
+    let header = std::str::from_utf8(&bytes[16..end]).unwrap();
+    let forged = header.replace("\"kind\": \"accspmm\"", "\"kind\": \"auto\"");
+    assert_ne!(forged, header, "header records the kind slug");
+    let mut bytes_auto = bytes[..8].to_vec();
+    bytes_auto.extend_from_slice(&(forged.len() as u64).to_le_bytes());
+    bytes_auto.extend_from_slice(forged.as_bytes());
+    bytes_auto.extend_from_slice(&bytes[end..]);
     let err = PlanLoader::new()
-        .read(std::io::Cursor::new(&bytes))
+        .read(std::io::Cursor::new(&bytes_auto))
         .unwrap_err();
     assert!(
         matches!(err, SpmmError::PlanLoad(_)),
         "expected a PlanLoad error, got {err:?}"
+    );
+}
+
+#[test]
+fn a_csr_row_pointer_past_nnz_is_a_typed_rejection() {
+    // The CSR section is decoded before its fingerprint is checked, so
+    // the decoder itself must reject a `row_ptr` entry that overshoots
+    // nnz instead of slicing `col_idx` with it.
+    let m = gen::uniform_random(64, 4.0, 5);
+    let mut bytes = build_plan(KernelKind::CusparseLike, &m, 8)
+        .to_ir()
+        .to_bytes()
+        .unwrap();
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let perm = sections_start(&bytes);
+    let csr = perm + 8 + u64_at(&bytes, perm) as usize;
+    // CSR section: length, nrows, ncols, row_ptr length, row_ptr...
+    let row_ptr_1 = csr + 8 + 3 * 8 + 8;
+    assert_eq!(u64_at(&bytes, row_ptr_1) as usize, m.row_ptr()[1]);
+    bytes[row_ptr_1..row_ptr_1 + 8].copy_from_slice(&(m.nnz() as u64 + 100).to_le_bytes());
+    let err = PlanLoader::new()
+        .read(std::io::Cursor::new(&bytes))
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SpmmError::PlanLoad(PlanLoadError::ArtifactInvalid { section: "csr", .. })
+        ),
+        "expected a csr ArtifactInvalid, got {err:?}"
     );
 }
 

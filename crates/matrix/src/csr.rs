@@ -88,13 +88,15 @@ impl CsrMatrix {
                 detail: "row_ptr does not terminate at nnz".into(),
             });
         }
+        // Non-decreasing from 0 to nnz bounds every entry by nnz; check
+        // all of them before any row slices `col_idx`.
+        if let Some(r) = self.row_ptr.windows(2).position(|w| w[1] < w[0]) {
+            return Err(SpmmError::MalformedFormat {
+                detail: format!("row_ptr decreases at row {r}"),
+            });
+        }
         for r in 0..self.nrows {
             let (s, e) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            if e < s {
-                return Err(SpmmError::MalformedFormat {
-                    detail: format!("row_ptr decreases at row {r}"),
-                });
-            }
             let mut prev: Option<u32> = None;
             for &c in &self.col_idx[s..e] {
                 if c as usize >= self.ncols {
@@ -448,6 +450,8 @@ mod tests {
         assert!(CsrMatrix::new(2, 2, vec![0, 2, 2], vec![1, 0], vec![1.0, 1.0]).is_err());
         assert!(CsrMatrix::new(2, 2, vec![0, 1, 1], vec![5], vec![1.0]).is_err());
         assert!(CsrMatrix::new(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 2.0]).is_ok());
+        // row_ptr overshoots nnz mid-array: an error, not a slice panic.
+        assert!(CsrMatrix::new(2, 4, vec![0, 10, 5], vec![0, 1, 2, 3, 0], vec![1.0; 5]).is_err());
     }
 
     #[test]

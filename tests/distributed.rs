@@ -6,9 +6,8 @@
 
 use proptest::prelude::*;
 use spmm_dist::DistSpmm;
-use spmm_kernels::{AccConfig, ExecutionPlan, KernelKind, PreparedKernel, Workspace};
-use spmm_matrix::{CooMatrix, CsrMatrix, Dataset, DenseMatrix, TABLE2};
-use spmm_sim::Arch;
+use spmm_kernels::{KernelKind, PreparedKernel, Workspace};
+use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 
 /// Non-finite / edge-case floats to splice into operands (same table as
 /// tests/properties.rs).
@@ -182,47 +181,6 @@ proptest! {
     ) {
         if let Err(e) = check_halo(&m, dim, seed, shards) {
             panic!("{e}");
-        }
-    }
-}
-
-/// `Auto` resolves to one concrete kernel before any plan is built, and
-/// the committed policy resolves the Table-2 analogs to Acc-SpMM: the
-/// `Auto` plan reports `AccSpmm` and matches an `AccSpmm` plan bit for
-/// bit, single-node and at 1/2/4 shards (the coordinator resolves once
-/// on the full operand, so no shard can pick a different kernel).
-/// Planning the type-2 analogs five times each takes minutes in an
-/// unoptimized build, so debug runs check the `DD` analog and
-/// `cargo test --release` checks all ten.
-#[test]
-fn auto_is_accspmm_on_table2_analogs() {
-    const DIM: usize = 8;
-    let analogs: Vec<&str> = if cfg!(debug_assertions) {
-        vec!["DD"]
-    } else {
-        TABLE2.iter().map(|d| d.abbr).collect()
-    };
-    for abbr in analogs {
-        let m = Dataset::by_abbr(abbr).unwrap().build();
-        let b = DenseMatrix::random(m.ncols(), DIM, 3);
-        let expect = single_node(KernelKind::AccSpmm, &m, &b);
-        let plan =
-            ExecutionPlan::build(KernelKind::Auto, &m, Arch::A800, DIM, AccConfig::full()).unwrap();
-        assert_eq!(plan.kind(), KernelKind::AccSpmm, "{abbr}");
-        let got = PreparedKernel::from_plan(plan).execute(&b).unwrap();
-        assert!(bits_equal(&got, &expect), "{abbr}: Auto plan diverged");
-        for shards in [1usize, 2, 4] {
-            let dist = DistSpmm::builder(KernelKind::Auto, &m)
-                .shards(shards)
-                .feature_dim(DIM)
-                .build()
-                .unwrap();
-            assert_eq!(dist.kind(), KernelKind::AccSpmm, "{abbr} x{shards}");
-            let got = dist.multiply(&b).unwrap();
-            assert!(
-                bits_equal(&got, &expect),
-                "{abbr}: sharded Auto diverged at {shards} shards"
-            );
         }
     }
 }
