@@ -11,7 +11,7 @@ use crate::handle::AccSpmm;
 use spmm_common::{Result, SpmmError};
 use spmm_dist::DistSpmm;
 use spmm_kernels::KernelKind;
-use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
+use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
 /// Symmetrically normalize an adjacency matrix:
@@ -24,28 +24,41 @@ pub fn gcn_normalize(a: &CsrMatrix) -> Result<CsrMatrix> {
         });
     }
     let n = a.nrows();
-    // A + I.
-    let mut coo = a.to_coo();
-    for i in 0..n as u32 {
-        coo.push(i, i, 1.0);
-    }
-    coo.dedup_sum(false);
-    // Degrees of A + I (row sums of the pattern-weighted matrix).
-    let ai = CsrMatrix::from_coo(&coo);
+    // A + I, one sorted row at a time: the unit diagonal is merged in
+    // place, and an existing diagonal entry becomes `a_ii + 1`.
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::with_capacity(a.nnz() + n);
+    let mut values = Vec::with_capacity(a.nnz() + n);
     let mut inv_sqrt_deg = vec![0.0f32; n];
+    row_ptr.push(0);
     for (r, d) in inv_sqrt_deg.iter_mut().enumerate() {
-        let deg: f32 = ai.row(r).1.iter().map(|v| v.abs()).sum();
+        let (cols, vals) = a.row(r);
+        let start = col_idx.len();
+        let split = cols.partition_point(|&c| (c as usize) < r);
+        col_idx.extend_from_slice(&cols[..split]);
+        values.extend_from_slice(&vals[..split]);
+        let rest = if cols.get(split) == Some(&(r as u32)) {
+            values.push(vals[split] + 1.0);
+            split + 1
+        } else {
+            values.push(1.0);
+            split
+        };
+        col_idx.push(r as u32);
+        col_idx.extend_from_slice(&cols[rest..]);
+        values.extend_from_slice(&vals[rest..]);
+        row_ptr.push(col_idx.len());
+        // Degree of A + I: the row's |v| sum, in ascending column order.
+        let deg: f32 = values[start..].iter().map(|v| v.abs()).sum();
         *d = if deg > 0.0 { deg.sqrt().recip() } else { 0.0 };
     }
     // Scale both sides.
-    let mut out = CooMatrix::new(n, n);
     for r in 0..n {
-        let (cols, vals) = ai.row(r);
-        for (&c, &v) in cols.iter().zip(vals.iter()) {
-            out.push(r as u32, c, v * inv_sqrt_deg[r] * inv_sqrt_deg[c as usize]);
+        for k in row_ptr[r]..row_ptr[r + 1] {
+            values[k] = values[k] * inv_sqrt_deg[r] * inv_sqrt_deg[col_idx[k] as usize];
         }
     }
-    Ok(CsrMatrix::from_coo(&out))
+    CsrMatrix::new(n, n, row_ptr, col_idx, values)
 }
 
 /// Activation functions for [`GcnLayer`].
@@ -304,7 +317,110 @@ impl Gcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spmm_matrix::gen;
+    use proptest::prelude::*;
+    use spmm_matrix::{gen, CooMatrix};
+
+    /// Reference `gcn_normalize`: COO + I, `dedup_sum`, a CSR for the
+    /// degrees, and a second COO for the scaled entries.
+    fn gcn_normalize_oracle(a: &CsrMatrix) -> CsrMatrix {
+        let n = a.nrows();
+        let mut coo = a.to_coo();
+        for i in 0..n as u32 {
+            coo.push(i, i, 1.0);
+        }
+        coo.dedup_sum(false);
+        let ai = CsrMatrix::from_coo(&coo);
+        let mut inv_sqrt_deg = vec![0.0f32; n];
+        for (r, d) in inv_sqrt_deg.iter_mut().enumerate() {
+            let deg: f32 = ai.row(r).1.iter().map(|v| v.abs()).sum();
+            *d = if deg > 0.0 { deg.sqrt().recip() } else { 0.0 };
+        }
+        let mut out = CooMatrix::new(n, n);
+        for r in 0..n {
+            let (cols, vals) = ai.row(r);
+            for (&c, &v) in cols.iter().zip(vals.iter()) {
+                out.push(r as u32, c, v * inv_sqrt_deg[r] * inv_sqrt_deg[c as usize]);
+            }
+        }
+        CsrMatrix::from_coo(&out)
+    }
+
+    fn assert_bit_identical(got: &CsrMatrix, want: &CsrMatrix) {
+        assert_eq!(got.row_ptr(), want.row_ptr());
+        assert_eq!(got.col_idx(), want.col_idx());
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want));
+    }
+
+    /// Entry values that stress the degree sum and the scaling: signed
+    /// zeros, infinities, NaN, `-1` (cancels the unit diagonal) and
+    /// ordinary weights.
+    const SPECIAL: [f32; 8] = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -1.0,
+        0.75,
+        -2.5,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn one_pass_matches_coo_oracle(
+            n in 1usize..24,
+            entries in proptest::collection::vec((0u32..24, 0u32..24, 0u32..16, any::<f32>()), 0..120),
+        ) {
+            // Up to 120 draws over at most 24×24 cells: some rows stay
+            // empty, and diagonal cells are drawn as often as any other.
+            let mut coo = CooMatrix::new(n, n);
+            for &(r, c, pick, raw) in &entries {
+                let (r, c) = (r % n as u32, c % n as u32);
+                let v = match pick {
+                    0..=7 => SPECIAL[pick as usize],
+                    8 => raw,
+                    _ => 0.25 * pick as f32,
+                };
+                coo.push(r, c, v);
+            }
+            let a = CsrMatrix::from_coo(&coo);
+            assert_bit_identical(&gcn_normalize(&a).unwrap(), &gcn_normalize_oracle(&a));
+        }
+    }
+
+    #[test]
+    fn one_pass_matches_coo_oracle_on_edge_rows() {
+        // Row 0: explicit diagonal among neighbours. Row 1: empty, so an
+        // isolated vertex of degree 1 after +I. Row 2: only `a_22 = -1`,
+        // a zero |v| sum. Row 3: NaN. Row 4: ±Inf and -0.0.
+        let mut coo = CooMatrix::new(6, 6);
+        for (r, c, v) in [
+            (0, 0, 2.0),
+            (0, 3, 0.5),
+            (0, 5, 1.5),
+            (2, 2, -1.0),
+            (3, 0, f32::NAN),
+            (3, 4, 1.0),
+            (4, 1, f32::INFINITY),
+            (4, 4, -0.0),
+            (4, 5, f32::NEG_INFINITY),
+            (5, 0, 1.0),
+        ] {
+            coo.push(r, c, v);
+        }
+        let a = CsrMatrix::from_coo(&coo);
+        let got = gcn_normalize(&a).unwrap();
+        assert_bit_identical(&got, &gcn_normalize_oracle(&a));
+        assert_eq!(got.row(1), (&[1u32][..], &[1.0f32][..]));
+        assert_eq!(got.row(2).1, &[0.0f32][..]);
+        assert_bit_identical(
+            &gcn_normalize(&graph()).unwrap(),
+            &gcn_normalize_oracle(&graph()),
+        );
+    }
 
     fn graph() -> CsrMatrix {
         gen::uniform_random(256, 6.0, 5)

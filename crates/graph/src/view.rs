@@ -1,6 +1,5 @@
 //! Undirected graph view over a sparse matrix.
 
-use rustc_hash::FxHashMap;
 use spmm_matrix::CsrMatrix;
 
 /// An undirected, unweighted graph built from the symmetrized pattern of a
@@ -119,38 +118,6 @@ impl GraphView {
         }
         count
     }
-
-    /// Count common neighbours between `v` and every 2-hop neighbour,
-    /// bounding work on high-degree vertices by sampling at most `cap`
-    /// neighbours at each hop. Sampling is deterministic and evenly
-    /// strided across the sorted neighbour list, so high-degree vertices
-    /// see an unbiased slice of their neighbourhood rather than only the
-    /// lowest column ids. Returns `(candidate, approx count)` pairs,
-    /// unordered.
-    ///
-    /// This is the candidate-generation step of the ordering-generation
-    /// phase: only 2-hop neighbours can share a neighbour with `v`, so
-    /// restricting the search there turns the paper's "search all leaves"
-    /// into near-linear work.
-    pub fn two_hop_common_counts(&self, v: u32, cap: usize) -> FxHashMap<u32, u32> {
-        let mut counts = FxHashMap::default();
-        let nv = self.neighbors(v);
-        for w in strided(nv, cap) {
-            let nw = self.neighbors(w);
-            for u in strided(nw, cap) {
-                if u != v {
-                    *counts.entry(u).or_insert(0u32) += 1;
-                }
-            }
-        }
-        counts
-    }
-}
-
-/// Evenly-strided deterministic sample of up to `cap` elements.
-fn strided(xs: &[u32], cap: usize) -> impl Iterator<Item = u32> + '_ {
-    let step = xs.len().div_ceil(cap.max(1)).max(1);
-    xs.iter().step_by(step).copied()
 }
 
 #[cfg(test)]
@@ -200,24 +167,5 @@ mod tests {
         assert_eq!(g.common_neighbors(1, 3), 2, "both adjacent to 0 and 2");
         assert_eq!(g.common_neighbors(0, 2), 2, "1 and 3");
         assert_eq!(g.common_neighbors(0, 1), 1, "only 2");
-    }
-
-    #[test]
-    fn two_hop_counts_match_exact() {
-        let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)]);
-        let counts = g.two_hop_common_counts(1, 64);
-        for (&u, &c) in &counts {
-            assert_eq!(c as usize, g.common_neighbors(1, u), "u={u}");
-        }
-        // Vertex 3 shares neighbour 2 with vertex 1.
-        assert_eq!(counts.get(&3), Some(&1));
-    }
-
-    #[test]
-    fn two_hop_cap_bounds_work() {
-        let g = graph_from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]);
-        let capped = g.two_hop_common_counts(1, 1);
-        // cap=1 explores only neighbour 0 and its first neighbour.
-        assert!(capped.len() <= 1);
     }
 }

@@ -1,7 +1,8 @@
 //! Observability contract of the execution path: enabling tracing must
-//! not change results, and the disabled-path cost of the instrumentation
-//! must be negligible (≤2% of a multiply). Both tests mutate the
-//! process-global trace registry, so they serialize on one lock.
+//! not change results, the disabled-path cost of the instrumentation
+//! must be negligible (≤2% of a multiply), and the reorder stage breaks
+//! down into its step spans. The tests mutate the process-global trace
+//! registry, so they serialize on one lock.
 
 use spmm_kernels::{KernelKind, PreparedKernel, Workspace};
 use spmm_matrix::{gen, DenseMatrix};
@@ -94,5 +95,33 @@ fn disabled_path_overhead_is_under_two_percent() {
         "disabled-path overhead {:.1}ns ({events} events) vs 2% of multiply {:.1}µs",
         overhead_s * 1e9,
         multiply_s * 1e6 * 0.02
+    );
+}
+
+#[test]
+fn acc_reorder_steps_nest_under_plan_reorder() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let m = gen::uniform_random(1024, 8.0, 11);
+    spmm_trace::reset();
+    spmm_trace::enable();
+    PreparedKernel::builder(KernelKind::AccSpmm, &m)
+        .arch(Arch::A800)
+        .feature_dim(64)
+        .build()
+        .unwrap();
+    let snap = spmm_trace::snapshot();
+    spmm_trace::disable();
+    spmm_trace::reset();
+
+    assert_eq!(snap.span_count("plan.reorder"), 1);
+    let steps = ["reorder.graph_view", "reorder.dendrogram", "reorder.chain"];
+    for step in steps {
+        assert_eq!(snap.span_count(step), 1, "{step} recorded once");
+    }
+    let step_ns: u64 = steps.iter().map(|s| snap.span_total_ns(s)).sum();
+    assert!(
+        step_ns <= snap.span_total_ns("plan.reorder"),
+        "steps {step_ns} ns exceed plan.reorder {} ns",
+        snap.span_total_ns("plan.reorder")
     );
 }
