@@ -160,9 +160,9 @@ fn run_suite(cfg: &Config) -> ExitCode {
         }
     }
 
-    // Compute-core microbenchmark: the raw 8x8 MMA with per-use
-    // rounding vs the pre-rounded mul-add core the TC kernels now run.
-    for e in mma_core_entries(cfg) {
+    // Compute-core microbenchmark: the row core every kernel runs, once
+    // per ISA tier the host offers.
+    for e in row_core_entries(cfg) {
         rows.push(vec![
             e.dataset.clone(),
             e.kernel.clone(),
@@ -347,92 +347,70 @@ fn measure(dataset: &str, kind: KernelKind, m: &CsrMatrix, cfg: &Config) -> Entr
     }
 }
 
-/// The compute-core entries: many back-to-back 8x8xN MMA tiles through
-/// the legacy round-at-every-use kernel and through the pre-rounded
-/// mul-add core, at the suite's feature dimension. Feeds the gate the
-/// kernel the TC paths actually spend their FLOPs in, independent of
-/// gather/decompress overheads. One extra `mma-core-<tier>` entry per
-/// ISA tier the host offers benches the explicit-SIMD dispatch, so the
-/// gate tracks every tier's compute core — not just whichever one the
-/// probe would pick.
-fn mma_core_entries(cfg: &Config) -> Vec<Entry> {
-    use spmm_common::scalar::{tf32_mma_8x8, tf32_mma_8x8_prerounded, to_tf32_slice};
-    use spmm_common::simd::mma_8x8_prerounded_tier;
+/// The compute-core entries: one `row-core-<tier>` entry per ISA tier
+/// the host offers, each timing [`spmm_common::simd::mma_row_tier`] —
+/// the row core every kernel's executor runs — over a fixed list of
+/// `(value, B row)` pairs at the suite's feature dimension. Feeds the
+/// gate the loop the kernels spend their FLOPs in, independent of
+/// format decode and scheduling, on every tier rather than only the
+/// probed one.
+fn row_core_entries(cfg: &Config) -> Vec<Entry> {
+    use spmm_common::simd::mma_row_tier;
     use spmm_common::util::splitmix64;
     use spmm_common::IsaTier;
-    const TILE: usize = 8;
-    let _s = spmm_trace::span("perfsuite.mma_core");
+    // 32 pairs per row, over a B small enough to stay cache-resident.
+    const PAIRS: usize = 32;
+    const B_ROWS: usize = 512;
+    let _s = spmm_trace::span("perfsuite.row_core");
     let n = cfg.dim;
-    let tiles = if cfg.quick { 2_000 } else { 8_000 };
+    let calls = if cfg.quick { 2_000 } else { 8_000 };
 
-    let mut a = [0f32; TILE * TILE];
-    let mut b = vec![0f32; TILE * n];
-    for (i, v) in a.iter_mut().enumerate() {
-        *v = (splitmix64(0xA11CE ^ i as u64) >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
-    }
-    for (i, v) in b.iter_mut().enumerate() {
-        *v = (splitmix64(0xB0B ^ i as u64) >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
-    }
-    let mut a_r = a;
-    to_tf32_slice(&mut a_r);
-    let mut b_r = b.clone();
-    to_tf32_slice(&mut b_r);
-    let mut c = vec![0f32; TILE * n];
+    let unit = |seed: u64| (splitmix64(seed) >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+    let avs: Vec<f32> = (0..PAIRS as u64).map(|t| unit(0xA11CE ^ t)).collect();
+    let cols: Vec<u32> = (0..PAIRS as u64)
+        .map(|t| (splitmix64(0xC015 ^ t) % B_ROWS as u64) as u32)
+        .collect();
+    let b: Vec<f32> = (0..(B_ROWS * n) as u64).map(|i| unit(0xB0B ^ i)).collect();
+    let mut crow = vec![0f32; n];
 
-    let flops = 2.0 * (TILE * TILE * n) as f64 * tiles as f64;
-    let mut run = |kernel: &str, f: &mut dyn FnMut(&mut [f32])| {
+    let flops = 2.0 * (PAIRS * n) as f64 * calls as f64;
+    let mut entries = Vec::new();
+    for tier in IsaTier::ALL.into_iter().filter(|t| t.is_available()) {
+        let mut run = || {
+            for _ in 0..calls {
+                crow.fill(0.0);
+                mma_row_tier(
+                    std::hint::black_box(&avs),
+                    std::hint::black_box(&cols),
+                    std::hint::black_box(&b),
+                    &mut crow,
+                    tier,
+                );
+            }
+            std::hint::black_box(crow[0]);
+        };
         for _ in 0..cfg.warmup.max(1) {
-            f(&mut c);
+            run();
         }
         let times: Vec<f64> = (0..cfg.repeats.max(1))
             .map(|_| {
                 let t = Instant::now();
-                f(&mut c);
+                run();
                 t.elapsed().as_secs_f64()
             })
             .collect();
         let med = median(&times);
-        Entry {
-            dataset: "mma-core".into(),
-            kernel: kernel.into(),
-            rows: TILE as f64,
-            nnz: (TILE * TILE) as f64,
+        entries.push(Entry {
+            dataset: "row-core".into(),
+            kernel: format!("row-core-{tier}"),
+            rows: 1.0,
+            nnz: PAIRS as f64,
             feature_dim: n as f64,
             prep_s: 0.0,
             median_s: med,
             min_s: times.iter().copied().fold(f64::INFINITY, f64::min),
             gflops: flops / med / 1e9,
-        }
-    };
-    let e_old = run("mma-rounding", &mut |c| {
-        for _ in 0..tiles {
-            c.fill(0.0);
-            tf32_mma_8x8(std::hint::black_box(&a), std::hint::black_box(&b), c, n);
-        }
-        std::hint::black_box(c[0]);
-    });
-    let e_new = run("mma-prerounded", &mut |c| {
-        for _ in 0..tiles {
-            c.fill(0.0);
-            tf32_mma_8x8_prerounded(std::hint::black_box(&a_r), std::hint::black_box(&b_r), c, n);
-        }
-        std::hint::black_box(c[0]);
-    });
-    let mut entries = vec![e_old, e_new];
-    for tier in IsaTier::ALL.into_iter().filter(|t| t.is_available()) {
-        entries.push(run(&format!("mma-core-{tier}"), &mut |c| {
-            for _ in 0..tiles {
-                c.fill(0.0);
-                mma_8x8_prerounded_tier(
-                    std::hint::black_box(&a_r),
-                    std::hint::black_box(&b_r),
-                    c,
-                    n,
-                    tier,
-                );
-            }
-            std::hint::black_box(c[0]);
-        }));
+        });
     }
     entries
 }

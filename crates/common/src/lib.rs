@@ -17,7 +17,5 @@ pub mod util;
 
 pub use error::{PlanLoadError, Result, SpmmError};
 pub use precision::{round_to, Precision};
-pub use scalar::{tf32_mma_8x8, tf32_mma_8x8_prerounded, to_tf32, to_tf32_slice};
-pub use simd::{
-    mma_8x8_prerounded_tier, mma_row_tier, to_tf32_slice_into_tier, to_tf32_slice_tier, IsaTier,
-};
+pub use scalar::{tf32_mma_8x8, to_tf32, to_tf32_slice};
+pub use simd::{mma_row_tier, to_tf32_slice_into_tier, to_tf32_slice_tier, IsaTier};

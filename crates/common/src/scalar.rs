@@ -38,7 +38,8 @@ pub fn to_tf32(x: f32) -> f32 {
 /// Since [`to_tf32`] is idempotent, pre-rounding a buffer once and then
 /// multiplying is bit-identical to rounding at every use — which is what
 /// lets the formats store pre-rounded values and the kernels stage a
-/// pre-rounded copy of B ([`tf32_mma_8x8_prerounded`] consumes both).
+/// pre-rounded copy of B (the row core `simd::mma_row_tier` consumes
+/// both).
 #[inline]
 pub fn to_tf32_slice(xs: &mut [f32]) {
     for x in xs.iter_mut() {
@@ -77,10 +78,12 @@ pub fn tf32_dot(a: &[f32], b: &[f32]) -> f32 {
 /// `C += round_tf32(A) × round_tf32(B)` with FP32 accumulation.
 ///
 /// `a` is row-major 8×8, `b` is row-major 8×`n`, `c` is row-major 8×`n`.
-/// This is the numeric core of every TC kernel in the workspace; the
-/// operand swap the paper performs (computing Bᵀ·Aᵀ to allow 8×8 A tiles
-/// with `m16n8k8`) is a layout concern handled by callers and does not
-/// change this arithmetic.
+/// This is the arithmetic oracle the TC kernels are tested against (a
+/// zero A slot is skipped, operands are rounded at every use); the
+/// kernels themselves run the row core `simd::mma_row_tier` on
+/// pre-rounded values. The operand swap the paper performs (computing
+/// Bᵀ·Aᵀ to allow 8×8 A tiles with `m16n8k8`) is a layout concern and
+/// does not change this arithmetic.
 #[inline]
 pub fn tf32_mma_8x8(a: &[f32; 64], b: &[f32], c: &mut [f32], n: usize) {
     debug_assert_eq!(b.len(), 8 * n);
@@ -95,43 +98,6 @@ pub fn tf32_mma_8x8(a: &[f32; 64], b: &[f32], c: &mut [f32], n: usize) {
             let crow = &mut c[i * n..i * n + n];
             for j in 0..n {
                 crow[j] += av * to_tf32(brow[j]);
-            }
-        }
-    }
-}
-
-/// [`tf32_mma_8x8`] over operands that are **already TF32-rounded**: the
-/// inner loop is a pure `c[j] += av * b[j]`, chunked so LLVM vectorizes
-/// it. Callers must have passed both tiles through [`to_tf32_slice`] (or
-/// built them from pre-rounded values); by idempotency of [`to_tf32`]
-/// the result is then bit-identical to the re-rounding [`tf32_mma_8x8`]
-/// on the raw operands.
-///
-/// The `av == 0.0` skip is kept from the rounding variant — it is
-/// semantically load-bearing, not just a fast path: a zero A slot must
-/// not multiply a non-finite B element (`0 × Inf = NaN` would otherwise
-/// contaminate the accumulator).
-#[inline]
-pub fn tf32_mma_8x8_prerounded(a: &[f32; 64], b: &[f32], c: &mut [f32], n: usize) {
-    debug_assert_eq!(b.len(), 8 * n);
-    debug_assert_eq!(c.len(), 8 * n);
-    for i in 0..8 {
-        let crow = &mut c[i * n..(i + 1) * n];
-        for k in 0..8 {
-            let av = a[i * 8 + k];
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[k * n..k * n + n];
-            let mut cc = crow.chunks_exact_mut(8);
-            let mut bb = brow.chunks_exact(8);
-            for (cs, bs) in (&mut cc).zip(&mut bb) {
-                for j in 0..8 {
-                    cs[j] += av * bs[j];
-                }
-            }
-            for (cj, &bj) in cc.into_remainder().iter_mut().zip(bb.remainder()) {
-                *cj += av * bj;
             }
         }
     }
@@ -250,67 +216,6 @@ mod tests {
         for (i, &s) in src.iter().enumerate() {
             assert_eq!(in_place[i].to_bits(), to_tf32(s).to_bits());
             assert_eq!(into[i].to_bits(), to_tf32(s).to_bits());
-        }
-    }
-
-    #[test]
-    fn prerounded_mma_is_bit_identical_to_rounding_mma() {
-        // Raw operands contaminated with every awkward class: NaN, ±Inf,
-        // denormals, negative zero, and values that round up across the
-        // mantissa boundary.
-        let specials = [
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            -0.0,
-            1.0e-41,
-            f32::from_bits(0x3F80_3000),
-        ];
-        for n in [1usize, 5, 8, 16, 19, 64] {
-            let mut a = [0.0f32; 64];
-            for (t, slot) in a.iter_mut().enumerate() {
-                let r = crate::util::splitmix64(t as u64) as u32;
-                *slot = match r % 5 {
-                    0 => 0.0,
-                    1 => specials[(r as usize / 5) % specials.len()],
-                    _ => f32::from_bits(r),
-                };
-            }
-            let b: Vec<f32> = (0..8 * n)
-                .map(|t| {
-                    let r = crate::util::splitmix64(1000 + t as u64) as u32;
-                    match r % 4 {
-                        0 => specials[(r as usize / 4) % specials.len()],
-                        _ => f32::from_bits(r),
-                    }
-                })
-                .collect();
-            let mut c_old = vec![0.5f32; 8 * n];
-            tf32_mma_8x8(&a, &b, &mut c_old, n);
-
-            let mut a_pre = a;
-            to_tf32_slice(&mut a_pre);
-            let mut b_pre = b.clone();
-            to_tf32_slice(&mut b_pre);
-            let mut c_new = vec![0.5f32; 8 * n];
-            tf32_mma_8x8_prerounded(&a_pre, &b_pre, &mut c_new, n);
-
-            // NaN-position-exact comparison: when several NaNs compete
-            // for one accumulator, IEEE 754 leaves the surviving payload
-            // unspecified and LLVM may commute `c + a*b` differently per
-            // variant, so payloads are not stable — but a NaN must
-            // appear at exactly the same coordinates, and every non-NaN
-            // element (signed zeros, infinities included) must match
-            // bitwise.
-            let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
-            for j in 0..8 * n {
-                assert!(
-                    same(c_old[j], c_new[j]),
-                    "n={n} elem {j}: {} vs {}",
-                    c_old[j],
-                    c_new[j]
-                );
-            }
         }
     }
 

@@ -19,18 +19,19 @@
 //!    (`_mm256_mul_ps` + `_mm256_add_ps`, never `vfmadd`). The AVX2 tier
 //!    still *probes* for FMA — it names the ISA level, not an
 //!    instruction we emit.
-//! 2. **Per-lane accumulation order is preserved.** The scalar nest is
-//!    `i, k, j`: each output lane `(i, j)` receives its additions in
-//!    ascending `k`. The vector kernels register-block over `j` (load
-//!    the C chunk once, run the full `k` loop in registers, store once)
-//!    which reorders only *across* lanes, never within one — so every
-//!    lane sees the identical rounding sequence.
-//! 3. **The `av == 0.0` skip is replicated exactly.** It is semantically
-//!    load-bearing (`0 × Inf` would inject NaN). The 8×8 tile kernels
-//!    test every A slot like the scalar tile MMA does; the row core
-//!    ([`mma_row_tier`]) has no skip at all, because its TC callers drop
-//!    zero values while decoding a row's `(value, B row)` pairs — the
-//!    same slots the tile skip would have passed over.
+//! 2. **Per-lane accumulation order is preserved.** The scalar row loop
+//!    is pair-outer, lane-inner: each output lane `j` receives its
+//!    additions in ascending pair order `t`. The vector kernels
+//!    register-block over `j` (load the C chunk once, run the full pair
+//!    loop in registers, store once), which reorders only *across*
+//!    lanes, never within one — so every lane sees the identical
+//!    rounding sequence.
+//! 3. **Zeros are multiplied, never skipped.** The row core
+//!    ([`mma_row_tier`]) forms `av * b[j]` for every pair it is handed,
+//!    on every tier, so `0 × Inf = NaN` appears exactly where the scalar
+//!    loop puts it. The CSR kernels pass their stored values as they
+//!    are; the TC formats, whose tensor-core model skips zero A slots,
+//!    drop ±0 while decoding a row's `(value, B row)` pairs instead.
 //!
 //! The selected tier is resolved **once at plan-compile time**
 //! (`AccConfig::isa` pin → `SPMM_FORCE_ISA` env override → probe) and
@@ -40,7 +41,7 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::scalar::{tf32_mma_8x8_prerounded, to_tf32_slice, to_tf32_slice_into};
+use crate::scalar::{to_tf32_slice, to_tf32_slice_into};
 use std::sync::OnceLock;
 
 /// An ISA capability tier the compute core can dispatch to.
@@ -88,7 +89,7 @@ impl IsaTier {
     }
 
     /// Short lower-case name, used in the plan IR header, bench entry
-    /// names (`mma-core-avx2`), and the `SPMM_FORCE_ISA` override.
+    /// names (`row-core-avx2`), and the `SPMM_FORCE_ISA` override.
     #[inline]
     pub fn name(self) -> &'static str {
         match self {
@@ -298,49 +299,15 @@ pub fn to_tf32_slice_into_tier(src: &[f32], dst: &mut [f32], tier: IsaTier) {
     }
 }
 
-/// [`tf32_mma_8x8_prerounded`] at an explicit tier.
-#[inline]
-pub fn mma_8x8_prerounded_tier(a: &[f32; 64], b: &[f32], c: &mut [f32], n: usize, tier: IsaTier) {
-    debug_assert_eq!(b.len(), 8 * n);
-    debug_assert_eq!(c.len(), 8 * n);
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx512f if tier.is_available() => {
-            let rows = contiguous_rows(b, n);
-            let c = &mut c[..8 * n];
-            // SAFETY: avx512f availability checked above; every row
-            // pointer covers a `[..n]`-checked slice of `b`, and `c`
-            // was just sliced to exactly `8 * n` floats.
-            unsafe { x86::mma_tile_avx512(a, &rows, c, n) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2Fma if tier.is_available() => {
-            let rows = contiguous_rows(b, n);
-            let c = &mut c[..8 * n];
-            // SAFETY: avx2 availability checked above; pointers as in
-            // the avx512 arm.
-            unsafe { x86::mma_tile_avx2(a, &rows, c, n) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon if tier.is_available() => {
-            let rows = contiguous_rows(b, n);
-            let c = &mut c[..8 * n];
-            // SAFETY: neon availability checked above; pointers as in
-            // the x86 arms.
-            unsafe { neon::mma_tile_neon(a, &rows, c, n) }
-        }
-        _ => tf32_mma_8x8_prerounded(a, b, c, n),
-    }
-}
-
 /// One output-row accumulation at an explicit tier:
 /// `crow[j] += Σ_t avs[t] * b[cols[t] * n + j]` with `n = crow.len()`,
 /// i.e. `b` is a row-major operand with `n` columns and `cols[t]` picks
 /// the row scaled by `avs[t]`.
 ///
-/// This is the row-streamed core of the TC window products: a caller
+/// This is the one MMA core every host executor runs. A CSR kernel
+/// hands it one CSR row's values and column indices; a TC window product
 /// decodes one output row's nonzeros from every block of a window into
-/// `(value, B row)` pairs, and the vector kernels keep each C chunk in
+/// `(value, B row)` pairs. The vector kernels keep each C chunk in
 /// registers across *all* pairs, loading and storing it once. Per lane
 /// the adds run in ascending `t` with separate multiply and add, so the
 /// result is bit-identical to the scalar fallback on every tier.
@@ -348,8 +315,8 @@ pub fn mma_8x8_prerounded_tier(a: &[f32; 64], b: &[f32], c: &mut [f32], n: usize
 /// There is **no** `avs[t] == 0.0` skip here: callers that need one
 /// (the TC formats, where `0 × Inf` must not inject NaN) filter zeros
 /// out while building the pairs; callers that must multiply
-/// unconditionally (the TCF per-edge loop) pass their values as they
-/// are.
+/// unconditionally (the CSR kernels, the TCF per-edge loop) pass their
+/// values as they are.
 ///
 /// # Panics
 /// If `avs` and `cols` differ in length, or a `cols[t]` row does not
@@ -399,14 +366,6 @@ pub fn mma_row_tier(avs: &[f32], cols: &[u32], b: &[f32], crow: &mut [f32], tier
             }
         }
     }
-}
-
-/// Base pointers of the eight B block rows of a contiguous `8 × n`
-/// operand, each `[..n]`-bounds-checked up front.
-#[inline]
-#[allow(dead_code)] // unused on ISAs with no vector tier (e.g. riscv)
-fn contiguous_rows(b: &[f32], n: usize) -> [*const f32; 8] {
-    std::array::from_fn(|k| b[k * n..k * n + n].as_ptr())
 }
 
 /// FP32 exponent field mask (all-ones exponent = NaN/Inf), duplicated
@@ -675,313 +634,13 @@ mod x86 {
             }
         }
     }
-
-    /// Whole 8×8×`n` tile update `c[i*n+j] += Σ_k a[i*8+k] * rows[k][j]`
-    /// (AVX2), register-blocked 4 output rows × 16 columns: four
-    /// independent accumulator chains hide the add latency that a
-    /// one-row-at-a-time kernel serializes on (per lane the adds *must*
-    /// stay in ascending `k`, so the only legal ILP is across rows and
-    /// column chunks), and every B load is shared by all four rows.
-    /// Separate `mul` + `add` — never `vfmadd` — and ascending-`k`
-    /// per-lane order keep results bit-identical to the scalar core.
-    /// `rows[k]` is dereferenced only under a nonzero A slot in column
-    /// `k`, preserving the zero-skip (`0 × Inf` must never be formed)
-    /// and letting callers pass null for all-zero columns.
-    ///
-    /// SAFETY (caller): avx2 enabled; `c.len() == 8 * n`; each
-    /// `rows[k]` whose column has a nonzero A slot is valid for `n`
-    /// reads and does not alias `c`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mma_tile_avx2(
-        a: &[f32; 64],
-        rows: &[*const f32; 8],
-        c: &mut [f32],
-        n: usize,
-    ) {
-        let cp = c.as_mut_ptr();
-        // SAFETY: row bases `cp + (ib+r)*n` plus offsets `< n` stay
-        // inside `c` (len `8*n`); B loads happen only under a nonzero
-        // A slot, per the caller contract above.
-        unsafe {
-            for ib in (0..8).step_by(4) {
-                let cr = [
-                    cp.add(ib * n),
-                    cp.add((ib + 1) * n),
-                    cp.add((ib + 2) * n),
-                    cp.add((ib + 3) * n),
-                ];
-                let mut j = 0;
-                while j + 16 <= n {
-                    let mut s00 = _mm256_loadu_ps(cr[0].add(j));
-                    let mut s01 = _mm256_loadu_ps(cr[0].add(j + 8));
-                    let mut s10 = _mm256_loadu_ps(cr[1].add(j));
-                    let mut s11 = _mm256_loadu_ps(cr[1].add(j + 8));
-                    let mut s20 = _mm256_loadu_ps(cr[2].add(j));
-                    let mut s21 = _mm256_loadu_ps(cr[2].add(j + 8));
-                    let mut s30 = _mm256_loadu_ps(cr[3].add(j));
-                    let mut s31 = _mm256_loadu_ps(cr[3].add(j + 8));
-                    for k in 0..8 {
-                        let a0 = a[ib * 8 + k];
-                        let a1 = a[(ib + 1) * 8 + k];
-                        let a2 = a[(ib + 2) * 8 + k];
-                        let a3 = a[(ib + 3) * 8 + k];
-                        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                            continue;
-                        }
-                        let b0 = _mm256_loadu_ps(rows[k].add(j));
-                        let b1 = _mm256_loadu_ps(rows[k].add(j + 8));
-                        if a0 != 0.0 {
-                            let av = _mm256_set1_ps(a0);
-                            s00 = _mm256_add_ps(s00, _mm256_mul_ps(av, b0));
-                            s01 = _mm256_add_ps(s01, _mm256_mul_ps(av, b1));
-                        }
-                        if a1 != 0.0 {
-                            let av = _mm256_set1_ps(a1);
-                            s10 = _mm256_add_ps(s10, _mm256_mul_ps(av, b0));
-                            s11 = _mm256_add_ps(s11, _mm256_mul_ps(av, b1));
-                        }
-                        if a2 != 0.0 {
-                            let av = _mm256_set1_ps(a2);
-                            s20 = _mm256_add_ps(s20, _mm256_mul_ps(av, b0));
-                            s21 = _mm256_add_ps(s21, _mm256_mul_ps(av, b1));
-                        }
-                        if a3 != 0.0 {
-                            let av = _mm256_set1_ps(a3);
-                            s30 = _mm256_add_ps(s30, _mm256_mul_ps(av, b0));
-                            s31 = _mm256_add_ps(s31, _mm256_mul_ps(av, b1));
-                        }
-                    }
-                    _mm256_storeu_ps(cr[0].add(j), s00);
-                    _mm256_storeu_ps(cr[0].add(j + 8), s01);
-                    _mm256_storeu_ps(cr[1].add(j), s10);
-                    _mm256_storeu_ps(cr[1].add(j + 8), s11);
-                    _mm256_storeu_ps(cr[2].add(j), s20);
-                    _mm256_storeu_ps(cr[2].add(j + 8), s21);
-                    _mm256_storeu_ps(cr[3].add(j), s30);
-                    _mm256_storeu_ps(cr[3].add(j + 8), s31);
-                    j += 16;
-                }
-                while j + 8 <= n {
-                    let mut s0 = _mm256_loadu_ps(cr[0].add(j));
-                    let mut s1 = _mm256_loadu_ps(cr[1].add(j));
-                    let mut s2 = _mm256_loadu_ps(cr[2].add(j));
-                    let mut s3 = _mm256_loadu_ps(cr[3].add(j));
-                    for k in 0..8 {
-                        let a0 = a[ib * 8 + k];
-                        let a1 = a[(ib + 1) * 8 + k];
-                        let a2 = a[(ib + 2) * 8 + k];
-                        let a3 = a[(ib + 3) * 8 + k];
-                        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                            continue;
-                        }
-                        let b0 = _mm256_loadu_ps(rows[k].add(j));
-                        if a0 != 0.0 {
-                            s0 = _mm256_add_ps(s0, _mm256_mul_ps(_mm256_set1_ps(a0), b0));
-                        }
-                        if a1 != 0.0 {
-                            s1 = _mm256_add_ps(s1, _mm256_mul_ps(_mm256_set1_ps(a1), b0));
-                        }
-                        if a2 != 0.0 {
-                            s2 = _mm256_add_ps(s2, _mm256_mul_ps(_mm256_set1_ps(a2), b0));
-                        }
-                        if a3 != 0.0 {
-                            s3 = _mm256_add_ps(s3, _mm256_mul_ps(_mm256_set1_ps(a3), b0));
-                        }
-                    }
-                    _mm256_storeu_ps(cr[0].add(j), s0);
-                    _mm256_storeu_ps(cr[1].add(j), s1);
-                    _mm256_storeu_ps(cr[2].add(j), s2);
-                    _mm256_storeu_ps(cr[3].add(j), s3);
-                    j += 8;
-                }
-                // Scalar tail: per lane still ascending `k` with the
-                // zero-skip, identical to the scalar kernel.
-                while j < n {
-                    for (r, &crp) in cr.iter().enumerate() {
-                        let mut cj = *crp.add(j);
-                        for k in 0..8 {
-                            let av = a[(ib + r) * 8 + k];
-                            if av != 0.0 {
-                                cj += av * *rows[k].add(j);
-                            }
-                        }
-                        *crp.add(j) = cj;
-                    }
-                    j += 1;
-                }
-            }
-        }
-    }
-
-    /// [`mma_tile_avx2`] at 512-bit width: 4 output rows × 32 columns
-    /// (2×zmm per row). Same bit-identity constraints — separate
-    /// mul + add, ascending `k` per lane, B rows touched only under a
-    /// nonzero A slot.
-    ///
-    /// SAFETY (caller): avx512f enabled; contract as in
-    /// [`mma_tile_avx2`].
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn mma_tile_avx512(
-        a: &[f32; 64],
-        rows: &[*const f32; 8],
-        c: &mut [f32],
-        n: usize,
-    ) {
-        let cp = c.as_mut_ptr();
-        // SAFETY: as in mma_tile_avx2.
-        unsafe {
-            for ib in (0..8).step_by(4) {
-                let cr = [
-                    cp.add(ib * n),
-                    cp.add((ib + 1) * n),
-                    cp.add((ib + 2) * n),
-                    cp.add((ib + 3) * n),
-                ];
-                let mut j = 0;
-                while j + 32 <= n {
-                    let mut s00 = _mm512_loadu_ps(cr[0].add(j));
-                    let mut s01 = _mm512_loadu_ps(cr[0].add(j + 16));
-                    let mut s10 = _mm512_loadu_ps(cr[1].add(j));
-                    let mut s11 = _mm512_loadu_ps(cr[1].add(j + 16));
-                    let mut s20 = _mm512_loadu_ps(cr[2].add(j));
-                    let mut s21 = _mm512_loadu_ps(cr[2].add(j + 16));
-                    let mut s30 = _mm512_loadu_ps(cr[3].add(j));
-                    let mut s31 = _mm512_loadu_ps(cr[3].add(j + 16));
-                    for k in 0..8 {
-                        let a0 = a[ib * 8 + k];
-                        let a1 = a[(ib + 1) * 8 + k];
-                        let a2 = a[(ib + 2) * 8 + k];
-                        let a3 = a[(ib + 3) * 8 + k];
-                        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                            continue;
-                        }
-                        let b0 = _mm512_loadu_ps(rows[k].add(j));
-                        let b1 = _mm512_loadu_ps(rows[k].add(j + 16));
-                        if a0 != 0.0 {
-                            let av = _mm512_set1_ps(a0);
-                            s00 = _mm512_add_ps(s00, _mm512_mul_ps(av, b0));
-                            s01 = _mm512_add_ps(s01, _mm512_mul_ps(av, b1));
-                        }
-                        if a1 != 0.0 {
-                            let av = _mm512_set1_ps(a1);
-                            s10 = _mm512_add_ps(s10, _mm512_mul_ps(av, b0));
-                            s11 = _mm512_add_ps(s11, _mm512_mul_ps(av, b1));
-                        }
-                        if a2 != 0.0 {
-                            let av = _mm512_set1_ps(a2);
-                            s20 = _mm512_add_ps(s20, _mm512_mul_ps(av, b0));
-                            s21 = _mm512_add_ps(s21, _mm512_mul_ps(av, b1));
-                        }
-                        if a3 != 0.0 {
-                            let av = _mm512_set1_ps(a3);
-                            s30 = _mm512_add_ps(s30, _mm512_mul_ps(av, b0));
-                            s31 = _mm512_add_ps(s31, _mm512_mul_ps(av, b1));
-                        }
-                    }
-                    _mm512_storeu_ps(cr[0].add(j), s00);
-                    _mm512_storeu_ps(cr[0].add(j + 16), s01);
-                    _mm512_storeu_ps(cr[1].add(j), s10);
-                    _mm512_storeu_ps(cr[1].add(j + 16), s11);
-                    _mm512_storeu_ps(cr[2].add(j), s20);
-                    _mm512_storeu_ps(cr[2].add(j + 16), s21);
-                    _mm512_storeu_ps(cr[3].add(j), s30);
-                    _mm512_storeu_ps(cr[3].add(j + 16), s31);
-                    j += 32;
-                }
-                while j + 16 <= n {
-                    let mut s0 = _mm512_loadu_ps(cr[0].add(j));
-                    let mut s1 = _mm512_loadu_ps(cr[1].add(j));
-                    let mut s2 = _mm512_loadu_ps(cr[2].add(j));
-                    let mut s3 = _mm512_loadu_ps(cr[3].add(j));
-                    for k in 0..8 {
-                        let a0 = a[ib * 8 + k];
-                        let a1 = a[(ib + 1) * 8 + k];
-                        let a2 = a[(ib + 2) * 8 + k];
-                        let a3 = a[(ib + 3) * 8 + k];
-                        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                            continue;
-                        }
-                        let b0 = _mm512_loadu_ps(rows[k].add(j));
-                        if a0 != 0.0 {
-                            s0 = _mm512_add_ps(s0, _mm512_mul_ps(_mm512_set1_ps(a0), b0));
-                        }
-                        if a1 != 0.0 {
-                            s1 = _mm512_add_ps(s1, _mm512_mul_ps(_mm512_set1_ps(a1), b0));
-                        }
-                        if a2 != 0.0 {
-                            s2 = _mm512_add_ps(s2, _mm512_mul_ps(_mm512_set1_ps(a2), b0));
-                        }
-                        if a3 != 0.0 {
-                            s3 = _mm512_add_ps(s3, _mm512_mul_ps(_mm512_set1_ps(a3), b0));
-                        }
-                    }
-                    _mm512_storeu_ps(cr[0].add(j), s0);
-                    _mm512_storeu_ps(cr[1].add(j), s1);
-                    _mm512_storeu_ps(cr[2].add(j), s2);
-                    _mm512_storeu_ps(cr[3].add(j), s3);
-                    j += 16;
-                }
-                // Sub-zmm widths go through the AVX2 kernel shape: on
-                // any avx512f host avx2 is present too, and the 8-lane
-                // blocks beat a masked-zmm tail for the short-n case.
-                if j < n {
-                    while j + 8 <= n {
-                        let mut s0 = _mm256_loadu_ps(cr[0].add(j));
-                        let mut s1 = _mm256_loadu_ps(cr[1].add(j));
-                        let mut s2 = _mm256_loadu_ps(cr[2].add(j));
-                        let mut s3 = _mm256_loadu_ps(cr[3].add(j));
-                        for k in 0..8 {
-                            let a0 = a[ib * 8 + k];
-                            let a1 = a[(ib + 1) * 8 + k];
-                            let a2 = a[(ib + 2) * 8 + k];
-                            let a3 = a[(ib + 3) * 8 + k];
-                            if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                                continue;
-                            }
-                            let b0 = _mm256_loadu_ps(rows[k].add(j));
-                            if a0 != 0.0 {
-                                s0 = _mm256_add_ps(s0, _mm256_mul_ps(_mm256_set1_ps(a0), b0));
-                            }
-                            if a1 != 0.0 {
-                                s1 = _mm256_add_ps(s1, _mm256_mul_ps(_mm256_set1_ps(a1), b0));
-                            }
-                            if a2 != 0.0 {
-                                s2 = _mm256_add_ps(s2, _mm256_mul_ps(_mm256_set1_ps(a2), b0));
-                            }
-                            if a3 != 0.0 {
-                                s3 = _mm256_add_ps(s3, _mm256_mul_ps(_mm256_set1_ps(a3), b0));
-                            }
-                        }
-                        _mm256_storeu_ps(cr[0].add(j), s0);
-                        _mm256_storeu_ps(cr[1].add(j), s1);
-                        _mm256_storeu_ps(cr[2].add(j), s2);
-                        _mm256_storeu_ps(cr[3].add(j), s3);
-                        j += 8;
-                    }
-                    while j < n {
-                        for (r, &crp) in cr.iter().enumerate() {
-                            let mut cj = *crp.add(j);
-                            for k in 0..8 {
-                                let av = a[(ib + r) * 8 + k];
-                                if av != 0.0 {
-                                    cj += av * *rows[k].add(j);
-                                }
-                            }
-                            *crp.add(j) = cj;
-                        }
-                        j += 1;
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
     //! NEON kernels, mirroring the AVX2 shapes at 4 lanes. Same
     //! bit-identity rules: separate `vmulq`/`vaddq` (never `vfmaq`),
-    //! ascending-`k` per-lane order, scalar tails.
+    //! ascending per-lane pair order, scalar tails.
 
     use super::EXP_MASK;
     use crate::scalar::to_tf32;
@@ -1102,134 +761,6 @@ mod neon {
             }
         }
     }
-
-    /// Whole 8×8×`n` tile update (NEON), register-blocked 4 output rows
-    /// × 8 columns (2×q per row) — see `x86::mma_tile_avx2` for the
-    /// ILP rationale and the bit-identity constraints (separate
-    /// mul + add, ascending `k` per lane, B rows touched only under a
-    /// nonzero A slot so null pointers for all-zero columns are fine).
-    ///
-    /// SAFETY (caller): neon enabled; `c.len() == 8 * n`; each
-    /// `rows[k]` whose column has a nonzero A slot is valid for `n`
-    /// reads and does not alias `c`.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn mma_tile_neon(
-        a: &[f32; 64],
-        rows: &[*const f32; 8],
-        c: &mut [f32],
-        n: usize,
-    ) {
-        let cp = c.as_mut_ptr();
-        // SAFETY: row bases plus offsets `< n` stay inside `c`; B loads
-        // only under a nonzero A slot.
-        unsafe {
-            for ib in (0..8).step_by(4) {
-                let cr = [
-                    cp.add(ib * n),
-                    cp.add((ib + 1) * n),
-                    cp.add((ib + 2) * n),
-                    cp.add((ib + 3) * n),
-                ];
-                let mut j = 0;
-                while j + 8 <= n {
-                    let mut s00 = vld1q_f32(cr[0].add(j));
-                    let mut s01 = vld1q_f32(cr[0].add(j + 4));
-                    let mut s10 = vld1q_f32(cr[1].add(j));
-                    let mut s11 = vld1q_f32(cr[1].add(j + 4));
-                    let mut s20 = vld1q_f32(cr[2].add(j));
-                    let mut s21 = vld1q_f32(cr[2].add(j + 4));
-                    let mut s30 = vld1q_f32(cr[3].add(j));
-                    let mut s31 = vld1q_f32(cr[3].add(j + 4));
-                    for k in 0..8 {
-                        let a0 = a[ib * 8 + k];
-                        let a1 = a[(ib + 1) * 8 + k];
-                        let a2 = a[(ib + 2) * 8 + k];
-                        let a3 = a[(ib + 3) * 8 + k];
-                        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                            continue;
-                        }
-                        let b0 = vld1q_f32(rows[k].add(j));
-                        let b1 = vld1q_f32(rows[k].add(j + 4));
-                        if a0 != 0.0 {
-                            let av = vdupq_n_f32(a0);
-                            s00 = vaddq_f32(s00, vmulq_f32(av, b0));
-                            s01 = vaddq_f32(s01, vmulq_f32(av, b1));
-                        }
-                        if a1 != 0.0 {
-                            let av = vdupq_n_f32(a1);
-                            s10 = vaddq_f32(s10, vmulq_f32(av, b0));
-                            s11 = vaddq_f32(s11, vmulq_f32(av, b1));
-                        }
-                        if a2 != 0.0 {
-                            let av = vdupq_n_f32(a2);
-                            s20 = vaddq_f32(s20, vmulq_f32(av, b0));
-                            s21 = vaddq_f32(s21, vmulq_f32(av, b1));
-                        }
-                        if a3 != 0.0 {
-                            let av = vdupq_n_f32(a3);
-                            s30 = vaddq_f32(s30, vmulq_f32(av, b0));
-                            s31 = vaddq_f32(s31, vmulq_f32(av, b1));
-                        }
-                    }
-                    vst1q_f32(cr[0].add(j), s00);
-                    vst1q_f32(cr[0].add(j + 4), s01);
-                    vst1q_f32(cr[1].add(j), s10);
-                    vst1q_f32(cr[1].add(j + 4), s11);
-                    vst1q_f32(cr[2].add(j), s20);
-                    vst1q_f32(cr[2].add(j + 4), s21);
-                    vst1q_f32(cr[3].add(j), s30);
-                    vst1q_f32(cr[3].add(j + 4), s31);
-                    j += 8;
-                }
-                while j + 4 <= n {
-                    let mut s0 = vld1q_f32(cr[0].add(j));
-                    let mut s1 = vld1q_f32(cr[1].add(j));
-                    let mut s2 = vld1q_f32(cr[2].add(j));
-                    let mut s3 = vld1q_f32(cr[3].add(j));
-                    for k in 0..8 {
-                        let a0 = a[ib * 8 + k];
-                        let a1 = a[(ib + 1) * 8 + k];
-                        let a2 = a[(ib + 2) * 8 + k];
-                        let a3 = a[(ib + 3) * 8 + k];
-                        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                            continue;
-                        }
-                        let b0 = vld1q_f32(rows[k].add(j));
-                        if a0 != 0.0 {
-                            s0 = vaddq_f32(s0, vmulq_f32(vdupq_n_f32(a0), b0));
-                        }
-                        if a1 != 0.0 {
-                            s1 = vaddq_f32(s1, vmulq_f32(vdupq_n_f32(a1), b0));
-                        }
-                        if a2 != 0.0 {
-                            s2 = vaddq_f32(s2, vmulq_f32(vdupq_n_f32(a2), b0));
-                        }
-                        if a3 != 0.0 {
-                            s3 = vaddq_f32(s3, vmulq_f32(vdupq_n_f32(a3), b0));
-                        }
-                    }
-                    vst1q_f32(cr[0].add(j), s0);
-                    vst1q_f32(cr[1].add(j), s1);
-                    vst1q_f32(cr[2].add(j), s2);
-                    vst1q_f32(cr[3].add(j), s3);
-                    j += 4;
-                }
-                while j < n {
-                    for (r, &crp) in cr.iter().enumerate() {
-                        let mut cj = *crp.add(j);
-                        for k in 0..8 {
-                            let av = a[(ib + r) * 8 + k];
-                            if av != 0.0 {
-                                cj += av * *rows[k].add(j);
-                            }
-                        }
-                        *crp.add(j) = cj;
-                    }
-                    j += 1;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1347,36 +878,6 @@ mod tests {
                     want[i].to_bits(),
                     "tier {tier} into elem {i}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn mma_prerounded_bit_identical_on_every_tier() {
-        for n in [1usize, 3, 7, 8, 15, 16, 17, 31, 32, 33, 64, 100] {
-            let mut a_raw = [0.0f32; 64];
-            for (t, slot) in a_raw.iter_mut().enumerate() {
-                *slot = messy(77, 64)[t];
-            }
-            let mut a = a_raw;
-            to_tf32_slice(&mut a);
-            let mut b = messy(0xBEEF ^ n as u64, 8 * n);
-            to_tf32_slice(&mut b);
-
-            let mut want = vec![0.25f32; 8 * n];
-            tf32_mma_8x8_prerounded(&a, &b, &mut want, n);
-
-            for tier in available_tiers() {
-                let mut got = vec![0.25f32; 8 * n];
-                mma_8x8_prerounded_tier(&a, &b, &mut got, n, tier);
-                for j in 0..8 * n {
-                    assert!(
-                        same(got[j], want[j]),
-                        "tier {tier} n={n} elem {j}: {:#010X} vs {:#010X}",
-                        got[j].to_bits(),
-                        want[j].to_bits()
-                    );
-                }
             }
         }
     }

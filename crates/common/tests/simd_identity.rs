@@ -12,9 +12,7 @@
 
 use proptest::prelude::*;
 use spmm_common::scalar;
-use spmm_common::simd::{
-    mma_8x8_prerounded_tier, mma_row_tier, to_tf32_slice_into_tier, to_tf32_slice_tier,
-};
+use spmm_common::simd::{mma_row_tier, to_tf32_slice_into_tier, to_tf32_slice_tier};
 use spmm_common::IsaTier;
 
 /// Tiers runnable on this host, logging every skip.
@@ -31,7 +29,7 @@ fn available_tiers() -> Vec<IsaTier> {
         .collect()
 }
 
-/// Values that stress the rounding passthrough and the zero-skip:
+/// Values that stress the rounding passthrough and the zero products:
 /// quiet NaN, both infinities, negative zero, subnormals (including the
 /// smallest), a value exactly on the round-to-even boundary, and the
 /// largest finite f32.
@@ -47,8 +45,8 @@ const SPECIALS: [u32; 8] = [
 ];
 
 /// Deterministic messy data: mostly ordinary values, specials spliced
-/// roughly every sixth slot, exact zeros (the MMA skip path) every
-/// eleventh.
+/// roughly every sixth slot, exact zeros (which the row core must
+/// multiply, not skip) every eleventh.
 fn messy(seed: u64, len: usize) -> Vec<f32> {
     let mut state = seed | 1;
     (0..len)
@@ -107,30 +105,9 @@ proptest! {
         }
     }
 
-    #[test]
-    fn mma_prerounded_matches_scalar_on_every_tier(
-        seed in any::<u64>(),
-        n in 1usize..130,
-    ) {
-        let mut a = [0.0f32; 64];
-        for (i, v) in messy(seed, 64).into_iter().enumerate() {
-            a[i] = scalar::to_tf32(v);
-        }
-        let mut b = messy(seed.wrapping_add(1), 8 * n);
-        scalar::to_tf32_slice(&mut b);
-        let c0 = messy(seed.wrapping_add(2), 8 * n);
-
-        let mut reference = c0.clone();
-        scalar::tf32_mma_8x8_prerounded(&a, &b, &mut reference, n);
-        for tier in available_tiers() {
-            let mut c = c0.clone();
-            mma_8x8_prerounded_tier(&a, &b, &mut c, n, tier);
-            assert_same_bits(&reference, &c, "mma_8x8_prerounded", tier);
-        }
-    }
-
-    // The row-streamed core of the TC window products: a list of
-    // `(value, B row)` pairs accumulated into one C row. Widths cover
+    // The row core every executor runs (a CSR row, or a TC window row
+    // decoded into pairs): a list of `(value, B row)` pairs accumulated
+    // into one C row. Widths cover
     // every vector block and tail shape of every tier (1, 7 lanes of
     // pure tail; 8/16 exact AVX2/AVX-512 vectors; 15/17/31/33 ragged
     // tails; 64 the widest main block). Values carry the spliced

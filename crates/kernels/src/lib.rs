@@ -2,9 +2,11 @@
 //!
 //! Every kernel has two faces:
 //! * **functional** — [`PreparedKernel::execute`] computes the numeric
-//!   result on the CPU with the same arithmetic the GPU kernel would use
-//!   (FP32 FMA for CUDA-core kernels, TF32-operand MMA for tensor-core
-//!   kernels), always returning C in *original* row order;
+//!   result on the CPU, always returning C in *original* row order. Every
+//!   kernel runs the one row core `spmm_common::simd::mma_row_tier`:
+//!   FP32 multiply then a separate FP32 add, never fused. The CUDA-core
+//!   kernels feed it CSR rows with no operand rounding; the tensor-core
+//!   kernels feed it TF32-rounded operands (the TF32-operand MMA);
 //! * **timing** — [`PreparedKernel::trace`] returns the kernel's work
 //!   compiled into a [`spmm_sim::KernelDesc`] and
 //!   [`PreparedKernel::profile`] simulates it on a chosen architecture.
@@ -205,8 +207,9 @@ impl<'a> KernelBuilder<'a> {
         self
     }
 
-    /// Explicit (e.g. ablation) configuration — only meaningful for
-    /// [`KernelKind::AccSpmm`].
+    /// Explicit (e.g. ablation) configuration. Its stage toggles shape
+    /// only [`KernelKind::AccSpmm`]; its `isa` pin steers every kernel's
+    /// executor, the CSR kernels included.
     pub fn config(mut self, config: AccConfig) -> Self {
         self.config = config;
         self
@@ -574,9 +577,10 @@ fn spmm_dispatch(
         Some(TcFormat::Tcf(f)) => f.spmm_into_staged_tier(tiles.stage_b_tier(b, tier), c, tier),
         Some(TcFormat::MeTcf(f)) => tc_matrix_spmm(f, b, c, tiles, parallel, tier),
         Some(TcFormat::BitTcf(f)) => tc_matrix_spmm(f, b, c, tiles, parallel, tier),
-        // CUDA-core kernels are FP32 FMA — no operand rounding.
-        None if parallel => plan.csr().spmm_dense_into(b, c),
-        None => plan.csr().spmm_dense_into_seq(b, c),
+        // CUDA-core kernels: FP32 multiply then add on the same row
+        // core, no operand rounding, no fusion.
+        None if parallel => plan.csr().spmm_dense_into(b, c, tier),
+        None => plan.csr().spmm_dense_into_seq(b, c, tier),
     }
 }
 

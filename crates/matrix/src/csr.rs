@@ -4,7 +4,7 @@
 use crate::coo::CooMatrix;
 use crate::dense::DenseMatrix;
 use rayon::prelude::*;
-use spmm_common::{Result, SpmmError};
+use spmm_common::{mma_row_tier, IsaTier, Result, SpmmError};
 use std::sync::OnceLock;
 
 /// A CSR sparse matrix with `f32` values and `u32` column indices.
@@ -338,36 +338,35 @@ impl CsrMatrix {
 
     /// Reference SpMM: `C = self × B` in full FP32, parallelized over rows
     /// with rayon. Every kernel's functional output is validated against
-    /// this implementation.
+    /// this implementation. It runs the row core's scalar arm: per output
+    /// lane, `c[j] += v * b[j]` over the row's stored entries in
+    /// ascending order, every stored zero multiplied.
     pub fn spmm_dense(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
         let mut c = DenseMatrix::zeros(self.nrows, b.ncols());
-        self.spmm_dense_into(b, &mut c)?;
+        self.spmm_dense_into(b, &mut c, IsaTier::Scalar)?;
         Ok(c)
     }
 
     /// [`CsrMatrix::spmm_dense`] writing into a caller-provided output
-    /// (overwritten, not accumulated) — the allocation-free hot path.
-    pub fn spmm_dense_into(&self, b: &DenseMatrix, c: &mut DenseMatrix) -> Result<()> {
-        if self.ncols != b.nrows() || c.nrows() != self.nrows || c.ncols() != b.ncols() {
-            return Err(SpmmError::Shape {
-                context: format!(
-                    "A is {}x{}, B is {}x{}, C is {}x{}",
-                    self.nrows,
-                    self.ncols,
-                    b.nrows(),
-                    b.ncols(),
-                    c.nrows(),
-                    c.ncols()
-                ),
-            });
-        }
-        let n = b.ncols();
+    /// (overwritten, not accumulated) at an explicit ISA tier — the
+    /// allocation-free hot path of the CSR kernels. Each output row is
+    /// zeroed, then one [`mma_row_tier`] call over the row's values and
+    /// column indices, so the result is bit-identical on every tier.
+    pub fn spmm_dense_into(
+        &self,
+        b: &DenseMatrix,
+        c: &mut DenseMatrix,
+        tier: IsaTier,
+    ) -> Result<()> {
+        self.check_product_shape(b, c)?;
         // Split the output into row chunks; each row only reads A and B.
         c.as_mut_slice()
-            .par_chunks_mut(n.max(1))
+            .par_chunks_mut(b.ncols().max(1))
             .enumerate()
             .for_each(|(r, crow)| {
-                Self::spmm_row(self.row(r), b, crow);
+                let (cols, vals) = self.row(r);
+                crow.fill(0.0);
+                mma_row_tier(vals, cols, b.as_slice(), crow, tier);
             });
         Ok(())
     }
@@ -376,7 +375,24 @@ impl CsrMatrix {
     /// parallel path (rows are independent and per-row accumulation
     /// order is the same), for callers that parallelize at a coarser
     /// granularity (e.g. over a batch of dense operands).
-    pub fn spmm_dense_into_seq(&self, b: &DenseMatrix, c: &mut DenseMatrix) -> Result<()> {
+    pub fn spmm_dense_into_seq(
+        &self,
+        b: &DenseMatrix,
+        c: &mut DenseMatrix,
+        tier: IsaTier,
+    ) -> Result<()> {
+        self.check_product_shape(b, c)?;
+        for r in 0..self.nrows {
+            let (cols, vals) = self.row(r);
+            let crow = c.row_mut(r);
+            crow.fill(0.0);
+            mma_row_tier(vals, cols, b.as_slice(), crow, tier);
+        }
+        Ok(())
+    }
+
+    /// `C = self × B` needs B with `ncols` rows and C of `nrows × B.ncols`.
+    fn check_product_shape(&self, b: &DenseMatrix, c: &DenseMatrix) -> Result<()> {
         if self.ncols != b.nrows() || c.nrows() != self.nrows || c.ncols() != b.ncols() {
             return Err(SpmmError::Shape {
                 context: format!(
@@ -390,21 +406,7 @@ impl CsrMatrix {
                 ),
             });
         }
-        for r in 0..self.nrows {
-            Self::spmm_row(self.row(r), b, c.row_mut(r));
-        }
         Ok(())
-    }
-
-    /// One output row: `crow = A[r,:] · B` (overwrites).
-    fn spmm_row((cols, vals): (&[u32], &[f32]), b: &DenseMatrix, crow: &mut [f32]) {
-        crow.iter_mut().for_each(|x| *x = 0.0);
-        for (&col, &v) in cols.iter().zip(vals.iter()) {
-            let brow = b.row(col as usize);
-            for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
-                *cj += v * bj;
-            }
-        }
     }
 
     /// Densify (small matrices only; used in tests).

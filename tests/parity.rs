@@ -142,3 +142,123 @@ fn execute_batch_bit_identical_across_all_kernels() {
         }
     }
 }
+
+/// NaN-position-exact bitwise equality: a NaN must sit at the same
+/// coordinates (its payload is unspecified), every other element —
+/// signed zeros and infinities included — must match bit for bit.
+fn assert_same_bits(got: &DenseMatrix, want: &DenseMatrix, what: &str) {
+    assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()));
+    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{what}: element {i} is {g:?} ({:#010x}), reference {w:?} ({:#010x})",
+            g.to_bits(),
+            w.to_bits()
+        );
+    }
+}
+
+#[test]
+fn csr_kernels_are_bit_identical_to_the_reference_on_every_tier() {
+    use spmm_common::util::splitmix64;
+    use spmm_common::IsaTier;
+    use spmm_kernels::{AccConfig, Workspace};
+
+    // A carries every awkward class as a *stored* entry: explicit
+    // zeros, ±Inf, NaN, subnormals and −0.0, plus empty rows.
+    const ROWS: usize = 96;
+    const COLS: usize = 80;
+    const ZERO_COL: u32 = 5;
+    let specials = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        1.0e-41,
+        f32::from_bits(1),
+    ];
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0usize], Vec::new(), Vec::new());
+    for r in 0..ROWS {
+        let mut cols: Vec<u32> = if r == 0 {
+            // Row 0 stores an explicit zero opposite B's Inf row, among
+            // finite neighbours.
+            vec![1, ZERO_COL, 40]
+        } else {
+            let len = splitmix64(r as u64) % 14;
+            (0..len)
+                .map(|t| (splitmix64(((r as u64) << 8) | t) % COLS as u64) as u32)
+                .collect()
+        };
+        cols.sort_unstable();
+        cols.dedup();
+        for &c in &cols {
+            let h = splitmix64(0x5EED ^ ((r as u64) << 16) ^ c as u64);
+            let v = match (r, c) {
+                (0, ZERO_COL) => 0.0,
+                (0, _) => 0.5,
+                _ if h.is_multiple_of(7) => specials[(h >> 8) as usize % specials.len()],
+                _ => (h >> 40) as f32 / (1u64 << 23) as f32 - 1.0,
+            };
+            col_idx.push(c);
+            values.push(v);
+        }
+        row_ptr.push(col_idx.len());
+    }
+    let a = CsrMatrix::new(ROWS, COLS, row_ptr, col_idx, values).unwrap();
+
+    let tiers: Vec<IsaTier> = IsaTier::ALL
+        .into_iter()
+        .filter(|t| {
+            let ok = t.is_available();
+            if !ok {
+                eprintln!("csr tier parity: skipping tier '{t}' (not available on this host)");
+            }
+            ok
+        })
+        .collect();
+    // Every tail shape of every tier: pure tails, exact 8/16-lane
+    // vectors, ragged tails and the widest main blocks.
+    for n in [1usize, 7, 8, 15, 16, 17, 33, 64] {
+        let mut b = DenseMatrix::random(COLS, n, 0xB00 + n as u64);
+        b.row_mut(ZERO_COL as usize).fill(f32::INFINITY);
+        let b2 = DenseMatrix::random(COLS, n, 0xB01 + n as u64);
+        let want = a.spmm_dense(&b).unwrap();
+        let want2 = a.spmm_dense(&b2).unwrap();
+        // 0 × Inf = NaN: a zero skip anywhere in the path loses it.
+        assert!(
+            (0..n).all(|j| want.get(0, j).is_nan()),
+            "n={n}: reference skipped a zero"
+        );
+
+        for kind in [
+            KernelKind::CusparseLike,
+            KernelKind::SputnikLike,
+            KernelKind::SparseTirLike,
+        ] {
+            for &tier in &tiers {
+                let what = format!("{} on tier '{tier}', n={n}", kind.name());
+                let k = PreparedKernel::builder(kind, &a)
+                    .feature_dim(n)
+                    .config(AccConfig {
+                        isa: Some(tier),
+                        ..AccConfig::full()
+                    })
+                    .build()
+                    .unwrap();
+                assert_eq!(k.execution_plan().isa_tier(), tier, "{what}");
+
+                assert_same_bits(&k.execute(&b).unwrap(), &want, &format!("{what}, execute"));
+
+                let mut out = DenseMatrix::from_fn(ROWS, n, |_, _| f32::NAN);
+                let mut ws = Workspace::new();
+                k.execute_into(&b, &mut out, &mut ws).unwrap();
+                assert_same_bits(&out, &want, &format!("{what}, execute_into"));
+
+                let batch = k.execute_batch(&[b.clone(), b2.clone()]).unwrap();
+                assert_same_bits(&batch[0], &want, &format!("{what}, execute_batch[0]"));
+                assert_same_bits(&batch[1], &want2, &format!("{what}, execute_batch[1]"));
+            }
+        }
+    }
+}
