@@ -424,7 +424,7 @@ fn row_core_entries(cfg: &Config) -> Vec<Entry> {
 fn engine_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
     const CLIENTS: usize = 8;
     let _s = spmm_trace::span("perfsuite.engine_scenario");
-    let dim = 16; // decode-bound regime where batching pays
+    let dim = 16; // small N, where sharing each row's pairs across a batch pays most
     let rounds = if cfg.quick { 12 } else { 24 };
     let runs = cfg.repeats.clamp(1, 3);
     let m = gen::rmat(

@@ -31,7 +31,7 @@
 //!    on every tier, so `0 × Inf = NaN` appears exactly where the scalar
 //!    loop puts it. The CSR kernels pass their stored values as they
 //!    are; the TC formats, whose tensor-core model skips zero A slots,
-//!    drop ±0 while decoding a row's `(value, B row)` pairs instead.
+//!    drop ±0 when a plan decodes its execution rows instead.
 //!
 //! The selected tier is resolved **once at plan-compile time**
 //! (`AccConfig::isa` pin → `SPMM_FORCE_ISA` env override → probe) and
@@ -305,9 +305,9 @@ pub fn to_tf32_slice_into_tier(src: &[f32], dst: &mut [f32], tier: IsaTier) {
 /// the row scaled by `avs[t]`.
 ///
 /// This is the one MMA core every host executor runs. A CSR kernel
-/// hands it one CSR row's values and column indices; a TC window product
-/// decodes one output row's nonzeros from every block of a window into
-/// `(value, B row)` pairs. The vector kernels keep each C chunk in
+/// hands it one CSR row's values and column indices; a BitTCF or ME-TCF
+/// plan hands it one of its execution rows, the `(value, B row)` pairs
+/// decoded once from every block of the row's window. The vector kernels keep each C chunk in
 /// registers across *all* pairs, loading and storing it once. Per lane
 /// the adds run in ascending `t` with separate multiply and add, so the
 /// result is bit-identical to the scalar fallback on every tier.

@@ -38,11 +38,15 @@ impl BlockCodec for Bitmap {
     /// no per-nnz id array, unlike the ME-TCF encoder.
     fn encode_window(m: &CsrMatrix, rows: Range<usize>, wcols: &[u32]) -> EncodedWindow<u64> {
         let mut bits = vec![0u64; wcols.len().div_ceil(TILE)];
+        // Each non-zero's block, in row order: one column search per nnz.
+        let window = m.row_ptr()[rows.start]..m.row_ptr()[rows.end];
+        let mut block_of = Vec::with_capacity(window.len());
         for r in rows.clone() {
             let lr = r - rows.start;
             for &c in m.row(r).0 {
                 let pos = wcols.binary_search(&c).expect("column must be in window");
                 bits[pos / TILE] |= 1u64 << (lr * TILE + pos % TILE);
+                block_of.push(pos / TILE);
             }
         }
         // Block b's values start at the popcount prefix of the blocks
@@ -56,13 +60,9 @@ impl BlockCodec for Bitmap {
             acc += b.count_ones() as usize;
         }
         let mut values = vec![0f32; acc];
-        for r in rows {
-            let (cols, rvals) = m.row(r);
-            for (&c, &v) in cols.iter().zip(rvals.iter()) {
-                let bi = wcols.binary_search(&c).expect("column must be in window") / TILE;
-                values[cursor[bi]] = v;
-                cursor[bi] += 1;
-            }
+        for (&bi, &v) in block_of.iter().zip(&m.values()[window]) {
+            values[cursor[bi]] = v;
+            cursor[bi] += 1;
         }
         EncodedWindow {
             block_nnz,
@@ -125,7 +125,6 @@ impl BlockCodec for Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::{BStage, TileScratch};
     use crate::window::{WindowPartition, PAD_COL};
     use spmm_common::scalar::tf32_tolerance;
     use spmm_common::simd::IsaTier;
@@ -227,56 +226,9 @@ mod tests {
         let b = DenseMatrix::random(200, 20, 3);
         let t = BitTcf::from_csr(&m);
         let via_alloc = t.spmm(&b).unwrap();
-        let mut via_into = DenseMatrix::zeros(200, 20);
+        let mut via_into = DenseMatrix::from_fn(200, 20, |_, _| f32::NAN);
         t.spmm_into(&b, &mut via_into).unwrap();
         assert_eq!(via_alloc, via_into);
-        let mut scratch = TileScratch::new();
-        let mut via_seq = DenseMatrix::zeros(200, 20);
-        let tier = IsaTier::probe();
-        t.spmm_into_seq_tier(&b, &mut via_seq, &mut scratch, tier)
-            .unwrap();
-        assert_eq!(via_alloc, via_seq, "sequential path must match parallel");
-        // Reusing the (now dirty) scratch and output must still be exact.
-        t.spmm_into_seq_tier(&b, &mut via_seq, &mut scratch, tier)
-            .unwrap();
-        assert_eq!(via_alloc, via_seq);
-    }
-
-    #[test]
-    fn side_by_side_window_product_is_bit_identical_to_sequential() {
-        let m = uniform_random(93, 6.0, 13);
-        let t = BitTcf::from_csr(&m);
-        // Mixed feature dims exercise the side-by-side column offsets,
-        // and 93 rows leave a ragged last window.
-        let bs: Vec<DenseMatrix> = (0..3)
-            .map(|i| DenseMatrix::random(93, 8 + 4 * i, 50 + i as u64))
-            .collect();
-        let total_n: usize = bs.iter().map(|b| b.ncols()).sum();
-        let tier = IsaTier::probe();
-        let mut stage = BStage::new();
-        stage.stage_side_by_side_tier(&bs, tier);
-        let mut scratch = TileScratch::new();
-        let (pairs, ctiles) = scratch.ensure(total_n);
-        let mut got: Vec<DenseMatrix> = bs
-            .iter()
-            .map(|b| DenseMatrix::zeros(93, b.ncols()))
-            .collect();
-        for w in 0..t.num_windows() {
-            t.window_product(w, &stage, pairs, ctiles, tier);
-            let lo = w * TILE;
-            for r in lo..lo + t.window_rows(w) {
-                let crow = &ctiles[(r - lo) * total_n..(r - lo + 1) * total_n];
-                let mut off = 0;
-                for (j, b) in bs.iter().enumerate() {
-                    let n = b.ncols();
-                    got[j].row_mut(r).copy_from_slice(&crow[off..off + n]);
-                    off += n;
-                }
-            }
-        }
-        for (j, b) in bs.iter().enumerate() {
-            assert_eq!(got[j], t.spmm(b).unwrap(), "rhs {j} diverged");
-        }
     }
 
     /// The pre-change execution path, kept verbatim as the bit-equality
@@ -324,11 +276,7 @@ mod tests {
         let mut pre = t.clone();
         pre.preround_values_tier(tier);
         assert!(pre.is_prerounded());
-        assert_eq!(pre.spmm(&b).unwrap(), want, "prerounded parallel path");
-        let mut seq = DenseMatrix::zeros(200, 20);
-        pre.spmm_into_seq_tier(&b, &mut seq, &mut TileScratch::new(), tier)
-            .unwrap();
-        assert_eq!(seq, want, "prerounded sequential path");
+        assert_eq!(pre.spmm(&b).unwrap(), want, "prerounded path");
         // Prerounding twice is a no-op.
         let mut twice = pre.clone();
         twice.preround_values_tier(tier);
@@ -374,9 +322,7 @@ mod tests {
         let mut bad = DenseMatrix::zeros(11, 4);
         assert!(t.spmm_into(&b, &mut bad).is_err());
         let mut bad2 = DenseMatrix::zeros(12, 5);
-        assert!(t
-            .spmm_into_seq_tier(&b, &mut bad2, &mut TileScratch::new(), IsaTier::probe())
-            .is_err());
+        assert!(t.spmm_into(&b, &mut bad2).is_err());
     }
 
     #[test]

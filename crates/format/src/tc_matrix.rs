@@ -12,8 +12,9 @@
 //! within the 8×8 tile) are encoded — the one axis Figure 12 compares.
 //! [`TcMatrix`] owns the skeleton and everything built on it: the
 //! parallel per-window conversion and its stitching, incremental
-//! repair, pre-rounding, the row-streamed window core, block decode and
-//! the CSR round trip. A [`BlockCodec`] owns only the position encoding:
+//! repair, pre-rounding, the decode into execution rows, block decode
+//! and the CSR round trip. A [`BlockCodec`] owns only the position
+//! encoding:
 //!
 //! * [`Bitmap`](crate::Bitmap) — one `u64` per block ([`crate::BitTcf`]);
 //! * [`LocalIds`] — one `u8` per non-zero ([`MeTcf`]).
@@ -23,11 +24,12 @@
 //! and no block offsets (see [`crate::Tcf`]).
 
 use crate::io::{get_vec, put_slice};
-use crate::scratch::{BStage, TileScratch, WindowPairs};
+use crate::scratch::BStage;
 use crate::window::{WindowPartition, PAD_COL, TILE};
 use spmm_common::scalar::to_tf32;
 use spmm_common::simd::{to_tf32_slice_tier, IsaTier};
-use spmm_common::Result;
+use spmm_common::util::is_permutation;
+use spmm_common::{Result, SpmmError};
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 use std::fmt::Debug;
 use std::io::{Read, Write};
@@ -456,45 +458,144 @@ impl<C: BlockCodec> TcMatrix<C> {
         tile
     }
 
-    /// Decode window `w` into one pair list per window row. Each
-    /// block's positions are walked in ascending order, so the value
-    /// index counts up from the block's `TCOffset` and row `t / 8`
-    /// receives the pair in ascending (block, column) order. Values are
-    /// TF32-rounded unless the matrix is pre-rounded, and a value that
-    /// rounds to ±0 is dropped: exactly the A slots a tile MMA's
-    /// zero-skip passes over.
-    fn decode_window(&self, w: usize, pairs: &mut WindowPairs) {
-        let blocks = self.window_blocks(w);
-        let mut caps = [0usize; TILE];
-        C::row_counts(
-            &self.positions[C::word_span(&self.tc_offset, blocks.clone())],
-            &mut caps,
-        );
-        pairs.reset(caps);
-        for blk in blocks {
-            let cols = self.block_cols(blk);
-            let mut idx = self.tc_offset[blk] as usize;
-            C::walk(self.block_words(blk), |t| {
-                let v = self.values[idx];
-                let v = if self.values_tf32 { v } else { to_tf32(v) };
-                if v != 0.0 {
-                    pairs.push(t / TILE, v, cols[t % TILE]);
-                }
-                idx += 1;
-            });
+    /// The execution rows: row `i` holds the decoded pairs of row
+    /// `order[i]` (of row `i` when `order` is `None`). Each value is
+    /// TF32-rounded (unless the matrix is pre-rounded) and a value that
+    /// rounds to ±0 is dropped — exactly the A slots a tile MMA's
+    /// zero-skip passes over; each column is the B row the value scales.
+    /// A window's columns are sorted and distinct and the codecs walk
+    /// positions in ascending order, so every row's columns ascend and
+    /// the rows form a valid CSR matrix: one
+    /// [`CsrMatrix::spmm_dense_into`] over a TF32 stage of B computes
+    /// what a chain of 8×8 tile MMAs computes, bit for bit.
+    ///
+    /// Windows decode in parallel, one contiguous span per worker; a
+    /// parallel gather then lays the rows out in `order`.
+    ///
+    /// # Errors
+    /// [`SpmmError::InvalidConfig`] if `order` is not a permutation of
+    /// the rows; [`SpmmError::MalformedFormat`] if the decoded rows are
+    /// not a valid CSR matrix (block columns that do not ascend).
+    pub fn exec_rows(&self, order: Option<&[u32]>) -> Result<CsrMatrix> {
+        use rayon::prelude::*;
+        if order.is_some_and(|o| o.len() != self.nrows || !is_permutation(o)) {
+            return Err(SpmmError::InvalidConfig(
+                "execution row order is not a permutation of the rows".into(),
+            ));
         }
+        let windows = self.num_windows();
+        let per_span = windows.div_ceil(rayon::current_num_threads().max(1)).max(1);
+        let spans: Vec<(Vec<usize>, Vec<f32>, Vec<u32>)> = (0..windows.div_ceil(per_span))
+            .into_par_iter()
+            .map(|s| self.decode_windows(s * per_span..((s + 1) * per_span).min(windows)))
+            .collect();
+        // Row `i`'s pairs, where the span that decoded them left them.
+        let pairs = |i: usize| {
+            let r = order.map_or(i, |o| o[i] as usize);
+            let (ends, v, c) = &spans[r / (per_span * TILE)];
+            let local = r % (per_span * TILE);
+            let span = if local == 0 { 0 } else { ends[local - 1] }..ends[local];
+            (&v[span.clone()], &c[span])
+        };
+        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
+        row_ptr.push(0);
+        for i in 0..self.nrows {
+            row_ptr.push(row_ptr[i] + pairs(i).0.len());
+        }
+        // Gather in parallel: one piece of rows per span, cut where the
+        // pairs split evenly, each writing its own slices of the output.
+        let nnz = row_ptr[self.nrows];
+        let (mut vals, mut cols) = (vec![0.0f32; nnz], vec![0u32; nnz]);
+        let mut pieces = Vec::with_capacity(spans.len());
+        let (mut v_rest, mut c_rest) = (&mut vals[..], &mut cols[..]);
+        let mut lo = 0;
+        for k in 1..=spans.len() {
+            let hi = if k == spans.len() {
+                self.nrows
+            } else {
+                row_ptr.partition_point(|&p| p * spans.len() < nnz * k)
+            };
+            let (v, v_tail) = std::mem::take(&mut v_rest).split_at_mut(row_ptr[hi] - row_ptr[lo]);
+            let (c, c_tail) = std::mem::take(&mut c_rest).split_at_mut(v.len());
+            (v_rest, c_rest) = (v_tail, c_tail);
+            pieces.push((lo..hi, v, c));
+            lo = hi;
+        }
+        pieces.par_chunks_mut(1).for_each(|piece| {
+            let (rows, v, c) = &mut piece[0];
+            let base = row_ptr[rows.start];
+            for i in rows.clone() {
+                let (pv, pc) = pairs(i);
+                let at = row_ptr[i] - base;
+                v[at..at + pv.len()].copy_from_slice(pv);
+                c[at..at + pc.len()].copy_from_slice(pc);
+            }
+        });
+        CsrMatrix::new(self.nrows, self.ncols, row_ptr, cols, vals)
     }
 
-    /// Functional SpMM through the TC path, row-streamed: each window's
-    /// non-zeros are decoded into per-row pair lists, and each output row
-    /// is accumulated against the TF32 B rows in one register-blocked
-    /// pass. This is numerically what the GPU kernel computes (TF32
-    /// operands, FP32 accumulate), and per output element the adds run in
-    /// the same ascending (block, column) order as a chain of 8×8 tile
-    /// MMAs.
-    ///
-    /// RowWindows write disjoint C rows, so the window loop parallelizes
-    /// over the output exactly like the GPU's thread-block grid.
+    /// Decode `windows` row by row: each row's end offset, then the
+    /// values and B rows of all the rows back to back. Within a window,
+    /// row `r`'s pairs are written at a reserved span sized by
+    /// [`BlockCodec::row_counts`]; each block's positions are walked in
+    /// ascending order, so the value index counts up from the block's
+    /// `TCOffset` and row `t / 8` receives its pairs in ascending
+    /// (block, column) order. Dropped zeros leave gaps at row ends,
+    /// closed before the next window.
+    fn decode_windows(&self, windows: Range<usize>) -> (Vec<usize>, Vec<f32>, Vec<u32>) {
+        let first = self.row_window_offset[windows.start] as usize;
+        let last = self.row_window_offset[windows.end] as usize;
+        let bound = (self.tc_offset[last] - self.tc_offset[first]) as usize;
+        let (mut vals, mut cols) = (vec![0.0f32; bound], vec![0u32; bound]);
+        let mut ends = Vec::with_capacity(windows.len() * TILE);
+        let mut at = 0;
+        for w in windows {
+            let blocks = self.window_blocks(w);
+            let mut caps = [0usize; TILE];
+            C::row_counts(
+                &self.positions[C::word_span(&self.tc_offset, blocks.clone())],
+                &mut caps,
+            );
+            let mut start = [0usize; TILE];
+            let mut reserved = at;
+            for (s, &cap) in start.iter_mut().zip(&caps) {
+                *s = reserved;
+                reserved += cap;
+            }
+            let mut next = start;
+            for blk in blocks {
+                let bcols = self.block_cols(blk);
+                let mut idx = self.tc_offset[blk] as usize;
+                C::walk(self.block_words(blk), |t| {
+                    let v = self.values[idx];
+                    let v = if self.values_tf32 { v } else { to_tf32(v) };
+                    if v != 0.0 {
+                        let k = next[t / TILE];
+                        vals[k] = v;
+                        cols[k] = bcols[t % TILE];
+                        next[t / TILE] = k + 1;
+                    }
+                    idx += 1;
+                });
+            }
+            for r in 0..self.window_rows(w) {
+                if start[r] != at {
+                    vals.copy_within(start[r]..next[r], at);
+                    cols.copy_within(start[r]..next[r], at);
+                }
+                at += next[r] - start[r];
+                ends.push(at);
+            }
+        }
+        vals.truncate(at);
+        cols.truncate(at);
+        (ends, vals, cols)
+    }
+
+    /// Functional SpMM through the TC path: TF32 operands, FP32
+    /// accumulate, numerically what the GPU kernel computes. Per output
+    /// element the adds run in the same ascending (block, column) order
+    /// as a chain of 8×8 tile MMAs.
     pub fn spmm(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
         let mut c = DenseMatrix::zeros(self.nrows, b.ncols());
         self.spmm_into(b, &mut c)?;
@@ -502,90 +603,16 @@ impl<C: BlockCodec> TcMatrix<C> {
     }
 
     /// [`TcMatrix::spmm`] writing into a caller-provided output matrix.
-    /// Rounds B into a fresh [`BStage`] at the host's probed tier;
-    /// callers that multiply repeatedly should hold their own stage and
-    /// use [`TcMatrix::spmm_into_staged_tier`] instead.
+    /// Builds the [`TcMatrix::exec_rows`] and rounds B into a fresh
+    /// [`BStage`] on every call, at the host's probed tier; execution
+    /// plans build the rows once and reuse them.
     pub fn spmm_into(&self, b: &DenseMatrix, c: &mut DenseMatrix) -> Result<()> {
+        crate::check_spmm_shapes(self.nrows, self.ncols, b.nrows(), b.ncols(), c)?;
         let tier = IsaTier::probe();
         let mut stage = BStage::new();
         stage.stage_tier(b, tier);
-        self.spmm_into_staged_tier(&stage, c, tier)
-    }
-
-    /// The window-parallel SpMM over a pre-rounded B stage (one
-    /// [`WindowPairs`] per worker, the stage shared read-only), so the
-    /// hot path allocates nothing proportional to the matrix and the
-    /// row core is a pure mul-add. `tier` drives the row core
-    /// (bit-identical across tiers; plans pass their resolved tier so
-    /// the choice is made once at compile time).
-    pub fn spmm_into_staged_tier(
-        &self,
-        stage: &BStage,
-        c: &mut DenseMatrix,
-        tier: IsaTier,
-    ) -> Result<()> {
-        use rayon::prelude::*;
-        crate::check_spmm_shapes(self.nrows, self.ncols, stage.nrows(), stage.ncols(), c)?;
-        let n = stage.ncols();
-        c.as_mut_slice()
-            .par_chunks_mut(TILE * n)
-            .enumerate()
-            .for_each_init(WindowPairs::new, |pairs, (w, cslab)| {
-                self.window_product(w, stage, pairs, cslab, tier)
-            });
-        Ok(())
-    }
-
-    /// Compute window `w`'s output rows into `out`: row `i` of the
-    /// window (of up to 8; fewer for a ragged last window) is written to
-    /// `out[i·n..(i+1)·n]` with `n = stage.ncols()`, overwriting it.
-    /// Both operands are pre-rounded here — B by the stage, A either at
-    /// [`TcMatrix::preround_values_tier`] time or per value while
-    /// decoding — so the row core never rounds, and it reads B rows in
-    /// place from the stage.
-    ///
-    /// This is also the batched path: a stage holding several RHS side
-    /// by side ([`BStage::stage_side_by_side_tier`]) decodes the window
-    /// once for all of them, and per output element the add order is
-    /// the single-RHS one, so results stay bit-identical to one-at-a-time
-    /// execution.
-    pub fn window_product(
-        &self,
-        w: usize,
-        stage: &BStage,
-        pairs: &mut WindowPairs,
-        out: &mut [f32],
-        tier: IsaTier,
-    ) {
-        self.decode_window(w, pairs);
-        pairs.multiply_rows(self.window_rows(w), stage, out, tier);
-    }
-
-    /// Sequential zero-allocation SpMM into a caller-provided output,
-    /// borrowing the stage and pair lists from `scratch`. Window-sequential
-    /// execution computes exactly the same floats as the parallel
-    /// [`TcMatrix::spmm`] (windows write disjoint output rows and the
-    /// per-window math is identical), which is what lets batched
-    /// execution parallelize over RHS matrices instead and stay
-    /// bit-identical.
-    pub fn spmm_into_seq_tier(
-        &self,
-        b: &DenseMatrix,
-        c: &mut DenseMatrix,
-        scratch: &mut TileScratch,
-        tier: IsaTier,
-    ) -> Result<()> {
-        crate::check_spmm_shapes(self.nrows, self.ncols, b.nrows(), b.ncols(), c)?;
-        let n = b.ncols();
-        scratch.stage_b_tier(b, tier);
-        let (stage, pairs) = scratch.staged_parts();
-        let out = c.as_mut_slice();
-        for w in 0..self.num_windows() {
-            let lo = w * TILE;
-            let hi = lo + self.window_rows(w);
-            self.window_product(w, stage, pairs, &mut out[lo * n..hi * n], tier);
-        }
-        Ok(())
+        self.exec_rows(None)?
+            .spmm_dense_into(stage.as_dense(), c, tier)
     }
 
     /// [`TcMatrix::spmm`] with a selectable operand precision (TF32 is

@@ -301,7 +301,13 @@ impl Tcf {
             } else {
                 to_tf32(self.values[k])
             };
-            mma_row_tier(&[v], &[col], stage.as_slice(), c.row_mut(r), tier);
+            mma_row_tier(
+                &[v],
+                &[col],
+                stage.as_dense().as_slice(),
+                c.row_mut(r),
+                tier,
+            );
         }
         Ok(())
     }

@@ -1,19 +1,21 @@
-//! Window-level bit-identity of the row-streamed TC core.
+//! Window-level bit-identity of the TC execution rows.
 //!
-//! `TcMatrix::window_product` decodes a window into per-row
-//! `(value, B row)` lists and accumulates each output row in one pass. The oracle is the dense-tile formulation they replace: for
-//! every block of the window, `decompress_block` into an 8×8 tile, gather
+//! `TcMatrix::exec_rows` decodes every window once into CSR rows of
+//! `(TF32 value, B row)` pairs, and a multiply is the CSR row loop over
+//! them. The oracle is the dense-tile formulation they replace: for
+//! every block of a window, `decompress_block` into an 8×8 tile, gather
 //! the block's raw B rows (zeros for padded columns) and apply the
-//! re-rounding scalar `tf32_mma_8x8`. Every available ISA tier must match
-//! it bitwise (NaN positions exactly; payloads are unspecified), for
-//! pre-rounded and raw formats alike, for both block codecs.
+//! re-rounding scalar `tf32_mma_8x8`. The row loop on every available
+//! ISA tier must match it bitwise (NaN positions exactly; payloads are
+//! unspecified), for pre-rounded and raw formats alike, for both block
+//! codecs. A proptest pins what the rows are: the CSR rows, TF32-rounded,
+//! with the values that round to ±0 dropped.
 
-use spmm_common::scalar::tf32_mma_8x8;
+use proptest::prelude::*;
+use spmm_common::scalar::{tf32_mma_8x8, to_tf32};
 use spmm_common::util::splitmix64;
 use spmm_common::IsaTier;
-use spmm_format::{
-    BStage, BitTcf, Bitmap, BlockCodec, LocalIds, TcMatrix, WindowPairs, PAD_COL, TILE,
-};
+use spmm_format::{BStage, BitTcf, Bitmap, BlockCodec, LocalIds, TcMatrix, PAD_COL, TILE};
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 
 /// Tiers runnable on this host, logging every skip.
@@ -49,20 +51,23 @@ fn oracle_window<C: BlockCodec>(f: &TcMatrix<C>, w: usize, b: &DenseMatrix) -> V
     ctile
 }
 
-/// Every window of `f` on every tier against the oracle. The output
-/// buffer starts dirty, so a row the product failed to overwrite shows.
+/// The row loop over `f`'s execution rows on every tier, checked window
+/// by window against the oracle. The output starts dirty, so a row the
+/// loop failed to overwrite shows.
 fn assert_windows_match<C: BlockCodec>(f: &TcMatrix<C>, b: &DenseMatrix, what: &str) {
     let n = b.ncols();
+    let rows = f.exec_rows(None).unwrap();
     for tier in available_tiers() {
         let mut stage = BStage::new();
         stage.stage_tier(b, tier);
-        let mut pairs = WindowPairs::new();
+        let mut got = DenseMatrix::from_fn(f.nrows(), n, |_, _| f32::from_bits(0x7FC0_1234));
+        rows.spmm_dense_into(stage.as_dense(), &mut got, tier)
+            .unwrap();
         for w in 0..f.num_windows() {
             let want = oracle_window(f, w, b);
-            let rows = f.window_rows(w);
-            let mut got = vec![f32::from_bits(0x7FC0_1234); TILE * n];
-            f.window_product(w, &stage, &mut pairs, &mut got, tier);
-            for (k, (&g, &e)) in got[..rows * n].iter().zip(&want).enumerate() {
+            let lo = w * TILE;
+            let got = &got.as_slice()[lo * n..(lo + f.window_rows(w)) * n];
+            for (k, (&g, &e)) in got.iter().zip(&want).enumerate() {
                 assert!(
                     g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan()),
                     "{what} {}, tier '{tier}', n={n}, window {w}, row {}, col {}: \
@@ -172,5 +177,62 @@ fn zero_a_slots_never_touch_non_finite_b() {
             "row 1 col {col} multiplies the NaN row"
         );
         assert_eq!(c.get(9, col), 0.5 * b.get(11, col), "row 9 col {col}");
+    }
+}
+
+/// `m`'s rows with every value TF32-rounded and the rounded zeros
+/// dropped: what the execution rows must hold.
+fn rounded_without_zeros(m: &CsrMatrix) -> CsrMatrix {
+    let mut coo = CooMatrix::new(m.nrows(), m.ncols());
+    for r in 0..m.nrows() {
+        let (cols, vals) = m.row(r);
+        for (&c, &v) in cols.iter().zip(vals) {
+            if to_tf32(v) != 0.0 {
+                coo.push(r as u32, c, to_tf32(v));
+            }
+        }
+    }
+    CsrMatrix::from_coo(&coo)
+}
+
+/// Equality of two CSR matrices, values by bits except that any NaN
+/// matches any NaN.
+fn same_rows(a: &CsrMatrix, b: &CsrMatrix) -> bool {
+    a.nrows() == b.nrows()
+        && a.ncols() == b.ncols()
+        && a.row_ptr() == b.row_ptr()
+        && a.col_idx() == b.col_idx()
+        && a.values()
+            .iter()
+            .zip(b.values())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn exec_rows_are_the_rounded_csr_rows_without_zeros(
+        nrows in 1usize..60,
+        ncols in 1usize..70,
+        entries in proptest::collection::vec((0u64..u64::MAX, 0usize..60, 0usize..70), 0..300),
+    ) {
+        let mut coo = CooMatrix::new(nrows, ncols);
+        for &(h, r, c) in &entries {
+            coo.push((r % nrows) as u32, (c % ncols) as u32, messy(h));
+        }
+        let m = CsrMatrix::from_coo(&coo);
+        let want = rounded_without_zeros(&m);
+        let tier = IsaTier::probe();
+
+        let mut bit = BitTcf::from_csr(&m);
+        prop_assert!(same_rows(&bit.exec_rows(None).unwrap(), &want), "BitTCF raw");
+        bit.preround_values_tier(tier);
+        prop_assert!(same_rows(&bit.exec_rows(None).unwrap(), &want), "BitTCF pre-rounded");
+
+        let mut me = TcMatrix::<LocalIds>::from_csr(&m);
+        prop_assert!(same_rows(&me.exec_rows(None).unwrap(), &want), "ME-TCF raw");
+        me.preround_values_tier(tier);
+        prop_assert!(same_rows(&me.exec_rows(None).unwrap(), &want), "ME-TCF pre-rounded");
     }
 }

@@ -1131,7 +1131,8 @@ impl PlanLoader {
     /// window partition rebuilds deterministically from the stored
     /// operand; format values re-round to TF32 (idempotent — saved
     /// plans already carry pre-rounded values, so execution stays
-    /// bit-identical to the plan that was saved).
+    /// bit-identical to the plan that was saved), and the execution
+    /// rows are decoded from the format again.
     pub fn rehydrate(&self, ir: PlanIr) -> Result<ExecutionPlan> {
         let _span = spmm_trace::span("plan.load");
         self.validate(&ir)?;
@@ -1175,11 +1176,18 @@ impl PlanLoader {
             format,
             balance: ir.balance,
             trace: Some(trace),
-            timings: ir.timings,
+            // Deriving the execution rows is load work: the plan keeps
+            // the stage timings it was saved with.
+            timings: Vec::new(),
             isa_tier,
         };
+        let plan =
+            ExecutionPlan::from_context(ctx).map_err(|e| PlanLoadError::ArtifactInvalid {
+                section: "format",
+                detail: e.to_string(),
+            })?;
         spmm_trace::counter_add("plan.loads", 1);
-        Ok(ExecutionPlan::from_context(ctx))
+        Ok(plan.with_stage_timings(ir.timings))
     }
 
     /// Parse, validate, and rehydrate from a reader.
@@ -1249,35 +1257,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn inverse_permutation_is_cached_at_build_load_and_repair() {
-        let inverse_of = |perm: &[u32]| {
-            let mut inv = vec![0u32; perm.len()];
-            for (old, &p) in perm.iter().enumerate() {
-                inv[p as usize] = old as u32;
-            }
-            inv
-        };
-        let plan = build(KernelKind::AccSpmm);
-        let perm = plan.perm().expect("the full Acc config reorders");
-        assert_eq!(plan.inv_perm(), Some(&inverse_of(perm)[..]));
-
-        let bytes = plan.to_ir().to_bytes().unwrap();
-        let loaded = PlanLoader::new().read(&bytes[..]).unwrap();
-        assert_eq!(loaded.inv_perm(), plan.inv_perm(), "load derives it");
+    /// `plan`'s execution rows checked row by row against its permuted
+    /// operand: row `old` is permuted row `perm[old]`, TF32-rounded,
+    /// with the values that round to ±0 dropped.
+    fn assert_rows_follow_the_operand(plan: &ExecutionPlan) {
+        use spmm_common::scalar::to_tf32;
+        let rows = plan.exec_rows().expect("BitTCF and ME-TCF plans hold rows");
+        assert_eq!(rows.nrows(), plan.csr().nrows());
+        for old in 0..rows.nrows() {
+            let p = plan.perm().map_or(old, |perm| perm[old] as usize);
+            let (cols, vals) = plan.csr().row(p);
+            let want: Vec<(u32, u32)> = cols
+                .iter()
+                .zip(vals)
+                .filter(|&(_, &v)| to_tf32(v) != 0.0)
+                .map(|(&c, &v)| (c, to_tf32(v).to_bits()))
+                .collect();
+            let (cols, vals) = rows.row(old);
+            let got: Vec<(u32, u32)> = cols
+                .iter()
+                .zip(vals)
+                .map(|(&c, v)| (c, v.to_bits()))
+                .collect();
+            assert_eq!(got, want, "row {old}");
+        }
         assert_eq!(
-            loaded.to_ir().to_bytes().unwrap(),
-            bytes,
-            "the cache is derived data, never serialized"
+            plan.exec_bytes(),
+            (rows.nrows() + 1) * std::mem::size_of::<usize>() + rows.nnz() * 8
         );
+    }
 
-        let mut delta = spmm_delta::DeltaCsr::new(uniform_random(96, 5.0, 9));
-        delta.upsert(5, 17, 0.25).unwrap();
-        let (repaired, _) = plan.repair(&delta).unwrap();
-        let rperm = repaired.perm().expect("repair keeps the permutation");
-        assert_eq!(repaired.inv_perm(), Some(&inverse_of(rperm)[..]));
+    #[test]
+    fn exec_rows_are_derived_at_build_load_and_repair() {
+        let m = uniform_random(96, 5.0, 9);
+        let symmetric = AccConfig {
+            symmetric_reorder: true,
+            ..AccConfig::full()
+        };
+        for (kind, config) in [
+            (KernelKind::AccSpmm, AccConfig::full()),
+            (KernelKind::AccSpmm, symmetric),
+            (KernelKind::DtcSpmm, AccConfig::full()),
+        ] {
+            let plan = ExecutionPlan::build(kind, &m, Arch::A800, 32, config).unwrap();
+            assert!(plan.perm().is_some(), "{kind:?} reorders");
+            assert_rows_follow_the_operand(&plan);
 
-        assert_eq!(build(KernelKind::CusparseLike).inv_perm(), None);
+            let bytes = plan.to_ir().to_bytes().unwrap();
+            let loaded = PlanLoader::new().read(&bytes[..]).unwrap();
+            assert_eq!(loaded.exec_rows(), plan.exec_rows(), "load derives them");
+            assert_eq!(
+                loaded.to_ir().to_bytes().unwrap(),
+                bytes,
+                "derived data, never serialized; timings kept"
+            );
+
+            let mut delta = spmm_delta::DeltaCsr::new(m.clone());
+            delta.upsert(5, 17, 0.25).unwrap();
+            delta.upsert(60, 3, -1.5).unwrap();
+            let (repaired, _) = plan.repair(&delta).unwrap();
+            assert_rows_follow_the_operand(&repaired);
+            if !config.symmetric_reorder {
+                // Rows-only plans hold the input's rows in input order,
+                // whichever permutation packed the blocks.
+                let fresh =
+                    ExecutionPlan::build(kind, &delta.compact(), Arch::A800, 32, config).unwrap();
+                assert_eq!(repaired.exec_rows(), fresh.exec_rows(), "{kind:?} repair");
+            }
+        }
+        for kind in [KernelKind::CusparseLike, KernelKind::TcGnn] {
+            let plan = build(kind);
+            assert!(plan.exec_rows().is_none() && plan.exec_bytes() == 0);
+        }
     }
 
     #[test]

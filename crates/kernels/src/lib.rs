@@ -47,8 +47,8 @@ pub use workspace::{Workspace, WorkspacePool};
 
 use crate::workspace::ensure_staging;
 use spmm_balance::BalancePlan;
-use spmm_common::{IsaTier, Result, SpmmError};
-use spmm_format::{BitTcf, BlockCodec, MeTcf, TcMatrix, Tcf, TileScratch, WindowPartition};
+use spmm_common::{mma_row_tier, IsaTier, Result, SpmmError};
+use spmm_format::{BitTcf, MeTcf, Tcf, WindowPartition};
 use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::{Arch, KernelDesc, KernelReport, SimOptions};
 
@@ -147,7 +147,7 @@ impl TcFormat {
 
     /// The held format with the `touched` windows re-encoded from
     /// `m_new` and `wp_new`, every other window copied (see
-    /// [`TcMatrix::rebuild_windows`]).
+    /// [`spmm_format::TcMatrix::rebuild_windows`]).
     pub fn rebuild_windows(
         &self,
         m_new: &CsrMatrix,
@@ -294,10 +294,9 @@ impl PreparedKernel {
     }
 
     /// [`PreparedKernel::execute`] writing into a caller-provided output
-    /// with reusable buffers: after the first call everything (staging
-    /// matrices, tile scratch) comes from `ws`, so steady-state
-    /// multiplies allocate nothing beyond the per-worker tiles of the
-    /// window-parallel loop.
+    /// with reusable buffers: after the first call the TF32 B stage (and,
+    /// in symmetric mode, the permuted B) comes from `ws`, so
+    /// steady-state multiplies allocate no operand-sized buffer.
     pub fn execute_into(
         &self,
         b: &DenseMatrix,
@@ -309,13 +308,13 @@ impl PreparedKernel {
 
     /// Execute many RHS matrices over the shared plan. The batch is
     /// split into one contiguous group per worker (a single spawn round
-    /// instead of one per RHS), and within a group the TC formats run a
-    /// *batched* window loop: the RHS are staged side by side, each
-    /// compressed window is decoded once for all of them, and window
-    /// results scatter straight to the original row order without a
-    /// staging matrix. Per output element the adds are exactly the
-    /// sequential single-RHS path's, so results are bit-identical to
-    /// calling [`PreparedKernel::execute`] per matrix.
+    /// instead of one per RHS), and within a group the BitTCF and ME-TCF
+    /// plans run a *batched* row loop: the RHS are staged side by side,
+    /// each execution row is one wide row product for all of them, and
+    /// each RHS's slice is written straight to its output row. Per
+    /// output element the adds are exactly the single-RHS path's, so
+    /// results are bit-identical to calling [`PreparedKernel::execute`]
+    /// per matrix.
     pub fn execute_batch(&self, bs: &[DenseMatrix]) -> Result<Vec<DenseMatrix>> {
         use rayon::prelude::*;
         let _span = spmm_trace::span("kernel.execute_batch");
@@ -371,9 +370,9 @@ impl PreparedKernel {
     /// Sequential batch entry point for callers that manage their own
     /// threads (the serving engine's micro-batching workers): executes
     /// every RHS in `bs` into the matching slot of `outs` on the
-    /// *calling* thread, sharing one reusable [`Workspace`] and — on the
-    /// compressed TC formats — decoding each window once for the whole
-    /// batch. Results are bit-identical to calling
+    /// *calling* thread, sharing one reusable [`Workspace`] and — on
+    /// BitTCF and ME-TCF plans — streaming each execution row once for
+    /// the whole batch. Results are bit-identical to calling
     /// [`PreparedKernel::execute`] per RHS.
     pub fn execute_batch_into(
         &self,
@@ -418,15 +417,10 @@ impl PreparedKernel {
         // thread that ran it (the trace layer tags spans per thread).
         let _span = spmm_trace::span("kernel.execute_group");
         // Symmetric mode needs a permuted copy of every B alive at once,
-        // which defeats the batched window loop — fall back to the
-        // per-RHS path (still sharing this worker's staging buffers).
-        match self.plan.format() {
-            Some(TcFormat::BitTcf(f)) if !self.plan.symmetric() => {
-                self.execute_group_batched(f, bs, outs, ws);
-            }
-            Some(TcFormat::MeTcf(f)) if !self.plan.symmetric() => {
-                self.execute_group_batched(f, bs, outs, ws);
-            }
+        // which defeats the batched row loop — fall back to the per-RHS
+        // path (still sharing this worker's staging buffers).
+        match self.plan.exec_rows() {
+            Some(rows) if !self.plan.symmetric() => self.execute_group_batched(rows, bs, outs, ws),
             _ => {
                 for (b, out) in bs.iter().zip(outs.iter_mut()) {
                     self.execute_into_impl(b, out, ws, false)?;
@@ -436,42 +430,39 @@ impl PreparedKernel {
         Ok(())
     }
 
-    /// The batched window loop over a TC-block format.
-    fn execute_group_batched<C: BlockCodec>(
+    /// The batched row loop over a plan's execution rows, which are in
+    /// original row order: row `r` of every output is row `r`'s slice of
+    /// one wide row product over the side-by-side stage.
+    fn execute_group_batched(
         &self,
-        f: &TcMatrix<C>,
+        rows: &CsrMatrix,
         bs: &[DenseMatrix],
         outs: &mut [DenseMatrix],
         ws: &mut Workspace,
     ) {
-        let total_n: usize = bs.iter().map(|b| b.ncols()).sum();
         let Workspace {
-            tiles, batch_stage, ..
+            batch_stage,
+            batch_row,
+            ..
         } = ws;
-        // Round every RHS once per batch into one stage, side by side:
-        // each window is then decoded once and every output row is a
-        // single wide row product over all RHS columns.
         let tier = self.plan.isa_tier();
         batch_stage.stage_side_by_side_tier(bs, tier);
-        let (pairs, ctiles) = tiles.ensure(total_n);
-        // With a row reorder in effect, window w computes rows of the
-        // *permuted* matrix; the plan's cached inverse permutation lets
-        // each window write its rows directly in original order, skipping
-        // the staging matrix the single-RHS path uses.
-        let inv = self.plan.inv_perm();
-        for w in 0..f.num_windows() {
-            f.window_product(w, batch_stage, pairs, ctiles, tier);
-            let lo = w * spmm_format::TILE;
-            // ctiles row (r - lo) holds every RHS's row side by side.
-            for r in lo..lo + f.window_rows(w) {
-                let dst = inv.map_or(r, |inv| inv[r] as usize);
-                let crow = &ctiles[(r - lo) * total_n..(r - lo + 1) * total_n];
-                let mut off = 0;
-                for (j, b) in bs.iter().enumerate() {
-                    let n = b.ncols();
-                    outs[j].row_mut(dst).copy_from_slice(&crow[off..off + n]);
-                    off += n;
-                }
+        batch_row.resize(batch_stage.ncols(), 0.0);
+        for r in 0..rows.nrows() {
+            let (cols, vals) = rows.row(r);
+            batch_row.fill(0.0);
+            mma_row_tier(
+                vals,
+                cols,
+                batch_stage.as_dense().as_slice(),
+                batch_row,
+                tier,
+            );
+            let mut off = 0;
+            for (b, out) in bs.iter().zip(outs.iter_mut()) {
+                let n = b.ncols();
+                out.row_mut(r).copy_from_slice(&batch_row[off..off + n]);
+                off += n;
             }
         }
     }
@@ -505,7 +496,8 @@ impl PreparedKernel {
     }
 }
 
-/// Execute one plan into `out` in original row order.
+/// Execute one plan into `out` in original row order, on the plan's
+/// ISA tier (bit-identical across tiers).
 fn plan_execute_into(
     plan: &ExecutionPlan,
     b: &DenseMatrix,
@@ -516,87 +508,39 @@ fn plan_execute_into(
     let _span = spmm_trace::span("kernel.execute");
     spmm_trace::counter_add("kernel.multiplies", 1);
     let Workspace {
-        tiles,
-        staging_b,
-        staging_c,
-        ..
+        stage, staging_b, ..
     } = ws;
-    // Symmetric-reorder mode multiplies (P A Pᵀ)(P B) = P (A B): the
-    // dense operand is row-permuted on the way in, and the usual
-    // scatter below restores original row order on the way out.
-    let b_eff: &DenseMatrix = match (plan.perm(), plan.symmetric()) {
-        (Some(perm), true) => {
-            let staged = ensure_staging(staging_b, b.nrows(), b.ncols());
-            b.permute_rows_into(perm, staged)?;
-            staged
-        }
-        _ => b,
-    };
-    match plan.perm() {
-        None => spmm_dispatch(plan, b_eff, out, tiles, parallel),
-        Some(perm) => {
-            if out.nrows() != plan.csr().nrows() || out.ncols() != b.ncols() {
-                return Err(SpmmError::Shape {
-                    context: format!(
-                        "output is {}x{}, expected {}x{}",
-                        out.nrows(),
-                        out.ncols(),
-                        plan.csr().nrows(),
-                        b.ncols()
-                    ),
-                });
-            }
-            let staged = ensure_staging(staging_c, plan.csr().nrows(), b.ncols());
-            spmm_dispatch(plan, b_eff, staged, tiles, parallel)?;
-            // Scatter back: C_orig[old] = C_perm[perm[old]].
-            for (old, &p) in perm.iter().enumerate() {
-                out.row_mut(old).copy_from_slice(staged.row(p as usize));
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Run the plan's format SpMM into `c`, choosing the window-parallel or
-/// window-sequential (zero-allocation) inner loop.
-fn spmm_dispatch(
-    plan: &ExecutionPlan,
-    b: &DenseMatrix,
-    c: &mut DenseMatrix,
-    tiles: &mut TileScratch,
-    parallel: bool,
-) -> Result<()> {
-    // TC formats consume a TF32 pre-rounded B stage owned by the
-    // workspace scratch, so repeated multiplies re-round B into the same
-    // buffer instead of allocating (and the rounding happens once per
-    // multiply, not once per gathered element). The plan's compile-time
-    // SIMD tier drives both the staging round and the MMA cores
-    // (bit-identical across tiers).
     let tier = plan.isa_tier();
-    match plan.format() {
-        Some(TcFormat::Tcf(f)) => f.spmm_into_staged_tier(tiles.stage_b_tier(b, tier), c, tier),
-        Some(TcFormat::MeTcf(f)) => tc_matrix_spmm(f, b, c, tiles, parallel, tier),
-        Some(TcFormat::BitTcf(f)) => tc_matrix_spmm(f, b, c, tiles, parallel, tier),
+    match (plan.exec_rows(), plan.format()) {
+        // BitTCF and ME-TCF: the CSR row loop over the plan's execution
+        // rows and a TF32 stage of B, straight into original row order.
+        // Symmetric-reorder mode multiplies (P A Pᵀ)(P B) = P (A B): the
+        // rows' columns are permuted ids, so B is row-permuted first.
+        (Some(rows), _) => {
+            let b_eff: &DenseMatrix = match (plan.perm(), plan.symmetric()) {
+                (Some(perm), true) => {
+                    let staged = ensure_staging(staging_b, b.nrows(), b.ncols());
+                    b.permute_rows_into(perm, staged)?;
+                    staged
+                }
+                _ => b,
+            };
+            stage.stage_tier(b_eff, tier);
+            if parallel {
+                rows.spmm_dense_into(stage.as_dense(), out, tier)
+            } else {
+                rows.spmm_dense_into_seq(stage.as_dense(), out, tier)
+            }
+        }
+        // TC-GNN's per-edge TCF (never reordered) over a TF32 stage.
+        (None, Some(TcFormat::Tcf(f))) => {
+            stage.stage_tier(b, tier);
+            f.spmm_into_staged_tier(stage, out, tier)
+        }
         // CUDA-core kernels: FP32 multiply then add on the same row
         // core, no operand rounding, no fusion.
-        None if parallel => plan.csr().spmm_dense_into(b, c, tier),
-        None => plan.csr().spmm_dense_into_seq(b, c, tier),
-    }
-}
-
-/// A TC-block format's window-parallel or window-sequential SpMM.
-fn tc_matrix_spmm<C: BlockCodec>(
-    f: &TcMatrix<C>,
-    b: &DenseMatrix,
-    c: &mut DenseMatrix,
-    tiles: &mut TileScratch,
-    parallel: bool,
-    tier: IsaTier,
-) -> Result<()> {
-    if parallel {
-        f.spmm_into_staged_tier(tiles.stage_b_tier(b, tier), c, tier)
-    } else {
-        f.spmm_into_seq_tier(b, c, tiles, tier)
+        _ if parallel => plan.csr().spmm_dense_into(b, out, tier),
+        _ => plan.csr().spmm_dense_into_seq(b, out, tier),
     }
 }
 

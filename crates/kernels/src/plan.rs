@@ -363,11 +363,11 @@ pub fn default_stages() -> Vec<Box<dyn PlanStage>> {
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     ctx: PlanContext,
-    /// Inverse of `ctx.perm` (`inv_perm[new] = old`), derived once when
-    /// the plan is built, repaired or loaded so the batched executor
-    /// does not rebuild it per micro-batch. Derived data: never
+    /// BitTCF and ME-TCF plans: the format's execution rows in
+    /// *original* row order (see [`ExecutionPlan::exec_rows`]), derived
+    /// when the plan is built, repaired or loaded. Derived data: never
     /// serialized.
-    inv_perm: Option<Vec<u32>>,
+    exec_rows: Option<CsrMatrix>,
 }
 
 impl ExecutionPlan {
@@ -398,23 +398,38 @@ impl ExecutionPlan {
         }
         spmm_trace::counter_add("plan.builds", 1);
         record_isa_counters(ctx.isa_tier);
-        Ok(ExecutionPlan::from_context(ctx))
+        ExecutionPlan::from_context(ctx)
     }
 
     /// Wrap a populated context — the one constructor, shared by build,
     /// repair ([`crate::repair`]) and the plan-IR loader ([`crate::ir`]),
-    /// so the derived inverse permutation is always in step with the
-    /// permutation. The caller is responsible for the context's
-    /// cross-artifact consistency.
-    pub(crate) fn from_context(ctx: PlanContext) -> Self {
-        let inv_perm = ctx.perm.as_deref().map(|perm| {
-            let mut inv = vec![0u32; perm.len()];
-            for (old, &p) in perm.iter().enumerate() {
-                inv[p as usize] = old as u32;
-            }
-            inv
-        });
-        ExecutionPlan { ctx, inv_perm }
+    /// so the derived execution rows are always in step with the format
+    /// and the permutation. Deriving them is compile work: it runs
+    /// under a `plan.compile` span and its wall time is added to the
+    /// context's `compile` stage timing, when it has one. The caller is
+    /// responsible for the context's cross-artifact consistency.
+    ///
+    /// # Errors
+    /// If the format's rows are not a valid CSR matrix, or the context
+    /// holds a row permutation but no BitTCF or ME-TCF format to undo it
+    /// (the only executors that write through a permutation).
+    pub(crate) fn from_context(mut ctx: PlanContext) -> Result<Self> {
+        let t0 = Instant::now();
+        let exec_rows = {
+            let _span = spmm_trace::span("plan.compile");
+            derive_exec_rows(&ctx)?
+        };
+        if let Some(t) = ctx.timings.iter_mut().find(|t| t.stage == "compile") {
+            t.seconds += t0.elapsed().as_secs_f64();
+        }
+        Ok(ExecutionPlan { ctx, exec_rows })
+    }
+
+    /// Replace the stage timings (a loaded plan reports the timings it
+    /// was saved with).
+    pub(crate) fn with_stage_timings(mut self, timings: Vec<StageTiming>) -> Self {
+        self.ctx.timings = timings;
+        self
     }
 
     /// The full artifact store (incremental repair reads and rewrites
@@ -464,12 +479,6 @@ impl ExecutionPlan {
         self.ctx.perm.as_deref()
     }
 
-    /// Inverse of [`ExecutionPlan::perm`] (`inv[new] = old`), computed
-    /// once when the plan was built, repaired or loaded.
-    pub(crate) fn inv_perm(&self) -> Option<&[u32]> {
-        self.inv_perm.as_deref()
-    }
-
     /// Whether the permutation was applied to columns too.
     pub fn symmetric(&self) -> bool {
         self.ctx.spec.symmetric
@@ -488,6 +497,25 @@ impl ExecutionPlan {
     /// The balance plan (TC kernels).
     pub fn balance(&self) -> Option<&BalancePlan> {
         self.ctx.balance.as_ref()
+    }
+
+    /// The execution rows of a BitTCF or ME-TCF plan, in original row
+    /// order: row `old` holds the decoded pairs of permuted row
+    /// `perm[old]` — TF32 values with the rounded zeros dropped, each
+    /// against the B row it scales ([`spmm_format::TcMatrix::exec_rows`]).
+    /// A multiply is the CSR row loop over them and a TF32 stage of B.
+    pub fn exec_rows(&self) -> Option<&CsrMatrix> {
+        self.exec_rows.as_ref()
+    }
+
+    /// Bytes the execution rows hold (row pointers, B rows and values);
+    /// 0 for plans without them.
+    pub fn exec_bytes(&self) -> usize {
+        self.exec_rows.as_ref().map_or(0, |rows| {
+            std::mem::size_of_val(rows.row_ptr())
+                + std::mem::size_of_val(rows.col_idx())
+                + std::mem::size_of_val(rows.values())
+        })
     }
 
     /// The compiled trace.
@@ -511,6 +539,21 @@ impl ExecutionPlan {
     /// Total preprocessing wall time (sum over stages).
     pub fn preprocess_seconds(&self) -> f64 {
         self.ctx.timings.iter().map(|t| t.seconds).sum()
+    }
+}
+
+/// The execution rows of `ctx`'s BitTCF or ME-TCF format, gathered
+/// into original row order: row `old` is permuted row `perm[old]`.
+fn derive_exec_rows(ctx: &PlanContext) -> Result<Option<CsrMatrix>> {
+    let order = ctx.perm.as_deref();
+    match &ctx.format {
+        Some(TcFormat::BitTcf(f)) => f.exec_rows(order).map(Some),
+        Some(TcFormat::MeTcf(f)) => f.exec_rows(order).map(Some),
+        _ if order.is_some() => Err(SpmmError::InvalidConfig(format!(
+            "{:?} plans cannot carry a row permutation",
+            ctx.kind
+        ))),
+        _ => Ok(None),
     }
 }
 

@@ -112,7 +112,7 @@ impl ExecutionPlan {
                     seconds: tc.elapsed().as_secs_f64(),
                 },
             ];
-            return Ok(ExecutionPlan::from_context(ctx));
+            return ExecutionPlan::from_context(ctx);
         }
 
         // TC plan. Reapply the OLD permutation to the compacted matrix:
@@ -183,7 +183,7 @@ impl ExecutionPlan {
                 seconds: tc.elapsed().as_secs_f64(),
             },
         ];
-        Ok(ExecutionPlan::from_context(ctx))
+        ExecutionPlan::from_context(ctx)
     }
 }
 

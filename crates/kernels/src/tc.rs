@@ -111,8 +111,10 @@ fn window_rows(nrows: usize, w: usize) -> u32 {
     (nrows - (w * TILE).min(nrows)).min(TILE) as u32
 }
 
+/// The thread-block traces of `plan`; each block's B rows move out of
+/// `infos` into the one block trace that schedules it.
 fn build_tbs(
-    infos: &[BlockInfo],
+    infos: &mut [BlockInfo],
     plan: &BalancePlan,
     nrows: usize,
     feature_dim: usize,
@@ -127,9 +129,9 @@ fn build_tbs(
             for seg in &tb.segments {
                 c_rows += window_rows(nrows, seg.window as usize);
                 for blk in seg.block_start..seg.block_end {
-                    let info = &infos[blk as usize];
+                    let info = &mut infos[blk as usize];
                     blocks.push(BlockTrace {
-                        b_rows: info.cols.clone(),
+                        b_rows: std::mem::take(&mut info.cols),
                         a_bytes: cost.a_bytes(info.nnz),
                         flops: dense_flops_per_block,
                         decode_ops: cost.decode_ops(info.nnz),
@@ -156,14 +158,14 @@ fn tc_desc(
     policy: CachePolicy,
     mem_efficiency: f64,
 ) -> KernelDesc {
-    let (infos, cost) = match format {
+    let (mut infos, cost) = match format {
         TcFormat::BitTcf(f) => (tc_matrix_blocks(f), FormatCost::BitTcf),
         TcFormat::MeTcf(f) => (tc_matrix_blocks(f), FormatCost::MeTcf),
         TcFormat::Tcf(f) => (tcf_blocks(f), FormatCost::Tcf),
     };
     let nnz: u64 = infos.iter().map(|b| b.nnz as u64).sum();
     KernelDesc {
-        tbs: build_tbs(&infos, plan, format.dims().0, feature_dim, cost),
+        tbs: build_tbs(&mut infos, plan, format.dims().0, feature_dim, cost),
         pipeline,
         policy,
         mem_efficiency,

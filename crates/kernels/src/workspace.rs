@@ -1,23 +1,22 @@
 //! Reusable execution buffers for the zero-allocation multiply path.
 
 use crate::plan::ExecutionPlan;
-use spmm_format::{BStage, TileScratch};
+use spmm_format::BStage;
 use spmm_matrix::DenseMatrix;
 
 /// Caller-owned buffer pool for [`crate::PreparedKernel::execute_into`]:
-/// holds the TC tile scratch (which owns the TF32 pre-rounded B stage),
-/// the side-by-side RHS stage of the batched path, plus the staging matrices the
-/// permuted kernels need (row-permuted B in symmetric mode, pre-scatter
-/// C when a row permutation must be undone). Buffers grow on first use
-/// and are reused on every subsequent call, so steady-state multiplies
-/// allocate nothing — the pattern iterative solvers and GNN training
-/// loops live in.
+/// holds the TF32 pre-rounded B stage, the batched path's side-by-side
+/// RHS stage and its one wide output row, plus the row-permuted B that
+/// symmetric-reorder plans multiply. Buffers grow on first use and are
+/// reused on every subsequent call, so steady-state multiplies allocate
+/// nothing — the pattern iterative solvers and GNN training loops live
+/// in.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
-    pub(crate) tiles: TileScratch,
+    pub(crate) stage: BStage,
     pub(crate) batch_stage: BStage,
+    pub(crate) batch_row: Vec<f32>,
     pub(crate) staging_b: Option<DenseMatrix>,
-    pub(crate) staging_c: Option<DenseMatrix>,
 }
 
 impl Workspace {
@@ -26,18 +25,12 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// A workspace pre-sized for a plan's feature dimension and operand
-    /// shape (avoids even the first-call growth on the tile scratch and
-    /// the pre-rounded B stage).
+    /// A workspace whose B stage is pre-sized for a plan's operand shape
+    /// and feature dimension (avoids even the first-call growth).
     pub fn for_plan(plan: &ExecutionPlan) -> Self {
-        let mut tiles = TileScratch::with_feature_dim(plan.feature_dim());
-        tiles.reserve_stage(plan.csr().ncols(), plan.feature_dim());
-        Workspace {
-            tiles,
-            batch_stage: BStage::new(),
-            staging_b: None,
-            staging_c: None,
-        }
+        let mut ws = Workspace::new();
+        ws.reserve_staging(plan.csr().ncols(), plan.feature_dim());
+        ws
     }
 
     /// Pre-size the TF32 B stage for an `nrows × ncols` operand
@@ -45,22 +38,21 @@ impl Workspace {
     /// shape up front, and gives paged-allocator tests a deterministic
     /// way to grow a workspace's footprint).
     pub fn reserve_staging(&mut self, nrows: usize, ncols: usize) {
-        self.tiles.reserve_stage(nrows, ncols);
+        self.stage.reserve(nrows, ncols);
     }
 
-    /// Bytes of staging storage this workspace currently retains: tile
-    /// scratch (including the TF32 B stage), the batched RHS stage, and
-    /// the permutation staging matrices. This is the quantity the serving engine's
-    /// paged allocator charges against its page budget.
+    /// Bytes of staging storage this workspace currently retains: the
+    /// B stage, the batched RHS stage and output row, and the permuted
+    /// B. This is the quantity the serving engine's paged allocator
+    /// charges against its page budget.
     pub fn footprint_bytes(&self) -> usize {
-        let dense = |m: &Option<DenseMatrix>| {
-            m.as_ref()
-                .map_or(0, |m| m.nrows() * m.ncols() * std::mem::size_of::<f32>())
-        };
-        self.tiles.footprint_bytes()
+        self.stage.footprint_bytes()
             + self.batch_stage.footprint_bytes()
-            + dense(&self.staging_b)
-            + dense(&self.staging_c)
+            + self.batch_row.capacity() * std::mem::size_of::<f32>()
+            + self
+                .staging_b
+                .as_ref()
+                .map_or(0, |m| m.nrows() * m.ncols() * std::mem::size_of::<f32>())
     }
 }
 

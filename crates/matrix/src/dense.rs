@@ -7,7 +7,7 @@ use spmm_common::{Result, SpmmError};
 /// This is the representation of the dense operand `B` and the result `C`
 /// in `C = A × B`. Row-major layout matches how the kernels stream
 /// feature rows of `B` selected by sparse column indices.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DenseMatrix {
     nrows: usize,
     ncols: usize,
@@ -70,6 +70,21 @@ impl DenseMatrix {
     #[inline]
     pub fn ncols(&self) -> usize {
         self.ncols
+    }
+
+    /// Reshape to `nrows × ncols` in place, reusing the backing buffer:
+    /// it grows when needed and is never released. Elements keep
+    /// whatever the buffer held (zeros where it grew), so this is for
+    /// staging buffers that overwrite every element next.
+    pub fn reshape_reuse(&mut self, nrows: usize, ncols: usize) {
+        self.data.resize(nrows * ncols, 0.0);
+        self.nrows = nrows;
+        self.ncols = ncols;
+    }
+
+    /// Bytes of backing storage retained, used or not.
+    pub fn capacity_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f32>()
     }
 
     /// Borrow the full row-major backing slice.

@@ -58,7 +58,7 @@ fn main() {
     assert_eq!(out, c, "workspace path is bit-identical");
 
     // ...and many right-hand sides go through one batched call that
-    // decodes each A block once per batch instead of once per RHS.
+    // streams each row of A once per batch instead of once per RHS.
     let batch: Vec<DenseMatrix> = (0..4)
         .map(|s| DenseMatrix::random(a.ncols(), n, 100 + s))
         .collect();

@@ -286,11 +286,6 @@ proptest! {
         t.spmm_into(&b, &mut c2).unwrap();
         prop_assert!(bits_equal(&c2, &reference), "prerounded-format path diverged");
 
-        // Sequential scratch path.
-        let mut scratch = spmm_format::TileScratch::new();
-        let mut c3 = DenseMatrix::zeros(m.nrows(), n);
-        t.spmm_into_seq_tier(&b, &mut c3, &mut scratch, tier).unwrap();
-        prop_assert!(bits_equal(&c3, &reference), "sequential path diverged");
     }
 
     #[test]
