@@ -1,13 +1,16 @@
 //! Golden outputs of the tensor-core executors.
 //!
-//! Each entry pins the FNV-1a hash of one Acc-SpMM or DTC-SpMM output,
+//! Each entry pins the FNV-1a hash of one Acc-SpMM, DTC-SpMM or TC-GNN
+//! output,
 //! NaNs canonicalized (NaN payloads are unspecified, NaN positions are
 //! not), so a change to how the executors compute cannot move a single
 //! output bit unnoticed. Covered:
 //! * the two saved plans in `golden/` (loaded, not rebuilt);
-//! * Acc-SpMM with rows-only and with symmetric reordering, and
-//!   DTC-SpMM, on an operand of special values: stored values that round
-//!   to ±0 opposite all-Inf rows of B, NaN, ±Inf, subnormals and −0.0;
+//! * Acc-SpMM with rows-only and with symmetric reordering, DTC-SpMM and
+//!   TC-GNN, on an operand of special values: stored values that round
+//!   to ±0 opposite all-Inf rows of B, NaN, ±Inf, subnormals and −0.0
+//!   (TC-GNN has no zero skip, so its ±0 slots meet the Inf rows and
+//!   show as NaN);
 //! * widths 1, 8, 17 and 64;
 //! * `execute`, `execute_into`, `execute_batch` and
 //!   `execute_batch_into`, which must all produce the pinned hash.
@@ -19,7 +22,7 @@ use spmm_sim::Arch;
 const WIDTHS: [usize; 4] = [1, 8, 17, 64];
 
 /// `(case, hashes at WIDTHS)`.
-const GOLDEN: [(&str, [u64; 4]); 5] = [
+const GOLDEN: [(&str, [u64; 4]); 6] = [
     (
         "accspmm.plan",
         [
@@ -63,6 +66,15 @@ const GOLDEN: [(&str, [u64; 4]); 5] = [
             0xe156089f8286323b,
             0x53ef11c4c004266d,
             0xeaf7dc07a0bff3e4,
+        ],
+    ),
+    (
+        "tcgnn-special",
+        [
+            0xd182fbd1f9fa6b00,
+            0x2b9e21af78d20623,
+            0x2360dc7b9d2a7ba4,
+            0xeb7a73419b2e6bd4,
         ],
     ),
 ];
@@ -167,6 +179,10 @@ fn case(name: &str) -> (ExecutionPlan, fn(usize, usize) -> DenseMatrix) {
             build(KernelKind::DtcSpmm, &special_matrix(), false),
             special_b,
         ),
+        "tcgnn-special" => (
+            build(KernelKind::TcGnn, &special_matrix(), false),
+            special_b,
+        ),
         other => panic!("unknown case {other}"),
     }
 }
@@ -247,6 +263,16 @@ fn the_special_operand_exercises_what_it_claims() {
         assert!(
             c.row(r).iter().skip(1).all(|v| v.is_finite()),
             "row {r} touched an Inf row of B: {:?}",
+            c.row(r)
+        );
+    }
+    // TC-GNN has no zero skip: the same slots multiply the Inf rows.
+    let k = PreparedKernel::from_plan(build(KernelKind::TcGnn, &m, false));
+    let c = k.execute(&special_b(m.ncols(), 8)).unwrap();
+    for r in [21, 22, 30, 31, 44] {
+        assert!(
+            c.row(r).iter().all(|v| v.is_nan()),
+            "row {r} skipped a zero slot: {:?}",
             c.row(r)
         );
     }
