@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the hot paths of the library:
 //! format conversion (the §4.3.2 overhead claim), block decompression
 //! (BitTCF popcount vs ME-TCF scatter), reordering algorithms, the
-//! functional TC SpMM, balance planning, and the simulation engine.
+//! functional SpMM (the CSR reference and an Acc-SpMM plan's executor),
+//! balance planning, and the simulation engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spmm_balance::{plan, BalanceStrategy, ModelParams, PerfModel};
@@ -99,8 +100,13 @@ fn reordering(c: &mut Criterion) {
 }
 
 fn functional_spmm(c: &mut Criterion) {
+    use acc_spmm::KernelKind;
+    use spmm_kernels::PreparedKernel;
     let m = bench_matrix();
-    let bit = BitTcf::from_csr(&m);
+    let acc = PreparedKernel::builder(KernelKind::AccSpmm, &m)
+        .feature_dim(128)
+        .build()
+        .unwrap();
     let bmat = DenseMatrix::random(m.ncols(), 128, 3);
     let mut g = c.benchmark_group("functional_spmm_n128");
     g.sample_size(10);
@@ -108,8 +114,8 @@ fn functional_spmm(c: &mut Criterion) {
     g.bench_function("csr_fp32_reference", |b| {
         b.iter(|| black_box(m.spmm_dense(&bmat).unwrap()))
     });
-    g.bench_function("bittcf_tf32_tc_path", |b| {
-        b.iter(|| black_box(bit.spmm(&bmat).unwrap()))
+    g.bench_function("accspmm_plan_execute", |b| {
+        b.iter(|| black_box(acc.execute(&bmat).unwrap()))
     });
     g.finish();
 }

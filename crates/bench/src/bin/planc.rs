@@ -138,16 +138,21 @@ fn compile_and_verify(
     Ok((bytes, build_seconds, load_seconds))
 }
 
+/// One plan per tensor-core format (TCF, ME-TCF, BitTCF), so every
+/// format's execution rows are derived again at load.
 fn smoke(dir: &std::path::Path) -> Result<(), String> {
     let store = PlanStore::open(dir).map_err(|e| format!("open store: {e}"))?;
     let m = gen::uniform_random(256, 5.0, 42);
-    let (bytes, build_s, load_s) =
-        compile_and_verify(&store, &m, KernelKind::AccSpmm, Arch::A800, 32)?;
-    println!(
-        "planc smoke: compiled+reloaded+executed 1 plan ({bytes} bytes, \
-         build {build_s:.3}s, reload {load_s:.3}s) in {}",
-        dir.display()
-    );
+    for kind in [KernelKind::TcGnn, KernelKind::DtcSpmm, KernelKind::AccSpmm] {
+        let (bytes, build_s, load_s) = compile_and_verify(&store, &m, kind, Arch::A800, 32)
+            .map_err(|e| format!("{}: {e}", kind.name()))?;
+        println!(
+            "planc smoke: {} plan compiled+reloaded+executed ({bytes} bytes, \
+             build {build_s:.3}s, reload {load_s:.3}s) in {}",
+            kind.name(),
+            dir.display()
+        );
+    }
     Ok(())
 }
 

@@ -305,18 +305,18 @@ pub fn to_tf32_slice_into_tier(src: &[f32], dst: &mut [f32], tier: IsaTier) {
 /// the row scaled by `avs[t]`.
 ///
 /// This is the one MMA core every host executor runs. A CSR kernel
-/// hands it one CSR row's values and column indices; a BitTCF or ME-TCF
-/// plan hands it one of its execution rows, the `(value, B row)` pairs
-/// decoded once from every block of the row's window. The vector kernels keep each C chunk in
-/// registers across *all* pairs, loading and storing it once. Per lane
-/// the adds run in ascending `t` with separate multiply and add, so the
-/// result is bit-identical to the scalar fallback on every tier.
+/// hands it one CSR row's values and column indices; a tensor-core plan
+/// hands it one of its execution rows, the same CSR row with TF32
+/// values, derived once per plan. The vector kernels keep each C chunk
+/// in registers across *all* pairs, loading and storing it once. Per
+/// lane the adds run in ascending `t` with separate multiply and add,
+/// so the result is bit-identical to the scalar fallback on every tier.
 ///
 /// There is **no** `avs[t] == 0.0` skip here: callers that need one
-/// (the TC formats, where `0 × Inf` must not inject NaN) filter zeros
-/// out while building the pairs; callers that must multiply
-/// unconditionally (the CSR kernels, the TCF per-edge loop) pass their
-/// values as they are.
+/// (BitTCF and ME-TCF, whose tile MMAs skip zero A slots so `0 × Inf`
+/// injects no NaN) filter the zeros out while building the rows;
+/// callers that multiply unconditionally (the CSR kernels, TC-GNN's
+/// TCF) pass their values as they are.
 ///
 /// # Panics
 /// If `avs` and `cols` differ in length, or a `cols[t]` row does not

@@ -14,8 +14,9 @@
 //!
 //! ME-TCF and BitTCF are one generic [`TcMatrix`] that differs only in
 //! its [`BlockCodec`], the encoding of a block's non-zero positions; the
-//! skeleton, conversion, repair, decode into execution rows and I/O are
-//! shared.
+//! skeleton, conversion, repair and I/O are shared. Execution reads
+//! none of them: [`execution_rows`] derives a TC plan's rows from its CSR
+//! operand.
 //! [`window::WindowPartition`] is the squeezing step every format
 //! shares; [`compression`] reproduces the Figure-12 byte accounting.
 
@@ -28,7 +29,7 @@ pub mod tcf;
 pub mod window;
 
 pub use bittcf::{BitTcf, Bitmap};
-pub use scratch::BStage;
+pub use scratch::{execution_rows, BStage};
 pub use tc_matrix::{BlockCodec, LocalIds, MeTcf, TcMatrix};
 pub use tcf::Tcf;
 pub use window::{WindowPartition, PAD_COL, TILE};

@@ -1,15 +1,94 @@
-//! The TF32 stage of the dense operand for the TC SpMM paths.
+//! The TF32 operands of the TC SpMM paths.
 //!
-//! [`BStage`] is the dense half of the pre-rounded operand scheme: one
-//! TF32-rounded copy of B, refreshed once per multiply and reused
-//! across multiplies. The sparse half is decoded once per plan, not per
-//! multiply: [`crate::TcMatrix::exec_rows`] turns the windows into CSR
-//! rows of `(TF32 value, B row)` pairs, and a multiply is one
-//! [`spmm_common::simd::mma_row_tier`] call per row that reads the
-//! stage's rows *in place*, so no path gathers B.
+//! [`BStage`] is the dense half: one TF32-rounded copy of B, refreshed
+//! once per multiply and reused across multiplies. [`execution_rows`]
+//! is the sparse half, derived once per plan: the operand's CSR rows
+//! with TF32 values. A multiply is one [`spmm_common::simd::mma_row_tier`]
+//! call per row that reads the stage's rows *in place*, so no path
+//! gathers B.
 
+use spmm_common::scalar::{to_tf32, to_tf32_slice_into};
 use spmm_common::simd::{to_tf32_slice_into_tier, IsaTier};
-use spmm_matrix::DenseMatrix;
+use spmm_common::util::is_permutation;
+use spmm_common::{Result, SpmmError};
+use spmm_matrix::{CsrMatrix, DenseMatrix};
+
+/// Rows per parallel piece of [`execution_rows`].
+const PIECE_ROWS: usize = 2048;
+
+/// The execution rows of `csr`: row `i` is row `order[i]` (row `i`
+/// when `order` is `None`) with every value TF32-rounded, each against
+/// the B row it scales. With `skip_zeros` the values that round to ±0
+/// are dropped — the A slots the BitTCF and ME-TCF tile MMAs skip;
+/// without it they stay, as TCF's per-edge loop multiplies every edge.
+/// One [`CsrMatrix::spmm_dense_into`] over these rows and a [`BStage`]
+/// of B computes what the format's TC path computes, bit for bit.
+///
+/// # Errors
+/// [`SpmmError::InvalidConfig`] if `order` is not a permutation of the
+/// rows.
+pub fn execution_rows(
+    csr: &CsrMatrix,
+    order: Option<&[u32]>,
+    skip_zeros: bool,
+) -> Result<CsrMatrix> {
+    use rayon::prelude::*;
+    let n = csr.nrows();
+    if order.is_some_and(|o| o.len() != n || !is_permutation(o)) {
+        return Err(SpmmError::InvalidConfig(
+            "execution row order is not a permutation of the rows".into(),
+        ));
+    }
+    let source = |i: usize| order.map_or(i, |o| o[i] as usize);
+    let keep = |v: f32| !skip_zeros || to_tf32(v) != 0.0;
+    // Kept entries per source row, counted in source order, then the
+    // offsets of the rows in `order`.
+    let mut kept = vec![0usize; n];
+    kept.par_chunks_mut(PIECE_ROWS)
+        .enumerate()
+        .for_each(|(p, lens)| {
+            for (k, len) in lens.iter_mut().enumerate() {
+                let vals = csr.row(p * PIECE_ROWS + k).1;
+                *len = vals.iter().filter(|&&v| keep(v)).count();
+            }
+        });
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    for i in 0..n {
+        row_ptr.push(row_ptr[i] + kept[source(i)]);
+    }
+    // Fill in parallel, each piece of rows writing its own slices.
+    let (mut cols, mut vals) = (vec![0u32; row_ptr[n]], vec![0.0f32; row_ptr[n]]);
+    let mut pieces = Vec::with_capacity(n.div_ceil(PIECE_ROWS));
+    let (mut c_rest, mut v_rest) = (&mut cols[..], &mut vals[..]);
+    for lo in (0..n).step_by(PIECE_ROWS) {
+        let hi = (lo + PIECE_ROWS).min(n);
+        let (c, c_tail) = std::mem::take(&mut c_rest).split_at_mut(row_ptr[hi] - row_ptr[lo]);
+        let (v, v_tail) = std::mem::take(&mut v_rest).split_at_mut(c.len());
+        (c_rest, v_rest) = (c_tail, v_tail);
+        pieces.push((lo..hi, c, v));
+    }
+    pieces.par_chunks_mut(1).for_each(|piece| {
+        let (rows, c, v) = &mut piece[0];
+        let base = row_ptr[rows.start];
+        for i in rows.clone() {
+            let (rc, rv) = csr.row(source(i));
+            let span = row_ptr[i] - base..row_ptr[i + 1] - base;
+            let (c, v) = (&mut c[span.clone()], &mut v[span]);
+            if c.len() == rc.len() {
+                // Nothing dropped: copy the columns, round the values.
+                c.copy_from_slice(rc);
+                to_tf32_slice_into(rv, v);
+                continue;
+            }
+            let pairs = rc.iter().zip(rv).filter(|&(_, &val)| keep(val));
+            for (k, (&col, &val)) in pairs.enumerate() {
+                (c[k], v[k]) = (col, to_tf32(val));
+            }
+        }
+    });
+    CsrMatrix::new(n, csr.ncols(), row_ptr, cols, vals)
+}
 
 /// A TF32-rounded staging copy of a dense operand.
 ///

@@ -12,8 +12,8 @@
 //! within the 8×8 tile) are encoded — the one axis Figure 12 compares.
 //! [`TcMatrix`] owns the skeleton and everything built on it: the
 //! parallel per-window conversion and its stitching, incremental
-//! repair, pre-rounding, the decode into execution rows, block decode
-//! and the CSR round trip. A [`BlockCodec`] owns only the position
+//! repair, pre-rounding, block decode, the tile-MMA multiply and the
+//! CSR round trip. A [`BlockCodec`] owns only the position
 //! encoding:
 //!
 //! * [`Bitmap`](crate::Bitmap) — one `u64` per block ([`crate::BitTcf`]);
@@ -24,12 +24,9 @@
 //! and no block offsets (see [`crate::Tcf`]).
 
 use crate::io::{get_vec, put_slice};
-use crate::scratch::BStage;
 use crate::window::{WindowPartition, PAD_COL, TILE};
-use spmm_common::scalar::to_tf32;
 use spmm_common::simd::{to_tf32_slice_tier, IsaTier};
-use spmm_common::util::is_permutation;
-use spmm_common::{Result, SpmmError};
+use spmm_common::Result;
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 use std::fmt::Debug;
 use std::io::{Read, Write};
@@ -71,10 +68,6 @@ pub trait BlockCodec: Debug + Clone + PartialEq + Send + Sync + 'static {
     /// block encoded by `words`, in ascending order: the `k`-th call is
     /// the block's `k`-th value.
     fn walk(words: &[Self::Word], f: impl FnMut(usize));
-
-    /// Add the occupied positions per tile row of the blocks encoded by
-    /// `words` into `counts`.
-    fn row_counts(words: &[Self::Word], counts: &mut [usize; TILE]);
 
     /// Index-structure footprint in bytes (values excluded, as in the
     /// Figure-12 comparison).
@@ -149,13 +142,6 @@ impl BlockCodec for LocalIds {
         }
     }
 
-    #[inline]
-    fn row_counts(words: &[u8], counts: &mut [usize; TILE]) {
-        for &id in words {
-            counts[id as usize / TILE] += 1;
-        }
-    }
-
     /// The BitTCF skeleton with the bitmap replaced by one byte per nnz.
     fn index_bytes(nrows: usize, num_blocks: usize, nnz: usize) -> usize {
         (nrows.div_ceil(TILE) + 1 + num_blocks + 1 + num_blocks * TILE) * 4 + nnz
@@ -205,8 +191,8 @@ pub struct TcMatrix<C: BlockCodec> {
     /// Values in block order, ascending position within a block.
     pub values: Vec<f32>,
     /// Whether `values` have already been rounded to TF32
-    /// ([`TcMatrix::preround_values_tier`]); when set, the SpMM paths
-    /// skip the per-value operand rounding.
+    /// ([`TcMatrix::preround_values_tier`]), which makes a second pass a
+    /// no-op.
     values_tf32: bool,
     codec: PhantomData<C>,
 }
@@ -358,8 +344,7 @@ impl<C: BlockCodec> TcMatrix<C> {
 
     /// Round the stored values to TF32 in place at an explicit ISA tier
     /// (every tier rounds bit-identically; the plan passes its resolved
-    /// tier), marking the matrix as pre-rounded so the SpMM paths skip
-    /// per-value operand rounding.
+    /// tier) and mark the matrix as pre-rounded.
     ///
     /// Because [`spmm_common::scalar::to_tf32`] is idempotent, every
     /// multiply result stays bit-identical to the non-prerounded path.
@@ -458,161 +443,11 @@ impl<C: BlockCodec> TcMatrix<C> {
         tile
     }
 
-    /// The execution rows: row `i` holds the decoded pairs of row
-    /// `order[i]` (of row `i` when `order` is `None`). Each value is
-    /// TF32-rounded (unless the matrix is pre-rounded) and a value that
-    /// rounds to ±0 is dropped — exactly the A slots a tile MMA's
-    /// zero-skip passes over; each column is the B row the value scales.
-    /// A window's columns are sorted and distinct and the codecs walk
-    /// positions in ascending order, so every row's columns ascend and
-    /// the rows form a valid CSR matrix: one
-    /// [`CsrMatrix::spmm_dense_into`] over a TF32 stage of B computes
-    /// what a chain of 8×8 tile MMAs computes, bit for bit.
-    ///
-    /// Windows decode in parallel, one contiguous span per worker; a
-    /// parallel gather then lays the rows out in `order`.
-    ///
-    /// # Errors
-    /// [`SpmmError::InvalidConfig`] if `order` is not a permutation of
-    /// the rows; [`SpmmError::MalformedFormat`] if the decoded rows are
-    /// not a valid CSR matrix (block columns that do not ascend).
-    pub fn exec_rows(&self, order: Option<&[u32]>) -> Result<CsrMatrix> {
-        use rayon::prelude::*;
-        if order.is_some_and(|o| o.len() != self.nrows || !is_permutation(o)) {
-            return Err(SpmmError::InvalidConfig(
-                "execution row order is not a permutation of the rows".into(),
-            ));
-        }
-        let windows = self.num_windows();
-        let per_span = windows.div_ceil(rayon::current_num_threads().max(1)).max(1);
-        let spans: Vec<(Vec<usize>, Vec<f32>, Vec<u32>)> = (0..windows.div_ceil(per_span))
-            .into_par_iter()
-            .map(|s| self.decode_windows(s * per_span..((s + 1) * per_span).min(windows)))
-            .collect();
-        // Row `i`'s pairs, where the span that decoded them left them.
-        let pairs = |i: usize| {
-            let r = order.map_or(i, |o| o[i] as usize);
-            let (ends, v, c) = &spans[r / (per_span * TILE)];
-            let local = r % (per_span * TILE);
-            let span = if local == 0 { 0 } else { ends[local - 1] }..ends[local];
-            (&v[span.clone()], &c[span])
-        };
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
-        row_ptr.push(0);
-        for i in 0..self.nrows {
-            row_ptr.push(row_ptr[i] + pairs(i).0.len());
-        }
-        // Gather in parallel: one piece of rows per span, cut where the
-        // pairs split evenly, each writing its own slices of the output.
-        let nnz = row_ptr[self.nrows];
-        let (mut vals, mut cols) = (vec![0.0f32; nnz], vec![0u32; nnz]);
-        let mut pieces = Vec::with_capacity(spans.len());
-        let (mut v_rest, mut c_rest) = (&mut vals[..], &mut cols[..]);
-        let mut lo = 0;
-        for k in 1..=spans.len() {
-            let hi = if k == spans.len() {
-                self.nrows
-            } else {
-                row_ptr.partition_point(|&p| p * spans.len() < nnz * k)
-            };
-            let (v, v_tail) = std::mem::take(&mut v_rest).split_at_mut(row_ptr[hi] - row_ptr[lo]);
-            let (c, c_tail) = std::mem::take(&mut c_rest).split_at_mut(v.len());
-            (v_rest, c_rest) = (v_tail, c_tail);
-            pieces.push((lo..hi, v, c));
-            lo = hi;
-        }
-        pieces.par_chunks_mut(1).for_each(|piece| {
-            let (rows, v, c) = &mut piece[0];
-            let base = row_ptr[rows.start];
-            for i in rows.clone() {
-                let (pv, pc) = pairs(i);
-                let at = row_ptr[i] - base;
-                v[at..at + pv.len()].copy_from_slice(pv);
-                c[at..at + pc.len()].copy_from_slice(pc);
-            }
-        });
-        CsrMatrix::new(self.nrows, self.ncols, row_ptr, cols, vals)
-    }
-
-    /// Decode `windows` row by row: each row's end offset, then the
-    /// values and B rows of all the rows back to back. Within a window,
-    /// row `r`'s pairs are written at a reserved span sized by
-    /// [`BlockCodec::row_counts`]; each block's positions are walked in
-    /// ascending order, so the value index counts up from the block's
-    /// `TCOffset` and row `t / 8` receives its pairs in ascending
-    /// (block, column) order. Dropped zeros leave gaps at row ends,
-    /// closed before the next window.
-    fn decode_windows(&self, windows: Range<usize>) -> (Vec<usize>, Vec<f32>, Vec<u32>) {
-        let first = self.row_window_offset[windows.start] as usize;
-        let last = self.row_window_offset[windows.end] as usize;
-        let bound = (self.tc_offset[last] - self.tc_offset[first]) as usize;
-        let (mut vals, mut cols) = (vec![0.0f32; bound], vec![0u32; bound]);
-        let mut ends = Vec::with_capacity(windows.len() * TILE);
-        let mut at = 0;
-        for w in windows {
-            let blocks = self.window_blocks(w);
-            let mut caps = [0usize; TILE];
-            C::row_counts(
-                &self.positions[C::word_span(&self.tc_offset, blocks.clone())],
-                &mut caps,
-            );
-            let mut start = [0usize; TILE];
-            let mut reserved = at;
-            for (s, &cap) in start.iter_mut().zip(&caps) {
-                *s = reserved;
-                reserved += cap;
-            }
-            let mut next = start;
-            for blk in blocks {
-                let bcols = self.block_cols(blk);
-                let mut idx = self.tc_offset[blk] as usize;
-                C::walk(self.block_words(blk), |t| {
-                    let v = self.values[idx];
-                    let v = if self.values_tf32 { v } else { to_tf32(v) };
-                    if v != 0.0 {
-                        let k = next[t / TILE];
-                        vals[k] = v;
-                        cols[k] = bcols[t % TILE];
-                        next[t / TILE] = k + 1;
-                    }
-                    idx += 1;
-                });
-            }
-            for r in 0..self.window_rows(w) {
-                if start[r] != at {
-                    vals.copy_within(start[r]..next[r], at);
-                    cols.copy_within(start[r]..next[r], at);
-                }
-                at += next[r] - start[r];
-                ends.push(at);
-            }
-        }
-        vals.truncate(at);
-        cols.truncate(at);
-        (ends, vals, cols)
-    }
-
     /// Functional SpMM through the TC path: TF32 operands, FP32
-    /// accumulate, numerically what the GPU kernel computes. Per output
-    /// element the adds run in the same ascending (block, column) order
-    /// as a chain of 8×8 tile MMAs.
+    /// accumulate, numerically what the GPU kernel computes — a chain of
+    /// 8×8 tile MMAs per RowWindow.
     pub fn spmm(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
-        let mut c = DenseMatrix::zeros(self.nrows, b.ncols());
-        self.spmm_into(b, &mut c)?;
-        Ok(c)
-    }
-
-    /// [`TcMatrix::spmm`] writing into a caller-provided output matrix.
-    /// Builds the [`TcMatrix::exec_rows`] and rounds B into a fresh
-    /// [`BStage`] on every call, at the host's probed tier; execution
-    /// plans build the rows once and reuse them.
-    pub fn spmm_into(&self, b: &DenseMatrix, c: &mut DenseMatrix) -> Result<()> {
-        crate::check_spmm_shapes(self.nrows, self.ncols, b.nrows(), b.ncols(), c)?;
-        let tier = IsaTier::probe();
-        let mut stage = BStage::new();
-        stage.stage_tier(b, tier);
-        self.exec_rows(None)?
-            .spmm_dense_into(stage.as_dense(), c, tier)
+        self.spmm_with_precision(b, spmm_common::Precision::Tf32)
     }
 
     /// [`TcMatrix::spmm`] with a selectable operand precision (TF32 is

@@ -6,11 +6,9 @@
 //! plus the window pointer — the redundancy both ME-TCF and BitTCF
 //! eliminate.
 
-use crate::scratch::BStage;
 use crate::window::{WindowPartition, TILE};
-use spmm_common::simd::{mma_row_tier, to_tf32_slice_tier, IsaTier};
-use spmm_common::Result;
-use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
+use spmm_common::simd::{to_tf32_slice_tier, IsaTier};
+use spmm_matrix::{CooMatrix, CsrMatrix};
 
 /// The TCF compressed sparse matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -259,59 +257,6 @@ impl Tcf {
         (self.num_windows() + 1) * 4 + self.num_windows() * 4 + self.nnz() * 12
     }
 
-    /// Functional SpMM (window-dense accumulate, numerically the TC
-    /// path: TF32 operands, FP32 accumulation).
-    pub fn spmm(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
-        let mut c = DenseMatrix::zeros(self.nrows, b.ncols());
-        self.spmm_into(b, &mut c)?;
-        Ok(c)
-    }
-
-    /// [`Tcf::spmm`] writing into a caller-provided output (zeroed here;
-    /// the edge loop accumulates), staging B at the host's probed tier.
-    /// TC-GNN's per-edge layout scatters writes across rows, so this
-    /// path stays sequential.
-    pub fn spmm_into(&self, b: &DenseMatrix, c: &mut DenseMatrix) -> Result<()> {
-        let tier = IsaTier::probe();
-        let mut stage = BStage::new();
-        stage.stage_tier(b, tier);
-        self.spmm_into_staged_tier(&stage, c, tier)
-    }
-
-    /// [`Tcf::spmm_into`] over a pre-rounded B stage: the per-edge inner
-    /// loop is a pure mul-add (the value is rounded once per edge — or
-    /// not at all when [`Tcf::preround_values_tier`] ran — instead of
-    /// once per output column). `tier` drives the per-edge row
-    /// accumulation (bit-identical across tiers; note the per-edge loop
-    /// has no zero-value skip, and neither does [`mma_row_tier`]).
-    pub fn spmm_into_staged_tier(
-        &self,
-        stage: &BStage,
-        c: &mut DenseMatrix,
-        tier: IsaTier,
-    ) -> Result<()> {
-        crate::check_spmm_shapes(self.nrows, self.ncols, stage.nrows(), stage.ncols(), c)?;
-        c.as_mut_slice().iter_mut().for_each(|x| *x = 0.0);
-        use spmm_common::scalar::to_tf32;
-        for k in 0..self.nnz() {
-            let r = self.edge_to_row[k] as usize;
-            let col = self.edge_list[k];
-            let v = if self.values_tf32 {
-                self.values[k]
-            } else {
-                to_tf32(self.values[k])
-            };
-            mma_row_tier(
-                &[v],
-                &[col],
-                stage.as_dense().as_slice(),
-                c.row_mut(r),
-                tier,
-            );
-        }
-        Ok(())
-    }
-
     /// Reconstruct CSR.
     pub fn to_csr(&self) -> CsrMatrix {
         let mut coo = CooMatrix::new(self.nrows, self.ncols);
@@ -354,17 +299,6 @@ mod tests {
             tcf.index_bytes(),
             bit.index_bytes()
         );
-    }
-
-    #[test]
-    fn spmm_matches_bittcf_numerics() {
-        let m = uniform_random(80, 5.0, 4);
-        let b = DenseMatrix::random(80, 8, 2);
-        let c1 = Tcf::from_csr(&m).spmm(&b).unwrap();
-        let c2 = BitTcf::from_csr(&m).spmm(&b).unwrap();
-        // Different accumulation orders: equal within TF32 tolerance.
-        let tol = spmm_common::scalar::tf32_tolerance(80);
-        assert!(c1.approx_eq(&c2, tol, tol));
     }
 
     #[test]

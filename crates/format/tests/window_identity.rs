@@ -1,21 +1,25 @@
 //! Window-level bit-identity of the TC execution rows.
 //!
-//! `TcMatrix::exec_rows` decodes every window once into CSR rows of
-//! `(TF32 value, B row)` pairs, and a multiply is the CSR row loop over
-//! them. The oracle is the dense-tile formulation they replace: for
-//! every block of a window, `decompress_block` into an 8×8 tile, gather
-//! the block's raw B rows (zeros for padded columns) and apply the
-//! re-rounding scalar `tf32_mma_8x8`. The row loop on every available
-//! ISA tier must match it bitwise (NaN positions exactly; payloads are
-//! unspecified), for pre-rounded and raw formats alike, for both block
-//! codecs. A proptest pins what the rows are: the CSR rows, TF32-rounded,
-//! with the values that round to ±0 dropped.
+//! `spmm_format::execution_rows` derives a TC plan's rows from its CSR
+//! operand: `(TF32 value, B row)` pairs, and a multiply is the CSR row
+//! loop over them. The oracle is the format's dense-tile formulation:
+//! for every block of a window, `decompress_block` into an 8×8 tile,
+//! gather the block's raw B rows (zeros for padded columns) and apply
+//! the re-rounding scalar `tf32_mma_8x8`. The row loop over the rows of
+//! the CSR the format encodes, on every available ISA tier, must match
+//! it bitwise (NaN positions exactly; payloads are unspecified), for
+//! pre-rounded and raw formats alike, for both block codecs. A proptest
+//! pins what the rows are against a COO oracle: the CSR rows in the
+//! given order, TF32-rounded, with the values that round to ±0 dropped
+//! or kept as asked.
 
 use proptest::prelude::*;
 use spmm_common::scalar::{tf32_mma_8x8, to_tf32};
 use spmm_common::util::splitmix64;
 use spmm_common::IsaTier;
-use spmm_format::{BStage, BitTcf, Bitmap, BlockCodec, LocalIds, TcMatrix, PAD_COL, TILE};
+use spmm_format::{
+    execution_rows, BStage, BitTcf, Bitmap, BlockCodec, LocalIds, TcMatrix, PAD_COL, TILE,
+};
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 
 /// Tiers runnable on this host, logging every skip.
@@ -51,12 +55,17 @@ fn oracle_window<C: BlockCodec>(f: &TcMatrix<C>, w: usize, b: &DenseMatrix) -> V
     ctile
 }
 
-/// The row loop over `f`'s execution rows on every tier, checked window
-/// by window against the oracle. The output starts dirty, so a row the
-/// loop failed to overwrite shows.
-fn assert_windows_match<C: BlockCodec>(f: &TcMatrix<C>, b: &DenseMatrix, what: &str) {
+/// The row loop over the execution rows of `m` on every tier, checked
+/// window by window against the oracle over `f`, a format of `m`. The
+/// output starts dirty, so a row the loop failed to overwrite shows.
+fn assert_windows_match<C: BlockCodec>(
+    m: &CsrMatrix,
+    f: &TcMatrix<C>,
+    b: &DenseMatrix,
+    what: &str,
+) {
     let n = b.ncols();
-    let rows = f.exec_rows(None).unwrap();
+    let rows = execution_rows(m, None, true).unwrap();
     for tier in available_tiers() {
         let mut stage = BStage::new();
         stage.stage_tier(b, tier);
@@ -123,10 +132,10 @@ fn messy_dense(nrows: usize, ncols: usize, seed: u64) -> DenseMatrix {
 /// The identity check for one codec: raw and pre-rounded matrices.
 fn check_codec<C: BlockCodec>(m: &CsrMatrix, b: &DenseMatrix, what: &str) {
     let raw = TcMatrix::<C>::from_csr(m);
-    assert_windows_match(&raw, b, &format!("{what} raw"));
+    assert_windows_match(m, &raw, b, &format!("{what} raw"));
     let mut pre = raw;
     pre.preround_values_tier(IsaTier::probe());
-    assert_windows_match(&pre, b, &format!("{what} pre-rounded"));
+    assert_windows_match(m, &pre, b, &format!("{what} pre-rounded"));
 }
 
 fn both_formats(m: &CsrMatrix, b: &DenseMatrix, what: &str) {
@@ -180,15 +189,16 @@ fn zero_a_slots_never_touch_non_finite_b() {
     }
 }
 
-/// `m`'s rows with every value TF32-rounded and the rounded zeros
-/// dropped: what the execution rows must hold.
-fn rounded_without_zeros(m: &CsrMatrix) -> CsrMatrix {
+/// Row `i` of the result is row `order[i]` of `m` with every value
+/// TF32-rounded and, with `skip_zeros`, the rounded zeros dropped: what
+/// the execution rows must hold.
+fn rounded_rows(m: &CsrMatrix, order: &[u32], skip_zeros: bool) -> CsrMatrix {
     let mut coo = CooMatrix::new(m.nrows(), m.ncols());
-    for r in 0..m.nrows() {
-        let (cols, vals) = m.row(r);
+    for (i, &r) in order.iter().enumerate() {
+        let (cols, vals) = m.row(r as usize);
         for (&c, &v) in cols.iter().zip(vals) {
-            if to_tf32(v) != 0.0 {
-                coo.push(r as u32, c, to_tf32(v));
+            if !skip_zeros || to_tf32(v) != 0.0 {
+                coo.push(i as u32, c, to_tf32(v));
             }
         }
     }
@@ -208,6 +218,14 @@ fn same_rows(a: &CsrMatrix, b: &CsrMatrix) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
+#[test]
+fn execution_rows_reject_an_order_that_is_not_a_permutation() {
+    let m = messy_matrix(10, 12, 3, 7);
+    for bad in [&[0u32, 1, 2][..], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 8]] {
+        assert!(execution_rows(&m, Some(bad), true).is_err(), "{bad:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -216,23 +234,28 @@ proptest! {
         nrows in 1usize..60,
         ncols in 1usize..70,
         entries in proptest::collection::vec((0u64..u64::MAX, 0usize..60, 0usize..70), 0..300),
+        seed in 0u64..u64::MAX,
     ) {
         let mut coo = CooMatrix::new(nrows, ncols);
         for &(h, r, c) in &entries {
             coo.push((r % nrows) as u32, (c % ncols) as u32, messy(h));
         }
         let m = CsrMatrix::from_coo(&coo);
-        let want = rounded_without_zeros(&m);
-        let tier = IsaTier::probe();
-
-        let mut bit = BitTcf::from_csr(&m);
-        prop_assert!(same_rows(&bit.exec_rows(None).unwrap(), &want), "BitTCF raw");
-        bit.preround_values_tier(tier);
-        prop_assert!(same_rows(&bit.exec_rows(None).unwrap(), &want), "BitTCF pre-rounded");
-
-        let mut me = TcMatrix::<LocalIds>::from_csr(&m);
-        prop_assert!(same_rows(&me.exec_rows(None).unwrap(), &want), "ME-TCF raw");
-        me.preround_values_tier(tier);
-        prop_assert!(same_rows(&me.exec_rows(None).unwrap(), &want), "ME-TCF pre-rounded");
+        let identity: Vec<u32> = (0..nrows as u32).collect();
+        let mut shuffled = identity.clone();
+        shuffled.sort_by_key(|&i| splitmix64(seed ^ u64::from(i)));
+        for skip_zeros in [true, false] {
+            prop_assert!(
+                same_rows(&execution_rows(&m, None, skip_zeros).unwrap(), &rounded_rows(&m, &identity, skip_zeros)),
+                "input order, skip_zeros {}", skip_zeros
+            );
+            prop_assert!(
+                same_rows(
+                    &execution_rows(&m, Some(&shuffled), skip_zeros).unwrap(),
+                    &rounded_rows(&m, &shuffled, skip_zeros)
+                ),
+                "shuffled order, skip_zeros {}", skip_zeros
+            );
+        }
     }
 }

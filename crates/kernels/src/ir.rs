@@ -576,16 +576,6 @@ impl PlanIr {
                     .map_err(|e| artifact("format", &e))?,
             )),
         };
-        if let Some(f) = &format {
-            if f.dims() != (csr.nrows(), csr.ncols()) {
-                return Err(PlanLoadError::ArtifactInvalid {
-                    section: "format",
-                    detail: "format dimensions disagree with the stored operand".into(),
-                }
-                .into());
-            }
-        }
-
         let balance = if hdr.has_balance {
             Some(
                 read_balance(&mut csr_reader(&balance_bytes))
@@ -1129,20 +1119,28 @@ impl PlanLoader {
 
     /// Validate and rehydrate a parsed IR into a runnable plan. The
     /// window partition rebuilds deterministically from the stored
-    /// operand; format values re-round to TF32 (idempotent — saved
-    /// plans already carry pre-rounded values, so execution stays
-    /// bit-identical to the plan that was saved), and the execution
-    /// rows are decoded from the format again.
+    /// operand, and the format must agree with it and with the operand
+    /// (shape, non-zeros, blocks): execution reads the operand while
+    /// the trace, repair and stats read the format, so a format of
+    /// another matrix is rejected rather than profiled. Format values
+    /// re-round to TF32 (idempotent — saved plans already carry
+    /// pre-rounded values), and the execution rows are derived from
+    /// the operand again, so execution stays bit-identical to the plan
+    /// that was saved.
     pub fn rehydrate(&self, ir: PlanIr) -> Result<ExecutionPlan> {
         let _span = spmm_trace::span("plan.load");
         self.validate(&ir)?;
         let spec = StageSpec::for_kernel(ir.kind, &ir.config);
         let partition = ir.format.as_ref().map(|_| WindowPartition::build(&ir.csr));
         if let (Some(wp), Some(f)) = (&partition, &ir.format) {
-            if f.num_tc_blocks() != wp.num_tc_blocks() {
+            let csr = &ir.csr;
+            if f.dims() != (csr.nrows(), csr.ncols())
+                || f.nnz() != csr.nnz()
+                || f.num_tc_blocks() != wp.num_tc_blocks()
+            {
                 return Err(PlanLoadError::ArtifactInvalid {
                     section: "format",
-                    detail: "format blocks disagree with the rebuilt window partition".into(),
+                    detail: "format disagrees with the stored operand".into(),
                 }
                 .into());
             }
@@ -1216,6 +1214,7 @@ impl ExecutionPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spmm_common::scalar::to_tf32;
     use spmm_matrix::gen::uniform_random;
 
     fn build(kind: KernelKind) -> ExecutionPlan {
@@ -1259,10 +1258,11 @@ mod tests {
 
     /// `plan`'s execution rows checked row by row against its permuted
     /// operand: row `old` is permuted row `perm[old]`, TF32-rounded,
-    /// with the values that round to ±0 dropped.
+    /// with the values that round to ±0 dropped — except on TC-GNN
+    /// plans, which keep them.
     fn assert_rows_follow_the_operand(plan: &ExecutionPlan) {
-        use spmm_common::scalar::to_tf32;
-        let rows = plan.exec_rows().expect("BitTCF and ME-TCF plans hold rows");
+        let rows = plan.exec_rows().expect("tensor-core plans hold rows");
+        let keep_zeros = plan.kind() == KernelKind::TcGnn;
         assert_eq!(rows.nrows(), plan.csr().nrows());
         for old in 0..rows.nrows() {
             let p = plan.perm().map_or(old, |perm| perm[old] as usize);
@@ -1270,7 +1270,7 @@ mod tests {
             let want: Vec<(u32, u32)> = cols
                 .iter()
                 .zip(vals)
-                .filter(|&(_, &v)| to_tf32(v) != 0.0)
+                .filter(|&(_, &v)| keep_zeros || to_tf32(v) != 0.0)
                 .map(|(&c, &v)| (c, to_tf32(v).to_bits()))
                 .collect();
             let (cols, vals) = rows.row(old);
@@ -1289,7 +1289,14 @@ mod tests {
 
     #[test]
     fn exec_rows_are_derived_at_build_load_and_repair() {
-        let m = uniform_random(96, 5.0, 9);
+        // Stored zeros, one of them a subnormal that rounds to zero, so
+        // dropping and keeping them differ.
+        let mut coo = uniform_random(96, 5.0, 9).to_coo();
+        coo.push(7, 50, 0.0);
+        coo.push(40, 11, f32::from_bits(0x0000_0800));
+        let m = CsrMatrix::from_coo(&coo);
+        let zeros = m.values().iter().filter(|&&v| to_tf32(v) == 0.0);
+        assert_eq!(zeros.count(), 2);
         let symmetric = AccConfig {
             symmetric_reorder: true,
             ..AccConfig::full()
@@ -1298,9 +1305,10 @@ mod tests {
             (KernelKind::AccSpmm, AccConfig::full()),
             (KernelKind::AccSpmm, symmetric),
             (KernelKind::DtcSpmm, AccConfig::full()),
+            (KernelKind::TcGnn, AccConfig::full()),
         ] {
             let plan = ExecutionPlan::build(kind, &m, Arch::A800, 32, config).unwrap();
-            assert!(plan.perm().is_some(), "{kind:?} reorders");
+            assert_eq!(plan.perm().is_some(), kind != KernelKind::TcGnn, "{kind:?}");
             assert_rows_follow_the_operand(&plan);
 
             let bytes = plan.to_ir().to_bytes().unwrap();
@@ -1325,10 +1333,8 @@ mod tests {
                 assert_eq!(repaired.exec_rows(), fresh.exec_rows(), "{kind:?} repair");
             }
         }
-        for kind in [KernelKind::CusparseLike, KernelKind::TcGnn] {
-            let plan = build(kind);
-            assert!(plan.exec_rows().is_none() && plan.exec_bytes() == 0);
-        }
+        let plan = build(KernelKind::CusparseLike);
+        assert!(plan.exec_rows().is_none() && plan.exec_bytes() == 0);
     }
 
     #[test]

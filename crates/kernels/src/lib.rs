@@ -129,6 +129,11 @@ impl TcFormat {
         with_format!(self, f => (f.nrows(), f.ncols()))
     }
 
+    /// Stored non-zeros.
+    pub fn nnz(&self) -> usize {
+        with_format!(self, f => f.nnz())
+    }
+
     /// Number of TC blocks.
     pub fn num_tc_blocks(&self) -> usize {
         with_format!(self, f => f.num_tc_blocks())
@@ -308,8 +313,8 @@ impl PreparedKernel {
 
     /// Execute many RHS matrices over the shared plan. The batch is
     /// split into one contiguous group per worker (a single spawn round
-    /// instead of one per RHS), and within a group the BitTCF and ME-TCF
-    /// plans run a *batched* row loop: the RHS are staged side by side,
+    /// instead of one per RHS), and within a group the tensor-core plans
+    /// run a *batched* row loop: the RHS are staged side by side,
     /// each execution row is one wide row product for all of them, and
     /// each RHS's slice is written straight to its output row. Per
     /// output element the adds are exactly the single-RHS path's, so
@@ -371,8 +376,8 @@ impl PreparedKernel {
     /// threads (the serving engine's micro-batching workers): executes
     /// every RHS in `bs` into the matching slot of `outs` on the
     /// *calling* thread, sharing one reusable [`Workspace`] and — on
-    /// BitTCF and ME-TCF plans — streaming each execution row once for
-    /// the whole batch. Results are bit-identical to calling
+    /// tensor-core plans — streaming each execution row once for the
+    /// whole batch. Results are bit-identical to calling
     /// [`PreparedKernel::execute`] per RHS.
     pub fn execute_batch_into(
         &self,
@@ -511,12 +516,12 @@ fn plan_execute_into(
         stage, staging_b, ..
     } = ws;
     let tier = plan.isa_tier();
-    match (plan.exec_rows(), plan.format()) {
-        // BitTCF and ME-TCF: the CSR row loop over the plan's execution
+    match plan.exec_rows() {
+        // Tensor-core plans: the CSR row loop over the plan's execution
         // rows and a TF32 stage of B, straight into original row order.
         // Symmetric-reorder mode multiplies (P A Pᵀ)(P B) = P (A B): the
         // rows' columns are permuted ids, so B is row-permuted first.
-        (Some(rows), _) => {
+        Some(rows) => {
             let b_eff: &DenseMatrix = match (plan.perm(), plan.symmetric()) {
                 (Some(perm), true) => {
                     let staged = ensure_staging(staging_b, b.nrows(), b.ncols());
@@ -532,15 +537,10 @@ fn plan_execute_into(
                 rows.spmm_dense_into_seq(stage.as_dense(), out, tier)
             }
         }
-        // TC-GNN's per-edge TCF (never reordered) over a TF32 stage.
-        (None, Some(TcFormat::Tcf(f))) => {
-            stage.stage_tier(b, tier);
-            f.spmm_into_staged_tier(stage, out, tier)
-        }
         // CUDA-core kernels: FP32 multiply then add on the same row
         // core, no operand rounding, no fusion.
-        _ if parallel => plan.csr().spmm_dense_into(b, out, tier),
-        _ => plan.csr().spmm_dense_into_seq(b, out, tier),
+        None if parallel => plan.csr().spmm_dense_into(b, out, tier),
+        None => plan.csr().spmm_dense_into_seq(b, out, tier),
     }
 }
 

@@ -363,9 +363,9 @@ pub fn default_stages() -> Vec<Box<dyn PlanStage>> {
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     ctx: PlanContext,
-    /// BitTCF and ME-TCF plans: the format's execution rows in
-    /// *original* row order (see [`ExecutionPlan::exec_rows`]), derived
-    /// when the plan is built, repaired or loaded. Derived data: never
+    /// Tensor-core plans: the operand's execution rows in *original*
+    /// row order (see [`ExecutionPlan::exec_rows`]), derived when the
+    /// plan is built, repaired or loaded. Derived data: never
     /// serialized.
     exec_rows: Option<CsrMatrix>,
 }
@@ -403,16 +403,16 @@ impl ExecutionPlan {
 
     /// Wrap a populated context — the one constructor, shared by build,
     /// repair ([`crate::repair`]) and the plan-IR loader ([`crate::ir`]),
-    /// so the derived execution rows are always in step with the format
+    /// so the derived execution rows are always in step with the operand
     /// and the permutation. Deriving them is compile work: it runs
     /// under a `plan.compile` span and its wall time is added to the
     /// context's `compile` stage timing, when it has one. The caller is
     /// responsible for the context's cross-artifact consistency.
     ///
     /// # Errors
-    /// If the format's rows are not a valid CSR matrix, or the context
-    /// holds a row permutation but no BitTCF or ME-TCF format to undo it
-    /// (the only executors that write through a permutation).
+    /// If the row permutation is not a permutation of the operand's
+    /// rows, or the context holds one on a CUDA-core plan, whose
+    /// executor cannot undo it.
     pub(crate) fn from_context(mut ctx: PlanContext) -> Result<Self> {
         let t0 = Instant::now();
         let exec_rows = {
@@ -499,11 +499,13 @@ impl ExecutionPlan {
         self.ctx.balance.as_ref()
     }
 
-    /// The execution rows of a BitTCF or ME-TCF plan, in original row
-    /// order: row `old` holds the decoded pairs of permuted row
-    /// `perm[old]` — TF32 values with the rounded zeros dropped, each
-    /// against the B row it scales ([`spmm_format::TcMatrix::exec_rows`]).
-    /// A multiply is the CSR row loop over them and a TF32 stage of B.
+    /// The execution rows of a tensor-core plan, in original row order:
+    /// row `old` is permuted row `perm[old]` of [`ExecutionPlan::csr`]
+    /// with TF32 values, each against the B row it scales
+    /// ([`spmm_format::execution_rows`]). BitTCF and ME-TCF plans drop the
+    /// values that round to ±0, as their tile MMAs skip them; TCF plans
+    /// keep them, as TC-GNN's per-edge loop multiplies every edge. A
+    /// multiply is the CSR row loop over them and a TF32 stage of B.
     pub fn exec_rows(&self) -> Option<&CsrMatrix> {
         self.exec_rows.as_ref()
     }
@@ -542,19 +544,22 @@ impl ExecutionPlan {
     }
 }
 
-/// The execution rows of `ctx`'s BitTCF or ME-TCF format, gathered
-/// into original row order: row `old` is permuted row `perm[old]`.
+/// The execution rows of a tensor-core plan, in original row order:
+/// row `old` is permuted row `perm[old]` of the operand.
 fn derive_exec_rows(ctx: &PlanContext) -> Result<Option<CsrMatrix>> {
     let order = ctx.perm.as_deref();
-    match &ctx.format {
-        Some(TcFormat::BitTcf(f)) => f.exec_rows(order).map(Some),
-        Some(TcFormat::MeTcf(f)) => f.exec_rows(order).map(Some),
-        _ if order.is_some() => Err(SpmmError::InvalidConfig(format!(
-            "{:?} plans cannot carry a row permutation",
-            ctx.kind
-        ))),
-        _ => Ok(None),
-    }
+    let skip_zeros = match ctx.spec.format {
+        FormatChoice::Csr if order.is_some() => {
+            return Err(SpmmError::InvalidConfig(format!(
+                "{:?} plans cannot carry a row permutation",
+                ctx.kind
+            )))
+        }
+        FormatChoice::Csr => return Ok(None),
+        FormatChoice::Tcf => false,
+        FormatChoice::MeTcf | FormatChoice::BitTcf => true,
+    };
+    spmm_format::execution_rows(&ctx.csr, order, skip_zeros).map(Some)
 }
 
 /// Record the plan's tier binding as trace gauges: the tier's stable

@@ -60,7 +60,7 @@ impl Workspace {
 /// concurrent multiplies over shared plans (the serving engine's
 /// steady state): checking out hands back a previously-grown workspace
 /// when one is available, so after warmup no request allocates staging
-/// buffers or tile scratch.
+/// buffers.
 ///
 /// The pool is bounded: returning a workspace beyond `max_idle` drops
 /// it instead of growing the idle list without limit.

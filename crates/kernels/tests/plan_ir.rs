@@ -10,10 +10,11 @@ mod golden;
 use proptest::prelude::*;
 use spmm_common::{PlanLoadError, SpmmError};
 use spmm_format::io::write_tc_matrix;
+use spmm_format::{MeTcf, Tcf};
 use spmm_kernels::{
     AccConfig, ExecutionPlan, KernelKind, PlanIr, PlanLoader, PreparedKernel, TcFormat,
 };
-use spmm_matrix::{gen, CsrMatrix, DenseMatrix};
+use spmm_matrix::{gen, CooMatrix, CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
 /// Splice non-finite / subnormal values into a matrix at deterministic
@@ -357,6 +358,55 @@ fn a_corrupted_format_column_fails_to_load_instead_of_panicking_on_use() {
             Some(TcFormat::MeTcf(f)) => f.sparse_a_to_b[0] = column,
             other => panic!("{kind:?}: unexpected format {other:?}"),
         }
+        let bytes = ir.to_bytes().unwrap();
+        let err = PlanLoader::new()
+            .read(std::io::Cursor::new(&bytes))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpmmError::PlanLoad(PlanLoadError::ArtifactInvalid {
+                    section: "format",
+                    ..
+                })
+            ),
+            "{kind:?}: expected a format ArtifactInvalid, got {err:?}"
+        );
+    }
+}
+
+#[test]
+fn a_format_of_another_matrix_is_a_typed_rejection() {
+    // The spliced format encodes the plan's operand plus one entry in a
+    // column its window already holds: same shape, same block count,
+    // one more non-zero. Loading it would execute the stored operand
+    // while the trace and stats describe another matrix.
+    let mut coo = CooMatrix::new(16, 16);
+    for r in 0..16u32 {
+        coo.push(r, (r * 3) % 16, 1.0 + r as f32);
+        coo.push(r, (r * 5 + 1) % 16, -0.5 - r as f32);
+    }
+    let m = CsrMatrix::from_coo(&coo);
+    assert_eq!(m.nnz(), 32);
+    for kind in [KernelKind::DtcSpmm, KernelKind::TcGnn] {
+        let mut ir = build_plan(kind, &m, 8).to_ir();
+        let mut spliced = ir.csr.to_coo();
+        let window: Vec<u32> = (0..8).flat_map(|r| ir.csr.row(r).0.to_vec()).collect();
+        let col = *window
+            .iter()
+            .find(|c| !ir.csr.row(0).0.contains(c))
+            .expect("window 0 holds a column row 0 does not");
+        spliced.push(0, col, 2.0);
+        let spliced = CsrMatrix::from_coo(&spliced);
+        assert_eq!(spliced.nnz(), 33);
+        let format = match kind {
+            KernelKind::TcGnn => TcFormat::Tcf(Tcf::from_csr(&spliced)),
+            _ => TcFormat::MeTcf(MeTcf::from_csr(&spliced)),
+        };
+        let held = ir.format.as_ref().unwrap();
+        assert_eq!(format.num_tc_blocks(), held.num_tc_blocks(), "{kind:?}");
+        assert_eq!(format.dims(), held.dims(), "{kind:?}");
+        ir.format = Some(format);
         let bytes = ir.to_bytes().unwrap();
         let err = PlanLoader::new()
             .read(std::io::Cursor::new(&bytes))

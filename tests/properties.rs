@@ -275,15 +275,13 @@ proptest! {
         let reference = reference_bittcf_spmm(&t, &b);
 
         // Raw format (rounds the decompressed tile per block).
-        let mut c = DenseMatrix::zeros(m.nrows(), n);
-        t.spmm_into(&b, &mut c).unwrap();
+        let c = t.spmm(&b).unwrap();
         prop_assert!(bits_equal(&c, &reference), "raw-format path diverged");
 
         // Pre-rounded format (the plan-compiled configuration).
         let tier = spmm_common::IsaTier::probe();
         t.preround_values_tier(tier);
-        let mut c2 = DenseMatrix::zeros(m.nrows(), n);
-        t.spmm_into(&b, &mut c2).unwrap();
+        let c2 = t.spmm(&b).unwrap();
         prop_assert!(bits_equal(&c2, &reference), "prerounded-format path diverged");
 
     }
