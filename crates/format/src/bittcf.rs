@@ -299,6 +299,18 @@ mod tests {
     }
 
     #[test]
+    fn spmm_into_rejects_misshapen_output() {
+        // The output check spmm applies before it writes: C must be
+        // nrows x B's column count, no row or column more or fewer.
+        let t = BitTcf::from_csr(&small());
+        let (rows, cols) = (t.nrows(), t.ncols());
+        let check = |c: &DenseMatrix| crate::check_spmm_shapes(rows, cols, 12, 4, c);
+        assert!(check(&DenseMatrix::zeros(12, 4)).is_ok());
+        assert!(check(&DenseMatrix::zeros(11, 4)).is_err());
+        assert!(check(&DenseMatrix::zeros(12, 5)).is_err());
+    }
+
+    #[test]
     fn partition_footprint_formula_matches_built_format() {
         let m = uniform_random(300, 7.0, 2);
         let wp = WindowPartition::build(&m);
