@@ -13,7 +13,10 @@
 //!   show as NaN);
 //! * widths 1, 8, 17 and 64;
 //! * `execute`, `execute_into`, `execute_batch` and
-//!   `execute_batch_into`, which must all produce the pinned hash.
+//!   `execute_batch_into` (over the whole batch and over one RHS at a
+//!   time), which must all produce the pinned hash.
+
+use std::slice;
 
 use spmm_kernels::{AccConfig, ExecutionPlan, KernelKind, PlanLoader, PreparedKernel, Workspace};
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
@@ -212,6 +215,19 @@ fn case_hashes(name: &str) -> [u64; 4] {
     k.execute_batch_into(&bs, &mut outs, &mut ws).unwrap();
     for (c, &h) in outs.iter().zip(&want) {
         assert_eq!(fnv(c), h, "{name}: execute_batch_into, width {}", c.ncols());
+    }
+    // A batch of one RHS per width: the shape a sharded job or a lone
+    // engine request hands the batch entry.
+    for (b, &h) in bs.iter().zip(&want) {
+        let mut out = dirty(b.ncols());
+        k.execute_batch_into(slice::from_ref(b), slice::from_mut(&mut out), &mut ws)
+            .unwrap();
+        assert_eq!(
+            fnv(&out),
+            h,
+            "{name}: one-RHS execute_batch_into, width {}",
+            b.ncols()
+        );
     }
     want.try_into().unwrap()
 }
