@@ -984,12 +984,15 @@ fn warmstart_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
 ///
 /// Timing methodology: per-shard busy seconds are measured with
 /// **sequential dispatch** (`multiply_profiled`), so each shard runs
-/// uncontended, and completion is modeled as the **critical path**
+/// uncontended with its row loop spread across the host's cores, and
+/// completion is modeled as the **critical path**
 /// `scatter + max(shard busy) + gather` — what a deployment with one
-/// core per worker would see. (On this CI host every worker shares one
-/// core, so concurrent wall-clock would only measure time-slicing; the
-/// artifact records both.) Bit-identity against the single-node kernel
-/// is verified on every dataset and shard count.
+/// worker per device would see. A concurrent `multiply` would instead
+/// share the host's cores among the shards (each job of a round with at
+/// least as many jobs as threads runs on its own worker thread), so its
+/// wall clock measures the host rather than the model; the artifact's
+/// `wall_s` is the profiled round's wall clock. Bit-identity against the
+/// single-node kernel is verified on every dataset and shard count.
 ///
 /// A second sweep prices the same shard plans over
 /// [`ModeledTransport::for_arch`] links for each simulated

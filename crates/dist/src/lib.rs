@@ -44,7 +44,7 @@ use spmm_sim::Arch;
 pub use partition::{plan_shards, row_block, ShardPlan, ShardSpec};
 pub use transport::{ChannelTransport, ModeledTransport, Route, Transport};
 
-use worker::{Job, Operand, WorkerPool};
+use worker::{round_leaves_cores_idle, Job, Operand, WorkerPool};
 
 /// Builder for [`DistSpmm`] — mirrors `PreparedKernel::builder` plus
 /// the distribution knobs.
@@ -276,7 +276,9 @@ impl<'a> DistBuilder<'a> {
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct DistReport {
-    /// Uncontended kernel seconds per shard (empty shards report 0).
+    /// Kernel seconds per shard (empty shards report 0): uncontended
+    /// from [`DistSpmm::multiply_profiled`]; from a concurrent round they
+    /// include any time-slicing among the round's jobs.
     pub per_shard_busy: Vec<f64>,
     /// Modeled seconds scattering B rows to the shards (summed: the
     /// coordinator link serializes outbound messages).
@@ -494,8 +496,9 @@ impl DistSpmm {
     /// [`DistSpmm::multiply`] with shards dispatched one at a time so
     /// each shard's busy seconds are measured uncontended (on a host
     /// with fewer cores than shards, concurrent dispatch time-slices
-    /// the workers and inflates every per-shard measurement). The
-    /// returned report's `critical_path_seconds` is the modeled
+    /// the workers and inflates every per-shard measurement). Each job
+    /// has the host to itself, so its row loop spreads across every
+    /// core. The returned report's `critical_path_seconds` is the modeled
     /// completion a one-worker-per-node deployment would see.
     pub fn multiply_profiled(&self, b: &DenseMatrix) -> Result<(DenseMatrix, DistReport)> {
         let mut out = DenseMatrix::zeros(self.nrows, b.ncols());
@@ -569,15 +572,24 @@ impl DistSpmm {
             .collect();
         let mut outs: Vec<Option<DenseMatrix>> = (0..self.num_shards()).map(|_| None).collect();
         if sequential {
+            let across_cores = Self::spread(1);
             for &id in &shard_ids {
-                self.submit_shared(id, epoch, &shared)?;
-                self.collect(epoch, 1, &shared, &mut outs, &mut report)?;
+                self.submit_shared(id, epoch, &shared, across_cores)?;
+                self.collect(epoch, 1, &shared, across_cores, &mut outs, &mut report)?;
             }
         } else {
+            let across_cores = Self::spread(shard_ids.len());
             for &id in &shard_ids {
-                self.submit_shared(id, epoch, &shared)?;
+                self.submit_shared(id, epoch, &shared, across_cores)?;
             }
-            self.collect(epoch, shard_ids.len(), &shared, &mut outs, &mut report)?;
+            self.collect(
+                epoch,
+                shard_ids.len(),
+                &shared,
+                across_cores,
+                &mut outs,
+                &mut report,
+            )?;
         }
 
         // Gather: copy each shard's rows into place; empty shards own
@@ -609,25 +621,40 @@ impl DistSpmm {
         Ok(report)
     }
 
-    fn submit_shared(&self, shard: usize, epoch: u64, b: &Arc<DenseMatrix>) -> Result<()> {
+    /// Whether the jobs of a round of `jobs` dispatched together spread
+    /// their row loops across the host's cores.
+    fn spread(jobs: usize) -> bool {
+        round_leaves_cores_idle(jobs, rayon::current_num_threads())
+    }
+
+    fn submit_shared(
+        &self,
+        shard: usize,
+        epoch: u64,
+        b: &Arc<DenseMatrix>,
+        across_cores: bool,
+    ) -> Result<()> {
         self.pool.submit(
             shard,
             Job {
                 epoch,
                 b: Operand::Shared(Arc::clone(b)),
                 priority: self.priority,
+                across_cores,
             },
         )
     }
 
     /// Receive `pending` outcomes for `epoch`, retrying failed shards
-    /// up to the bound. `shared` reissues shared-operand jobs; owned
-    /// operands come back with the failed outcome.
+    /// up to the bound with their round's `across_cores` tag. `shared`
+    /// reissues shared-operand jobs; owned operands come back with the
+    /// failed outcome.
     fn collect(
         &self,
         epoch: u64,
         mut pending: usize,
         shared: &Arc<DenseMatrix>,
+        across_cores: bool,
         outs: &mut [Option<DenseMatrix>],
         report: &mut DistReport,
     ) -> Result<()> {
@@ -659,6 +686,7 @@ impl DistSpmm {
                                 epoch,
                                 b: operand,
                                 priority: self.priority,
+                                across_cores,
                             },
                         )?;
                     } else {
@@ -795,6 +823,8 @@ impl DistSpmm {
                 .expect("shard ranges tile the row space")
         };
         let mut halo_row_total = 0u64;
+        let pending = self.plan.shards.iter().filter(|s| !s.is_empty()).count();
+        let across_cores = Self::spread(pending);
         for s in &self.plan.shards {
             if s.is_empty() {
                 continue;
@@ -831,19 +861,19 @@ impl DistSpmm {
                     epoch,
                     b: Operand::Owned(buf),
                     priority: self.priority,
+                    across_cores,
                 },
             )?;
         }
         spmm_trace::counter_add("dist.halo_rows", halo_row_total);
         spmm_trace::counter_add("dist.bytes_halo", report.bytes_halo);
 
-        let pending = self.plan.shards.iter().filter(|s| !s.is_empty()).count();
         let mut outs: Vec<Option<DenseMatrix>> = (0..self.num_shards()).map(|_| None).collect();
         // Shared fallback never fires for owned jobs (operands travel
         // back with failures), but collect() needs one to satisfy its
         // signature cheaply.
         let dummy = Arc::new(DenseMatrix::zeros(0, 0));
-        let collected = self.collect(epoch, pending, &dummy, &mut outs, &mut report);
+        let collected = self.collect(epoch, pending, &dummy, across_cores, &mut outs, &mut report);
         // Stash operand buffers for the next round before propagating
         // any failure.
         collected?;
@@ -999,9 +1029,15 @@ mod tests {
 
     #[test]
     fn sharded_multiply_is_bit_identical() {
+        // At 1 shard a concurrent round leaves cores idle and its job
+        // runs across cores; at one shard more than the host has threads
+        // every job runs on its own worker thread. `multiply`,
+        // `multiply_profiled` and `propagate_halo` must match the
+        // single-node kernel bit for bit either way.
+        let threads = rayon::current_num_threads();
         let m = gen::clustered(
             gen::ClusteredConfig {
-                n: 512,
+                n: 512.max(64 * (threads + 1)),
                 cluster_size: 64,
                 intra_deg: 10.0,
                 inter_deg: 2.0,
@@ -1010,14 +1046,19 @@ mod tests {
             3,
         );
         let b = DenseMatrix::random(m.ncols(), 16, 7);
+        let bits = |c: &DenseMatrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for kind in [KernelKind::AccSpmm, KernelKind::CusparseLike] {
             let expect = reference(&m, kind, &b);
-            for shards in [1, 2, 3, 4] {
+            for shards in [1, 2, 3, 4, threads + 1] {
                 let dist = DistSpmm::builder(kind, &m)
                     .shards(shards)
                     .feature_dim(16)
                     .build()
                     .unwrap();
+                if shards == threads + 1 {
+                    let jobs = dist.shards().iter().filter(|s| !s.is_empty()).count();
+                    assert!(!round_leaves_cores_idle(jobs, threads), "{jobs} jobs");
+                }
                 let got = dist.multiply(&b).unwrap();
                 assert_eq!(
                     got.as_slice()
@@ -1031,6 +1072,15 @@ mod tests {
                         .collect::<Vec<_>>(),
                     "{kind:?} x{shards}"
                 );
+                let (profiled, _) = dist.multiply_profiled(&b).unwrap();
+                assert_eq!(
+                    bits(&profiled),
+                    bits(&expect),
+                    "{kind:?} x{shards} profiled"
+                );
+                let parts = dist.propagate_halo(&dist.split_rows(&b).unwrap()).unwrap();
+                let halo = dist.concat_rows(&parts).unwrap();
+                assert_eq!(bits(&halo), bits(&expect), "{kind:?} x{shards} halo");
             }
         }
     }

@@ -7,6 +7,7 @@
 //! coordinator shutdown never abandons accepted work (the engine's
 //! drain-on-drop semantics, one level up).
 
+use std::slice;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -49,6 +50,20 @@ pub(crate) struct Job {
     /// (`dist.jobs.<class>` counters, and an engine-backed worker tier)
     /// sees the same class the coordinator admitted.
     pub priority: Priority,
+    /// Whether the job's round leaves cores idle (see
+    /// [`round_leaves_cores_idle`]): only then does the job spread its
+    /// row loop across every core; in a full round it runs on its own
+    /// worker thread.
+    pub across_cores: bool,
+}
+
+/// Whether a round of `jobs` shard jobs dispatched together leaves some
+/// of the host's `threads` idle. A job in such a round spreads its row
+/// loop across cores; a job in a full round already has a core of its
+/// own, and spreading it too would only stack one spawn round per job
+/// on top of oversubscribed cores.
+pub(crate) fn round_leaves_cores_idle(jobs: usize, threads: usize) -> bool {
+    jobs < threads
 }
 
 /// What a worker sends back.
@@ -59,8 +74,11 @@ pub(crate) struct Outcome {
     pub epoch: u64,
     /// The shard's output rows (`rows × feature_dim`), or the failure.
     pub result: Result<DenseMatrix>,
-    /// Uncontended execution seconds measured on the worker around the
-    /// kernel call only (excludes queue wait).
+    /// Execution seconds measured on the worker around the kernel call
+    /// only (excludes queue wait). Uncontended only when the job ran
+    /// alone (`multiply_profiled`); in a concurrent round the jobs share
+    /// the host's cores, so a round with more jobs than cores adds
+    /// time-slicing to every job's seconds.
     pub busy_seconds: f64,
     /// Owned operands travel back for reuse (also on failure, so a
     /// retry can resend without reassembly).
@@ -237,7 +255,12 @@ fn run_job(
     let b = job.b.matrix();
     let mut out = DenseMatrix::zeros(kernel.csr().nrows(), b.ncols());
     let t0 = Instant::now();
-    let result = kernel.execute_into(b, &mut out, ws).map(|()| out);
+    let run = if job.across_cores {
+        kernel.execute_into(b, &mut out, ws)
+    } else {
+        kernel.execute_batch_into(slice::from_ref(b), slice::from_mut(&mut out), ws)
+    };
+    let result = run.map(|()| out);
     let busy_seconds = t0.elapsed().as_secs_f64();
     Outcome {
         shard,
@@ -279,6 +302,7 @@ mod tests {
                     epoch,
                     b: Operand::Shared(Arc::clone(&b)),
                     priority: Priority::Standard,
+                    across_cores: epoch % 2 == 0,
                 },
             )
             .unwrap();
@@ -302,6 +326,7 @@ mod tests {
                     epoch,
                     b: Operand::Shared(Arc::clone(&b)),
                     priority: Priority::Batch,
+                    across_cores: false,
                 },
             )
             .unwrap();
@@ -310,6 +335,18 @@ mod tests {
         let failures = outcomes.iter().filter(|o| o.result.is_err()).count();
         assert_eq!(failures, 2);
         assert!(outcomes.iter().any(|o| o.result.is_ok()));
+    }
+
+    #[test]
+    fn only_a_round_with_fewer_jobs_than_threads_spreads_across_cores() {
+        for threads in [1, 2, 3, 8] {
+            for jobs in 1..threads {
+                assert!(round_leaves_cores_idle(jobs, threads), "{jobs} < {threads}");
+            }
+            assert!(!round_leaves_cores_idle(threads, threads), "{threads} jobs");
+            assert!(!round_leaves_cores_idle(threads + 1, threads));
+            assert!(!round_leaves_cores_idle(4 * threads, threads));
+        }
     }
 
     #[test]
@@ -325,6 +362,7 @@ mod tests {
                     epoch: 0,
                     b: Operand::Shared(Arc::new(DenseMatrix::zeros(16, 8))),
                     priority: Priority::Standard,
+                    across_cores: true,
                 }
             )
             .is_err());

@@ -421,11 +421,15 @@ impl PreparedKernel {
         // Worker-side span: one per batch group, recorded on the rayon
         // thread that ran it (the trace layer tags spans per thread).
         let _span = spmm_trace::span("kernel.execute_group");
-        // Symmetric mode needs a permuted copy of every B alive at once,
-        // which defeats the batched row loop — fall back to the per-RHS
-        // path (still sharing this worker's staging buffers).
+        // A lone RHS gains nothing from the side-by-side stage and pays
+        // its per-row copy, and symmetric mode needs a permuted copy of
+        // every B alive at once, which defeats the batched row loop: both
+        // take the per-RHS path (still sharing this worker's staging
+        // buffers), which writes straight into each output.
         match self.plan.exec_rows() {
-            Some(rows) if !self.plan.symmetric() => self.execute_group_batched(rows, bs, outs, ws),
+            Some(rows) if bs.len() > 1 && !self.plan.symmetric() => {
+                self.execute_group_batched(rows, bs, outs, ws)
+            }
             _ => {
                 for (b, out) in bs.iter().zip(outs.iter_mut()) {
                     self.execute_into_impl(b, out, ws, false)?;

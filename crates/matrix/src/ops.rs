@@ -1,12 +1,13 @@
 //! Additional linear-algebra operations on the matrix types: symmetric
 //! permutation (the paper's future-work column+dense-row reorder needs
-//! it), sparse arithmetic, submatrix extraction, and a dense GEMM used by
-//! the GNN layers.
+//! it), sparse arithmetic, submatrix extraction, and a dense GEMM on the
+//! row core used by the GNN layers.
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
-use spmm_common::{Result, SpmmError};
+use rayon::prelude::*;
+use spmm_common::{mma_row_tier, IsaTier, Result, SpmmError};
 
 impl CsrMatrix {
     /// Apply the same permutation to rows **and** columns:
@@ -117,10 +118,19 @@ impl CsrMatrix {
 }
 
 impl DenseMatrix {
-    /// Dense GEMM: `self × other` in FP32. A simple cache-blocked
-    /// implementation — the dense weight multiply of the GNN layers, not
-    /// a performance kernel.
+    /// Dense GEMM: `self × other` in FP32 — the dense weight multiply
+    /// of the GNN layers. Output rows run in parallel, each one
+    /// [`mma_row_tier`] call on the host's tier ([`IsaTier::probe`]) over
+    /// that row's non-zero A entries in ascending `k`: ±0 entries are
+    /// skipped and NaN entries kept. Per output element the products are
+    /// added in ascending `k`, multiply and add rounded apart, so the
+    /// result is the same on every tier.
     pub fn matmul(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
+        self.matmul_tier(other, IsaTier::probe())
+    }
+
+    /// [`DenseMatrix::matmul`] at an explicit tier.
+    fn matmul_tier(&self, other: &DenseMatrix, tier: IsaTier) -> Result<DenseMatrix> {
         if self.ncols() != other.nrows() {
             return Err(SpmmError::Shape {
                 context: format!(
@@ -132,25 +142,24 @@ impl DenseMatrix {
                 ),
             });
         }
-        let (m, k, n) = (self.nrows(), self.ncols(), other.ncols());
-        let mut c = DenseMatrix::zeros(m, n);
-        const BK: usize = 64;
-        for k0 in (0..k).step_by(BK) {
-            let k1 = (k0 + BK).min(k);
-            for i in 0..m {
-                let arow = self.row(i);
-                let crow = c.row_mut(i);
-                for (kk, &a) in arow.iter().enumerate().take(k1).skip(k0) {
-                    if a == 0.0 {
-                        continue;
+        let mut c = DenseMatrix::zeros(self.nrows(), other.ncols());
+        c.as_mut_slice()
+            .par_chunks_mut(other.ncols().max(1))
+            .enumerate()
+            .for_each_init(
+                || (Vec::new(), Vec::new()),
+                |(avs, cols): &mut (Vec<f32>, Vec<u32>), (i, crow)| {
+                    avs.clear();
+                    cols.clear();
+                    for (k, &a) in self.row(i).iter().enumerate() {
+                        if a != 0.0 {
+                            avs.push(a);
+                            cols.push(k as u32);
+                        }
                     }
-                    let brow = other.row(kk);
-                    for j in 0..n {
-                        crow[j] += a * brow[j];
-                    }
-                }
-            }
-        }
+                    mma_row_tier(avs, cols, other.as_slice(), crow, tier);
+                },
+            );
         Ok(c)
     }
 
@@ -215,6 +224,88 @@ impl DenseMatrix {
 mod tests {
     use super::*;
     use crate::gen::uniform_random;
+    use proptest::prelude::*;
+
+    /// The GEMM `matmul` replaced, kept as its oracle: 64-wide `k`
+    /// blocks, `k` ascending per output element, ±0 A entries skipped,
+    /// multiply and add rounded apart.
+    fn blocked_matmul(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+        let (m, k, n) = (a.nrows(), a.ncols(), b.ncols());
+        let mut c = DenseMatrix::zeros(m, n);
+        const BK: usize = 64;
+        for k0 in (0..k).step_by(BK) {
+            let k1 = (k0 + BK).min(k);
+            for i in 0..m {
+                let arow = a.row(i);
+                let crow = c.row_mut(i);
+                for (kk, &av) in arow.iter().enumerate().take(k1).skip(k0) {
+                    if av == 0.0 {
+                        continue;
+                    }
+                    let brow = b.row(kk);
+                    for j in 0..n {
+                        crow[j] += av * brow[j];
+                    }
+                }
+            }
+        }
+        c
+    }
+
+    /// Ordinary values with ±0 (often, so the zero skip matters), ±Inf,
+    /// NaN and subnormals spliced in.
+    fn messy(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+        const SPECIALS: [u32; 6] = [
+            0x0000_0000, // +0.0
+            0x8000_0000, // -0.0
+            0x7F80_0000, // +Inf
+            0xFF80_0000, // -Inf
+            0x7FC0_0000, // quiet NaN
+            0x0001_2345, // subnormal
+        ];
+        let mut state = seed | 1;
+        DenseMatrix::from_fn(rows, cols, |_, _| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pick = (state >> 58) as usize;
+            if pick < 3 {
+                f32::from_bits(SPECIALS[(state >> 20) as usize % SPECIALS.len()])
+            } else if pick < 12 {
+                f32::from_bits((state >> 30) as u32 & 0x8000_0000)
+            } else {
+                f32::from_bits(0x3000_0000 | (state >> 40) as u32 | (state as u32 & 0x8000_0000))
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // NaN positions exact, every other bit equal, on every tier the
+        // host has.
+        #[test]
+        fn matmul_matches_the_blocked_loop_on_every_tier(
+            seed in any::<u64>(),
+            m in 1usize..12,
+            k in 65usize..200,
+            n_idx in 0usize..4,
+        ) {
+            let n = [1, 8, 17, 33][n_idx];
+            let a = messy(m, k, seed);
+            let b = messy(k, n, seed.wrapping_add(1));
+            let want = blocked_matmul(&a, &b);
+            for tier in IsaTier::ALL.into_iter().filter(|t| t.is_available()) {
+                let got = a.matmul_tier(&b, tier).unwrap();
+                for (i, (w, g)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+                    prop_assert!(
+                        w.to_bits() == g.to_bits() || (w.is_nan() && g.is_nan()),
+                        "tier {tier}, element {i}: {w:?} vs {g:?}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn symmetric_permute_relabels_both_sides() {
