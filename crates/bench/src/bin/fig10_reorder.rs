@@ -2,58 +2,29 @@
 //! evaluation datasets.
 
 use acc_spmm::matrix::TABLE2;
-use acc_spmm::reorder::{metrics::mean_nnz_tc, reorder_apply, Algorithm};
+use spmm_bench::figures::{self, FIG10_ALGORITHMS};
 use spmm_bench::{build_dataset, f2, print_table, save_json};
 
-struct Record {
-    dataset: String,
-    algorithm: String,
-    mean_nnz_tc: f64,
-}
-
-spmm_common::impl_to_json!(Record {
-    dataset,
-    algorithm,
-    mean_nnz_tc
-});
-
 fn main() {
-    let algs = [
-        Algorithm::Identity,
-        Algorithm::Sgt,
-        Algorithm::Lsh64,
-        Algorithm::DtcLsh,
-        Algorithm::MetisLike,
-        Algorithm::Louvain,
-        Algorithm::Rabbit,
-        Algorithm::Affinity,
-    ];
     let mut rows = Vec::new();
     let mut records = Vec::new();
     let mut gains_vs_dtc = Vec::new();
     let mut gains_vs_rabbit = Vec::new();
     for d in &TABLE2 {
         let m = build_dataset(d);
-        let mut row = vec![d.abbr.to_string()];
-        let mut by_alg = Vec::new();
-        for alg in algs {
-            let (pm, _) = reorder_apply(&m, alg);
-            let v = mean_nnz_tc(&pm, 8);
-            row.push(f2(v));
-            by_alg.push(v);
-            records.push(Record {
-                dataset: d.abbr.into(),
-                algorithm: alg.name().into(),
-                mean_nnz_tc: v,
-            });
-        }
-        let acc = by_alg[7];
-        gains_vs_dtc.push(acc / by_alg[3]);
-        gains_vs_rabbit.push(acc / by_alg[6]);
-        rows.push(row);
+        let by_alg = figures::fig10(d, &m);
+        let acc = by_alg[7].mean_nnz_tc;
+        gains_vs_dtc.push(acc / by_alg[3].mean_nnz_tc);
+        gains_vs_rabbit.push(acc / by_alg[6].mean_nnz_tc);
+        rows.push(
+            std::iter::once(d.abbr.to_string())
+                .chain(by_alg.iter().map(|r| f2(r.mean_nnz_tc)))
+                .collect(),
+        );
+        records.extend(by_alg);
     }
     let headers: Vec<&str> = std::iter::once("dataset")
-        .chain(algs.iter().map(|a| a.name()))
+        .chain(FIG10_ALGORITHMS.iter().map(|a| a.name()))
         .collect();
     print_table(
         "Figure 10: MeanNNZTC by reordering algorithm",

@@ -2,64 +2,24 @@
 //! data-affinity reordering, N = 128.
 
 use acc_spmm::matrix::TABLE2;
-use acc_spmm::reorder::Algorithm;
-use acc_spmm::sim::Arch;
-use acc_spmm::{AccConfig, KernelKind};
-use spmm_bench::{build_dataset, print_table, save_json, sim_options_for, DETAIL_DIM};
-use spmm_kernels::PreparedKernel;
-
-struct Record {
-    dataset: String,
-    l1_original: f64,
-    l1_reordered: f64,
-    l2_original: f64,
-    l2_reordered: f64,
-}
-
-spmm_common::impl_to_json!(Record {
-    dataset,
-    l1_original,
-    l1_reordered,
-    l2_original,
-    l2_reordered
-});
+use spmm_bench::{build_dataset, figures, print_table, save_json};
 
 fn main() {
-    let arch = Arch::A800;
     let mut rows = Vec::new();
     let mut records = Vec::new();
     for d in &TABLE2 {
         let m = build_dataset(d);
-        let opts = sim_options_for(d);
-        let run = |reorder: Algorithm| {
-            let mut cfg = AccConfig::full();
-            cfg.reorder = reorder;
-            let k = PreparedKernel::builder(KernelKind::AccSpmm, &m)
-                .arch(arch)
-                .feature_dim(DETAIL_DIM)
-                .config(cfg)
-                .build()
-                .expect("prepare");
-            k.profile(arch, &opts)
-        };
-        let orig = run(Algorithm::Identity);
-        let reord = run(Algorithm::Affinity);
+        let r = figures::fig11(d, &m);
         rows.push(vec![
             d.abbr.to_string(),
-            format!("{:.2}%", orig.l1_hit_rate * 100.0),
-            format!("{:.2}%", reord.l1_hit_rate * 100.0),
-            format!("{:+.2}%", (reord.l1_hit_rate - orig.l1_hit_rate) * 100.0),
-            format!("{:.2}%", orig.l2_hit_rate * 100.0),
-            format!("{:.2}%", reord.l2_hit_rate * 100.0),
-            format!("{:+.2}%", (reord.l2_hit_rate - orig.l2_hit_rate) * 100.0),
+            format!("{:.2}%", r.l1_original * 100.0),
+            format!("{:.2}%", r.l1_reordered * 100.0),
+            format!("{:+.2}%", (r.l1_reordered - r.l1_original) * 100.0),
+            format!("{:.2}%", r.l2_original * 100.0),
+            format!("{:.2}%", r.l2_reordered * 100.0),
+            format!("{:+.2}%", (r.l2_reordered - r.l2_original) * 100.0),
         ]);
-        records.push(Record {
-            dataset: d.abbr.into(),
-            l1_original: orig.l1_hit_rate,
-            l1_reordered: reord.l1_hit_rate,
-            l2_original: orig.l2_hit_rate,
-            l2_reordered: reord.l2_hit_rate,
-        });
+        records.push(r);
     }
     print_table(
         "Figure 11: A800 cache hit rates, original vs data-affinity reordering (N=128)",

@@ -2,24 +2,10 @@
 //! to TCF, plus the §4.3.2 conversion-cost comparison
 //! (`-- --conversion` appends the timing table).
 
-use acc_spmm::format::compression::{conversion_cost, CompressionReport};
+use acc_spmm::format::compression::conversion_cost;
 use acc_spmm::matrix::TABLE2;
 use acc_spmm::reorder::{reorder_apply, Algorithm};
-use spmm_bench::{build_dataset, f2, print_table, save_json};
-
-struct Record {
-    dataset: String,
-    csr_ratio: f64,
-    metcf_ratio: f64,
-    bittcf_ratio: f64,
-}
-
-spmm_common::impl_to_json!(Record {
-    dataset,
-    csr_ratio,
-    metcf_ratio,
-    bittcf_ratio
-});
+use spmm_bench::{build_dataset, f2, figures, print_table, save_json};
 
 fn main() {
     let with_conversion = std::env::args().any(|a| a == "--conversion");
@@ -31,25 +17,18 @@ fn main() {
     let mut conv_savings = Vec::new();
     for d in &TABLE2 {
         let m = build_dataset(d);
-        // Formats are built on the reordered matrix, as in the paper
-        // ("building on the reordered matrix, BitTCF ...").
-        let (pm, _) = reorder_apply(&m, Algorithm::Affinity);
-        let r = CompressionReport::measure(&pm);
+        let r = figures::fig12(d, &m);
         rows.push(vec![
             d.abbr.to_string(),
-            f2(r.csr_ratio()),
-            f2(r.metcf_ratio()),
-            f2(r.bittcf_ratio()),
+            f2(r.csr_ratio),
+            f2(r.metcf_ratio),
+            f2(r.bittcf_ratio),
         ]);
-        csr_gain.push(r.bittcf_ratio() / r.csr_ratio() - 1.0);
-        metcf_gain.push(r.bittcf_ratio() / r.metcf_ratio() - 1.0);
-        records.push(Record {
-            dataset: d.abbr.into(),
-            csr_ratio: r.csr_ratio(),
-            metcf_ratio: r.metcf_ratio(),
-            bittcf_ratio: r.bittcf_ratio(),
-        });
+        csr_gain.push(r.bittcf_ratio / r.csr_ratio - 1.0);
+        metcf_gain.push(r.bittcf_ratio / r.metcf_ratio - 1.0);
+        records.push(r);
         if with_conversion {
+            let (pm, _) = reorder_apply(&m, Algorithm::Affinity);
             let c = conversion_cost(&pm, 3);
             let me = c.partition + c.metcf;
             let bit = c.partition + c.bittcf;

@@ -3,70 +3,29 @@
 //! the Acc configuration held fixed).
 
 use acc_spmm::matrix::TABLE2;
-use acc_spmm::sim::Arch;
-use acc_spmm::{AccConfig, KernelKind};
-use spmm_bench::{build_dataset, f1, f2, print_table, save_json, sim_options_for, DETAIL_DIM};
-use spmm_kernels::PreparedKernel;
-
-struct Record {
-    dataset: String,
-    dtc_pipeline_gflops: f64,
-    acc_pipeline_gflops: f64,
-    speedup: f64,
-    bubble_reduction: f64,
-}
-
-spmm_common::impl_to_json!(Record {
-    dataset,
-    dtc_pipeline_gflops,
-    acc_pipeline_gflops,
-    speedup,
-    bubble_reduction
-});
+use spmm_bench::{build_dataset, f1, f2, figures, print_table, save_json};
 
 fn main() {
-    let arch = Arch::A800;
     let mut rows = Vec::new();
     let mut records = Vec::new();
     let mut type1 = Vec::new();
     let mut type2 = Vec::new();
     for d in &TABLE2 {
         let m = build_dataset(d);
-        let opts = sim_options_for(d);
-        let run = |acc_pipeline: bool| {
-            let mut cfg = AccConfig::full();
-            cfg.acc_pipeline = acc_pipeline;
-            PreparedKernel::builder(KernelKind::AccSpmm, &m)
-                .arch(arch)
-                .feature_dim(DETAIL_DIM)
-                .config(cfg)
-                .build()
-                .expect("prepare")
-                .profile(arch, &opts)
-        };
-        let dtc = run(false);
-        let acc = run(true);
-        let speedup = dtc.time_s / acc.time_s;
+        let r = figures::fig13(d, &m);
         if d.matrix_type == 1 {
-            type1.push(speedup);
+            type1.push(r.speedup);
         } else {
-            type2.push(speedup);
+            type2.push(r.speedup);
         }
-        let bubble_red = 1.0 - (acc.bubble_s / acc.busy_s) / (dtc.bubble_s / dtc.busy_s).max(1e-12);
         rows.push(vec![
             d.abbr.to_string(),
-            f1(dtc.gflops),
-            f1(acc.gflops),
-            f2(speedup),
-            format!("{:.0}%", bubble_red * 100.0),
+            f1(r.dtc_pipeline_gflops),
+            f1(r.acc_pipeline_gflops),
+            f2(r.speedup),
+            format!("{:.0}%", r.bubble_reduction * 100.0),
         ]);
-        records.push(Record {
-            dataset: d.abbr.into(),
-            dtc_pipeline_gflops: dtc.gflops,
-            acc_pipeline_gflops: acc.gflops,
-            speedup,
-            bubble_reduction: bubble_red,
-        });
+        records.push(r);
     }
     print_table(
         "Figure 13: DTC-pipeline vs Acc-pipeline on A800 (N=128)",

@@ -2,85 +2,27 @@
 //! adaptive load balancing, on A800 (a) and H100 (b), for the imbalanced
 //! (type-2) matrices.
 
-use acc_spmm::balance::BalanceStrategy;
 use acc_spmm::matrix::TABLE2;
 use acc_spmm::sim::Arch;
-use acc_spmm::{AccConfig, KernelKind};
-use spmm_bench::{build_dataset, f1, print_table, save_json, sim_options_for, DETAIL_DIM};
-use spmm_kernels::PreparedKernel;
-
-struct Record {
-    arch: String,
-    dataset: String,
-    compute_no_lb: f64,
-    compute_lb: f64,
-    memory_no_lb: f64,
-    memory_lb: f64,
-}
-
-spmm_common::impl_to_json!(Record {
-    arch,
-    dataset,
-    compute_no_lb,
-    compute_lb,
-    memory_no_lb,
-    memory_lb
-});
+use spmm_bench::{build_dataset, f1, figures, print_table, save_json};
 
 fn main() {
     let mut records = Vec::new();
     for arch in [Arch::A800, Arch::H100] {
         let mut rows = Vec::new();
-        // "We focus our load balancing experiments mainly on type-2
-        // matrices" — plus WB, the most imbalanced type-1 set.
-        for d in TABLE2
-            .iter()
-            .filter(|d| d.matrix_type == 2 || d.abbr == "WB")
-        {
+        for d in TABLE2.iter().filter(|d| figures::fig14_covers(d)) {
             let m = build_dataset(d);
-            let opts = sim_options_for(d);
-            let run = |balance: BalanceStrategy| {
-                let mut cfg = AccConfig::full();
-                cfg.balance = balance;
-                PreparedKernel::builder(KernelKind::AccSpmm, &m)
-                    .arch(arch)
-                    .feature_dim(DETAIL_DIM)
-                    .config(cfg)
-                    .build()
-                    .expect("prepare")
-                    .profile(arch, &opts)
-            };
-            let none = run(BalanceStrategy::None);
-            let lb = run(BalanceStrategy::AccAdaptive);
-            let ibd = {
-                let mut cfg = AccConfig::full();
-                cfg.balance = BalanceStrategy::AccAdaptive;
-                let k = PreparedKernel::builder(KernelKind::AccSpmm, &m)
-                    .arch(arch)
-                    .feature_dim(DETAIL_DIM)
-                    .config(cfg)
-                    .build()
-                    .expect("prepare");
-                let plan = k.plan().unwrap().clone();
-                (plan.ibd, plan.applied)
-            };
+            let r = figures::fig14(arch, d, &m);
             rows.push(vec![
                 d.abbr.to_string(),
-                format!("{:.1}{}", ibd.0, if ibd.1 { "*" } else { "" }),
-                f1(none.compute_throughput_gflops),
-                f1(lb.compute_throughput_gflops),
-                f1(none.mem_throughput_gbps),
-                f1(lb.mem_throughput_gbps),
-                format!("{:.2}x", none.time_s / lb.time_s),
+                format!("{:.1}{}", r.ibd, if r.rebalanced { "*" } else { "" }),
+                f1(r.record.compute_no_lb),
+                f1(r.record.compute_lb),
+                f1(r.record.memory_no_lb),
+                f1(r.record.memory_lb),
+                format!("{:.2}x", r.speedup),
             ]);
-            records.push(Record {
-                arch: format!("{arch:?}"),
-                dataset: d.abbr.into(),
-                compute_no_lb: none.compute_throughput_gflops,
-                compute_lb: lb.compute_throughput_gflops,
-                memory_no_lb: none.mem_throughput_gbps,
-                memory_lb: lb.mem_throughput_gbps,
-            });
+            records.push(r.record);
         }
         print_table(
             &format!(

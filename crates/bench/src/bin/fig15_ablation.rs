@@ -2,58 +2,23 @@
 //! Base (DTC-SpMM w/o LB) → +BTCF → +RO → +CP → +PP → +LB.
 
 use acc_spmm::matrix::TABLE2;
-use acc_spmm::sim::Arch;
-use acc_spmm::{AccConfig, KernelKind};
-use spmm_bench::{build_dataset, f2, print_table, save_json, sim_options_for, DETAIL_DIM};
-use spmm_kernels::PreparedKernel;
-
-struct Record {
-    dataset: String,
-    stage: String,
-    speedup_over_base: f64,
-    gflops: f64,
-}
-
-spmm_common::impl_to_json!(Record {
-    dataset,
-    stage,
-    speedup_over_base,
-    gflops
-});
+use acc_spmm::AccConfig;
+use spmm_bench::{build_dataset, f2, figures, print_table, save_json};
 
 fn main() {
-    let arch = Arch::H100;
     let mut rows = Vec::new();
     let mut records = Vec::new();
-    let mut stage_means = vec![Vec::new(); 6];
+    let mut stage_means = vec![Vec::new(); AccConfig::STAGE_NAMES.len()];
     for d in &TABLE2 {
         let m = build_dataset(d);
-        let opts = sim_options_for(d);
+        let stages = figures::fig15(d, &m);
         let mut row = vec![d.abbr.to_string()];
-        let mut base_time = 0.0f64;
-        for (stage, means) in stage_means.iter_mut().enumerate() {
-            let cfg = AccConfig::ablation_stage(stage);
-            let r = PreparedKernel::builder(KernelKind::AccSpmm, &m)
-                .arch(arch)
-                .feature_dim(DETAIL_DIM)
-                .config(cfg)
-                .build()
-                .expect("prepare")
-                .profile(arch, &opts);
-            if stage == 0 {
-                base_time = r.time_s;
-            }
-            let speedup = base_time / r.time_s;
-            row.push(f2(speedup));
-            means.push(speedup);
-            records.push(Record {
-                dataset: d.abbr.into(),
-                stage: AccConfig::STAGE_NAMES[stage].into(),
-                speedup_over_base: speedup,
-                gflops: r.gflops,
-            });
+        for (r, means) in stages.iter().zip(stage_means.iter_mut()) {
+            row.push(f2(r.speedup_over_base));
+            means.push(r.speedup_over_base);
         }
         rows.push(row);
+        records.extend(stages);
     }
     let headers: Vec<&str> = std::iter::once("dataset")
         .chain(AccConfig::STAGE_NAMES.iter().copied())

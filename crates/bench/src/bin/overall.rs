@@ -6,27 +6,10 @@
 //! where `<arch>` is `rtx4090` (Fig 7), `a800` (Fig 8) or `h100` (Fig 9).
 //! Dims default to the paper's 128 256 512 average.
 
-use acc_spmm::comparison::compare_all;
 use acc_spmm::matrix::TABLE2;
 use acc_spmm::sim::Arch;
 use acc_spmm::KernelKind;
-use spmm_bench::{build_dataset, f2, print_table, save_json, sim_options_for, FEATURE_DIMS};
-
-struct Record {
-    arch: String,
-    dataset: String,
-    kernel: String,
-    speedup: f64,
-    gflops: f64,
-}
-
-spmm_common::impl_to_json!(Record {
-    arch,
-    dataset,
-    kernel,
-    speedup,
-    gflops
-});
+use spmm_bench::{build_dataset, f2, figures, print_table, save_json, FEATURE_DIMS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,35 +36,18 @@ fn main() {
 
     for d in &TABLE2 {
         let m = build_dataset(d);
-        let opts = sim_options_for(d);
-        // Average speedup and GFLOPS across the requested dims, as §4.1
-        // specifies ("average performance with ... 128, 256 and 512").
-        let mut speed = vec![0.0f64; KernelKind::ALL.len()];
-        let mut gflops = vec![0.0f64; KernelKind::ALL.len()];
-        for &n in &dims {
-            let cmp = compare_all(&m, arch, n, &opts).expect("comparison");
-            for (i, row) in cmp.iter().enumerate() {
-                speed[i] += row.speedup / dims.len() as f64;
-                gflops[i] += row.report.gflops / dims.len() as f64;
-            }
-        }
+        let kernels = figures::overall(arch, &dims, d, &m);
         let mut row = vec![d.abbr.to_string()];
-        for (i, kind) in KernelKind::ALL.iter().enumerate() {
-            row.push(f2(speed[i]));
-            per_kernel_speedups[i].push(speed[i]);
-            records.push(Record {
-                arch: format!("{arch:?}"),
-                dataset: d.abbr.into(),
-                kernel: kind.name().into(),
-                speedup: speed[i],
-                gflops: gflops[i],
-            });
-            if *kind == KernelKind::AccSpmm && d.matrix_type == 2 {
-                acc_type2_max = acc_type2_max.max(speed[i]);
+        for (i, r) in kernels.iter().enumerate() {
+            row.push(f2(r.speedup));
+            per_kernel_speedups[i].push(r.speedup);
+            if KernelKind::ALL[i] == KernelKind::AccSpmm && d.matrix_type == 2 {
+                acc_type2_max = acc_type2_max.max(r.speedup);
             }
         }
-        row.push(f2(gflops[KernelKind::ALL.len() - 1])); // Acc GFLOPS
+        row.push(f2(kernels[KernelKind::ALL.len() - 1].gflops)); // Acc GFLOPS
         rows.push(row);
+        records.extend(kernels);
     }
 
     let headers: Vec<&str> = std::iter::once("dataset")

@@ -6,7 +6,7 @@
 
 use acc_spmm::matrix::TABLE2;
 use acc_spmm::sim::{Arch, CacheOp};
-use spmm_bench::{build_dataset, f2, print_table};
+use spmm_bench::{build_dataset, f2, figures, print_table};
 
 fn table1() {
     let ops = [
@@ -33,7 +33,7 @@ fn table2() {
     let rows: Vec<Vec<String>> = TABLE2
         .iter()
         .map(|d| {
-            let m = build_dataset(d);
+            let r = figures::table2(d, &build_dataset(d));
             vec![
                 d.matrix_type.to_string(),
                 d.name.to_string(),
@@ -41,9 +41,9 @@ fn table2() {
                 format!("{}", d.paper_rows),
                 format!("{}", d.paper_nnz),
                 f2(d.paper_avgl),
-                format!("{}", m.nrows()),
-                format!("{}", m.nnz()),
-                f2(m.avg_row_len()),
+                format!("{}", r.nrows),
+                format!("{}", r.nnz),
+                f2(r.avg_l),
                 format!("{:.0}x", d.scale_factor()),
             ]
         })

@@ -11,6 +11,8 @@ use spmm_common::json::ToJson;
 use std::io::Write;
 use std::path::PathBuf;
 
+pub mod figures;
+
 /// Feature dimensions of the overall evaluation (§4.1).
 pub const FEATURE_DIMS: [usize; 3] = [128, 256, 512];
 
