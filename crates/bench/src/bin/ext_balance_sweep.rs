@@ -10,8 +10,7 @@ use acc_spmm::matrix::{Dataset, TABLE2};
 use acc_spmm::sim::Arch;
 use acc_spmm::{AccConfig, KernelKind};
 use spmm_bench::{f2, print_table, save_json, sim_options_for, DETAIL_DIM};
-use spmm_format::BitTcf;
-use spmm_kernels::PreparedKernel;
+use spmm_kernels::{PreparedKernel, TcFormat};
 
 struct Record {
     dataset: String,
@@ -33,8 +32,9 @@ fn run_with(d: &Dataset, ibd_gate: f64, cap: usize) -> f64 {
     let arch = Arch::A800;
     let m = d.build();
     let opts = sim_options_for(d);
-    // Prepare normally to get the reordered matrix, then re-plan with
-    // the swept parameters and splice the plan into a fresh trace.
+    // Prepare normally to get the BitTCF of the reordered matrix, then
+    // re-plan with the swept parameters and splice the plan into a
+    // fresh trace.
     let cfg = AccConfig::full();
     let k = PreparedKernel::builder(KernelKind::AccSpmm, &m)
         .arch(arch)
@@ -42,7 +42,10 @@ fn run_with(d: &Dataset, ibd_gate: f64, cap: usize) -> f64 {
         .config(cfg)
         .build()
         .expect("prepare");
-    let f = BitTcf::from_csr(k.csr());
+    let format = k.format().expect("Acc plans build a TC format");
+    let TcFormat::BitTcf(f) = format else {
+        unreachable!("the full Acc config builds BitTCF")
+    };
     let bpw: Vec<usize> = f
         .row_window_offset
         .windows(2)
@@ -56,12 +59,7 @@ fn run_with(d: &Dataset, ibd_gate: f64, cap: usize) -> f64 {
         num_sms: spec.num_sms,
     });
     let plan = plan_with_params(&bpw, BalanceStrategy::AccAdaptive, &model, ibd_gate, cap);
-    let desc = spmm_kernels::tc::acc_trace(
-        &spmm_kernels::TcFormat::BitTcf(f),
-        &plan,
-        DETAIL_DIM,
-        &AccConfig::full(),
-    );
+    let desc = spmm_kernels::tc::acc_trace(format, &plan, DETAIL_DIM, &AccConfig::full());
     spmm_sim::simulate(&spec, &desc, &opts).time_s
 }
 

@@ -338,9 +338,4 @@ mod tests {
         let via_precision = t.spmm_with_precision(&b, Precision::Tf32).unwrap();
         assert_eq!(via_default, via_precision);
     }
-
-    #[test]
-    fn rebuild_windows_is_byte_identical_to_full_build() {
-        crate::tc_matrix::tests::rebuild_matches_full_build::<Bitmap>();
-    }
 }

@@ -222,55 +222,6 @@ impl<C: BlockCodec> TcMatrix<C> {
         t
     }
 
-    /// Incremental rebuild after an edge-delta update: `m_new` is the
-    /// updated (permuted) matrix, `wp_new` its (incrementally rebuilt)
-    /// partition, and `touched[w]` marks the windows whose rows
-    /// changed. Untouched windows copy their SparseAToB / position /
-    /// value spans from `self` byte-for-byte (every per-window artifact
-    /// depends only on that window's rows); touched windows re-run the
-    /// per-window encoder of [`TcMatrix::from_partition`]; `TCOffset`
-    /// is restitched.
-    ///
-    /// The result reports [`TcMatrix::is_prerounded`] `false`: when
-    /// `self` was pre-rounded its untouched spans carry TF32 bits while
-    /// touched windows carry raw values, and one idempotent
-    /// [`TcMatrix::preround_values_tier`] pass re-unifies them —
-    /// byte-identical to building from scratch and pre-rounding.
-    pub fn rebuild_windows(
-        &self,
-        m_new: &CsrMatrix,
-        wp_new: &WindowPartition,
-        touched: &[bool],
-    ) -> Self {
-        assert_eq!(m_new.nrows(), self.nrows, "deltas cannot change nrows");
-        assert_eq!(m_new.ncols(), self.ncols, "deltas cannot change ncols");
-        assert_eq!(wp_new.num_windows(), self.num_windows());
-        assert_eq!(touched.len(), self.num_windows(), "one flag per window");
-        let mut t = Self::empty(
-            self.nrows,
-            self.ncols,
-            wp_new,
-            self.positions.len(),
-            m_new.nnz(),
-        );
-        for (w, &is_touched) in touched.iter().enumerate() {
-            if is_touched {
-                let (cols, e) = Self::encode_window(m_new, wp_new, w);
-                t.push_window(&cols, e.block_nnz.iter().copied(), &e.words, &e.values);
-                continue;
-            }
-            let blocks = self.window_blocks(w);
-            let offsets = &self.tc_offset[blocks.start..=blocks.end];
-            t.push_window(
-                &self.sparse_a_to_b[blocks.start * TILE..blocks.end * TILE],
-                offsets.windows(2).map(|p| p[1] - p[0]),
-                &self.positions[C::word_span(&self.tc_offset, blocks)],
-                &self.values[offsets[0] as usize..offsets[offsets.len() - 1] as usize],
-            );
-        }
-        t
-    }
-
     /// Window `w`'s SparseAToB slots and codec encoding.
     fn encode_window(
         m: &CsrMatrix,
@@ -505,7 +456,7 @@ impl<C: BlockCodec> TcMatrix<C> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::BitTcf;
     use spmm_matrix::gen::uniform_random;
@@ -553,51 +504,5 @@ pub(crate) mod tests {
         let me = MeTcf::from_csr(&m);
         let bit = BitTcf::from_csr(&m);
         assert!(me.index_bytes() > bit.index_bytes());
-    }
-
-    /// Format equality with the values compared by bits (NaN ≠ NaN
-    /// under `==`).
-    fn assert_bits_eq<C: BlockCodec>(a: &TcMatrix<C>, b: &TcMatrix<C>) {
-        assert_eq!(a.row_window_offset, b.row_window_offset);
-        assert_eq!(a.tc_offset, b.tc_offset);
-        assert_eq!(a.sparse_a_to_b, b.sparse_a_to_b);
-        assert_eq!(a.positions, b.positions);
-        assert_eq!(a.is_prerounded(), b.is_prerounded());
-        let bits = |t: &TcMatrix<C>| t.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(a), bits(b));
-    }
-
-    /// Rebuilding windows 2 and 12 after a delta (with a NaN payload, so
-    /// value splicing is checked at the bit level) equals a full build,
-    /// and so does re-rounding a rebuilt pre-rounded source.
-    pub(crate) fn rebuild_matches_full_build<C: BlockCodec>() {
-        let m = uniform_random(100, 5.0, 3);
-        let wp = WindowPartition::build(&m);
-        let t = TcMatrix::<C>::from_partition(&m, &wp);
-        let mut coo = m.to_coo();
-        coo.push(17, 40, f32::NAN);
-        coo.push(98, 1, -0.0);
-        let m2 = CsrMatrix::from_coo(&coo);
-        let mut touched = vec![false; wp.num_windows()];
-        touched[2] = true;
-        touched[12] = true;
-        let wp2 = wp.rebuild(&m2, &touched);
-        let scratch = TcMatrix::<C>::from_partition(&m2, &wp2);
-        assert_bits_eq(&t.rebuild_windows(&m2, &wp2, &touched), &scratch);
-
-        let tier = IsaTier::probe();
-        let mut pre = t.clone();
-        pre.preround_values_tier(tier);
-        let mut rebuilt = pre.rebuild_windows(&m2, &wp2, &touched);
-        assert!(!rebuilt.is_prerounded());
-        rebuilt.preround_values_tier(tier);
-        let mut scratch_pre = scratch;
-        scratch_pre.preround_values_tier(tier);
-        assert_bits_eq(&rebuilt, &scratch_pre);
-    }
-
-    #[test]
-    fn rebuild_windows_is_byte_identical_to_full_build() {
-        rebuild_matches_full_build::<LocalIds>();
     }
 }

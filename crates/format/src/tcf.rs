@@ -109,77 +109,6 @@ impl Tcf {
         }
     }
 
-    /// Incremental rebuild after an edge-delta update (see
-    /// [`crate::TcMatrix::rebuild_windows`] for the contract): untouched
-    /// windows copy their `window_nnz_offset[w]..window_nnz_offset[w+1]`
-    /// spans of all four per-edge arrays from `self` (`edge_to_row`
-    /// holds global row ids, which stay valid because row indices never
-    /// shift under an edge delta), touched windows re-run the per-window
-    /// converter against `m_new` + `wp_new`, and the offsets are
-    /// restitched. The result reports [`Tcf::is_prerounded`] `false`;
-    /// one idempotent [`Tcf::preround_values_tier`] pass makes it
-    /// byte-identical to a pre-rounded from-scratch build.
-    pub fn rebuild_windows(
-        &self,
-        m_new: &CsrMatrix,
-        wp_new: &WindowPartition,
-        touched: &[bool],
-    ) -> Tcf {
-        assert_eq!(m_new.nrows(), self.nrows, "deltas cannot change nrows");
-        assert_eq!(m_new.ncols(), self.ncols, "deltas cannot change ncols");
-        assert_eq!(wp_new.num_windows(), self.num_windows());
-        assert_eq!(touched.len(), self.num_windows(), "one flag per window");
-        let num_windows = self.num_windows();
-
-        let mut window_nnz_offset = Vec::with_capacity(num_windows + 1);
-        window_nnz_offset.push(0u32);
-        let mut edge_list = Vec::with_capacity(m_new.nnz());
-        let mut edge_to_column = Vec::with_capacity(m_new.nnz());
-        let mut edge_to_row = Vec::with_capacity(m_new.nnz());
-        let mut values = Vec::with_capacity(m_new.nnz());
-        let mut blocks_per_window = Vec::with_capacity(num_windows);
-        for (w, &is_touched) in touched.iter().enumerate() {
-            if !is_touched {
-                let span =
-                    self.window_nnz_offset[w] as usize..self.window_nnz_offset[w + 1] as usize;
-                blocks_per_window.push(self.blocks_per_window[w]);
-                edge_list.extend_from_slice(&self.edge_list[span.clone()]);
-                edge_to_column.extend_from_slice(&self.edge_to_column[span.clone()]);
-                edge_to_row.extend_from_slice(&self.edge_to_row[span.clone()]);
-                values.extend_from_slice(&self.values[span]);
-                window_nnz_offset.push(values.len() as u32);
-                continue;
-            }
-            let wcols = wp_new.window_columns(w);
-            let lo = w * TILE;
-            let hi = ((w + 1) * TILE).min(m_new.nrows());
-            blocks_per_window.push(wcols.len().div_ceil(TILE) as u32);
-            for r in lo..hi {
-                let (cols, vals) = m_new.row(r);
-                for (&c, &v) in cols.iter().zip(vals.iter()) {
-                    let pos = wcols.binary_search(&c).expect("column in window") as u32;
-                    edge_list.push(c);
-                    edge_to_column.push(pos);
-                    edge_to_row.push(r as u32);
-                    values.push(v);
-                }
-            }
-            window_nnz_offset.push(values.len() as u32);
-        }
-
-        Tcf {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            window_nnz_offset,
-            edge_list,
-            edge_to_column,
-            edge_to_row,
-            values,
-            blocks_per_window,
-            values_tf32: false,
-        }
-    }
-
     /// Reassemble from raw arrays (used by the binary loader, which
     /// validates the invariants before calling).
     #[allow(clippy::too_many_arguments)] // mirrors the serialized field list
@@ -311,39 +240,5 @@ mod tests {
                 assert!((t.edge_to_column[k] as usize) < max_col);
             }
         }
-    }
-
-    #[test]
-    fn rebuild_windows_is_byte_identical_to_full_build() {
-        let m = uniform_random(100, 5.0, 3);
-        let wp = WindowPartition::build(&m);
-        let t = Tcf::from_partition(&m, &wp);
-        let mut coo = m.to_coo();
-        coo.push(17, 40, f32::NAN);
-        coo.push(98, 1, -0.0);
-        let m2 = CsrMatrix::from_coo(&coo);
-        let mut touched = vec![false; wp.num_windows()];
-        touched[2] = true;
-        touched[12] = true;
-        let wp2 = wp.rebuild(&m2, &touched);
-        let rebuilt = t.rebuild_windows(&m2, &wp2, &touched);
-        let scratch = Tcf::from_partition(&m2, &wp2);
-        assert_eq!(rebuilt.window_nnz_offset, scratch.window_nnz_offset);
-        assert_eq!(rebuilt.edge_list, scratch.edge_list);
-        assert_eq!(rebuilt.edge_to_column, scratch.edge_to_column);
-        assert_eq!(rebuilt.edge_to_row, scratch.edge_to_row);
-        assert_eq!(rebuilt.blocks_per_window, scratch.blocks_per_window);
-        assert_eq!(
-            rebuilt
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            scratch
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        );
     }
 }

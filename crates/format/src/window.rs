@@ -72,57 +72,6 @@ impl WindowPartition {
         }
     }
 
-    /// Incremental rebuild after an edge-delta update: `m_new` is the
-    /// updated matrix (same `nrows`/`ncols` — deltas are edge-level)
-    /// and `touched[w]` marks the windows whose rows changed. Untouched
-    /// windows copy their squeezed-column spans from `self` without
-    /// re-reading the matrix; touched windows re-squeeze from `m_new`;
-    /// both offset arrays are restitched. Because a window's squeeze
-    /// depends only on its own rows, the result is **equal** to
-    /// [`WindowPartition::build`] on `m_new` (asserted by tests — the
-    /// invariant incremental plan repair rests on).
-    pub fn rebuild(&self, m_new: &CsrMatrix, touched: &[bool]) -> WindowPartition {
-        assert_eq!(m_new.nrows(), self.nrows, "deltas cannot change nrows");
-        assert_eq!(m_new.ncols(), self.ncols, "deltas cannot change ncols");
-        assert_eq!(touched.len(), self.num_windows(), "one flag per window");
-        let nrows = self.nrows;
-        let num_windows = self.num_windows();
-        let mut window_block_offset = Vec::with_capacity(num_windows + 1);
-        let mut window_col_offset = Vec::with_capacity(num_windows + 1);
-        let mut window_cols = Vec::with_capacity(self.window_cols.len());
-        window_block_offset.push(0u32);
-        window_col_offset.push(0u32);
-        let mut blocks = 0u32;
-        let mut fresh: Vec<u32> = Vec::new();
-        for (w, &is_touched) in touched.iter().enumerate() {
-            let cols: &[u32] = if is_touched {
-                let lo = w * TILE;
-                let hi = ((w + 1) * TILE).min(nrows);
-                fresh.clear();
-                for r in lo..hi {
-                    fresh.extend_from_slice(m_new.row(r).0);
-                }
-                fresh.sort_unstable();
-                fresh.dedup();
-                &fresh
-            } else {
-                self.window_columns(w)
-            };
-            window_cols.extend_from_slice(cols);
-            blocks += cols.len().div_ceil(TILE) as u32;
-            window_block_offset.push(blocks);
-            window_col_offset.push(window_cols.len() as u32);
-        }
-        WindowPartition {
-            nrows,
-            ncols: self.ncols,
-            nnz: m_new.nnz(),
-            window_block_offset,
-            window_cols,
-            window_col_offset,
-        }
-    }
-
     /// Rows of the original matrix.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -273,27 +222,5 @@ mod tests {
         let wp = WindowPartition::build(&m);
         assert_eq!(wp.num_windows(), 2);
         assert_eq!(wp.window_columns(1), &[4]);
-    }
-
-    #[test]
-    fn rebuild_equals_full_build() {
-        let m = spmm_matrix::gen::uniform_random(100, 5.0, 3);
-        let wp = WindowPartition::build(&m);
-        // Perturb rows 17 and 98 (windows 2 and 12): rebuild with only
-        // those windows touched must equal a from-scratch build.
-        let mut coo = m.to_coo();
-        coo.push(17, 40, 2.0);
-        coo.push(98, 1, -1.0);
-        let m2 = CsrMatrix::from_coo(&coo);
-        let mut touched = vec![false; wp.num_windows()];
-        touched[2] = true;
-        touched[12] = true;
-        let rebuilt = wp.rebuild(&m2, &touched);
-        assert_eq!(rebuilt, WindowPartition::build(&m2));
-        // All windows touched degenerates to a full build too.
-        assert_eq!(
-            wp.rebuild(&m2, &vec![true; wp.num_windows()]),
-            WindowPartition::build(&m2)
-        );
     }
 }

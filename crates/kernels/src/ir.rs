@@ -1,19 +1,21 @@
-//! The versioned plan IR: persistent [`ExecutionPlan`] artifacts.
+//! The versioned plan IR: persistent [`ExecutionPlan`] host parts.
 //!
 //! Acc-SpMM's economics rest on ahead-of-time preprocessing amortized
-//! across many multiplies; this module extends the amortization across
-//! *processes*. A finished plan serializes into a [`PlanIr`] container:
+//! across many multiplies; this module lets a plan outlive its process.
+//! A plan serializes into a [`PlanIr`] container:
 //!
 //! * a schema-versioned **JSON header** (via [`spmm_common::json`]) —
-//!   kernel kind, architecture, feature dimension, the operand's
+//!   kernel kind, architecture, feature dimension, the input operand's
 //!   [`content_fingerprint`](spmm_matrix::CsrMatrix::content_fingerprint),
-//!   the [`AccConfig`] binding and its hash, plus the original stage
-//!   wall times;
-//! * five **length-prefixed binary sections** (little-endian, each
-//!   skippable without parsing — an mmap-friendly layout): the reorder
-//!   permutation, the permuted CSR operand, the compressed-format blob
-//!   (with pre-rounded TF32 values, reusing the `spmm-format` codecs),
-//!   the balance schedule, and the compiled-kernel descriptor.
+//!   the [`AccConfig`] binding and its hash, and the ISA tier the plan
+//!   was bound to;
+//! * two **length-prefixed binary sections** (little-endian, each
+//!   skippable without parsing): the permutation, which only symmetric
+//!   plans hold, and the operand CSR as the host multiplies it.
+//!
+//! Nothing else is stored: the execution rows derive from the operand
+//! again at load, and the model part ([`crate::PlanModel`]) rebuilds
+//! deterministically from the operand and the permutation on first use.
 //!
 //! Loading is split in two: [`PlanIr::read_from`] parses and
 //! *structurally* validates the container (every section is checked
@@ -21,22 +23,18 @@
 //! constructed), and [`PlanLoader`] *semantically* validates the result
 //! against what the caller expects — architecture, fingerprint, kernel
 //! binding — rejecting mismatches with typed
-//! [`SpmmError::PlanLoad`] variants, then rehydrates a runnable
-//! [`ExecutionPlan`]. The window partition is deliberately *not*
-//! serialized: it rebuilds deterministically from the stored operand,
-//! keeping the container smaller and removing a whole class of
-//! cross-section inconsistency.
+//! [`SpmmError::PlanLoad`] variants, then derives a runnable
+//! [`ExecutionPlan`].
 
 use crate::acc::AccConfig;
-use crate::plan::{ExecutionPlan, FormatChoice, PlanContext, StageSpec, StageTiming};
-use crate::{KernelKind, TcFormat};
-use spmm_balance::{BalancePlan, BalanceStrategy, Segment, TbAssignment};
+use crate::plan::{ExecutionPlan, HostPart};
+use crate::KernelKind;
+use spmm_balance::BalanceStrategy;
 use spmm_common::json::Json;
 use spmm_common::{IsaTier, PlanLoadError, Result, SpmmError};
-use spmm_format::{io as format_io, WindowPartition};
 use spmm_matrix::CsrMatrix;
 use spmm_reorder::Algorithm;
-use spmm_sim::{Arch, BlockTrace, CacheOp, CachePolicy, KernelDesc, PipelineKind, TbTrace};
+use spmm_sim::Arch;
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -54,10 +52,14 @@ const MAGIC: [u8; 4] = *b"SPIR";
 /// re-resolve it against the loading host (see [`PlanLoader::rehydrate`]).
 ///
 /// v4 dropped the hybrid-region section and the `num_regions` /
-/// `decision` header keys: every plan is a single-kernel plan. v3
-/// containers (which may nest region plans) are rejected with
+/// `decision` header keys: every plan is a single-kernel plan.
+///
+/// v5 stores the host part only: the header, the permutation when the
+/// plan holds one, and the operand. The format, balance and trace
+/// sections, and the `format`, `has_balance` and `timings` header keys,
+/// are gone. Older containers are rejected with
 /// [`PlanLoadError::VersionMismatch`].
-pub const PLAN_IR_VERSION: u32 = 4;
+pub const PLAN_IR_VERSION: u32 = 5;
 
 /// Sanity cap on section and array lengths.
 const CAP: u64 = 1 << 34;
@@ -75,10 +77,6 @@ fn put_u64(w: &mut impl Write, v: u64) -> Result<()> {
     Ok(())
 }
 
-fn put_f64(w: &mut impl Write, v: f64) -> Result<()> {
-    put_u64(w, v.to_bits())
-}
-
 fn get_u32(r: &mut impl Read) -> Result<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
@@ -89,10 +87,6 @@ fn get_u64(r: &mut impl Read) -> Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
-}
-
-fn get_f64(r: &mut impl Read) -> Result<f64> {
-    Ok(f64::from_bits(get_u64(r)?))
 }
 
 fn get_len(r: &mut impl Read, what: &str) -> Result<usize> {
@@ -189,59 +183,6 @@ fn balance_from_slug(s: &str) -> Option<BalanceStrategy> {
     .find(|&b| balance_slug(b) == s)
 }
 
-fn format_slug(f: FormatChoice) -> &'static str {
-    match f {
-        FormatChoice::Csr => "csr",
-        FormatChoice::Tcf => "tcf",
-        FormatChoice::MeTcf => "metcf",
-        FormatChoice::BitTcf => "bittcf",
-    }
-}
-
-fn pipeline_tag(p: PipelineKind) -> u8 {
-    match p {
-        PipelineKind::SerialScalar => 0,
-        PipelineKind::TcgnnSync => 1,
-        PipelineKind::DtcDoubleBuffer => 2,
-        PipelineKind::AccLeastBubble => 3,
-    }
-}
-
-fn pipeline_from_tag(t: u8) -> Option<PipelineKind> {
-    Some(match t {
-        0 => PipelineKind::SerialScalar,
-        1 => PipelineKind::TcgnnSync,
-        2 => PipelineKind::DtcDoubleBuffer,
-        3 => PipelineKind::AccLeastBubble,
-        _ => return None,
-    })
-}
-
-fn cache_op_tag(c: CacheOp) -> u8 {
-    match c {
-        CacheOp::Ca => 0,
-        CacheOp::Cg => 1,
-        CacheOp::Cs => 2,
-        CacheOp::Lu => 3,
-        CacheOp::Cv => 4,
-        CacheOp::Wb => 5,
-        CacheOp::Wt => 6,
-    }
-}
-
-fn cache_op_from_tag(t: u8) -> Option<CacheOp> {
-    Some(match t {
-        0 => CacheOp::Ca,
-        1 => CacheOp::Cg,
-        2 => CacheOp::Cs,
-        3 => CacheOp::Lu,
-        4 => CacheOp::Cv,
-        5 => CacheOp::Wb,
-        6 => CacheOp::Wt,
-        _ => return None,
-    })
-}
-
 /// FNV-1a hash of an [`AccConfig`]'s schema-stable encoding — the
 /// configuration part of a plan's on-disk identity (file names, header
 /// validation). Stable across runs and builds, unlike `std::hash`.
@@ -272,63 +213,50 @@ pub fn acc_config_hash(c: &AccConfig) -> u64 {
 // The IR itself.
 
 /// A serializable execution plan: the versioned header bindings plus
-/// every stage artifact needed to rehydrate a runnable
-/// [`ExecutionPlan`] without re-running the pipeline.
+/// the host part's operand and permutation.
 #[derive(Debug, Clone)]
 pub struct PlanIr {
-    /// Kernel strategy the plan compiles.
+    /// Kernel strategy the plan runs.
     pub kind: KernelKind,
-    /// Architecture the balance schedule and trace were compiled for.
+    /// Architecture the plan's model is built for.
     pub arch: Arch,
     /// Feature dimension the plan is specialized for.
     pub feature_dim: usize,
     /// Acc ablation configuration.
     pub config: AccConfig,
+    /// ISA tier the plan was bound to when saved (advisory: loaders
+    /// re-resolve it against the loading host).
+    pub isa_tier: IsaTier,
     /// Fingerprint of the *unprocessed* input operand — the identity
     /// caches key plans by.
     pub input_fingerprint: u64,
-    /// Fingerprint of the *stored* (possibly permuted) operand —
-    /// an integrity check over the CSR section's bytes.
+    /// Fingerprint of the *stored* operand (relabeled in symmetric
+    /// mode) — an integrity check over the CSR section's bytes.
     pub stored_fingerprint: u64,
-    /// Reorder permutation (`perm[old] = new`), if one was applied.
+    /// Symmetric mode's permutation (`perm[old] = new`).
     pub perm: Option<Vec<u32>>,
-    /// The permuted sparse operand.
+    /// The operand as the host multiplies it.
     pub csr: CsrMatrix,
-    /// The compressed format, values pre-rounded to TF32 (TC kernels).
-    pub format: Option<TcFormat>,
-    /// The balance schedule (TC kernels).
-    pub balance: Option<BalancePlan>,
-    /// The compiled-kernel descriptor.
-    pub trace: KernelDesc,
-    /// Stage wall times recorded at original build time.
-    pub timings: Vec<StageTiming>,
 }
 
 impl PlanIr {
-    /// Snapshot a finished plan into its serializable IR.
+    /// Snapshot a plan's host part into its serializable IR (never
+    /// builds the model).
     pub fn from_plan(plan: &ExecutionPlan) -> PlanIr {
         PlanIr {
             kind: plan.kind(),
             arch: plan.arch(),
             feature_dim: plan.feature_dim(),
             config: *plan.config(),
+            isa_tier: plan.isa_tier(),
             input_fingerprint: plan.input_fingerprint(),
             stored_fingerprint: plan.csr().content_fingerprint(),
             perm: plan.perm().map(|p| p.to_vec()),
             csr: plan.csr().clone(),
-            format: plan.format().cloned(),
-            balance: plan.balance().cloned(),
-            trace: plan.compiled_trace().clone(),
-            timings: plan.stage_timings().to_vec(),
         }
     }
 
-    /// The format choice the stage spec implies for this binding.
-    pub fn format_choice(&self) -> FormatChoice {
-        StageSpec::for_kernel(self.kind, &self.config).format
-    }
-
-    /// The JSON header describing (but not containing) the artifacts.
+    /// The JSON header describing (but not containing) the sections.
     pub fn header_json(&self) -> Json {
         let mut config = BTreeMap::new();
         config.insert("use_bittcf".into(), Json::Bool(self.config.use_bittcf));
@@ -353,17 +281,6 @@ impl PlanIr {
                 .map_or(Json::Null, |t| Json::Str(t.name().into())),
         );
 
-        let timings: Vec<Json> = self
-            .timings
-            .iter()
-            .map(|t| {
-                let mut o = BTreeMap::new();
-                o.insert("stage".into(), Json::Str(t.stage.into()));
-                o.insert("seconds".into(), Json::Num(t.seconds));
-                Json::Obj(o)
-            })
-            .collect();
-
         let mut h = BTreeMap::new();
         h.insert("schema_version".into(), Json::Num(PLAN_IR_VERSION as f64));
         h.insert("kind".into(), Json::Str(kind_slug(self.kind).into()));
@@ -384,25 +301,16 @@ impl PlanIr {
             "stored_fingerprint".into(),
             Json::Str(format!("{:016x}", self.stored_fingerprint)),
         );
-        h.insert(
-            "format".into(),
-            Json::Str(format_slug(self.format_choice()).into()),
-        );
-        h.insert(
-            "isa_tier".into(),
-            Json::Str(self.trace.isa_tier.name().into()),
-        );
+        h.insert("isa_tier".into(), Json::Str(self.isa_tier.name().into()));
         h.insert("has_perm".into(), Json::Bool(self.perm.is_some()));
-        h.insert("has_balance".into(), Json::Bool(self.balance.is_some()));
         h.insert("nrows".into(), Json::Num(self.csr.nrows() as f64));
         h.insert("ncols".into(), Json::Num(self.csr.ncols() as f64));
         h.insert("nnz".into(), Json::Num(self.csr.nnz() as f64));
-        h.insert("timings".into(), Json::Arr(timings));
         Json::Obj(h)
     }
 
     /// Serialize the container: magic, version, length-prefixed JSON
-    /// header, then the five length-prefixed binary sections.
+    /// header, then the two length-prefixed binary sections.
     pub fn write_to<W: Write>(&self, w: W) -> Result<()> {
         let mut w = BufWriter::new(w);
         w.write_all(&MAGIC)?;
@@ -422,31 +330,11 @@ impl PlanIr {
         write_csr(&mut section, &self.csr)?;
         write_section(&mut w, &section)?;
 
-        section.clear();
-        match &self.format {
-            Some(TcFormat::Tcf(f)) => format_io::write_tcf(&mut section, f)?,
-            Some(TcFormat::MeTcf(f)) => format_io::write_tc_matrix(&mut section, f)?,
-            Some(TcFormat::BitTcf(f)) => format_io::write_tc_matrix(&mut section, f)?,
-            None => {}
-        }
-        write_section(&mut w, &section)?;
-
-        section.clear();
-        if let Some(balance) = &self.balance {
-            write_balance(&mut section, balance)?;
-        }
-        write_section(&mut w, &section)?;
-
-        section.clear();
-        write_desc(&mut section, &self.trace)?;
-        write_section(&mut w, &section)?;
-
         w.flush()?;
         Ok(())
     }
 
-    /// Serialize into an owned byte buffer (the payload plan-shipping
-    /// transports price and move).
+    /// Serialize into an owned byte buffer.
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
         let mut buf = Vec::new();
         self.write_to(&mut buf)?;
@@ -489,9 +377,6 @@ impl PlanIr {
 
         let perm_bytes = read_section(&mut r, "perm")?;
         let csr_bytes = read_section(&mut r, "csr")?;
-        let format_bytes = read_section(&mut r, "format")?;
-        let balance_bytes = read_section(&mut r, "balance")?;
-        let trace_bytes = read_section(&mut r, "trace")?;
 
         let perm = if hdr.has_perm {
             let mut pr = csr_reader(&perm_bytes);
@@ -540,93 +425,16 @@ impl PlanIr {
             }
         }
 
-        let spec = StageSpec::for_kernel(hdr.kind, &hdr.config);
-        if format_slug(spec.format) != hdr.format {
-            return Err(PlanLoadError::ArtifactInvalid {
-                section: "format",
-                detail: format!(
-                    "header format '{}' disagrees with the {} stage spec",
-                    hdr.format,
-                    kind_slug(hdr.kind)
-                ),
-            }
-            .into());
-        }
-        let format = match spec.format {
-            FormatChoice::Csr => {
-                if !format_bytes.is_empty() {
-                    return Err(PlanLoadError::ArtifactInvalid {
-                        section: "format",
-                        detail: "CSR kernels carry no format blob".into(),
-                    }
-                    .into());
-                }
-                None
-            }
-            FormatChoice::Tcf => Some(TcFormat::Tcf(
-                format_io::read_tcf(csr_reader(&format_bytes))
-                    .map_err(|e| artifact("format", &e))?,
-            )),
-            FormatChoice::MeTcf => Some(TcFormat::MeTcf(
-                format_io::read_tc_matrix(csr_reader(&format_bytes))
-                    .map_err(|e| artifact("format", &e))?,
-            )),
-            FormatChoice::BitTcf => Some(TcFormat::BitTcf(
-                format_io::read_tc_matrix(csr_reader(&format_bytes))
-                    .map_err(|e| artifact("format", &e))?,
-            )),
-        };
-        let balance = if hdr.has_balance {
-            Some(
-                read_balance(&mut csr_reader(&balance_bytes))
-                    .map_err(|e| artifact("balance", &e))?,
-            )
-        } else {
-            if !balance_bytes.is_empty() {
-                return Err(PlanLoadError::ArtifactInvalid {
-                    section: "balance",
-                    detail: "header says no balance plan but section is non-empty".into(),
-                }
-                .into());
-            }
-            None
-        };
-
-        let trace = read_desc(&mut csr_reader(&trace_bytes)).map_err(|e| artifact("trace", &e))?;
-        if trace.feature_dim != hdr.feature_dim {
-            return Err(PlanLoadError::ArtifactInvalid {
-                section: "trace",
-                detail: format!(
-                    "trace compiled for feature dim {}, header says {}",
-                    trace.feature_dim, hdr.feature_dim
-                ),
-            }
-            .into());
-        }
-        if trace.isa_tier != hdr.isa_tier {
-            return Err(PlanLoadError::ArtifactInvalid {
-                section: "trace",
-                detail: format!(
-                    "trace recorded ISA tier {}, header says {}",
-                    trace.isa_tier, hdr.isa_tier
-                ),
-            }
-            .into());
-        }
-
         Ok(PlanIr {
             kind: hdr.kind,
             arch: hdr.arch,
             feature_dim: hdr.feature_dim,
             config: hdr.config,
+            isa_tier: hdr.isa_tier,
             input_fingerprint: hdr.input_fingerprint,
             stored_fingerprint: hdr.stored_fingerprint,
             perm,
             csr,
-            format,
-            balance,
-            trace,
-            timings: hdr.timings,
         })
     }
 
@@ -692,14 +500,11 @@ struct Header {
     config: AccConfig,
     input_fingerprint: u64,
     stored_fingerprint: u64,
-    format: String,
     isa_tier: IsaTier,
     has_perm: bool,
-    has_balance: bool,
     nrows: usize,
     ncols: usize,
     nnz: usize,
-    timings: Vec<StageTiming>,
 }
 
 fn missing(key: &str) -> SpmmError {
@@ -776,27 +581,6 @@ impl Header {
             }
             .into());
         }
-        let timings = h
-            .get("timings")
-            .and_then(Json::as_array)
-            .ok_or_else(|| missing("timings"))?
-            .iter()
-            .filter_map(|t| {
-                // Span names are 'static: only the four pipeline stages
-                // rehydrate; foreign entries are dropped, not errors.
-                let stage = match t.get("stage").and_then(Json::as_str)? {
-                    "reorder" => "reorder",
-                    "format_build" => "format_build",
-                    "balance" => "balance",
-                    "compile" => "compile",
-                    _ => return None,
-                };
-                Some(StageTiming {
-                    stage,
-                    seconds: t.get("seconds").and_then(Json::as_f64)?,
-                })
-            })
-            .collect();
         Ok(Header {
             kind,
             arch,
@@ -804,21 +588,18 @@ impl Header {
             config,
             input_fingerprint: hdr_hex(h, "fingerprint")?,
             stored_fingerprint: hdr_hex(h, "stored_fingerprint")?,
-            format: hdr_str(h, "format")?.to_string(),
             isa_tier: IsaTier::from_name(hdr_str(h, "isa_tier")?)
                 .ok_or_else(|| missing("isa_tier"))?,
             has_perm: hdr_bool(h, "has_perm")?,
-            has_balance: hdr_bool(h, "has_balance")?,
             nrows: hdr_usize(h, "nrows")?,
             ncols: hdr_usize(h, "ncols")?,
             nnz: hdr_usize(h, "nnz")?,
-            timings,
         })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Section codecs (CSR, balance schedule, kernel descriptor).
+// The CSR section codec.
 
 fn write_csr(w: &mut impl Write, m: &CsrMatrix) -> Result<()> {
     put_u64(w, m.nrows() as u64)?;
@@ -856,156 +637,6 @@ fn read_csr(r: &mut impl Read) -> Result<CsrMatrix> {
     }
     // CsrMatrix::new re-validates every structural invariant.
     CsrMatrix::new(nrows, ncols, row_ptr, col_idx, values)
-}
-
-fn write_balance(w: &mut impl Write, b: &BalancePlan) -> Result<()> {
-    put_u64(w, b.tbs.len() as u64)?;
-    for tb in &b.tbs {
-        put_u64(w, tb.segments.len() as u64)?;
-        for s in &tb.segments {
-            put_u32(w, s.window)?;
-            put_u32(w, s.block_start)?;
-            put_u32(w, s.block_end)?;
-        }
-    }
-    put_f64(w, b.ibd)?;
-    w.write_all(&[b.applied as u8])?;
-    put_u64(w, b.chunk as u64)?;
-    Ok(())
-}
-
-fn read_balance(r: &mut impl Read) -> Result<BalancePlan> {
-    let ntbs = get_len(r, "balance tbs")?;
-    let mut tbs = Vec::with_capacity(ntbs);
-    for _ in 0..ntbs {
-        let nsegs = get_len(r, "balance segments")?;
-        let mut segments = Vec::with_capacity(nsegs);
-        for _ in 0..nsegs {
-            let window = get_u32(r)?;
-            let block_start = get_u32(r)?;
-            let block_end = get_u32(r)?;
-            if block_end < block_start {
-                return Err(SpmmError::MalformedFormat {
-                    detail: "balance segment runs backwards".into(),
-                });
-            }
-            segments.push(Segment {
-                window,
-                block_start,
-                block_end,
-            });
-        }
-        tbs.push(TbAssignment { segments });
-    }
-    let ibd = get_f64(r)?;
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    let chunk = get_u64(r)? as usize;
-    Ok(BalancePlan {
-        tbs,
-        ibd,
-        applied: flag[0] != 0,
-        chunk,
-    })
-}
-
-fn write_desc(w: &mut impl Write, d: &KernelDesc) -> Result<()> {
-    put_u64(w, d.tbs.len() as u64)?;
-    for tb in &d.tbs {
-        put_u64(w, tb.blocks.len() as u64)?;
-        for b in &tb.blocks {
-            put_u32_slice(w, &b.b_rows)?;
-            put_u32(w, b.a_bytes)?;
-            put_u64(w, b.flops)?;
-            put_u32(w, b.decode_ops)?;
-        }
-        put_u32(w, tb.c_rows)?;
-        put_u32(w, tb.segments)?;
-    }
-    w.write_all(&[
-        pipeline_tag(d.pipeline),
-        cache_op_tag(d.policy.a_op),
-        cache_op_tag(d.policy.b_op),
-        cache_op_tag(d.policy.c_op),
-        d.use_tensor_cores as u8,
-    ])?;
-    put_f64(w, d.mem_efficiency)?;
-    put_u64(w, d.feature_dim as u64)?;
-    put_u64(w, d.effective_flops)?;
-    put_f64(w, d.arch_boost)?;
-    w.write_all(&[d.isa_tier.code()])?;
-    Ok(())
-}
-
-fn read_desc(r: &mut impl Read) -> Result<KernelDesc> {
-    let ntbs = get_len(r, "trace tbs")?;
-    let mut tbs = Vec::with_capacity(ntbs);
-    for _ in 0..ntbs {
-        let nblocks = get_len(r, "trace blocks")?;
-        let mut blocks = Vec::with_capacity(nblocks);
-        for _ in 0..nblocks {
-            let b_rows = get_u32_vec(r, "trace b_rows")?;
-            let a_bytes = get_u32(r)?;
-            let flops = get_u64(r)?;
-            let decode_ops = get_u32(r)?;
-            blocks.push(BlockTrace {
-                b_rows,
-                a_bytes,
-                flops,
-                decode_ops,
-            });
-        }
-        let c_rows = get_u32(r)?;
-        let segments = get_u32(r)?;
-        tbs.push(TbTrace {
-            blocks,
-            c_rows,
-            segments,
-        });
-    }
-    let mut tags = [0u8; 5];
-    r.read_exact(&mut tags)?;
-    let pipeline = pipeline_from_tag(tags[0]).ok_or_else(|| SpmmError::MalformedFormat {
-        detail: format!("unknown pipeline tag {}", tags[0]),
-    })?;
-    let bad_op = |t: u8| SpmmError::MalformedFormat {
-        detail: format!("unknown cache-op tag {t}"),
-    };
-    let policy = CachePolicy {
-        a_op: cache_op_from_tag(tags[1]).ok_or_else(|| bad_op(tags[1]))?,
-        b_op: cache_op_from_tag(tags[2]).ok_or_else(|| bad_op(tags[2]))?,
-        c_op: cache_op_from_tag(tags[3]).ok_or_else(|| bad_op(tags[3]))?,
-    };
-    let mem_efficiency = get_f64(r)?;
-    if !(0.0..=1.0).contains(&mem_efficiency) {
-        return Err(SpmmError::MalformedFormat {
-            detail: format!("memory efficiency {mem_efficiency} outside [0, 1]"),
-        });
-    }
-    let feature_dim = get_u64(r)? as usize;
-    let effective_flops = get_u64(r)?;
-    let arch_boost = get_f64(r)?;
-    if !arch_boost.is_finite() || arch_boost <= 0.0 {
-        return Err(SpmmError::MalformedFormat {
-            detail: format!("arch boost {arch_boost} not a positive finite factor"),
-        });
-    }
-    let mut tier_byte = [0u8; 1];
-    r.read_exact(&mut tier_byte)?;
-    let isa_tier = IsaTier::from_code(tier_byte[0]).ok_or_else(|| SpmmError::MalformedFormat {
-        detail: format!("unknown ISA tier code {}", tier_byte[0]),
-    })?;
-    Ok(KernelDesc {
-        tbs,
-        pipeline,
-        policy,
-        mem_efficiency,
-        use_tensor_cores: tags[4] != 0,
-        feature_dim,
-        effective_flops,
-        arch_boost,
-        isa_tier,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1117,75 +748,37 @@ impl PlanLoader {
         Ok(())
     }
 
-    /// Validate and rehydrate a parsed IR into a runnable plan. The
-    /// window partition rebuilds deterministically from the stored
-    /// operand, and the format must agree with it and with the operand
-    /// (shape, non-zeros, blocks): execution reads the operand while
-    /// the trace, repair and stats read the format, so a format of
-    /// another matrix is rejected rather than profiled. Format values
-    /// re-round to TF32 (idempotent — saved plans already carry
-    /// pre-rounded values), and the execution rows are derived from
-    /// the operand again, so execution stays bit-identical to the plan
-    /// that was saved.
+    /// Validate a parsed IR and derive a runnable plan from it: the
+    /// execution rows derive from the stored operand again, so execution
+    /// stays bit-identical to the plan that was saved.
     pub fn rehydrate(&self, ir: PlanIr) -> Result<ExecutionPlan> {
         let _span = spmm_trace::span("plan.load");
         self.validate(&ir)?;
-        let spec = StageSpec::for_kernel(ir.kind, &ir.config);
-        let partition = ir.format.as_ref().map(|_| WindowPartition::build(&ir.csr));
-        if let (Some(wp), Some(f)) = (&partition, &ir.format) {
-            let csr = &ir.csr;
-            if f.dims() != (csr.nrows(), csr.ncols())
-                || f.nnz() != csr.nnz()
-                || f.num_tc_blocks() != wp.num_tc_blocks()
-            {
-                return Err(PlanLoadError::ArtifactInvalid {
-                    section: "format",
-                    detail: "format disagrees with the stored operand".into(),
-                }
-                .into());
-            }
-        }
-        // The recorded tier is advisory provenance: the artifact may
-        // have been compiled on a different host. Re-resolve against
-        // *this* host's capabilities (a config pin the host can't
-        // satisfy errors exactly as it would at build time) and re-bind
-        // the plan — every tier is bit-identical, so a re-bind changes
-        // speed and provenance, never results.
-        let isa_tier = IsaTier::resolve(ir.config.isa)?;
-        let mut trace = ir.trace;
-        if trace.isa_tier != isa_tier {
+        // The recorded tier is advisory provenance: the plan may have
+        // been saved on a different host. Re-resolve against *this*
+        // host's capabilities (a config pin the host can't satisfy
+        // errors exactly as it would at build time) — every tier is
+        // bit-identical, so a re-bind changes speed and provenance,
+        // never results.
+        if IsaTier::resolve(ir.config.isa)? != ir.isa_tier {
             spmm_trace::counter_add("plan.isa_rebinds", 1);
-            trace.isa_tier = isa_tier;
         }
-        let mut format = ir.format;
-        if let Some(f) = &mut format {
-            f.preround_values_tier(isa_tier);
-        }
-        let ctx = PlanContext {
+        let plan = ExecutionPlan::from_host(HostPart {
             kind: ir.kind,
             arch: ir.arch,
             feature_dim: ir.feature_dim,
             config: ir.config,
-            spec,
             csr: ir.csr,
             input_fingerprint: ir.input_fingerprint,
             perm: ir.perm,
-            partition,
-            format,
-            balance: ir.balance,
-            trace: Some(trace),
-            // Deriving the execution rows is load work: the plan keeps
-            // the stage timings it was saved with.
             timings: Vec::new(),
-            isa_tier,
-        };
-        let plan =
-            ExecutionPlan::from_context(ctx).map_err(|e| PlanLoadError::ArtifactInvalid {
-                section: "format",
-                detail: e.to_string(),
-            })?;
+        })
+        .map_err(|e| PlanLoadError::ArtifactInvalid {
+            section: "perm",
+            detail: e.to_string(),
+        })?;
         spmm_trace::counter_add("plan.loads", 1);
-        Ok(plan.with_stage_timings(ir.timings))
+        Ok(plan)
     }
 
     /// Parse, validate, and rehydrate from a reader.
@@ -1248,11 +841,7 @@ mod tests {
             assert_eq!(rt.input_fingerprint, plan.input_fingerprint());
             assert_eq!(rt.csr, *plan.csr());
             assert_eq!(rt.perm.as_deref(), plan.perm());
-            assert_eq!(rt.trace.num_blocks(), plan.compiled_trace().num_blocks());
-            assert_eq!(
-                rt.trace.effective_flops,
-                plan.compiled_trace().effective_flops
-            );
+            assert_eq!(rt.isa_tier, plan.isa_tier());
         }
     }
 
@@ -1308,7 +897,8 @@ mod tests {
             (KernelKind::TcGnn, AccConfig::full()),
         ] {
             let plan = ExecutionPlan::build(kind, &m, Arch::A800, 32, config).unwrap();
-            assert_eq!(plan.perm().is_some(), kind != KernelKind::TcGnn, "{kind:?}");
+            let packed = plan.model().perm().is_some();
+            assert_eq!(packed, kind != KernelKind::TcGnn, "{kind:?}");
             assert_rows_follow_the_operand(&plan);
 
             let bytes = plan.to_ir().to_bytes().unwrap();

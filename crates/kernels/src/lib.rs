@@ -11,10 +11,12 @@
 //!   compiled into a [`spmm_sim::KernelDesc`] and
 //!   [`PreparedKernel::profile`] simulates it on a chosen architecture.
 //!
-//! Preprocessing runs through the staged pipeline in [`plan`]
-//! (Reorder → FormatBuild → BalancePlan → Compile); a kernel is one
-//! [`plan::StageSpec`] configuration, and [`PreparedKernel`] is a thin
-//! execution wrapper around the finished [`ExecutionPlan`]. The
+//! An [`ExecutionPlan`] ([`plan`]) is built in two parts: the host part
+//! the functional face reads (operand, execution rows, ISA tier,
+//! precision), and a [`PlanModel`] the timing face reads (Reorder →
+//! FormatBuild → BalancePlan → Compile), built on first use. A kernel is
+//! one [`plan::StageSpec`] configuration, and [`PreparedKernel`] is a
+//! thin wrapper around the plan. The
 //! [`Workspace`] buffer pool plus [`PreparedKernel::execute_into`] /
 //! [`PreparedKernel::execute_batch`] serve the paper's
 //! preprocess-once-multiply-many pattern without per-call allocation.
@@ -41,7 +43,7 @@ pub mod workspace;
 
 pub use acc::AccConfig;
 pub use ir::{acc_config_hash, PlanIr, PlanLoader, PLAN_IR_VERSION};
-pub use plan::{ExecutionPlan, FormatChoice, PlanContext, PlanStage, StageSpec, StageTiming};
+pub use plan::{ExecutionPlan, FormatChoice, PlanModel, Precision, StageSpec, StageTiming};
 pub use repair::{build_then_repair, RepairReport};
 pub use workspace::{Workspace, WorkspacePool};
 
@@ -149,22 +151,6 @@ impl TcFormat {
     pub fn preround_values_tier(&mut self, tier: IsaTier) {
         with_format!(self, f => f.preround_values_tier(tier))
     }
-
-    /// The held format with the `touched` windows re-encoded from
-    /// `m_new` and `wp_new`, every other window copied (see
-    /// [`spmm_format::TcMatrix::rebuild_windows`]).
-    pub fn rebuild_windows(
-        &self,
-        m_new: &CsrMatrix,
-        wp_new: &WindowPartition,
-        touched: &[bool],
-    ) -> TcFormat {
-        match self {
-            TcFormat::Tcf(f) => TcFormat::Tcf(f.rebuild_windows(m_new, wp_new, touched)),
-            TcFormat::MeTcf(f) => TcFormat::MeTcf(f.rebuild_windows(m_new, wp_new, touched)),
-            TcFormat::BitTcf(f) => TcFormat::BitTcf(f.rebuild_windows(m_new, wp_new, touched)),
-        }
-    }
 }
 
 /// A kernel after preprocessing — a thin execution wrapper around the
@@ -250,7 +236,7 @@ impl PreparedKernel {
         PreparedKernel { plan }
     }
 
-    /// The underlying execution plan with every preprocessing artifact.
+    /// The underlying execution plan.
     pub fn execution_plan(&self) -> &ExecutionPlan {
         &self.plan
     }
@@ -260,29 +246,26 @@ impl PreparedKernel {
         self.plan.kind()
     }
 
-    /// The (possibly permuted) sparse operand.
+    /// The sparse operand as the host multiplies it (relabeled in
+    /// symmetric mode).
     pub fn csr(&self) -> &CsrMatrix {
         self.plan.csr()
     }
 
-    /// The balance plan (TC kernels only).
+    /// The balance plan (TC kernels only); builds the plan's model.
     pub fn plan(&self) -> Option<&BalancePlan> {
-        self.plan.balance()
+        self.plan.model().balance()
     }
 
-    /// The shared window partition (TC kernels only).
+    /// The shared window partition (TC kernels only); builds the plan's
+    /// model.
     pub fn partition(&self) -> Option<&WindowPartition> {
-        self.plan.partition()
+        self.plan.model().partition()
     }
 
-    /// The compressed format (TC kernels only).
+    /// The compressed format (TC kernels only); builds the plan's model.
     pub fn format(&self) -> Option<&TcFormat> {
-        self.plan.format()
-    }
-
-    /// Row permutation applied during preprocessing, if any.
-    pub fn perm(&self) -> Option<&[u32]> {
-        self.plan.perm()
+        self.plan.model().format()
     }
 
     /// The feature dimension this kernel was prepared for.
@@ -486,16 +469,16 @@ impl PreparedKernel {
         plan_execute_into(&self.plan, b, out, ws, parallel)
     }
 
-    /// The kernel's work compiled into a simulator trace (cached on the
-    /// plan at prepare time; this clones the cached description).
+    /// The kernel's work compiled into a simulator trace (a clone of the
+    /// one the plan's model holds).
     pub fn trace(&self) -> KernelDesc {
-        self.plan.compiled_trace().clone()
+        self.plan.model().trace().clone()
     }
 
     /// Simulate on the given architecture (the cuSPARSE-like kernel
     /// gets the architecture's CSR-library boost).
     pub fn profile(&self, arch: Arch, opts: &SimOptions) -> KernelReport {
-        let cached = self.plan.compiled_trace();
+        let cached = self.plan.model().trace();
         if self.kind() == KernelKind::CusparseLike {
             let mut desc = cached.clone();
             desc.arch_boost = arch.spec().cusparse_boost;
@@ -643,16 +626,18 @@ mod tests {
             .unwrap();
         let wp = k.partition().expect("partition artifact retained");
         assert_eq!(wp.num_windows(), m.nrows().div_ceil(8));
-        assert!(k.perm().is_some(), "affinity reorder ran");
+        let model = k.execution_plan().model();
+        assert!(model.perm().is_some(), "affinity reorder ran");
         assert!(matches!(k.format(), Some(TcFormat::BitTcf(_))));
-        assert_eq!(k.execution_plan().stage_timings().len(), 4);
+        assert_eq!(model.stage_timings().len(), 4);
         // CSR kernels carry no TC artifacts.
         let base = PreparedKernel::builder(KernelKind::CusparseLike, &m)
             .arch(Arch::A800)
             .feature_dim(32)
             .build()
             .unwrap();
-        assert!(base.partition().is_none() && base.format().is_none() && base.perm().is_none());
+        let model = base.execution_plan().model();
+        assert!(base.partition().is_none() && base.format().is_none() && model.perm().is_none());
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Incremental plan repair for dynamic graphs.
+//! Plan repair for dynamic graphs.
 //!
-//! A [`DeltaCsr`] overlay names exactly which rows of a plan's input
-//! operand changed. Repair exploits the pipeline's locality instead of
-//! re-running it: the reorder permutation is **reused** (row-partition
-//! invariance makes the old ordering merely a packing-quality choice,
-//! never a correctness one), every TILE-aligned RowWindow whose rows
-//! are untouched keeps its format spans byte-for-byte, and only the
-//! dirty windows are re-squeezed and re-converted. Balance planning and
-//! trace compilation re-run in full — they are linear scans over block
-//! counts, negligible next to reordering and format construction.
+//! A [`DeltaCsr`] overlay edits a plan's input operand. Repair folds the
+//! edits in ([`DeltaCsr::compact`]) and derives the host part — the
+//! execution rows — of the compacted operand; the model part is dropped
+//! and rebuilt on first use. A symmetric plan keeps its permutation, so
+//! its rows, and the model rebuilt from them, stay under the same
+//! relabeling; every other plan's rows are the input's rows in input
+//! order, whichever permutation packed the blocks.
 //!
 //! The contract, enforced by tests: the repaired plan's execution
 //! output is **bit-identical** (NaN-position-exact) to a from-scratch
@@ -16,9 +14,7 @@
 //! kernels.
 
 use crate::acc::AccConfig;
-use crate::plan::{
-    BalanceStage, CompileStage, ExecutionPlan, FormatChoice, PlanStage, StageTiming,
-};
+use crate::plan::ExecutionPlan;
 use crate::KernelKind;
 use spmm_common::{Result, SpmmError};
 use spmm_delta::DeltaCsr;
@@ -33,9 +29,10 @@ pub struct RepairReport {
     pub rows_touched: usize,
     /// Pending overlay operations the repair folded in.
     pub edges_applied: usize,
-    /// RowWindows in the plan's partition (TC plans).
+    /// RowWindows ([`TILE`] rows each) of the plan's operand.
     pub windows_total: usize,
-    /// RowWindows that were actually re-squeezed and re-converted.
+    /// RowWindows holding a row the delta touched: the share of the
+    /// operand the delta changed.
     pub windows_rebuilt: usize,
     /// Wall time of the repair.
     pub repair_seconds: f64,
@@ -51,139 +48,35 @@ impl ExecutionPlan {
     /// matrix's, so serving caches key it exactly like a fresh build.
     pub fn repair(&self, delta: &DeltaCsr) -> Result<(ExecutionPlan, RepairReport)> {
         let t0 = Instant::now();
-        let ctx = self.context();
         let base_fp = delta.base().content_fingerprint();
-        if base_fp != ctx.input_fingerprint {
+        if base_fp != self.input_fingerprint() {
             return Err(SpmmError::InvalidConfig(format!(
                 "delta base fingerprint {base_fp:#018x} does not match the plan's input \
                  fingerprint {:#018x}; repair needs the overlay built on the plan's operand",
-                ctx.input_fingerprint
+                self.input_fingerprint()
             )));
+        }
+        let windows_total = self.csr().nrows().div_ceil(TILE);
+        let mut touched = vec![false; windows_total];
+        for r in delta.touched_rows() {
+            touched[r / TILE] = true;
         }
         let mut report = RepairReport {
             rows_touched: delta.num_touched_rows(),
             edges_applied: delta.num_pending(),
-            windows_total: ctx
-                .partition
-                .as_ref()
-                .map(|wp| wp.num_windows())
-                .unwrap_or(0),
+            windows_total,
+            windows_rebuilt: touched.iter().filter(|&&t| t).count(),
             ..RepairReport::default()
         };
         if delta.is_clean() {
             report.repair_seconds = t0.elapsed().as_secs_f64();
             return Ok((self.clone(), report));
         }
-        let repaired = self.splice_repair(delta, &mut report)?;
+        let repaired = self.with_input(delta.compact())?;
         report.repair_seconds = t0.elapsed().as_secs_f64();
         spmm_trace::counter_add("plan.repairs", 1);
         spmm_trace::counter_add("plan.repair.windows_rebuilt", report.windows_rebuilt as u64);
         Ok((repaired, report))
-    }
-
-    /// Reuse the permutation, splice the format.
-    fn splice_repair(&self, delta: &DeltaCsr, report: &mut RepairReport) -> Result<ExecutionPlan> {
-        let mut ctx = self.context().clone();
-        let compacted = delta.compact();
-        ctx.input_fingerprint = compacted.content_fingerprint();
-
-        if ctx.spec.format == FormatChoice::Csr {
-            // CSR kernels carry no permutation, partition, or format:
-            // swap the operand and recompile the trace.
-            let tc = Instant::now();
-            ctx.csr = compacted;
-            ctx.trace = None;
-            CompileStage.run(&mut ctx)?;
-            ctx.timings = vec![
-                StageTiming {
-                    stage: "reorder",
-                    seconds: 0.0,
-                },
-                StageTiming {
-                    stage: "format_build",
-                    seconds: 0.0,
-                },
-                StageTiming {
-                    stage: "balance",
-                    seconds: 0.0,
-                },
-                StageTiming {
-                    stage: "compile",
-                    seconds: tc.elapsed().as_secs_f64(),
-                },
-            ];
-            return ExecutionPlan::from_context(ctx);
-        }
-
-        // TC plan. Reapply the OLD permutation to the compacted matrix:
-        // reordering only affects block packing, never output bits, so
-        // keeping it preserves bit-identity with a scratch build that
-        // would choose a different (equally valid) ordering — the
-        // comparison below is against a scratch build on the *permuted*
-        // operand, and execution outputs match either way by
-        // row-partition invariance.
-        let tf = Instant::now();
-        let permuted = match ctx.perm.as_ref() {
-            Some(p) if ctx.spec.symmetric => compacted.permute_symmetric(p)?,
-            Some(p) => compacted.permute_rows(p)?,
-            None => compacted,
-        };
-        // Dirty windows in PERMUTED row space: a changed original row r
-        // lands at perm[r] (symmetric relabeling moves an edge (r, c)
-        // to (perm[r], perm[c]) — still only row perm[r]).
-        let wp_old = self
-            .partition()
-            .expect("TC plans always retain their partition");
-        let mut touched = vec![false; wp_old.num_windows()];
-        for r in delta.touched_rows() {
-            let pr = match ctx.perm.as_ref() {
-                Some(p) => p[r] as usize,
-                None => r,
-            };
-            touched[pr / TILE] = true;
-        }
-        report.windows_rebuilt = touched.iter().filter(|&&t| t).count();
-        let wp_new = wp_old.rebuild(&permuted, &touched);
-        let mut format = self
-            .format()
-            .expect("TC plans always hold a format")
-            .rebuild_windows(&permuted, &wp_new, &touched);
-        // Splicing mixes pre-rounded (untouched) and raw (rebuilt)
-        // values; one idempotent pass re-unifies, bit-identical to
-        // rounding a scratch build.
-        format.preround_values_tier(ctx.isa_tier);
-        ctx.csr = permuted;
-        ctx.partition = Some(wp_new);
-        ctx.format = Some(format);
-        let format_seconds = tf.elapsed().as_secs_f64();
-
-        // Balance + compile re-run in full over the new block counts.
-        ctx.balance = None;
-        ctx.trace = None;
-        let tb = Instant::now();
-        BalanceStage.run(&mut ctx)?;
-        let balance_seconds = tb.elapsed().as_secs_f64();
-        let tc = Instant::now();
-        CompileStage.run(&mut ctx)?;
-        ctx.timings = vec![
-            StageTiming {
-                stage: "reorder",
-                seconds: 0.0,
-            },
-            StageTiming {
-                stage: "format_build",
-                seconds: format_seconds,
-            },
-            StageTiming {
-                stage: "balance",
-                seconds: balance_seconds,
-            },
-            StageTiming {
-                stage: "compile",
-                seconds: tc.elapsed().as_secs_f64(),
-            },
-        ];
-        ExecutionPlan::from_context(ctx)
     }
 }
 
@@ -280,7 +173,7 @@ mod tests {
                 .execute(&b)
                 .unwrap();
             assert_outputs_bit_identical(&out_r, &out_s);
-            if plan.partition().is_some() {
+            if plan.model().partition().is_some() {
                 assert!(rep.windows_rebuilt > 0);
                 assert!(
                     rep.windows_rebuilt < rep.windows_total,
@@ -324,15 +217,16 @@ mod tests {
         let scratch =
             ExecutionPlan::build(KernelKind::AccSpmm, &delta.compact(), Arch::A800, 8, cfg)
                 .unwrap();
+        assert_eq!(
+            repaired.csr().content_fingerprint(),
+            scratch.csr().content_fingerprint()
+        );
+        let (repaired, scratch) = (repaired.model(), scratch.model());
         assert_eq!(repaired.partition(), scratch.partition());
         match (repaired.format().unwrap(), scratch.format().unwrap()) {
             (TcFormat::BitTcf(a), TcFormat::BitTcf(b)) => assert_bittcf_bits_eq(a, b),
             other => panic!("expected BitTcf on both sides, got {other:?}"),
         }
-        assert_eq!(
-            repaired.csr().content_fingerprint(),
-            scratch.csr().content_fingerprint()
-        );
     }
 
     #[test]
@@ -386,10 +280,12 @@ mod tests {
             expected_operand.content_fingerprint()
         );
         let expected_wp = spmm_format::WindowPartition::build(&expected_operand);
-        assert_eq!(repaired.partition(), Some(&expected_wp));
+        let model = repaired.model();
+        assert_eq!(model.perm(), Some(&perm[..]), "the permutation is carried");
+        assert_eq!(model.partition(), Some(&expected_wp));
         let mut expected_fmt = spmm_format::BitTcf::from_partition(&expected_operand, &expected_wp);
         expected_fmt.preround_values_tier(repaired.isa_tier());
-        match repaired.format().unwrap() {
+        match model.format().unwrap() {
             TcFormat::BitTcf(f) => assert_bittcf_bits_eq(f, &expected_fmt),
             other => panic!("expected BitTcf, got {other:?}"),
         }

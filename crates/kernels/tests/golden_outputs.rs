@@ -5,7 +5,9 @@
 //! NaNs canonicalized (NaN payloads are unspecified, NaN positions are
 //! not), so a change to how the executors compute cannot move a single
 //! output bit unnoticed. Covered:
-//! * the two saved plans in `golden/` (loaded, not rebuilt);
+//! * the bindings of the two v4 plans saved in `golden/` (AccSpmm and
+//!   DtcSpmm over the golden matrix), rebuilt: v5 loaders refuse the
+//!   v4 files, so their pinned hashes now hold a fresh build to them;
 //! * Acc-SpMM with rows-only and with symmetric reordering, DTC-SpMM and
 //!   TC-GNN, on an operand of special values: stored values that round
 //!   to ±0 opposite all-Inf rows of B, NaN, ±Inf, subnormals and −0.0
@@ -16,9 +18,12 @@
 //!   `execute_batch_into` (over the whole batch and over one RHS at a
 //!   time), which must all produce the pinned hash.
 
+#[path = "../../format/tests/golden/matrix.rs"]
+mod golden;
+
 use std::slice;
 
-use spmm_kernels::{AccConfig, ExecutionPlan, KernelKind, PlanLoader, PreparedKernel, Workspace};
+use spmm_kernels::{AccConfig, ExecutionPlan, KernelKind, PreparedKernel, Workspace};
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
@@ -149,15 +154,6 @@ fn golden_b(rows: usize, width: usize) -> DenseMatrix {
     })
 }
 
-fn load_golden_plan(name: &str) -> ExecutionPlan {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    PlanLoader::new()
-        .load(&path)
-        .unwrap_or_else(|e| panic!("{name}: {e}"))
-}
-
 fn build(kind: KernelKind, m: &CsrMatrix, symmetric: bool) -> ExecutionPlan {
     let config = AccConfig {
         symmetric_reorder: symmetric,
@@ -169,7 +165,14 @@ fn build(kind: KernelKind, m: &CsrMatrix, symmetric: bool) -> ExecutionPlan {
 /// The plan and B generator of each case.
 fn case(name: &str) -> (ExecutionPlan, fn(usize, usize) -> DenseMatrix) {
     match name {
-        "accspmm.plan" | "dtcspmm.plan" => (load_golden_plan(name), golden_b),
+        "accspmm.plan" => (
+            build(KernelKind::AccSpmm, &golden::golden_matrix(), false),
+            golden_b,
+        ),
+        "dtcspmm.plan" => (
+            build(KernelKind::DtcSpmm, &golden::golden_matrix(), false),
+            golden_b,
+        ),
         "acc-special" => (
             build(KernelKind::AccSpmm, &special_matrix(), false),
             special_b,

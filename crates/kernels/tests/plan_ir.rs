@@ -9,12 +9,8 @@ mod golden;
 
 use proptest::prelude::*;
 use spmm_common::{PlanLoadError, SpmmError};
-use spmm_format::io::write_tc_matrix;
-use spmm_format::{MeTcf, Tcf};
-use spmm_kernels::{
-    AccConfig, ExecutionPlan, KernelKind, PlanIr, PlanLoader, PreparedKernel, TcFormat,
-};
-use spmm_matrix::{gen, CooMatrix, CsrMatrix, DenseMatrix};
+use spmm_kernels::{AccConfig, ExecutionPlan, KernelKind, PlanIr, PlanLoader, PreparedKernel};
+use spmm_matrix::{gen, CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
 /// Splice non-finite / subnormal values into a matrix at deterministic
@@ -284,23 +280,21 @@ fn foreign_isa_tier_rebinds_to_the_host_probe_at_load() {
     let plan = build_plan(KernelKind::AccSpmm, &m, 16);
     let host = IsaTier::probe();
     assert_eq!(plan.isa_tier(), host);
-    assert_eq!(plan.compiled_trace().isa_tier, host);
+    assert_eq!(plan.model().trace().isa_tier, host);
 
     // Forge an artifact recorded on a "different host": stamp a tier
-    // that is not this host's probe result into the IR (the header is
-    // derived from the trace at write time, so the container stays
-    // self-consistent and parses cleanly).
+    // that is not this host's probe result into the IR's header.
     let mut ir = plan.to_ir();
     let foreign = IsaTier::ALL
         .into_iter()
         .find(|t| *t != host)
         .expect("more than one tier exists");
-    ir.trace.isa_tier = foreign;
+    ir.isa_tier = foreign;
     let bytes = ir.to_bytes().unwrap();
 
     let parsed = PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap();
     assert_eq!(
-        parsed.trace.isa_tier, foreign,
+        parsed.isa_tier, foreign,
         "the recorded tier survives structural parsing untouched"
     );
 
@@ -310,7 +304,7 @@ fn foreign_isa_tier_rebinds_to_the_host_probe_at_load() {
         .read(std::io::Cursor::new(&bytes))
         .unwrap();
     assert_eq!(loaded.isa_tier(), host);
-    assert_eq!(loaded.compiled_trace().isa_tier, host);
+    assert_eq!(loaded.model().trace().isa_tier, host);
 
     // And the re-bound plan executes bit-identically to the original
     // (every tier computes the same bits, so a re-bind is invisible).
@@ -342,105 +336,12 @@ fn pinned_unavailable_isa_tier_is_a_build_error() {
 }
 
 #[test]
-fn a_corrupted_format_column_fails_to_load_instead_of_panicking_on_use() {
-    // One gather column of the format blob points past the operand: the
-    // block count still matches the rebuilt partition, so only the
-    // format reader's column check stands between this plan and an
-    // out-of-bounds B row on the first multiply.
-    let m = gen::uniform_random(64, 4.0, 6);
-    for (kind, column) in [
-        (KernelKind::AccSpmm, 1_000_000),
-        (KernelKind::DtcSpmm, u32::MAX - 1),
-    ] {
-        let mut ir = build_plan(kind, &m, 8).to_ir();
-        match ir.format.as_mut() {
-            Some(TcFormat::BitTcf(f)) => f.sparse_a_to_b[0] = column,
-            Some(TcFormat::MeTcf(f)) => f.sparse_a_to_b[0] = column,
-            other => panic!("{kind:?}: unexpected format {other:?}"),
-        }
-        let bytes = ir.to_bytes().unwrap();
-        let err = PlanLoader::new()
-            .read(std::io::Cursor::new(&bytes))
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SpmmError::PlanLoad(PlanLoadError::ArtifactInvalid {
-                    section: "format",
-                    ..
-                })
-            ),
-            "{kind:?}: expected a format ArtifactInvalid, got {err:?}"
-        );
-    }
-}
-
-#[test]
-fn a_format_of_another_matrix_is_a_typed_rejection() {
-    // The spliced format encodes the plan's operand plus one entry in a
-    // column its window already holds: same shape, same block count,
-    // one more non-zero. Loading it would execute the stored operand
-    // while the trace and stats describe another matrix.
-    let mut coo = CooMatrix::new(16, 16);
-    for r in 0..16u32 {
-        coo.push(r, (r * 3) % 16, 1.0 + r as f32);
-        coo.push(r, (r * 5 + 1) % 16, -0.5 - r as f32);
-    }
-    let m = CsrMatrix::from_coo(&coo);
-    assert_eq!(m.nnz(), 32);
-    for kind in [KernelKind::DtcSpmm, KernelKind::TcGnn] {
-        let mut ir = build_plan(kind, &m, 8).to_ir();
-        let mut spliced = ir.csr.to_coo();
-        let window: Vec<u32> = (0..8).flat_map(|r| ir.csr.row(r).0.to_vec()).collect();
-        let col = *window
-            .iter()
-            .find(|c| !ir.csr.row(0).0.contains(c))
-            .expect("window 0 holds a column row 0 does not");
-        spliced.push(0, col, 2.0);
-        let spliced = CsrMatrix::from_coo(&spliced);
-        assert_eq!(spliced.nnz(), 33);
-        let format = match kind {
-            KernelKind::TcGnn => TcFormat::Tcf(Tcf::from_csr(&spliced)),
-            _ => TcFormat::MeTcf(MeTcf::from_csr(&spliced)),
-        };
-        let held = ir.format.as_ref().unwrap();
-        assert_eq!(format.num_tc_blocks(), held.num_tc_blocks(), "{kind:?}");
-        assert_eq!(format.dims(), held.dims(), "{kind:?}");
-        ir.format = Some(format);
-        let bytes = ir.to_bytes().unwrap();
-        let err = PlanLoader::new()
-            .read(std::io::Cursor::new(&bytes))
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SpmmError::PlanLoad(PlanLoadError::ArtifactInvalid {
-                    section: "format",
-                    ..
-                })
-            ),
-            "{kind:?}: expected a format ArtifactInvalid, got {err:?}"
-        );
-    }
-}
-
-/// The format blob of a plan-held TC-block format.
-fn tc_format_bytes(f: &TcFormat) -> Vec<u8> {
-    let mut buf = Vec::new();
-    match f {
-        TcFormat::BitTcf(f) => write_tc_matrix(&mut buf, f).unwrap(),
-        TcFormat::MeTcf(f) => write_tc_matrix(&mut buf, f).unwrap(),
-        TcFormat::Tcf(_) => unreachable!("no golden TCF plan"),
-    }
-    buf
-}
-
-#[test]
-fn golden_plans_load_and_multiply_like_fresh_builds() {
-    // `golden/` holds an AccSpmm and a DtcSpmm plan saved (feature dim
-    // 16, A800, full config) before BitTCF and ME-TCF became one generic
-    // type. They must still load, carry the format a fresh build makes,
-    // and multiply bit-identically to it.
+fn golden_v4_plans_are_a_version_mismatch() {
+    // `golden/` holds an AccSpmm and a DtcSpmm plan saved in the v4
+    // layout (feature dim 16, A800, full config), which also stored the
+    // format, balance and trace sections. v5 stores the host part only,
+    // so both are refused outright; a plan built afresh on the same
+    // matrix saves, loads and multiplies bit-identically.
     let m = golden::golden_matrix();
     let b = DenseMatrix::from_fn(m.ncols(), 16, |r, c| {
         ((r * 16 + c) as f32 * 0.173_205).sin() * 2.5
@@ -452,21 +353,21 @@ fn golden_plans_load_and_multiply_like_fresh_builds() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/golden")
             .join(name);
+        let err = PlanLoader::new().load(&path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpmmError::PlanLoad(PlanLoadError::VersionMismatch { found: 4, .. })
+            ),
+            "{name}: expected VersionMismatch {{ found: 4 }}, got {err:?}"
+        );
+        let fresh = build_plan(kind, &m, 16);
+        let bytes = fresh.to_ir().to_bytes().unwrap();
         let loaded = PlanLoader::new()
             .expect_kind(kind)
-            .expect_arch(Arch::A800)
             .expect_fingerprint(m.content_fingerprint())
-            .expect_feature_dim(16)
-            .expect_config(AccConfig::full())
-            .load(&path)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let fresh = build_plan(kind, &m, 16);
-        assert_eq!(loaded.perm(), fresh.perm(), "{name}");
-        assert_eq!(
-            tc_format_bytes(loaded.format().unwrap()),
-            tc_format_bytes(fresh.format().unwrap()),
-            "{name}: format blob"
-        );
+            .read(std::io::Cursor::new(&bytes))
+            .unwrap();
         let want = PreparedKernel::from_plan(fresh).execute(&b).unwrap();
         let got = PreparedKernel::from_plan(loaded).execute(&b).unwrap();
         assert!(

@@ -1,7 +1,7 @@
 //! Observability contract of the execution path: enabling tracing must
 //! not change results, the disabled-path cost of the instrumentation
-//! must be negligible (≤2% of a multiply), and the reorder stage breaks
-//! down into its step spans. The tests mutate the process-global trace
+//! must be negligible (≤2% of a multiply), and the reorder stage of a
+//! plan's model breaks down into its step spans. The tests mutate the process-global trace
 //! registry, so they serialize on one lock.
 
 use spmm_kernels::{KernelKind, PreparedKernel, Workspace};
@@ -108,7 +108,9 @@ fn acc_reorder_steps_nest_under_plan_reorder() {
         .arch(Arch::A800)
         .feature_dim(64)
         .build()
-        .unwrap();
+        .unwrap()
+        .execution_plan()
+        .model();
     let snap = spmm_trace::snapshot();
     spmm_trace::disable();
     spmm_trace::reset();

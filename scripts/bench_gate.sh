@@ -22,9 +22,8 @@
 # outputs. The QoS storm scenario must keep interactive p99 completion
 # latency under its ceiling, execute zero expired requests, never
 # exceed the engine's page budget, and stay bit-identical to the
-# direct path. The dynamic-graph streaming scenario must keep
-# incremental plan repair bit-identical to a full rebuild (single-node
-# and sharded) and at least 1.5x faster per ~1% churn step. Wall times
+# direct path. The dynamic-graph streaming scenario must keep plan
+# repair bit-identical to a fresh build (single-node and sharded). Wall times
 # are machine-dependent:
 # refresh the baseline with --update-baseline when moving to different
 # hardware.
