@@ -42,7 +42,9 @@ use std::time::{Duration, Instant};
 /// bit-identity).
 /// v4: added the dynamic-graph `streaming_scenario` (a GCN operator
 /// under per-step edge churn; plan repair vs fresh build, gated on
-/// bit-identity — single-node and sharded).
+/// bit-identity — single-node and sharded). The warm-start scenario
+/// was removed later with the engine's plan store; scenarios are
+/// optional to the gate, so the removal kept the version.
 const SCHEMA_VERSION: u64 = 4;
 
 /// One (dataset, kernel) measurement.
@@ -186,20 +188,6 @@ fn run_suite(cfg: &Config) -> ExitCode {
     }
     entries.extend(scenario_entries);
 
-    // Warm-start scenario: first-session latency of a fresh process
-    // with and without a persisted-plan store (spmm_kernels::ir).
-    let (warm_entries, warm) = warmstart_scenario(cfg);
-    for e in &warm_entries {
-        rows.push(vec![
-            e.dataset.clone(),
-            e.kernel.clone(),
-            format!("{:.3}", e.median_s * 1e3),
-            format!("{:.3}", e.min_s * 1e3),
-            f2(e.gflops),
-        ]);
-    }
-    entries.extend(warm_entries);
-
     // Sharded multi-node scenario: the Table-2 collection cut into
     // 1/2/4/8 row-block shards (spmm-dist), bit-identity verified.
     let (dist_entries, dist) = dist_scenario(cfg);
@@ -259,13 +247,6 @@ fn run_suite(cfg: &Config) -> ExitCode {
              (bit-identical: {bit})"
         );
     }
-    if let Some(speedup) = warm["speedup"].as_f64() {
-        let bit = matches!(warm["bit_identical"], Json::Bool(true));
-        eprintln!(
-            "warmstart scenario: {speedup:.2}x faster first session from the plan \
-             store (bit-identical: {bit})"
-        );
-    }
     if let Some(speedup) = dist["speedup_4x"].as_f64() {
         let bit = matches!(dist["bit_identical"], Json::Bool(true));
         eprintln!(
@@ -292,7 +273,7 @@ fn run_suite(cfg: &Config) -> ExitCode {
     }
 
     let doc = suite_json(
-        cfg, mode, &entries, &scenario, &warm, &dist, &storm, &streaming, &counters,
+        cfg, mode, &entries, &scenario, &dist, &storm, &streaming, &counters,
     );
     let text = doc.to_string_pretty();
     match std::fs::File::create(&cfg.out).and_then(|mut f| f.write_all(text.as_bytes())) {
@@ -857,126 +838,6 @@ fn storm_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
     (entries, Json::Obj(sj))
 }
 
-/// The warm-start scenario: first-session latency of a freshly started
-/// serving process. Cold, `Session::open` pays the full preprocessing
-/// pipeline (reorder, format build, balance, compile). Warm, the same
-/// open runs against a [`PlanStore`] directory a prior process — or
-/// `planc` — populated: the plan is rehydrated from its persisted IR
-/// and cross-validated instead of rebuilt. Every engine is constructed
-/// fresh so the in-memory plan cache never short-circuits the
-/// measurement, and the warm path's outputs are verified bit-identical
-/// to the cold path's.
-///
-/// [`PlanStore`]: acc_spmm::engine::PlanStore
-fn warmstart_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
-    let _s = spmm_trace::span("perfsuite.warmstart_scenario");
-    let dim = 32;
-    let runs = cfg.repeats.clamp(1, 5);
-    let m = gen::rmat(
-        gen::RmatConfig {
-            scale: 13,
-            avg_deg: 16.0,
-            ..Default::default()
-        },
-        0x5EED,
-    );
-    let b = DenseMatrix::random(m.ncols(), dim, 0x11);
-    let dir = std::env::temp_dir().join(format!("spmm-perfsuite-warmstart-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Seed the store the way a prior process would: one engine builds
-    // the plan and writes through. Untimed.
-    {
-        let engine = Engine::builder()
-            .workers(1)
-            .plan_store(&dir)
-            .build()
-            .expect("seed engine");
-        engine
-            .session(&m)
-            .arch(cfg.arch)
-            .feature_dim(dim)
-            .open()
-            .expect("seed session");
-    }
-
-    let open_session = |store: bool| {
-        let mut builder = Engine::builder().workers(1);
-        if store {
-            builder = builder.plan_store(&dir);
-        }
-        let engine = builder.build().expect("engine");
-        let t = Instant::now();
-        let session = engine
-            .session(&m)
-            .arch(cfg.arch)
-            .feature_dim(dim)
-            .open()
-            .expect("open session");
-        let open_s = t.elapsed().as_secs_f64();
-        let out = session.multiply(&b).expect("first multiply");
-        (open_s, out, engine.stats())
-    };
-
-    let mut cold_times = Vec::new();
-    let mut warm_times = Vec::new();
-    let mut cold_out = None;
-    let mut warm_out = None;
-    let mut warm_stats = None;
-    for _ in 0..runs {
-        let (s, out, _) = open_session(false);
-        cold_times.push(s);
-        cold_out = Some(out);
-        let (s, out, stats) = open_session(true);
-        warm_times.push(s);
-        warm_out = Some(out);
-        warm_stats = Some(stats);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let bit_identical = match (&cold_out, &warm_out) {
-        (Some(c), Some(w)) => c
-            .as_slice()
-            .iter()
-            .zip(w.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits()),
-        _ => false,
-    };
-    let stats = warm_stats.expect("warm stats");
-    let cold_s = median(&cold_times);
-    let warm_s = median(&warm_times);
-    let entry = |kernel: &str, times: &[f64]| Entry {
-        dataset: "rmat13-warmstart".into(),
-        kernel: kernel.into(),
-        rows: m.nrows() as f64,
-        nnz: m.nnz() as f64,
-        feature_dim: dim as f64,
-        prep_s: 0.0,
-        median_s: median(times),
-        min_s: times.iter().copied().fold(f64::INFINITY, f64::min),
-        gflops: 0.0,
-    };
-    let entries = vec![
-        entry("engine-coldstart", &cold_times),
-        entry("engine-warmstart", &warm_times),
-    ];
-
-    let mut sj = BTreeMap::new();
-    sj.insert("rows".into(), Json::Num(m.nrows() as f64));
-    sj.insert("nnz".into(), Json::Num(m.nnz() as f64));
-    sj.insert("feature_dim".into(), Json::Num(dim as f64));
-    sj.insert("cold_open_s".into(), Json::Num(cold_s));
-    sj.insert("warm_open_s".into(), Json::Num(warm_s));
-    sj.insert("speedup".into(), Json::Num(cold_s / warm_s));
-    sj.insert("bit_identical".into(), Json::Bool(bit_identical));
-    sj.insert("store_hits".into(), Json::Num(stats.store_hits as f64));
-    sj.insert(
-        "warm_plan_builds".into(),
-        Json::Num(stats.plan_builds as f64),
-    );
-    (entries, Json::Obj(sj))
-}
-
 /// The sharded multi-node scenario: every suite dataset cut into
 /// 1/2/4/8 nnz-balanced row-block shards and executed by `spmm-dist`
 /// over the in-process channel transport.
@@ -1308,7 +1169,6 @@ fn suite_json(
     mode: &str,
     entries: &[Entry],
     scenario: &Json,
-    warm: &Json,
     dist: &Json,
     storm: &Json,
     streaming: &Json,
@@ -1324,7 +1184,6 @@ fn suite_json(
     doc.insert("repeats".into(), Json::Num(cfg.repeats as f64));
     doc.insert("entries".into(), entries.to_json());
     doc.insert("engine_scenario".into(), scenario.clone());
-    doc.insert("warmstart_scenario".into(), warm.clone());
     doc.insert("dist_scenario".into(), dist.clone());
     doc.insert("storm_scenario".into(), storm.clone());
     doc.insert("streaming_scenario".into(), streaming.clone());
@@ -1427,28 +1286,6 @@ fn gate(baseline: &str, candidate: &str, threshold: f64) -> ExitCode {
             && !matches!(cand["engine_scenario"]["bit_identical"], Json::Bool(true))
         {
             failures.push("engine_scenario: results not bit-identical".into());
-        }
-    }
-    // The warm-start scenario must stay present, bit-identical across
-    // the cold and warm paths, and show the persistent store's payoff:
-    // a restarted process must open its first session at least 3x
-    // faster from persisted plans than from a cold build. The committed
-    // artifact shows the full margin.
-    if base["warmstart_scenario"].as_object().is_some() {
-        match cand["warmstart_scenario"]["speedup"].as_f64() {
-            None => failures.push("warmstart_scenario: missing from candidate".into()),
-            Some(s) if s < 3.0 => failures.push(format!(
-                "warmstart_scenario: speedup {s:.2}x below 3.0x floor"
-            )),
-            Some(_) => {}
-        }
-        if cand["warmstart_scenario"].as_object().is_some()
-            && !matches!(
-                cand["warmstart_scenario"]["bit_identical"],
-                Json::Bool(true)
-            )
-        {
-            failures.push("warmstart_scenario: cold and warm results differ".into());
         }
     }
     // The sharded scenario must stay present, bit-identical, and show a

@@ -1,46 +1,45 @@
 //! planc — the offline plan compiler.
 //!
-//! Precompiles persistent execution plans (see `spmm_kernels::ir`) so
-//! serving processes warm-start instead of paying the preprocessing
-//! pipeline at first request:
+//! Compiles execution plans (see `spmm_kernels::ir`) into plain plan
+//! files:
 //!
 //! ```text
 //! cargo run -p spmm-bench --bin planc --release               # Table-2 sweep
-//! cargo run -p spmm-bench --bin planc -- --out DIR            # custom store dir
+//! cargo run -p spmm-bench --bin planc -- --out DIR            # custom output dir
 //! cargo run -p spmm-bench --bin planc -- --arch h100 --dim 256
 //! cargo run -p spmm-bench --bin planc -- --dataset YH,OH      # subset
 //! cargo run -p spmm-bench --bin planc -- --smoke DIR          # CI smoke step
 //! ```
 //!
-//! Every compiled plan is written into a `PlanStore` layout (the same
-//! directory format `Engine::builder().plan_store(dir)` consumes) and
-//! verified by reloading it through a fully-bound `PlanLoader` and
-//! executing one multiply against the freshly built plan —
-//! bit-identity is asserted, not assumed. A JSON manifest of the
-//! compiled artifacts is printed to stdout and saved next to them.
+//! Every compiled plan is written to `<dataset>-<kernel>-<arch>-d<dim>.plan`
+//! in the output directory and verified by reloading it through a
+//! fully-bound `PlanLoader` and executing one multiply against the
+//! freshly built plan — bit-identity is asserted, not assumed. A JSON
+//! manifest of the compiled artifacts is printed to stdout and saved
+//! next to them.
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use acc_spmm::engine::{PlanKey, PlanStore};
 use acc_spmm::kernels::ir;
 use acc_spmm::matrix::{gen, CsrMatrix, Dataset, DenseMatrix, TABLE2};
 use acc_spmm::{AccConfig, Arch, KernelKind, PlanLoader, PreparedKernel};
 use spmm_common::json::Json;
 
 struct Options {
-    out: std::path::PathBuf,
+    out: PathBuf,
     arch: Arch,
     dim: usize,
     kind: KernelKind,
     datasets: Option<Vec<String>>,
-    smoke: Option<std::path::PathBuf>,
+    smoke: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
-        out: std::path::PathBuf::from("results/plans"),
+        out: PathBuf::from("results/plans"),
         arch: Arch::A800,
         dim: 128,
         kind: KernelKind::AccSpmm,
@@ -79,23 +78,26 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Compile one plan into the store, then prove the persisted artifact
-/// by reloading it with every binding pinned and executing one
-/// multiply bit-identically against the fresh build.
+/// The file a plan for `name` is written to.
+fn plan_path(dir: &Path, name: &str, kind: KernelKind, arch: Arch, dim: usize) -> PathBuf {
+    dir.join(format!(
+        "{name}-{}-{}-d{dim}.plan",
+        ir::kind_slug(kind),
+        ir::arch_slug(arch)
+    ))
+}
+
+/// Compile one plan to `path`, then prove the file by reloading it with
+/// every binding pinned and executing one multiply bit-identically
+/// against the fresh build. Returns the file size and the build and
+/// reload seconds.
 fn compile_and_verify(
-    store: &PlanStore,
+    path: &Path,
     m: &CsrMatrix,
     kind: KernelKind,
     arch: Arch,
     dim: usize,
 ) -> Result<(u64, f64, f64), String> {
-    let key = PlanKey {
-        fingerprint: m.content_fingerprint(),
-        kind,
-        arch,
-        feature_dim: dim,
-        config: AccConfig::full(),
-    };
     let t0 = Instant::now();
     let kernel = PreparedKernel::builder(kind, m)
         .arch(arch)
@@ -105,20 +107,22 @@ fn compile_and_verify(
         .map_err(|e| format!("build failed: {e}"))?;
     let build_seconds = t0.elapsed().as_secs_f64();
 
-    let bytes = store
-        .save(&key, kernel.execution_plan())
+    kernel
+        .execution_plan()
+        .save(path)
         .map_err(|e| format!("save failed: {e}"))?;
+    let bytes = std::fs::metadata(path)
+        .map_err(|e| format!("stat failed: {e}"))?
+        .len();
 
-    // Reload through a fresh, fully-bound loader — the same path a
-    // restarted engine takes.
     let t1 = Instant::now();
     let reloaded = PlanLoader::new()
-        .expect_fingerprint(key.fingerprint)
+        .expect_fingerprint(m.content_fingerprint())
         .expect_kind(kind)
         .expect_arch(arch)
         .expect_feature_dim(dim)
         .expect_config(AccConfig::full())
-        .load(store.path_for(&key))
+        .load(path)
         .map_err(|e| format!("reload failed: {e}"))?;
     let load_seconds = t1.elapsed().as_secs_f64();
 
@@ -140,11 +144,12 @@ fn compile_and_verify(
 
 /// One plan per tensor-core format (TCF, ME-TCF, BitTCF), so every
 /// format's execution rows are derived again at load.
-fn smoke(dir: &std::path::Path) -> Result<(), String> {
-    let store = PlanStore::open(dir).map_err(|e| format!("open store: {e}"))?;
+fn smoke(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let m = gen::uniform_random(256, 5.0, 42);
     for kind in [KernelKind::TcGnn, KernelKind::DtcSpmm, KernelKind::AccSpmm] {
-        let (bytes, build_s, load_s) = compile_and_verify(&store, &m, kind, Arch::A800, 32)
+        let path = plan_path(dir, "smoke", kind, Arch::A800, 32);
+        let (bytes, build_s, load_s) = compile_and_verify(&path, &m, kind, Arch::A800, 32)
             .map_err(|e| format!("{}: {e}", kind.name()))?;
         println!(
             "planc smoke: {} plan compiled+reloaded+executed ({bytes} bytes, \
@@ -157,7 +162,8 @@ fn smoke(dir: &std::path::Path) -> Result<(), String> {
 }
 
 fn sweep(opts: &Options) -> Result<(), String> {
-    let store = PlanStore::open(&opts.out).map_err(|e| format!("open store: {e}"))?;
+    std::fs::create_dir_all(&opts.out)
+        .map_err(|e| format!("create {}: {e}", opts.out.display()))?;
     let selected: Vec<&'static Dataset> = match &opts.datasets {
         None => TABLE2.iter().collect(),
         Some(names) => names
@@ -169,17 +175,10 @@ fn sweep(opts: &Options) -> Result<(), String> {
     let mut plans = Vec::new();
     for d in selected {
         let m = spmm_bench::build_dataset(d);
+        let path = plan_path(&opts.out, d.abbr, opts.kind, opts.arch, opts.dim);
         let (bytes, build_s, load_s) =
-            compile_and_verify(&store, &m, opts.kind, opts.arch, opts.dim)?;
-        let key = PlanKey {
-            fingerprint: m.content_fingerprint(),
-            kind: opts.kind,
-            arch: opts.arch,
-            feature_dim: opts.dim,
-            config: AccConfig::full(),
-        };
-        let file = store
-            .path_for(&key)
+            compile_and_verify(&path, &m, opts.kind, opts.arch, opts.dim)?;
+        let file = path
             .file_name()
             .map(|f| f.to_string_lossy().into_owned())
             .unwrap_or_default();
@@ -192,7 +191,7 @@ fn sweep(opts: &Options) -> Result<(), String> {
         o.insert("file".into(), Json::Str(file));
         o.insert(
             "fingerprint".into(),
-            Json::Str(format!("{:016x}", key.fingerprint)),
+            Json::Str(format!("{:016x}", m.content_fingerprint())),
         );
         o.insert("bytes".into(), Json::Num(bytes as f64));
         o.insert("build_seconds".into(), Json::Num(build_s));
@@ -209,7 +208,7 @@ fn sweep(opts: &Options) -> Result<(), String> {
     manifest.insert("arch".into(), Json::Str(ir::arch_slug(opts.arch).into()));
     manifest.insert("kernel".into(), Json::Str(ir::kind_slug(opts.kind).into()));
     manifest.insert("feature_dim".into(), Json::Num(opts.dim as f64));
-    manifest.insert("store".into(), Json::Str(opts.out.display().to_string()));
+    manifest.insert("dir".into(), Json::Str(opts.out.display().to_string()));
     manifest.insert("plans".into(), Json::Arr(plans));
     let manifest = Json::Obj(manifest).to_string_pretty();
     let _ = std::fs::write(opts.out.join("manifest.json"), &manifest);

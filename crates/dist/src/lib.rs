@@ -36,7 +36,7 @@ use std::time::Instant;
 use spmm_balance::{ModelParams, PerfModel};
 use spmm_common::{IsaTier, Result, SpmmError};
 use spmm_delta::DeltaCsr;
-use spmm_engine::{PlanCache, PlanKey, PlanStore, Priority};
+use spmm_engine::{PlanCache, PlanKey, Priority};
 use spmm_kernels::{AccConfig, KernelKind, PreparedKernel, RepairReport};
 use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
@@ -57,7 +57,6 @@ pub struct DistBuilder<'a> {
     shards: usize,
     transport: Arc<dyn Transport>,
     cache: Option<Arc<PlanCache>>,
-    plan_store: Option<Arc<PlanStore>>,
     max_retries: usize,
     priority: Priority,
 }
@@ -103,17 +102,6 @@ impl<'a> DistBuilder<'a> {
         self
     }
 
-    /// Resolve shard plans through a shared persistent [`PlanStore`]:
-    /// a shard whose plan is already persisted receives the serialized
-    /// bytes over the transport ([`Route::Plan`], priced like any other
-    /// payload) instead of re-running preprocessing; a missing artifact
-    /// builds locally and is written through; a *broken* artifact falls
-    /// back to a local build (`dist.plan_fallbacks`).
-    pub fn plan_store(mut self, store: Arc<PlanStore>) -> Self {
-        self.plan_store = Some(store);
-        self
-    }
-
     /// How many times a failing shard execution is retried before the
     /// multiply fails with [`SpmmError::Shard`]. Default 1.
     pub fn max_retries(mut self, n: usize) -> Self {
@@ -152,11 +140,7 @@ impl<'a> DistBuilder<'a> {
         let mut scatter_rows: Vec<u64> = Vec::with_capacity(self.shards);
         let mut halo_rows: Vec<Vec<u32>> = Vec::with_capacity(self.shards);
         let mut seen = vec![false; self.a.ncols()];
-        let mut plans_shipped = 0u64;
-        let mut plan_bytes = 0u64;
-        let mut plan_ship_seconds = 0.0f64;
-        let mut plan_fallbacks = 0u64;
-        for (shard, s) in plan.shards.iter().enumerate() {
+        for s in &plan.shards {
             if s.is_empty() {
                 kernels.push(None);
                 scatter_rows.push(0);
@@ -171,49 +155,16 @@ impl<'a> DistBuilder<'a> {
                 feature_dim: self.feature_dim,
                 config: self.config,
             };
-            // Acquire the shard kernel: ship a persisted plan when the
-            // shared store has one, otherwise build locally (writing
-            // through so the next coordinator ships instead of builds).
-            let mut acquire = || -> Result<PreparedKernel> {
-                let fresh = || {
-                    PreparedKernel::builder(self.kind, &sub)
-                        .arch(self.arch)
-                        .feature_dim(self.feature_dim)
-                        .config(self.config)
-                        .build()
-                };
-                let Some(store) = &self.plan_store else {
-                    return fresh();
-                };
-                match store.load(&key) {
-                    Ok(Some(plan)) => {
-                        let bytes = std::fs::metadata(store.path_for(&key))
-                            .map(|m| m.len())
-                            .unwrap_or(0);
-                        plans_shipped += 1;
-                        plan_bytes += bytes;
-                        plan_ship_seconds += self.transport.transfer(Route::Plan { shard }, bytes);
-                        Ok(PreparedKernel::from_plan(plan))
-                    }
-                    Ok(None) => {
-                        let kernel = fresh()?;
-                        let _ = store.save(&key, kernel.execution_plan());
-                        Ok(kernel)
-                    }
-                    Err(_) => {
-                        // Validation failure: the shard rebuilds rather
-                        // than failing the coordinator, and the fresh
-                        // plan replaces the broken artifact.
-                        plan_fallbacks += 1;
-                        let kernel = fresh()?;
-                        let _ = store.save(&key, kernel.execution_plan());
-                        Ok(kernel)
-                    }
-                }
+            let build = || {
+                PreparedKernel::builder(self.kind, &sub)
+                    .arch(self.arch)
+                    .feature_dim(self.feature_dim)
+                    .config(self.config)
+                    .build()
             };
             let kernel = match &self.cache {
-                Some(cache) => cache.get_or_build(key, acquire)?,
-                None => Arc::new(acquire()?),
+                Some(cache) => cache.get_or_build(key, build)?,
+                None => Arc::new(build()?),
             };
             // Column coverage: how many B rows the shard references
             // (scatter payload), and which referenced rows live outside
@@ -234,12 +185,6 @@ impl<'a> DistBuilder<'a> {
             kernels.push(Some(kernel));
         }
         spmm_trace::counter_add("dist.shards", self.shards as u64);
-        if plans_shipped > 0 {
-            spmm_trace::counter_add("dist.plans_shipped", plans_shipped);
-        }
-        if plan_fallbacks > 0 {
-            spmm_trace::counter_add("dist.plan_fallbacks", plan_fallbacks);
-        }
         let shard_isa_tiers: Vec<Option<IsaTier>> = kernels
             .iter()
             .map(|k| k.as_ref().map(|k| k.execution_plan().isa_tier()))
@@ -263,10 +208,6 @@ impl<'a> DistBuilder<'a> {
             last_report: Mutex::new(None),
             halo_scratch: Mutex::new(Vec::new()),
             build_seconds: t0.elapsed().as_secs_f64(),
-            plans_shipped,
-            plan_bytes,
-            plan_ship_seconds,
-            plan_fallbacks,
             shard_isa_tiers,
         })
     }
@@ -345,18 +286,8 @@ pub struct DistStats {
     pub build_seconds: f64,
     /// Transport name ("channel", "modeled", ...).
     pub transport: &'static str,
-    /// Shard plans served from the shared store (shipped, not rebuilt).
-    pub plans_shipped: u64,
-    /// Serialized plan bytes shipped over [`Route::Plan`].
-    pub plan_bytes: u64,
-    /// Modeled seconds the transport charged for the shipped plans.
-    pub plan_ship_seconds: f64,
-    /// Broken store artifacts that degraded to a local shard build.
-    pub plan_fallbacks: u64,
-    /// Per shard: the SIMD tier its kernel bound at build or load
-    /// (`None` = empty shard, no kernel). Shipped plans re-bind to the
-    /// executing host's tier at load, so these reflect where the shards
-    /// *run*, not where their plans were built.
+    /// Per shard: the SIMD tier its kernel bound at build (`None` =
+    /// empty shard, no kernel).
     pub shard_isa_tiers: Vec<Option<IsaTier>>,
 }
 
@@ -400,10 +331,6 @@ pub struct DistSpmm {
     /// Reusable per-shard halo assembly buffers.
     halo_scratch: Mutex<Vec<Option<Box<DenseMatrix>>>>,
     build_seconds: f64,
-    plans_shipped: u64,
-    plan_bytes: u64,
-    plan_ship_seconds: f64,
-    plan_fallbacks: u64,
     /// Per shard: the SIMD tier its kernel bound (`None` = empty shard).
     shard_isa_tiers: Vec<Option<IsaTier>>,
 }
@@ -420,7 +347,6 @@ impl DistSpmm {
             shards: 2,
             transport: Arc::new(ChannelTransport),
             cache: None,
-            plan_store: None,
             max_retries: 1,
             priority: Priority::Standard,
         }
@@ -468,10 +394,6 @@ impl DistSpmm {
             imbalance: self.plan.imbalance,
             build_seconds: self.build_seconds,
             transport: self.transport.name(),
-            plans_shipped: self.plans_shipped,
-            plan_bytes: self.plan_bytes,
-            plan_ship_seconds: self.plan_ship_seconds,
-            plan_fallbacks: self.plan_fallbacks,
             shard_isa_tiers: self.shard_isa_tiers.clone(),
         }
     }
@@ -1215,96 +1137,6 @@ mod tests {
         let expect = reference(&m, KernelKind::SputnikLike, &b);
         let got = dist.multiply(&b).unwrap();
         assert_eq!(got.as_slice(), expect.as_slice());
-    }
-
-    fn shared_store(tag: &str) -> Arc<PlanStore> {
-        let dir =
-            std::env::temp_dir().join(format!("spmm-dist-store-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Arc::new(PlanStore::open(dir).unwrap())
-    }
-
-    #[test]
-    fn second_coordinator_ships_plans_instead_of_rebuilding() {
-        let store = shared_store("ship");
-        let m = gen::uniform_random(256, 6.0, 21);
-        let b = DenseMatrix::random(256, 16, 6);
-        let expect = reference(&m, KernelKind::AccSpmm, &b);
-
-        // First coordinator: cold store, local builds, write-through.
-        let first = DistSpmm::builder(KernelKind::AccSpmm, &m)
-            .shards(3)
-            .feature_dim(16)
-            .plan_store(Arc::clone(&store))
-            .build()
-            .unwrap();
-        assert_eq!(first.stats().plans_shipped, 0);
-        assert!(!store.is_empty());
-
-        // Second coordinator: every non-empty shard ships its plan,
-        // priced in bytes by the modeled link.
-        let second = DistSpmm::builder(KernelKind::AccSpmm, &m)
-            .shards(3)
-            .feature_dim(16)
-            .transport(Arc::new(ModeledTransport::for_arch(Arch::A800)))
-            .plan_store(Arc::clone(&store))
-            .build()
-            .unwrap();
-        let stats = second.stats();
-        let nonempty = second.shards().iter().filter(|s| !s.is_empty()).count() as u64;
-        assert_eq!(stats.plans_shipped, nonempty);
-        assert!(stats.plan_bytes > 0, "shipping is priced in bytes");
-        assert!(
-            stats.plan_ship_seconds > 0.0,
-            "the modeled transport charges for plan movement"
-        );
-        assert_eq!(stats.plan_fallbacks, 0);
-
-        // And the shipped plans compute the same bits.
-        let got = second.multiply(&b).unwrap();
-        assert_eq!(got.as_slice(), expect.as_slice());
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn broken_store_artifacts_fall_back_to_local_shard_builds() {
-        let store = shared_store("fallback");
-        let m = gen::uniform_random(192, 5.0, 22);
-        let b = DenseMatrix::random(192, 8, 7);
-        let expect = reference(&m, KernelKind::AccSpmm, &b);
-
-        DistSpmm::builder(KernelKind::AccSpmm, &m)
-            .shards(2)
-            .feature_dim(8)
-            .plan_store(Arc::clone(&store))
-            .build()
-            .unwrap();
-        for entry in std::fs::read_dir(store.dir()).unwrap() {
-            std::fs::write(entry.unwrap().path(), b"garbage").unwrap();
-        }
-
-        let dist = DistSpmm::builder(KernelKind::AccSpmm, &m)
-            .shards(2)
-            .feature_dim(8)
-            .plan_store(Arc::clone(&store))
-            .build()
-            .unwrap();
-        let stats = dist.stats();
-        assert_eq!(stats.plans_shipped, 0);
-        assert!(stats.plan_fallbacks >= 1, "broken artifacts are announced");
-        let got = dist.multiply(&b).unwrap();
-        assert_eq!(got.as_slice(), expect.as_slice());
-
-        // The fallback builds repaired the store: a third coordinator
-        // ships again.
-        let third = DistSpmm::builder(KernelKind::AccSpmm, &m)
-            .shards(2)
-            .feature_dim(8)
-            .plan_store(Arc::clone(&store))
-            .build()
-            .unwrap();
-        assert!(third.stats().plans_shipped >= 1);
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]

@@ -37,12 +37,6 @@ pub enum Route {
         /// Shard that references them.
         to: usize,
     },
-    /// Coordinator → shard: a serialized execution plan (see
-    /// `spmm_kernels::ir`) shipped instead of rebuilt on the shard.
-    Plan {
-        /// Destination shard.
-        shard: usize,
-    },
 }
 
 /// Prices one payload movement; returns modeled seconds (0 for

@@ -13,20 +13,10 @@
 //! * **bounded LRU** — at capacity, the least-recently-used *ready*
 //!   entry is evicted (in-flight builds are never evicted, so a waiter
 //!   can't be orphaned).
-//!
-//! With [`PlanCache::with_store`] the cache gains a **persistent
-//! tier**: misses first try to rehydrate a serialized plan from a
-//! [`PlanStore`] directory (still single-flight — one thread loads,
-//! the rest wait on the guard), and freshly built plans are written
-//! through so the next process starts warm. A store artifact that
-//! fails validation falls back to a fresh build and bumps
-//! `plan.load_fallback` — degraded persistence never fails a request.
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::store::PlanStore;
 use spmm_common::Result;
 use spmm_kernels::{AccConfig, KernelKind, PreparedKernel};
 use spmm_sim::Arch;
@@ -102,19 +92,11 @@ pub struct CacheStats {
     pub builds: u64,
     /// Ready entries evicted to stay within capacity.
     pub evictions: u64,
-    /// Misses served by rehydrating a persisted plan from the store.
-    pub store_hits: u64,
-    /// Misses that found no artifact in the store.
-    pub store_misses: u64,
-    /// Store artifacts that failed validation/rehydration and degraded
-    /// to a fresh build.
-    pub load_fallbacks: u64,
 }
 
 /// Bounded LRU map from [`PlanKey`] to a shared [`PreparedKernel`].
 pub struct PlanCache {
     capacity: usize,
-    store: Option<PlanStore>,
     inner: Mutex<Inner>,
     stats: Mutex<CacheStats>,
 }
@@ -124,27 +106,12 @@ impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             capacity: capacity.max(1),
-            store: None,
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 tick: 0,
             }),
             stats: Mutex::new(CacheStats::default()),
         }
-    }
-
-    /// A cache backed by a persistent [`PlanStore`] at `dir`: misses
-    /// try the store before building, and built plans are written
-    /// through for the next process's warm start.
-    pub fn with_store(capacity: usize, dir: impl AsRef<Path>) -> Result<Self> {
-        let mut cache = PlanCache::new(capacity);
-        cache.store = Some(PlanStore::open(dir)?);
-        Ok(cache)
-    }
-
-    /// The persistent tier, when one is configured.
-    pub fn store(&self) -> Option<&PlanStore> {
-        self.store.as_ref()
     }
 
     /// Configured capacity.
@@ -224,38 +191,10 @@ impl PlanCache {
         };
 
         // Phase 2: we own the build; run it without holding the lock.
-        // A configured store is tried first (warm restart); a missing
-        // artifact builds fresh, a *broken* one also builds fresh but
-        // announces the degradation.
         let built = {
             let _span = spmm_trace::span("engine.plan_build");
-            let mut loaded = None;
-            if let Some(store) = &self.store {
-                match store.load(&key) {
-                    Ok(Some(plan)) => {
-                        self.bump(|s| s.store_hits += 1, "engine.store_hits");
-                        loaded = Some(PreparedKernel::from_plan(plan));
-                    }
-                    Ok(None) => self.bump(|s| s.store_misses += 1, "engine.store_misses"),
-                    Err(_) => self.bump(|s| s.load_fallbacks += 1, "plan.load_fallback"),
-                }
-            }
-            let from_store = loaded.is_some();
-            let result = match loaded {
-                Some(kernel) => Ok(kernel),
-                None => {
-                    self.bump(|s| s.builds += 1, "engine.plan_builds");
-                    build()
-                }
-            };
-            if !from_store {
-                if let (Some(store), Ok(kernel)) = (&self.store, &result) {
-                    // Best-effort write-through; persistence failures
-                    // never fail the request.
-                    let _ = store.save(&key, kernel.execution_plan());
-                }
-            }
-            result.map(Arc::new)
+            self.bump(|s| s.builds += 1, "engine.plan_builds");
+            build().map(Arc::new)
         };
 
         // Phase 3: publish to the map, then release the waiters.
@@ -280,9 +219,6 @@ impl PlanCache {
     /// an existing [`PreparedKernel`] — e.g. a GNN model's — to the
     /// engine without rebuilding it). Replaces any previous entry.
     pub fn install(&self, key: PlanKey, plan: Arc<PreparedKernel>) {
-        if let Some(store) = &self.store {
-            let _ = store.save(&key, plan.execution_plan());
-        }
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
@@ -299,8 +235,7 @@ impl PlanCache {
     }
 
     /// Drop every entry (ready or in flight) keyed by the given matrix
-    /// fingerprint, and purge matching artifacts from the persistent
-    /// tier — the partial invalidation dynamic-graph updates perform
+    /// fingerprint — the partial invalidation dynamic-graph updates perform
     /// when an operand is superseded by its compacted successor. Plans
     /// for other matrices are untouched. Returns how many in-memory
     /// entries were dropped. An in-flight build for a dropped key
@@ -321,9 +256,6 @@ impl PlanCache {
         };
         if removed > 0 {
             spmm_trace::counter_add("engine.cache_invalidations", removed as u64);
-        }
-        if let Some(store) = &self.store {
-            store.remove_matrix(fingerprint);
         }
         removed
     }

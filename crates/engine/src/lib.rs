@@ -76,13 +76,11 @@ pub mod cache;
 pub mod pages;
 pub mod qos;
 pub mod queue;
-pub mod store;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use pages::{PageLease, PagePool, PageStats, WorkspaceLease, DEFAULT_PAGE_BYTES};
 pub use qos::{Priority, SubmitOptions, Tenant, WeightedSchedule};
 pub use queue::Ticket;
-pub use store::PlanStore;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -123,10 +121,6 @@ pub struct EngineConfig {
     pub max_batch: usize,
     /// Plans the LRU cache retains.
     pub plan_cache_capacity: usize,
-    /// Directory of persisted plans backing the cache, if any —
-    /// built plans are written through, and restarts rehydrate from it
-    /// instead of re-running the preprocessing pipeline.
-    pub plan_store: Option<std::path::PathBuf>,
     /// Deadline applied to every request that doesn't carry its own.
     pub default_deadline: Option<Duration>,
     /// Weighted-fair dequeue weights per [`Priority`] class
@@ -151,7 +145,6 @@ impl Default for EngineConfig {
             batch_window: Duration::from_micros(200),
             max_batch: 16,
             plan_cache_capacity: 32,
-            plan_store: None,
             default_deadline: None,
             priority_weights: Priority::DEFAULT_WEIGHTS,
             tenant_quota: None,
@@ -196,14 +189,6 @@ impl EngineBuilder {
     /// Plan cache capacity (must be ≥ 1).
     pub fn plan_cache_capacity(mut self, n: usize) -> Self {
         self.config.plan_cache_capacity = n;
-        self
-    }
-
-    /// Back the plan cache with a persistent [`PlanStore`] at `dir`:
-    /// built plans are saved there, and a restarted engine warm-starts
-    /// by rehydrating them instead of re-running preprocessing.
-    pub fn plan_store(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.config.plan_store = Some(dir.into());
         self
     }
 
@@ -253,10 +238,7 @@ impl EngineBuilder {
                 "engine page_bytes, page_budget and tenant_quota must be >= 1".into(),
             ));
         }
-        let cache = match &c.plan_store {
-            Some(dir) => PlanCache::with_store(c.plan_cache_capacity, dir)?,
-            None => PlanCache::new(c.plan_cache_capacity),
-        };
+        let cache = PlanCache::new(c.plan_cache_capacity);
         let shared = Arc::new(EngineShared {
             cache,
             queue: RequestQueue::new(c.queue_capacity, c.priority_weights, c.tenant_quota),
@@ -352,13 +334,6 @@ pub struct EngineStats {
     pub plan_builds: u64,
     /// Plans evicted by the LRU bound.
     pub cache_evictions: u64,
-    /// Cache misses served by rehydrating a persisted plan.
-    pub store_hits: u64,
-    /// Cache misses that found no persisted plan.
-    pub store_misses: u64,
-    /// Persisted plans that failed validation and degraded to a fresh
-    /// build.
-    pub load_fallbacks: u64,
     /// Requests currently queued.
     pub queue_depth: u64,
     /// Requests currently executing (dequeued, inside a batch, not yet
@@ -494,9 +469,6 @@ impl Engine {
             cache_misses: c.misses,
             plan_builds: c.builds,
             cache_evictions: c.evictions,
-            store_hits: c.store_hits,
-            store_misses: c.store_misses,
-            load_fallbacks: c.load_fallbacks,
             queue_depth: self.shared.queue.len() as u64,
             in_flight: m.in_flight.load(Ordering::Relaxed),
             pages_in_use: p.in_use as u64,
@@ -732,15 +704,13 @@ impl Session {
     }
 
     /// Apply a dynamic-graph edge delta to this session's operand:
-    /// repair the plan incrementally (reusing the reorder permutation
-    /// and all untouched format windows — see
-    /// [`ExecutionPlan::repair`](spmm_kernels::ExecutionPlan)),
-    /// invalidate the superseded matrix's plans in the shared cache and
-    /// persistent store (plans for other matrices stay resident), and
-    /// rebind the session to the repaired plan under its new
-    /// fingerprint. The repaired plan is installed in the cache (and
-    /// written through to the store as IR), so concurrent sessions on
-    /// the updated matrix share it.
+    /// repair the plan (derive the host part of the compacted operand —
+    /// see [`ExecutionPlan::repair`](spmm_kernels::ExecutionPlan)),
+    /// invalidate the superseded matrix's plans in the shared cache
+    /// (plans for other matrices stay resident), and rebind the session
+    /// to the repaired plan under its new fingerprint. The repaired plan
+    /// is installed in the cache, so concurrent sessions on the updated
+    /// matrix share it.
     ///
     /// The delta's base must be the operand this session's plan was
     /// built from. A clean delta is a no-op: nothing is invalidated,

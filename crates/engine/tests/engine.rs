@@ -412,147 +412,14 @@ fn stats_expose_queue_depth_and_in_flight() {
     assert_eq!(stats.in_flight, 0);
 }
 
-// --- Persistent plan tier --------------------------------------------------
-
-fn store_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("spmm-engine-store-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-#[test]
-fn warm_restart_serves_plans_from_the_store() {
-    let _serial = serial();
-    let dir = store_dir("warm");
-    let a = graph(256, 9);
-    let b = DenseMatrix::random(256, 32, 4);
-
-    // Cold process: builds and writes through.
-    let cold = {
-        let engine = Engine::builder()
-            .workers(1)
-            .plan_store(&dir)
-            .build()
-            .unwrap();
-        let session = engine.session(&a).feature_dim(32).open().unwrap();
-        let c = session.multiply(&b).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.plan_builds, 1);
-        assert_eq!(stats.store_misses, 1);
-        assert_eq!(stats.store_hits, 0);
-        c
-    };
-
-    // "Restarted" process: fresh engine, same store → no build.
-    let engine = Engine::builder()
-        .workers(1)
-        .plan_store(&dir)
-        .build()
-        .unwrap();
-    let session = engine.session(&a).feature_dim(32).open().unwrap();
-    let warm = session.multiply(&b).unwrap();
-    let stats = engine.stats();
-    assert_eq!(stats.plan_builds, 0, "warm start must not rebuild");
-    assert_eq!(stats.store_hits, 1);
-    assert_eq!(
-        cold.as_slice(),
-        warm.as_slice(),
-        "rehydrated plan must be bit-identical to the built one"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupted_store_artifact_falls_back_to_a_fresh_build() {
-    let _serial = serial();
-    let dir = store_dir("fallback");
-    let a = graph(192, 10);
-    let b = DenseMatrix::random(192, 16, 5);
-
-    {
-        let engine = Engine::builder()
-            .workers(1)
-            .plan_store(&dir)
-            .build()
-            .unwrap();
-        engine.session(&a).feature_dim(16).open().unwrap();
-    }
-
-    // Truncate every persisted artifact.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-    }
-
-    spmm_trace::reset();
-    spmm_trace::enable();
-    let engine = Engine::builder()
-        .workers(1)
-        .plan_store(&dir)
-        .build()
-        .unwrap();
-    let session = engine.session(&a).feature_dim(16).open().unwrap();
-    let c = session.multiply(&b).unwrap();
-    spmm_trace::disable();
-
-    let stats = engine.stats();
-    assert_eq!(stats.load_fallbacks, 1, "broken artifact must be announced");
-    assert_eq!(stats.plan_builds, 1, "and must degrade to a fresh build");
-    assert!(!session.is_degraded(), "fallback is not a degraded session");
-    assert_eq!(c.nrows(), 192);
-    let snap = spmm_trace::snapshot();
-    assert_eq!(snap.counter("plan.load_fallback"), 1);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn install_writes_through_to_the_store() {
-    let _serial = serial();
-    let dir = store_dir("install");
-    let a = graph(128, 11);
-    let prepared = PreparedKernel::builder(KernelKind::AccSpmm, &a)
-        .arch(Arch::A800)
-        .feature_dim(16)
-        .build()
-        .unwrap();
-
-    {
-        let engine = Engine::builder()
-            .workers(1)
-            .plan_store(&dir)
-            .build()
-            .unwrap();
-        engine.install(prepared);
-    }
-
-    // A restarted engine serves the installed plan from disk.
-    let engine = Engine::builder()
-        .workers(1)
-        .plan_store(&dir)
-        .build()
-        .unwrap();
-    engine.session(&a).feature_dim(16).open().unwrap();
-    let stats = engine.stats();
-    assert_eq!(stats.plan_builds, 0);
-    assert_eq!(stats.store_hits, 1);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 // --- Dynamic-graph deltas --------------------------------------------------
 
 #[test]
 fn apply_delta_repairs_the_session_and_serves_bit_identically() {
     let _serial = serial();
-    let dir = store_dir("delta");
-    let engine = Engine::builder()
-        .workers(1)
-        .plan_store(&dir)
-        .build()
-        .unwrap();
+    let engine = Engine::builder().workers(1).build().unwrap();
     let a = graph(256, 13);
     let mut session = engine.session(&a).feature_dim(16).open().unwrap();
-    let old_key = session.key();
 
     let mut delta = spmm_delta::DeltaCsr::new(a.clone());
     delta.upsert(3, 200, 1.25).unwrap();
@@ -580,17 +447,11 @@ fn apply_delta_repairs_the_session_and_serves_bit_identically() {
         .unwrap();
     assert_eq!(served.as_slice(), scratch.as_slice());
 
-    // Partial invalidation: the old fingerprint's plans are gone from
-    // cache and store; the repaired plan is installed under the new
-    // key, so a new session on the compacted matrix is a pure cache
-    // hit (no rebuild).
+    // The repaired plan is installed under the new key, so a new
+    // session on the compacted matrix is a pure cache hit (no rebuild).
     let builds_before = engine.stats().plan_builds;
     engine.session(&compacted).feature_dim(16).open().unwrap();
     assert_eq!(engine.stats().plan_builds, builds_before);
-    let store = spmm_engine::PlanStore::open(&dir).unwrap();
-    assert!(!store.contains(&old_key), "old artifact must be purged");
-    assert!(store.contains(&session.key()), "repaired plan persisted");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

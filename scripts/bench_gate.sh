@@ -16,16 +16,13 @@
 # or when its speedup falls below the conservative 1.2x floor. The
 # sharded (spmm-dist) scenario is gated the same way: it must be
 # present, bit-identical to single-node execution, and show >= 1.5x
-# critical-path speedup at 4 shards. The warm-start scenario must show
-# a restarted engine opening its first session >= 3x faster from the
-# persisted-plan store than from a cold build, with bit-identical
-# outputs. The QoS storm scenario must keep interactive p99 completion
-# latency under its ceiling, execute zero expired requests, never
-# exceed the engine's page budget, and stay bit-identical to the
-# direct path. The dynamic-graph streaming scenario must keep plan
-# repair bit-identical to a fresh build (single-node and sharded). Wall times
-# are machine-dependent:
-# refresh the baseline with --update-baseline when moving to different
+# critical-path speedup at 4 shards. The QoS storm scenario must keep
+# interactive p99 completion latency under its ceiling, execute zero
+# expired requests, never exceed the engine's page budget, and stay
+# bit-identical to the direct path. The dynamic-graph streaming
+# scenario must keep plan repair bit-identical to a fresh build
+# (single-node and sharded). Wall times are machine-dependent: refresh
+# the baseline with --update-baseline when moving to different
 # hardware.
 set -euo pipefail
 cd "$(dirname "$0")/.."
