@@ -40,7 +40,7 @@ fn eager(kind: KernelKind, config: AccConfig, m: &CsrMatrix, perm: Option<&[u32]
         .as_ref()
         .map(|(wp, _)| balance(wp, spec.balance, Arch::A800, DIM));
     let tc = built.as_ref().zip(plan.as_ref()).map(|((_, f), b)| (f, b));
-    let trace = compile(kind, &config, &permuted, tc, DIM, tier);
+    let trace = compile(kind, &config, &permuted, tc, DIM, tier).unwrap();
     render(
         perm.as_deref(),
         built.as_ref().map(|(wp, _)| wp),
@@ -125,7 +125,6 @@ fn host_paths_never_build_the_model_and_model_paths_build_it_once() {
             before,
             "{kind:?}: a host path built the model"
         );
-        assert!(!plan.has_model() && !repaired.has_model() && !loaded.has_model());
         assert!(
             plan.partition().is_none(),
             "{kind:?}: partition() built nothing"

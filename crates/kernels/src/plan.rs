@@ -222,6 +222,9 @@ pub fn balance(
 /// The kernel's work compiled into a simulator trace: the CUDA-core
 /// kernels' from the (permuted) operand `m`, the TC kernels' from their
 /// format and balance plan. The trace is stamped with `tier`.
+///
+/// # Errors
+/// A tensor-core kernel without its format and balance plan.
 pub fn compile(
     kind: KernelKind,
     config: &AccConfig,
@@ -229,7 +232,7 @@ pub fn compile(
     tc_plan: Option<(&TcFormat, &BalancePlan)>,
     feature_dim: usize,
     tier: IsaTier,
-) -> KernelDesc {
+) -> Result<KernelDesc> {
     let mut desc = match (kind, tc_plan) {
         (KernelKind::CusparseLike, _) => scalar::cusparse_trace(m, feature_dim),
         (KernelKind::SputnikLike, _) => scalar::sputnik_trace(m, feature_dim),
@@ -237,10 +240,15 @@ pub fn compile(
         (KernelKind::TcGnn, Some((f, b))) => tc::tcgnn_trace(f, b, feature_dim),
         (KernelKind::DtcSpmm, Some((f, b))) => tc::dtc_trace(f, b, feature_dim),
         (KernelKind::AccSpmm, Some((f, b))) => tc::acc_trace(f, b, feature_dim, config),
-        (kind, None) => panic!("{kind:?} compiles from a TC format and balance plan"),
+        (kind, None) => {
+            return Err(SpmmError::InvalidConfig(format!(
+                "{kind:?} trace compilation needs the TC format and balance plan; \
+                 run the earlier stages first"
+            )))
+        }
     };
     desc.isa_tier = tier;
-    desc
+    Ok(desc)
 }
 
 /// The model part of a plan: every artifact the simulator, the stats
@@ -320,6 +328,7 @@ impl PlanModel {
                 plan.feature_dim,
                 plan.isa_tier,
             )
+            .expect("format_build ran for every TC kernel")
         });
         PlanModel {
             perm,
@@ -384,7 +393,6 @@ pub struct ExecutionPlan {
     /// Symmetric mode's relabeling of rows and columns; `None` in every
     /// other mode.
     perm: Option<Vec<u32>>,
-    precision: Precision,
     /// Tensor-core plans' execution rows (see [`ExecutionPlan::exec_rows`]).
     exec_rows: Option<CsrMatrix>,
     isa_tier: IsaTier,
@@ -408,7 +416,7 @@ impl ExecutionPlan {
         }
         // Resolve the SIMD tier up front so a pinned-but-unavailable
         // tier is a build error, not a silent scalar fallback.
-        IsaTier::resolve(config.isa)?;
+        let tier = IsaTier::resolve(config.isa)?;
         let _plan_span = spmm_trace::span("plan.build");
         let spec = StageSpec::for_kernel(kind, &config);
         let csr = m.clone();
@@ -427,7 +435,7 @@ impl ExecutionPlan {
             (csr, None)
         };
         spmm_trace::counter_add("plan.builds", 1);
-        record_isa_counters(IsaTier::resolve(config.isa)?);
+        record_isa_counters(tier);
         ExecutionPlan::from_host(HostPart {
             kind,
             arch,
@@ -466,9 +474,8 @@ impl ExecutionPlan {
                 "{kind:?} plans hold a permutation only in symmetric mode"
             )));
         }
-        let precision = Precision::of(spec.format);
         let exec_rows = timed(&mut timings, "compile", "plan.compile", || {
-            let skip_zeros = match precision {
+            let skip_zeros = match Precision::of(spec.format) {
                 Precision::Fp32 => return Ok(None),
                 Precision::Tf32KeepZeros => false,
                 Precision::Tf32DropZeros => true,
@@ -484,7 +491,6 @@ impl ExecutionPlan {
             csr,
             input_fingerprint,
             perm,
-            precision,
             exec_rows,
             // An unavailable pin falls back to the probe here; the
             // build and load entry points validate the pin first and
@@ -519,11 +525,6 @@ impl ExecutionPlan {
     /// The model part, built on the first call and shared after it.
     pub fn model(&self) -> &PlanModel {
         self.model.get_or_init(|| PlanModel::build(self))
-    }
-
-    /// Whether the model part has been built.
-    pub fn has_model(&self) -> bool {
-        self.model.get().is_some()
     }
 
     /// Kernel identity.
@@ -577,7 +578,7 @@ impl ExecutionPlan {
 
     /// The operand precision of the host multiply.
     pub fn precision(&self) -> Precision {
-        self.precision
+        Precision::of(self.spec.format)
     }
 
     /// The shared window partition, when the model has been built (TC
@@ -735,8 +736,7 @@ mod tests {
         let m = uniform_random(96, 6.0, 3);
         let config = AccConfig::full();
         let tier = IsaTier::probe();
-        let missing =
-            std::panic::catch_unwind(|| compile(KernelKind::AccSpmm, &config, &m, None, 32, tier));
+        let missing = compile(KernelKind::AccSpmm, &config, &m, None, 32, tier);
         assert!(missing.is_err(), "no format yet");
         let (wp, format) = format_build(FormatChoice::BitTcf, &m, tier).unwrap();
         let plan = balance(&wp, BalanceStrategy::AccAdaptive, Arch::A800, 32);
@@ -747,7 +747,8 @@ mod tests {
             Some((&format, &plan)),
             32,
             tier,
-        );
+        )
+        .unwrap();
         assert_eq!(desc.effective_flops, 2 * m.nnz() as u64 * 32);
         assert_eq!(desc.isa_tier, tier);
     }
