@@ -100,10 +100,9 @@ pub enum SpmmError {
         /// The underlying per-shard failure.
         cause: Box<SpmmError>,
     },
-    /// A persisted execution plan failed to load or validate. The nested
+    /// A saved execution plan failed to load or validate. The nested
     /// [`PlanLoadError`] distinguishes the rejection classes so callers
-    /// (warm-start caches, plan-shipping coordinators) can decide between
-    /// *rebuild* and *report*.
+    /// can decide between *rebuild* and *report*.
     PlanLoad(PlanLoadError),
     /// I/O failure, with the underlying message flattened to a string so the
     /// error stays `Clone + Eq`.
