@@ -13,7 +13,6 @@ use acc_spmm::matrix::gen::uniform_random;
 use acc_spmm::prelude::*;
 use acc_spmm::{DeltaCsr, ExecutionPlan, PlanLoader, SimOptions};
 use spmm_common::IsaTier;
-use spmm_format::io::{write_tc_matrix, write_tcf};
 
 const DIM: usize = 16;
 
@@ -50,8 +49,8 @@ fn eager(kind: KernelKind, config: AccConfig, m: &CsrMatrix, perm: Option<&[u32]
     )
 }
 
-/// Every artifact of a model in one string: the format as its stream
-/// bytes, the rest through `Debug`, which prints each float exactly.
+/// Every artifact of a model in one string, through `Debug`, which
+/// prints each float exactly.
 fn render(
     perm: Option<&[u32]>,
     wp: Option<&spmm_format::WindowPartition>,
@@ -59,14 +58,7 @@ fn render(
     balance: Option<&spmm_balance::BalancePlan>,
     trace: &spmm_sim::KernelDesc,
 ) -> String {
-    let mut bytes = Vec::new();
-    match format {
-        Some(TcFormat::Tcf(f)) => write_tcf(&mut bytes, f).unwrap(),
-        Some(TcFormat::MeTcf(f)) => write_tc_matrix(&mut bytes, f).unwrap(),
-        Some(TcFormat::BitTcf(f)) => write_tc_matrix(&mut bytes, f).unwrap(),
-        None => {}
-    }
-    format!("{perm:?}\n{wp:?}\n{bytes:?}\n{balance:?}\n{trace:?}")
+    format!("{perm:?}\n{wp:?}\n{format:?}\n{balance:?}\n{trace:?}")
 }
 
 fn render_model(model: &PlanModel) -> String {

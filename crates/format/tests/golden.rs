@@ -1,45 +1,66 @@
-//! Byte-level compatibility of the binary format streams.
+//! Pinned builder output of the three TC formats.
 //!
-//! `golden/` holds the `BTCF` v1, `METC` v1 and `TCF1` v1 streams of the
-//! matrix in `golden/matrix.rs`, written before BitTCF and ME-TCF were
-//! folded into one generic `TcMatrix`. The writers must still emit them
-//! byte for byte, and the readers must return matrices bit-equal to a
-//! fresh build (NaN payloads included).
+//! Each case hashes (FNV-1a) one format of the matrix in
+//! `golden/matrix.rs` as a single little-endian stream: the dimensions,
+//! then each array as its length and its items, the values as raw bits
+//! (NaN payloads included). The hashes were taken while the formats'
+//! former binary streams (`BTCF`, `METC`, `TCF1`) still matched their
+//! byte fixtures, so they guard the same builder output. A mismatch
+//! means `from_csr` changed what it stores.
 
 #[path = "golden/matrix.rs"]
 mod golden;
 
-use spmm_format::io::{read_tc_matrix, read_tcf, write_tc_matrix, write_tcf};
 use spmm_format::{BitTcf, BlockCodec, MeTcf, TcMatrix, Tcf};
 
-fn fixture(name: &str) -> Vec<u8> {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+struct Fnv(u64);
+
+impl Fnv {
+    fn new(nrows: usize, ncols: usize) -> Self {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.bytes(&(nrows as u64).to_le_bytes());
+        h.bytes(&(ncols as u64).to_le_bytes());
+        h
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// An array: its length, then each item's little-endian bytes.
+    fn array<T: Copy, const N: usize>(&mut self, items: &[T], to_le: impl Fn(T) -> [u8; N]) {
+        self.bytes(&(items.len() as u64).to_le_bytes());
+        for &x in items {
+            self.bytes(&to_le(x));
+        }
+    }
+
+    fn values(&mut self, values: &[f32]) {
+        self.array(values, |v| v.to_bits().to_le_bytes());
+    }
 }
 
-fn bits(values: &[f32]) -> Vec<u32> {
-    values.iter().map(|v| v.to_bits()).collect()
+fn tc_matrix_hash<C: BlockCodec, const N: usize>(
+    t: &TcMatrix<C>,
+    to_le: impl Fn(C::Word) -> [u8; N],
+) -> u64 {
+    let mut h = Fnv::new(t.nrows(), t.ncols());
+    h.array(&t.row_window_offset, u32::to_le_bytes);
+    h.array(&t.tc_offset, u32::to_le_bytes);
+    h.array(&t.sparse_a_to_b, u32::to_le_bytes);
+    h.array(&t.positions, to_le);
+    h.values(&t.values);
+    h.0
 }
 
-fn check_tc_matrix<C: BlockCodec>(fresh: &TcMatrix<C>, name: &str) {
-    let want = fixture(name);
-    let mut got = Vec::new();
-    write_tc_matrix(&mut got, fresh).unwrap();
-    assert!(
-        got == want,
-        "{name}: writer output differs from the fixture"
+fn check(name: &str, got: u64, want: u64) {
+    assert_eq!(
+        got, want,
+        "{name}: format hash 0x{got:016x}, golden 0x{want:016x}"
     );
-
-    let read: TcMatrix<C> = read_tc_matrix(std::io::Cursor::new(&want)).unwrap();
-    assert_eq!((read.nrows(), read.ncols()), (fresh.nrows(), fresh.ncols()));
-    assert_eq!(read.row_window_offset, fresh.row_window_offset, "{name}");
-    assert_eq!(read.tc_offset, fresh.tc_offset, "{name}");
-    assert_eq!(read.sparse_a_to_b, fresh.sparse_a_to_b, "{name}");
-    assert_eq!(read.positions, fresh.positions, "{name}");
-    assert_eq!(bits(&read.values), bits(&fresh.values), "{name}");
-    assert!(!read.is_prerounded());
 }
 
 #[test]
@@ -55,30 +76,27 @@ fn the_fixture_matrix_covers_the_edge_cases() {
 
 #[test]
 fn bittcf_stream_is_byte_identical() {
-    check_tc_matrix(&BitTcf::from_csr(&golden::golden_matrix()), "matrix.btcf");
+    let t = BitTcf::from_csr(&golden::golden_matrix());
+    let got = tc_matrix_hash(&t, u64::to_le_bytes);
+    check("BitTCF", got, 0xd89a_57ce_86bb_3afa);
 }
 
 #[test]
 fn metcf_stream_is_byte_identical() {
-    check_tc_matrix(&MeTcf::from_csr(&golden::golden_matrix()), "matrix.metc");
+    let t = MeTcf::from_csr(&golden::golden_matrix());
+    let got = tc_matrix_hash(&t, u8::to_le_bytes);
+    check("ME-TCF", got, 0x8edb_71d2_9be6_4ccd);
 }
 
 #[test]
 fn tcf_stream_is_byte_identical() {
-    let fresh = Tcf::from_csr(&golden::golden_matrix());
-    let want = fixture("matrix.tcf1");
-    let mut got = Vec::new();
-    write_tcf(&mut got, &fresh).unwrap();
-    assert!(
-        got == want,
-        "matrix.tcf1: writer output differs from the fixture"
-    );
-
-    let read = read_tcf(std::io::Cursor::new(&want)).unwrap();
-    assert_eq!(read.window_nnz_offset, fresh.window_nnz_offset);
-    assert_eq!(read.edge_list, fresh.edge_list);
-    assert_eq!(read.edge_to_column, fresh.edge_to_column);
-    assert_eq!(read.edge_to_row, fresh.edge_to_row);
-    assert_eq!(read.blocks_per_window, fresh.blocks_per_window);
-    assert_eq!(bits(&read.values), bits(&fresh.values));
+    let t = Tcf::from_csr(&golden::golden_matrix());
+    let mut h = Fnv::new(t.nrows(), t.ncols());
+    h.array(&t.window_nnz_offset, u32::to_le_bytes);
+    h.array(&t.edge_list, u32::to_le_bytes);
+    h.array(&t.edge_to_column, u32::to_le_bytes);
+    h.array(&t.edge_to_row, u32::to_le_bytes);
+    h.array(&t.blocks_per_window, u32::to_le_bytes);
+    h.values(&t.values);
+    check("TCF", h.0, 0x286b_762a_abaf_5986);
 }
