@@ -36,7 +36,7 @@ use spmm_matrix::CsrMatrix;
 use spmm_reorder::Algorithm;
 use spmm_sim::Arch;
 use std::collections::BTreeMap;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Cursor, Read, Write};
 use std::path::Path;
 
 /// Container magic: "SPIR" (SpMM Plan IR).
@@ -107,11 +107,37 @@ fn put_u32_slice(w: &mut impl Write, v: &[u32]) -> Result<()> {
     Ok(())
 }
 
-fn get_u32_vec(r: &mut impl Read, what: &str) -> Result<Vec<u32>> {
-    let len = get_len(r, what)?;
+/// Read exactly `len` bytes, growing the buffer as they arrive, so a
+/// corrupt length cannot allocate ahead of the stream.
+fn get_bytes(r: &mut impl Read, len: usize) -> std::io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    r.take(len as u64).read_to_end(&mut bytes)?;
+    if bytes.len() < len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(bytes)
+}
+
+/// Read `len` items of `N` little-endian bytes from a section, refusing
+/// a length the section's remaining bytes cannot hold, so a corrupt
+/// length allocates nothing.
+fn get_array<T, const N: usize>(
+    r: &mut Cursor<&[u8]>,
+    len: usize,
+    what: &str,
+    from_le: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>> {
+    let left = r.get_ref().len() - r.position() as usize;
+    if len > left / N {
+        return Err(SpmmError::MalformedFormat {
+            detail: format!("{what} length {len} exceeds the {left} bytes left in its section"),
+        });
+    }
     let mut v = Vec::with_capacity(len);
+    let mut b = [0u8; N];
     for _ in 0..len {
-        v.push(get_u32(r)?);
+        r.read_exact(&mut b)?;
+        v.push(from_le(b));
     }
     Ok(v)
 }
@@ -364,9 +390,7 @@ impl PlanIr {
         }
 
         let header_len = get_len(&mut r, "header").map_err(|e| not_plan_ir(&e))?;
-        let mut header_bytes = vec![0u8; header_len];
-        r.read_exact(&mut header_bytes)
-            .map_err(|e| not_plan_ir(&e))?;
+        let header_bytes = get_bytes(&mut r, header_len).map_err(|e| not_plan_ir(&e))?;
         let header_text = String::from_utf8(header_bytes).map_err(|e| not_plan_ir(&e))?;
         let header = Json::parse(&header_text).map_err(|e| {
             SpmmError::from(PlanLoadError::NotPlanIr {
@@ -379,8 +403,7 @@ impl PlanIr {
         let csr_bytes = read_section(&mut r, "csr")?;
 
         let perm = if hdr.has_perm {
-            let mut pr = csr_reader(&perm_bytes);
-            let p = get_u32_vec(&mut pr, "perm").map_err(|e| artifact("perm", &e))?;
+            let p = read_perm(&mut Cursor::new(&perm_bytes)).map_err(|e| artifact("perm", &e))?;
             if !spmm_common::util::is_permutation(&p) {
                 return Err(PlanLoadError::ArtifactInvalid {
                     section: "perm",
@@ -400,7 +423,7 @@ impl PlanIr {
             None
         };
 
-        let csr = read_csr(&mut csr_reader(&csr_bytes)).map_err(|e| artifact("csr", &e))?;
+        let csr = read_csr(&mut Cursor::new(&csr_bytes)).map_err(|e| artifact("csr", &e))?;
         if csr.nrows() != hdr.nrows || csr.ncols() != hdr.ncols || csr.nnz() != hdr.nnz {
             return Err(PlanLoadError::ArtifactInvalid {
                 section: "csr",
@@ -449,10 +472,6 @@ impl PlanIr {
     }
 }
 
-fn csr_reader(bytes: &[u8]) -> std::io::Cursor<&[u8]> {
-    std::io::Cursor::new(bytes)
-}
-
 fn not_plan_ir(e: &impl std::fmt::Display) -> SpmmError {
     PlanLoadError::NotPlanIr {
         detail: e.to_string(),
@@ -480,14 +499,12 @@ fn write_section(w: &mut impl Write, bytes: &[u8]) -> Result<()> {
 
 fn read_section(r: &mut impl Read, section: &'static str) -> Result<Vec<u8>> {
     let len = get_len(r, section).map_err(|e| artifact(section, &e))?;
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes).map_err(|e| {
+    get_bytes(r, len).map_err(|e| {
         SpmmError::from(PlanLoadError::ArtifactInvalid {
             section,
             detail: format!("truncated: {e}"),
         })
-    })?;
-    Ok(bytes)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -618,23 +635,19 @@ fn write_csr(w: &mut impl Write, m: &CsrMatrix) -> Result<()> {
     Ok(())
 }
 
-fn read_csr(r: &mut impl Read) -> Result<CsrMatrix> {
+fn read_perm(r: &mut Cursor<&[u8]>) -> Result<Vec<u32>> {
+    let len = get_len(r, "perm")?;
+    get_array(r, len, "perm", u32::from_le_bytes)
+}
+
+fn read_csr(r: &mut Cursor<&[u8]>) -> Result<CsrMatrix> {
     let nrows = get_u64(r)? as usize;
     let ncols = get_u64(r)? as usize;
     let np = get_len(r, "row_ptr")?;
-    let mut row_ptr = Vec::with_capacity(np);
-    for _ in 0..np {
-        row_ptr.push(get_u64(r)? as usize);
-    }
+    let row_ptr = get_array(r, np, "row_ptr", |b| u64::from_le_bytes(b) as usize)?;
     let nnz = get_len(r, "col_idx")?;
-    let mut col_idx = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        col_idx.push(get_u32(r)?);
-    }
-    let mut values = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        values.push(f32::from_bits(get_u32(r)?));
-    }
+    let col_idx = get_array(r, nnz, "col_idx", u32::from_le_bytes)?;
+    let values = get_array(r, nnz, "values", |b| f32::from_bits(u32::from_le_bytes(b)))?;
     // CsrMatrix::new re-validates every structural invariant.
     CsrMatrix::new(nrows, ncols, row_ptr, col_idx, values)
 }
@@ -835,7 +848,7 @@ mod tests {
             let plan = build(kind);
             let ir = plan.to_ir();
             let bytes = ir.to_bytes().unwrap();
-            let rt = PlanIr::read_from(csr_reader(&bytes)).unwrap();
+            let rt = PlanIr::read_from(Cursor::new(&bytes)).unwrap();
             assert_eq!(rt.kind, kind);
             assert_eq!(rt.arch, Arch::A800);
             assert_eq!(rt.input_fingerprint, plan.input_fingerprint());
@@ -934,7 +947,7 @@ mod tests {
 
         let e = PlanLoader::new()
             .expect_arch(Arch::H100)
-            .read(csr_reader(&bytes))
+            .read(Cursor::new(&bytes))
             .unwrap_err();
         assert!(matches!(
             e,
@@ -943,7 +956,7 @@ mod tests {
 
         let e = PlanLoader::new()
             .expect_fingerprint(0xdeadbeef)
-            .read(csr_reader(&bytes))
+            .read(Cursor::new(&bytes))
             .unwrap_err();
         assert!(matches!(
             e,
@@ -952,7 +965,7 @@ mod tests {
 
         let e = PlanLoader::new()
             .expect_kind(KernelKind::TcGnn)
-            .read(csr_reader(&bytes))
+            .read(Cursor::new(&bytes))
             .unwrap_err();
         assert!(matches!(
             e,
@@ -961,7 +974,7 @@ mod tests {
 
         let e = PlanLoader::new()
             .expect_config(AccConfig::base())
-            .read(csr_reader(&bytes))
+            .read(Cursor::new(&bytes))
             .unwrap_err();
         assert!(matches!(
             e,
@@ -978,14 +991,14 @@ mod tests {
             .expect_fingerprint(plan.input_fingerprint())
             .expect_feature_dim(32)
             .expect_config(AccConfig::full())
-            .read(csr_reader(&bytes))
+            .read(Cursor::new(&bytes))
             .unwrap();
         assert_eq!(loaded.kind(), KernelKind::AccSpmm);
     }
 
     #[test]
     fn rejects_bad_magic_and_version() {
-        let e = PlanIr::read_from(csr_reader(b"nope nope nope")).unwrap_err();
+        let e = PlanIr::read_from(Cursor::new(b"nope nope nope")).unwrap_err();
         assert!(matches!(
             e,
             SpmmError::PlanLoad(PlanLoadError::NotPlanIr { .. })
@@ -994,7 +1007,7 @@ mod tests {
         let plan = build(KernelKind::DtcSpmm);
         let mut bytes = plan.to_ir().to_bytes().unwrap();
         bytes[4] = 99; // version field
-        let e = PlanIr::read_from(csr_reader(&bytes)).unwrap_err();
+        let e = PlanIr::read_from(Cursor::new(&bytes)).unwrap_err();
         assert!(matches!(
             e,
             SpmmError::PlanLoad(PlanLoadError::VersionMismatch { found: 99, .. })
@@ -1007,7 +1020,7 @@ mod tests {
         let bytes = plan.to_ir().to_bytes().unwrap();
         for cut in (4..bytes.len() - 1).step_by(97) {
             assert!(
-                PlanIr::read_from(csr_reader(&bytes[..cut])).is_err(),
+                PlanIr::read_from(Cursor::new(&bytes[..cut])).is_err(),
                 "truncation at {cut} must fail"
             );
         }
@@ -1021,7 +1034,7 @@ mod tests {
         // Corrupt the stored fingerprint so the CSR integrity check fires.
         bad.stored_fingerprint ^= 1;
         let bytes = bad.to_bytes().unwrap();
-        let e = PlanIr::read_from(csr_reader(&bytes)).unwrap_err();
+        let e = PlanIr::read_from(Cursor::new(&bytes)).unwrap_err();
         assert!(matches!(
             e,
             SpmmError::PlanLoad(PlanLoadError::ArtifactInvalid { section: "csr", .. })

@@ -115,10 +115,19 @@ proptest! {
         seed in 0u64..1_000,
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
+        field in 0usize..6,
+        new_len in 0usize..4,
     ) {
         let m = gen::uniform_random(n, 4.0, seed);
         let plan = build_plan(KernelKind::AccSpmm, &m, 16);
         let mut bytes = plan.to_ir().to_bytes().unwrap();
+        // Overwrite one length field (index 5 leaves them all intact),
+        // then flip one byte.
+        if let Some(&at) = length_fields(&bytes, false).get(field) {
+            let old = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let new = [1 << 34, u64::MAX, old + 1, old.wrapping_sub(1)][new_len];
+            bytes[at..at + 8].copy_from_slice(&new.to_le_bytes());
+        }
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
         // Either the container is rejected, or — when the flip hits a
@@ -264,6 +273,69 @@ fn a_csr_row_pointer_past_nnz_is_a_typed_rejection() {
     let err = PlanLoader::new()
         .read(std::io::Cursor::new(&bytes))
         .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SpmmError::PlanLoad(PlanLoadError::ArtifactInvalid { section: "csr", .. })
+        ),
+        "expected a csr ArtifactInvalid, got {err:?}"
+    );
+}
+
+/// Byte offsets of a container's `u64` length fields: the header, the
+/// perm section, the permutation (when the header records one), the CSR
+/// section, the CSR `row_ptr` and the CSR `col_idx`/`values` pair.
+fn length_fields(bytes: &[u8], has_perm: bool) -> Vec<usize> {
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let perm = sections_start(bytes);
+    let csr = perm + 8 + u64_at(perm);
+    let row_ptr = csr + 8 + 2 * 8;
+    let col_idx = row_ptr + 8 + 8 * u64_at(row_ptr);
+    let mut fields = vec![8, perm, csr, row_ptr, col_idx];
+    if has_perm {
+        fields.push(perm + 8);
+    }
+    fields
+}
+
+#[test]
+fn an_oversized_length_field_is_a_typed_rejection_not_an_allocation() {
+    // A length is trusted only as far as the bytes behind it: a 2^34
+    // `row_ptr` length once asked for 128 GiB before reading anything,
+    // and the allocator aborted the process.
+    let m = gen::uniform_random(64, 4.0, 6);
+    let bytes = build_plan(KernelKind::AccSpmm, &m, 16)
+        .to_ir()
+        .to_bytes()
+        .unwrap();
+    let fields = length_fields(&bytes, false);
+    let (csr_section, row_ptr) = (fields[2], fields[3]);
+    for at in [row_ptr, csr_section] {
+        let mut patched = bytes.clone();
+        patched[at..at + 8].copy_from_slice(&(1u64 << 34).to_le_bytes());
+        let err = PlanIr::read_from(std::io::Cursor::new(&patched)).unwrap_err();
+        assert!(
+            matches!(err, SpmmError::PlanLoad(_)),
+            "length at byte {at}: expected a PlanLoad error, got {err:?}"
+        );
+    }
+}
+
+#[test]
+fn a_row_count_of_u64_max_is_a_typed_rejection() {
+    // `nrows + 1` wrapped to 0, so an empty `row_ptr` passed the length
+    // check and the next check indexed past it.
+    let m = gen::uniform_random(64, 4.0, 6);
+    let mut bytes = build_plan(KernelKind::AccSpmm, &m, 16)
+        .to_ir()
+        .to_bytes()
+        .unwrap();
+    let row_ptr = length_fields(&bytes, false)[3];
+    // CSR section: length, nrows, ncols, row_ptr length, row_ptr[0] = 0,
+    // which the reader then takes for the (empty) col_idx length.
+    bytes[row_ptr - 16..row_ptr - 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    bytes[row_ptr..row_ptr + 8].copy_from_slice(&0u64.to_le_bytes());
+    let err = PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap_err();
     assert!(
         matches!(
             err,

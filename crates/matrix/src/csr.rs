@@ -64,7 +64,7 @@ impl CsrMatrix {
 
     /// Check the structural invariants; used by constructors and tests.
     pub fn validate(&self) -> Result<()> {
-        if self.row_ptr.len() != self.nrows + 1 {
+        if Some(self.row_ptr.len()) != self.nrows.checked_add(1) {
             return Err(SpmmError::MalformedFormat {
                 detail: format!(
                     "row_ptr has {} entries for {} rows",
