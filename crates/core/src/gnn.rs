@@ -199,59 +199,6 @@ impl Gcn {
         Ok(h)
     }
 
-    /// Forward a whole batch of feature matrices (e.g. mini-batched
-    /// graph samples sharing one adjacency): each layer aggregates the
-    /// entire batch in one [`AccSpmm::multiply_batch`] call, which
-    /// parallelizes across batch members instead of spawning a worker
-    /// round per SpMM. Results are bit-identical to mapping
-    /// [`Gcn::forward`] over the batch.
-    pub fn forward_batch(&self, xs: &[DenseMatrix]) -> Result<Vec<DenseMatrix>> {
-        let _span = spmm_trace::span("gcn.forward_batch");
-        spmm_trace::counter_add("gcn.layers_applied", (self.layers.len() * xs.len()) as u64);
-        let mut hs: Vec<DenseMatrix> = xs.to_vec();
-        for layer in &self.layers {
-            for h in &hs {
-                layer.check_input(h)?;
-            }
-            let aggregated = self.spmm.multiply_batch(&hs)?;
-            hs = aggregated
-                .into_iter()
-                .map(|agg| layer.combine(agg))
-                .collect::<Result<Vec<_>>>()?;
-        }
-        Ok(hs)
-    }
-
-    /// Hand this model's preprocessed adjacency to a serving
-    /// [`Engine`](spmm_engine::Engine): the already-built
-    /// [`PreparedKernel`](spmm_kernels::PreparedKernel) is installed as
-    /// a ready cache entry (no rebuild), and the returned
-    /// [`Session`](spmm_engine::Session) routes multiplies through the
-    /// engine's shared micro-batching queue — so several models (or
-    /// several replicas of this one) coalesce their aggregations.
-    pub fn serve(&self, engine: &spmm_engine::Engine) -> spmm_engine::Session {
-        engine.install(self.spmm.prepared().clone())
-    }
-
-    /// [`Gcn::forward`] with the aggregation routed through a serving
-    /// engine session (obtained from [`Gcn::serve`]). Bit-identical to
-    /// [`Gcn::forward`].
-    pub fn forward_served(
-        &self,
-        session: &spmm_engine::Session,
-        x: &DenseMatrix,
-    ) -> Result<DenseMatrix> {
-        let _span = spmm_trace::span("gcn.forward_served");
-        spmm_trace::counter_add("gcn.layers_applied", self.layers.len() as u64);
-        let mut h = x.clone();
-        for layer in &self.layers {
-            layer.check_input(&h)?;
-            let aggregated = session.multiply(&h)?;
-            h = layer.combine(aggregated)?;
-        }
-        Ok(h)
-    }
-
     /// Shard this model's normalized adjacency across `shards` workers
     /// (see [`DistSpmm`]): same kernel kind, architecture, feature
     /// specialization, and ablation config as the single-node handle.

@@ -11,12 +11,10 @@
 //! * **merged iteration** ([`DeltaCsr::row`]) yielding each row's live
 //!   edges in ascending column order, exactly as the compacted CSR
 //!   would store them;
-//! * **periodic compaction** ([`DeltaCsr::compact`] /
-//!   [`DeltaCsr::compact_in_place`]) back to a plain CSR;
-//! * **row-block dirty tracking** ([`DeltaCsr::dirty_blocks`],
-//!   [`DeltaCsr::block_fingerprint`]) so plan invalidation and format
-//!   rebuilds become *partial* — only the TILE-aligned row blocks whose
-//!   structure changed are touched by `ExecutionPlan::repair`.
+//! * **compaction** ([`DeltaCsr::compact`]) back to a plain CSR, from
+//!   which `ExecutionPlan::repair` re-derives a plan's host rows;
+//! * **touched rows** ([`DeltaCsr::touched_rows`]) — the rows with
+//!   pending ops.
 //!
 //! The overlay never changes the matrix shape: deltas are edge-level,
 //! so `nrows`/`ncols` are fixed at construction and every consumer can
@@ -58,8 +56,6 @@ pub struct DeltaCsr {
     rows: BTreeMap<u32, Vec<(u32, DeltaOp)>>,
     /// Live edge count of the merged view, maintained incrementally.
     nnz: usize,
-    /// Total accepted edits since construction (observability).
-    edits: u64,
 }
 
 impl DeltaCsr {
@@ -70,7 +66,6 @@ impl DeltaCsr {
             base,
             rows: BTreeMap::new(),
             nnz,
-            edits: 0,
         }
     }
 
@@ -103,12 +98,6 @@ impl DeltaCsr {
     /// Pending ops currently in the overlay.
     pub fn num_pending(&self) -> usize {
         self.rows.values().map(Vec::len).sum()
-    }
-
-    /// Total edits accepted since construction (including ones that
-    /// later netted out).
-    pub fn num_edits(&self) -> u64 {
-        self.edits
     }
 
     /// Rows with at least one pending op, ascending.
@@ -151,7 +140,6 @@ impl DeltaCsr {
     /// round-trip through [`DeltaCsr::compact`].
     pub fn upsert(&mut self, r: u32, c: u32, v: f32) -> Result<bool> {
         self.check_edge(r, c)?;
-        self.edits += 1;
         let base_v = self.base_value(r, c);
         let row = self.rows.entry(r).or_default();
         let inserted = match row.binary_search_by_key(&c, |&(col, _)| col) {
@@ -219,7 +207,6 @@ impl DeltaCsr {
             self.rows.remove(&r);
         }
         if removed {
-            self.edits += 1;
             self.nnz -= 1;
         }
         removed
@@ -296,18 +283,6 @@ impl DeltaCsr {
             .expect("merged view of a valid base is valid")
     }
 
-    /// [`DeltaCsr::compact`], then make the result the new base and
-    /// clear the overlay — the periodic re-baseline that keeps per-row
-    /// op lists short under sustained churn.
-    pub fn compact_in_place(&mut self) {
-        if self.is_clean() {
-            return;
-        }
-        self.base = self.compact();
-        self.rows.clear();
-        debug_assert_eq!(self.nnz, self.base.nnz());
-    }
-
     /// Restrict the overlay to rows `[lo, hi)`: the result's base is
     /// the corresponding row block of this base (same column space),
     /// with the pending ops of those rows shifted down by `lo`. This is
@@ -323,38 +298,6 @@ impl DeltaCsr {
         // Recompute the live count for the slice.
         sub.nnz = (0..sub.nrows()).map(|r| sub.row_len(r)).sum();
         sub
-    }
-
-    /// Fingerprint of the merged rows `[lo, hi)` — identical to
-    /// `row_block(compact(), lo, hi).content_fingerprint()`, the value
-    /// partial invalidation compares against, without materializing the
-    /// whole compacted matrix.
-    pub fn block_fingerprint(&self, lo: usize, hi: usize) -> u64 {
-        assert!(lo <= hi && hi <= self.nrows(), "block out of bounds");
-        row_block_of_delta(self, lo, hi).content_fingerprint()
-    }
-
-    /// Per-block fingerprints for blocks of `block_rows` rows (the last
-    /// block may be short). See [`DeltaCsr::block_fingerprint`].
-    pub fn block_fingerprints(&self, block_rows: usize) -> Vec<u64> {
-        assert!(block_rows > 0, "block_rows must be positive");
-        (0..self.nrows().div_ceil(block_rows))
-            .map(|b| {
-                let lo = b * block_rows;
-                let hi = ((b + 1) * block_rows).min(self.nrows());
-                self.block_fingerprint(lo, hi)
-            })
-            .collect()
-    }
-
-    /// Indices of the `block_rows`-row blocks containing at least one
-    /// touched row, ascending and deduplicated — the blocks a repair
-    /// must rebuild; every other block's artifacts are reusable as-is.
-    pub fn dirty_blocks(&self, block_rows: usize) -> Vec<usize> {
-        assert!(block_rows > 0, "block_rows must be positive");
-        let mut blocks: Vec<usize> = self.rows.keys().map(|&r| r as usize / block_rows).collect();
-        blocks.dedup();
-        blocks
     }
 }
 
@@ -422,23 +365,6 @@ fn row_block(m: &CsrMatrix, lo: usize, hi: usize) -> CsrMatrix {
         m.values()[base..row_ptr[hi]].to_vec(),
     )
     .expect("row block of a valid CSR is valid")
-}
-
-/// Materialize merged rows `[lo, hi)` of the delta as a standalone CSR.
-fn row_block_of_delta(d: &DeltaCsr, lo: usize, hi: usize) -> CsrMatrix {
-    let mut row_ptr = Vec::with_capacity(hi - lo + 1);
-    row_ptr.push(0usize);
-    let mut col_idx = Vec::new();
-    let mut values = Vec::new();
-    for r in lo..hi {
-        for (c, v) in d.row(r) {
-            col_idx.push(c);
-            values.push(v);
-        }
-        row_ptr.push(col_idx.len());
-    }
-    CsrMatrix::new(hi - lo, d.ncols(), row_ptr, col_idx, values)
-        .expect("merged row block of a valid base is valid")
 }
 
 #[cfg(test)]
@@ -547,12 +473,6 @@ mod tests {
                 assert_eq!(d.get(r, c), Some(v));
             }
         }
-        // compact_in_place re-baselines without changing the view.
-        let mut d2 = d.clone();
-        d2.compact_in_place();
-        assert!(d2.is_clean());
-        assert_eq!(d2.base(), &compacted);
-        assert_eq!(d2.nnz(), compacted.nnz());
     }
 
     #[test]
@@ -576,33 +496,6 @@ mod tests {
             let (cols, vals) = c.row(i);
             let k = cols.binary_search(&62).unwrap();
             assert_eq!(vals[k].to_bits(), v.to_bits(), "compact preserves bits");
-        }
-    }
-
-    #[test]
-    fn dirty_blocks_and_fingerprints_localize_the_churn() {
-        let m = base();
-        let mut d = DeltaCsr::new(m.clone());
-        let before = d.block_fingerprints(8);
-        assert_eq!(before.len(), 8);
-        // Clean overlay: block fingerprints equal the base's blocks.
-        for (b, &fp) in before.iter().enumerate() {
-            assert_eq!(fp, row_block(&m, b * 8, (b + 1) * 8).content_fingerprint());
-        }
-        d.upsert(17, 3, 9.0).unwrap(); // block 2
-        d.upsert(18, 5, 1.0).unwrap(); // block 2
-        d.upsert(40, 1, 2.0).unwrap(); // block 5
-        assert_eq!(d.dirty_blocks(8), vec![2, 5]);
-        let after = d.block_fingerprints(8);
-        let compacted = d.compact();
-        for b in 0..8 {
-            let expect = row_block(&compacted, b * 8, (b + 1) * 8).content_fingerprint();
-            assert_eq!(after[b], expect, "block {b} fingerprint matches compact");
-            if b == 2 || b == 5 {
-                assert_ne!(after[b], before[b], "dirty block {b} changed");
-            } else {
-                assert_eq!(after[b], before[b], "clean block {b} unchanged");
-            }
         }
     }
 
@@ -683,15 +576,6 @@ mod proptests {
                 );
             }
         }
-        // Compacting in place and replaying nothing stays identical —
-        // compared by content fingerprint (bit-level) because float
-        // equality would reject NaN == NaN.
-        let mut d2 = d.clone();
-        d2.compact_in_place();
-        assert_eq!(
-            d2.base().content_fingerprint(),
-            compacted.content_fingerprint()
-        );
     }
 
     proptest! {

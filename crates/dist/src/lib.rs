@@ -835,9 +835,9 @@ impl DistSpmm {
     /// or the compacted result of the previous delta) is sliced per
     /// shard with [`DeltaCsr::sub_range`]; each touched shard's plan is
     /// repaired in place via
-    /// [`ExecutionPlan::repair`](spmm_kernels::ExecutionPlan::repair) —
-    /// reusing its reorder permutation and untouched format windows —
-    /// while clean shards keep their kernels untouched. Halo and scatter
+    /// [`ExecutionPlan::repair`](spmm_kernels::ExecutionPlan::repair),
+    /// which re-derives the shard's execution rows from its compacted
+    /// operand, while clean shards keep their kernels untouched. Halo and scatter
     /// coverage are recomputed from the repaired operands (churn can add
     /// or drop boundary columns), and the worker pool is respawned on
     /// the new kernel set. Subsequent multiplies are bit-identical to a

@@ -121,11 +121,6 @@ pub struct EngineConfig {
     pub max_batch: usize,
     /// Plans the LRU cache retains.
     pub plan_cache_capacity: usize,
-    /// Deadline applied to every request that doesn't carry its own.
-    pub default_deadline: Option<Duration>,
-    /// Weighted-fair dequeue weights per [`Priority`] class
-    /// (Interactive : Standard : Batch, default 4 : 2 : 1).
-    pub priority_weights: [u64; Priority::COUNT],
     /// Maximum queued requests per tenant; beyond it submissions are
     /// refused with [`SpmmError::QuotaExceeded`]. `None` = no quota.
     pub tenant_quota: Option<usize>,
@@ -145,8 +140,6 @@ impl Default for EngineConfig {
             batch_window: Duration::from_micros(200),
             max_batch: 16,
             plan_cache_capacity: 32,
-            default_deadline: None,
-            priority_weights: Priority::DEFAULT_WEIGHTS,
             tenant_quota: None,
             page_bytes: DEFAULT_PAGE_BYTES,
             page_budget: None,
@@ -192,19 +185,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Default per-request deadline.
-    pub fn default_deadline(mut self, d: Duration) -> Self {
-        self.config.default_deadline = Some(d);
-        self
-    }
-
-    /// Weighted-fair dequeue weights (Interactive : Standard : Batch);
-    /// each is clamped to ≥ 1.
-    pub fn priority_weights(mut self, weights: [u64; Priority::COUNT]) -> Self {
-        self.config.priority_weights = weights;
-        self
-    }
-
     /// Per-tenant queued-request quota (must be ≥ 1).
     pub fn tenant_quota(mut self, n: usize) -> Self {
         self.config.tenant_quota = Some(n);
@@ -241,7 +221,7 @@ impl EngineBuilder {
         let cache = PlanCache::new(c.plan_cache_capacity);
         let shared = Arc::new(EngineShared {
             cache,
-            queue: RequestQueue::new(c.queue_capacity, c.priority_weights, c.tenant_quota),
+            queue: RequestQueue::new(c.queue_capacity, c.tenant_quota),
             pages: PagePool::new(c.page_bytes, c.page_budget.unwrap_or(usize::MAX)),
             metrics: Metrics::default(),
             avg_service_ns: AtomicU64::new(0),
@@ -748,12 +728,7 @@ impl Session {
     /// `retry_after` hint — no blocking, no panics.
     pub fn submit(&self, b: DenseMatrix, opts: SubmitOptions) -> SubmitOutcome {
         let (priority, tenant, deadline) = opts.into_parts();
-        self.submit_inner(
-            b,
-            priority,
-            tenant,
-            deadline.or(self.engine.config.default_deadline),
-        )
+        self.submit_inner(b, priority, tenant, deadline)
     }
 
     /// Synchronous convenience: submit with default options and wait.

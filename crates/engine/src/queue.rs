@@ -188,11 +188,7 @@ pub(crate) enum Push {
 }
 
 impl RequestQueue {
-    pub(crate) fn new(
-        capacity: usize,
-        weights: [u64; Priority::COUNT],
-        tenant_quota: Option<usize>,
-    ) -> Self {
+    pub(crate) fn new(capacity: usize, tenant_quota: Option<usize>) -> Self {
         RequestQueue {
             capacity: capacity.max(1),
             tenant_quota,
@@ -200,7 +196,7 @@ impl RequestQueue {
                 classes: Default::default(),
                 len: 0,
                 tenants: HashMap::new(),
-                sched: WeightedSchedule::new(weights),
+                sched: WeightedSchedule::new(Priority::DEFAULT_WEIGHTS),
                 shutdown: false,
             }),
             not_empty: Condvar::new(),

@@ -10,12 +10,9 @@
 //! below `t`, which is what walking the set bits in ascending order
 //! counts.
 
-use crate::io::{get_vec, put_slice};
 use crate::tc_matrix::{BlockCodec, EncodedWindow, TcMatrix};
 use crate::window::TILE;
-use spmm_common::Result;
 use spmm_matrix::CsrMatrix;
-use std::io::{Read, Write};
 use std::ops::Range;
 
 /// BitTCF's position codec: one occupancy bitmap per TC block.
@@ -28,8 +25,6 @@ pub type BitTcf = TcMatrix<Bitmap>;
 impl BlockCodec for Bitmap {
     type Word = u64;
     const NAME: &'static str = "BitTCF";
-    const MAGIC: [u8; 4] = *b"BTCF";
-    const VERSION: u32 = 1;
 
     /// The cheap path §4.3.2 measures: the bitmap is built with one OR
     /// per nnz, and because rows are visited in order (ascending local
@@ -89,26 +84,6 @@ impl BlockCodec for Bitmap {
 
     fn index_bytes(nrows: usize, num_blocks: usize, _nnz: usize) -> usize {
         (nrows.div_ceil(TILE) + num_blocks * 11 + 2) * 4
-    }
-
-    fn validate(words: &[u64], tc_offset: &[u32]) -> std::result::Result<(), String> {
-        if words.len() + 1 != tc_offset.len() {
-            return Err("one bitmap per block expected".into());
-        }
-        for (b, (bits, span)) in words.iter().zip(tc_offset.windows(2)).enumerate() {
-            if bits.count_ones() != span[1] - span[0] {
-                return Err(format!("block {b}: popcount != offset span"));
-            }
-        }
-        Ok(())
-    }
-
-    fn write_words<W: Write>(w: &mut W, words: &[u64]) -> Result<()> {
-        put_slice(w, words, u64::to_le_bytes)
-    }
-
-    fn read_words<R: Read>(r: &mut R, cap: u64) -> Result<Vec<u64>> {
-        get_vec(r, cap, u64::from_le_bytes)
     }
 }
 

@@ -14,7 +14,7 @@
 //!
 //! ME-TCF and BitTCF are one generic [`TcMatrix`] that differs only in
 //! its [`BlockCodec`], the encoding of a block's non-zero positions; the
-//! skeleton, conversion, repair and I/O are shared. Execution reads
+//! skeleton and conversion are shared. Execution reads
 //! none of them: [`execution_rows`] derives a TC plan's rows from its CSR
 //! operand.
 //! [`window::WindowPartition`] is the squeezing step every format
@@ -22,7 +22,6 @@
 
 pub mod bittcf;
 pub mod compression;
-pub mod io;
 pub mod scratch;
 pub mod tc_matrix;
 pub mod tcf;

@@ -23,13 +23,11 @@
 //! TCF is not a codec: its skeleton is per edge, with per-window offsets
 //! and no block offsets (see [`crate::Tcf`]).
 
-use crate::io::{get_vec, put_slice};
 use crate::window::{WindowPartition, PAD_COL, TILE};
 use spmm_common::simd::{to_tf32_slice_tier, IsaTier};
 use spmm_common::Result;
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 use std::fmt::Debug;
-use std::io::{Read, Write};
 use std::marker::PhantomData;
 use std::ops::Range;
 
@@ -50,10 +48,6 @@ pub trait BlockCodec: Debug + Clone + PartialEq + Send + Sync + 'static {
     type Word: Copy + Debug + PartialEq + Send + Sync;
     /// Format name used in error messages.
     const NAME: &'static str;
-    /// Magic of the format's binary stream.
-    const MAGIC: [u8; 4];
-    /// Version of the format's binary stream.
-    const VERSION: u32;
 
     /// Encode one RowWindow from CSR: `rows` are the window's rows of
     /// `m` (local row `r - rows.start`) and `wcols` its squeezed
@@ -72,17 +66,6 @@ pub trait BlockCodec: Debug + Clone + PartialEq + Send + Sync + 'static {
     /// Index-structure footprint in bytes (values excluded, as in the
     /// Figure-12 comparison).
     fn index_bytes(nrows: usize, num_blocks: usize, nnz: usize) -> usize;
-
-    /// Check `words` against a `TCOffset` array that is already known to
-    /// start at 0, be monotone and end at the value count. On success
-    /// [`BlockCodec::walk`] yields exactly `TCOffset`'s span per block.
-    fn validate(words: &[Self::Word], tc_offset: &[u32]) -> std::result::Result<(), String>;
-
-    /// Write the positions section of the binary stream.
-    fn write_words<W: Write>(w: &mut W, words: &[Self::Word]) -> Result<()>;
-
-    /// Read the positions section back (at most `cap` words).
-    fn read_words<R: Read>(r: &mut R, cap: u64) -> Result<Vec<Self::Word>>;
 }
 
 /// ME-TCF's position codec: one `int8` local id (`r·8 + c`) per
@@ -100,8 +83,6 @@ pub type MeTcf = TcMatrix<LocalIds>;
 impl BlockCodec for LocalIds {
     type Word = u8;
     const NAME: &'static str = "ME-TCF";
-    const MAGIC: [u8; 4] = *b"METC";
-    const VERSION: u32 = 1;
 
     /// Collect each block's `(id, value)` entries, then sort them by id
     /// — the per-nnz id materialization and sort §4.3.2 prices against
@@ -145,30 +126,6 @@ impl BlockCodec for LocalIds {
     /// The BitTCF skeleton with the bitmap replaced by one byte per nnz.
     fn index_bytes(nrows: usize, num_blocks: usize, nnz: usize) -> usize {
         (nrows.div_ceil(TILE) + 1 + num_blocks + 1 + num_blocks * TILE) * 4 + nnz
-    }
-
-    fn validate(words: &[u8], tc_offset: &[u32]) -> std::result::Result<(), String> {
-        if words.len() != *tc_offset.last().unwrap_or(&0) as usize {
-            return Err("one local id per value expected".into());
-        }
-        if words.iter().any(|&id| id as usize >= TILE * TILE) {
-            return Err("local id beyond the 8x8 tile".into());
-        }
-        for (b, span) in tc_offset.windows(2).enumerate() {
-            let ids = &words[span[0] as usize..span[1] as usize];
-            if !ids.windows(2).all(|p| p[0] < p[1]) {
-                return Err(format!("block {b}: local ids not strictly increasing"));
-            }
-        }
-        Ok(())
-    }
-
-    fn write_words<W: Write>(w: &mut W, words: &[u8]) -> Result<()> {
-        put_slice(w, words, u8::to_le_bytes)
-    }
-
-    fn read_words<R: Read>(r: &mut R, cap: u64) -> Result<Vec<u8>> {
-        get_vec(r, cap, u8::from_le_bytes)
     }
 }
 
@@ -241,10 +198,17 @@ impl<C: BlockCodec> TcMatrix<C> {
     /// An empty matrix with room for `wp`'s blocks, `words` position
     /// words and `nnz` values, ready for [`TcMatrix::push_window`].
     fn empty(nrows: usize, ncols: usize, wp: &WindowPartition, words: usize, nnz: usize) -> Self {
-        let slots = Vec::with_capacity(wp.num_tc_blocks() * TILE);
-        let positions = Vec::with_capacity(words);
-        let values = Vec::with_capacity(nnz);
-        Self::from_raw_parts(nrows, ncols, vec![0], vec![0], slots, positions, values)
+        TcMatrix {
+            nrows,
+            ncols,
+            row_window_offset: vec![0],
+            tc_offset: vec![0],
+            sparse_a_to_b: Vec::with_capacity(wp.num_tc_blocks() * TILE),
+            positions: Vec::with_capacity(words),
+            values: Vec::with_capacity(nnz),
+            values_tf32: false,
+            codec: PhantomData,
+        }
     }
 
     /// Append the next window: its SparseAToB slots (8 per block), the
@@ -267,30 +231,6 @@ impl<C: BlockCodec> TcMatrix<C> {
         self.sparse_a_to_b.extend_from_slice(cols);
         self.positions.extend_from_slice(words);
         self.values.extend_from_slice(values);
-    }
-
-    /// Reassemble from raw arrays (used by the binary loader, which
-    /// validates the invariants before calling).
-    pub(crate) fn from_raw_parts(
-        nrows: usize,
-        ncols: usize,
-        row_window_offset: Vec<u32>,
-        tc_offset: Vec<u32>,
-        sparse_a_to_b: Vec<u32>,
-        positions: Vec<C::Word>,
-        values: Vec<f32>,
-    ) -> Self {
-        TcMatrix {
-            nrows,
-            ncols,
-            row_window_offset,
-            tc_offset,
-            sparse_a_to_b,
-            positions,
-            values,
-            values_tf32: false,
-            codec: PhantomData,
-        }
     }
 
     /// Round the stored values to TF32 in place at an explicit ISA tier

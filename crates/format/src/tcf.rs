@@ -109,32 +109,6 @@ impl Tcf {
         }
     }
 
-    /// Reassemble from raw arrays (used by the binary loader, which
-    /// validates the invariants before calling).
-    #[allow(clippy::too_many_arguments)] // mirrors the serialized field list
-    pub(crate) fn from_raw_parts(
-        nrows: usize,
-        ncols: usize,
-        window_nnz_offset: Vec<u32>,
-        edge_list: Vec<u32>,
-        edge_to_column: Vec<u32>,
-        edge_to_row: Vec<u32>,
-        values: Vec<f32>,
-        blocks_per_window: Vec<u32>,
-    ) -> Self {
-        Tcf {
-            nrows,
-            ncols,
-            window_nnz_offset,
-            edge_list,
-            edge_to_column,
-            edge_to_row,
-            values,
-            blocks_per_window,
-            values_tf32: false,
-        }
-    }
-
     /// Round the stored values to TF32 in place at an explicit ISA tier
     /// (idempotent, so every multiply stays bit-identical; lossy for
     /// [`Tcf::to_csr`] — see [`crate::TcMatrix::preround_values_tier`]).

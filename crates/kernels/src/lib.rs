@@ -44,8 +44,8 @@ pub mod workspace;
 pub use acc::AccConfig;
 pub use ir::{acc_config_hash, PlanIr, PlanLoader, PLAN_IR_VERSION};
 pub use plan::{ExecutionPlan, FormatChoice, PlanModel, Precision, StageSpec, StageTiming};
-pub use repair::{build_then_repair, RepairReport};
-pub use workspace::{Workspace, WorkspacePool};
+pub use repair::RepairReport;
+pub use workspace::Workspace;
 
 use crate::workspace::ensure_staging;
 use spmm_balance::BalancePlan;

@@ -13,9 +13,7 @@
 //! [`ExecutionPlan::build`] on the compacted matrix, for all six
 //! kernels.
 
-use crate::acc::AccConfig;
 use crate::plan::ExecutionPlan;
-use crate::KernelKind;
 use spmm_common::{Result, SpmmError};
 use spmm_delta::DeltaCsr;
 use spmm_format::TILE;
@@ -80,23 +78,11 @@ impl ExecutionPlan {
     }
 }
 
-/// Convenience for callers that only hold the raw pieces: build a plan
-/// and immediately repair it against a delta. Mostly useful in tests
-/// and benchmarks comparing rebuild vs repair costs.
-pub fn build_then_repair(
-    kind: KernelKind,
-    delta: &DeltaCsr,
-    arch: spmm_sim::Arch,
-    feature_dim: usize,
-    config: AccConfig,
-) -> Result<(ExecutionPlan, RepairReport)> {
-    let plan = ExecutionPlan::build(kind, delta.base(), arch, feature_dim, config)?;
-    plan.repair(delta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acc::AccConfig;
+    use crate::KernelKind;
     use crate::TcFormat;
     use spmm_matrix::gen::uniform_random;
     use spmm_matrix::DenseMatrix;

@@ -56,57 +56,6 @@ impl Workspace {
     }
 }
 
-/// A thread-safe pool of [`Workspace`]s for callers that multiplex many
-/// concurrent multiplies over shared plans (the serving engine's
-/// steady state): checking out hands back a previously-grown workspace
-/// when one is available, so after warmup no request allocates staging
-/// buffers.
-///
-/// The pool is bounded: returning a workspace beyond `max_idle` drops
-/// it instead of growing the idle list without limit.
-#[derive(Debug)]
-pub struct WorkspacePool {
-    idle: std::sync::Mutex<Vec<Workspace>>,
-    max_idle: usize,
-}
-
-impl WorkspacePool {
-    /// An empty pool retaining at most `max_idle` idle workspaces.
-    pub fn new(max_idle: usize) -> Self {
-        WorkspacePool {
-            idle: std::sync::Mutex::new(Vec::new()),
-            max_idle,
-        }
-    }
-
-    /// Take a workspace (a pooled one if available, else a fresh one).
-    pub fn checkout(&self) -> Workspace {
-        match self.idle.lock().unwrap().pop() {
-            Some(ws) => {
-                spmm_trace::counter_add("workspace.pool_hits", 1);
-                ws
-            }
-            None => {
-                spmm_trace::counter_add("workspace.pool_misses", 1);
-                Workspace::new()
-            }
-        }
-    }
-
-    /// Return a workspace to the pool (dropped if the pool is full).
-    pub fn restore(&self, ws: Workspace) {
-        let mut idle = self.idle.lock().unwrap();
-        if idle.len() < self.max_idle {
-            idle.push(ws);
-        }
-    }
-
-    /// Number of idle workspaces currently pooled.
-    pub fn idle_len(&self) -> usize {
-        self.idle.lock().unwrap().len()
-    }
-}
-
 /// Reuse `slot` if it already has the right shape, else (re)allocate.
 pub(crate) fn ensure_staging(
     slot: &mut Option<DenseMatrix>,
@@ -128,21 +77,6 @@ pub(crate) fn ensure_staging(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_checkout_restore_cycle_reuses_and_bounds() {
-        let pool = WorkspacePool::new(2);
-        let a = pool.checkout();
-        let b = pool.checkout();
-        let c = pool.checkout();
-        assert_eq!(pool.idle_len(), 0);
-        pool.restore(a);
-        pool.restore(b);
-        pool.restore(c); // beyond max_idle: dropped
-        assert_eq!(pool.idle_len(), 2);
-        let _ = pool.checkout();
-        assert_eq!(pool.idle_len(), 1);
-    }
 
     #[test]
     fn staging_is_reused_when_shape_matches() {

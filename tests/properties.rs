@@ -242,13 +242,6 @@ proptest! {
     }
 
     #[test]
-    fn bittcf_loader_never_panics_on_garbage(
-        bytes in proptest::collection::vec(any::<u8>(), 0..256)
-    ) {
-        let _ = spmm_format::io::read_tc_matrix::<spmm_format::Bitmap, _>(std::io::Cursor::new(bytes));
-    }
-
-    #[test]
     fn prerounded_spmm_into_matches_sequential_reference(
         m in arb_matrix(48, 160),
         seed in 0u64..1000,
@@ -314,15 +307,6 @@ proptest! {
         for (g, e) in got.iter().zip(&expected) {
             prop_assert!(bits_equal(g, e), "batched output diverged from sequential");
         }
-    }
-
-    #[test]
-    fn bittcf_binary_roundtrip(m in arb_matrix(48, 160)) {
-        let t = BitTcf::from_csr(&m);
-        let mut buf = Vec::new();
-        spmm_format::io::write_tc_matrix(&mut buf, &t).unwrap();
-        let rt: BitTcf = spmm_format::io::read_tc_matrix(std::io::Cursor::new(buf)).unwrap();
-        prop_assert_eq!(rt.to_csr(), m);
     }
 }
 
