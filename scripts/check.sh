@@ -24,14 +24,6 @@ echo "==> cargo test"
 cargo test --workspace -q
 
 if [[ "$QUICK" == "1" ]]; then
-  # Explicit re-assert of the sharded-execution and dynamic-graph unit
-  # tests (cheap; the binaries are already built) so a trimmed-down
-  # quick loop that edits the workspace test filter still exercises
-  # spmm-dist and spmm-delta.
-  echo "==> cargo test -p spmm-dist"
-  cargo test -q -p spmm-dist
-  echo "==> cargo test -p spmm-delta"
-  cargo test -q -p spmm-delta
   echo "Quick checks passed (build + test)."
   exit 0
 fi
