@@ -56,7 +56,7 @@ impl Priority {
         }
     }
 
-    /// Default dequeue weights (4 : 2 : 1).
+    /// The dequeue weights the engine schedules by (4 : 2 : 1).
     pub const DEFAULT_WEIGHTS: [u64; Priority::COUNT] = [4, 2, 1];
 
     /// Display name (also the trace-counter suffix).
@@ -138,8 +138,8 @@ pub struct SubmitOptions {
 }
 
 impl SubmitOptions {
-    /// Defaults: [`Priority::Standard`], the anonymous tenant, the
-    /// engine's default deadline (if any).
+    /// Defaults: [`Priority::Standard`], the anonymous tenant, no
+    /// deadline.
     pub fn new() -> Self {
         SubmitOptions::default()
     }
@@ -158,8 +158,7 @@ impl SubmitOptions {
 
     /// Relative deadline: if the request is still queued this long
     /// after submission, it is dropped *before* execution and its
-    /// ticket completes with `SpmmError::DeadlineExpired`. Overrides
-    /// the engine-wide default deadline.
+    /// ticket completes with `SpmmError::DeadlineExpired`.
     pub fn deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(d);
         self
