@@ -123,7 +123,7 @@ proptest! {
         let mut bytes = plan.to_ir().to_bytes().unwrap();
         // Overwrite one length field (index 5 leaves them all intact),
         // then flip one byte.
-        if let Some(&at) = length_fields(&bytes, false).get(field) {
+        if let Some(&at) = length_fields(&bytes).get(field) {
             let old = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
             let new = [1 << 34, u64::MAX, old + 1, old.wrapping_sub(1)][new_len];
             bytes[at..at + 8].copy_from_slice(&new.to_le_bytes());
@@ -282,34 +282,28 @@ fn a_csr_row_pointer_past_nnz_is_a_typed_rejection() {
     );
 }
 
-/// Byte offsets of a container's `u64` length fields: the header, the
-/// perm section, the permutation (when the header records one), the CSR
-/// section, the CSR `row_ptr` and the CSR `col_idx`/`values` pair.
-fn length_fields(bytes: &[u8], has_perm: bool) -> Vec<usize> {
+/// Byte offsets of the `u64` length fields of a container without a
+/// permutation: the header, the perm section, the CSR section, the CSR
+/// `row_ptr` and the CSR `col_idx`/`values` pair.
+fn length_fields(bytes: &[u8]) -> [usize; 5] {
     let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
     let perm = sections_start(bytes);
     let csr = perm + 8 + u64_at(perm);
     let row_ptr = csr + 8 + 2 * 8;
     let col_idx = row_ptr + 8 + 8 * u64_at(row_ptr);
-    let mut fields = vec![8, perm, csr, row_ptr, col_idx];
-    if has_perm {
-        fields.push(perm + 8);
-    }
-    fields
+    [8, perm, csr, row_ptr, col_idx]
 }
 
 #[test]
 fn an_oversized_length_field_is_a_typed_rejection_not_an_allocation() {
-    // A length is trusted only as far as the bytes behind it: a 2^34
-    // `row_ptr` length once asked for 128 GiB before reading anything,
-    // and the allocator aborted the process.
+    // A length is trusted only as far as the bytes behind it: allocating
+    // a 2^34 `row_ptr` length up front (128 GiB) aborts the process.
     let m = gen::uniform_random(64, 4.0, 6);
     let bytes = build_plan(KernelKind::AccSpmm, &m, 16)
         .to_ir()
         .to_bytes()
         .unwrap();
-    let fields = length_fields(&bytes, false);
-    let (csr_section, row_ptr) = (fields[2], fields[3]);
+    let [_, _, csr_section, row_ptr, _] = length_fields(&bytes);
     for at in [row_ptr, csr_section] {
         let mut patched = bytes.clone();
         patched[at..at + 8].copy_from_slice(&(1u64 << 34).to_le_bytes());
@@ -323,14 +317,14 @@ fn an_oversized_length_field_is_a_typed_rejection_not_an_allocation() {
 
 #[test]
 fn a_row_count_of_u64_max_is_a_typed_rejection() {
-    // `nrows + 1` wrapped to 0, so an empty `row_ptr` passed the length
-    // check and the next check indexed past it.
+    // `nrows + 1` must not wrap: at u64::MAX it would be 0 and let an
+    // empty `row_ptr` through to an index past its end.
     let m = gen::uniform_random(64, 4.0, 6);
     let mut bytes = build_plan(KernelKind::AccSpmm, &m, 16)
         .to_ir()
         .to_bytes()
         .unwrap();
-    let row_ptr = length_fields(&bytes, false)[3];
+    let row_ptr = length_fields(&bytes)[3];
     // CSR section: length, nrows, ncols, row_ptr length, row_ptr[0] = 0,
     // which the reader then takes for the (empty) col_idx length.
     bytes[row_ptr - 16..row_ptr - 8].copy_from_slice(&u64::MAX.to_le_bytes());
