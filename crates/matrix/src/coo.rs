@@ -67,11 +67,21 @@ impl CooMatrix {
         })
     }
 
-    /// Append one entry. Panics (debug) on out-of-bounds indices; duplicate
-    /// coordinates are allowed and summed by [`CooMatrix::dedup_sum`].
+    /// Append one entry. Duplicate coordinates are allowed and summed by
+    /// [`CooMatrix::dedup_sum`].
+    ///
+    /// # Panics
+    /// If `row` or `col` lies outside the matrix, in every build: the
+    /// CSR built from this matrix promises `col < ncols` to the row
+    /// core, which reads the dense operand unchecked.
     #[inline]
     pub fn push(&mut self, row: u32, col: u32, value: f32) {
-        debug_assert!((row as usize) < self.nrows && (col as usize) < self.ncols);
+        assert!(
+            (row as usize) < self.nrows && (col as usize) < self.ncols,
+            "entry ({row}, {col}) outside a {}x{} matrix",
+            self.nrows,
+            self.ncols
+        );
         self.rows.push(row);
         self.cols.push(col);
         self.values.push(value);
@@ -217,6 +227,12 @@ mod tests {
         m.push(2, 1, -2.0);
         assert_eq!(m.nnz(), 2);
         assert_eq!(m.nrows(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry (1, 7) outside a 2x2 matrix")]
+    fn push_rejects_an_entry_outside_the_matrix() {
+        CooMatrix::new(2, 2).push(1, 7, 1.0);
     }
 
     #[test]

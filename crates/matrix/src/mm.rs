@@ -110,6 +110,14 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix> {
                     detail: format!("matrix size {m}x{n} exceeds the u32 index range"),
                 });
             }
+            // A symmetric file stores one triangle and the reader
+            // mirrors it, which only stays inside a square matrix.
+            if symmetry == Symmetry::Symmetric && m != n {
+                return Err(SpmmError::Parse {
+                    line: lineno,
+                    detail: format!("symmetric matrix must be square, got {m}x{n}"),
+                });
+            }
             size = Some((m, n, nz));
             declared_nnz = nz;
             coo = Some(CooMatrix::new(m, n));
@@ -245,6 +253,16 @@ mod tests {
             "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"
         ))
         .is_err());
+    }
+
+    #[test]
+    fn rejects_a_symmetric_header_over_a_non_square_size() {
+        // Mirroring (5, 1) would store column 4 in a 5x2 matrix.
+        let err = read_coo(Cursor::new(
+            "%%MatrixMarket matrix coordinate real symmetric\n5 2 1\n5 1 1.0\n",
+        ))
+        .unwrap_err();
+        assert!(matches!(err, SpmmError::Parse { line: 2, .. }), "{err:?}");
     }
 
     #[test]
