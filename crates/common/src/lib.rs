@@ -18,4 +18,6 @@ pub mod util;
 pub use error::{PlanLoadError, Result, SpmmError};
 pub use precision::{round_to, Precision};
 pub use scalar::{tf32_mma_8x8, to_tf32, to_tf32_slice};
-pub use simd::{mma_row_tier, to_tf32_slice_into_tier, to_tf32_slice_tier, IsaTier};
+pub use simd::{
+    mma_row_tier, mma_row_tier_unchecked, to_tf32_slice_into_tier, to_tf32_slice_tier, IsaTier,
+};

@@ -318,6 +318,11 @@ pub fn to_tf32_slice_into_tier(src: &[f32], dst: &mut [f32], tier: IsaTier) {
 /// callers that multiply unconditionally (the CSR kernels, TC-GNN's
 /// TCF) pass their values as they are.
 ///
+/// This safe entry scans `cols` for its largest row on every call.
+/// Row loops whose operand already bounds every column (a validated
+/// `spmm_matrix::CsrMatrix` against a shape-checked B) call
+/// [`mma_row_tier_unchecked`] instead.
+///
 /// # Panics
 /// If `avs` and `cols` differ in length, or a `cols[t]` row does not
 /// lie inside `b`.
@@ -325,26 +330,56 @@ pub fn to_tf32_slice_into_tier(src: &[f32], dst: &mut [f32], tier: IsaTier) {
 pub fn mma_row_tier(avs: &[f32], cols: &[u32], b: &[f32], crow: &mut [f32], tier: IsaTier) {
     assert_eq!(avs.len(), cols.len(), "one B row per value");
     let n = crow.len();
-    if n == 0 {
-        return;
-    }
     if let Some(&top) = cols.iter().max() {
-        // The vector kernels index `b` unchecked, so this bound is what
-        // keeps every row read inside the operand.
         assert!(
-            (top as usize + 1)
-                .checked_mul(n)
-                .is_some_and(|end| end <= b.len()),
+            row_in_operand(top, n, b.len()),
             "B row {top} out of range for a {}-float operand with {n} columns",
             b.len()
         );
     }
+    // SAFETY: the largest row was just checked, so every `cols[t]` row
+    // lies inside `b`.
+    unsafe { mma_row_tier_unchecked(avs, cols, b, crow, tier) }
+}
+
+/// Whether row `col` of a row-major operand with `n` columns lies inside
+/// its `len` floats.
+#[inline]
+fn row_in_operand(col: u32, n: usize, len: usize) -> bool {
+    (col as usize + 1)
+        .checked_mul(n)
+        .is_some_and(|end| end <= len)
+}
+
+/// [`mma_row_tier`] without the per-call scan of `cols`: the row core
+/// for loops whose operand bounds every column once, before the loop.
+/// Pairs past the shorter of `avs` and `cols` are ignored.
+///
+/// # Safety
+/// Every pair's row lies inside `b`: `(cols[t] + 1) · crow.len() <=
+/// b.len()` for every `t`. The vector tiers read `b` unchecked, so a
+/// row past the operand is an out-of-bounds read.
+#[inline]
+pub unsafe fn mma_row_tier_unchecked(
+    avs: &[f32],
+    cols: &[u32],
+    b: &[f32],
+    crow: &mut [f32],
+    tier: IsaTier,
+) {
+    let n = crow.len();
+    debug_assert_eq!(avs.len(), cols.len(), "one B row per value");
+    debug_assert!(
+        cols.iter().all(|&c| row_in_operand(c, n, b.len())),
+        "a B row lies outside a {}-float operand with {n} columns",
+        b.len()
+    );
     match tier {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx512f if tier.is_available() => {
             // SAFETY: avx512f availability just checked; every row
-            // `cols[t]` was bounds-checked against `b` above, and `crow`
-            // is a distinct (mutable) borrow.
+            // `cols[t]` lies inside `b` by the caller contract, and
+            // `crow` is a distinct (mutable) borrow.
             unsafe { x86::mma_row_avx512(avs, cols, b.as_ptr(), crow) }
         }
         #[cfg(target_arch = "x86_64")]

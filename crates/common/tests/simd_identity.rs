@@ -12,7 +12,9 @@
 
 use proptest::prelude::*;
 use spmm_common::scalar;
-use spmm_common::simd::{mma_row_tier, to_tf32_slice_into_tier, to_tf32_slice_tier};
+use spmm_common::simd::{
+    mma_row_tier, mma_row_tier_unchecked, to_tf32_slice_into_tier, to_tf32_slice_tier,
+};
 use spmm_common::IsaTier;
 
 /// Tiers runnable on this host, logging every skip.
@@ -143,6 +145,45 @@ proptest! {
             let mut c = c0.clone();
             mma_row_tier(&avs, &cols, &b, &mut c, tier);
             assert_same_bits(&reference, &c, "mma_row", tier);
+        }
+    }
+
+    // The unchecked row core, on the same messy pairs, with B cut off
+    // right after the last row a pair names: the vector tiers' final
+    // (and masked tail) reads then end exactly at the operand's end.
+    #[test]
+    fn mma_row_unchecked_matches_scalar_on_every_tier(
+        seed in any::<u64>(),
+        n_idx in 0usize..9,
+        npairs in 1usize..48,
+        brows in 1usize..24,
+    ) {
+        const ROW_NS: [usize; 9] = [1, 7, 8, 15, 16, 17, 31, 33, 64];
+        let n = ROW_NS[n_idx];
+        let mut avs = messy(seed.wrapping_add(1), npairs);
+        scalar::to_tf32_slice(&mut avs);
+        let cols: Vec<u32> = messy(seed.wrapping_add(2), npairs)
+            .iter()
+            .map(|v| v.to_bits() % brows as u32)
+            .collect();
+        let top = *cols.iter().max().unwrap() as usize;
+        let mut b = messy(seed, (top + 1) * n);
+        scalar::to_tf32_slice(&mut b);
+        let c0 = messy(seed.wrapping_add(3), n);
+
+        let mut reference = c0.clone();
+        for (&av, &col) in avs.iter().zip(&cols) {
+            let brow = &b[col as usize * n..(col as usize + 1) * n];
+            for (cj, &bj) in reference.iter_mut().zip(brow) {
+                *cj += av * bj;
+            }
+        }
+        for tier in available_tiers() {
+            let mut c = c0.clone();
+            // SAFETY: every `cols[t] <= top` and `b` holds `top + 1`
+            // rows of `n` floats.
+            unsafe { mma_row_tier_unchecked(&avs, &cols, &b, &mut c, tier) };
+            assert_same_bits(&reference, &c, "mma_row_unchecked", tier);
         }
     }
 }

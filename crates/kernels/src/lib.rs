@@ -49,7 +49,7 @@ pub use workspace::Workspace;
 
 use crate::workspace::ensure_staging;
 use spmm_balance::BalancePlan;
-use spmm_common::{mma_row_tier, IsaTier, Result, SpmmError};
+use spmm_common::{mma_row_tier_unchecked, IsaTier, Result, SpmmError};
 use spmm_format::{BitTcf, MeTcf, Tcf, WindowPartition};
 use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::{Arch, KernelDesc, KernelReport, SimOptions};
@@ -439,17 +439,24 @@ impl PreparedKernel {
         } = ws;
         let tier = self.plan.isa_tier();
         batch_stage.stage_side_by_side_tier(bs, tier);
+        // Every caller has checked `b.nrows() == a_cols`; this one check
+        // is what the unchecked row core below relies on.
+        assert_eq!(
+            rows.ncols(),
+            batch_stage.nrows(),
+            "execution rows and staged operands disagree on B's rows"
+        );
         batch_row.resize(batch_stage.ncols(), 0.0);
+        let stage = batch_stage.as_dense().as_slice();
         for r in 0..rows.nrows() {
             let (cols, vals) = rows.row(r);
             batch_row.fill(0.0);
-            mma_row_tier(
-                vals,
-                cols,
-                batch_stage.as_dense().as_slice(),
-                batch_row,
-                tier,
-            );
+            // SAFETY: every column is `< rows.ncols()` (CSR invariant;
+            // execution rows are built through `CsrMatrix::new`), which
+            // equals the stage's row count (asserted above), and
+            // `batch_row.len()` is the stage's column count, so each row
+            // `cols[t]` lies inside `stage`.
+            unsafe { mma_row_tier_unchecked(vals, cols, stage, batch_row, tier) };
             let mut off = 0;
             for (b, out) in bs.iter().zip(outs.iter_mut()) {
                 let n = b.ncols();

@@ -4,7 +4,7 @@
 use crate::coo::CooMatrix;
 use crate::dense::DenseMatrix;
 use rayon::prelude::*;
-use spmm_common::{mma_row_tier, IsaTier, Result, SpmmError};
+use spmm_common::{mma_row_tier_unchecked, IsaTier, Result, SpmmError};
 use std::sync::OnceLock;
 
 /// A CSR sparse matrix with `f32` values and `u32` column indices.
@@ -350,7 +350,8 @@ impl CsrMatrix {
     /// [`CsrMatrix::spmm_dense`] writing into a caller-provided output
     /// (overwritten, not accumulated) at an explicit ISA tier — the
     /// allocation-free hot path of the CSR kernels. Each output row is
-    /// zeroed, then one [`mma_row_tier`] call over the row's values and
+    /// zeroed, then one row-core call
+    /// ([`spmm_common::simd::mma_row_tier`]) over the row's values and
     /// column indices, so the result is bit-identical on every tier.
     pub fn spmm_dense_into(
         &self,
@@ -366,7 +367,11 @@ impl CsrMatrix {
             .for_each(|(r, crow)| {
                 let (cols, vals) = self.row(r);
                 crow.fill(0.0);
-                mma_row_tier(vals, cols, b.as_slice(), crow, tier);
+                // SAFETY: every column is `< self.ncols` (a CSR
+                // invariant every constructor keeps), `self.ncols ==
+                // b.nrows()` and `crow.len() == b.ncols()` by the shape
+                // check, so each row `cols[t]` lies inside `b`.
+                unsafe { mma_row_tier_unchecked(vals, cols, b.as_slice(), crow, tier) };
             });
         Ok(())
     }
@@ -386,7 +391,10 @@ impl CsrMatrix {
             let (cols, vals) = self.row(r);
             let crow = c.row_mut(r);
             crow.fill(0.0);
-            mma_row_tier(vals, cols, b.as_slice(), crow, tier);
+            // SAFETY: as in `spmm_dense_into`: columns `< self.ncols ==
+            // b.nrows()` (CSR invariant and shape check), `crow.len() ==
+            // b.ncols()`.
+            unsafe { mma_row_tier_unchecked(vals, cols, b.as_slice(), crow, tier) };
         }
         Ok(())
     }

@@ -7,7 +7,7 @@ use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use rayon::prelude::*;
-use spmm_common::{mma_row_tier, IsaTier, Result, SpmmError};
+use spmm_common::{mma_row_tier_unchecked, IsaTier, Result, SpmmError};
 
 impl CsrMatrix {
     /// Apply the same permutation to rows **and** columns:
@@ -120,7 +120,7 @@ impl CsrMatrix {
 impl DenseMatrix {
     /// Dense GEMM: `self × other` in FP32 — the dense weight multiply
     /// of the GNN layers. Output rows run in parallel, each one
-    /// [`mma_row_tier`] call on the host's tier ([`IsaTier::probe`]) over
+    /// row-core call ([`spmm_common::simd::mma_row_tier`]) on the host's tier ([`IsaTier::probe`]) over
     /// that row's non-zero A entries in ascending `k`: ±0 entries are
     /// skipped and NaN entries kept. Per output element the products are
     /// added in ascending `k`, multiply and add rounded apart, so the
@@ -157,7 +157,11 @@ impl DenseMatrix {
                             cols.push(k as u32);
                         }
                     }
-                    mma_row_tier(avs, cols, other.as_slice(), crow, tier);
+                    // SAFETY: every column is a `k < self.ncols() ==
+                    // other.nrows()` (checked above) and `crow.len() ==
+                    // other.ncols()`, so each row `cols[t]` lies inside
+                    // `other`.
+                    unsafe { mma_row_tier_unchecked(avs, cols, other.as_slice(), crow, tier) };
                 },
             );
         Ok(c)
