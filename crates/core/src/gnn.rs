@@ -6,6 +6,13 @@
 //! (`Â = D^{-1/2}(A + I)D^{-1/2}`), a [`GcnLayer`] computing
 //! `H' = σ(Â · H · W)` with the aggregation running through the
 //! tensor-core SpMM path, and a small multi-layer [`Gcn`] model.
+//!
+//! The SpMM's cost grows with the width of its dense operand, so each
+//! layer multiplies by `Â` at the narrower of its two widths: a layer
+//! that narrows (`out_dim < in_dim`) transforms first,
+//! `σ(Â · (H · W))`, and any other layer aggregates first,
+//! `σ((Â · H) · W)`. The two orders agree in exact arithmetic; in TF32
+//! they round different operands (`H · W` or `H`).
 
 use crate::handle::AccSpmm;
 use spmm_common::{Result, SpmmError};
@@ -80,9 +87,11 @@ impl Activation {
     }
 }
 
-/// One GCN layer: `H' = σ(Â · H · W)`, with `Â · H` computed by the
-/// Acc-SpMM tensor-core path (preprocessed once) and `· W` by a dense
-/// GEMM.
+/// One GCN layer: `H' = σ(Â · H · W)`, with the product by `Â`
+/// computed by the Acc-SpMM tensor-core path (preprocessed once) and
+/// `· W` by a dense GEMM. A narrowing layer (`out_dim < in_dim`) runs
+/// `σ(Â · (H · W))`, so its SpMM works at `out_dim`; any other layer
+/// runs `σ((Â · H) · W)`, so its SpMM works at `in_dim`.
 #[derive(Debug, Clone)]
 pub struct GcnLayer {
     weight: DenseMatrix,
@@ -116,11 +125,23 @@ impl GcnLayer {
         self.weight.nrows()
     }
 
-    /// Forward: `σ(spmm(Â, H) · W)`.
+    /// Forward: `σ(Â · (H · W))` if the layer narrows, else
+    /// `σ((Â · H) · W)`, with `Â` applied by `spmm`.
     pub fn forward(&self, spmm: &AccSpmm, h: &DenseMatrix) -> Result<DenseMatrix> {
         self.check_input(h)?;
-        let aggregated = spmm.multiply(h)?;
-        self.combine(aggregated)
+        let mut out = if self.transforms_first() {
+            spmm.multiply(&h.matmul(&self.weight)?)?
+        } else {
+            spmm.multiply(h)?.matmul(&self.weight)?
+        };
+        self.activation.apply(&mut out);
+        Ok(out)
+    }
+
+    /// Whether `· W` runs before `Â ·`: only when it narrows the
+    /// features the SpMM then multiplies.
+    fn transforms_first(&self) -> bool {
+        self.out_dim() < self.in_dim()
     }
 
     fn check_input(&self, h: &DenseMatrix) -> Result<()> {
@@ -134,13 +155,6 @@ impl GcnLayer {
             });
         }
         Ok(())
-    }
-
-    /// The dense half of the layer: `σ(aggregated · W)`.
-    fn combine(&self, aggregated: DenseMatrix) -> Result<DenseMatrix> {
-        let mut out = aggregated.matmul(&self.weight)?;
-        self.activation.apply(&mut out);
-        Ok(out)
     }
 }
 
@@ -219,7 +233,9 @@ impl Gcn {
     /// boundary rows other shards reference move — instead of
     /// re-gathering the full dense feature matrix every layer. The
     /// dense `· W` half of each layer is row-local, so it runs
-    /// per-shard too. Bit-identical to [`Gcn::forward`].
+    /// per-shard too, before the exchange for a narrowing layer (whose
+    /// halo rows then carry `out_dim` features) and after it otherwise.
+    /// Bit-identical to [`Gcn::forward`].
     pub fn forward_sharded(&self, dist: &DistSpmm, x: &DenseMatrix) -> Result<DenseMatrix> {
         let _span = spmm_trace::span("gcn.forward_sharded");
         spmm_trace::counter_add("gcn.layers_applied", self.layers.len() as u64);
@@ -241,11 +257,17 @@ impl Gcn {
                     layer.check_input(part)?;
                 }
             }
-            let aggregated = dist.propagate_halo(&parts)?;
-            parts = aggregated
-                .into_iter()
-                .map(|agg| layer.combine(agg))
-                .collect::<Result<Vec<_>>>()?;
+            let transform = |part: &DenseMatrix| part.matmul(&layer.weight);
+            parts = if layer.transforms_first() {
+                let transformed = parts.iter().map(transform).collect::<Result<Vec<_>>>()?;
+                dist.propagate_halo(&transformed)?
+            } else {
+                let aggregated = dist.propagate_halo(&parts)?;
+                aggregated.iter().map(transform).collect::<Result<_>>()?
+            };
+            for part in &mut parts {
+                layer.activation.apply(part);
+            }
         }
         dist.concat_rows(&parts)
     }
@@ -441,40 +463,53 @@ mod tests {
         assert!(gcn.spmm().profile_default().gflops > 0.0);
     }
 
+    /// Layer widths covering both layer orders: two narrowing layers
+    /// (transform first), and a widening layer (aggregate first) before
+    /// a narrowing one.
+    const WIDTH_LISTS: [[usize; 3]; 2] = [[16, 8, 4], [8, 16, 4]];
+
     #[test]
     fn sharded_forward_is_bit_identical_to_forward() {
         let a = graph();
-        let gcn = Gcn::new(&a, &[16, 8, 4], Arch::A800, 11).unwrap();
-        let x = DenseMatrix::random(a.nrows(), 16, 6);
-        let expect = gcn.forward(&x).unwrap();
-        for shards in [1, 3, 4] {
-            let dist = gcn.shard(shards).unwrap();
-            let got = gcn.forward_sharded(&dist, &x).unwrap();
-            assert_eq!(
-                got.as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                expect
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "x{shards}"
-            );
-            // Layer-to-layer halo exchange moved fewer rows than a full
-            // re-gather would have.
-            let (halo, regather) = dist.halo_traffic_rows();
-            if shards > 1 {
-                assert!(halo < regather, "halo {halo} vs regather {regather}");
+        for widths in WIDTH_LISTS {
+            let gcn = Gcn::new(&a, &widths, Arch::A800, 11).unwrap();
+            let x = DenseMatrix::random(a.nrows(), widths[0], 6);
+            let expect = gcn.forward(&x).unwrap();
+            for shards in [1, 3, 4] {
+                let dist = gcn.shard(shards).unwrap();
+                let got = gcn.forward_sharded(&dist, &x).unwrap();
+                assert_eq!(
+                    got.as_slice()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
+                    expect
+                        .as_slice()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
+                    "{widths:?} x{shards}"
+                );
+                // Layer-to-layer halo exchange moved fewer rows than a
+                // full re-gather would have.
+                let (halo, regather) = dist.halo_traffic_rows();
+                if shards > 1 {
+                    assert!(halo < regather, "halo {halo} vs regather {regather}");
+                }
             }
         }
     }
 
     #[test]
     fn sharded_forward_stays_bit_identical_under_graph_churn() {
+        for widths in WIDTH_LISTS {
+            sharded_forward_under_churn(&widths);
+        }
+    }
+
+    fn sharded_forward_under_churn(widths: &[usize]) {
         let a = graph();
-        let gcn = Gcn::new(&a, &[16, 8, 4], Arch::A800, 11).unwrap();
+        let gcn = Gcn::new(&a, widths, Arch::A800, 11).unwrap();
         let mut dist = gcn.shard(4).unwrap();
         // Churn the normalized operator shard-locally: new cross-shard
         // boundary edges, plus a deleted base edge.
@@ -499,7 +534,7 @@ mod tests {
             .config(*plan.config())
             .build()
             .unwrap();
-        let x = DenseMatrix::random(a.nrows(), 16, 6);
+        let x = DenseMatrix::random(a.nrows(), widths[0], 6);
         let got = gcn.forward_sharded(&dist, &x).unwrap();
         let expect = gcn.forward_sharded(&scratch, &x).unwrap();
         assert_eq!(
@@ -511,8 +546,65 @@ mod tests {
                 .as_slice()
                 .iter()
                 .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>(),
+            "{widths:?}"
         );
+    }
+
+    /// `σ(Â · H · W)` layer by layer in f64, from the model's own
+    /// normalized graph and weights: the order-free reference both layer
+    /// orders must approximate.
+    fn forward_f64(gcn: &Gcn, x: &DenseMatrix) -> Vec<f64> {
+        let a = &gcn.normalized;
+        let mut h: Vec<f64> = x.as_slice().iter().map(|&v| v as f64).collect();
+        for layer in &gcn.layers {
+            let (din, dout) = (layer.in_dim(), layer.out_dim());
+            let mut agg = vec![0.0f64; a.nrows() * din];
+            for r in 0..a.nrows() {
+                let (cols, vals) = a.row(r);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    for j in 0..din {
+                        agg[r * din + j] += v as f64 * h[c as usize * din + j];
+                    }
+                }
+            }
+            h = vec![0.0f64; a.nrows() * dout];
+            for r in 0..a.nrows() {
+                for k in 0..din {
+                    let w = layer.weight.row(k);
+                    for j in 0..dout {
+                        h[r * dout + j] += agg[r * din + k] * w[j] as f64;
+                    }
+                }
+            }
+            if layer.activation == Activation::Relu {
+                h.iter_mut().for_each(|v| *v = v.max(0.0));
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn forward_matches_an_f64_reference_in_either_layer_order() {
+        let a = graph();
+        for widths in WIDTH_LISTS {
+            let gcn = Gcn::new(&a, &widths, Arch::A800, 13).unwrap();
+            let x = DenseMatrix::random(a.nrows(), widths[0], 14);
+            let got = gcn.forward(&x).unwrap();
+            let want = forward_f64(&gcn, &x);
+            // TF32 operand rounding, grown with the longest sum into
+            // one output element: a row of Â or a row of W.
+            let max_row = (0..a.nrows()).map(|r| gcn.normalized.row_len(r)).max();
+            let reduction = max_row.unwrap_or(0).max(widths[0]).max(widths[1]);
+            let tol = spmm_common::scalar::tf32_tolerance(reduction) as f64;
+            for (i, (&g, &w)) in got.as_slice().iter().zip(&want).enumerate() {
+                let err = (g as f64 - w).abs();
+                assert!(
+                    err <= tol * (1.0 + w.abs()),
+                    "{widths:?} elem {i}: {g} vs {w}"
+                );
+            }
+        }
     }
 
     #[test]
