@@ -329,8 +329,10 @@ fn measure(dataset: &str, kind: KernelKind, m: &CsrMatrix, cfg: &Config) -> Entr
 
 /// The compute-core entries: one `row-core-<tier>` entry per ISA tier
 /// the host offers, each timing [`spmm_common::simd::mma_row_tier`] —
-/// the row core every kernel's executor runs — over a fixed list of
-/// `(value, B row)` pairs at the suite's feature dimension. Feeds the
+/// the safe entry of the row core every kernel's executor runs (the
+/// executors call `mma_row_tier_unchecked`, without this entry's
+/// per-call column scan) — over a fixed list of `(value, B row)` pairs
+/// at the suite's feature dimension. Feeds the
 /// gate the loop the kernels spend their FLOPs in, independent of
 /// format decode and scheduling, on every tier rather than only the
 /// probed one.

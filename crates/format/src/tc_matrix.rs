@@ -11,9 +11,8 @@
 //! They differ only in how a block's non-zero *positions* (`r·8 + c`
 //! within the 8×8 tile) are encoded — the one axis Figure 12 compares.
 //! [`TcMatrix`] owns the skeleton and everything built on it: the
-//! parallel per-window conversion and its stitching, incremental
-//! repair, pre-rounding, block decode, the tile-MMA multiply and the
-//! CSR round trip. A [`BlockCodec`] owns only the position
+//! parallel per-window conversion and its stitching, pre-rounding,
+//! block decode, the tile-MMA multiply and the CSR round trip. A [`BlockCodec`] owns only the position
 //! encoding:
 //!
 //! * [`Bitmap`](crate::Bitmap) — one `u64` per block ([`crate::BitTcf`]);

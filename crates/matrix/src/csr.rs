@@ -14,7 +14,8 @@ use std::sync::OnceLock;
 /// * `row_ptr.len() == nrows + 1`, `row_ptr[0] == 0`, monotone
 ///   non-decreasing, `row_ptr[nrows] == col_idx.len() == values.len()`;
 /// * within each row, column indices are strictly increasing and
-///   `< ncols`.
+///   `< ncols`. The row loops of [`CsrMatrix::spmm_dense_into`] read B
+///   unchecked on the strength of this bound.
 #[derive(Debug, Clone)]
 pub struct CsrMatrix {
     nrows: usize,
@@ -350,9 +351,8 @@ impl CsrMatrix {
     /// [`CsrMatrix::spmm_dense`] writing into a caller-provided output
     /// (overwritten, not accumulated) at an explicit ISA tier — the
     /// allocation-free hot path of the CSR kernels. Each output row is
-    /// zeroed, then one row-core call
-    /// ([`spmm_common::simd::mma_row_tier`]) over the row's values and
-    /// column indices, so the result is bit-identical on every tier.
+    /// zeroed, then one [`mma_row_tier_unchecked`] call over the row's
+    /// values and column indices, so the result is bit-identical on every tier.
     pub fn spmm_dense_into(
         &self,
         b: &DenseMatrix,

@@ -120,11 +120,11 @@ impl CsrMatrix {
 impl DenseMatrix {
     /// Dense GEMM: `self × other` in FP32 — the dense weight multiply
     /// of the GNN layers. Output rows run in parallel, each one
-    /// row-core call ([`spmm_common::simd::mma_row_tier`]) on the host's tier ([`IsaTier::probe`]) over
-    /// that row's non-zero A entries in ascending `k`: ±0 entries are
-    /// skipped and NaN entries kept. Per output element the products are
-    /// added in ascending `k`, multiply and add rounded apart, so the
-    /// result is the same on every tier.
+    /// [`mma_row_tier_unchecked`] call on the host's tier
+    /// ([`IsaTier::probe`]) over that row's non-zero A entries in
+    /// ascending `k`: ±0 entries are skipped and NaN entries kept. Per
+    /// output element the products are added in ascending `k`, multiply
+    /// and add rounded apart, so the result is the same on every tier.
     pub fn matmul(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
         self.matmul_tier(other, IsaTier::probe())
     }

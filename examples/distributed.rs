@@ -72,9 +72,11 @@ fn main() {
         );
     }
 
-    // A 3-layer GCN with the aggregation sharded four ways. Between
-    // layers only the halo — boundary feature rows that neighbouring
-    // shards reference — moves, not the full feature matrix.
+    // A 2-layer GCN (dim → 32 → 8) with the aggregation sharded four
+    // ways. Between layers only the halo — boundary feature rows that
+    // neighbouring shards reference — moves, not the full feature
+    // matrix. Both layers narrow, so each multiplies by W before its
+    // exchange and its halo rows carry the layer's output width.
     let widths = [dim, 32, 8];
     let gcn = Gcn::new(&a, &widths, Arch::A800, 11).expect("gcn build");
     let x = DenseMatrix::random(a.nrows(), dim, 13);
