@@ -295,14 +295,16 @@ impl PreparedKernel {
     }
 
     /// Execute many RHS matrices over the shared plan. The batch is
-    /// split into one contiguous group per worker (a single spawn round
-    /// instead of one per RHS), and within a group the tensor-core plans
-    /// run a *batched* row loop: the RHS are staged side by side,
-    /// each execution row is one wide row product for all of them, and
-    /// each RHS's slice is written straight to its output row. Per
-    /// output element the adds are exactly the single-RHS path's, so
-    /// results are bit-identical to calling [`PreparedKernel::execute`]
-    /// per matrix.
+    /// split into one contiguous slice per worker (a single spawn round
+    /// instead of one per RHS), and each worker runs its slice as
+    /// [`PreparedKernel::execute_batch_into`] does: tensor-core plans
+    /// cut it, in order, into groups whose side-by-side B stage fits a
+    /// fixed cache budget (1 MiB), run a *batched* row loop per group of
+    /// several RHS (each execution row is one wide row product for all
+    /// of them, each RHS's slice written straight to its output row) and
+    /// the per-RHS row loop per group of one. Per output element the
+    /// adds are exactly the single-RHS path's, so results are
+    /// bit-identical to calling [`PreparedKernel::execute`] per matrix.
     pub fn execute_batch(&self, bs: &[DenseMatrix]) -> Result<Vec<DenseMatrix>> {
         use rayon::prelude::*;
         let _span = spmm_trace::span("kernel.execute_batch");
@@ -358,10 +360,13 @@ impl PreparedKernel {
     /// Sequential batch entry point for callers that manage their own
     /// threads (the serving engine's micro-batching workers): executes
     /// every RHS in `bs` into the matching slot of `outs` on the
-    /// *calling* thread, sharing one reusable [`Workspace`] and — on
-    /// tensor-core plans — streaming each execution row once for the
-    /// whole batch. Results are bit-identical to calling
-    /// [`PreparedKernel::execute`] per RHS.
+    /// *calling* thread, sharing one reusable [`Workspace`]. On
+    /// tensor-core plans the batch is cut, in order, into groups whose
+    /// side-by-side B stage (B's rows × the summed widths × 4 bytes)
+    /// fits a fixed 1 MiB budget, so the stage stays cache-resident:
+    /// each execution row is streamed once per group, and a group of one
+    /// RHS takes the per-RHS row loop. Results are bit-identical to
+    /// calling [`PreparedKernel::execute`] per RHS.
     pub fn execute_batch_into(
         &self,
         bs: &[DenseMatrix],
@@ -401,23 +406,36 @@ impl PreparedKernel {
         outs: &mut [DenseMatrix],
         ws: &mut Workspace,
     ) -> Result<()> {
-        // Worker-side span: one per batch group, recorded on the rayon
-        // thread that ran it (the trace layer tags spans per thread).
+        // Worker-side span: one per batch slice, recorded on the thread
+        // that ran it (the trace layer tags spans per thread).
         let _span = spmm_trace::span("kernel.execute_group");
-        // A lone RHS gains nothing from the side-by-side stage and pays
-        // its per-row copy, and symmetric mode needs a permuted copy of
-        // every B alive at once, which defeats the batched row loop: both
-        // take the per-RHS path (still sharing this worker's staging
-        // buffers), which writes straight into each output.
-        match self.plan.exec_rows() {
-            Some(rows) if bs.len() > 1 && !self.plan.symmetric() => {
-                self.execute_group_batched(rows, bs, outs, ws)
-            }
+        // Symmetric mode needs a permuted copy of every B alive at once,
+        // which defeats the batched row loop, so it and the CUDA-core
+        // plans take the per-RHS path (still sharing this worker's
+        // staging buffers), which writes straight into each output.
+        let rows = match self.plan.exec_rows() {
+            Some(rows) if !self.plan.symmetric() => rows,
             _ => {
                 for (b, out) in bs.iter().zip(outs.iter_mut()) {
                     self.execute_into_impl(b, out, ws, false)?;
                 }
+                return Ok(());
             }
+        };
+        // A side-by-side stage larger than the cache evicts the B rows
+        // each execution row gathers before the next row reuses them, so
+        // the batch runs in cache-sized groups. A lone RHS gains nothing
+        // from the side-by-side stage and pays its per-row copy.
+        let mut start = 0;
+        while start < bs.len() {
+            let len = side_by_side_group_len(rows.ncols(), bs[start..].iter().map(|b| b.ncols()));
+            let (b_group, out_group) = (&bs[start..start + len], &mut outs[start..start + len]);
+            if len == 1 {
+                self.execute_into_impl(&b_group[0], &mut out_group[0], ws, false)?;
+            } else {
+                self.execute_group_batched(rows, b_group, out_group, ws);
+            }
+            start += len;
         }
         Ok(())
     }
@@ -493,6 +511,30 @@ impl PreparedKernel {
         }
         spmm_sim::profile(arch, cached, opts)
     }
+}
+
+/// Bytes one side-by-side B stage of a batch group may take: half of a
+/// 2 MiB per-core L2, which leaves room for the execution rows and output
+/// rows streaming past the stage (EXPERIMENTS "Cache-sized batch
+/// groups" times both sides of it).
+const SIDE_BY_SIDE_BUDGET_BYTES: usize = 1 << 20;
+
+/// How many of the leading RHS, given their widths in batch order, one
+/// side-by-side stage of `b_rows` rows holds within
+/// [`SIDE_BY_SIDE_BUDGET_BYTES`]: at least 1 of a non-empty batch, so an
+/// RHS wider than the budget runs alone.
+fn side_by_side_group_len(b_rows: usize, widths: impl IntoIterator<Item = usize>) -> usize {
+    let budget_floats = SIDE_BY_SIDE_BUDGET_BYTES / std::mem::size_of::<f32>();
+    let mut staged = 0usize;
+    let mut len = 0;
+    for n in widths {
+        staged = staged.saturating_add(b_rows.saturating_mul(n));
+        if len > 0 && staged > budget_floats {
+            break;
+        }
+        len += 1;
+    }
+    len
 }
 
 /// Execute one plan into `out` in original row order, on the plan's
@@ -621,6 +663,80 @@ mod tests {
             .build()
             .unwrap();
         assert!(k.execute_batch(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn side_by_side_groups_fit_the_cache_budget() {
+        // The WB analog's GCN-normalized operand at N = 16: one RHS
+        // alone overflows the budget.
+        assert_eq!(side_by_side_group_len(21_504, [16; 8]), 1);
+        // rmat12 at N = 16: four RHS fill 1 MiB exactly.
+        assert_eq!(side_by_side_group_len(4096, [16; 8]), 4);
+        assert_eq!(side_by_side_group_len(256, [16; 8]), 8);
+        assert_eq!(side_by_side_group_len(4096, [300, 16]), 1);
+    }
+
+    /// Bit equality with NaN positions exact (payloads may differ).
+    pub(crate) fn assert_outputs_bit_identical(a: &DenseMatrix, b: &DenseMatrix) {
+        assert_eq!(a.nrows(), b.nrows());
+        assert_eq!(a.ncols(), b.ncols());
+        for (x, y) in a.as_slice().iter().zip(b.as_slice().iter()) {
+            assert!(
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                "outputs diverge: {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cache_sized_batch_groups_are_bit_identical_to_execute() {
+        // 4096 B rows leave room for 64 side-by-side columns: the widths
+        // split into groups of 2, 2 and a trailing single RHS.
+        let m = spmm_matrix::gen::uniform_random(4096, 3.0, 5);
+        let widths = [24, 40, 8, 48, 40];
+        assert_eq!(side_by_side_group_len(m.ncols(), widths), 2);
+        assert_eq!(
+            side_by_side_group_len(m.ncols(), widths[2..].iter().copied()),
+            2
+        );
+        assert_eq!(
+            side_by_side_group_len(m.ncols(), widths[4..].iter().copied()),
+            1
+        );
+        let bs: Vec<DenseMatrix> = widths
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let mut b = DenseMatrix::random(m.ncols(), n, 300 + i as u64);
+                for (k, v) in [f32::NAN, -0.0, 0.0].into_iter().enumerate() {
+                    let r = (97 * (i + 1) + 1031 * k) % m.ncols();
+                    b.set(r, (i + k) % n, v);
+                }
+                b
+            })
+            .collect();
+        for kind in [
+            KernelKind::AccSpmm,
+            KernelKind::TcGnn,
+            KernelKind::CusparseLike,
+        ] {
+            let k = PreparedKernel::builder(kind, &m)
+                .feature_dim(32)
+                .build()
+                .unwrap();
+            let singles: Vec<DenseMatrix> = bs.iter().map(|b| k.execute(b).unwrap()).collect();
+            let mut outs: Vec<DenseMatrix> = bs
+                .iter()
+                .map(|b| DenseMatrix::zeros(m.nrows(), b.ncols()))
+                .collect();
+            let mut ws = Workspace::new();
+            k.execute_batch_into(&bs, &mut outs, &mut ws).unwrap();
+            let batched = k.execute_batch(&bs).unwrap();
+            for (i, want) in singles.iter().enumerate() {
+                assert_outputs_bit_identical(&outs[i], want);
+                assert_outputs_bit_identical(&batched[i], want);
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::plan::ExecutionPlan;
 use spmm_common::{Result, SpmmError};
 use spmm_delta::DeltaCsr;
 use spmm_format::TILE;
+use spmm_matrix::CsrMatrix;
 use std::time::Instant;
 
 /// What a repair did, for observability and for the perfsuite's
@@ -40,19 +41,25 @@ impl ExecutionPlan {
     /// Repair this plan against an edge-delta overlay whose base is the
     /// plan's input operand, returning the repaired plan and a report.
     ///
-    /// The overlay's base must fingerprint-match the operand the plan
-    /// was built from; a clean overlay returns a clone (a true no-op).
+    /// The overlay's base must be the operand the plan was built from,
+    /// bit for bit: a plan without a symmetric permutation holds that
+    /// operand and compares it directly, a symmetric plan compares
+    /// fingerprints. A clean overlay returns a clone (a true no-op).
     /// The repaired plan's `input_fingerprint` is the compacted
     /// matrix's, so serving caches key it exactly like a fresh build.
     pub fn repair(&self, delta: &DeltaCsr) -> Result<(ExecutionPlan, RepairReport)> {
         let t0 = Instant::now();
-        let base_fp = delta.base().content_fingerprint();
-        if base_fp != self.input_fingerprint() {
-            return Err(SpmmError::InvalidConfig(format!(
-                "delta base fingerprint {base_fp:#018x} does not match the plan's input \
-                 fingerprint {:#018x}; repair needs the overlay built on the plan's operand",
-                self.input_fingerprint()
-            )));
+        // Comparing is several times cheaper than hashing the base.
+        let base_matches = match self.perm() {
+            None => same_bits(delta.base(), self.csr()),
+            Some(_) => delta.base().content_fingerprint() == self.input_fingerprint(),
+        };
+        if !base_matches {
+            return Err(SpmmError::InvalidConfig(
+                "the delta's base is not the plan's input operand; repair needs the overlay \
+                 built on the plan's operand"
+                    .into(),
+            ));
         }
         let windows_total = self.csr().nrows().div_ceil(TILE);
         let mut touched = vec![false; windows_total];
@@ -78,10 +85,26 @@ impl ExecutionPlan {
     }
 }
 
+/// Whether two operands hold the same CSR content with values compared
+/// by bits, as equal [`CsrMatrix::content_fingerprint`]s would say.
+/// `CsrMatrix`'s `==` compares values as floats, which rejects a NaN and
+/// equates -0.0 with +0.0.
+fn same_bits(a: &CsrMatrix, b: &CsrMatrix) -> bool {
+    a.nrows() == b.nrows()
+        && a.ncols() == b.ncols()
+        && a.row_ptr() == b.row_ptr()
+        && a.col_idx() == b.col_idx()
+        && a.values()
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(b.values().iter().map(|v| v.to_bits()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::acc::AccConfig;
+    use crate::tests::assert_outputs_bit_identical;
     use crate::KernelKind;
     use crate::TcFormat;
     use spmm_matrix::gen::uniform_random;
@@ -122,17 +145,6 @@ mod tests {
                 delta.delete(r as u32, c);
                 break;
             }
-        }
-    }
-
-    fn assert_outputs_bit_identical(a: &DenseMatrix, b: &DenseMatrix) {
-        assert_eq!(a.nrows(), b.nrows());
-        assert_eq!(a.ncols(), b.ncols());
-        for (x, y) in a.as_slice().iter().zip(b.as_slice().iter()) {
-            assert!(
-                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
-                "outputs diverge: {x:?} vs {y:?}"
-            );
         }
     }
 
@@ -242,6 +254,38 @@ mod tests {
             .unwrap();
         let delta = DeltaCsr::new(other);
         assert!(plan.repair(&delta).is_err());
+    }
+
+    #[test]
+    fn second_repair_over_a_nan_base_succeeds() {
+        // The first repair writes a NaN into the operand, which the
+        // second delta then takes as its base: float equality would call
+        // that base different from the plan's operand.
+        let m = uniform_random(64, 4.0, 2);
+        let plan = ExecutionPlan::build(KernelKind::AccSpmm, &m, Arch::A800, 8, AccConfig::full())
+            .unwrap();
+        let mut first = DeltaCsr::new(m.clone());
+        first.upsert(3, 5, f32::NAN).unwrap();
+        let (repaired, _) = plan.repair(&first).unwrap();
+        let mut second = DeltaCsr::new(first.compact());
+        churn(&mut second, 7);
+        let (twice, _) = repaired.repair(&second).unwrap();
+        assert_eq!(
+            twice.input_fingerprint(),
+            second.compact().content_fingerprint()
+        );
+    }
+
+    #[test]
+    fn base_differing_only_in_the_sign_of_a_zero_is_rejected() {
+        let mut m = uniform_random(64, 4.0, 2);
+        m.values_mut()[0] = 0.0;
+        let plan = ExecutionPlan::build(KernelKind::AccSpmm, &m, Arch::A800, 8, AccConfig::full())
+            .unwrap();
+        let mut other = m.clone();
+        other.values_mut()[0] = -0.0;
+        assert!(plan.repair(&DeltaCsr::new(other)).is_err());
+        assert!(plan.repair(&DeltaCsr::new(m)).is_ok());
     }
 
     #[test]

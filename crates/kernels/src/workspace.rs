@@ -7,10 +7,12 @@ use spmm_matrix::DenseMatrix;
 /// Caller-owned buffer pool for [`crate::PreparedKernel::execute_into`]:
 /// holds the TF32 pre-rounded B stage, the batched path's side-by-side
 /// RHS stage and its one wide output row, plus the row-permuted B that
-/// symmetric-reorder plans multiply. Buffers grow on first use and are
-/// reused on every subsequent call, so steady-state multiplies allocate
-/// nothing — the pattern iterative solvers and GNN training loops live
-/// in.
+/// symmetric-reorder plans multiply. The side-by-side stage never
+/// exceeds 1 MiB: a batch runs in groups whose stage fits that cache
+/// budget, and a group of one RHS uses the single B stage instead.
+/// Buffers grow on first use and are reused on every subsequent call,
+/// so steady-state multiplies allocate nothing — the pattern iterative
+/// solvers and GNN training loops live in.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     pub(crate) stage: BStage,

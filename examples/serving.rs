@@ -54,10 +54,22 @@ fn main() {
                     .deadline(Duration::from_secs(5));
                 for r in 0..rounds {
                     let b = DenseMatrix::random(a.ncols(), dim, client * 1000 + r);
-                    match session.submit(b, opts.clone()) {
+                    match session.submit(b.clone(), opts.clone()) {
                         SubmitOutcome::Accepted(ticket) => {
+                            // A micro-batch runs its RHS in cache-sized
+                            // groups (pairs here, at 4096 rows × 32
+                            // columns); every served result must still
+                            // equal a lone multiply bit for bit.
                             let c = ticket.wait().unwrap();
+                            let want = session.plan().execute(&b).unwrap();
                             assert_eq!(c.nrows(), a.nrows());
+                            assert!(
+                                c.as_slice()
+                                    .iter()
+                                    .map(|v| v.to_bits())
+                                    .eq(want.as_slice().iter().map(|v| v.to_bits())),
+                                "client {client} round {r}: served result differs from execute"
+                            );
                         }
                         SubmitOutcome::Rejected { retry_after, .. } => {
                             // Admission control said no — back off for
