@@ -20,8 +20,8 @@
 use acc_spmm::matrix::{gen, CsrMatrix, Dataset, DenseMatrix, TABLE2};
 use acc_spmm::sim::Arch;
 use acc_spmm::{
-    AccSpmm, DistSpmm, Engine, KernelKind, ModeledTransport, PreparedKernel, Priority,
-    SubmitOptions, SubmitOutcome, Workspace,
+    AccSpmm, DistSpmm, Engine, KernelKind, PreparedKernel, Priority, SubmitOptions, SubmitOutcome,
+    Workspace,
 };
 use spmm_bench::{f2, print_table};
 use spmm_common::json::{Json, ToJson};
@@ -328,16 +328,15 @@ fn measure(dataset: &str, kind: KernelKind, m: &CsrMatrix, cfg: &Config) -> Entr
 }
 
 /// The compute-core entries: one `row-core-<tier>` entry per ISA tier
-/// the host offers, each timing [`spmm_common::simd::mma_row_tier`] —
-/// the safe entry of the row core every kernel's executor runs (the
-/// executors call `mma_row_tier_unchecked`, without this entry's
-/// per-call column scan) — over a fixed list of `(value, B row)` pairs
-/// at the suite's feature dimension. Feeds the
-/// gate the loop the kernels spend their FLOPs in, independent of
-/// format decode and scheduling, on every tier rather than only the
-/// probed one.
+/// the host offers, each timing
+/// [`spmm_common::simd::mma_row_tier_unchecked`] — the row core every
+/// kernel's executor calls, without the safe entry's per-call column
+/// scan — over a fixed list of `(value, B row)` pairs at the suite's
+/// feature dimension. Feeds the gate the loop the kernels spend their
+/// FLOPs in, independent of format decode and scheduling, on every
+/// tier rather than only the probed one.
 fn row_core_entries(cfg: &Config) -> Vec<Entry> {
-    use spmm_common::simd::mma_row_tier;
+    use spmm_common::simd::mma_row_tier_unchecked;
     use spmm_common::util::splitmix64;
     use spmm_common::IsaTier;
     // 32 pairs per row, over a B small enough to stay cache-resident.
@@ -361,13 +360,17 @@ fn row_core_entries(cfg: &Config) -> Vec<Entry> {
         let mut run = || {
             for _ in 0..calls {
                 crow.fill(0.0);
-                mma_row_tier(
-                    std::hint::black_box(&avs),
-                    std::hint::black_box(&cols),
-                    std::hint::black_box(&b),
-                    &mut crow,
-                    tier,
-                );
+                // SAFETY: every column is `% B_ROWS` and `b` holds
+                // `B_ROWS` rows of `n = crow.len()` floats.
+                unsafe {
+                    mma_row_tier_unchecked(
+                        std::hint::black_box(&avs),
+                        std::hint::black_box(&cols),
+                        std::hint::black_box(&b),
+                        &mut crow,
+                        tier,
+                    );
+                }
             }
             std::hint::black_box(crow[0]);
         };
@@ -841,24 +844,20 @@ fn storm_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
 }
 
 /// The sharded multi-node scenario: every suite dataset cut into
-/// 1/2/4/8 nnz-balanced row-block shards and executed by `spmm-dist`
-/// over the in-process channel transport.
+/// 1/2/4/8 nnz-balanced row-block shards and executed by `spmm-dist`.
 ///
 /// Timing methodology: per-shard busy seconds are measured with
 /// **sequential dispatch** (`multiply_profiled`), so each shard runs
 /// uncontended with its row loop spread across the host's cores, and
-/// completion is modeled as the **critical path**
-/// `scatter + max(shard busy) + gather` — what a deployment with one
-/// worker per device would see. A concurrent `multiply` would instead
-/// share the host's cores among the shards (each job of a round with at
-/// least as many jobs as threads runs on its own worker thread), so its
-/// wall clock measures the host rather than the model; the artifact's
-/// `wall_s` is the profiled round's wall clock. Bit-identity against the
+/// completion is taken as the **critical path**, the slowest shard's
+/// busy seconds ([`acc_spmm::DistReport::max_busy_seconds`]) — what a
+/// deployment with one worker per device would see. A concurrent
+/// `multiply` would instead share the host's cores among the shards
+/// (each job of a round with at least as many jobs as threads runs on
+/// its own worker thread), so its wall clock measures the host rather
+/// than the model; the artifact's `wall_s` is the profiled round's wall
+/// clock. Bit-identity against the
 /// single-node kernel is verified on every dataset and shard count.
-///
-/// A second sweep prices the same shard plans over
-/// [`ModeledTransport::for_arch`] links for each simulated
-/// architecture — the scaling curves EXPERIMENTS.md reports.
 fn dist_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
     const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
     let _s = spmm_trace::span("perfsuite.dist_scenario");
@@ -872,7 +871,6 @@ fn dist_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
     let mut wall_total = [0.0f64; SHARD_COUNTS.len()];
     let mut rows_total = 0f64;
     let mut nnz_total = 0f64;
-    let mut largest: Option<CsrMatrix> = None;
 
     for d in &datasets {
         let m = spmm_bench::build_dataset(d);
@@ -903,7 +901,7 @@ fn dist_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
             let mut last = None;
             for _ in 0..runs {
                 let (out, report) = dist.multiply_profiled(&b).expect("profiled multiply");
-                cps.push(report.critical_path_seconds);
+                cps.push(report.max_busy_seconds());
                 walls.push(report.wall_seconds);
                 last = Some(out);
             }
@@ -915,9 +913,6 @@ fn dist_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
             });
             cp_total[i] += median(&cps);
             wall_total[i] += median(&walls);
-        }
-        if largest.as_ref().is_none_or(|best| m.nnz() > best.nnz()) {
-            largest = Some(m);
         }
     }
 
@@ -938,47 +933,7 @@ fn dist_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
         })
         .collect();
 
-    // Modeled-transport scaling curves on the largest dataset of the
-    // selection, one curve per simulated architecture.
-    let mut curves = BTreeMap::new();
-    if let Some(m) = &largest {
-        let b = DenseMatrix::random(m.ncols(), cfg.dim, 0xD157);
-        for arch in [Arch::Rtx4090, Arch::A800, Arch::H100] {
-            let mut points = Vec::new();
-            let mut cp1 = 0.0;
-            for &shards in &SHARD_COUNTS {
-                let dist = DistSpmm::builder(KernelKind::AccSpmm, m)
-                    .shards(shards)
-                    .arch(arch)
-                    .feature_dim(cfg.dim)
-                    .transport(Arc::new(ModeledTransport::for_arch(arch)))
-                    .build()
-                    .expect("modeled shard build");
-                dist.multiply_profiled(&b).expect("modeled warmup");
-                let (_, report) = dist.multiply_profiled(&b).expect("modeled multiply");
-                let cp = report.critical_path_seconds;
-                if shards == 1 {
-                    cp1 = cp;
-                }
-                let mut p = BTreeMap::new();
-                p.insert("shards".into(), Json::Num(shards as f64));
-                p.insert("critical_path_s".into(), Json::Num(cp));
-                p.insert(
-                    "comm_s".into(),
-                    Json::Num(report.scatter_seconds + report.gather_seconds),
-                );
-                p.insert(
-                    "speedup_vs_1".into(),
-                    Json::Num(if cp > 0.0 { cp1 / cp } else { 0.0 }),
-                );
-                points.push(Json::Obj(p));
-            }
-            curves.insert(format!("{arch:?}"), Json::Arr(points));
-        }
-    }
-
     let mut sj = BTreeMap::new();
-    sj.insert("transport".into(), Json::Str("channel".into()));
     sj.insert("datasets".into(), Json::Num(datasets.len() as f64));
     sj.insert("feature_dim".into(), Json::Num(cfg.dim as f64));
     sj.insert(
@@ -1005,7 +960,6 @@ fn dist_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
     // SHARD_COUNTS[0] == 1 and [2] == 4: the gate's headline ratio.
     sj.insert("speedup_4x".into(), Json::Num(cp_total[0] / cp_total[2]));
     sj.insert("bit_identical".into(), Json::Bool(bit_identical));
-    sj.insert("modeled_curves".into(), Json::Obj(curves));
     (entries, Json::Obj(sj))
 }
 

@@ -64,9 +64,7 @@ pub mod solvers;
 pub mod prelude {
     pub use crate::handle::{AccSpmm, PreprocessStats, SpmmBuilder};
     pub use spmm_common::{Result, SpmmError};
-    pub use spmm_dist::{
-        ChannelTransport, DistBuilder, DistReport, DistSpmm, DistStats, ModeledTransport, Transport,
-    };
+    pub use spmm_dist::{DistBuilder, DistReport, DistSpmm};
     pub use spmm_engine::{
         Engine, EngineBuilder, EngineStats, Priority, Session, SubmitOptions, SubmitOutcome,
         Tenant, Ticket,
@@ -93,9 +91,7 @@ pub use spmm_sim as sim;
 
 pub use spmm_common::{PlanLoadError, Result, SpmmError};
 pub use spmm_delta::DeltaCsr;
-pub use spmm_dist::{
-    ChannelTransport, DistDeltaReport, DistReport, DistSpmm, DistStats, ModeledTransport,
-};
+pub use spmm_dist::{DistDeltaReport, DistReport, DistSpmm};
 pub use spmm_engine::{
     Engine, EngineBuilder, EngineStats, Priority, Session, SubmitOptions, SubmitOutcome, Tenant,
     Ticket,

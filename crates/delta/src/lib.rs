@@ -290,7 +290,7 @@ impl DeltaCsr {
     /// stream.
     pub fn sub_range(&self, lo: usize, hi: usize) -> DeltaCsr {
         assert!(lo <= hi && hi <= self.nrows(), "sub_range out of bounds");
-        let base = row_block(&self.base, lo, hi);
+        let base = self.base.row_block(lo, hi);
         let mut sub = DeltaCsr::new(base);
         for (&r, ops) in self.rows.range(lo as u32..hi as u32) {
             sub.rows.insert(r - lo as u32, ops.clone());
@@ -349,22 +349,6 @@ impl Iterator for MergedRow<'_> {
             }
         }
     }
-}
-
-/// Extract rows `[lo, hi)` of `m` as a standalone CSR (same column
-/// space) — the shard cutter, local to avoid dependency cycles.
-fn row_block(m: &CsrMatrix, lo: usize, hi: usize) -> CsrMatrix {
-    let row_ptr = m.row_ptr();
-    let base = row_ptr[lo];
-    let rebased: Vec<usize> = row_ptr[lo..=hi].iter().map(|&p| p - base).collect();
-    CsrMatrix::new(
-        hi - lo,
-        m.ncols(),
-        rebased,
-        m.col_idx()[base..row_ptr[hi]].to_vec(),
-        m.values()[base..row_ptr[hi]].to_vec(),
-    )
-    .expect("row block of a valid CSR is valid")
 }
 
 #[cfg(test)]
@@ -515,7 +499,7 @@ mod tests {
         assert_eq!(sub.get(2, 2), Some(4.0), "row 10 shifted to 2");
         // The slice's compact equals the global compact's row block.
         let global = d.compact();
-        assert_eq!(sub.compact(), row_block(&global, 8, 24));
+        assert_eq!(sub.compact(), global.row_block(8, 24));
         assert_eq!(sub.nnz(), sub.compact().nnz());
     }
 }

@@ -3,10 +3,9 @@
 //! Executes one logical `C = A × B` across many workers: the
 //! coordinator cuts `A` into nnz-balanced, window-aligned row blocks
 //! (see [`partition`]), builds an independent [`PreparedKernel`] per
-//! shard through the regular plan pipeline (optionally via the serving
-//! engine's [`PlanCache`]), scatters `B`, runs the shards on a worker
-//! pool, and gathers the row-block results — **bit-identical** to a
-//! single-node `multiply_into`.
+//! shard through the regular plan pipeline, hands `B` to the shards,
+//! runs them on a worker pool, and gathers the row-block results —
+//! **bit-identical** to a single-node `multiply_into`.
 //!
 //! Bit-identity across arbitrary row partitionings is a structural
 //! property of the compute core: every output element accumulates
@@ -14,19 +13,15 @@
 //! (zero-padded lanes are skipped), so cutting rows into blocks — or
 //! reordering them differently per shard — cannot change a single bit.
 //!
-//! Transports ([`transport::Transport`]) price the data movement:
-//! [`transport::ChannelTransport`] is the real-concurrency in-process
-//! configuration; [`transport::ModeledTransport`] adds per-message
-//! latency + bandwidth from `sim::arch` constants so scaling curves can
-//! be reported for hardware the host doesn't have.
+//! Every payload moves in-process; a round's [`DistReport`] counts the
+//! bytes a multi-node deployment would move and times each shard's
+//! kernel on this host.
 //!
 //! Robustness follows the serving engine's semantics: a failing shard
-//! is retried up to a bound, then surfaced as [`SpmmError::Shard`];
-//! dropping the coordinator drains in-flight work before joining the
-//! workers.
+//! is retried once, then surfaced as [`SpmmError::Shard`]; dropping the
+//! coordinator drains in-flight work before joining the workers.
 
 pub mod partition;
-pub mod transport;
 mod worker;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,20 +29,22 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use spmm_balance::{ModelParams, PerfModel};
-use spmm_common::{IsaTier, Result, SpmmError};
+use spmm_common::{Result, SpmmError};
 use spmm_delta::DeltaCsr;
-use spmm_engine::{PlanCache, PlanKey, Priority};
 use spmm_kernels::{AccConfig, KernelKind, PreparedKernel, RepairReport};
 use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
-pub use partition::{plan_shards, row_block, ShardPlan, ShardSpec};
-pub use transport::{ChannelTransport, ModeledTransport, Route, Transport};
+pub use partition::{plan_shards, ShardPlan, ShardSpec};
 
-use worker::{round_leaves_cores_idle, Job, Operand, WorkerPool};
+use worker::{round_leaves_cores_idle, Job, WorkerPool};
+
+/// How many times a failing shard execution is retried before the
+/// multiply fails with [`SpmmError::Shard`].
+const MAX_RETRIES: usize = 1;
 
 /// Builder for [`DistSpmm`] — mirrors `PreparedKernel::builder` plus
-/// the distribution knobs.
+/// the shard count.
 pub struct DistBuilder<'a> {
     kind: KernelKind,
     a: &'a CsrMatrix,
@@ -55,10 +52,6 @@ pub struct DistBuilder<'a> {
     feature_dim: usize,
     config: AccConfig,
     shards: usize,
-    transport: Arc<dyn Transport>,
-    cache: Option<Arc<PlanCache>>,
-    max_retries: usize,
-    priority: Priority,
 }
 
 impl<'a> DistBuilder<'a> {
@@ -87,46 +80,12 @@ impl<'a> DistBuilder<'a> {
         self
     }
 
-    /// Transport pricing the scatter/gather/halo movement. Default
-    /// [`ChannelTransport`] (free in-process handoffs).
-    pub fn transport(mut self, t: Arc<dyn Transport>) -> Self {
-        self.transport = t;
-        self
-    }
-
-    /// Resolve shard plans through a shared [`PlanCache`] (each shard's
-    /// sub-matrix is keyed by its own content fingerprint, so repeated
-    /// coordinators over the same operand reuse the builds).
-    pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// How many times a failing shard execution is retried before the
-    /// multiply fails with [`SpmmError::Shard`]. Default 1.
-    pub fn max_retries(mut self, n: usize) -> Self {
-        self.max_retries = n;
-        self
-    }
-
-    /// Serving-tier priority class every shard job of this coordinator
-    /// carries (default [`Priority::Standard`]). Shard workers account
-    /// executions under per-class `dist.jobs.<class>` trace counters,
-    /// so a fleet mixing interactive coordinators with bulk backfills
-    /// can see the split — and an engine-backed worker tier schedules
-    /// the jobs under the same class the coordinator admitted.
-    pub fn priority(mut self, p: Priority) -> Self {
-        self.priority = p;
-        self
-    }
-
     /// Plan the shards, build every shard kernel, spawn the workers.
     pub fn build(self) -> Result<DistSpmm> {
         if self.shards == 0 {
             return Err(SpmmError::InvalidConfig("need at least one shard".into()));
         }
         let _span = spmm_trace::span("dist.build");
-        let t0 = Instant::now();
         let spec = self.arch.spec();
         let model = PerfModel::new(ModelParams {
             feature_dim: self.feature_dim,
@@ -139,7 +98,6 @@ impl<'a> DistBuilder<'a> {
         let mut kernels: Vec<Option<Arc<PreparedKernel>>> = Vec::with_capacity(self.shards);
         let mut scatter_rows: Vec<u64> = Vec::with_capacity(self.shards);
         let mut halo_rows: Vec<Vec<u32>> = Vec::with_capacity(self.shards);
-        let mut seen = vec![false; self.a.ncols()];
         for s in &plan.shards {
             if s.is_empty() {
                 kernels.push(None);
@@ -147,48 +105,18 @@ impl<'a> DistBuilder<'a> {
                 halo_rows.push(Vec::new());
                 continue;
             }
-            let sub = row_block(self.a, s.row_lo, s.row_hi);
-            let key = PlanKey {
-                fingerprint: sub.content_fingerprint(),
-                kind: self.kind,
-                arch: self.arch,
-                feature_dim: self.feature_dim,
-                config: self.config,
-            };
-            let build = || {
-                PreparedKernel::builder(self.kind, &sub)
-                    .arch(self.arch)
-                    .feature_dim(self.feature_dim)
-                    .config(self.config)
-                    .build()
-            };
-            let kernel = match &self.cache {
-                Some(cache) => cache.get_or_build(key, build)?,
-                None => Arc::new(build()?),
-            };
-            // Column coverage: how many B rows the shard references
-            // (scatter payload), and which referenced rows live outside
-            // the shard's own range (halo payload).
-            seen.iter_mut().for_each(|x| *x = false);
-            for &c in sub.col_idx() {
-                seen[c as usize] = true;
-            }
-            let referenced = seen.iter().filter(|&&x| x).count() as u64;
-            let halo: Vec<u32> = seen
-                .iter()
-                .enumerate()
-                .filter(|&(c, &x)| x && !(s.row_lo..s.row_hi).contains(&c))
-                .map(|(c, _)| c as u32)
-                .collect();
+            let sub = self.a.row_block(s.row_lo, s.row_hi);
+            let kernel = PreparedKernel::builder(self.kind, &sub)
+                .arch(self.arch)
+                .feature_dim(self.feature_dim)
+                .config(self.config)
+                .build()?;
+            let (referenced, halo) = column_coverage(&sub, s);
             scatter_rows.push(referenced);
             halo_rows.push(halo);
-            kernels.push(Some(kernel));
+            kernels.push(Some(Arc::new(kernel)));
         }
         spmm_trace::counter_add("dist.shards", self.shards as u64);
-        let shard_isa_tiers: Vec<Option<IsaTier>> = kernels
-            .iter()
-            .map(|k| k.as_ref().map(|k| k.execution_plan().isa_tier()))
-            .collect();
         let pool = WorkerPool::spawn(&kernels);
         Ok(DistSpmm {
             nrows: self.a.nrows(),
@@ -196,9 +124,6 @@ impl<'a> DistBuilder<'a> {
             feature_dim: self.feature_dim,
             kind: self.kind,
             arch: self.arch,
-            transport: self.transport,
-            max_retries: self.max_retries,
-            priority: self.priority,
             plan,
             scatter_rows,
             halo_rows,
@@ -206,11 +131,26 @@ impl<'a> DistBuilder<'a> {
             pool,
             epoch: AtomicU64::new(0),
             last_report: Mutex::new(None),
-            halo_scratch: Mutex::new(Vec::new()),
-            build_seconds: t0.elapsed().as_secs_f64(),
-            shard_isa_tiers,
         })
     }
+}
+
+/// A shard's column coverage: how many B rows its operand references
+/// (the scatter payload), and which of them lie outside the shard's own
+/// row range (the halo rows).
+fn column_coverage(sub: &CsrMatrix, s: &ShardSpec) -> (u64, Vec<u32>) {
+    let mut seen = vec![false; sub.ncols()];
+    for &c in sub.col_idx() {
+        seen[c as usize] = true;
+    }
+    let referenced = seen.iter().filter(|&&x| x).count() as u64;
+    let halo = seen
+        .iter()
+        .enumerate()
+        .filter(|&(c, &x)| x && !(s.row_lo..s.row_hi).contains(&c))
+        .map(|(c, _)| c as u32)
+        .collect();
+    (referenced, halo)
 }
 
 /// One multiply's execution accounting.
@@ -221,19 +161,6 @@ pub struct DistReport {
     /// from [`DistSpmm::multiply_profiled`]; from a concurrent round they
     /// include any time-slicing among the round's jobs.
     pub per_shard_busy: Vec<f64>,
-    /// Modeled seconds scattering B rows to the shards (summed: the
-    /// coordinator link serializes outbound messages).
-    pub scatter_seconds: f64,
-    /// Modeled seconds gathering result row blocks (summed, same link).
-    pub gather_seconds: f64,
-    /// Modeled seconds of shard-to-shard halo exchange (halo rounds
-    /// only; 0 for plain multiplies).
-    pub halo_seconds: f64,
-    /// Modeled completion: scatter + slowest shard + gather (+ halo).
-    /// On a host with one core per worker this is what wall-clock
-    /// converges to; on this simulator it is the number scaling curves
-    /// report.
-    pub critical_path_seconds: f64,
     /// Wall-clock seconds of the whole round on the host.
     pub wall_seconds: f64,
     /// B bytes scattered (only rows each shard actually references).
@@ -247,7 +174,9 @@ pub struct DistReport {
 }
 
 impl DistReport {
-    /// Slowest shard's busy seconds.
+    /// Slowest shard's busy seconds: from [`DistSpmm::multiply_profiled`],
+    /// the round's critical path on a deployment with one device per
+    /// shard.
     pub fn max_busy_seconds(&self) -> f64 {
         self.per_shard_busy.iter().cloned().fold(0.0, f64::max)
     }
@@ -274,23 +203,6 @@ pub struct DistDeltaReport {
     pub per_shard: Vec<Option<RepairReport>>,
 }
 
-/// Static description of a coordinator (for stats reporting).
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct DistStats {
-    /// Shard ranges and per-shard modeled cost.
-    pub shards: Vec<ShardSpec>,
-    /// `max/mean` modeled cost over non-empty shards.
-    pub imbalance: f64,
-    /// Seconds spent planning + building every shard kernel.
-    pub build_seconds: f64,
-    /// Transport name ("channel", "modeled", ...).
-    pub transport: &'static str,
-    /// Per shard: the SIMD tier its kernel bound at build (`None` =
-    /// empty shard, no kernel).
-    pub shard_isa_tiers: Vec<Option<IsaTier>>,
-}
-
 /// A sharded SpMM coordinator bound to one operand.
 ///
 /// ```
@@ -314,9 +226,6 @@ pub struct DistSpmm {
     feature_dim: usize,
     kind: KernelKind,
     arch: Arch,
-    transport: Arc<dyn Transport>,
-    max_retries: usize,
-    priority: Priority,
     plan: ShardPlan,
     /// Per shard: how many B rows it references (scatter payload rows).
     scatter_rows: Vec<u64>,
@@ -328,11 +237,6 @@ pub struct DistSpmm {
     pool: WorkerPool,
     epoch: AtomicU64,
     last_report: Mutex<Option<DistReport>>,
-    /// Reusable per-shard halo assembly buffers.
-    halo_scratch: Mutex<Vec<Option<Box<DenseMatrix>>>>,
-    build_seconds: f64,
-    /// Per shard: the SIMD tier its kernel bound (`None` = empty shard).
-    shard_isa_tiers: Vec<Option<IsaTier>>,
 }
 
 impl DistSpmm {
@@ -345,10 +249,6 @@ impl DistSpmm {
             feature_dim: 128,
             config: AccConfig::full(),
             shards: 2,
-            transport: Arc::new(ChannelTransport),
-            cache: None,
-            max_retries: 1,
-            priority: Priority::Standard,
         }
     }
 
@@ -387,17 +287,6 @@ impl DistSpmm {
         self.feature_dim
     }
 
-    /// Static coordinator stats.
-    pub fn stats(&self) -> DistStats {
-        DistStats {
-            shards: self.plan.shards.clone(),
-            imbalance: self.plan.imbalance,
-            build_seconds: self.build_seconds,
-            transport: self.transport.name(),
-            shard_isa_tiers: self.shard_isa_tiers.clone(),
-        }
-    }
-
     /// Accounting of the most recent multiply (or halo round).
     pub fn last_report(&self) -> Option<DistReport> {
         self.last_report.lock().unwrap().clone()
@@ -420,25 +309,12 @@ impl DistSpmm {
     /// with fewer cores than shards, concurrent dispatch time-slices
     /// the workers and inflates every per-shard measurement). Each job
     /// has the host to itself, so its row loop spreads across every
-    /// core. The returned report's `critical_path_seconds` is the modeled
-    /// completion a one-worker-per-node deployment would see.
+    /// core. The returned report's [`DistReport::max_busy_seconds`] is
+    /// the completion a one-device-per-shard deployment would see.
     pub fn multiply_profiled(&self, b: &DenseMatrix) -> Result<(DenseMatrix, DistReport)> {
         let mut out = DenseMatrix::zeros(self.nrows, b.ncols());
         let report = self.run_multiply(b, &mut out, true)?;
         Ok((out, report))
-    }
-
-    fn check_b(&self, b: &DenseMatrix) -> Result<()> {
-        if b.nrows() != self.ncols {
-            return Err(SpmmError::shape(format!(
-                "A is {}x{}, B is {}x{}",
-                self.nrows,
-                self.ncols,
-                b.nrows(),
-                b.ncols()
-            )));
-        }
-        Ok(())
     }
 
     fn run_multiply(
@@ -449,7 +325,15 @@ impl DistSpmm {
     ) -> Result<DistReport> {
         let _span = spmm_trace::span("dist.multiply");
         spmm_trace::counter_add("dist.multiplies", 1);
-        self.check_b(b)?;
+        if b.nrows() != self.ncols {
+            return Err(SpmmError::shape(format!(
+                "A is {}x{}, B is {}x{}",
+                self.nrows,
+                self.ncols,
+                b.nrows(),
+                b.ncols()
+            )));
+        }
         if out.nrows() != self.nrows || out.ncols() != b.ncols() {
             return Err(SpmmError::shape(format!(
                 "output is {}x{}, expected {}x{}",
@@ -460,62 +344,22 @@ impl DistSpmm {
             )));
         }
         let t_wall = Instant::now();
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::new(b.clone());
         let elem = b.ncols() as u64 * 4;
+        let mut report = self.new_report();
 
-        let mut report = DistReport {
-            per_shard_busy: vec![0.0; self.num_shards()],
-            ..DistReport::default()
-        };
-        // Scatter accounting: each shard receives only the B rows it
-        // references; the coordinator link serializes the messages.
+        // Scatter: each shard receives only the B rows it references.
         {
             let _s = spmm_trace::span("dist.scatter");
-            for s in &self.plan.shards {
-                if s.is_empty() {
-                    continue;
-                }
-                let bytes = self.scatter_rows[s.id] * elem;
-                report.bytes_scattered += bytes;
-                report.scatter_seconds += self
-                    .transport
-                    .transfer(Route::Scatter { shard: s.id }, bytes);
+            for s in self.non_empty_shards() {
+                report.bytes_scattered += self.scatter_rows[s.id] * elem;
             }
             spmm_trace::counter_add("dist.bytes_scattered", report.bytes_scattered);
         }
 
-        let shard_ids: Vec<usize> = self
-            .plan
-            .shards
-            .iter()
-            .filter(|s| !s.is_empty())
-            .map(|s| s.id)
-            .collect();
-        let mut outs: Vec<Option<DenseMatrix>> = (0..self.num_shards()).map(|_| None).collect();
-        if sequential {
-            let across_cores = Self::spread(1);
-            for &id in &shard_ids {
-                self.submit_shared(id, epoch, &shared, across_cores)?;
-                self.collect(epoch, 1, &shared, across_cores, &mut outs, &mut report)?;
-            }
-        } else {
-            let across_cores = Self::spread(shard_ids.len());
-            for &id in &shard_ids {
-                self.submit_shared(id, epoch, &shared, across_cores)?;
-            }
-            self.collect(
-                epoch,
-                shard_ids.len(),
-                &shared,
-                across_cores,
-                &mut outs,
-                &mut report,
-            )?;
-        }
+        let mut outs = self.round(sequential, &mut report, |_| Arc::clone(&shared))?;
 
-        // Gather: copy each shard's rows into place; empty shards own
-        // no rows but their (zero-row) ranges still cost nothing.
+        // Gather: copy each shard's rows into place.
         {
             let _s = spmm_trace::span("dist.gather");
             for s in &self.plan.shards {
@@ -524,23 +368,63 @@ impl DistSpmm {
                         for r in 0..s.rows() {
                             out.row_mut(s.row_lo + r).copy_from_slice(shard_out.row(r));
                         }
-                        let bytes = s.rows() as u64 * elem;
-                        report.bytes_gathered += bytes;
-                        report.gather_seconds += self
-                            .transport
-                            .transfer(Route::Gather { shard: s.id }, bytes);
+                        report.bytes_gathered += s.rows() as u64 * elem;
                     }
                     None => debug_assert!(s.is_empty(), "non-empty shard produced no output"),
                 }
             }
             spmm_trace::counter_add("dist.bytes_gathered", report.bytes_gathered);
         }
+        Ok(self.record(report, t_wall))
+    }
 
+    fn non_empty_shards(&self) -> impl Iterator<Item = &ShardSpec> {
+        self.plan.shards.iter().filter(|s| !s.is_empty())
+    }
+
+    fn new_report(&self) -> DistReport {
+        DistReport {
+            per_shard_busy: vec![0.0; self.num_shards()],
+            ..DistReport::default()
+        }
+    }
+
+    /// Close a round begun at `t_wall`: stamp its wall clock and keep it
+    /// as [`DistSpmm::last_report`].
+    fn record(&self, mut report: DistReport, t_wall: Instant) -> DistReport {
         report.wall_seconds = t_wall.elapsed().as_secs_f64();
-        report.critical_path_seconds =
-            report.scatter_seconds + report.max_busy_seconds() + report.gather_seconds;
         *self.last_report.lock().unwrap() = Some(report.clone());
-        Ok(report)
+        report
+    }
+
+    /// Run one round: a job per non-empty shard, on the operand
+    /// `operand` gives it, retrying failures; returns the outputs by
+    /// shard id (`None` for empty shards). A `sequential` round
+    /// dispatches one job at a time; otherwise each job goes out as soon
+    /// as its operand is ready.
+    fn round(
+        &self,
+        sequential: bool,
+        report: &mut DistReport,
+        mut operand: impl FnMut(&ShardSpec) -> Arc<DenseMatrix>,
+    ) -> Result<Vec<Option<DenseMatrix>>> {
+        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
+        let mut outs: Vec<Option<DenseMatrix>> = (0..self.num_shards()).map(|_| None).collect();
+        if sequential {
+            let across_cores = Self::spread(1);
+            for s in self.non_empty_shards() {
+                self.submit(s.id, epoch, operand(s), across_cores)?;
+                self.collect(epoch, 1, across_cores, &mut outs, report)?;
+            }
+        } else {
+            let pending = self.non_empty_shards().count();
+            let across_cores = Self::spread(pending);
+            for s in self.non_empty_shards() {
+                self.submit(s.id, epoch, operand(s), across_cores)?;
+            }
+            self.collect(epoch, pending, across_cores, &mut outs, report)?;
+        }
+        Ok(outs)
     }
 
     /// Whether the jobs of a round of `jobs` dispatched together spread
@@ -549,33 +433,30 @@ impl DistSpmm {
         round_leaves_cores_idle(jobs, rayon::current_num_threads())
     }
 
-    fn submit_shared(
+    fn submit(
         &self,
         shard: usize,
         epoch: u64,
-        b: &Arc<DenseMatrix>,
+        b: Arc<DenseMatrix>,
         across_cores: bool,
     ) -> Result<()> {
         self.pool.submit(
             shard,
             Job {
                 epoch,
-                b: Operand::Shared(Arc::clone(b)),
-                priority: self.priority,
+                b,
                 across_cores,
             },
         )
     }
 
-    /// Receive `pending` outcomes for `epoch`, retrying failed shards
-    /// up to the bound with their round's `across_cores` tag. `shared`
-    /// reissues shared-operand jobs; owned operands come back with the
-    /// failed outcome.
+    /// Receive `pending` outcomes for `epoch`, resubmitting a failed
+    /// shard's operand up to [`MAX_RETRIES`] times with its round's
+    /// `across_cores` tag.
     fn collect(
         &self,
         epoch: u64,
         mut pending: usize,
-        shared: &Arc<DenseMatrix>,
         across_cores: bool,
         outs: &mut [Option<DenseMatrix>],
         report: &mut DistReport,
@@ -595,28 +476,16 @@ impl DistSpmm {
                 }
                 Err(e) => {
                     attempts[o.shard] += 1;
-                    if attempts[o.shard] <= self.max_retries {
+                    if attempts[o.shard] <= MAX_RETRIES {
                         spmm_trace::counter_add("dist.retries", 1);
                         report.retries += 1;
-                        let operand = match o.operand_back {
-                            Some(owned) => Operand::Owned(owned),
-                            None => Operand::Shared(Arc::clone(shared)),
-                        };
-                        self.pool.submit(
-                            o.shard,
-                            Job {
-                                epoch,
-                                b: operand,
-                                priority: self.priority,
-                                across_cores,
-                            },
-                        )?;
+                        self.submit(o.shard, epoch, o.b, across_cores)?;
                     } else {
                         spmm_trace::counter_add("dist.shard_failures", 1);
                         if terminal.is_none() {
                             terminal = Some(SpmmError::Shard {
                                 shard: o.shard,
-                                retries: self.max_retries,
+                                retries: MAX_RETRIES,
                                 cause: Box::new(e),
                             });
                         }
@@ -726,92 +595,44 @@ impl DistSpmm {
             }
         }
         let t_wall = Instant::now();
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
         let elem = d as u64 * 4;
-        let mut report = DistReport {
-            per_shard_busy: vec![0.0; self.num_shards()],
-            ..DistReport::default()
-        };
+        let mut report = self.new_report();
+        let halo_row_total: u64 = self
+            .non_empty_shards()
+            .map(|s| self.halo_rows[s.id].len() as u64)
+            .sum();
+        report.bytes_halo = halo_row_total * elem;
+        spmm_trace::counter_add("dist.halo_rows", halo_row_total);
+        spmm_trace::counter_add("dist.bytes_halo", report.bytes_halo);
 
         // Assemble each shard's operand: own rows in place, halo rows
-        // copied from their owners; priced one message per (from, to).
-        let mut scratch = self.halo_scratch.lock().unwrap();
-        scratch.resize_with(self.num_shards(), || None);
-        let owner_of = |row: usize| -> usize {
+        // copied from their owners.
+        let owner_of = |row: usize| {
             self.plan
                 .shards
                 .iter()
-                .position(|s| (s.row_lo..s.row_hi).contains(&row))
+                .find(|s| (s.row_lo..s.row_hi).contains(&row))
                 .expect("shard ranges tile the row space")
         };
-        let mut halo_row_total = 0u64;
-        let pending = self.plan.shards.iter().filter(|s| !s.is_empty()).count();
-        let across_cores = Self::spread(pending);
-        for s in &self.plan.shards {
-            if s.is_empty() {
-                continue;
-            }
-            let mut buf = match scratch[s.id].take() {
-                Some(b) if b.nrows() == self.ncols && b.ncols() == d => b,
-                _ => Box::new(DenseMatrix::zeros(self.ncols, d)),
-            };
+        let outs = self.round(false, &mut report, |s| {
+            let mut buf = DenseMatrix::zeros(self.ncols, d);
             for r in 0..s.rows() {
                 buf.row_mut(s.row_lo + r)
                     .copy_from_slice(parts[s.id].row(r));
             }
-            let mut from_counts = vec![0u64; self.num_shards()];
             for &h in &self.halo_rows[s.id] {
                 let owner = owner_of(h as usize);
                 buf.row_mut(h as usize)
-                    .copy_from_slice(parts[owner].row(h as usize - self.plan.shards[owner].row_lo));
-                from_counts[owner] += 1;
+                    .copy_from_slice(parts[owner.id].row(h as usize - owner.row_lo));
             }
-            for (from, &rows) in from_counts.iter().enumerate() {
-                if rows == 0 {
-                    continue;
-                }
-                let bytes = rows * elem;
-                report.bytes_halo += bytes;
-                report.halo_seconds += self
-                    .transport
-                    .transfer(Route::Halo { from, to: s.id }, bytes);
-                halo_row_total += rows;
-            }
-            self.pool.submit(
-                s.id,
-                Job {
-                    epoch,
-                    b: Operand::Owned(buf),
-                    priority: self.priority,
-                    across_cores,
-                },
-            )?;
-        }
-        spmm_trace::counter_add("dist.halo_rows", halo_row_total);
-        spmm_trace::counter_add("dist.bytes_halo", report.bytes_halo);
-
-        let mut outs: Vec<Option<DenseMatrix>> = (0..self.num_shards()).map(|_| None).collect();
-        // Shared fallback never fires for owned jobs (operands travel
-        // back with failures), but collect() needs one to satisfy its
-        // signature cheaply.
-        let dummy = Arc::new(DenseMatrix::zeros(0, 0));
-        let collected = self.collect(epoch, pending, &dummy, across_cores, &mut outs, &mut report);
-        // Stash operand buffers for the next round before propagating
-        // any failure.
-        collected?;
-
-        let result: Vec<DenseMatrix> = self
-            .plan
-            .shards
-            .iter()
-            .map(|s| match outs[s.id].take() {
-                Some(o) => o,
-                None => DenseMatrix::zeros(0, d),
-            })
+            Arc::new(buf)
+        })?;
+        // Empty shards ran no job and own no rows.
+        let result = outs
+            .into_iter()
+            .map(|o| o.unwrap_or_else(|| DenseMatrix::zeros(0, d)))
             .collect();
-        report.wall_seconds = t_wall.elapsed().as_secs_f64();
-        report.critical_path_seconds = report.halo_seconds + report.max_busy_seconds();
-        *self.last_report.lock().unwrap() = Some(report.clone());
+        self.record(report, t_wall);
         Ok(result)
     }
 
@@ -820,13 +641,7 @@ impl DistSpmm {
     /// for.
     pub fn halo_traffic_rows(&self) -> (u64, u64) {
         let halo: u64 = self.halo_rows.iter().map(|h| h.len() as u64).sum();
-        let regather: u64 = self
-            .plan
-            .shards
-            .iter()
-            .filter(|s| !s.is_empty())
-            .map(|_| self.nrows as u64)
-            .sum();
+        let regather = self.non_empty_shards().count() as u64 * self.nrows as u64;
         (halo, regather)
     }
 
@@ -872,20 +687,10 @@ impl DistSpmm {
                 .as_ref()
                 .expect("non-empty shard has a kernel");
             let (repaired, rep) = old.execution_plan().repair(&sub)?;
-            // Column coverage can change under churn: recompute this
-            // shard's scatter payload and halo rows from the repaired
-            // operand (row permutation never changes the column set).
-            let mut seen = vec![false; self.ncols];
-            for &c in repaired.csr().col_idx() {
-                seen[c as usize] = true;
-            }
-            self.scatter_rows[s.id] = seen.iter().filter(|&&x| x).count() as u64;
-            self.halo_rows[s.id] = seen
-                .iter()
-                .enumerate()
-                .filter(|&(c, &x)| x && !(s.row_lo..s.row_hi).contains(&c))
-                .map(|(c, _)| c as u32)
-                .collect();
+            // Column coverage can change under churn: recompute it from
+            // the repaired operand (row permutation never changes the
+            // column set).
+            (self.scatter_rows[s.id], self.halo_rows[s.id]) = column_coverage(repaired.csr(), s);
             self.shard_kernels[s.id] = Some(Arc::new(PreparedKernel::from_plan(repaired)));
             report.shards_repaired += 1;
             report.rows_touched += rep.rows_touched;
@@ -898,9 +703,8 @@ impl DistSpmm {
         if report.shards_repaired > 0 {
             // Workers pin their kernel at spawn: swap the pool for one
             // over the repaired kernel set (dropping the old pool drains
-            // and joins its workers) and discard halo assembly buffers.
+            // and joins its workers).
             self.pool = WorkerPool::spawn(&self.shard_kernels);
-            self.halo_scratch.lock().unwrap().clear();
             spmm_trace::counter_add("dist.deltas_applied", 1);
             spmm_trace::counter_add("dist.delta_shards_repaired", report.shards_repaired as u64);
         }
@@ -927,7 +731,6 @@ impl std::fmt::Debug for DistSpmm {
             .field("kind", &self.kind)
             .field("shards", &self.num_shards())
             .field("nrows", &self.nrows)
-            .field("transport", &self.transport.name())
             .finish()
     }
 }
@@ -1014,14 +817,13 @@ mod tests {
         let dist = DistSpmm::builder(KernelKind::CusparseLike, &m)
             .shards(2)
             .feature_dim(8)
-            .max_retries(2)
             .build()
             .unwrap();
-        dist.inject_shard_failures(1, 2);
+        dist.inject_shard_failures(1, 1);
         let expect = reference(&m, KernelKind::CusparseLike, &b);
         let got = dist.multiply(&b).unwrap();
         assert_eq!(got.as_slice(), expect.as_slice());
-        assert_eq!(dist.last_report().unwrap().retries, 2);
+        assert_eq!(dist.last_report().unwrap().retries, 1);
     }
 
     #[test]
@@ -1031,7 +833,6 @@ mod tests {
         let dist = DistSpmm::builder(KernelKind::CusparseLike, &m)
             .shards(2)
             .feature_dim(8)
-            .max_retries(1)
             .build()
             .unwrap();
         // 3 injected failures: attempt + retry exhaust the first
@@ -1047,29 +848,6 @@ mod tests {
         }
         // The coordinator stays usable once the injection is spent.
         assert!(dist.multiply(&b).is_ok());
-    }
-
-    #[test]
-    fn modeled_transport_prices_the_critical_path() {
-        let m = gen::uniform_random(256, 6.0, 4);
-        let b = DenseMatrix::random(256, 16, 5);
-        let dist = DistSpmm::builder(KernelKind::AccSpmm, &m)
-            .shards(4)
-            .feature_dim(16)
-            .transport(Arc::new(ModeledTransport::for_arch(Arch::A800)))
-            .build()
-            .unwrap();
-        let (_, report) = dist.multiply_profiled(&b).unwrap();
-        assert!(report.scatter_seconds > 0.0);
-        assert!(report.gather_seconds > 0.0);
-        assert!(report.bytes_scattered > 0 && report.bytes_gathered > 0);
-        assert!(
-            report.critical_path_seconds
-                >= report.scatter_seconds + report.max_busy_seconds() + report.gather_seconds
-                    - 1e-12
-        );
-        // Gather moves exactly the output matrix.
-        assert_eq!(report.bytes_gathered, (256 * 16 * 4) as u64);
     }
 
     #[test]
@@ -1094,34 +872,27 @@ mod tests {
             .build()
             .unwrap();
         let expect = dist.multiply(&h).unwrap();
+        // A multiply scatters the B rows the shards reference and
+        // gathers exactly the output matrix.
+        let report = dist.last_report().unwrap();
+        assert!(report.bytes_scattered > 0);
+        assert_eq!(report.bytes_gathered, (512 * 8 * 4) as u64);
         let parts = dist.split_rows(&h).unwrap();
         let out_parts = dist.propagate_halo(&parts).unwrap();
         let got = dist.concat_rows(&out_parts).unwrap();
         assert_eq!(got.as_slice(), expect.as_slice());
         // Clustered matrix: boundary rows are a small fraction of a
-        // full re-gather.
+        // full re-gather, but inter-cluster edges cross shards, so the
+        // round moves some.
         let (halo, regather) = dist.halo_traffic_rows();
         assert!(
-            halo < regather / 2,
+            0 < halo && halo < regather / 2,
             "halo {halo} rows vs re-gather {regather} rows"
         );
-    }
-
-    #[test]
-    fn plan_cache_is_reused_across_coordinators() {
-        let m = gen::uniform_random(256, 5.0, 8);
-        let cache = Arc::new(PlanCache::new(16));
-        for _ in 0..2 {
-            let _ = DistSpmm::builder(KernelKind::AccSpmm, &m)
-                .shards(3)
-                .feature_dim(8)
-                .plan_cache(Arc::clone(&cache))
-                .build()
-                .unwrap();
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.builds, 3, "3 shard plans built once each");
-        assert!(stats.hits >= 3, "second coordinator hits the cache");
+        let report = dist.last_report().unwrap();
+        assert!(report.bytes_halo > 0);
+        assert_eq!(report.bytes_halo, halo * 8 * 4);
+        assert_eq!(report.retries, 0);
     }
 
     #[test]
@@ -1137,29 +908,6 @@ mod tests {
         let expect = reference(&m, KernelKind::SputnikLike, &b);
         let got = dist.multiply(&b).unwrap();
         assert_eq!(got.as_slice(), expect.as_slice());
-    }
-
-    #[test]
-    fn shard_jobs_carry_the_coordinator_priority_class() {
-        let m = gen::uniform_random(128, 5.0, 31);
-        let b = DenseMatrix::random(128, 8, 5);
-        let dist = DistSpmm::builder(KernelKind::CusparseLike, &m)
-            .shards(3)
-            .feature_dim(8)
-            .priority(Priority::Interactive)
-            .build()
-            .unwrap();
-        // Trace counters are process-global (other tests add to them)
-        // and off by default, so enable recording and assert on the
-        // delta across this multiply only.
-        spmm_trace::enable();
-        let before = spmm_trace::snapshot().counter("dist.jobs.interactive");
-        dist.multiply(&b).unwrap();
-        let after = spmm_trace::snapshot().counter("dist.jobs.interactive");
-        assert!(
-            after >= before + 3,
-            "3 shard jobs labeled interactive (before {before}, after {after})"
-        );
     }
 
     fn bits(m: &DenseMatrix) -> Vec<u32> {

@@ -152,21 +152,6 @@ pub fn plan_shards(m: &CsrMatrix, num_shards: usize, model: &PerfModel) -> Shard
     ShardPlan { shards, imbalance }
 }
 
-/// Extract the rectangular row-block sub-matrix `[lo, hi) × ncols`.
-pub fn row_block(m: &CsrMatrix, lo: usize, hi: usize) -> CsrMatrix {
-    let rp = m.row_ptr();
-    let base = rp[lo];
-    let row_ptr: Vec<usize> = rp[lo..=hi].iter().map(|&p| p - base).collect();
-    CsrMatrix::new(
-        hi - lo,
-        m.ncols(),
-        row_ptr,
-        m.col_idx()[base..rp[hi]].to_vec(),
-        m.values()[base..rp[hi]].to_vec(),
-    )
-    .expect("a row block of a valid CSR matrix is a valid CSR matrix")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,19 +206,5 @@ mod tests {
         assert_eq!(plan.shards.last().unwrap().row_hi, m.nrows());
         let covered: usize = plan.shards.iter().map(|s| s.rows()).sum();
         assert_eq!(covered, m.nrows());
-    }
-
-    #[test]
-    fn row_block_preserves_rows() {
-        let m = uniform_random(64, 5.0, 4);
-        let blk = row_block(&m, 8, 24);
-        assert_eq!(blk.nrows(), 16);
-        assert_eq!(blk.ncols(), m.ncols());
-        for r in 0..16 {
-            assert_eq!(blk.row(r), m.row(8 + r));
-        }
-        let empty = row_block(&m, 16, 16);
-        assert_eq!(empty.nrows(), 0);
-        assert_eq!(empty.nnz(), 0);
     }
 }

@@ -14,42 +14,17 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use spmm_common::{Result, SpmmError};
-use spmm_engine::Priority;
 use spmm_kernels::{PreparedKernel, Workspace};
 use spmm_matrix::DenseMatrix;
-
-/// The dense operand a job carries: shared (one `Arc` for every shard)
-/// or owned (per-shard halo scratch, returned with the outcome for
-/// reuse).
-pub(crate) enum Operand {
-    /// One B shared by every shard of the multiply.
-    Shared(Arc<DenseMatrix>),
-    /// A per-shard operand (halo-assembled); travels back with the
-    /// outcome so the coordinator can reuse the allocation.
-    Owned(Box<DenseMatrix>),
-}
-
-impl Operand {
-    fn matrix(&self) -> &DenseMatrix {
-        match self {
-            Operand::Shared(b) => b,
-            Operand::Owned(b) => b,
-        }
-    }
-}
 
 /// One unit of shard work.
 pub(crate) struct Job {
     /// Multiply sequence number (guards against stale outcomes after a
     /// retry).
     pub epoch: u64,
-    /// The dense operand.
-    pub b: Operand,
-    /// Serving-tier priority class the multiply was issued under —
-    /// carried with every shard job so downstream accounting
-    /// (`dist.jobs.<class>` counters, and an engine-backed worker tier)
-    /// sees the same class the coordinator admitted.
-    pub priority: Priority,
+    /// The dense operand: the multiply's shared B, or the shard's own
+    /// halo-assembled operand.
+    pub b: Arc<DenseMatrix>,
     /// Whether the job's round leaves cores idle (see
     /// [`round_leaves_cores_idle`]): only then does the job spread its
     /// row loop across every core; in a full round it runs on its own
@@ -80,9 +55,8 @@ pub(crate) struct Outcome {
     /// the host's cores, so a round with more jobs than cores adds
     /// time-slicing to every job's seconds.
     pub busy_seconds: f64,
-    /// Owned operands travel back for reuse (also on failure, so a
-    /// retry can resend without reassembly).
-    pub operand_back: Option<Box<DenseMatrix>>,
+    /// The job's operand, so a retry can resend it.
+    pub b: Arc<DenseMatrix>,
 }
 
 struct ShardWorker {
@@ -207,18 +181,9 @@ fn worker_loop(
     let mut ws = Workspace::for_plan(kernel.execution_plan());
     // `for` over the receiver drains queued jobs after the senders drop.
     for job in rx.iter() {
-        let class = match job.priority {
-            Priority::Interactive => "dist.jobs.interactive",
-            Priority::Batch => "dist.jobs.batch",
-            // `Priority` is non-exhaustive; account future classes as
-            // standard rather than inventing counter names dynamically
-            // (counter names must be 'static).
-            _ => "dist.jobs.standard",
-        };
         let outcome = run_job(shard, kernel, &mut ws, fail_next, job);
         processed.fetch_add(1, Ordering::Relaxed);
         spmm_trace::counter_add("dist.jobs", 1);
-        spmm_trace::counter_add(class, 1);
         if results.send(outcome).is_err() {
             // Coordinator gone; keep draining so submitted work is
             // accounted, but nobody hears the results.
@@ -245,14 +210,11 @@ fn run_job(
             epoch,
             result: Err(SpmmError::Io(format!("injected failure on shard {shard}"))),
             busy_seconds: 0.0,
-            operand_back: match job.b {
-                Operand::Owned(b) => Some(b),
-                Operand::Shared(_) => None,
-            },
+            b: job.b,
         };
     }
     let _span = spmm_trace::span("dist.shard_execute");
-    let b = job.b.matrix();
+    let b = &*job.b;
     let mut out = DenseMatrix::zeros(kernel.csr().nrows(), b.ncols());
     let t0 = Instant::now();
     let run = if job.across_cores {
@@ -267,10 +229,7 @@ fn run_job(
         epoch,
         result,
         busy_seconds,
-        operand_back: match job.b {
-            Operand::Owned(b) => Some(b),
-            Operand::Shared(_) => None,
-        },
+        b: job.b,
     }
 }
 
@@ -300,8 +259,7 @@ mod tests {
                 0,
                 Job {
                     epoch,
-                    b: Operand::Shared(Arc::clone(&b)),
-                    priority: Priority::Standard,
+                    b: Arc::clone(&b),
                     across_cores: epoch % 2 == 0,
                 },
             )
@@ -324,8 +282,7 @@ mod tests {
                 0,
                 Job {
                     epoch,
-                    b: Operand::Shared(Arc::clone(&b)),
-                    priority: Priority::Batch,
+                    b: Arc::clone(&b),
                     across_cores: false,
                 },
             )
@@ -360,8 +317,7 @@ mod tests {
                 0,
                 Job {
                     epoch: 0,
-                    b: Operand::Shared(Arc::new(DenseMatrix::zeros(16, 8))),
-                    priority: Priority::Standard,
+                    b: Arc::new(DenseMatrix::zeros(16, 8)),
                     across_cores: true,
                 }
             )

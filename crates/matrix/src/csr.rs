@@ -337,6 +337,27 @@ impl CsrMatrix {
         })
     }
 
+    /// Rows `[lo, hi)` as a standalone matrix over the same columns.
+    /// Every stored entry is copied as it is — explicit zeros, NaN and
+    /// signed zeros included — unlike [`CsrMatrix::submatrix`], which
+    /// round-trips through COO.
+    ///
+    /// # Panics
+    /// If `lo > hi` or `hi > nrows`.
+    pub fn row_block(&self, lo: usize, hi: usize) -> CsrMatrix {
+        assert!(lo <= hi && hi <= self.nrows, "row block out of bounds");
+        let base = self.row_ptr[lo];
+        let end = self.row_ptr[hi];
+        CsrMatrix {
+            nrows: hi - lo,
+            ncols: self.ncols,
+            row_ptr: self.row_ptr[lo..=hi].iter().map(|&p| p - base).collect(),
+            col_idx: self.col_idx[base..end].to_vec(),
+            values: self.values[base..end].to_vec(),
+            fingerprint: OnceLock::new(),
+        }
+    }
+
     /// Reference SpMM: `C = self × B` in full FP32, parallelized over rows
     /// with rayon. Every kernel's functional output is validated against
     /// this implementation. It runs the row core's scalar arm: per output
@@ -665,5 +686,32 @@ mod tests {
         for (r, &p) in perm.iter().enumerate() {
             assert_eq!(cp.row(p as usize), c.row(r));
         }
+    }
+
+    #[test]
+    fn row_block_preserves_rows() {
+        let mut m = crate::gen::uniform_random(64, 5.0, 4);
+        // Stored values a COO round trip would not keep bit for bit: a
+        // zero, a NaN and a negative zero, all in the block.
+        let (lo, hi) = (m.row_ptr()[8], m.row_ptr()[24]);
+        assert!(hi - lo >= 3, "the block stores enough entries");
+        let vals = m.values_mut();
+        vals[lo] = 0.0;
+        vals[lo + 1] = f32::NAN;
+        vals[hi - 1] = -0.0;
+        let blk = m.row_block(8, 24);
+        assert_eq!(blk.nrows(), 16);
+        assert_eq!(blk.ncols(), m.ncols());
+        assert!(blk.validate().is_ok());
+        for r in 0..16 {
+            let (cols, vals) = blk.row(r);
+            let (want_cols, want_vals) = m.row(8 + r);
+            assert_eq!(cols, want_cols);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(vals), bits(want_vals), "row {r}");
+        }
+        let empty = m.row_block(16, 16);
+        assert_eq!(empty.nrows(), 0);
+        assert_eq!(empty.nnz(), 0);
     }
 }
