@@ -11,8 +11,9 @@
 //! * **merged iteration** ([`DeltaCsr::row`]) yielding each row's live
 //!   edges in ascending column order, exactly as the compacted CSR
 //!   would store them;
-//! * **compaction** ([`DeltaCsr::compact`]) back to a plain CSR, from
-//!   which `ExecutionPlan::repair` re-derives a plan's host rows;
+//! * **compaction** ([`DeltaCsr::compact`]) back to a plain CSR, at a
+//!   cost that follows the touched rows: untouched row spans are copied
+//!   whole. `ExecutionPlan::repair` derives a plan's host rows from it;
 //! * **touched rows** ([`DeltaCsr::touched_rows`]) — the rows with
 //!   pending ops.
 //!
@@ -267,17 +268,32 @@ impl DeltaCsr {
 
     /// Materialize the merged view as a plain CSR (the overlay is left
     /// untouched). Values keep their exact bit patterns.
+    ///
+    /// The cost follows the rows the delta touched: each run of
+    /// untouched base rows is copied whole — one `extend_from_slice` of
+    /// its columns, one of its values and a shifted copy of its row
+    /// pointers — and only the touched rows go through the merge
+    /// ([`DeltaCsr::row`]). The result is still validated by
+    /// [`CsrMatrix::new`].
     pub fn compact(&self) -> CsrMatrix {
         let mut row_ptr = Vec::with_capacity(self.nrows() + 1);
         row_ptr.push(0usize);
         let mut col_idx = Vec::with_capacity(self.nnz);
         let mut values = Vec::with_capacity(self.nnz);
-        for r in 0..self.nrows() {
-            for (c, v) in self.row(r) {
-                col_idx.push(c);
-                values.push(v);
+        let mut next = 0;
+        // Each touched row ends a run of untouched ones; the last run
+        // ends at `nrows`.
+        for r in self.touched_rows().chain([self.nrows()]) {
+            self.base
+                .append_rows_to(next, r, &mut row_ptr, &mut col_idx, &mut values);
+            if r < self.nrows() {
+                for (c, v) in self.row(r) {
+                    col_idx.push(c);
+                    values.push(v);
+                }
+                row_ptr.push(col_idx.len());
+                next = r + 1;
             }
-            row_ptr.push(col_idx.len());
         }
         CsrMatrix::new(self.nrows(), self.ncols(), row_ptr, col_idx, values)
             .expect("merged view of a valid base is valid")

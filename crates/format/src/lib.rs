@@ -28,7 +28,7 @@ pub mod tcf;
 pub mod window;
 
 pub use bittcf::{BitTcf, Bitmap};
-pub use scratch::{execution_rows, BStage};
+pub use scratch::{execution_rows, splice_execution_rows, BStage};
 pub use tc_matrix::{BlockCodec, LocalIds, MeTcf, TcMatrix};
 pub use tcf::Tcf;
 pub use window::{WindowPartition, PAD_COL, TILE};

@@ -40,7 +40,6 @@ pub fn execution_rows(
         ));
     }
     let source = |i: usize| order.map_or(i, |o| o[i] as usize);
-    let keep = |v: f32| !skip_zeros || to_tf32(v) != 0.0;
     // Kept entries per source row, counted in source order, then the
     // offsets of the rows in `order`.
     let mut kept = vec![0usize; n];
@@ -48,8 +47,7 @@ pub fn execution_rows(
         .enumerate()
         .for_each(|(p, lens)| {
             for (k, len) in lens.iter_mut().enumerate() {
-                let vals = csr.row(p * PIECE_ROWS + k).1;
-                *len = vals.iter().filter(|&&v| keep(v)).count();
+                *len = exec_row_len(csr.row(p * PIECE_ROWS + k).1, skip_zeros);
             }
         });
     let mut row_ptr = Vec::with_capacity(n + 1);
@@ -72,22 +70,98 @@ pub fn execution_rows(
         let (rows, c, v) = &mut piece[0];
         let base = row_ptr[rows.start];
         for i in rows.clone() {
-            let (rc, rv) = csr.row(source(i));
             let span = row_ptr[i] - base..row_ptr[i + 1] - base;
-            let (c, v) = (&mut c[span.clone()], &mut v[span]);
-            if c.len() == rc.len() {
-                // Nothing dropped: copy the columns, round the values.
-                c.copy_from_slice(rc);
-                to_tf32_slice_into(rv, v);
-                continue;
-            }
-            let pairs = rc.iter().zip(rv).filter(|&(_, &val)| keep(val));
-            for (k, (&col, &val)) in pairs.enumerate() {
-                (c[k], v[k]) = (col, to_tf32(val));
-            }
+            let (rc, rv) = csr.row(source(i));
+            write_exec_row(rc, rv, skip_zeros, &mut c[span.clone()], &mut v[span]);
         }
     });
     CsrMatrix::new(n, csr.ncols(), row_ptr, cols, vals)
+}
+
+/// [`execution_rows`] of `csr` in row order, spliced from `prior`: the
+/// execution rows, under the same `skip_zeros`, of an operand that
+/// agrees with `csr` outside the rows in `touched` (strictly
+/// ascending). Each run of untouched rows is copied from `prior` whole
+/// ([`CsrMatrix::append_rows_to`]); only the touched rows are derived,
+/// by the rule [`execution_rows`] applies. Under that precondition the
+/// result equals `execution_rows(csr, None, skip_zeros)` bit for bit.
+///
+/// # Errors
+/// [`SpmmError::Shape`] if `prior` and `csr` differ in shape;
+/// [`SpmmError::InvalidConfig`] if `touched` is not strictly ascending
+/// or names a row past the last.
+pub fn splice_execution_rows(
+    prior: &CsrMatrix,
+    csr: &CsrMatrix,
+    touched: &[usize],
+    skip_zeros: bool,
+) -> Result<CsrMatrix> {
+    let n = csr.nrows();
+    if (prior.nrows(), prior.ncols()) != (n, csr.ncols()) {
+        return Err(SpmmError::shape(format!(
+            "prior execution rows are {}x{}, the operand is {n}x{}",
+            prior.nrows(),
+            prior.ncols(),
+            csr.ncols()
+        )));
+    }
+    if touched.windows(2).any(|w| w[0] >= w[1]) || touched.last().is_some_and(|&r| r >= n) {
+        return Err(SpmmError::InvalidConfig(
+            "touched rows must be strictly ascending rows of the operand".into(),
+        ));
+    }
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    // An execution row never outgrows its stored row.
+    let (mut cols, mut vals) = (Vec::with_capacity(csr.nnz()), Vec::with_capacity(csr.nnz()));
+    let mut next = 0;
+    // Each touched row ends a run of untouched ones; the last run ends
+    // at `n`.
+    for r in touched.iter().copied().chain([n]) {
+        prior.append_rows_to(next, r, &mut row_ptr, &mut cols, &mut vals);
+        if r < n {
+            let (rc, rv) = csr.row(r);
+            let start = cols.len();
+            let end = start + exec_row_len(rv, skip_zeros);
+            cols.resize(end, 0);
+            vals.resize(end, 0.0);
+            write_exec_row(rc, rv, skip_zeros, &mut cols[start..], &mut vals[start..]);
+            row_ptr.push(end);
+            next = r + 1;
+        }
+    }
+    CsrMatrix::new(n, csr.ncols(), row_ptr, cols, vals)
+}
+
+/// Whether an execution row keeps stored value `v`: always, unless
+/// `skip_zeros` and `v` rounds to ±0 in TF32.
+#[inline]
+fn keeps(v: f32, skip_zeros: bool) -> bool {
+    !skip_zeros || to_tf32(v) != 0.0
+}
+
+/// Entries the execution row of a stored row with values `vals` keeps.
+fn exec_row_len(vals: &[f32], skip_zeros: bool) -> usize {
+    vals.iter().filter(|&&v| keeps(v, skip_zeros)).count()
+}
+
+/// Write the execution row of the stored row `(cols, vals)` into
+/// `(c, v)`, both [`exec_row_len`] long: the kept entries in order,
+/// values TF32-rounded.
+fn write_exec_row(cols: &[u32], vals: &[f32], skip_zeros: bool, c: &mut [u32], v: &mut [f32]) {
+    if c.len() == cols.len() {
+        // Nothing dropped: copy the columns, round the values.
+        c.copy_from_slice(cols);
+        to_tf32_slice_into(vals, v);
+        return;
+    }
+    let pairs = cols
+        .iter()
+        .zip(vals)
+        .filter(|&(_, &val)| keeps(val, skip_zeros));
+    for (k, (&col, &val)) in pairs.enumerate() {
+        (c[k], v[k]) = (col, to_tf32(val));
+    }
 }
 
 /// A TF32-rounded staging copy of a dense operand.

@@ -57,9 +57,13 @@ const MAGIC: [u8; 4] = *b"SPIR";
 /// v5 stores the host part only: the header, the permutation when the
 /// plan holds one, and the operand. The format, balance and trace
 /// sections, and the `format`, `has_balance` and `timings` header keys,
-/// are gone. Older containers are rejected with
-/// [`PlanLoadError::VersionMismatch`].
-pub const PLAN_IR_VERSION: u32 = 5;
+/// are gone.
+///
+/// v6 changes the operand fingerprint the header records from a
+/// byte-wise FNV-1a hash to a four-lane word hash
+/// ([`CsrMatrix::content_fingerprint`]); the layout is that of v5.
+/// Older containers are rejected with [`PlanLoadError::VersionMismatch`].
+pub const PLAN_IR_VERSION: u32 = 6;
 
 /// Sanity cap on section and array lengths.
 const CAP: u64 = 1 << 34;
@@ -776,16 +780,19 @@ impl PlanLoader {
         if IsaTier::resolve(ir.config.isa)? != ir.isa_tier {
             spmm_trace::counter_add("plan.isa_rebinds", 1);
         }
-        let plan = ExecutionPlan::from_host(HostPart {
-            kind: ir.kind,
-            arch: ir.arch,
-            feature_dim: ir.feature_dim,
-            config: ir.config,
-            csr: ir.csr,
-            input_fingerprint: ir.input_fingerprint,
-            perm: ir.perm,
-            timings: Vec::new(),
-        })
+        let plan = ExecutionPlan::from_host(
+            HostPart {
+                kind: ir.kind,
+                arch: ir.arch,
+                feature_dim: ir.feature_dim,
+                config: ir.config,
+                csr: ir.csr,
+                input_fingerprint: ir.input_fingerprint,
+                perm: ir.perm,
+                timings: Vec::new(),
+            },
+            None,
+        )
         .map_err(|e| PlanLoadError::ArtifactInvalid {
             section: "perm",
             detail: e.to_string(),

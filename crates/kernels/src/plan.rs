@@ -436,28 +436,35 @@ impl ExecutionPlan {
         };
         spmm_trace::counter_add("plan.builds", 1);
         record_isa_counters(tier);
-        ExecutionPlan::from_host(HostPart {
-            kind,
-            arch,
-            feature_dim,
-            config,
-            csr,
-            input_fingerprint,
-            perm,
-            timings,
-        })
+        ExecutionPlan::from_host(
+            HostPart {
+                kind,
+                arch,
+                feature_dim,
+                config,
+                csr,
+                input_fingerprint,
+                perm,
+                timings,
+            },
+            None,
+        )
     }
 
     /// Complete a host part with its execution rows — the one
     /// constructor, shared by build, repair ([`crate::repair`]) and the
     /// plan-IR loader ([`crate::ir`]). Deriving the rows is compile
     /// work: it runs under a `plan.compile` span and is timed as the
-    /// `compile` stage.
+    /// `compile` stage. Given `prior` — a repaired plan's old execution
+    /// rows and the operand rows that changed since, strictly ascending
+    /// — a plan without a permutation splices them
+    /// ([`spmm_format::splice_execution_rows`]) and derives only the
+    /// changed rows; a symmetric plan derives all of its rows.
     ///
     /// # Errors
     /// If the permutation is not a permutation of the operand's rows,
     /// or is held outside symmetric mode.
-    pub(crate) fn from_host(host: HostPart) -> Result<Self> {
+    pub(crate) fn from_host(host: HostPart, prior: Option<(&CsrMatrix, &[usize])>) -> Result<Self> {
         let HostPart {
             kind,
             arch,
@@ -480,7 +487,13 @@ impl ExecutionPlan {
                 Precision::Tf32KeepZeros => false,
                 Precision::Tf32DropZeros => true,
             };
-            spmm_format::execution_rows(&csr, perm.as_deref(), skip_zeros).map(Some)
+            match (prior, perm.as_deref()) {
+                (Some((rows, touched)), None) => {
+                    spmm_format::splice_execution_rows(rows, &csr, touched, skip_zeros)
+                }
+                (_, order) => spmm_format::execution_rows(&csr, order, skip_zeros),
+            }
+            .map(Some)
         })?;
         Ok(ExecutionPlan {
             kind,
@@ -502,15 +515,18 @@ impl ExecutionPlan {
     }
 
     /// A plan with this one's binding and relabeling over a new input
-    /// operand: the host part derived afresh, the model left to be built
-    /// on first use (see [`crate::repair`]).
-    pub(crate) fn with_input(&self, input: CsrMatrix) -> Result<ExecutionPlan> {
+    /// operand that differs from this plan's at most in the rows
+    /// `touched` (strictly ascending): the host part derived afresh, the
+    /// execution rows of untouched rows carried over where the plan has
+    /// no permutation, and the model left to be built on first use (see
+    /// [`crate::repair`]).
+    pub(crate) fn with_input(&self, input: CsrMatrix, touched: &[usize]) -> Result<ExecutionPlan> {
         let input_fingerprint = input.content_fingerprint();
         let csr = match &self.perm {
             Some(perm) => input.permute_symmetric(perm)?,
             None => input,
         };
-        ExecutionPlan::from_host(HostPart {
+        let host = HostPart {
             kind: self.kind,
             arch: self.arch,
             feature_dim: self.feature_dim,
@@ -519,7 +535,9 @@ impl ExecutionPlan {
             input_fingerprint,
             perm: self.perm.clone(),
             timings: Vec::new(),
-        })
+        };
+        let prior = self.exec_rows.as_ref().map(|rows| (rows, touched));
+        ExecutionPlan::from_host(host, prior)
     }
 
     /// The model part, built on the first call and shared after it.

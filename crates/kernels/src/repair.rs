@@ -1,12 +1,19 @@
 //! Plan repair for dynamic graphs.
 //!
 //! A [`DeltaCsr`] overlay edits a plan's input operand. Repair folds the
-//! edits in ([`DeltaCsr::compact`]) and derives the host part — the
-//! execution rows — of the compacted operand; the model part is dropped
-//! and rebuilt on first use. A symmetric plan keeps its permutation, so
-//! its rows, and the model rebuilt from them, stay under the same
-//! relabeling; every other plan's rows are the input's rows in input
-//! order, whichever permutation packed the blocks.
+//! edits in ([`DeltaCsr::compact`], which copies untouched row spans
+//! whole and merges only the touched rows), fingerprints the compacted
+//! operand once, and derives the host part — the execution rows — of
+//! it; the model part is dropped and rebuilt on first use. A
+//! tensor-core plan without a symmetric permutation splices its rows
+//! ([`spmm_format::splice_execution_rows`]): the old plan's execution
+//! rows for untouched rows are copied, and only the touched rows are
+//! derived. So a repair costs in proportion to the rows the delta
+//! touched, plus one memory-speed pass for the cache key. A symmetric
+//! plan keeps its permutation and derives all its rows, so they, and
+//! the model rebuilt from them, stay under the same relabeling; every
+//! other plan's rows are the input's rows in input order, whichever
+//! permutation packed the blocks.
 //!
 //! The contract, enforced by tests: the repaired plan's execution
 //! output is **bit-identical** (NaN-position-exact) to a from-scratch
@@ -61,23 +68,24 @@ impl ExecutionPlan {
                     .into(),
             ));
         }
+        let touched: Vec<usize> = delta.touched_rows().collect();
         let windows_total = self.csr().nrows().div_ceil(TILE);
-        let mut touched = vec![false; windows_total];
-        for r in delta.touched_rows() {
-            touched[r / TILE] = true;
+        let mut windows = vec![false; windows_total];
+        for &r in &touched {
+            windows[r / TILE] = true;
         }
         let mut report = RepairReport {
-            rows_touched: delta.num_touched_rows(),
+            rows_touched: touched.len(),
             edges_applied: delta.num_pending(),
             windows_total,
-            windows_rebuilt: touched.iter().filter(|&&t| t).count(),
+            windows_rebuilt: windows.iter().filter(|&&t| t).count(),
             ..RepairReport::default()
         };
         if delta.is_clean() {
             report.repair_seconds = t0.elapsed().as_secs_f64();
             return Ok((self.clone(), report));
         }
-        let repaired = self.with_input(delta.compact())?;
+        let repaired = self.with_input(delta.compact(), &touched)?;
         report.repair_seconds = t0.elapsed().as_secs_f64();
         spmm_trace::counter_add("plan.repairs", 1);
         spmm_trace::counter_add("plan.repair.windows_rebuilt", report.windows_rebuilt as u64);
@@ -318,6 +326,134 @@ mod tests {
         match model.format().unwrap() {
             TcFormat::BitTcf(f) => assert_bittcf_bits_eq(f, &expected_fmt),
             other => panic!("expected BitTcf, got {other:?}"),
+        }
+    }
+
+    /// The delta shapes `spliced_repair_matches_derived_rows` draws.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// The script, plus the first and last row, a run of
+        /// consecutive rows, and one row emptied by deletes.
+        Mixed,
+        /// The script plus one upsert in every row.
+        AllRows,
+        /// Edits that all net out: the overlay stays clean.
+        Clean,
+    }
+
+    /// Payloads of special bit patterns, `1e-42` among them: a
+    /// subnormal that rounds to zero in TF32, so a zero-dropping plan
+    /// drops it.
+    fn payload(bits: u32) -> f32 {
+        match bits % 8 {
+            0 => f32::NAN,
+            1 => -0.0,
+            2 => f32::MIN_POSITIVE / 4.0,
+            3 => f32::INFINITY,
+            4 => f32::NEG_INFINITY,
+            5 => 1e-42,
+            _ => f32::from_bits(bits),
+        }
+    }
+
+    /// A base with special values stored in it, and a delta of `shape`
+    /// over it.
+    fn shaped_delta(seed: u64, shape: Shape, script: &[(bool, u16, u16, u32)]) -> DeltaCsr {
+        let n = 40 + (seed % 50) as usize;
+        let mut m = uniform_random(n, 4.0, seed);
+        for (k, v) in m.values_mut().iter_mut().enumerate().step_by(7) {
+            *v = payload(k as u32 ^ seed as u32);
+        }
+        let mut d = DeltaCsr::new(m);
+        let n32 = n as u32;
+        if let Shape::Clean = shape {
+            for &(_, r, c, _) in script {
+                let (r, c) = (r as u32 % n32, c as u32 % n32);
+                if d.get(r as usize, c).is_none() {
+                    d.upsert(r, c, 2.0).unwrap();
+                    d.delete(r, c);
+                }
+            }
+            assert!(d.is_clean());
+            return d;
+        }
+        for &(delete, r, c, bits) in script {
+            let (r, c) = (r as u32 % n32, c as u32 % n32);
+            if delete {
+                d.delete(r, c);
+            } else {
+                d.upsert(r, c, payload(bits)).unwrap();
+            }
+        }
+        let rows: Vec<u32> = match shape {
+            Shape::AllRows => (0..n32).collect(),
+            _ => {
+                let run = (seed as u32 % (n32 - 6))..(seed as u32 % (n32 - 6) + 5);
+                [0, n32 - 1].into_iter().chain(run).collect()
+            }
+        };
+        for r in rows {
+            d.upsert(r, (r * 7 + seed as u32) % n32, payload(r ^ 0x5a))
+                .unwrap();
+        }
+        if let Shape::Mixed = shape {
+            let r = (seed as usize / 7) % n;
+            let cols: Vec<u32> = d.row(r).map(|(c, _)| c).collect();
+            for c in cols {
+                d.delete(r as u32, c);
+            }
+            assert_eq!(d.row_len(r), 0, "row {r} emptied");
+        }
+        d
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        // Span-copy `compact` equals the per-row merged view, and a
+        // repaired plan's spliced execution rows equal the rows derived
+        // from the compacted operand, by bits: TCF keeps the values that
+        // round to ±0, BitTCF and ME-TCF drop them.
+        #[test]
+        fn spliced_repair_matches_derived_rows(
+            seed in 0u64..1 << 32,
+            shape in 0usize..3,
+            script in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<u16>(),
+                    proptest::prelude::any::<u16>(),
+                    proptest::prelude::any::<u32>(),
+                ),
+                0..60,
+            ),
+        ) {
+            let shape = [Shape::Mixed, Shape::AllRows, Shape::Clean][shape];
+            let delta = shaped_delta(seed, shape, &script);
+            let compacted = delta.compact();
+            let (mut row_ptr, mut cols, mut vals) = (vec![0], Vec::new(), Vec::new());
+            for r in 0..delta.nrows() {
+                for (c, v) in delta.row(r) {
+                    cols.push(c);
+                    vals.push(v);
+                }
+                row_ptr.push(cols.len());
+            }
+            let merged =
+                CsrMatrix::new(delta.nrows(), delta.ncols(), row_ptr, cols, vals).unwrap();
+            assert!(same_bits(&compacted, &merged), "compact differs from the merged view");
+            for kind in [KernelKind::TcGnn, KernelKind::DtcSpmm, KernelKind::AccSpmm] {
+                let plan =
+                    ExecutionPlan::build(kind, delta.base(), Arch::A800, 8, AccConfig::full())
+                        .unwrap();
+                let (repaired, report) = plan.repair(&delta).unwrap();
+                assert_eq!(report.rows_touched, delta.num_touched_rows());
+                let skip_zeros = plan.precision() == crate::Precision::Tf32DropZeros;
+                let derived = spmm_format::execution_rows(&compacted, None, skip_zeros).unwrap();
+                assert!(
+                    same_bits(repaired.exec_rows().unwrap(), &derived),
+                    "{kind:?}: spliced rows differ from derived rows"
+                );
+            }
         }
     }
 

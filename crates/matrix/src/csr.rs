@@ -42,6 +42,39 @@ impl PartialEq for CsrMatrix {
     }
 }
 
+/// Lane seeds of [`CsrMatrix::content_fingerprint`]: distinct, so the
+/// same word reads differently in each lane.
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+/// Odd multiplier every lane folds its words with.
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Start of the in-order fold of the four lanes into one fingerprint.
+const FINISH_SEED: u64 = 0x4528_21e6_38d0_1377;
+
+/// The 128-bit product of `a` and `b`, low half XOR high half: every
+/// input bit reaches the low output bits, unlike a wrapping multiply,
+/// under which a flip of bit 63 only ever flips bit 63.
+#[inline(always)]
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = a as u128 * b as u128;
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// Absorb up to four words, one into each leading lane: a full group
+/// of a section, or its tail.
+#[inline(always)]
+fn absorb(lanes: &mut [u64; 4], words: impl IntoIterator<Item = u64>) {
+    let mut words = words.into_iter();
+    for (lane, w) in lanes.iter_mut().zip(words.by_ref()) {
+        *lane = fold_mul(*lane ^ w, LANE_MUL);
+    }
+    debug_assert!(words.next().is_none(), "at most one word per lane");
+}
+
 impl CsrMatrix {
     /// Construct from raw arrays, validating every invariant.
     pub fn new(
@@ -123,15 +156,23 @@ impl CsrMatrix {
     /// A stable 64-bit fingerprint of the matrix *content* (shape,
     /// sparsity pattern, and value bit patterns), suitable as a cache
     /// key for preprocessing artifacts shared across callers: two
-    /// matrices fingerprint equal iff they are bit-identical CSR
-    /// structures. FNV-1a over the raw arrays — deterministic across
-    /// runs and platforms (unlike `DefaultHasher`, whose seed varies).
+    /// bit-identical CSR structures fingerprint equal, and different
+    /// ones collide only by chance (a 64-bit hash, not a cryptographic
+    /// one). The content is a stream of 64-bit words — `nrows`,
+    /// `ncols`, the `row_ptr` entries, then one `(value_bits << 32) |
+    /// col` word per stored entry — and each section is dealt round
+    /// robin to four independent lanes, so the hash runs at memory
+    /// speed rather than one dependent multiply per byte. A lane absorbs
+    /// a word with a folded 64×64→128-bit multiply (low half XOR high
+    /// half), which carries high input bits, such as a value's sign, into
+    /// the low output bits; the lanes are folded together in order at
+    /// the end. Deterministic across runs and platforms (unlike
+    /// `DefaultHasher`, whose seed varies); the plan IR stores it, so a
+    /// change of definition bumps `PLAN_IR_VERSION`.
     ///
-    /// Computed once and cached: plan-cache and plan-store lookups may
-    /// fingerprint the same operand many times per session, and repair
-    /// paths fingerprint row blocks repeatedly. In-place mutators must
-    /// call [`CsrMatrix::invalidate_fingerprint`] (the provided ones
-    /// do).
+    /// Computed once and cached: plan-cache lookups may fingerprint the
+    /// same operand many times per session. In-place mutators must call
+    /// [`CsrMatrix::invalidate_fingerprint`] (the provided ones do).
     pub fn content_fingerprint(&self) -> u64 {
         *self
             .fingerprint
@@ -139,24 +180,24 @@ impl CsrMatrix {
     }
 
     fn compute_content_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut eat = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.nrows as u64);
-        eat(self.ncols as u64);
-        for &p in &self.row_ptr {
-            eat(p as u64);
+        let mut lanes = LANE_SEEDS;
+        absorb(&mut lanes, [self.nrows as u64, self.ncols as u64]);
+        let ptrs = self.row_ptr.chunks_exact(4);
+        let tail = ptrs.remainder();
+        for p in ptrs {
+            absorb(&mut lanes, [0, 1, 2, 3].map(|k| p[k] as u64));
         }
-        for (&c, &v) in self.col_idx.iter().zip(self.values.iter()) {
-            eat(((v.to_bits() as u64) << 32) | c as u64);
+        absorb(&mut lanes, tail.iter().map(|&p| p as u64));
+        let entry = |c: u32, v: f32| ((v.to_bits() as u64) << 32) | c as u64;
+        let (cols, vals) = (self.col_idx.chunks_exact(4), self.values.chunks_exact(4));
+        let tail = cols.remainder().iter().zip(vals.remainder());
+        for (c, v) in cols.zip(vals) {
+            absorb(&mut lanes, [0, 1, 2, 3].map(|k| entry(c[k], v[k])));
         }
-        h
+        absorb(&mut lanes, tail.map(|(&c, &v)| entry(c, v)));
+        lanes
+            .iter()
+            .fold(FINISH_SEED, |h, &lane| fold_mul(h ^ lane, LANE_MUL))
     }
 
     /// Drop the cached [`CsrMatrix::content_fingerprint`]. Every
@@ -345,17 +386,40 @@ impl CsrMatrix {
     /// # Panics
     /// If `lo > hi` or `hi > nrows`.
     pub fn row_block(&self, lo: usize, hi: usize) -> CsrMatrix {
-        assert!(lo <= hi && hi <= self.nrows, "row block out of bounds");
-        let base = self.row_ptr[lo];
-        let end = self.row_ptr[hi];
+        let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+        self.append_rows_to(lo, hi, &mut row_ptr, &mut col_idx, &mut values);
         CsrMatrix {
             nrows: hi - lo,
             ncols: self.ncols,
-            row_ptr: self.row_ptr[lo..=hi].iter().map(|&p| p - base).collect(),
-            col_idx: self.col_idx[base..end].to_vec(),
-            values: self.values[base..end].to_vec(),
+            row_ptr,
+            col_idx,
+            values,
             fingerprint: OnceLock::new(),
         }
+    }
+
+    /// Append rows `[lo, hi)` to CSR arrays under construction: one
+    /// copy of their columns, one of their values, and their row
+    /// pointers shifted to the arrays' end. `row_ptr` must end at
+    /// `col_idx.len()`. Entries are copied as they are, bit for bit.
+    ///
+    /// # Panics
+    /// If `lo > hi` or `hi > nrows`.
+    pub fn append_rows_to(
+        &self,
+        lo: usize,
+        hi: usize,
+        row_ptr: &mut Vec<usize>,
+        col_idx: &mut Vec<u32>,
+        values: &mut Vec<f32>,
+    ) {
+        assert!(lo <= hi && hi <= self.nrows, "row span out of bounds");
+        debug_assert_eq!(row_ptr.last(), Some(&col_idx.len()));
+        let (s, e) = (self.row_ptr[lo], self.row_ptr[hi]);
+        let shift = col_idx.len();
+        col_idx.extend_from_slice(&self.col_idx[s..e]);
+        values.extend_from_slice(&self.values[s..e]);
+        row_ptr.extend(self.row_ptr[lo + 1..=hi].iter().map(|&p| p - s + shift));
     }
 
     /// Reference SpMM: `C = self × B` in full FP32, parallelized over rows
@@ -606,15 +670,106 @@ mod tests {
         )
         .unwrap();
         assert_ne!(m.content_fingerprint(), wider.content_fingerprint());
+        // ... or swapping two entries' values (lane interleaving must
+        // not hide an order change).
+        let mut vals = m.values().to_vec();
+        vals.swap(0, 2);
+        let swapped = with_values(&m, vals);
+        assert_ne!(m.content_fingerprint(), swapped.content_fingerprint());
+    }
+
+    /// `m`'s pattern with other values.
+    fn with_values(m: &CsrMatrix, vals: Vec<f32>) -> CsrMatrix {
+        CsrMatrix::new(
+            m.nrows(),
+            m.ncols(),
+            m.row_ptr().to_vec(),
+            m.col_idx().to_vec(),
+            vals,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn content_fingerprint_sees_paired_sign_flips_and_swaps_in_every_lane() {
+        // 13 stored entries with distinct values: three full lane groups
+        // and a tail of one.
+        let m = CsrMatrix::new(
+            4,
+            8,
+            vec![0, 4, 7, 11, 13],
+            vec![0, 2, 5, 7, 1, 3, 6, 0, 4, 5, 7, 2, 6],
+            (0..13).map(|k| 0.75 * k as f32 + 1.0).collect(),
+        )
+        .unwrap();
+        let fp = m.content_fingerprint();
+        let vals = m.values();
+        for i in 0..m.nnz() {
+            // One sign flip alone, the tail entry included.
+            let mut one = vals.to_vec();
+            one[i] = -one[i];
+            assert_ne!(fp, with_values(&m, one.clone()).content_fingerprint());
+            for j in [i + 1, i + 4].into_iter().filter(|&j| j < m.nnz()) {
+                // Bit 63 of two packed words: a word-wise FNV would
+                // cancel the pair, whether the words sit in adjacent
+                // lanes (i, i + 1) or share one (i, i + 4).
+                let mut two = one.clone();
+                two[j] = -two[j];
+                let flipped = with_values(&m, two);
+                assert_ne!(fp, flipped.content_fingerprint(), "flip {i} and {j}");
+                // Two entries trading values, across lanes or in one.
+                let mut swapped = vals.to_vec();
+                swapped.swap(i, j);
+                let swapped = with_values(&m, swapped);
+                assert_ne!(fp, swapped.content_fingerprint(), "swap {i} and {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn content_fingerprint_separates_tails_and_empty_shapes() {
+        // Every nnz from 0 to 9 over one row: the tails of every length,
+        // and each one differs from its one-shorter prefix.
+        let prints: Vec<u64> = (0..10usize)
+            .map(|n| {
+                let cols = (0..n as u32).collect();
+                let vals = (0..n).map(|k| k as f32 + 0.5).collect();
+                CsrMatrix::new(1, 16, vec![0, n], cols, vals)
+                    .unwrap()
+                    .content_fingerprint()
+            })
+            .collect();
+        for (a, x) in prints.iter().enumerate() {
+            for (b, y) in prints.iter().enumerate().skip(a + 1) {
+                assert_ne!(x, y, "nnz {a} vs nnz {b}");
+            }
+        }
+        // Empty matrices: no rows (two widths) or rows without entries
+        // (two heights) all differ, and each is stable.
+        let zero_rows = CsrMatrix::new(0, 3, vec![0], vec![], vec![]).unwrap();
+        let zero_rows_wider = CsrMatrix::new(0, 4, vec![0], vec![], vec![]).unwrap();
+        let empty = CsrMatrix::new(3, 3, vec![0; 4], vec![], vec![]).unwrap();
+        let empty_taller = CsrMatrix::new(4, 3, vec![0; 5], vec![], vec![]).unwrap();
+        let all = [&zero_rows, &zero_rows_wider, &empty, &empty_taller];
+        for (a, x) in all.iter().enumerate() {
+            assert_eq!(x.content_fingerprint(), x.compute_content_fingerprint());
+            for (b, y) in all.iter().enumerate().skip(a + 1) {
+                assert_ne!(
+                    x.content_fingerprint(),
+                    y.content_fingerprint(),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]
     fn content_fingerprint_matches_committed_goldens() {
-        // Golden values computed once from the FNV-1a definition and
-        // committed: the fingerprint is part of the persistent plan-IR
-        // schema (file names, header validation), so it must never
-        // drift across runs, platforms, or releases. If this test
-        // fails, the plan-IR schema version must be bumped.
+        // Golden values computed once from the four-lane word
+        // definition (plan IR v6) and committed: the fingerprint is part
+        // of the persistent plan-IR schema (header validation), so it
+        // must never drift across runs, platforms, or releases. If this
+        // test fails, the plan-IR schema version must be bumped.
         let golden = CsrMatrix::new(
             4,
             4,
@@ -623,7 +778,7 @@ mod tests {
             vec![1.0, -2.5, 0.75, 3.0, 0.125],
         )
         .unwrap();
-        assert_eq!(golden.content_fingerprint(), 0x72c73de9f4f02cf4);
+        assert_eq!(golden.content_fingerprint(), 0xb9d6b3fd5f062e4e);
 
         // Perturbing one value bit-pattern changes it ...
         let value_perturbed = CsrMatrix::new(
@@ -634,7 +789,7 @@ mod tests {
             vec![1.0, -2.5, 0.75, 3.0, 0.250],
         )
         .unwrap();
-        assert_eq!(value_perturbed.content_fingerprint(), 0x71143de9f37e9874);
+        assert_eq!(value_perturbed.content_fingerprint(), 0x3bf8c729dc849695);
 
         // ... and so does moving one nnz to another row (same columns,
         // same value multiset, different structure).
@@ -648,7 +803,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             structure_perturbed.content_fingerprint(),
-            0xdecb8419d7e4957f
+            0x365a519272061d8a
         );
     }
 

@@ -45,8 +45,14 @@ fn main() {
 
     // Scale out: same multiply at 1/2/4/8 shards. Each shard is timed
     // alone, so the slowest shard is the completion time a deployment
-    // with one device per shard would see.
-    println!("\n{:>7} {:>15} {:>8}", "shards", "slowest shard", "speedup");
+    // with one device per shard would see. One warm-up multiply per
+    // shard count takes first-touch costs out of the timed calls, whose
+    // median and range are printed.
+    const TIMED: usize = 5;
+    println!(
+        "\n{:>7} {:>15} {:>15} {:>8}",
+        "shards", "slowest shard", "range", "speedup"
+    );
     let mut baseline = None;
     for shards in [1usize, 2, 4, 8] {
         let dist = DistSpmm::builder(KernelKind::AccSpmm, &a)
@@ -55,14 +61,21 @@ fn main() {
             .feature_dim(dim)
             .build()
             .expect("dist build");
-        let (c, report) = dist.multiply_profiled(&b).expect("dist multiply");
-        assert_eq!(c, expect, "sharded result must be bit-identical");
-        let slowest = report.max_busy_seconds();
-        let base = *baseline.get_or_insert(slowest);
+        let mut slowest = Vec::with_capacity(TIMED);
+        for call in 0..=TIMED {
+            let (c, report) = dist.multiply_profiled(&b).expect("dist multiply");
+            assert_eq!(c, expect, "sharded result must be bit-identical");
+            if call > 0 {
+                slowest.push(report.max_busy_seconds() * 1e3);
+            }
+        }
+        slowest.sort_by(f64::total_cmp);
+        let median = slowest[TIMED / 2];
+        let base = *baseline.get_or_insert(median);
+        let range = format!("{:.2}–{:.2} ms", slowest[0], slowest[TIMED - 1]);
         println!(
-            "{shards:>7} {:>12.2} ms {:>7.2}x",
-            slowest * 1e3,
-            base / slowest
+            "{shards:>7} {median:>12.2} ms {range:>15} {:>7.2}x",
+            base / median
         );
     }
 
