@@ -7,9 +7,9 @@ use std::time::Duration;
 ///
 /// The taxonomy is typed so callers can *match* on failure classes
 /// instead of parsing strings — in particular the serving-engine paths
-/// ([`SpmmError::Build`], [`SpmmError::Capacity`], [`SpmmError::Timeout`])
-/// and the shape checks every kernel entry point performs
-/// ([`SpmmError::Shape`]). The enum is `#[non_exhaustive]`: future
+/// ([`SpmmError::Build`], [`SpmmError::Capacity`],
+/// [`SpmmError::Panicked`]) and the shape checks every kernel entry point
+/// performs ([`SpmmError::Shape`]). The enum is `#[non_exhaustive]`: future
 /// failure classes (e.g. new engine admission states) can be added
 /// without a breaking change, so downstream matches need a wildcard arm.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,24 +35,21 @@ pub enum SpmmError {
         /// The resource's configured capacity.
         capacity: usize,
     },
-    /// A *caller-side* wait gave up: the client stopped waiting on a
-    /// ticket or blocking call after its allowance elapsed. The work
-    /// itself may still complete later — contrast with
-    /// [`SpmmError::DeadlineExpired`], where the *server* dropped the
-    /// work before executing it, and [`SpmmError::QuotaExceeded`],
-    /// where admission control refused it up front.
-    Timeout {
-        /// What was being waited on.
+    /// A job panicked and the panic was caught at its boundary (see
+    /// [`catch_panic`]): the job's callers get this error, and the
+    /// thread that ran it keeps serving.
+    Panicked {
+        /// Which job boundary caught the panic.
         what: &'static str,
-        /// How long was waited/allowed, in milliseconds.
-        waited_ms: u64,
+        /// The panic payload's message, if it carried one.
+        detail: String,
     },
     /// Admission control refused the request because the tenant is at
     /// its quota. Unlike [`SpmmError::Capacity`] (a global bounded
-    /// resource is full) this is a *per-tenant* verdict, and unlike
-    /// [`SpmmError::Timeout`] no work was ever queued. `retry_after`
-    /// is the engine's estimate of when the tenant's backlog will have
-    /// drained enough for a resubmission to be admitted.
+    /// resource is full) this is a *per-tenant* verdict: no work was
+    /// ever queued. `retry_after` is the engine's estimate of when the
+    /// tenant's backlog will have drained enough for a resubmission to
+    /// be admitted.
     QuotaExceeded {
         /// The tenant whose quota was exhausted.
         tenant: String,
@@ -60,10 +57,9 @@ pub enum SpmmError {
         retry_after: Duration,
     },
     /// The *server* dropped queued work because its deadline passed
-    /// before execution started — the request never reached a kernel.
-    /// Contrast with [`SpmmError::Timeout`]: that is a client giving up
-    /// on a wait; this is the scheduler refusing to spend cycles on
-    /// work whose answer can no longer arrive in time.
+    /// before execution started — the request never reached a kernel:
+    /// the scheduler refuses to spend cycles on work whose answer can no
+    /// longer arrive in time.
     DeadlineExpired {
         /// How long the request sat queued before it was dropped.
         waited: Duration,
@@ -239,9 +235,7 @@ impl fmt::Display for SpmmError {
             SpmmError::Capacity { what, capacity } => {
                 write!(f, "{what} at capacity ({capacity}); request rejected")
             }
-            SpmmError::Timeout { what, waited_ms } => {
-                write!(f, "{what} timed out after {waited_ms} ms")
-            }
+            SpmmError::Panicked { what, detail } => write!(f, "{what} panicked: {detail}"),
             SpmmError::QuotaExceeded {
                 tenant,
                 retry_after,
@@ -289,6 +283,23 @@ impl From<std::io::Error> for SpmmError {
 /// Convenience alias used across the workspace.
 pub type Result<T> = std::result::Result<T, SpmmError>;
 
+/// Run `job`, turning a panic inside it into [`SpmmError::Panicked`]
+/// tagged `what`. A worker thread wraps each job in this so a panic
+/// fails only that job's callers and the thread lives on; whatever the
+/// job mutated through captured references may be half-written, so the
+/// caller discards it when this returns `Panicked`.
+pub fn catch_panic<T>(what: &'static str, job: impl FnOnce() -> Result<T>) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        let detail = match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(|| "non-string panic payload".to_string(), |s| s.to_string()),
+        };
+        Err(SpmmError::Panicked { what, detail })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,13 +331,6 @@ mod tests {
         };
         assert!(matches!(e, SpmmError::Capacity { capacity: 16, .. }));
         assert!(e.to_string().contains("capacity (16)"));
-
-        let e = SpmmError::Timeout {
-            what: "multiply request",
-            waited_ms: 25,
-        };
-        assert!(matches!(e, SpmmError::Timeout { waited_ms: 25, .. }));
-        assert!(e.to_string().contains("25 ms"));
 
         let e = SpmmError::build("Acc-SpMM", "feature_dim must be > 0");
         assert!(matches!(
@@ -361,9 +365,21 @@ mod tests {
             waited: Duration::from_millis(7),
         };
         assert!(matches!(e, SpmmError::DeadlineExpired { .. }));
-        assert!(!matches!(e, SpmmError::Timeout { .. }));
         assert!(e.to_string().contains("7 ms"));
         assert!(e.to_string().contains("before execution"));
+    }
+
+    #[test]
+    fn catch_panic_types_the_payload_and_passes_results_through() {
+        assert_eq!(catch_panic("job", || Ok(7)), Ok(7));
+        let e = catch_panic::<()>("engine batch", || panic!("row {} out of range", 3));
+        let want = SpmmError::Panicked {
+            what: "engine batch",
+            detail: "row 3 out of range".into(),
+        };
+        assert_eq!(e, Err(want));
+        let e = catch_panic::<()>("job", || panic!("static message")).unwrap_err();
+        assert_eq!(e.to_string(), "job panicked: static message");
     }
 
     #[test]

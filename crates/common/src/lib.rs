@@ -15,7 +15,7 @@ pub mod simd;
 pub mod stats;
 pub mod util;
 
-pub use error::{PlanLoadError, Result, SpmmError};
+pub use error::{catch_panic, PlanLoadError, Result, SpmmError};
 pub use precision::{round_to, Precision};
 pub use scalar::{tf32_mma_8x8, to_tf32, to_tf32_slice};
 pub use simd::{

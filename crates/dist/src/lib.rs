@@ -711,8 +711,10 @@ impl DistSpmm {
         Ok(report)
     }
 
-    /// Test hook: make `shard` fail its next `times` executions with a
-    /// synthetic error, exercising retry and failure surfacing.
+    /// Test hook: make `shard` panic inside its next `times` executions.
+    /// Each panic is caught at the worker's job boundary and retried like
+    /// any failed job, exercising panic containment, retry and failure
+    /// surfacing.
     #[doc(hidden)]
     pub fn inject_shard_failures(&self, shard: usize, times: u32) {
         self.pool.inject_failures(shard, times);

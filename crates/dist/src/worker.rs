@@ -13,7 +13,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use spmm_common::{Result, SpmmError};
+use spmm_common::{catch_panic, Result, SpmmError};
 use spmm_kernels::{PreparedKernel, Workspace};
 use spmm_matrix::DenseMatrix;
 
@@ -62,8 +62,8 @@ pub(crate) struct Outcome {
 struct ShardWorker {
     sender: mpsc::Sender<Job>,
     handle: Option<JoinHandle<()>>,
-    /// Fail the next N jobs with a synthetic error (test hook for the
-    /// retry path; see [`WorkerPool::inject_failures`]).
+    /// Panic inside the next N jobs (test hook for panic containment
+    /// and the retry path; see [`WorkerPool::inject_failures`]).
     fail_next: Arc<AtomicU32>,
 }
 
@@ -141,8 +141,10 @@ impl WorkerPool {
         self.processed.load(Ordering::Relaxed)
     }
 
-    /// Make `shard`'s worker fail its next `times` jobs with a
-    /// synthetic error (exercises the coordinator's retry path).
+    /// Make `shard`'s worker panic inside its next `times` jobs; each
+    /// panic is caught at the job boundary and comes back as a
+    /// [`SpmmError::Panicked`] outcome (exercises panic containment and
+    /// the coordinator's retry path).
     pub fn inject_failures(&self, shard: usize, times: u32) {
         if let Some(w) = self.workers[shard].as_ref() {
             w.fail_next.store(times, Ordering::SeqCst);
@@ -192,6 +194,10 @@ fn worker_loop(
     }
 }
 
+/// Run one job's kernel call. A panic inside it is caught here and
+/// becomes the job's `Err` outcome, so the worker lives on to serve the
+/// retry; the workspace the panic may have left half-written is
+/// replaced.
 fn run_job(
     shard: usize,
     kernel: &PreparedKernel,
@@ -199,34 +205,32 @@ fn run_job(
     fail_next: &AtomicU32,
     job: Job,
 ) -> Outcome {
-    let epoch = job.epoch;
-    if fail_next
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-        .is_ok()
-    {
-        spmm_trace::counter_add("dist.injected_failures", 1);
-        return Outcome {
-            shard,
-            epoch,
-            result: Err(SpmmError::Io(format!("injected failure on shard {shard}"))),
-            busy_seconds: 0.0,
-            b: job.b,
-        };
-    }
     let _span = spmm_trace::span("dist.shard_execute");
     let b = &*job.b;
     let mut out = DenseMatrix::zeros(kernel.csr().nrows(), b.ncols());
     let t0 = Instant::now();
-    let run = if job.across_cores {
-        kernel.execute_into(b, &mut out, ws)
-    } else {
-        kernel.execute_batch_into(slice::from_ref(b), slice::from_mut(&mut out), ws)
-    };
-    let result = run.map(|()| out);
+    let result = catch_panic("dist shard job", || {
+        if fail_next
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            spmm_trace::counter_add("dist.injected_failures", 1);
+            panic!("injected failure on shard {shard}");
+        }
+        let run = if job.across_cores {
+            kernel.execute_into(b, &mut out, ws)
+        } else {
+            kernel.execute_batch_into(slice::from_ref(b), slice::from_mut(&mut out), ws)
+        };
+        run.map(|()| out)
+    });
     let busy_seconds = t0.elapsed().as_secs_f64();
+    if matches!(result, Err(SpmmError::Panicked { .. })) {
+        *ws = Workspace::for_plan(kernel.execution_plan());
+    }
     Outcome {
         shard,
-        epoch,
+        epoch: job.epoch,
         result,
         busy_seconds,
         b: job.b,

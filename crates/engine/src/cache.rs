@@ -24,7 +24,7 @@ use spmm_sim::Arch;
 /// Identity of a cached plan: matrix content fingerprint plus every
 /// input that changes the preprocessing output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
+pub(crate) struct PlanKey {
     /// [`spmm_matrix::CsrMatrix::content_fingerprint`] of the operand.
     pub fingerprint: u64,
     /// Which kernel strategy the plan compiles.
@@ -83,7 +83,7 @@ struct Inner {
 
 /// Counters the cache reports (mirrored into `spmm-trace`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     /// Lookups satisfied by a ready entry.
     pub hits: u64,
     /// Lookups that had to build (or wait on an in-flight build).
@@ -95,7 +95,7 @@ pub struct CacheStats {
 }
 
 /// Bounded LRU map from [`PlanKey`] to a shared [`PreparedKernel`].
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     capacity: usize,
     inner: Mutex<Inner>,
     stats: Mutex<CacheStats>,
@@ -112,21 +112,6 @@ impl PlanCache {
             }),
             stats: Mutex::new(CacheStats::default()),
         }
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of entries currently resident (ready or building).
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// A snapshot of the cache counters.

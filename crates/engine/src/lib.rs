@@ -8,15 +8,15 @@
 //!
 //! Five cooperating pieces:
 //!
-//! * **Plan cache** ([`cache::PlanCache`]) — bounded LRU keyed by
-//!   matrix content fingerprint + kernel + [`Arch`] + feature dim +
-//!   [`AccConfig`]. Concurrent sessions for the same operand share one
-//!   [`PreparedKernel`] behind an `Arc`; a per-key in-flight guard makes
-//!   N simultaneous first-lookups run exactly one build.
+//! * **Plan cache** — bounded LRU keyed by matrix content fingerprint +
+//!   kernel + [`Arch`] + feature dim + [`AccConfig`]. Concurrent
+//!   sessions for the same operand share one [`PreparedKernel`] behind
+//!   an `Arc`; a per-key in-flight guard makes N simultaneous
+//!   first-lookups run exactly one build.
 //! * **QoS queue** — submitted multiplies land in one bounded deque per
 //!   [`Priority`] class; workers dequeue by a weighted fair (stride)
-//!   schedule ([`qos::WeightedSchedule`]), so interactive traffic is
-//!   not inverted behind bulk work and bulk work is never starved.
+//!   schedule, so interactive traffic is not inverted behind bulk work
+//!   and bulk work is never starved.
 //! * **Admission control** — a full queue, a [`Tenant`] at its quota,
 //!   or a request that would blow the page budget is refused *at
 //!   submit* ([`SubmitOutcome::Rejected`]) with a `retry_after` hint
@@ -26,23 +26,25 @@
 //!   while it queues is dropped *before execution* (typed
 //!   [`SpmmError::DeadlineExpired`], with the actual queued duration),
 //!   so expired work never burns a kernel invocation.
-//! * **Paged workspaces** ([`pages::PagePool`]) — operand copies,
-//!   output buffers, and worker workspaces are charged in fixed-size
-//!   pages against a hard budget with LRU eviction of idle workspaces,
-//!   so peak staging memory is bounded and observable under hundreds of
-//!   concurrent sessions.
+//! * **Paged workspaces** — operand copies, output buffers, and worker
+//!   workspaces are charged in fixed-size 64 KiB pages against a hard
+//!   budget with LRU eviction of idle workspaces, so peak staging memory
+//!   is bounded and observable under hundreds of concurrent sessions.
 //!
-//! Robustness semantics carry over: micro-batching coalesces same-key
-//! requests into one [`PreparedKernel::execute_batch_into`] call, and
-//! when a tensor-core plan fails to build the session degrades
-//! gracefully to the scalar CSR path instead of failing the client.
+//! Failures stay typed and contained. Micro-batching coalesces same-key
+//! requests into one [`PreparedKernel::execute_batch_into`] call; a
+//! panic inside that call fails only the batch's tickets (with
+//! [`SpmmError::Panicked`]) and the worker keeps serving. A plan that
+//! fails to build fails [`SessionBuilder::open`] with the build's
+//! [`SpmmError::Build`]: the engine never serves a kernel other than
+//! the one asked for.
 //!
 //! Everything is observable through `spmm-trace` counters
 //! (`engine.enqueued` / `engine.dequeued`, `engine.batches` /
 //! `engine.batched_requests`, `engine.cache_hits` /
-//! `engine.cache_misses`, `engine.rejected`, `engine.degraded_builds`,
-//! the QoS taxonomy `engine.qos.served.<class>` /
-//! `engine.qos.quota_rejected` / `engine.qos.expired` /
+//! `engine.cache_misses`, `engine.rejected`, the QoS taxonomy
+//! `engine.qos.served.<class>` / `engine.qos.quota_rejected` /
+//! `engine.qos.expired` /
 //! `engine.qos.late_executions`, and the paging taxonomy
 //! `engine.pages.leased` / `engine.pages.released` /
 //! `engine.pages.denied` / `engine.pages.evictions` /
@@ -72,14 +74,12 @@
 //! assert_eq!(engine.stats().cache_misses, 1);
 //! ```
 
-pub mod cache;
-pub mod pages;
-pub mod qos;
-pub mod queue;
+mod cache;
+mod pages;
+mod qos;
+mod queue;
 
-pub use cache::{CacheStats, PlanCache, PlanKey};
-pub use pages::{PageLease, PagePool, PageStats, WorkspaceLease, DEFAULT_PAGE_BYTES};
-pub use qos::{Priority, SubmitOptions, Tenant, WeightedSchedule};
+pub use qos::{Priority, SubmitOptions, Tenant};
 pub use queue::Ticket;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,11 +87,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use spmm_common::{Result, SpmmError};
+use spmm_common::{catch_panic, Result, SpmmError};
 use spmm_kernels::{AccConfig, KernelKind, PreparedKernel, RepairReport, Workspace};
 use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
+use cache::{PlanCache, PlanKey};
+use pages::{PageLease, PagePool, DEFAULT_PAGE_BYTES};
 use queue::{Push, Request, RequestQueue, TicketShared};
 
 /// Assumed per-request service time before any sample has been
@@ -104,32 +106,30 @@ const RETRY_AFTER_MIN: Duration = Duration::from_micros(100);
 /// See [`RETRY_AFTER_MIN`].
 const RETRY_AFTER_MAX: Duration = Duration::from_secs(10);
 
-/// Tunables for [`Engine`]; construct via [`Engine::builder`].
+/// Tunables for [`Engine`], set through [`EngineBuilder`].
 #[derive(Debug, Clone)]
-pub struct EngineConfig {
+struct EngineConfig {
     /// Worker threads executing queued multiplies. `0` is allowed: no
     /// background threads; drive the engine inline with
     /// [`Engine::run_until_idle`] (single-threaded embeddings and
     /// tests).
-    pub workers: usize,
+    workers: usize,
     /// Bounded queue length; submissions beyond it are rejected.
-    pub queue_capacity: usize,
+    queue_capacity: usize,
     /// How long a worker waits for same-key stragglers before running a
     /// short batch.
-    pub batch_window: Duration,
+    batch_window: Duration,
     /// Maximum requests coalesced into one batch.
-    pub max_batch: usize,
+    max_batch: usize,
     /// Plans the LRU cache retains.
-    pub plan_cache_capacity: usize,
+    plan_cache_capacity: usize,
     /// Maximum queued requests per tenant; beyond it submissions are
     /// refused with [`SpmmError::QuotaExceeded`]. `None` = no quota.
-    pub tenant_quota: Option<usize>,
-    /// Page size of the paged workspace allocator.
-    pub page_bytes: usize,
+    tenant_quota: Option<usize>,
     /// Hard page budget for all staged memory (operand copies, output
     /// buffers, idle worker workspaces). `None` = unbounded (metering
     /// still runs, admission never refuses on pages).
-    pub page_budget: Option<usize>,
+    page_budget: Option<usize>,
 }
 
 impl Default for EngineConfig {
@@ -141,7 +141,6 @@ impl Default for EngineConfig {
             max_batch: 16,
             plan_cache_capacity: 32,
             tenant_quota: None,
-            page_bytes: DEFAULT_PAGE_BYTES,
             page_budget: None,
         }
     }
@@ -191,12 +190,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Page size of the paged workspace allocator (must be ≥ 1).
-    pub fn page_bytes(mut self, n: usize) -> Self {
-        self.config.page_bytes = n;
-        self
-    }
-
     /// Hard page budget for staged memory (must be ≥ 1). Submissions
     /// whose operand + output staging cannot fit are refused with a
     /// `retry_after` hint.
@@ -213,19 +206,21 @@ impl EngineBuilder {
                 "engine queue_capacity, max_batch and plan_cache_capacity must be >= 1".into(),
             ));
         }
-        if c.page_bytes == 0 || c.page_budget == Some(0) || c.tenant_quota == Some(0) {
+        if c.page_budget == Some(0) || c.tenant_quota == Some(0) {
             return Err(SpmmError::InvalidConfig(
-                "engine page_bytes, page_budget and tenant_quota must be >= 1".into(),
+                "engine page_budget and tenant_quota must be >= 1".into(),
             ));
         }
         let cache = PlanCache::new(c.plan_cache_capacity);
         let shared = Arc::new(EngineShared {
             cache,
             queue: RequestQueue::new(c.queue_capacity, c.tenant_quota),
-            pages: PagePool::new(c.page_bytes, c.page_budget.unwrap_or(usize::MAX)),
+            pages: PagePool::new(DEFAULT_PAGE_BYTES, c.page_budget.unwrap_or(usize::MAX)),
             metrics: Metrics::default(),
             avg_service_ns: AtomicU64::new(0),
             config: self.config.clone(),
+            #[cfg(test)]
+            panics: PanicInjection::default(),
         });
         let workers = (0..c.workers)
             .map(|i| {
@@ -252,7 +247,6 @@ struct Metrics {
     late_executions: AtomicU64,
     batches: AtomicU64,
     batched_requests: AtomicU64,
-    degraded_builds: AtomicU64,
     served: [AtomicU64; Priority::COUNT],
     /// Gauge (not monotonic): requests currently executing inside a
     /// batch on some worker (or `run_until_idle` caller).
@@ -300,9 +294,6 @@ pub struct EngineStats {
     /// Requests carried inside those batches (occupancy =
     /// `batched_requests / batches`).
     pub batched_requests: u64,
-    /// Sessions that fell back to the scalar CSR path after a
-    /// tensor-core plan build failed.
-    pub degraded_builds: u64,
     /// Requests executed to completion, per priority class (indexed by
     /// [`Priority::index`]).
     pub served: [u64; Priority::COUNT],
@@ -327,10 +318,6 @@ pub struct EngineStats {
     pub page_evictions: u64,
     /// Submissions refused for want of pages.
     pub page_denials: u64,
-    /// The host SIMD tier unpinned plan builds resolve to in this
-    /// process (probe result; sessions pinned via [`AccConfig::isa`]
-    /// may bind a different tier — see [`Session::isa_tier`]).
-    pub isa_tier: spmm_common::IsaTier,
 }
 
 struct EngineShared {
@@ -342,6 +329,32 @@ struct EngineShared {
     /// EWMA of per-request service time (ns); feeds `retry_after`
     /// estimation. 0 = no sample yet ([`DEFAULT_SERVICE_NS`] assumed).
     avg_service_ns: AtomicU64,
+    #[cfg(test)]
+    panics: PanicInjection,
+}
+
+/// Test hook: make the next `remaining` batches panic inside the
+/// kernel-call boundary, counting the requests they carried.
+#[cfg(test)]
+#[derive(Default)]
+struct PanicInjection {
+    remaining: std::sync::atomic::AtomicU32,
+    requests: AtomicU64,
+}
+
+#[cfg(test)]
+impl PanicInjection {
+    fn maybe_panic(&self, requests: usize) {
+        let take = |n: u32| n.checked_sub(1);
+        if self
+            .remaining
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, take)
+            .is_ok()
+        {
+            self.requests.fetch_add(requests as u64, Ordering::SeqCst);
+            panic!("injected panic in a batch of {requests}");
+        }
+    }
 }
 
 impl EngineShared {
@@ -421,7 +434,6 @@ impl Engine {
             engine: Arc::clone(&self.shared),
             key,
             plan,
-            degraded: false,
         }
     }
 
@@ -439,7 +451,6 @@ impl Engine {
             late_executions: m.late_executions.load(Ordering::Relaxed),
             batches: m.batches.load(Ordering::Relaxed),
             batched_requests: m.batched_requests.load(Ordering::Relaxed),
-            degraded_builds: m.degraded_builds.load(Ordering::Relaxed),
             served: [
                 m.served[0].load(Ordering::Relaxed),
                 m.served[1].load(Ordering::Relaxed),
@@ -455,18 +466,7 @@ impl Engine {
             pages_peak: p.peak as u64,
             page_evictions: p.evictions,
             page_denials: p.denials,
-            isa_tier: spmm_common::IsaTier::probe(),
         }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.shared.config
-    }
-
-    /// The paged workspace allocator's accounting snapshot.
-    pub fn page_stats(&self) -> PageStats {
-        self.shared.pages.stats()
     }
 
     /// Drive a zero-worker engine inline until its queue is empty:
@@ -481,21 +481,11 @@ impl Engine {
     /// allowed and simply steal work inline.
     pub fn run_until_idle(&self) -> usize {
         let mut total = 0;
-        loop {
-            let n = self.step();
-            if n == 0 {
-                return total;
-            }
-            total += n;
+        while let Some(first) = self.shared.queue.try_pop() {
+            let mut ws = self.shared.pages.checkout();
+            total += run_batch(&self.shared, first, &mut ws);
         }
-    }
-
-    fn step(&self) -> usize {
-        let Some(first) = self.shared.queue.try_pop() else {
-            return 0;
-        };
-        let mut ws = self.shared.pages.checkout();
-        run_batch(&self.shared, first, &mut ws)
+        total
     }
 }
 
@@ -560,61 +550,29 @@ impl SessionBuilder<'_, '_> {
     }
 
     /// Resolve the plan through the shared cache (building it at most
-    /// once across all concurrent callers) and open the session.
-    ///
-    /// If a *tensor-core* plan fails to build, the session degrades to
-    /// the scalar CSR path ([`KernelKind::CusparseLike`]) rather than
-    /// failing — check [`Session::is_degraded`]. The degraded plan goes
-    /// through the cache under its own key, so later sessions reuse it.
+    /// once across all concurrent callers) and open the session. A plan
+    /// that fails to build fails the open with the build's error
+    /// ([`SpmmError::Build`]).
     pub fn open(self) -> Result<Session> {
-        let fingerprint = self.a.content_fingerprint();
         let key = PlanKey {
-            fingerprint,
+            fingerprint: self.a.content_fingerprint(),
             kind: self.kind,
             arch: self.arch,
             feature_dim: self.feature_dim,
             config: self.config,
         };
-        let build = |kind: KernelKind| {
-            PreparedKernel::builder(kind, self.a)
+        let plan = self.engine.cache.get_or_build(key, || {
+            PreparedKernel::builder(self.kind, self.a)
                 .arch(self.arch)
                 .feature_dim(self.feature_dim)
                 .config(self.config)
                 .build()
-        };
-        match self.engine.cache.get_or_build(key, || build(self.kind)) {
-            Ok(plan) => Ok(Session {
-                engine: Arc::clone(self.engine),
-                key,
-                plan,
-                degraded: false,
-            }),
-            Err(err) if self.kind.uses_tensor_cores() => {
-                // Graceful degradation: serve the request stream on the
-                // scalar CSR path instead of failing the client.
-                self.engine.metrics.bump(
-                    &self.engine.metrics.degraded_builds,
-                    "engine.degraded_builds",
-                    1,
-                );
-                let fallback = PlanKey {
-                    kind: KernelKind::CusparseLike,
-                    ..key
-                };
-                let plan = self
-                    .engine
-                    .cache
-                    .get_or_build(fallback, || build(KernelKind::CusparseLike))
-                    .map_err(|_| err)?; // degraded path also failed: report the original
-                Ok(Session {
-                    engine: Arc::clone(self.engine),
-                    key: fallback,
-                    plan,
-                    degraded: true,
-                })
-            }
-            Err(err) => Err(err),
-        }
+        })?;
+        Ok(Session {
+            engine: Arc::clone(self.engine),
+            key,
+            plan,
+        })
     }
 }
 
@@ -657,30 +615,15 @@ impl SubmitOutcome {
 #[derive(Clone)]
 pub struct Session {
     engine: Arc<EngineShared>,
+    /// The cache key this session's requests coalesce under.
     key: PlanKey,
     plan: Arc<PreparedKernel>,
-    degraded: bool,
 }
 
 impl Session {
-    /// The cache key this session's requests coalesce under.
-    pub fn key(&self) -> PlanKey {
-        self.key
-    }
-
-    /// The SIMD tier this session's plan bound at compile time.
-    pub fn isa_tier(&self) -> spmm_common::IsaTier {
-        self.plan.execution_plan().isa_tier()
-    }
-
     /// The shared prepared kernel (for inspection/profiling).
     pub fn plan(&self) -> &Arc<PreparedKernel> {
         &self.plan
-    }
-
-    /// Whether the session fell back to the scalar CSR path.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 
     /// Apply a dynamic-graph edge delta to this session's operand:
@@ -728,25 +671,6 @@ impl Session {
     /// `retry_after` hint — no blocking, no panics.
     pub fn submit(&self, b: DenseMatrix, opts: SubmitOptions) -> SubmitOutcome {
         let (priority, tenant, deadline) = opts.into_parts();
-        self.submit_inner(b, priority, tenant, deadline)
-    }
-
-    /// Synchronous convenience: submit with default options and wait.
-    /// Mirrors [`PreparedKernel::execute`] semantics (same bit-exact
-    /// results), routed through the shared queue and micro-batcher.
-    pub fn multiply(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
-        self.submit(b.clone(), SubmitOptions::new())
-            .into_result()?
-            .wait()
-    }
-
-    fn submit_inner(
-        &self,
-        b: DenseMatrix,
-        priority: Priority,
-        tenant: Tenant,
-        deadline: Option<Duration>,
-    ) -> SubmitOutcome {
         // Validate the shape *before* queueing so malformed requests
         // fail fast on the client thread.
         let a_cols = self.plan.csr().ncols();
@@ -843,6 +767,15 @@ impl Session {
             },
         }
     }
+
+    /// Synchronous convenience: submit with default options and wait.
+    /// Mirrors [`PreparedKernel::execute`] semantics (same bit-exact
+    /// results), routed through the shared queue and micro-batcher.
+    pub fn multiply(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
+        self.submit(b.clone(), SubmitOptions::new())
+            .into_result()?
+            .wait()
+    }
 }
 
 /// Worker thread body: pop → coalesce → execute, until shutdown. The
@@ -857,8 +790,9 @@ fn worker_loop(shared: &Arc<EngineShared>) {
 }
 
 /// Coalesce a micro-batch seeded by `first`, expire late requests, and
-/// execute the rest in one batched kernel call. Returns requests
-/// resolved.
+/// execute the rest in one batched kernel call. A panic inside that call
+/// fails the batch's tickets with [`SpmmError::Panicked`] and replaces
+/// `ws`, which it may have left half-written. Returns requests resolved.
 fn run_batch(shared: &Arc<EngineShared>, first: Request, ws: &mut Workspace) -> usize {
     let m = &shared.metrics;
     let mut batch = vec![first];
@@ -936,7 +870,14 @@ fn run_batch(shared: &Arc<EngineShared>, first: Request, ws: &mut Workspace) -> 
         .iter()
         .map(|b| DenseMatrix::zeros(nrows, b.ncols()))
         .collect();
-    let result = plan.execute_batch_into(&bs, &mut outs, ws);
+    let result = catch_panic("engine batch", || {
+        #[cfg(test)]
+        shared.panics.maybe_panic(bs.len());
+        plan.execute_batch_into(&bs, &mut outs, ws)
+    });
+    if matches!(result, Err(SpmmError::Panicked { .. })) {
+        *ws = Workspace::new();
+    }
     drop(bs); // operand copies freed; their page charge is split off below
     match result {
         Ok(()) => {
@@ -961,4 +902,107 @@ fn run_batch(shared: &Arc<EngineShared>, first: Request, ws: &mut Workspace) -> 
     m.in_flight.fetch_sub(live_count, Ordering::Relaxed);
     shared.record_service_time(exec_start.elapsed() / live_count.max(1) as u32);
     resolved
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spmm_matrix::gen;
+
+    /// Bit-identical, except that a NaN may carry any payload.
+    fn same_bits(got: &DenseMatrix, want: &DenseMatrix) -> bool {
+        let (got, want) = (got.as_slice(), want.as_slice());
+        got.len() == want.len()
+            && (got.iter().zip(want))
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+    }
+
+    /// Nothing is queued or executing, and the only pages still charged
+    /// are the idle workspaces'.
+    fn assert_settled(engine: &Engine) {
+        let stats = engine.stats();
+        assert_eq!((stats.in_flight, stats.queue_depth), (0, 0));
+        let pages = engine.shared.pages.stats();
+        assert_eq!(pages.in_use, pages.idle, "a lease outlived its request");
+    }
+
+    #[test]
+    fn open_fails_with_the_build_error_instead_of_serving_another_kernel() {
+        let engine = Engine::builder().workers(0).build().unwrap();
+        let a = gen::uniform_random(256, 6.0, 3).row_block(0, 200);
+        let config = AccConfig {
+            symmetric_reorder: true,
+            ..AccConfig::full()
+        };
+        let opened = engine.session(&a).feature_dim(16).config(config).open();
+        assert!(
+            matches!(opened, Err(SpmmError::Build { .. })),
+            "{:?}",
+            opened.err()
+        );
+        assert_eq!(engine.stats().plan_builds, 1, "nothing else was built");
+    }
+
+    #[test]
+    fn a_panicked_batch_fails_its_tickets_and_the_worker_keeps_serving() {
+        let engine = Engine::builder().workers(1).build().unwrap();
+        let a = gen::uniform_random(192, 6.0, 4);
+        let session = engine.session(&a).feature_dim(16).open().unwrap();
+        let b = DenseMatrix::random(a.ncols(), 16, 5);
+        engine.shared.panics.remaining.store(1, Ordering::SeqCst);
+        match session.multiply(&b) {
+            Err(SpmmError::Panicked { what, detail }) => {
+                assert_eq!(what, "engine batch");
+                assert!(detail.contains("injected panic"), "{detail}");
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        let served = session.multiply(&b).unwrap();
+        assert!(same_bits(&served, &session.plan().execute(&b).unwrap()));
+        assert_settled(&engine);
+    }
+
+    #[test]
+    fn panics_in_a_storm_fail_exactly_the_injected_batches() {
+        const CLIENTS: usize = 8;
+        const ROUNDS: usize = 6;
+        let engine = Engine::builder().workers(2).max_batch(4).build().unwrap();
+        let a = gen::uniform_random(256, 6.0, 6);
+        let session = engine.session(&a).feature_dim(8).open().unwrap();
+        engine.shared.panics.remaining.store(3, Ordering::SeqCst);
+        let failed: u64 = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    let session = session.clone();
+                    s.spawn(move || {
+                        let mut failed = 0;
+                        for round in 0..ROUNDS {
+                            let seed = (client * ROUNDS + round) as u64;
+                            let mut b = DenseMatrix::random(256, 8, seed);
+                            b.set(round, client, f32::NAN);
+                            let want = session.plan().execute(&b).unwrap();
+                            assert!(want.as_slice().iter().any(|v| v.is_nan()));
+                            match session.multiply(&b) {
+                                Ok(c) => assert!(same_bits(&c, &want), "request {seed}"),
+                                Err(SpmmError::Panicked { .. }) => failed += 1,
+                                Err(e) => panic!("unexpected error: {e}"),
+                            }
+                        }
+                        failed
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+        let injected = &engine.shared.panics;
+        assert_eq!(
+            injected.remaining.load(Ordering::SeqCst),
+            0,
+            "every injection fired"
+        );
+        assert_eq!(failed, injected.requests.load(Ordering::SeqCst));
+        let served: u64 = engine.stats().served.iter().sum();
+        assert_eq!(served + failed, (CLIENTS * ROUNDS) as u64);
+        assert_settled(&engine);
+    }
 }

@@ -38,14 +38,14 @@ use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex};
 
-/// Default page size: 64 KiB.
-pub const DEFAULT_PAGE_BYTES: usize = 64 * 1024;
+/// The engine's page size: 64 KiB.
+pub(crate) const DEFAULT_PAGE_BYTES: usize = 64 * 1024;
 
 /// A pool of fixed-size pages with a hard budget, shared by request
 /// leases and the idle-workspace cache. See the module docs for the
 /// accounting model.
 #[derive(Debug)]
-pub struct PagePool {
+pub(crate) struct PagePool {
     page_bytes: usize,
     budget: usize,
     inner: Mutex<PoolInner>,
@@ -72,14 +72,11 @@ struct IdleWorkspace {
 
 /// A point-in-time view of the pool's accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct PageStats {
-    /// Page size in bytes.
-    pub page_bytes: usize,
-    /// Hard budget in pages.
-    pub budget: usize,
+pub(crate) struct PageStats {
     /// Pages currently charged (request leases + checked-out + idle).
     pub in_use: usize,
+    /// Of `in_use`, the pages charged to idle workspaces.
+    pub idle: usize,
     /// High-water mark of `in_use`.
     pub peak: usize,
     /// Idle workspaces dropped to make room.
@@ -102,11 +99,6 @@ impl PagePool {
     /// Pages needed to hold `bytes` (ceiling division).
     pub fn pages_for(&self, bytes: usize) -> usize {
         bytes.div_ceil(self.page_bytes)
-    }
-
-    /// Page size in bytes.
-    pub fn page_bytes(&self) -> usize {
-        self.page_bytes
     }
 
     /// Hard budget in pages.
@@ -164,18 +156,12 @@ impl PagePool {
         }
     }
 
-    /// Number of idle workspaces currently cached.
-    pub fn idle_len(&self) -> usize {
-        self.inner.lock().unwrap().idle.len()
-    }
-
     /// Current accounting snapshot.
     pub fn stats(&self) -> PageStats {
         let inner = self.inner.lock().unwrap();
         PageStats {
-            page_bytes: self.page_bytes,
-            budget: self.budget,
             in_use: inner.leased + inner.idle_pages,
+            idle: inner.idle_pages,
             peak: inner.peak,
             evictions: inner.evictions,
             denials: inner.denials,
@@ -248,17 +234,12 @@ impl PagePool {
 /// the operand half is released when execution completes, the output
 /// half rides with the ticket until the result is taken.
 #[derive(Debug)]
-pub struct PageLease {
+pub(crate) struct PageLease {
     pool: Arc<PagePool>,
     pages: usize,
 }
 
 impl PageLease {
-    /// Pages held by this lease.
-    pub fn pages(&self) -> usize {
-        self.pages
-    }
-
     /// Split into `(first, rest)` where `first` holds min(`first_pages`,
     /// all) pages. No pages are charged or released by splitting.
     pub fn split(mut self, first_pages: usize) -> (PageLease, PageLease) {
@@ -286,7 +267,7 @@ impl Drop for PageLease {
 /// [`Workspace`]. Dropping it re-measures the footprint and returns the
 /// workspace to the idle cache (or drops it if the budget is tight).
 #[derive(Debug)]
-pub struct WorkspaceLease {
+pub(crate) struct WorkspaceLease {
     ws: Option<Workspace>,
     pages: usize,
     pool: Arc<PagePool>,
@@ -325,7 +306,7 @@ mod tests {
         assert_eq!(pool.pages_for(1024), 1);
         assert_eq!(pool.pages_for(1025), 2);
         let lease = pool.try_lease(3000).expect("fits");
-        assert_eq!(lease.pages(), 3);
+        assert_eq!(lease.pages, 3);
         assert_eq!(pool.stats().in_use, 3);
         drop(lease);
         assert_eq!(pool.stats().in_use, 0);
@@ -349,8 +330,8 @@ mod tests {
         let pool = PagePool::new(1024, 16);
         let lease = pool.try_lease(5 * 1024).unwrap();
         let (operand, output) = lease.split(2);
-        assert_eq!(operand.pages(), 2);
-        assert_eq!(output.pages(), 3);
+        assert_eq!(operand.pages, 2);
+        assert_eq!(output.pages, 3);
         assert_eq!(pool.stats().in_use, 5);
         drop(operand);
         assert_eq!(pool.stats().in_use, 3);
@@ -367,12 +348,12 @@ mod tests {
             lease.reserve_staging(1024, 1);
             drop(lease);
         }
-        assert_eq!(pool.idle_len(), 1);
+        assert_eq!(pool.inner.lock().unwrap().idle.len(), 1);
         let idle_pages = pool.stats().in_use;
         assert!(idle_pages >= 4, "grown workspace is charged");
         // A request lease that needs the space evicts the idle entry.
         let lease = pool.try_lease(6 * 1024).expect("eviction makes room");
-        assert_eq!(pool.idle_len(), 0);
+        assert_eq!(pool.inner.lock().unwrap().idle.len(), 0);
         assert!(pool.stats().evictions >= 1);
         assert!(pool.stats().in_use <= pool.budget());
         drop(lease);
@@ -385,7 +366,11 @@ mod tests {
             let mut lease = pool.checkout();
             lease.reserve_staging(4096, 1);
         }
-        assert_eq!(pool.idle_len(), 0, "over-budget workspace not cached");
+        assert_eq!(
+            pool.inner.lock().unwrap().idle.len(),
+            0,
+            "over-budget workspace not cached"
+        );
         assert_eq!(pool.stats().in_use, 0);
         assert!(pool.stats().evictions >= 1);
         assert!(pool.stats().peak <= pool.budget());

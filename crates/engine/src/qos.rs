@@ -15,8 +15,8 @@
 //!   requests; beyond the cap a submission is refused with a
 //!   `retry_after` hint instead of silently waiting.
 //! * **Submit options** ([`SubmitOptions`]) — the builder-style bundle
-//!   the redesigned `Session::submit` takes, so QoS is expressible
-//!   without multiplying method variants.
+//!   `Session::submit` takes, so QoS is expressible without
+//!   multiplying method variants.
 
 use std::fmt;
 use std::sync::Arc;
@@ -128,7 +128,6 @@ impl From<String> for Tenant {
 ///     .priority(Priority::Interactive)
 ///     .tenant("acme")
 ///     .deadline(Duration::from_millis(50));
-/// assert_eq!(opts.priority_class(), Priority::Interactive);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
@@ -164,29 +163,8 @@ impl SubmitOptions {
         self
     }
 
-    /// The configured class.
-    pub fn priority_class(&self) -> Priority {
-        self.priority
-    }
-
-    /// The configured tenant.
-    pub fn tenant_id(&self) -> &Tenant {
-        &self.tenant
-    }
-
-    /// The configured relative deadline, if any.
-    pub fn deadline_after(&self) -> Option<Duration> {
-        self.deadline
-    }
-
     pub(crate) fn into_parts(self) -> (Priority, Tenant, Option<Duration>) {
         (self.priority, self.tenant, self.deadline)
-    }
-}
-
-impl From<Priority> for SubmitOptions {
-    fn from(p: Priority) -> Self {
-        SubmitOptions::new().priority(p)
     }
 }
 
@@ -202,7 +180,7 @@ impl From<Priority> for SubmitOptions {
 /// backlogged again a class's pass is clamped up to the current
 /// minimum, so idle time cannot be banked into a later burst.
 #[derive(Debug, Clone)]
-pub struct WeightedSchedule {
+pub(crate) struct WeightedSchedule {
     strides: [u64; Priority::COUNT],
     passes: [u64; Priority::COUNT],
     /// Virtual clock: the winning pass of the most recent dequeue.
@@ -254,6 +232,7 @@ impl WeightedSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn priority_index_and_order() {
@@ -322,12 +301,59 @@ mod tests {
             .priority(Priority::Batch)
             .tenant("acme")
             .deadline(Duration::from_millis(5));
-        assert_eq!(o.priority_class(), Priority::Batch);
-        assert_eq!(o.tenant_id().name(), "acme");
-        assert_eq!(o.deadline_after(), Some(Duration::from_millis(5)));
         let (p, t, d) = o.into_parts();
         assert_eq!(p, Priority::Batch);
         assert_eq!(t.name(), "acme");
         assert_eq!(d, Some(Duration::from_millis(5)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Stride scheduling's bounded-latency property: while a class stays
+        // backlogged, the gap between its consecutive dequeues is bounded
+        // by its inverse share. Heavy-tailed mixes (one class with a huge
+        // backlog, others trickling) must not starve anyone.
+        #[test]
+        fn no_class_starves_under_heavy_tailed_backlogs(
+            w0 in 1u64..16,
+            w1 in 1u64..16,
+            w2 in 1u64..16,
+            // Heavy-tailed: one class gets the bulk, the others a trickle.
+            bulk in 200usize..600,
+            trickle_a in 1usize..40,
+            trickle_b in 1usize..40,
+            bulk_class in 0usize..3,
+        ) {
+            let weights = [w0, w1, w2];
+            let mut backlog = [trickle_a, trickle_b, trickle_a.max(trickle_b)];
+            backlog[bulk_class] = bulk;
+            let mut sched = WeightedSchedule::new(weights);
+            let total_w: u64 = weights.iter().sum();
+            let mut since_served = [0usize; 3];
+            while backlog.iter().any(|&n| n > 0) {
+                let flags = [backlog[0] > 0, backlog[1] > 0, backlog[2] > 0];
+                let p = sched.pick(flags).expect("backlog present");
+                prop_assert!(backlog[p.index()] > 0, "picked an empty class");
+                backlog[p.index()] -= 1;
+                for i in 0..3 {
+                    if i == p.index() {
+                        since_served[i] = 0;
+                    } else if flags[i] {
+                        since_served[i] += 1;
+                        // Inverse-share bound (+ slack for rounding): a
+                        // backlogged class with weight w waits at most
+                        // ~total_w/w picks between services.
+                        let bound = 2 * (total_w / weights[i].max(1)) as usize + 2;
+                        prop_assert!(
+                            since_served[i] <= bound,
+                            "class {i} (weight {}) starved for {} picks (bound {bound})",
+                            weights[i],
+                            since_served[i],
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -24,9 +24,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use spmm_common::{Result, SpmmError};
+use spmm_common::Result;
 use spmm_kernels::PreparedKernel;
 use spmm_matrix::DenseMatrix;
 
@@ -45,11 +45,11 @@ pub(crate) struct Request {
     /// Tenant charged for this request's queue slot.
     pub tenant: Tenant,
     /// When the request was admitted (for accurate
-    /// [`SpmmError::DeadlineExpired`] `waited` reporting).
+    /// `SpmmError::DeadlineExpired` `waited` reporting).
     pub enqueued_at: Instant,
     /// Absolute deadline; the request is dropped *before execution*
-    /// (with [`SpmmError::DeadlineExpired`]) if a worker reaches it
-    /// after this point.
+    /// (with `SpmmError::DeadlineExpired`) if a worker reaches it after
+    /// this point.
     pub deadline: Option<Instant>,
     /// Pages leased at admission for the operand copy + output buffer;
     /// split at completion (operand half released, output half rides
@@ -90,8 +90,10 @@ impl TicketShared {
     }
 }
 
-/// A claim on the result of a submitted multiply. Redeem with
-/// [`Ticket::wait`] (blocking) or [`Ticket::wait_timeout`].
+/// A claim on the result of a submitted multiply; redeem it with
+/// [`Ticket::wait`]. Every accepted request completes: with its result,
+/// or with a typed error when it expired, its batch panicked, or the
+/// engine shut down first.
 #[must_use = "a dropped ticket abandons its result"]
 pub struct Ticket {
     pub(crate) shared: Arc<TicketShared>,
@@ -106,34 +108,6 @@ impl Ticket {
         }
         slot.lease = None; // taking the result releases its pages
         slot.result.take().unwrap()
-    }
-
-    /// Like [`Ticket::wait`], but give up after `dur` with
-    /// [`SpmmError::Timeout`] — the *caller-side* wait bound, distinct
-    /// from the server-side [`SpmmError::DeadlineExpired`] drop. The
-    /// request itself may still complete later; its result is discarded
-    /// with the ticket.
-    pub fn wait_timeout(self, dur: Duration) -> Result<DenseMatrix> {
-        let deadline = Instant::now() + dur;
-        let mut slot = self.shared.slot.lock().unwrap();
-        while slot.result.is_none() {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(SpmmError::Timeout {
-                    what: "multiply ticket",
-                    waited_ms: dur.as_millis() as u64,
-                });
-            }
-            let (s, _) = self.shared.cv.wait_timeout(slot, deadline - now).unwrap();
-            slot = s;
-        }
-        slot.lease = None;
-        slot.result.take().unwrap()
-    }
-
-    /// Non-blocking check: `true` once a result (or error) is ready.
-    pub fn is_ready(&self) -> bool {
-        self.shared.slot.lock().unwrap().result.is_some()
     }
 }
 

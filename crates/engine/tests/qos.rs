@@ -1,7 +1,8 @@
-//! Property tests for the serving tier's QoS guarantees: weighted fair
-//! dequeue under heavy-tailed arrival mixes, quota rejections with
-//! accurate `retry_after` hints, deadline drops that never reach the
-//! kernel, and a page budget that is never exceeded.
+//! Property tests for the serving tier's QoS guarantees: every class of
+//! a priority mix served, quota rejections with accurate `retry_after`
+//! hints, deadline drops that never reach the kernel, and a page budget
+//! that is never exceeded. The fair-dequeue schedule's own properties
+//! are unit tests in `src/qos.rs`.
 //!
 //! All engines here run with `workers(0)` and are driven inline via
 //! `run_until_idle`, so every interleaving is deterministic (the
@@ -10,9 +11,7 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use spmm_engine::{
-    Engine, Priority, SubmitOptions, SubmitOutcome, Ticket, WeightedSchedule, DEFAULT_PAGE_BYTES,
-};
+use spmm_engine::{Engine, Priority, SubmitOptions, SubmitOutcome, Ticket};
 use spmm_matrix::{gen, CsrMatrix, DenseMatrix};
 
 fn graph(n: usize, seed: u64) -> CsrMatrix {
@@ -24,56 +23,6 @@ fn accept(outcome: SubmitOutcome) -> Ticket {
         SubmitOutcome::Accepted(t) => t,
         SubmitOutcome::Rejected { reason, .. } => panic!("unexpected rejection: {reason}"),
         _ => unreachable!("non-exhaustive outcome"),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    // Stride scheduling's bounded-latency property: while a class stays
-    // backlogged, the gap between its consecutive dequeues is bounded
-    // by its inverse share. Heavy-tailed mixes (one class with a huge
-    // backlog, others trickling) must not starve anyone.
-    #[test]
-    fn no_class_starves_under_heavy_tailed_backlogs(
-        w0 in 1u64..16,
-        w1 in 1u64..16,
-        w2 in 1u64..16,
-        // Heavy-tailed: one class gets the bulk, the others a trickle.
-        bulk in 200usize..600,
-        trickle_a in 1usize..40,
-        trickle_b in 1usize..40,
-        bulk_class in 0usize..3,
-    ) {
-        let weights = [w0, w1, w2];
-        let mut backlog = [trickle_a, trickle_b, trickle_a.max(trickle_b)];
-        backlog[bulk_class] = bulk;
-        let mut sched = WeightedSchedule::new(weights);
-        let total_w: u64 = weights.iter().sum();
-        let mut since_served = [0usize; 3];
-        while backlog.iter().any(|&n| n > 0) {
-            let flags = [backlog[0] > 0, backlog[1] > 0, backlog[2] > 0];
-            let p = sched.pick(flags).expect("backlog present");
-            prop_assert!(backlog[p.index()] > 0, "picked an empty class");
-            backlog[p.index()] -= 1;
-            for i in 0..3 {
-                if i == p.index() {
-                    since_served[i] = 0;
-                } else if flags[i] {
-                    since_served[i] += 1;
-                    // Inverse-share bound (+ slack for rounding): a
-                    // backlogged class with weight w waits at most
-                    // ~total_w/w picks between services.
-                    let bound = 2 * (total_w / weights[i].max(1)) as usize + 2;
-                    prop_assert!(
-                        since_served[i] <= bound,
-                        "class {i} (weight {}) starved for {} picks (bound {bound})",
-                        weights[i],
-                        since_served[i],
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -99,7 +48,7 @@ proptest! {
         for (i, &class) in mix.iter().enumerate() {
             let p = Priority::ALL[class];
             let b = DenseMatrix::random(a.ncols(), 8, seed * 100 + i as u64);
-            tickets.push(accept(session.submit(b, SubmitOptions::from(p))));
+            tickets.push(accept(session.submit(b, SubmitOptions::new().priority(p))));
             expected[class] += 1;
         }
         engine.run_until_idle();
@@ -219,7 +168,6 @@ proptest! {
         let engine = Engine::builder()
             .workers(0)
             .queue_capacity(64)
-            .page_bytes(4096)
             .page_budget(budget)
             .build()
             .unwrap();
@@ -240,10 +188,10 @@ proptest! {
                 }
                 _ => unreachable!("non-exhaustive outcome"),
             }
-            prop_assert!(engine.page_stats().peak <= budget);
+            prop_assert!(engine.stats().pages_peak <= budget as u64);
         }
-        // Operand (96×8×4 B) + output (96×8×4 B) = 6 KiB → 2 pages of
-        // 4 KiB per request; at least one request must fit any budget
+        // Operand (96×8×4 B) + output (96×8×4 B) = 6 KiB → 1 page of
+        // 64 KiB per request; at least one request must fit any budget
         // checked here only when the budget covers it.
         if budget >= 2 {
             prop_assert!(!tickets.is_empty(), "budget {budget} must admit work");
@@ -253,17 +201,8 @@ proptest! {
         for t in tickets {
             prop_assert!(t.wait().is_ok());
         }
-        let stats = engine.page_stats();
-        prop_assert!(stats.peak <= budget, "peak {} > budget {budget}", stats.peak);
-        prop_assert_eq!(engine.stats().page_denials, denied);
+        let stats = engine.stats();
+        prop_assert!(stats.pages_peak <= budget as u64, "peak {} > budget {budget}", stats.pages_peak);
+        prop_assert_eq!(stats.page_denials, denied);
     }
-}
-
-#[test]
-// Deliberately a compile-time-constant check: pins the published
-// default against accidental edits.
-#[allow(clippy::assertions_on_constants)]
-fn default_page_bytes_is_sane() {
-    assert!(DEFAULT_PAGE_BYTES.is_power_of_two());
-    assert!(DEFAULT_PAGE_BYTES >= 4096);
 }

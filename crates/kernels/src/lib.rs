@@ -93,14 +93,6 @@ impl KernelKind {
             KernelKind::AccSpmm => "Acc-SpMM",
         }
     }
-
-    /// Does this kernel run on tensor cores?
-    pub fn uses_tensor_cores(&self) -> bool {
-        matches!(
-            self,
-            KernelKind::TcGnn | KernelKind::DtcSpmm | KernelKind::AccSpmm
-        )
-    }
 }
 
 /// Format data held by a prepared TC kernel.

@@ -9,6 +9,9 @@ use acc_spmm::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Staging cap in 64 KiB pages: 4096 pages = 256 MiB.
+const PAGE_BUDGET: usize = 4096;
+
 fn main() {
     let engine = Arc::new(
         Engine::builder()
@@ -17,7 +20,7 @@ fn main() {
             .batch_window(Duration::from_micros(200))
             .queue_capacity(64)
             .tenant_quota(16)
-            .page_budget(4096) // 4096 × 64 KiB = 256 MiB staging cap
+            .page_budget(PAGE_BUDGET)
             .build()
             .unwrap(),
     );
@@ -108,9 +111,6 @@ fn main() {
     );
     println!(
         "pages: peak {} of {} budget ({} evictions, {} denials)",
-        stats.pages_peak,
-        engine.config().page_budget.unwrap_or(usize::MAX),
-        stats.page_evictions,
-        stats.page_denials
+        stats.pages_peak, PAGE_BUDGET, stats.page_evictions, stats.page_denials
     );
 }
