@@ -98,7 +98,8 @@ fn host_paths_never_build_the_model_and_model_paths_build_it_once() {
         k.execute_into(&b, &mut out, &mut ws).unwrap();
         k.execute_batch(&bs).unwrap();
         let mut outs = vec![DenseMatrix::zeros(96, DIM); bs.len()];
-        k.execute_batch_into(&bs, &mut outs, &mut ws).unwrap();
+        k.execute_batch_into(&bs, &mut outs, std::slice::from_mut(&mut ws))
+            .unwrap();
         let mut delta = DeltaCsr::new(m.clone());
         delta.upsert(3, 50, 0.5).unwrap();
         delta.upsert(70, 2, -1.25).unwrap();

@@ -220,7 +220,11 @@ fn run_job(
         let run = if job.across_cores {
             kernel.execute_into(b, &mut out, ws)
         } else {
-            kernel.execute_batch_into(slice::from_ref(b), slice::from_mut(&mut out), ws)
+            kernel.execute_batch_into(
+                slice::from_ref(b),
+                slice::from_mut(&mut out),
+                slice::from_mut(ws),
+            )
         };
         run.map(|()| out)
     });

@@ -32,9 +32,12 @@
 //!   is bounded and observable under hundreds of concurrent sessions.
 //!
 //! Failures stay typed and contained. Micro-batching coalesces same-key
-//! requests into one [`PreparedKernel::execute_batch_into`] call; a
-//! panic inside that call fails only the batch's tickets (with
-//! [`SpmmError::Panicked`]) and the worker keeps serving. A plan that
+//! requests into one [`PreparedKernel::execute_batch_into`] call, spread
+//! over the host threads the workers leave idle (each worker may use
+//! `max(1, rayon::current_num_threads() / workers)` of them, one pooled
+//! workspace each); a panic inside that call, on any of its threads,
+//! fails only the batch's tickets (with [`SpmmError::Panicked`]) and the
+//! worker keeps serving. A plan that
 //! fails to build fails [`SessionBuilder::open`] with the build's
 //! [`SpmmError::Build`]: the engine never serves a kernel other than
 //! the one asked for.
@@ -82,6 +85,7 @@ mod queue;
 pub use qos::{Priority, SubmitOptions, Tenant};
 pub use queue::Ticket;
 
+use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -93,7 +97,7 @@ use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
 use cache::{PlanCache, PlanKey};
-use pages::{PageLease, PagePool, DEFAULT_PAGE_BYTES};
+use pages::{PageLease, PagePool, WorkspaceLease, DEFAULT_PAGE_BYTES};
 use queue::{Push, Request, RequestQueue, TicketShared};
 
 /// Assumed per-request service time before any sample has been
@@ -200,6 +204,13 @@ impl EngineBuilder {
 
     /// Validate the configuration and start the worker pool.
     pub fn build(self) -> Result<Engine> {
+        let threads_per_worker = (rayon::current_num_threads() / self.config.workers.max(1)).max(1);
+        self.start(threads_per_worker)
+    }
+
+    /// [`EngineBuilder::build`] with the number of threads one batch may
+    /// spread over given.
+    fn start(self, threads_per_worker: usize) -> Result<Engine> {
         let c = &self.config;
         if c.queue_capacity == 0 || c.max_batch == 0 || c.plan_cache_capacity == 0 {
             return Err(SpmmError::InvalidConfig(
@@ -219,6 +230,7 @@ impl EngineBuilder {
             metrics: Metrics::default(),
             avg_service_ns: AtomicU64::new(0),
             config: self.config.clone(),
+            threads_per_worker,
             #[cfg(test)]
             panics: PanicInjection::default(),
         });
@@ -322,6 +334,12 @@ pub struct EngineStats {
 
 struct EngineShared {
     config: EngineConfig,
+    /// Threads one batch may spread over: the host's threads
+    /// (`rayon::current_num_threads()`) divided among the workers, at
+    /// least 1. An engine with fewer workers than threads runs a batch
+    /// of several requests on the threads its workers leave idle; one
+    /// with a worker per thread runs every batch on its worker.
+    threads_per_worker: usize,
     cache: PlanCache,
     queue: RequestQueue,
     pages: Arc<PagePool>,
@@ -334,17 +352,22 @@ struct EngineShared {
 }
 
 /// Test hook: make the next `remaining` batches panic inside the
-/// kernel-call boundary, counting the requests they carried.
+/// kernel-call boundary, in the batch chunk numbered `chunk` (0 runs on
+/// the worker, the others on the threads the batch spreads over),
+/// counting the requests they carried.
 #[cfg(test)]
 #[derive(Default)]
 struct PanicInjection {
     remaining: std::sync::atomic::AtomicU32,
+    chunk: std::sync::atomic::AtomicUsize,
     requests: AtomicU64,
 }
 
 #[cfg(test)]
 impl PanicInjection {
-    fn maybe_panic(&self, requests: usize) {
+    /// Arm the chunk's workspace, or panic here if the batch has no
+    /// such chunk.
+    fn maybe_panic(&self, requests: usize, wss: &mut [Workspace]) {
         let take = |n: u32| n.checked_sub(1);
         if self
             .remaining
@@ -352,7 +375,10 @@ impl PanicInjection {
             .is_ok()
         {
             self.requests.fetch_add(requests as u64, Ordering::SeqCst);
-            panic!("injected panic in a batch of {requests}");
+            match wss.get_mut(self.chunk.load(Ordering::SeqCst)) {
+                Some(ws) => ws.inject_panic(),
+                None => panic!("injected panic in a batch of {requests}"),
+            }
         }
     }
 }
@@ -482,8 +508,7 @@ impl Engine {
     pub fn run_until_idle(&self) -> usize {
         let mut total = 0;
         while let Some(first) = self.shared.queue.try_pop() {
-            let mut ws = self.shared.pages.checkout();
-            total += run_batch(&self.shared, first, &mut ws);
+            total += run_batch(&self.shared, first);
         }
         total
     }
@@ -778,22 +803,23 @@ impl Session {
     }
 }
 
-/// Worker thread body: pop → coalesce → execute, until shutdown. The
-/// workspace is checked out per batch so idle workspaces live in the
-/// page pool's LRU cache (evictable under budget pressure) rather than
-/// pinned to a parked thread.
+/// Worker thread body: pop → coalesce → execute, until shutdown.
 fn worker_loop(shared: &Arc<EngineShared>) {
     while let Some(first) = shared.queue.pop_blocking() {
-        let mut ws = shared.pages.checkout();
-        run_batch(shared, first, &mut ws);
+        run_batch(shared, first);
     }
 }
 
 /// Coalesce a micro-batch seeded by `first`, expire late requests, and
-/// execute the rest in one batched kernel call. A panic inside that call
-/// fails the batch's tickets with [`SpmmError::Panicked`] and replaces
-/// `ws`, which it may have left half-written. Returns requests resolved.
-fn run_batch(shared: &Arc<EngineShared>, first: Request, ws: &mut Workspace) -> usize {
+/// execute the rest in one batched kernel call spread over
+/// `min(threads_per_worker, live requests)` workspaces. The workspaces
+/// are checked out per batch, so idle ones live in the page pool's LRU
+/// cache (evictable under budget pressure) rather than pinned to a
+/// parked thread. A panic inside the kernel call fails the batch's
+/// tickets with [`SpmmError::Panicked`] and replaces every workspace it
+/// used, which it may have left half-written. The workspaces go back to
+/// the pool before any ticket completes. Returns requests resolved.
+fn run_batch(shared: &Arc<EngineShared>, first: Request) -> usize {
     let m = &shared.metrics;
     let mut batch = vec![first];
     if shared.config.max_batch > 1 {
@@ -870,15 +896,27 @@ fn run_batch(shared: &Arc<EngineShared>, first: Request, ws: &mut Workspace) -> 
         .iter()
         .map(|b| DenseMatrix::zeros(nrows, b.ncols()))
         .collect();
+    // The pool's leases keep the workspaces' page charges; the kernel
+    // takes a plain slice, so each lease lends its workspace out and
+    // gets it back, or keeps the empty one left behind after a panic.
+    let mut ws_leases: Vec<WorkspaceLease> = (0..shared.threads_per_worker.min(bs.len()))
+        .map(|_| shared.pages.checkout())
+        .collect();
+    let mut wss: Vec<Workspace> = ws_leases.iter_mut().map(|l| mem::take(&mut **l)).collect();
     let result = catch_panic("engine batch", || {
         #[cfg(test)]
-        shared.panics.maybe_panic(bs.len());
-        plan.execute_batch_into(&bs, &mut outs, ws)
+        shared.panics.maybe_panic(bs.len(), &mut wss);
+        plan.execute_batch_into(&bs, &mut outs, &mut wss)
     });
-    if matches!(result, Err(SpmmError::Panicked { .. })) {
-        *ws = Workspace::new();
+    if !matches!(result, Err(SpmmError::Panicked { .. })) {
+        for (lease, ws) in ws_leases.iter_mut().zip(wss) {
+            **lease = ws;
+        }
     }
+    drop(ws_leases);
     drop(bs); // operand copies freed; their page charge is split off below
+    m.in_flight.fetch_sub(live_count, Ordering::Relaxed);
+    shared.record_service_time(exec_start.elapsed() / live_count.max(1) as u32);
     match result {
         Ok(()) => {
             for ((ticket, out), (lease, operand_pages, priority)) in
@@ -899,8 +937,6 @@ fn run_batch(shared: &Arc<EngineShared>, first: Request, ws: &mut Workspace) -> 
             }
         }
     }
-    m.in_flight.fetch_sub(live_count, Ordering::Relaxed);
-    shared.record_service_time(exec_start.elapsed() / live_count.max(1) as u32);
     resolved
 }
 
@@ -960,6 +996,115 @@ mod tests {
         let served = session.multiply(&b).unwrap();
         assert!(same_bits(&served, &session.plan().execute(&b).unwrap()));
         assert_settled(&engine);
+    }
+
+    /// RHS `i` of `rows` × `n`, with NaN, ±Inf, subnormal and −0.0
+    /// entries.
+    fn special_rhs(rows: usize, n: usize, i: usize) -> DenseMatrix {
+        let mut b = DenseMatrix::random(rows, n, 70 + i as u64);
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0e-42, -0.0];
+        for (k, v) in specials.into_iter().enumerate() {
+            b.set((37 * (i + 1) + 53 * k) % rows, (i + k) % n, v);
+        }
+        b
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_thread_fails_its_batch_and_replaces_every_workspace() {
+        let engine = Engine::builder()
+            .workers(1)
+            .max_batch(4)
+            .batch_window(Duration::from_secs(5))
+            .start(2)
+            .unwrap();
+        let a = gen::uniform_random(192, 6.0, 7);
+        let session = engine.session(&a).feature_dim(16).open().unwrap();
+        let bs: Vec<DenseMatrix> = (0..4).map(|i| special_rhs(a.ncols(), 16, i)).collect();
+        let want: Vec<DenseMatrix> = bs
+            .iter()
+            .map(|b| session.plan().execute(b).unwrap())
+            .collect();
+        // Four requests fill one batch, which runs as two chunks.
+        let serve = || -> Vec<Result<DenseMatrix>> {
+            let tickets: Vec<Ticket> = bs
+                .iter()
+                .map(|b| {
+                    session
+                        .submit(b.clone(), SubmitOptions::new())
+                        .into_result()
+                        .unwrap()
+                })
+                .collect();
+            tickets.into_iter().map(Ticket::wait).collect()
+        };
+        let assert_served = |got: Vec<Result<DenseMatrix>>| {
+            for (got, want) in got.iter().zip(&want) {
+                assert!(same_bits(got.as_ref().unwrap(), want));
+            }
+        };
+        assert_served(serve());
+        assert_eq!(engine.stats().batches, 1);
+        let grown = engine.shared.pages.stats().idle;
+        assert!(grown >= 2, "both workspaces went back to the pool grown");
+
+        let injected = &engine.shared.panics;
+        injected.chunk.store(1, Ordering::SeqCst);
+        injected.remaining.store(1, Ordering::SeqCst);
+        for got in serve() {
+            match got {
+                Err(SpmmError::Panicked { what, detail }) => {
+                    assert_eq!(what, "engine batch");
+                    assert_eq!(detail, "injected panic in a batch chunk of 2");
+                }
+                other => panic!("expected Panicked, got {other:?}"),
+            }
+        }
+        assert_eq!(injected.requests.load(Ordering::SeqCst), 4);
+        assert_eq!(engine.stats().batches, 2);
+        assert_eq!(
+            engine.shared.pages.stats().idle,
+            0,
+            "a workspace the panicked batch used went back to the pool"
+        );
+        assert_settled(&engine);
+
+        assert_served(serve());
+        assert_eq!(engine.stats().batches, 3);
+        assert_settled(&engine);
+    }
+
+    #[test]
+    fn a_batch_spread_over_idle_threads_is_bit_identical() {
+        let a = gen::uniform_random(300, 6.0, 8);
+        let widths = [16, 1, 33, 8, 16, 5, 64];
+        let bs: Vec<DenseMatrix> = widths
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| special_rhs(a.ncols(), n, i))
+            .collect();
+        for threads in 1..=3 {
+            let engine = Engine::builder().workers(0).start(threads).unwrap();
+            let session = engine.session(&a).feature_dim(16).open().unwrap();
+            let tickets: Vec<Ticket> = bs
+                .iter()
+                .map(|b| {
+                    session
+                        .submit(b.clone(), SubmitOptions::new())
+                        .into_result()
+                        .unwrap()
+                })
+                .collect();
+            assert_eq!(engine.run_until_idle(), bs.len());
+            assert_eq!(engine.stats().batches, 1, "one batch of {}", bs.len());
+            for (ticket, b) in tickets.into_iter().zip(&bs) {
+                let want = session.plan().execute(b).unwrap();
+                assert!(
+                    same_bits(&ticket.wait().unwrap(), &want),
+                    "{threads} threads"
+                );
+            }
+            assert_settled(&engine);
+        }
     }
 
     #[test]

@@ -286,84 +286,48 @@ impl PreparedKernel {
         self.execute_into_impl(b, out, ws, true)
     }
 
-    /// Execute many RHS matrices over the shared plan. The batch is
-    /// split into one contiguous slice per worker (a single spawn round
-    /// instead of one per RHS), and each worker runs its slice as
-    /// [`PreparedKernel::execute_batch_into`] does: tensor-core plans
-    /// cut it, in order, into groups whose side-by-side B stage fits a
-    /// fixed cache budget (1 MiB), run a *batched* row loop per group of
-    /// several RHS (each execution row is one wide row product for all
-    /// of them, each RHS's slice written straight to its output row) and
-    /// the per-RHS row loop per group of one. Per output element the
-    /// adds are exactly the single-RHS path's, so results are
-    /// bit-identical to calling [`PreparedKernel::execute`] per matrix.
+    /// Execute many RHS matrices over the shared plan into fresh
+    /// outputs: [`PreparedKernel::execute_batch_into`] over one fresh
+    /// [`Workspace`] per rayon thread, so the batch spreads over that
+    /// many threads. Results are bit-identical to calling
+    /// [`PreparedKernel::execute`] per matrix.
     pub fn execute_batch(&self, bs: &[DenseMatrix]) -> Result<Vec<DenseMatrix>> {
-        use rayon::prelude::*;
         let _span = spmm_trace::span("kernel.execute_batch");
-        spmm_trace::counter_add("kernel.batch_rhs", bs.len() as u64);
-        if bs.is_empty() {
-            return Ok(Vec::new());
-        }
         let a_rows = self.csr().nrows();
-        let a_cols = self.csr().ncols();
-        // Validate every shape up front so the parallel region cannot
-        // fail on malformed input halfway through.
-        for b in bs {
-            if b.nrows() != a_cols {
-                return Err(SpmmError::Shape {
-                    context: format!("A is {a_rows}x{a_cols}, B is {}x{}", b.nrows(), b.ncols()),
-                });
-            }
-        }
         let mut outs: Vec<DenseMatrix> = bs
             .iter()
             .map(|b| DenseMatrix::zeros(a_rows, b.ncols()))
             .collect();
-        let group = bs.len().div_ceil(rayon::current_num_threads()).max(1);
-        // Keep the *first* failure (lowest group index) — groups finish
-        // in arbitrary order, and a last-writer-wins slot would surface
-        // a different error on every run. Every failed group is counted
-        // so multi-failure batches stay observable in traces.
-        let failure: std::sync::Mutex<Option<(usize, SpmmError)>> = std::sync::Mutex::new(None);
-        let failed_groups = std::sync::atomic::AtomicU64::new(0);
-        outs.as_mut_slice()
-            .par_chunks_mut(group)
-            .enumerate()
-            .for_each_init(Workspace::new, |ws, (g, out_group)| {
-                let b_group = &bs[g * group..g * group + out_group.len()];
-                if let Err(e) = self.execute_group(b_group, out_group, ws) {
-                    failed_groups.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let mut slot = failure.lock().unwrap();
-                    if slot.as_ref().is_none_or(|(held, _)| g < *held) {
-                        *slot = Some((g, e));
-                    }
-                }
-            });
-        let failed = failed_groups.into_inner();
-        if failed > 0 {
-            spmm_trace::counter_add("kernel.batch_group_failures", failed);
-        }
-        match failure.into_inner().unwrap() {
-            Some((_, e)) => Err(e),
-            None => Ok(outs),
-        }
+        let mut wss: Vec<Workspace> = (0..rayon::current_num_threads())
+            .map(|_| Workspace::new())
+            .collect();
+        self.execute_batch_into(bs, &mut outs, &mut wss)?;
+        Ok(outs)
     }
 
-    /// Sequential batch entry point for callers that manage their own
-    /// threads (the serving engine's micro-batching workers): executes
-    /// every RHS in `bs` into the matching slot of `outs` on the
-    /// *calling* thread, sharing one reusable [`Workspace`]. On
-    /// tensor-core plans the batch is cut, in order, into groups whose
+    /// The batch path: executes every RHS in `bs` into the matching slot
+    /// of `outs`, spread over the workspaces in `wss`. The batch is cut,
+    /// in order, into `min(wss.len(), bs.len())` contiguous chunks of
+    /// near-equal length, one workspace each; the first chunk runs on
+    /// the calling thread and every other chunk on a scoped thread of
+    /// its own, so one workspace means no thread is spawned. Within a
+    /// chunk, tensor-core plans cut the RHS, in order, into groups whose
     /// side-by-side B stage (B's rows × the summed widths × 4 bytes)
     /// fits a fixed 1 MiB budget, so the stage stays cache-resident:
     /// each execution row is streamed once per group, and a group of one
     /// RHS takes the per-RHS row loop. Results are bit-identical to
-    /// calling [`PreparedKernel::execute`] per RHS.
+    /// calling [`PreparedKernel::execute`] per RHS, whatever the number
+    /// of workspaces.
+    ///
+    /// The first error by chunk order is returned. A panic in a chunk on
+    /// a spawned thread is resumed on the calling thread once every
+    /// chunk has finished. A non-empty batch needs at least one
+    /// workspace ([`SpmmError::InvalidConfig`] otherwise).
     pub fn execute_batch_into(
         &self,
         bs: &[DenseMatrix],
         outs: &mut [DenseMatrix],
-        ws: &mut Workspace,
+        wss: &mut [Workspace],
     ) -> Result<()> {
         if bs.len() != outs.len() {
             return Err(SpmmError::shape(format!(
@@ -387,23 +351,64 @@ impl PreparedKernel {
         if bs.is_empty() {
             return Ok(());
         }
+        let chunks = wss.len().min(bs.len());
+        let Some((ws0, helper_wss)) = wss[..chunks].split_first_mut() else {
+            return Err(SpmmError::InvalidConfig(
+                "a non-empty batch needs at least one workspace".into(),
+            ));
+        };
         spmm_trace::counter_add("kernel.batch_rhs", bs.len() as u64);
-        self.execute_group(bs, outs, ws)
+        let (base, extra) = (bs.len() / chunks, bs.len() % chunks);
+        let chunk_len = |i: usize| base + usize::from(i < extra);
+        let (b0, mut b_rest) = bs.split_at(chunk_len(0));
+        let (out0, mut out_rest) = outs.split_at_mut(chunk_len(0));
+        std::thread::scope(|s| {
+            let helpers: Vec<_> = helper_wss
+                .iter_mut()
+                .enumerate()
+                .map(|(i, ws)| {
+                    let (b, b_tail) = b_rest.split_at(chunk_len(i + 1));
+                    let (out, out_tail) = std::mem::take(&mut out_rest).split_at_mut(b.len());
+                    b_rest = b_tail;
+                    out_rest = out_tail;
+                    s.spawn(move || self.execute_chunk(b, out, ws))
+                })
+                .collect();
+            let mut result = self.execute_chunk(b0, out0, ws0);
+            let mut panicked = None;
+            for helper in helpers {
+                match helper.join() {
+                    Ok(r) if result.is_ok() => result = r,
+                    Ok(_) => {}
+                    Err(payload) => {
+                        panicked.get_or_insert(payload);
+                    }
+                }
+            }
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
+            }
+            result
+        })
     }
 
-    /// Run one worker's contiguous slice of the batch.
-    fn execute_group(
+    /// Run one contiguous chunk of a batch on the calling thread.
+    fn execute_chunk(
         &self,
         bs: &[DenseMatrix],
         outs: &mut [DenseMatrix],
         ws: &mut Workspace,
     ) -> Result<()> {
-        // Worker-side span: one per batch slice, recorded on the thread
-        // that ran it (the trace layer tags spans per thread).
-        let _span = spmm_trace::span("kernel.execute_group");
+        // One span per chunk, recorded on the thread that ran it (the
+        // trace layer tags spans per thread).
+        let _span = spmm_trace::span("kernel.execute_chunk");
+        #[cfg(any(test, feature = "fault-injection"))]
+        if std::mem::take(&mut ws.inject_panic) {
+            panic!("injected panic in a batch chunk of {}", bs.len());
+        }
         // Symmetric mode needs a permuted copy of every B alive at once,
         // which defeats the batched row loop, so it and the CUDA-core
-        // plans take the per-RHS path (still sharing this worker's
+        // plans take the per-RHS path (still sharing this chunk's
         // staging buffers), which writes straight into each output.
         let rows = match self.plan.exec_rows() {
             Some(rows) if !self.plan.symmetric() => rows,
@@ -722,12 +727,115 @@ mod tests {
                 .map(|b| DenseMatrix::zeros(m.nrows(), b.ncols()))
                 .collect();
             let mut ws = Workspace::new();
-            k.execute_batch_into(&bs, &mut outs, &mut ws).unwrap();
+            k.execute_batch_into(&bs, &mut outs, std::slice::from_mut(&mut ws))
+                .unwrap();
             let batched = k.execute_batch(&bs).unwrap();
             for (i, want) in singles.iter().enumerate() {
                 assert_outputs_bit_identical(&outs[i], want);
                 assert_outputs_bit_identical(&batched[i], want);
             }
+        }
+    }
+
+    /// An operand of `n` B rows with NaN, ±Inf, a subnormal and −0.0
+    /// stored among its values.
+    fn special_operand(n: usize, seed: u64) -> CsrMatrix {
+        let mut m = spmm_matrix::gen::uniform_random(n, 3.0, seed);
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0e-41, -0.0];
+        let nnz = m.nnz();
+        for (k, v) in specials.into_iter().enumerate() {
+            m.values_mut()[(k * 7919 + 13) % nnz] = v;
+        }
+        m
+    }
+
+    /// RHS `i` of width `n`, with NaN, ±Inf, subnormal and −0.0 entries.
+    fn special_rhs(rows: usize, n: usize, i: usize) -> DenseMatrix {
+        let mut b = DenseMatrix::random(rows, n, 500 + i as u64);
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0e-42, -0.0];
+        for (k, v) in specials.into_iter().enumerate() {
+            b.set((131 * (i + 1) + 977 * k) % rows, (i + k) % n, v);
+        }
+        b
+    }
+
+    #[test]
+    fn a_batch_spread_over_workspaces_is_bit_identical_to_execute() {
+        // 2048 B rows leave room for 128 side-by-side columns: the
+        // longer batches cross the budget near their end, where 72
+        // starts a new group and 130 runs alone.
+        let m = special_operand(2048, 11);
+        let widths = [1, 16, 3, 40, 9, 24, 8, 72, 130];
+        assert_eq!(side_by_side_group_len(m.ncols(), widths), 7);
+        assert_eq!(
+            side_by_side_group_len(m.ncols(), widths[7..].iter().copied()),
+            1
+        );
+        let bs: Vec<DenseMatrix> = widths
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| special_rhs(m.ncols(), n, i))
+            .collect();
+        let symmetric = AccConfig {
+            symmetric_reorder: true,
+            ..AccConfig::full()
+        };
+        let plans = KernelKind::ALL
+            .iter()
+            .map(|&kind| (kind, AccConfig::full()))
+            .chain([(KernelKind::AccSpmm, symmetric)]);
+        for (kind, config) in plans {
+            let k = PreparedKernel::builder(kind, &m)
+                .feature_dim(32)
+                .config(config)
+                .build()
+                .unwrap();
+            let singles: Vec<DenseMatrix> = bs.iter().map(|b| k.execute(b).unwrap()).collect();
+            for threads in 1..=3 {
+                let mut wss = vec![Workspace::new(); threads];
+                for len in 0..=bs.len() {
+                    let mut outs: Vec<DenseMatrix> = bs[..len]
+                        .iter()
+                        .map(|b| DenseMatrix::zeros(m.nrows(), b.ncols()))
+                        .collect();
+                    k.execute_batch_into(&bs[..len], &mut outs, &mut wss)
+                        .unwrap();
+                    for (got, want) in outs.iter().zip(&singles) {
+                        assert_outputs_bit_identical(got, want);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_needs_a_workspace_and_rethrows_a_helper_panic() {
+        let (m, _) = workload();
+        let k = PreparedKernel::builder(KernelKind::AccSpmm, &m)
+            .feature_dim(8)
+            .build()
+            .unwrap();
+        let bs: Vec<DenseMatrix> = (0..4)
+            .map(|i| DenseMatrix::random(m.ncols(), 8, 40 + i))
+            .collect();
+        let mut outs: Vec<DenseMatrix> = (0..4).map(|_| DenseMatrix::zeros(m.nrows(), 8)).collect();
+        assert!(matches!(
+            k.execute_batch_into(&bs, &mut outs, &mut []),
+            Err(SpmmError::InvalidConfig(_))
+        ));
+        // The last of three chunks panics on its spawned thread; the
+        // panic reaches the caller once every chunk has finished.
+        let mut wss = vec![Workspace::new(); 3];
+        wss[2].inject_panic();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            k.execute_batch_into(&bs, &mut outs, &mut wss)
+        }));
+        let payload = caught.expect_err("the helper's panic is rethrown");
+        let message = payload.downcast_ref::<String>().unwrap();
+        assert_eq!(message, "injected panic in a batch chunk of 1");
+        // The chunks that ran are complete and exact.
+        for (got, b) in outs.iter().zip(&bs).take(3) {
+            assert_outputs_bit_identical(got, &k.execute(b).unwrap());
         }
     }
 

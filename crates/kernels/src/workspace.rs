@@ -19,6 +19,10 @@ pub struct Workspace {
     pub(crate) batch_stage: BStage,
     pub(crate) batch_row: Vec<f32>,
     pub(crate) staging_b: Option<DenseMatrix>,
+    /// Set by [`Workspace::inject_panic`]: the next batch chunk run on
+    /// this workspace panics.
+    #[cfg(any(test, feature = "fault-injection"))]
+    pub(crate) inject_panic: bool,
 }
 
 impl Workspace {
@@ -55,6 +59,14 @@ impl Workspace {
                 .staging_b
                 .as_ref()
                 .map_or(0, |m| m.nrows() * m.ncols() * std::mem::size_of::<f32>())
+    }
+
+    /// Make the next batch chunk that runs on this workspace panic, on
+    /// whichever thread runs it: a fault-injection hook for tests of a
+    /// caller's panic containment (the `fault-injection` feature).
+    #[cfg(any(test, feature = "fault-injection"))]
+    pub fn inject_panic(&mut self) {
+        self.inject_panic = true;
     }
 }
 

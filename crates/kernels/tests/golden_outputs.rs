@@ -215,7 +215,8 @@ fn case_hashes(name: &str) -> [u64; 4] {
         assert_eq!(fnv(c), h, "{name}: execute_batch, width {}", c.ncols());
     }
     let mut outs: Vec<DenseMatrix> = WIDTHS.iter().map(|&w| dirty(w)).collect();
-    k.execute_batch_into(&bs, &mut outs, &mut ws).unwrap();
+    k.execute_batch_into(&bs, &mut outs, slice::from_mut(&mut ws))
+        .unwrap();
     for (c, &h) in outs.iter().zip(&want) {
         assert_eq!(fnv(c), h, "{name}: execute_batch_into, width {}", c.ncols());
     }
@@ -223,8 +224,12 @@ fn case_hashes(name: &str) -> [u64; 4] {
     // engine request hands the batch entry.
     for (b, &h) in bs.iter().zip(&want) {
         let mut out = dirty(b.ncols());
-        k.execute_batch_into(slice::from_ref(b), slice::from_mut(&mut out), &mut ws)
-            .unwrap();
+        k.execute_batch_into(
+            slice::from_ref(b),
+            slice::from_mut(&mut out),
+            slice::from_mut(&mut ws),
+        )
+        .unwrap();
         assert_eq!(
             fnv(&out),
             h,

@@ -97,7 +97,67 @@ impl CsrMatrix {
     }
 
     /// Check the structural invariants; used by constructors and tests.
+    /// A branch-light pass decides whether they hold, so a well-formed
+    /// matrix is checked at memory speed; only a malformed one pays for
+    /// the detailed pass that names its first violation.
     pub fn validate(&self) -> Result<()> {
+        if self.is_well_formed() {
+            return Ok(());
+        }
+        self.first_violation()
+    }
+
+    /// Whether every invariant [`CsrMatrix::first_violation`] checks
+    /// holds, decided by flat passes with no early exit: the row
+    /// pointers run from 0 to nnz without decreasing, every column is
+    /// below `ncols`, and each row's columns strictly increase.
+    fn is_well_formed(&self) -> bool {
+        let (ptr, cols) = (&self.row_ptr, &self.col_idx);
+        let nnz = cols.len();
+        if Some(ptr.len()) != self.nrows.checked_add(1)
+            || ptr[0] != 0
+            || self.values.len() != nnz
+            || ptr[self.nrows] != nnz
+        {
+            return false;
+        }
+        let rows = || ptr.iter().zip(&ptr[1..]);
+        // Non-decreasing from 0 to nnz bounds every entry by nnz, which
+        // the row-start pass below relies on.
+        if !rows().fold(true, |ok, (start, end)| ok & (start <= end)) {
+            return false;
+        }
+        let Some((&first, rest)) = cols.split_first() else {
+            return true;
+        };
+        if rest.is_empty() {
+            return (first as usize) < self.ncols;
+        }
+        // One pass over the columns: the largest, and how many adjacent
+        // pairs do not increase (counted in u32 per chunk).
+        let (mut max_col, mut non_increasing) = (first, 0);
+        for (prev, next) in cols.chunks(1 << 16).zip(rest.chunks(1 << 16)) {
+            let (max, count) = (prev.iter().zip(next)).fold((0, 0u32), |(max, count), (&p, &c)| {
+                (max.max(c), count + u32::from(c <= p))
+            });
+            max_col = max_col.max(max);
+            non_increasing += count as usize;
+        }
+        // Columns strictly increase within every row iff every
+        // non-increasing pair straddles a row boundary: the first entry
+        // of a non-empty row and the entry before it.
+        let at_row_starts: usize = rows()
+            .map(|(&start, &end)| {
+                let i = start.clamp(1, nnz - 1);
+                usize::from((start > 0) & (end > start) & (cols[i] <= cols[i - 1]))
+            })
+            .sum();
+        (max_col as usize) < self.ncols && non_increasing == at_row_starts
+    }
+
+    /// The first violated invariant, in the order `validate` reports
+    /// them, or `Ok` if none is.
+    fn first_violation(&self) -> Result<()> {
         if Some(self.row_ptr.len()) != self.nrows.checked_add(1) {
             return Err(SpmmError::MalformedFormat {
                 detail: format!(
@@ -523,6 +583,7 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> CsrMatrix {
         // [1 0 2]
@@ -547,6 +608,81 @@ mod tests {
         assert!(CsrMatrix::new(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 2.0]).is_ok());
         // row_ptr overshoots nnz mid-array: an error, not a slice panic.
         assert!(CsrMatrix::new(2, 4, vec![0, 10, 5], vec![0, 1, 2, 3, 0], vec![1.0; 5]).is_err());
+    }
+
+    /// A small CSR built from `seed`: valid, or broken in one of the
+    /// ways `validate` names (or at random), fields set directly.
+    fn maybe_malformed(seed: u64, nrows: usize, ncols: usize, how: u8) -> CsrMatrix {
+        let mut state = seed;
+        let mut next = |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
+        };
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for _ in 0..nrows {
+            let mut c = 0;
+            for _ in 0..next(4) {
+                c += next(3);
+                if c < ncols {
+                    col_idx.push(c as u32);
+                    c += 1;
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let nnz = col_idx.len();
+        let mut values = vec![1.0; nnz];
+        match how {
+            0 => {}
+            1 if nnz > 1 => col_idx.swap(next(nnz - 1), nnz - 1),
+            2 if nnz > 1 => {
+                let i = next(nnz - 1);
+                col_idx[i + 1] = col_idx[i];
+            }
+            3 if nnz > 0 => col_idx[next(nnz)] = (ncols + next(3)) as u32,
+            4 => row_ptr[next(nrows + 1)] = next(nnz + 3),
+            5 => values.truncate(nnz.saturating_sub(1)),
+            6 => drop(row_ptr.pop()),
+            7 => row_ptr.push(nnz),
+            8 => {
+                for p in &mut row_ptr {
+                    *p = next(nnz + 2);
+                }
+            }
+            _ => {
+                for c in &mut col_idx {
+                    *c = next(ncols + 1) as u32;
+                }
+            }
+        }
+        CsrMatrix {
+            nrows,
+            ncols,
+            row_ptr,
+            col_idx,
+            values,
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn flat_and_detailed_validation_agree(
+            seed in any::<u64>(),
+            nrows in 0usize..7,
+            ncols in 0usize..7,
+            how in 0u8..10,
+        ) {
+            let m = maybe_malformed(seed, nrows, ncols, how);
+            prop_assert_eq!(m.is_well_formed(), m.first_violation().is_ok());
+            prop_assert_eq!(m.validate(), m.first_violation());
+        }
     }
 
     #[test]
