@@ -116,7 +116,9 @@ struct EngineConfig {
     /// Worker threads executing queued multiplies. `0` is allowed: no
     /// background threads; drive the engine inline with
     /// [`Engine::run_until_idle`] (single-threaded embeddings and
-    /// tests).
+    /// tests). Defaults to one per host thread,
+    /// `rayon::current_num_threads()`, the count the batch spread
+    /// divides, so a default engine runs each batch on its worker.
     workers: usize,
     /// Bounded queue length; submissions beyond it are rejected.
     queue_capacity: usize,
@@ -139,7 +141,7 @@ struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: rayon::current_num_threads(),
             queue_capacity: 256,
             batch_window: Duration::from_micros(200),
             max_batch: 16,
@@ -352,22 +354,17 @@ struct EngineShared {
 }
 
 /// Test hook: make the next `remaining` batches panic inside the
-/// kernel-call boundary, in the batch chunk numbered `chunk` (0 runs on
-/// the worker, the others on the threads the batch spreads over),
-/// counting the requests they carried.
+/// kernel-call boundary, counting the requests they carried.
 #[cfg(test)]
 #[derive(Default)]
 struct PanicInjection {
     remaining: std::sync::atomic::AtomicU32,
-    chunk: std::sync::atomic::AtomicUsize,
     requests: AtomicU64,
 }
 
 #[cfg(test)]
 impl PanicInjection {
-    /// Arm the chunk's workspace, or panic here if the batch has no
-    /// such chunk.
-    fn maybe_panic(&self, requests: usize, wss: &mut [Workspace]) {
+    fn maybe_panic(&self, requests: usize) {
         let take = |n: u32| n.checked_sub(1);
         if self
             .remaining
@@ -375,10 +372,7 @@ impl PanicInjection {
             .is_ok()
         {
             self.requests.fetch_add(requests as u64, Ordering::SeqCst);
-            match wss.get_mut(self.chunk.load(Ordering::SeqCst)) {
-                Some(ws) => ws.inject_panic(),
-                None => panic!("injected panic in a batch of {requests}"),
-            }
+            panic!("injected panic in a batch of {requests}");
         }
     }
 }
@@ -905,10 +899,12 @@ fn run_batch(shared: &Arc<EngineShared>, first: Request) -> usize {
     let mut wss: Vec<Workspace> = ws_leases.iter_mut().map(|l| mem::take(&mut **l)).collect();
     let result = catch_panic("engine batch", || {
         #[cfg(test)]
-        shared.panics.maybe_panic(bs.len(), &mut wss);
+        shared.panics.maybe_panic(bs.len());
         plan.execute_batch_into(&bs, &mut outs, &mut wss)
     });
-    if !matches!(result, Err(SpmmError::Panicked { .. })) {
+    if matches!(result, Err(SpmmError::Panicked { .. })) {
+        drop(wss); // possibly half-written; the leases keep empty ones
+    } else {
         for (lease, ws) in ws_leases.iter_mut().zip(wss) {
             **lease = ws;
         }
@@ -1010,7 +1006,7 @@ mod tests {
     }
 
     #[test]
-    fn a_panic_on_a_helper_thread_fails_its_batch_and_replaces_every_workspace() {
+    fn a_panic_in_a_spread_batch_fails_it_and_replaces_every_workspace() {
         let engine = Engine::builder()
             .workers(1)
             .max_batch(4)
@@ -1048,13 +1044,12 @@ mod tests {
         assert!(grown >= 2, "both workspaces went back to the pool grown");
 
         let injected = &engine.shared.panics;
-        injected.chunk.store(1, Ordering::SeqCst);
         injected.remaining.store(1, Ordering::SeqCst);
         for got in serve() {
             match got {
                 Err(SpmmError::Panicked { what, detail }) => {
                     assert_eq!(what, "engine batch");
-                    assert_eq!(detail, "injected panic in a batch chunk of 2");
+                    assert_eq!(detail, "injected panic in a batch of 4");
                 }
                 other => panic!("expected Panicked, got {other:?}"),
             }

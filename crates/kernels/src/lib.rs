@@ -402,7 +402,7 @@ impl PreparedKernel {
         // One span per chunk, recorded on the thread that ran it (the
         // trace layer tags spans per thread).
         let _span = spmm_trace::span("kernel.execute_chunk");
-        #[cfg(any(test, feature = "fault-injection"))]
+        #[cfg(test)]
         if std::mem::take(&mut ws.inject_panic) {
             panic!("injected panic in a batch chunk of {}", bs.len());
         }

@@ -21,7 +21,7 @@ pub struct Workspace {
     pub(crate) staging_b: Option<DenseMatrix>,
     /// Set by [`Workspace::inject_panic`]: the next batch chunk run on
     /// this workspace panics.
-    #[cfg(any(test, feature = "fault-injection"))]
+    #[cfg(test)]
     pub(crate) inject_panic: bool,
 }
 
@@ -62,10 +62,9 @@ impl Workspace {
     }
 
     /// Make the next batch chunk that runs on this workspace panic, on
-    /// whichever thread runs it: a fault-injection hook for tests of a
-    /// caller's panic containment (the `fault-injection` feature).
-    #[cfg(any(test, feature = "fault-injection"))]
-    pub fn inject_panic(&mut self) {
+    /// whichever thread runs it.
+    #[cfg(test)]
+    pub(crate) fn inject_panic(&mut self) {
         self.inject_panic = true;
     }
 }
