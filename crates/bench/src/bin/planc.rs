@@ -12,11 +12,12 @@
 //! ```
 //!
 //! Every compiled plan is written to `<dataset>-<kernel>-<arch>-d<dim>.plan`
-//! in the output directory and verified by reloading it through a
-//! fully-bound `PlanLoader` and executing one multiply against the
-//! freshly built plan — bit-identity is asserted, not assumed. A JSON
-//! manifest of the compiled artifacts is printed to stdout and saved
-//! next to them.
+//! in the output directory. A plan file holds the binding and, for a
+//! symmetric plan, the permutation, not the operand. Each file is
+//! verified by reloading it over its operand through a fully-bound
+//! `PlanLoader` and executing one multiply against the freshly built
+//! plan — bit-identity is asserted, not assumed. A JSON manifest of the
+//! compiled artifacts is printed to stdout and saved next to them.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -87,22 +88,23 @@ fn plan_path(dir: &Path, name: &str, kind: KernelKind, arch: Arch, dim: usize) -
     ))
 }
 
-/// Compile one plan to `path`, then prove the file by reloading it with
-/// every binding pinned and executing one multiply bit-identically
-/// against the fresh build. Returns the file size and the build and
-/// reload seconds.
+/// Compile one plan to `path`, then prove the file by reloading it over
+/// `m` with every binding pinned and executing one multiply
+/// bit-identically against the fresh build. Returns the file size and
+/// the build and reload seconds.
 fn compile_and_verify(
     path: &Path,
     m: &CsrMatrix,
     kind: KernelKind,
     arch: Arch,
     dim: usize,
+    config: AccConfig,
 ) -> Result<(u64, f64, f64), String> {
     let t0 = Instant::now();
     let kernel = PreparedKernel::builder(kind, m)
         .arch(arch)
         .feature_dim(dim)
-        .config(AccConfig::full())
+        .config(config)
         .build()
         .map_err(|e| format!("build failed: {e}"))?;
     let build_seconds = t0.elapsed().as_secs_f64();
@@ -117,12 +119,11 @@ fn compile_and_verify(
 
     let t1 = Instant::now();
     let reloaded = PlanLoader::new()
-        .expect_fingerprint(m.content_fingerprint())
         .expect_kind(kind)
         .expect_arch(arch)
         .expect_feature_dim(dim)
-        .expect_config(AccConfig::full())
-        .load(path)
+        .expect_config(config)
+        .load(path, m)
         .map_err(|e| format!("reload failed: {e}"))?;
     let load_seconds = t1.elapsed().as_secs_f64();
 
@@ -143,16 +144,26 @@ fn compile_and_verify(
 }
 
 /// One plan per tensor-core format (TCF, ME-TCF, BitTCF), so every
-/// format's execution rows are derived again at load.
+/// format's execution rows are derived again at load, and one symmetric
+/// Acc-SpMM plan, so a stored permutation relabels the operand.
 fn smoke(dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let m = gen::uniform_random(256, 5.0, 42);
-    for kind in [KernelKind::TcGnn, KernelKind::DtcSpmm, KernelKind::AccSpmm] {
-        let path = plan_path(dir, "smoke", kind, Arch::A800, 32);
-        let (bytes, build_s, load_s) = compile_and_verify(&path, &m, kind, Arch::A800, 32)
-            .map_err(|e| format!("{}: {e}", kind.name()))?;
+    let symmetric = AccConfig {
+        symmetric_reorder: true,
+        ..AccConfig::full()
+    };
+    for (name, kind, config) in [
+        ("smoke", KernelKind::TcGnn, AccConfig::full()),
+        ("smoke", KernelKind::DtcSpmm, AccConfig::full()),
+        ("smoke", KernelKind::AccSpmm, AccConfig::full()),
+        ("smoke-symmetric", KernelKind::AccSpmm, symmetric),
+    ] {
+        let path = plan_path(dir, name, kind, Arch::A800, 32);
+        let (bytes, build_s, load_s) = compile_and_verify(&path, &m, kind, Arch::A800, 32, config)
+            .map_err(|e| format!("{name} {}: {e}", kind.name()))?;
         println!(
-            "planc smoke: {} plan compiled+reloaded+executed ({bytes} bytes, \
+            "planc {name}: {} plan compiled+reloaded+executed ({bytes} bytes, \
              build {build_s:.3}s, reload {load_s:.3}s) in {}",
             kind.name(),
             dir.display()
@@ -177,7 +188,7 @@ fn sweep(opts: &Options) -> Result<(), String> {
         let m = spmm_bench::build_dataset(d);
         let path = plan_path(&opts.out, d.abbr, opts.kind, opts.arch, opts.dim);
         let (bytes, build_s, load_s) =
-            compile_and_verify(&path, &m, opts.kind, opts.arch, opts.dim)?;
+            compile_and_verify(&path, &m, opts.kind, opts.arch, opts.dim, AccConfig::full())?;
         let file = path
             .file_name()
             .map(|f| f.to_string_lossy().into_owned())

@@ -142,7 +142,8 @@ pub enum PlanLoadError {
     FingerprintMismatch {
         /// Fingerprint recorded in the plan header (hex).
         plan: String,
-        /// Fingerprint the loader was asked to validate against (hex).
+        /// Fingerprint of the operand the caller passed to the loader
+        /// (hex).
         requested: String,
     },
     /// A non-arch binding (kernel kind, feature dimension, Acc config)

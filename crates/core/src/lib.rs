@@ -97,8 +97,8 @@ pub use spmm_engine::{
     Ticket,
 };
 pub use spmm_kernels::{
-    AccConfig, ExecutionPlan, KernelKind, PlanIr, PlanLoader, PreparedKernel, RepairReport,
-    StageSpec, StageTiming, Workspace,
+    AccConfig, ExecutionPlan, KernelKind, PlanLoader, PreparedKernel, RepairReport, StageSpec,
+    StageTiming, Workspace,
 };
 pub use spmm_matrix::{CsrMatrix, DenseMatrix};
 pub use spmm_sim::{Arch, KernelReport, SimOptions};

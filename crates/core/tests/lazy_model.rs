@@ -109,7 +109,7 @@ fn host_paths_never_build_the_model_and_model_paths_build_it_once() {
             .unwrap();
         let path = dir.join(format!("{kind:?}-{}.plan", config.symmetric_reorder));
         plan.save(&path).unwrap();
-        let loaded = PlanLoader::new().load(&path).unwrap();
+        let loaded = PlanLoader::new().load(&path, &m).unwrap();
         PreparedKernel::from_plan(loaded.clone())
             .execute(&b)
             .unwrap();

@@ -1,28 +1,30 @@
-//! The versioned plan IR: persistent [`ExecutionPlan`] host parts.
+//! The versioned plan IR: persistent [`ExecutionPlan`] bindings.
 //!
 //! Acc-SpMM's economics rest on ahead-of-time preprocessing amortized
 //! across many multiplies; this module lets a plan outlive its process.
-//! A plan serializes into a [`PlanIr`] container:
+//! A plan file stores what is costly to rebuild and nothing else:
 //!
 //! * a schema-versioned **JSON header** (via [`spmm_common::json`]) —
 //!   kernel kind, architecture, feature dimension, the input operand's
 //!   [`content_fingerprint`](spmm_matrix::CsrMatrix::content_fingerprint),
 //!   the [`AccConfig`] binding and its hash, and the ISA tier the plan
 //!   was bound to;
-//! * two **length-prefixed binary sections** (little-endian, each
-//!   skippable without parsing): the permutation, which only symmetric
-//!   plans hold, and the operand CSR as the host multiplies it.
+//! * one **length-prefixed binary section** (little-endian): the
+//!   symmetric reorder's permutation, empty in every other mode.
 //!
-//! Nothing else is stored: the execution rows derive from the operand
-//! again at load, and the model part ([`crate::PlanModel`]) rebuilds
-//! deterministically from the operand and the permutation on first use.
+//! The operand is not stored: the caller of [`PlanLoader::read`] holds
+//! it and passes it in. The loader checks it against the header's
+//! fingerprint, relabels it by the stored permutation, and derives the
+//! execution rows from it again; the model part ([`crate::PlanModel`])
+//! rebuilds deterministically from the operand and the permutation on
+//! first use.
 //!
-//! Loading is split in two: [`PlanIr::read_from`] parses and
-//! *structurally* validates the container (every section is checked
-//! against the header and its own invariants before anything is
-//! constructed), and [`PlanLoader`] *semantically* validates the result
-//! against what the caller expects — architecture, fingerprint, kernel
-//! binding — rejecting mismatches with typed
+//! Loading validates in two layers: the container is parsed and
+//! *structurally* checked (magic, version, header fields, config hash,
+//! the permutation section against its own length) before anything is
+//! constructed, and [`PlanLoader`] then checks it *semantically*
+//! against what the caller expects — architecture, kernel binding and
+//! the operand itself — rejecting mismatches with typed
 //! [`SpmmError::PlanLoad`] variants, then derives a runnable
 //! [`ExecutionPlan`].
 
@@ -35,8 +37,9 @@ use spmm_common::{IsaTier, PlanLoadError, Result, SpmmError};
 use spmm_matrix::CsrMatrix;
 use spmm_reorder::Algorithm;
 use spmm_sim::Arch;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::{BufReader, BufWriter, Cursor, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Container magic: "SPIR" (SpMM Plan IR).
@@ -49,7 +52,7 @@ const MAGIC: [u8; 4] = *b"SPIR";
 /// v3 added the SIMD-tier binding: an `isa` pin in the config block, an
 /// `isa_tier` header field, one tier byte in the trace section, and the
 /// pin in the config hash. The recorded tier is advisory — loaders
-/// re-resolve it against the loading host (see [`PlanLoader::rehydrate`]).
+/// re-resolve it against the loading host (see [`PlanLoader::read`]).
 ///
 /// v4 dropped the hybrid-region section and the `num_regions` /
 /// `decision` header keys: every plan is a single-kernel plan.
@@ -62,10 +65,14 @@ const MAGIC: [u8; 4] = *b"SPIR";
 /// v6 changes the operand fingerprint the header records from a
 /// byte-wise FNV-1a hash to a four-lane word hash
 /// ([`CsrMatrix::content_fingerprint`]); the layout is that of v5.
+///
+/// v7 stores the binding and the permutation only: the operand CSR
+/// section, and the `stored_fingerprint`, `nrows`, `ncols` and `nnz`
+/// header keys, are gone; the loader takes the operand from its caller.
 /// Older containers are rejected with [`PlanLoadError::VersionMismatch`].
-pub const PLAN_IR_VERSION: u32 = 6;
+pub const PLAN_IR_VERSION: u32 = 7;
 
-/// Sanity cap on section and array lengths.
+/// Sanity cap on the header and section lengths.
 const CAP: u64 = 1 << 34;
 
 // ---------------------------------------------------------------------------
@@ -122,32 +129,8 @@ fn get_bytes(r: &mut impl Read, len: usize) -> std::io::Result<Vec<u8>> {
     Ok(bytes)
 }
 
-/// Read `len` items of `N` little-endian bytes from a section, refusing
-/// a length the section's remaining bytes cannot hold, so a corrupt
-/// length allocates nothing.
-fn get_array<T, const N: usize>(
-    r: &mut Cursor<&[u8]>,
-    len: usize,
-    what: &str,
-    from_le: impl Fn([u8; N]) -> T,
-) -> Result<Vec<T>> {
-    let left = r.get_ref().len() - r.position() as usize;
-    if len > left / N {
-        return Err(SpmmError::MalformedFormat {
-            detail: format!("{what} length {len} exceeds the {left} bytes left in its section"),
-        });
-    }
-    let mut v = Vec::with_capacity(len);
-    let mut b = [0u8; N];
-    for _ in 0..len {
-        r.read_exact(&mut b)?;
-        v.push(from_le(b));
-    }
-    Ok(v)
-}
-
 // ---------------------------------------------------------------------------
-// Stable slugs for every enum the header or sections record. These are
+// Stable slugs for every enum the header records. These are
 // the *schema*, not display names — renaming a variant must not change
 // its slug without a version bump.
 
@@ -214,9 +197,9 @@ fn balance_from_slug(s: &str) -> Option<BalanceStrategy> {
 }
 
 /// FNV-1a hash of an [`AccConfig`]'s schema-stable encoding — the
-/// configuration part of a plan's on-disk identity (file names, header
+/// configuration part of a plan's on-disk identity (header
 /// validation). Stable across runs and builds, unlike `std::hash`.
-pub fn acc_config_hash(c: &AccConfig) -> u64 {
+pub(crate) fn acc_config_hash(c: &AccConfig) -> u64 {
     const OFFSET: u64 = 0xcbf29ce484222325;
     const PRIME: u64 = 0x100000001b3;
     let mut h = OFFSET;
@@ -243,35 +226,26 @@ pub fn acc_config_hash(c: &AccConfig) -> u64 {
 // The IR itself.
 
 /// A serializable execution plan: the versioned header bindings plus
-/// the host part's operand and permutation.
-#[derive(Debug, Clone)]
-pub struct PlanIr {
-    /// Kernel strategy the plan runs.
+/// symmetric mode's permutation.
+#[derive(Debug)]
+pub(crate) struct PlanIr {
     pub kind: KernelKind,
-    /// Architecture the plan's model is built for.
     pub arch: Arch,
-    /// Feature dimension the plan is specialized for.
     pub feature_dim: usize,
-    /// Acc ablation configuration.
     pub config: AccConfig,
     /// ISA tier the plan was bound to when saved (advisory: loaders
     /// re-resolve it against the loading host).
     pub isa_tier: IsaTier,
     /// Fingerprint of the *unprocessed* input operand — the identity
-    /// caches key plans by.
+    /// caches key plans by, and the operand a load must be given.
     pub input_fingerprint: u64,
-    /// Fingerprint of the *stored* operand (relabeled in symmetric
-    /// mode) — an integrity check over the CSR section's bytes.
-    pub stored_fingerprint: u64,
     /// Symmetric mode's permutation (`perm[old] = new`).
     pub perm: Option<Vec<u32>>,
-    /// The operand as the host multiplies it.
-    pub csr: CsrMatrix,
 }
 
 impl PlanIr {
-    /// Snapshot a plan's host part into its serializable IR (never
-    /// builds the model).
+    /// Snapshot a plan's binding and permutation (never builds the
+    /// model).
     pub fn from_plan(plan: &ExecutionPlan) -> PlanIr {
         PlanIr {
             kind: plan.kind(),
@@ -280,14 +254,12 @@ impl PlanIr {
             config: *plan.config(),
             isa_tier: plan.isa_tier(),
             input_fingerprint: plan.input_fingerprint(),
-            stored_fingerprint: plan.csr().content_fingerprint(),
             perm: plan.perm().map(|p| p.to_vec()),
-            csr: plan.csr().clone(),
         }
     }
 
-    /// The JSON header describing (but not containing) the sections.
-    pub fn header_json(&self) -> Json {
+    /// The JSON header describing the binding and the section.
+    fn header_json(&self) -> Json {
         let mut config = BTreeMap::new();
         config.insert("use_bittcf".into(), Json::Bool(self.config.use_bittcf));
         config.insert(
@@ -327,20 +299,13 @@ impl PlanIr {
             "fingerprint".into(),
             Json::Str(format!("{:016x}", self.input_fingerprint)),
         );
-        h.insert(
-            "stored_fingerprint".into(),
-            Json::Str(format!("{:016x}", self.stored_fingerprint)),
-        );
         h.insert("isa_tier".into(), Json::Str(self.isa_tier.name().into()));
         h.insert("has_perm".into(), Json::Bool(self.perm.is_some()));
-        h.insert("nrows".into(), Json::Num(self.csr.nrows() as f64));
-        h.insert("ncols".into(), Json::Num(self.csr.ncols() as f64));
-        h.insert("nnz".into(), Json::Num(self.csr.nnz() as f64));
         Json::Obj(h)
     }
 
     /// Serialize the container: magic, version, length-prefixed JSON
-    /// header, then the two length-prefixed binary sections.
+    /// header, then the length-prefixed permutation section.
     pub fn write_to<W: Write>(&self, w: W) -> Result<()> {
         let mut w = BufWriter::new(w);
         w.write_all(&MAGIC)?;
@@ -354,21 +319,11 @@ impl PlanIr {
         if let Some(perm) = &self.perm {
             put_u32_slice(&mut section, perm)?;
         }
-        write_section(&mut w, &section)?;
-
-        section.clear();
-        write_csr(&mut section, &self.csr)?;
-        write_section(&mut w, &section)?;
+        put_u64(&mut w, section.len() as u64)?;
+        w.write_all(&section)?;
 
         w.flush()?;
         Ok(())
-    }
-
-    /// Serialize into an owned byte buffer.
-    pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let mut buf = Vec::new();
-        self.write_to(&mut buf)?;
-        Ok(buf)
     }
 
     /// Parse and structurally validate a container. Rejections are
@@ -403,54 +358,18 @@ impl PlanIr {
         })?;
         let hdr = Header::parse(&header)?;
 
-        let perm_bytes = read_section(&mut r, "perm")?;
-        let csr_bytes = read_section(&mut r, "csr")?;
-
-        let perm = if hdr.has_perm {
-            let p = read_perm(&mut Cursor::new(&perm_bytes)).map_err(|e| artifact("perm", &e))?;
-            if !spmm_common::util::is_permutation(&p) {
-                return Err(PlanLoadError::ArtifactInvalid {
-                    section: "perm",
-                    detail: "not a permutation".into(),
-                }
-                .into());
+        let len = get_len(&mut r, "perm").map_err(|e| perm_invalid(e.to_string()))?;
+        let section =
+            get_bytes(&mut r, len).map_err(|e| perm_invalid(format!("truncated: {e}")))?;
+        let perm = match (hdr.has_perm, section.is_empty()) {
+            (true, _) => Some(read_perm(&section)?),
+            (false, true) => None,
+            (false, false) => {
+                return Err(perm_invalid(
+                    "header says no permutation but section is non-empty".into(),
+                ))
             }
-            Some(p)
-        } else {
-            if !perm_bytes.is_empty() {
-                return Err(PlanLoadError::ArtifactInvalid {
-                    section: "perm",
-                    detail: "header says no permutation but section is non-empty".into(),
-                }
-                .into());
-            }
-            None
         };
-
-        let csr = read_csr(&mut Cursor::new(&csr_bytes)).map_err(|e| artifact("csr", &e))?;
-        if csr.nrows() != hdr.nrows || csr.ncols() != hdr.ncols || csr.nnz() != hdr.nnz {
-            return Err(PlanLoadError::ArtifactInvalid {
-                section: "csr",
-                detail: "operand shape disagrees with header".into(),
-            }
-            .into());
-        }
-        if csr.content_fingerprint() != hdr.stored_fingerprint {
-            return Err(PlanLoadError::ArtifactInvalid {
-                section: "csr",
-                detail: "stored operand fingerprint mismatch (bytes corrupted?)".into(),
-            }
-            .into());
-        }
-        if let Some(p) = &perm {
-            if p.len() != csr.nrows() {
-                return Err(PlanLoadError::ArtifactInvalid {
-                    section: "perm",
-                    detail: format!("{} entries for {} rows", p.len(), csr.nrows()),
-                }
-                .into());
-            }
-        }
 
         Ok(PlanIr {
             kind: hdr.kind,
@@ -459,20 +378,8 @@ impl PlanIr {
             config: hdr.config,
             isa_tier: hdr.isa_tier,
             input_fingerprint: hdr.input_fingerprint,
-            stored_fingerprint: hdr.stored_fingerprint,
             perm,
-            csr,
         })
-    }
-
-    /// Save to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.write_to(std::fs::File::create(path)?)
-    }
-
-    /// Load (structural validation only) from a file.
-    pub fn load(path: impl AsRef<Path>) -> Result<PlanIr> {
-        PlanIr::read_from(std::fs::File::open(path)?)
     }
 }
 
@@ -483,32 +390,32 @@ fn not_plan_ir(e: &impl std::fmt::Display) -> SpmmError {
     .into()
 }
 
-fn artifact(section: &'static str, e: &SpmmError) -> SpmmError {
-    match e {
-        // Already typed: keep the inner classification.
-        SpmmError::PlanLoad(_) => e.clone(),
-        _ => PlanLoadError::ArtifactInvalid {
-            section,
-            detail: e.to_string(),
-        }
-        .into(),
+fn perm_invalid(detail: String) -> SpmmError {
+    PlanLoadError::ArtifactInvalid {
+        section: "perm",
+        detail,
     }
+    .into()
 }
 
-fn write_section(w: &mut impl Write, bytes: &[u8]) -> Result<()> {
-    put_u64(w, bytes.len() as u64)?;
-    w.write_all(bytes)?;
-    Ok(())
-}
-
-fn read_section(r: &mut impl Read, section: &'static str) -> Result<Vec<u8>> {
-    let len = get_len(r, section).map_err(|e| artifact(section, &e))?;
-    get_bytes(r, len).map_err(|e| {
-        SpmmError::from(PlanLoadError::ArtifactInvalid {
-            section,
-            detail: format!("truncated: {e}"),
-        })
-    })
+/// The permutation section: a `u64` entry count, then that many `u32`
+/// entries filling the section exactly, forming a permutation.
+fn read_perm(mut section: &[u8]) -> Result<Vec<u32>> {
+    let len = get_u64(&mut section).map_err(|e| perm_invalid(e.to_string()))?;
+    if len.checked_mul(4) != Some(section.len() as u64) {
+        return Err(perm_invalid(format!(
+            "{len} entries disagree with the {} bytes of the section",
+            section.len()
+        )));
+    }
+    let perm: Vec<u32> = section
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    if !spmm_common::util::is_permutation(&perm) {
+        return Err(perm_invalid("not a permutation".into()));
+    }
+    Ok(perm)
 }
 
 // ---------------------------------------------------------------------------
@@ -520,12 +427,8 @@ struct Header {
     feature_dim: usize,
     config: AccConfig,
     input_fingerprint: u64,
-    stored_fingerprint: u64,
     isa_tier: IsaTier,
     has_perm: bool,
-    nrows: usize,
-    ncols: usize,
-    nnz: usize,
 }
 
 fn missing(key: &str) -> SpmmError {
@@ -605,72 +508,34 @@ impl Header {
         Ok(Header {
             kind,
             arch,
-            feature_dim: hdr_usize(h, "feature_dim")?,
+            // A build rejects a zero feature dimension; so does a load.
+            feature_dim: Some(hdr_usize(h, "feature_dim")?)
+                .filter(|&n| n > 0)
+                .ok_or_else(|| missing("feature_dim"))?,
             config,
             input_fingerprint: hdr_hex(h, "fingerprint")?,
-            stored_fingerprint: hdr_hex(h, "stored_fingerprint")?,
             isa_tier: IsaTier::from_name(hdr_str(h, "isa_tier")?)
                 .ok_or_else(|| missing("isa_tier"))?,
             has_perm: hdr_bool(h, "has_perm")?,
-            nrows: hdr_usize(h, "nrows")?,
-            ncols: hdr_usize(h, "ncols")?,
-            nnz: hdr_usize(h, "nnz")?,
         })
     }
 }
 
 // ---------------------------------------------------------------------------
-// The CSR section codec.
-
-fn write_csr(w: &mut impl Write, m: &CsrMatrix) -> Result<()> {
-    put_u64(w, m.nrows() as u64)?;
-    put_u64(w, m.ncols() as u64)?;
-    put_u64(w, m.row_ptr().len() as u64)?;
-    for &p in m.row_ptr() {
-        put_u64(w, p as u64)?;
-    }
-    put_u64(w, m.nnz() as u64)?;
-    for &c in m.col_idx() {
-        put_u32(w, c)?;
-    }
-    for &v in m.values() {
-        put_u32(w, v.to_bits())?;
-    }
-    Ok(())
-}
-
-fn read_perm(r: &mut Cursor<&[u8]>) -> Result<Vec<u32>> {
-    let len = get_len(r, "perm")?;
-    get_array(r, len, "perm", u32::from_le_bytes)
-}
-
-fn read_csr(r: &mut Cursor<&[u8]>) -> Result<CsrMatrix> {
-    let nrows = get_u64(r)? as usize;
-    let ncols = get_u64(r)? as usize;
-    let np = get_len(r, "row_ptr")?;
-    let row_ptr = get_array(r, np, "row_ptr", |b| u64::from_le_bytes(b) as usize)?;
-    let nnz = get_len(r, "col_idx")?;
-    let col_idx = get_array(r, nnz, "col_idx", u32::from_le_bytes)?;
-    let values = get_array(r, nnz, "values", |b| f32::from_bits(u32::from_le_bytes(b)))?;
-    // CsrMatrix::new re-validates every structural invariant.
-    CsrMatrix::new(nrows, ncols, row_ptr, col_idx, values)
-}
-
-// ---------------------------------------------------------------------------
 // The loader/validator.
 
-/// Semantic validation + rehydration of a parsed [`PlanIr`].
+/// Semantic validation + rehydration of a plan file over the operand
+/// its caller holds.
 ///
 /// The loader carries the caller's *expectations* — the architecture it
-/// will execute on, the fingerprint of the operand it wants served, the
-/// kernel binding — and rejects plans that don't match with typed
-/// [`SpmmError::PlanLoad`] errors. Expectations are opt-in: an empty
-/// loader accepts any structurally valid container (useful for
-/// inspection tools like `planc`).
+/// will execute on, the kernel binding — and rejects plans that don't
+/// match with typed [`SpmmError::PlanLoad`] errors. Expectations are
+/// opt-in: an empty loader accepts any structurally valid container.
+/// The operand is always checked: a file binds to one operand, and a
+/// load over any other is [`PlanLoadError::FingerprintMismatch`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlanLoader {
     arch: Option<Arch>,
-    fingerprint: Option<u64>,
     kind: Option<KernelKind>,
     feature_dim: Option<usize>,
     config: Option<AccConfig>,
@@ -685,12 +550,6 @@ impl PlanLoader {
     /// Require the plan to target `arch`.
     pub fn expect_arch(mut self, arch: Arch) -> Self {
         self.arch = Some(arch);
-        self
-    }
-
-    /// Require the plan's input fingerprint to equal `fingerprint`.
-    pub fn expect_fingerprint(mut self, fingerprint: u64) -> Self {
-        self.fingerprint = Some(fingerprint);
         self
     }
 
@@ -712,8 +571,8 @@ impl PlanLoader {
         self
     }
 
-    /// Check the caller's expectations against a parsed IR.
-    pub fn validate(&self, ir: &PlanIr) -> Result<()> {
+    /// Check the caller's expectations and operand against a parsed IR.
+    fn validate(&self, ir: &PlanIr, operand: &CsrMatrix) -> Result<()> {
         if let Some(arch) = self.arch {
             if arch != ir.arch {
                 return Err(PlanLoadError::ArchMismatch {
@@ -723,14 +582,13 @@ impl PlanLoader {
                 .into());
             }
         }
-        if let Some(fp) = self.fingerprint {
-            if fp != ir.input_fingerprint {
-                return Err(PlanLoadError::FingerprintMismatch {
-                    plan: format!("{:016x}", ir.input_fingerprint),
-                    requested: format!("{fp:016x}"),
-                }
-                .into());
+        let fp = operand.content_fingerprint();
+        if fp != ir.input_fingerprint {
+            return Err(PlanLoadError::FingerprintMismatch {
+                plan: format!("{:016x}", ir.input_fingerprint),
+                requested: format!("{fp:016x}"),
             }
+            .into());
         }
         if let Some(kind) = self.kind {
             if kind != ir.kind {
@@ -765,18 +623,22 @@ impl PlanLoader {
         Ok(())
     }
 
-    /// Validate a parsed IR and derive a runnable plan from it: the
-    /// execution rows derive from the stored operand again, so execution
-    /// stays bit-identical to the plan that was saved.
-    pub fn rehydrate(&self, ir: PlanIr) -> Result<ExecutionPlan> {
+    /// Parse a container from a reader, validate it against the
+    /// expectations and `operand`, and derive a runnable plan over
+    /// `operand`: relabeled by the stored permutation in symmetric mode,
+    /// with its execution rows derived again, so execution stays
+    /// bit-identical to the plan that was saved.
+    ///
+    /// The recorded ISA tier is advisory provenance: the plan may have
+    /// been saved on a different host, so it is re-resolved against
+    /// *this* host's capabilities (a config pin the host can't satisfy
+    /// errors exactly as it would at build time). Every tier is
+    /// bit-identical, so a re-bind changes speed and provenance, never
+    /// results.
+    pub fn read<R: Read>(&self, r: R, operand: &CsrMatrix) -> Result<ExecutionPlan> {
+        let ir = PlanIr::read_from(r)?;
         let _span = spmm_trace::span("plan.load");
-        self.validate(&ir)?;
-        // The recorded tier is advisory provenance: the plan may have
-        // been saved on a different host. Re-resolve against *this*
-        // host's capabilities (a config pin the host can't satisfy
-        // errors exactly as it would at build time) — every tier is
-        // bit-identical, so a re-bind changes speed and provenance,
-        // never results.
+        self.validate(&ir, operand)?;
         if IsaTier::resolve(ir.config.isa)? != ir.isa_tier {
             spmm_trace::counter_add("plan.isa_rebinds", 1);
         }
@@ -786,41 +648,35 @@ impl PlanLoader {
                 arch: ir.arch,
                 feature_dim: ir.feature_dim,
                 config: ir.config,
-                csr: ir.csr,
-                input_fingerprint: ir.input_fingerprint,
+                input: Cow::Borrowed(operand),
                 perm: ir.perm,
                 timings: Vec::new(),
             },
             None,
         )
-        .map_err(|e| PlanLoadError::ArtifactInvalid {
-            section: "perm",
-            detail: e.to_string(),
-        })?;
+        .map_err(|e| perm_invalid(e.to_string()))?;
         spmm_trace::counter_add("plan.loads", 1);
         Ok(plan)
     }
 
-    /// Parse, validate, and rehydrate from a reader.
-    pub fn read<R: Read>(&self, r: R) -> Result<ExecutionPlan> {
-        self.rehydrate(PlanIr::read_from(r)?)
-    }
-
-    /// Parse, validate, and rehydrate from a file.
-    pub fn load(&self, path: impl AsRef<Path>) -> Result<ExecutionPlan> {
-        self.read(std::fs::File::open(path)?)
+    /// [`PlanLoader::read`] from a file.
+    pub fn load(&self, path: impl AsRef<Path>, operand: &CsrMatrix) -> Result<ExecutionPlan> {
+        self.read(std::fs::File::open(path)?, operand)
     }
 }
 
 impl ExecutionPlan {
-    /// Snapshot into the serializable IR.
-    pub fn to_ir(&self) -> PlanIr {
-        PlanIr::from_plan(self)
+    /// Serialize into plan-IR container bytes (see [`crate::ir`] for
+    /// the layout).
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        PlanIr::from_plan(self).write_to(&mut buf)?;
+        Ok(buf)
     }
 
-    /// Serialize to a plan IR file (see [`PlanIr`] for the layout).
+    /// Serialize to a plan IR file (see [`crate::ir`] for the layout).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.to_ir().save(path)
+        PlanIr::from_plan(self).write_to(std::fs::File::create(path)?)
     }
 }
 
@@ -830,9 +686,12 @@ mod tests {
     use spmm_common::scalar::to_tf32;
     use spmm_matrix::gen::uniform_random;
 
+    fn operand() -> CsrMatrix {
+        uniform_random(96, 5.0, 9)
+    }
+
     fn build(kind: KernelKind) -> ExecutionPlan {
-        let m = uniform_random(96, 5.0, 9);
-        ExecutionPlan::build(kind, &m, Arch::A800, 32, AccConfig::full()).unwrap()
+        ExecutionPlan::build(kind, &operand(), Arch::A800, 32, AccConfig::full()).unwrap()
     }
 
     #[test]
@@ -853,13 +712,11 @@ mod tests {
     fn ir_roundtrips_through_memory_for_every_kernel() {
         for kind in KernelKind::ALL {
             let plan = build(kind);
-            let ir = plan.to_ir();
-            let bytes = ir.to_bytes().unwrap();
-            let rt = PlanIr::read_from(Cursor::new(&bytes)).unwrap();
+            let bytes = plan.to_bytes().unwrap();
+            let rt = PlanIr::read_from(&bytes[..]).unwrap();
             assert_eq!(rt.kind, kind);
             assert_eq!(rt.arch, Arch::A800);
             assert_eq!(rt.input_fingerprint, plan.input_fingerprint());
-            assert_eq!(rt.csr, *plan.csr());
             assert_eq!(rt.perm.as_deref(), plan.perm());
             assert_eq!(rt.isa_tier, plan.isa_tier());
         }
@@ -900,7 +757,7 @@ mod tests {
     fn exec_rows_are_derived_at_build_load_and_repair() {
         // Stored zeros, one of them a subnormal that rounds to zero, so
         // dropping and keeping them differ.
-        let mut coo = uniform_random(96, 5.0, 9).to_coo();
+        let mut coo = operand().to_coo();
         coo.push(7, 50, 0.0);
         coo.push(40, 11, f32::from_bits(0x0000_0800));
         let m = CsrMatrix::from_coo(&coo);
@@ -921,11 +778,12 @@ mod tests {
             assert_eq!(packed, kind != KernelKind::TcGnn, "{kind:?}");
             assert_rows_follow_the_operand(&plan);
 
-            let bytes = plan.to_ir().to_bytes().unwrap();
-            let loaded = PlanLoader::new().read(&bytes[..]).unwrap();
+            let bytes = plan.to_bytes().unwrap();
+            let loaded = PlanLoader::new().read(&bytes[..], &m).unwrap();
+            assert_eq!(loaded.csr(), plan.csr(), "load relabels the operand");
             assert_eq!(loaded.exec_rows(), plan.exec_rows(), "load derives them");
             assert_eq!(
-                loaded.to_ir().to_bytes().unwrap(),
+                loaded.to_bytes().unwrap(),
                 bytes,
                 "derived data, never serialized; timings kept"
             );
@@ -950,11 +808,12 @@ mod tests {
     #[test]
     fn loader_rejects_mismatched_expectations() {
         let plan = build(KernelKind::AccSpmm);
-        let bytes = plan.to_ir().to_bytes().unwrap();
+        let bytes = plan.to_bytes().unwrap();
+        let m = operand();
 
         let e = PlanLoader::new()
             .expect_arch(Arch::H100)
-            .read(Cursor::new(&bytes))
+            .read(&bytes[..], &m)
             .unwrap_err();
         assert!(matches!(
             e,
@@ -962,8 +821,7 @@ mod tests {
         ));
 
         let e = PlanLoader::new()
-            .expect_fingerprint(0xdeadbeef)
-            .read(Cursor::new(&bytes))
+            .read(&bytes[..], &uniform_random(96, 5.0, 10))
             .unwrap_err();
         assert!(matches!(
             e,
@@ -972,7 +830,7 @@ mod tests {
 
         let e = PlanLoader::new()
             .expect_kind(KernelKind::TcGnn)
-            .read(Cursor::new(&bytes))
+            .read(&bytes[..], &m)
             .unwrap_err();
         assert!(matches!(
             e,
@@ -981,7 +839,7 @@ mod tests {
 
         let e = PlanLoader::new()
             .expect_config(AccConfig::base())
-            .read(Cursor::new(&bytes))
+            .read(&bytes[..], &m)
             .unwrap_err();
         assert!(matches!(
             e,
@@ -995,26 +853,25 @@ mod tests {
         let loaded = PlanLoader::new()
             .expect_arch(Arch::A800)
             .expect_kind(KernelKind::AccSpmm)
-            .expect_fingerprint(plan.input_fingerprint())
             .expect_feature_dim(32)
             .expect_config(AccConfig::full())
-            .read(Cursor::new(&bytes))
+            .read(&bytes[..], &m)
             .unwrap();
         assert_eq!(loaded.kind(), KernelKind::AccSpmm);
     }
 
     #[test]
     fn rejects_bad_magic_and_version() {
-        let e = PlanIr::read_from(Cursor::new(b"nope nope nope")).unwrap_err();
+        let e = PlanIr::read_from(&b"nope nope nope"[..]).unwrap_err();
         assert!(matches!(
             e,
             SpmmError::PlanLoad(PlanLoadError::NotPlanIr { .. })
         ));
 
         let plan = build(KernelKind::DtcSpmm);
-        let mut bytes = plan.to_ir().to_bytes().unwrap();
+        let mut bytes = plan.to_bytes().unwrap();
         bytes[4] = 99; // version field
-        let e = PlanIr::read_from(Cursor::new(&bytes)).unwrap_err();
+        let e = PlanIr::read_from(&bytes[..]).unwrap_err();
         assert!(matches!(
             e,
             SpmmError::PlanLoad(PlanLoadError::VersionMismatch { found: 99, .. })
@@ -1024,27 +881,12 @@ mod tests {
     #[test]
     fn rejects_truncated_containers() {
         let plan = build(KernelKind::AccSpmm);
-        let bytes = plan.to_ir().to_bytes().unwrap();
+        let bytes = plan.to_bytes().unwrap();
         for cut in (4..bytes.len() - 1).step_by(97) {
             assert!(
-                PlanIr::read_from(Cursor::new(&bytes[..cut])).is_err(),
+                PlanIr::read_from(&bytes[..cut]).is_err(),
                 "truncation at {cut} must fail"
             );
         }
-    }
-
-    #[test]
-    fn rejects_corrupted_csr_section() {
-        let plan = build(KernelKind::CusparseLike);
-        let ir = plan.to_ir();
-        let mut bad = ir.clone();
-        // Corrupt the stored fingerprint so the CSR integrity check fires.
-        bad.stored_fingerprint ^= 1;
-        let bytes = bad.to_bytes().unwrap();
-        let e = PlanIr::read_from(Cursor::new(&bytes)).unwrap_err();
-        assert!(matches!(
-            e,
-            SpmmError::PlanLoad(PlanLoadError::ArtifactInvalid { section: "csr", .. })
-        ));
     }
 }

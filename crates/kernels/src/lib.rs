@@ -42,7 +42,7 @@ pub mod tc;
 pub mod workspace;
 
 pub use acc::AccConfig;
-pub use ir::{acc_config_hash, PlanIr, PlanLoader, PLAN_IR_VERSION};
+pub use ir::{PlanLoader, PLAN_IR_VERSION};
 pub use plan::{ExecutionPlan, FormatChoice, PlanModel, Precision, StageSpec, StageTiming};
 pub use repair::RepairReport;
 pub use workspace::Workspace;

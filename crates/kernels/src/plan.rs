@@ -25,6 +25,7 @@ use spmm_format::{BitTcf, MeTcf, Tcf, WindowPartition};
 use spmm_matrix::CsrMatrix;
 use spmm_reorder::Algorithm;
 use spmm_sim::{Arch, KernelDesc};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -419,20 +420,15 @@ impl ExecutionPlan {
         let tier = IsaTier::resolve(config.isa)?;
         let _plan_span = spmm_trace::span("plan.build");
         let spec = StageSpec::for_kernel(kind, &config);
-        let csr = m.clone();
-        let input_fingerprint = csr.content_fingerprint();
         let mut timings = Vec::new();
-        let (csr, perm) = if spec.symmetric {
-            match timed(&mut timings, "reorder", "plan.reorder", || {
-                reorder(&spec, &csr)
-            })? {
-                // Future-work mode (§6): relabel rows AND columns; B's
-                // rows are permuted to match at execution time.
-                Some(perm) => (csr.permute_symmetric(&perm)?, Some(perm)),
-                None => (csr, None),
-            }
+        // Future-work mode (§6): relabel rows AND columns; B's rows are
+        // permuted to match at execution time.
+        let perm = if spec.symmetric {
+            timed(&mut timings, "reorder", "plan.reorder", || {
+                reorder(&spec, m)
+            })?
         } else {
-            (csr, None)
+            None
         };
         spmm_trace::counter_add("plan.builds", 1);
         record_isa_counters(tier);
@@ -442,8 +438,7 @@ impl ExecutionPlan {
                 arch,
                 feature_dim,
                 config,
-                csr,
-                input_fingerprint,
+                input: Cow::Borrowed(m),
                 perm,
                 timings,
             },
@@ -451,27 +446,30 @@ impl ExecutionPlan {
         )
     }
 
-    /// Complete a host part with its execution rows — the one
-    /// constructor, shared by build, repair ([`crate::repair`]) and the
-    /// plan-IR loader ([`crate::ir`]). Deriving the rows is compile
-    /// work: it runs under a `plan.compile` span and is timed as the
-    /// `compile` stage. Given `prior` — a repaired plan's old execution
-    /// rows and the operand rows that changed since, strictly ascending
-    /// — a plan without a permutation splices them
-    /// ([`spmm_format::splice_execution_rows`]) and derives only the
-    /// changed rows; a symmetric plan derives all of its rows.
+    /// Complete a host part: fingerprint its input operand, relabel it
+    /// by the permutation if there is one, and derive its execution
+    /// rows — the one constructor, shared by build, repair
+    /// ([`crate::repair`]) and the plan-IR loader ([`crate::ir`]).
+    /// Deriving the rows is compile work: it runs under a `plan.compile`
+    /// span and is timed as the `compile` stage. Given `prior` — a
+    /// repaired plan's old execution rows and the operand rows that
+    /// changed since, strictly ascending — a plan without a permutation
+    /// splices them ([`spmm_format::splice_execution_rows`]) and derives
+    /// only the changed rows; a symmetric plan derives all of its rows.
     ///
     /// # Errors
-    /// If the permutation is not a permutation of the operand's rows,
-    /// or is held outside symmetric mode.
-    pub(crate) fn from_host(host: HostPart, prior: Option<(&CsrMatrix, &[usize])>) -> Result<Self> {
+    /// If the permutation is not a permutation of a square operand's
+    /// rows, or is held outside symmetric mode.
+    pub(crate) fn from_host(
+        host: HostPart<'_>,
+        prior: Option<(&CsrMatrix, &[usize])>,
+    ) -> Result<Self> {
         let HostPart {
             kind,
             arch,
             feature_dim,
             config,
-            csr,
-            input_fingerprint,
+            input,
             perm,
             mut timings,
         } = host;
@@ -481,6 +479,11 @@ impl ExecutionPlan {
                 "{kind:?} plans hold a permutation only in symmetric mode"
             )));
         }
+        let input_fingerprint = input.content_fingerprint();
+        let csr = match &perm {
+            Some(perm) => input.permute_symmetric(perm)?,
+            None => input.into_owned(),
+        };
         let exec_rows = timed(&mut timings, "compile", "plan.compile", || {
             let skip_zeros = match Precision::of(spec.format) {
                 Precision::Fp32 => return Ok(None),
@@ -521,18 +524,12 @@ impl ExecutionPlan {
     /// no permutation, and the model left to be built on first use (see
     /// [`crate::repair`]).
     pub(crate) fn with_input(&self, input: CsrMatrix, touched: &[usize]) -> Result<ExecutionPlan> {
-        let input_fingerprint = input.content_fingerprint();
-        let csr = match &self.perm {
-            Some(perm) => input.permute_symmetric(perm)?,
-            None => input,
-        };
         let host = HostPart {
             kind: self.kind,
             arch: self.arch,
             feature_dim: self.feature_dim,
             config: self.config,
-            csr,
-            input_fingerprint,
+            input: Cow::Owned(input),
             perm: self.perm.clone(),
             timings: Vec::new(),
         };
@@ -646,15 +643,16 @@ impl ExecutionPlan {
     }
 }
 
-/// Everything [`ExecutionPlan::from_host`] needs besides the derived
-/// execution rows.
-pub(crate) struct HostPart {
+/// Everything [`ExecutionPlan::from_host`] derives a plan's host part
+/// from: the binding, the input operand as its caller holds it (copied
+/// only if the plan keeps it unrelabeled), and symmetric mode's
+/// permutation.
+pub(crate) struct HostPart<'a> {
     pub kind: KernelKind,
     pub arch: Arch,
     pub feature_dim: usize,
     pub config: AccConfig,
-    pub csr: CsrMatrix,
-    pub input_fingerprint: u64,
+    pub input: Cow<'a, CsrMatrix>,
     pub perm: Option<Vec<u32>>,
     pub timings: Vec<StageTiming>,
 }

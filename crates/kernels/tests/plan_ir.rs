@@ -1,15 +1,17 @@
-//! Round-trip properties of the persistent plan IR: for every kernel,
-//! a saved-and-reloaded plan must execute **bit-identically** to the
-//! plan it was snapshotted from — including NaN positions, infinities,
-//! and subnormals spliced into the operand values — and corrupted
-//! containers must be rejected with typed errors, never mis-loaded.
+//! Round-trip properties of the persistent plan IR: for every kernel
+//! and for a symmetric Acc-SpMM plan, a plan reloaded over its operand
+//! must execute **bit-identically** to the plan it was snapshotted from
+//! — including NaN positions, infinities, and subnormals spliced into
+//! the operand values — and corrupted containers, and operands the file
+//! does not bind to, must be rejected with typed errors, never
+//! mis-loaded.
 
 #[path = "../../format/tests/golden/matrix.rs"]
 mod golden;
 
 use proptest::prelude::*;
 use spmm_common::{PlanLoadError, SpmmError};
-use spmm_kernels::{AccConfig, ExecutionPlan, KernelKind, PlanIr, PlanLoader, PreparedKernel};
+use spmm_kernels::{AccConfig, ExecutionPlan, KernelKind, PlanLoader, PreparedKernel};
 use spmm_matrix::{gen, CsrMatrix, DenseMatrix};
 use spmm_sim::Arch;
 
@@ -47,6 +49,33 @@ fn build_plan(kind: KernelKind, m: &CsrMatrix, dim: usize) -> ExecutionPlan {
     ExecutionPlan::build(kind, m, Arch::A800, dim, AccConfig::full()).unwrap()
 }
 
+/// The full Acc configuration with the symmetric (rows and columns)
+/// reorder, the one mode whose plan files hold a permutation.
+fn symmetric() -> AccConfig {
+    AccConfig {
+        symmetric_reorder: true,
+        ..AccConfig::full()
+    }
+}
+
+fn build_symmetric(m: &CsrMatrix, dim: usize) -> ExecutionPlan {
+    let plan = ExecutionPlan::build(KernelKind::AccSpmm, m, Arch::A800, dim, symmetric()).unwrap();
+    assert!(
+        plan.perm().is_some(),
+        "a symmetric plan holds its permutation"
+    );
+    plan
+}
+
+/// A loader with every binding of a `dim`-wide A800 plan pinned.
+fn bound_loader(kind: KernelKind, dim: usize, config: AccConfig) -> PlanLoader {
+    PlanLoader::new()
+        .expect_kind(kind)
+        .expect_arch(Arch::A800)
+        .expect_feature_dim(dim)
+        .expect_config(config)
+}
+
 /// Bit-exact output comparison: NaNs must match *by position and bit
 /// pattern*, which `==` on floats cannot express.
 fn assert_bits_identical(a: &DenseMatrix, b: &DenseMatrix, kind: KernelKind) {
@@ -78,23 +107,27 @@ proptest! {
         let dim = [8usize, 16, 32][dim_sel];
         let m = splice_special_values(&gen::uniform_random(n, density, seed), seed);
         let b = DenseMatrix::random(n, dim, seed.wrapping_add(7));
-        for kind in KernelKind::ALL {
-            let plan = build_plan(kind, &m, dim);
-            let bytes = plan.to_ir().to_bytes().unwrap();
+        let cases = KernelKind::ALL
+            .map(|kind| (kind, AccConfig::full()))
+            .into_iter()
+            .chain([(KernelKind::AccSpmm, symmetric())]);
+        for (kind, config) in cases {
+            let plan = ExecutionPlan::build(kind, &m, Arch::A800, dim, config).unwrap();
+            let bytes = plan.to_bytes().unwrap();
 
             let reference = PreparedKernel::from_plan(plan).execute(&b).unwrap();
-            let loaded = PlanLoader::new()
-                .expect_kind(kind)
-                .expect_arch(Arch::A800)
-                .expect_fingerprint(m.content_fingerprint())
-                .expect_feature_dim(dim)
-                .expect_config(AccConfig::full())
-                .read(std::io::Cursor::new(&bytes))
-                .unwrap();
+            let loaded = bound_loader(kind, dim, config).read(&bytes[..], &m).unwrap();
+            prop_assert_eq!(loaded.to_bytes().unwrap(), bytes, "{:?} re-saves", kind);
             let replayed = PreparedKernel::from_plan(loaded).execute(&b).unwrap();
             assert_bits_identical(&reference, &replayed, kind);
         }
     }
+}
+
+proptest! {
+    // Loads of a small symmetric plan are cheap, so the corruption
+    // properties run many cases.
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn truncated_containers_never_load(
@@ -103,10 +136,9 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let m = gen::uniform_random(n, 4.0, seed);
-        let plan = build_plan(KernelKind::AccSpmm, &m, 16);
-        let bytes = plan.to_ir().to_bytes().unwrap();
+        let bytes = build_symmetric(&m, 16).to_bytes().unwrap();
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-        prop_assert!(PlanIr::read_from(std::io::Cursor::new(&bytes[..cut])).is_err());
+        prop_assert!(PlanLoader::new().read(&bytes[..cut], &m).is_err());
     }
 
     #[test]
@@ -115,35 +147,56 @@ proptest! {
         seed in 0u64..1_000,
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
-        field in 0usize..6,
+        field in 0usize..4,
         new_len in 0usize..4,
     ) {
         let m = gen::uniform_random(n, 4.0, seed);
-        let plan = build_plan(KernelKind::AccSpmm, &m, 16);
-        let mut bytes = plan.to_ir().to_bytes().unwrap();
-        // Overwrite one length field (index 5 leaves them all intact),
+        let bytes = build_symmetric(&m, 16).to_bytes().unwrap();
+        let mut corrupt = bytes.clone();
+        // Overwrite one length field (index 3 leaves them all intact),
         // then flip one byte.
-        if let Some(&at) = length_fields(&bytes).get(field) {
-            let old = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        if let Some(&at) = length_fields(&corrupt).get(field) {
+            let old = u64::from_le_bytes(corrupt[at..at + 8].try_into().unwrap());
             let new = [1 << 34, u64::MAX, old + 1, old.wrapping_sub(1)][new_len];
-            bytes[at..at + 8].copy_from_slice(&new.to_le_bytes());
+            corrupt[at..at + 8].copy_from_slice(&new.to_le_bytes());
         }
-        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-        bytes[pos] ^= flip;
-        // Either the container is rejected, or — when the flip hits a
-        // value byte inside the CSR section — the stored-fingerprint
-        // cross-check catches it. A successful load must only happen if
-        // the flipped byte was outside every checked region AND the
-        // plan still binds to the same identity; reject-or-identical is
-        // the invariant.
-        match PlanIr::read_from(std::io::Cursor::new(&bytes)) {
-            Err(_) => {}
-            Ok(ir) => {
-                // Loadable implies the artifacts re-validated; the
-                // binding must be untouched.
-                prop_assert_eq!(ir.kind, KernelKind::AccSpmm);
-                prop_assert_eq!(ir.feature_dim, 16);
-            }
+        let pos = ((corrupt.len() - 1) as f64 * pos_frac) as usize;
+        corrupt[pos] ^= flip;
+        // Reject-or-identical: a flip the checks cannot see (JSON
+        // whitespace, the case of a name) must load the plan that was
+        // saved, which re-saves to the original bytes.
+        if let Ok(plan) = bound_loader(KernelKind::AccSpmm, 16, symmetric()).read(&corrupt[..], &m) {
+            prop_assert_eq!(plan.to_bytes().unwrap(), bytes);
+        }
+    }
+
+    #[test]
+    fn arbitrary_and_mutated_bytes_are_an_error_never_a_panic(
+        prefix in 0usize..4,
+        tail in proptest::collection::vec(any::<u8>(), 0..256),
+        edits in proptest::collection::vec((0.0f64..1.0, 1u8..=255), 1..8),
+        cut_frac in 0.0f64..1.5,
+    ) {
+        let m = gen::uniform_random(64, 4.0, 8);
+        let bytes = build_symmetric(&m, 16).to_bytes().unwrap();
+        // Arbitrary bytes behind nothing, the magic, the magic and
+        // version, or a valid symmetric header: never a plan.
+        let start = [0, 4, 8, sections_start(&bytes)][prefix];
+        let mut forged = bytes[..start].to_vec();
+        forged.extend_from_slice(&tail);
+        prop_assert!(PlanLoader::new().read(&forged[..], &m).is_err());
+
+        // A valid container with several bytes flipped and its tail cut:
+        // reject-or-identical, and no panic either way.
+        let mut mutated = bytes.clone();
+        for &(at, flip) in &edits {
+            let at = ((mutated.len() - 1) as f64 * at) as usize;
+            mutated[at] ^= flip;
+        }
+        mutated.truncate((mutated.len() as f64 * cut_frac.min(1.0)) as usize);
+        let loader = bound_loader(KernelKind::AccSpmm, 16, symmetric());
+        if let Ok(plan) = loader.read(&mutated[..], &m) {
+            prop_assert_eq!(plan.to_bytes().unwrap(), bytes);
         }
     }
 }
@@ -162,7 +215,7 @@ fn save_and_load_through_files_round_trips() {
         plan.save(&path).unwrap();
         let reference = PreparedKernel::from_plan(plan).execute(&b).unwrap();
 
-        let loaded = PlanLoader::new().load(&path).unwrap();
+        let loaded = PlanLoader::new().load(&path, &m).unwrap();
         let replayed = PreparedKernel::from_plan(loaded).execute(&b).unwrap();
         assert_bits_identical(&reference, &replayed, kind);
     }
@@ -173,12 +226,13 @@ fn save_and_load_through_files_round_trips() {
 fn corrupted_header_is_a_typed_rejection() {
     let m = gen::uniform_random(64, 4.0, 1);
     let plan = build_plan(KernelKind::DtcSpmm, &m, 8);
-    let mut bytes = plan.to_ir().to_bytes().unwrap();
+    let mut bytes = plan.to_bytes().unwrap();
+    let read = |bytes: &[u8]| PlanLoader::new().read(bytes, &m).unwrap_err();
 
     // Magic.
     bytes[0] = b'X';
     assert!(matches!(
-        PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap_err(),
+        read(&bytes),
         SpmmError::PlanLoad(PlanLoadError::NotPlanIr { .. })
     ));
     bytes[0] = b'S';
@@ -186,67 +240,77 @@ fn corrupted_header_is_a_typed_rejection() {
     // Version.
     bytes[4] = 42;
     assert!(matches!(
-        PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap_err(),
+        read(&bytes),
         SpmmError::PlanLoad(PlanLoadError::VersionMismatch { found: 42, .. })
     ));
     bytes[4] = spmm_kernels::PLAN_IR_VERSION as u8;
+
+    // A zero feature dimension, which a build rejects.
+    let zero_dim = forge_header(&bytes, "\"feature_dim\": 8", "\"feature_dim\": 0");
+    assert!(matches!(
+        read(&zero_dim),
+        SpmmError::PlanLoad(PlanLoadError::NotPlanIr { .. })
+    ));
 
     // JSON header body.
     let json_start = 4 + 4 + 8;
     bytes[json_start] = b'}';
     assert!(matches!(
-        PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap_err(),
+        read(&bytes),
         SpmmError::PlanLoad(PlanLoadError::NotPlanIr { .. })
     ));
 }
 
 #[test]
 fn v3_containers_are_a_version_mismatch() {
-    // v3 was the last layout that could nest hybrid region plans; v4
-    // loaders refuse it outright instead of guessing at its sections.
+    // v3 was the last layout that could nest hybrid region plans, and
+    // v6 the last that stored the operand CSR; loaders refuse both
+    // outright instead of guessing at their sections.
     let m = gen::uniform_random(64, 4.0, 2);
-    let mut bytes = build_plan(KernelKind::AccSpmm, &m, 8)
-        .to_ir()
-        .to_bytes()
-        .unwrap();
-    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
-    let err = PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            SpmmError::PlanLoad(PlanLoadError::VersionMismatch { found: 3, .. })
-        ),
-        "expected VersionMismatch {{ found: 3 }}, got {err:?}"
-    );
+    let bytes = build_plan(KernelKind::AccSpmm, &m, 8).to_bytes().unwrap();
+    for old in [3u32, 6] {
+        let mut bytes = bytes.clone();
+        bytes[4..8].copy_from_slice(&old.to_le_bytes());
+        let err = PlanLoader::new().read(&bytes[..], &m).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpmmError::PlanLoad(PlanLoadError::VersionMismatch { found, .. }) if found == old
+            ),
+            "expected VersionMismatch {{ found: {old} }}, got {err:?}"
+        );
+    }
 }
 
-/// Byte offset of the first section, just past the length-prefixed
-/// JSON header (magic, version, `u64` header length, header).
+/// Byte offset of the permutation section, just past the
+/// length-prefixed JSON header (magic, version, `u64` header length,
+/// header).
 fn sections_start(bytes: &[u8]) -> usize {
     16 + u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize
 }
 
+/// `bytes` with `from` replaced by `to` in its header text and the
+/// header length fixed to match.
+fn forge_header(bytes: &[u8], from: &str, to: &str) -> Vec<u8> {
+    let end = sections_start(bytes);
+    let header = std::str::from_utf8(&bytes[16..end]).unwrap();
+    let forged = header.replace(from, to);
+    assert_ne!(forged, header, "header records {from}");
+    let mut out = bytes[..8].to_vec();
+    out.extend_from_slice(&(forged.len() as u64).to_le_bytes());
+    out.extend_from_slice(forged.as_bytes());
+    out.extend_from_slice(&bytes[end..]);
+    out
+}
+
 #[test]
 fn a_header_naming_auto_is_a_typed_rejection() {
-    // "auto" is not the slug of any kernel, so a v4 container whose
-    // header kind reads "auto" is not a plan this build could have
-    // written. Forge it by rewriting the header text and its length.
+    // "auto" is not the slug of any kernel, so a container whose header
+    // kind reads "auto" is not a plan this build could have written.
     let m = gen::uniform_random(64, 4.0, 4);
-    let bytes = build_plan(KernelKind::AccSpmm, &m, 8)
-        .to_ir()
-        .to_bytes()
-        .unwrap();
-    let end = sections_start(&bytes);
-    let header = std::str::from_utf8(&bytes[16..end]).unwrap();
-    let forged = header.replace("\"kind\": \"accspmm\"", "\"kind\": \"auto\"");
-    assert_ne!(forged, header, "header records the kind slug");
-    let mut bytes_auto = bytes[..8].to_vec();
-    bytes_auto.extend_from_slice(&(forged.len() as u64).to_le_bytes());
-    bytes_auto.extend_from_slice(forged.as_bytes());
-    bytes_auto.extend_from_slice(&bytes[end..]);
-    let err = PlanLoader::new()
-        .read(std::io::Cursor::new(&bytes_auto))
-        .unwrap_err();
+    let bytes = build_plan(KernelKind::AccSpmm, &m, 8).to_bytes().unwrap();
+    let forged = forge_header(&bytes, "\"kind\": \"accspmm\"", "\"kind\": \"auto\"");
+    let err = PlanLoader::new().read(&forged[..], &m).unwrap_err();
     assert!(
         matches!(err, SpmmError::PlanLoad(_)),
         "expected a PlanLoad error, got {err:?}"
@@ -254,89 +318,68 @@ fn a_header_naming_auto_is_a_typed_rejection() {
 }
 
 #[test]
-fn a_csr_row_pointer_past_nnz_is_a_typed_rejection() {
-    // The CSR section is decoded before its fingerprint is checked, so
-    // the decoder itself must reject a `row_ptr` entry that overshoots
-    // nnz instead of slicing `col_idx` with it.
+fn a_wrong_or_misfit_operand_is_a_typed_rejection() {
     let m = gen::uniform_random(64, 4.0, 5);
-    let mut bytes = build_plan(KernelKind::CusparseLike, &m, 8)
-        .to_ir()
-        .to_bytes()
-        .unwrap();
-    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
-    let perm = sections_start(&bytes);
-    let csr = perm + 8 + u64_at(&bytes, perm) as usize;
-    // CSR section: length, nrows, ncols, row_ptr length, row_ptr...
-    let row_ptr_1 = csr + 8 + 3 * 8 + 8;
-    assert_eq!(u64_at(&bytes, row_ptr_1) as usize, m.row_ptr()[1]);
-    bytes[row_ptr_1..row_ptr_1 + 8].copy_from_slice(&(m.nnz() as u64 + 100).to_le_bytes());
+    let bytes = build_symmetric(&m, 16).to_bytes().unwrap();
     let err = PlanLoader::new()
-        .read(std::io::Cursor::new(&bytes))
+        .read(&bytes[..], &gen::uniform_random(64, 4.0, 6))
         .unwrap_err();
     assert!(
         matches!(
             err,
-            SpmmError::PlanLoad(PlanLoadError::ArtifactInvalid { section: "csr", .. })
+            SpmmError::PlanLoad(PlanLoadError::FingerprintMismatch { .. })
         ),
-        "expected a csr ArtifactInvalid, got {err:?}"
+        "expected FingerprintMismatch, got {err:?}"
     );
+    // A header forged to the fingerprint of a non-square operand, or of
+    // a square one the stored permutation does not fit.
+    let wide = CsrMatrix::new(64, 65, vec![0; 65], vec![], vec![]).unwrap();
+    for other in [wide, gen::uniform_random(80, 4.0, 5)] {
+        let forged = forge_header(
+            &bytes,
+            &format!("{:016x}", m.content_fingerprint()),
+            &format!("{:016x}", other.content_fingerprint()),
+        );
+        let err = PlanLoader::new().read(&forged[..], &other).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpmmError::PlanLoad(PlanLoadError::ArtifactInvalid {
+                    section: "perm",
+                    ..
+                })
+            ),
+            "{}x{}: expected a perm ArtifactInvalid, got {err:?}",
+            other.nrows(),
+            other.ncols()
+        );
+    }
 }
 
-/// Byte offsets of the `u64` length fields of a container without a
-/// permutation: the header, the perm section, the CSR section, the CSR
-/// `row_ptr` and the CSR `col_idx`/`values` pair.
-fn length_fields(bytes: &[u8]) -> [usize; 5] {
-    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+/// Byte offsets of the `u64` length fields of a symmetric plan's
+/// container: the header, the perm section and the perm entry count.
+fn length_fields(bytes: &[u8]) -> [usize; 3] {
     let perm = sections_start(bytes);
-    let csr = perm + 8 + u64_at(perm);
-    let row_ptr = csr + 8 + 2 * 8;
-    let col_idx = row_ptr + 8 + 8 * u64_at(row_ptr);
-    [8, perm, csr, row_ptr, col_idx]
+    [8, perm, perm + 8]
 }
 
 #[test]
 fn an_oversized_length_field_is_a_typed_rejection_not_an_allocation() {
     // A length is trusted only as far as the bytes behind it: allocating
-    // a 2^34 `row_ptr` length up front (128 GiB) aborts the process.
+    // a 2^34-entry permutation up front (64 GiB) aborts the process.
     let m = gen::uniform_random(64, 4.0, 6);
-    let bytes = build_plan(KernelKind::AccSpmm, &m, 16)
-        .to_ir()
-        .to_bytes()
-        .unwrap();
-    let [_, _, csr_section, row_ptr, _] = length_fields(&bytes);
-    for at in [row_ptr, csr_section] {
-        let mut patched = bytes.clone();
-        patched[at..at + 8].copy_from_slice(&(1u64 << 34).to_le_bytes());
-        let err = PlanIr::read_from(std::io::Cursor::new(&patched)).unwrap_err();
-        assert!(
-            matches!(err, SpmmError::PlanLoad(_)),
-            "length at byte {at}: expected a PlanLoad error, got {err:?}"
-        );
+    let bytes = build_symmetric(&m, 16).to_bytes().unwrap();
+    for at in length_fields(&bytes) {
+        for len in [1u64 << 34, u64::MAX] {
+            let mut patched = bytes.clone();
+            patched[at..at + 8].copy_from_slice(&len.to_le_bytes());
+            let err = PlanLoader::new().read(&patched[..], &m).unwrap_err();
+            assert!(
+                matches!(err, SpmmError::PlanLoad(_)),
+                "length {len} at byte {at}: expected a PlanLoad error, got {err:?}"
+            );
+        }
     }
-}
-
-#[test]
-fn a_row_count_of_u64_max_is_a_typed_rejection() {
-    // `nrows + 1` must not wrap: at u64::MAX it would be 0 and let an
-    // empty `row_ptr` through to an index past its end.
-    let m = gen::uniform_random(64, 4.0, 6);
-    let mut bytes = build_plan(KernelKind::AccSpmm, &m, 16)
-        .to_ir()
-        .to_bytes()
-        .unwrap();
-    let row_ptr = length_fields(&bytes)[3];
-    // CSR section: length, nrows, ncols, row_ptr length, row_ptr[0] = 0,
-    // which the reader then takes for the (empty) col_idx length.
-    bytes[row_ptr - 16..row_ptr - 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    bytes[row_ptr..row_ptr + 8].copy_from_slice(&0u64.to_le_bytes());
-    let err = PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            SpmmError::PlanLoad(PlanLoadError::ArtifactInvalid { section: "csr", .. })
-        ),
-        "expected a csr ArtifactInvalid, got {err:?}"
-    );
 }
 
 #[test]
@@ -349,26 +392,20 @@ fn foreign_isa_tier_rebinds_to_the_host_probe_at_load() {
     assert_eq!(plan.model().trace().isa_tier, host);
 
     // Forge an artifact recorded on a "different host": stamp a tier
-    // that is not this host's probe result into the IR's header.
-    let mut ir = plan.to_ir();
+    // that is not this host's probe result into the header.
     let foreign = IsaTier::ALL
         .into_iter()
         .find(|t| *t != host)
         .expect("more than one tier exists");
-    ir.isa_tier = foreign;
-    let bytes = ir.to_bytes().unwrap();
-
-    let parsed = PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap();
-    assert_eq!(
-        parsed.isa_tier, foreign,
-        "the recorded tier survives structural parsing untouched"
+    let bytes = forge_header(
+        &plan.to_bytes().unwrap(),
+        &format!("\"isa_tier\": \"{}\"", host.name()),
+        &format!("\"isa_tier\": \"{}\"", foreign.name()),
     );
 
-    // Rehydration re-resolves against the loading host: the recorded
-    // tier is advisory provenance, not a binding.
-    let loaded = PlanLoader::new()
-        .read(std::io::Cursor::new(&bytes))
-        .unwrap();
+    // Loading re-resolves against the loading host: the recorded tier
+    // is advisory provenance, not a binding.
+    let loaded = PlanLoader::new().read(&bytes[..], &m).unwrap();
     assert_eq!(loaded.isa_tier(), host);
     assert_eq!(loaded.model().trace().isa_tier, host);
 
@@ -405,9 +442,10 @@ fn pinned_unavailable_isa_tier_is_a_build_error() {
 fn golden_v4_plans_are_a_version_mismatch() {
     // `golden/` holds an AccSpmm and a DtcSpmm plan saved in the v4
     // layout (feature dim 16, A800, full config), which also stored the
-    // format, balance and trace sections. v5 stores the host part only,
-    // so both are refused outright; a plan built afresh on the same
-    // matrix saves, loads and multiplies bit-identically.
+    // operand, format, balance and trace sections. v7 stores the binding
+    // and permutation only, so both are refused outright; a plan built
+    // afresh on the same matrix saves, loads and multiplies
+    // bit-identically.
     let m = golden::golden_matrix();
     let b = DenseMatrix::from_fn(m.ncols(), 16, |r, c| {
         ((r * 16 + c) as f32 * 0.173_205).sin() * 2.5
@@ -419,7 +457,7 @@ fn golden_v4_plans_are_a_version_mismatch() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/golden")
             .join(name);
-        let err = PlanLoader::new().load(&path).unwrap_err();
+        let err = PlanLoader::new().load(&path, &m).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -428,11 +466,10 @@ fn golden_v4_plans_are_a_version_mismatch() {
             "{name}: expected VersionMismatch {{ found: 4 }}, got {err:?}"
         );
         let fresh = build_plan(kind, &m, 16);
-        let bytes = fresh.to_ir().to_bytes().unwrap();
+        let bytes = fresh.to_bytes().unwrap();
         let loaded = PlanLoader::new()
             .expect_kind(kind)
-            .expect_fingerprint(m.content_fingerprint())
-            .read(std::io::Cursor::new(&bytes))
+            .read(&bytes[..], &m)
             .unwrap();
         let want = PreparedKernel::from_plan(fresh).execute(&b).unwrap();
         let got = PreparedKernel::from_plan(loaded).execute(&b).unwrap();

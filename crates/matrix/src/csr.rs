@@ -227,8 +227,10 @@ impl CsrMatrix {
     /// half), which carries high input bits, such as a value's sign, into
     /// the low output bits; the lanes are folded together in order at
     /// the end. Deterministic across runs and platforms (unlike
-    /// `DefaultHasher`, whose seed varies); the plan IR stores it, so a
-    /// change of definition bumps `PLAN_IR_VERSION`.
+    /// `DefaultHasher`, whose seed varies). A plan file records the
+    /// input operand's fingerprint, and loading it checks the operand
+    /// the caller passes against it, so a change of definition bumps
+    /// `PLAN_IR_VERSION`.
     ///
     /// Computed once and cached: plan-cache lookups may fingerprint the
     /// same operand many times per session. In-place mutators must call

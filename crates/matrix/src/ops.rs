@@ -30,14 +30,30 @@ impl CsrMatrix {
                 "symmetric permutation is not a bijection over the rows".into(),
             ));
         }
-        let mut coo = CooMatrix::new(self.nrows(), self.ncols());
-        for r in 0..self.nrows() {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                coo.push(perm[r], perm[c as usize], v);
-            }
+        // Old row `inv[new]` lands in row `new` with relabeled columns;
+        // a bijection creates no duplicates, so a sort within the row
+        // restores column order. Each entry sorts as one word, its
+        // column above its value bits.
+        let inv = spmm_common::util::invert_permutation(perm);
+        let mut row_ptr = Vec::with_capacity(self.nrows() + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::with_capacity(self.nnz());
+        let mut values = Vec::with_capacity(self.nnz());
+        let mut row = Vec::new();
+        for &old in &inv {
+            let (cols, vals) = self.row(old as usize);
+            row.clear();
+            row.extend(
+                cols.iter()
+                    .zip(vals)
+                    .map(|(&c, v)| (perm[c as usize] as u64) << 32 | v.to_bits() as u64),
+            );
+            row.sort_unstable();
+            col_idx.extend(row.iter().map(|&e| (e >> 32) as u32));
+            values.extend(row.iter().map(|&e| f32::from_bits(e as u32)));
+            row_ptr.push(col_idx.len());
         }
-        Ok(CsrMatrix::from_coo(&coo))
+        CsrMatrix::new(self.nrows(), self.ncols(), row_ptr, col_idx, values)
     }
 
     /// Multiply every stored value by `s`.
@@ -308,6 +324,52 @@ mod tests {
                     );
                 }
             }
+        }
+
+        // Bit for bit what the COO construction builds, on operands
+        // with NaN, -0.0, subnormal values and empty rows.
+        #[test]
+        fn symmetric_permute_matches_the_coo_construction(
+            n in 1usize..48,
+            entries in proptest::collection::vec((0u32..48, 0u32..48, 0usize..8), 0..160),
+            seed in any::<u64>(),
+            identity in any::<bool>(),
+        ) {
+            const VALUES: [u32; 8] = [
+                0x7FC0_0000, // quiet NaN
+                0x8000_0000, // -0.0
+                0x0000_0000, // +0.0
+                0x0001_2345, // subnormal
+                0x3F80_0000, // 1.0
+                0xC0A0_0000, // -5.0
+                0x7F80_0000, // +Inf
+                0x3E4C_CCCD, // 0.2
+            ];
+            let mut coo = CooMatrix::new(n, n);
+            for &(r, c, v) in &entries {
+                coo.push(r % n as u32, c % n as u32, f32::from_bits(VALUES[v]));
+            }
+            let m = CsrMatrix::from_coo(&coo);
+            let mut perm: Vec<u32> = (0..n as u32).collect();
+            if !identity {
+                for i in (1..n).rev() {
+                    let j = spmm_common::util::splitmix64(seed ^ i as u64) as usize % (i + 1);
+                    perm.swap(i, j);
+                }
+            }
+            let mut reference = CooMatrix::new(n, n);
+            for r in 0..n {
+                let (cols, vals) = m.row(r);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    reference.push(perm[r], perm[c as usize], v);
+                }
+            }
+            let want = CsrMatrix::from_coo(&reference);
+            let got = m.permute_symmetric(&perm).unwrap();
+            prop_assert_eq!(got.row_ptr(), want.row_ptr());
+            prop_assert_eq!(got.col_idx(), want.col_idx());
+            let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 

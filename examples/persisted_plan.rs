@@ -1,7 +1,9 @@
 //! Persisted plans: build an `ExecutionPlan` once, save its versioned
 //! IR to disk, reload it in a "new process" through a fully-bound
 //! `PlanLoader`, and serve it through the engine. A plan file holds the
-//! operand as the host multiplies it, so a reload derives the same
+//! binding (and a symmetric plan's permutation), not the operand: the
+//! reloading process passes the operand it holds, the loader checks it
+//! against the file's fingerprint, and the reload derives the same
 //! execution rows as a fresh build.
 //!
 //! Run with: `cargo run --release --example persisted_plan`
@@ -46,16 +48,15 @@ fn main() -> Result<()> {
 
     // --- Process 2: reload, validate, serve -------------------------
     // A restarted server knows what it expects; every binding is pinned
-    // so a stale or foreign artifact is a typed error, not a wrong
-    // answer.
+    // and the operand is checked against the file, so a stale or foreign
+    // artifact is a typed error, not a wrong answer.
     let t1 = Instant::now();
     let plan = PlanLoader::new()
         .expect_kind(KernelKind::AccSpmm)
         .expect_arch(arch)
         .expect_feature_dim(dim)
-        .expect_fingerprint(a.content_fingerprint())
         .expect_config(AccConfig::full())
-        .load(&path)?;
+        .load(&path, &a)?;
     let load_s = t1.elapsed().as_secs_f64();
     println!(
         "reloaded in {load_s:.3}s: {:?} on {:?}, N = {}, fingerprint {:016x}",

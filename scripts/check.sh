@@ -28,7 +28,7 @@ if [[ "$QUICK" == "1" ]]; then
   exit 0
 fi
 
-echo "==> planc smoke (compile + reload + execute one persisted plan per TC format)"
+echo "==> planc smoke (compile + reload + execute one persisted plan per TC format, and a symmetric one)"
 PLANC_DIR="$(mktemp -d)"
 trap 'rm -rf "$PLANC_DIR"' EXIT
 cargo run --release -q -p spmm-bench --bin planc -- --smoke "$PLANC_DIR"
